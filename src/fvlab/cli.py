@@ -17,8 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .fields import interpolate_test
-from .geometry import (build_dual_mac, build_dual_rt, build_time_grid,
-                       check_mesh_identities, regularity)
+# build_dual_mac and build_dual_rt are called by their names in this module
+# (see _mesh_for), so rebinding fvlab.cli.build_dual_* reaches the call
+from .geometry import (DualMeshMAC, DualMeshRT, build_dual_mac, build_dual_rt,
+                       build_time_grid, check_mesh_identities, regularity)
+from .layouts import get_layout
 from .meshio import load_mesh
 from .quadrature import CellQuadrature
 from .study import (StudyConfig, StudyRegularityError, build_level, run_study,
@@ -31,24 +34,64 @@ class ConfigError(ValueError):
     pass
 
 
-_SCHEMA = {
-    "mesh": {"family": str, "nx": int, "ny": int, "x0": float, "x1": float,
-             "y0": float, "y1": float, "grading": float,
-             "grading_growth": float, "amplitude": float, "seed": int,
-             "file": str},
-    "time": {"T": float, "dt_over_h": float, "pattern": str, "ratio": float},
-    "study": {"levels": int, "layout": str, "beta": str, "g": str,
-              "face_scheme": str, "lambda": float, "field_source": str,
-              "solution": str, "boundary_policy": str, "cfl": float,
-              "translate_theta": float, "threads": int},
-    "test_function": {"x0": float, "x1": float, "y0": float, "y1": float,
-                      "t_max_factor": float, "time_profile": str},
-    "numerics": {"quad_order": int, "interp_panels": int, "oracle_order": int,
-                 "rhs_panels": int},
-    "audit": {"regularity_cap": float, "regularity_growth": float},
-    "output": {"out_dir": str},
-    "thresholds": None,      # free-form series = min-slope entries
-}
+# The INI schema: (section, key, target, type).  A target is a StudyConfig
+# field, a (box, axis, end) bound of the domain or support box, or a key of
+# the meta dict (non-study settings).  Absent keys take the StudyConfig
+# defaults; [thresholds] holds free-form series = minimum slope entries.
+CONFIG_TABLE = (
+    ("mesh", "family", "mesh_family", str),
+    ("mesh", "nx", "nx0", int),
+    ("mesh", "ny", "ny0", int),
+    ("mesh", "x0", ("domain", 0, 0), float),
+    ("mesh", "x1", ("domain", 0, 1), float),
+    ("mesh", "y0", ("domain", 1, 0), float),
+    ("mesh", "y1", ("domain", 1, 1), float),
+    ("mesh", "grading", "grading", float),
+    ("mesh", "grading_growth", "grading_growth", float),
+    ("mesh", "amplitude", "amplitude", float),
+    ("mesh", "seed", "seed", int),
+    ("mesh", "file", "mesh_file", str),
+    ("time", "T", "T", float),
+    ("time", "dt_over_h", "dt_over_h", float),
+    ("time", "pattern", "time_pattern", str),
+    ("time", "ratio", "time_ratio", float),
+    ("study", "levels", "levels", int),
+    ("study", "layout", "layout", str),
+    ("study", "beta", "beta_name", str),
+    ("study", "g", "g_name", str),
+    ("study", "face_scheme", "face_scheme", str),
+    ("study", "lambda", "lam", float),
+    ("study", "field_source", "field_source", str),
+    ("study", "solution", "solution", str),
+    ("study", "boundary_policy", "boundary_policy", str),
+    ("study", "cfl", "cfl", float),
+    ("study", "translate_theta", "translate_theta", float),
+    ("study", "threads", "threads", int),
+    ("test_function", "x0", ("support", 0, 0), float),
+    ("test_function", "x1", ("support", 0, 1), float),
+    ("test_function", "y0", ("support", 1, 0), float),
+    ("test_function", "y1", ("support", 1, 1), float),
+    ("test_function", "t_max_factor", "t_max_factor", float),
+    ("test_function", "time_profile", "time_profile", str),
+    ("numerics", "quad_order", "quad_order", int),
+    ("numerics", "interp_panels", "interp_panels", int),
+    ("numerics", "oracle_order", "oracle_order", int),
+    ("numerics", "rhs_panels", "rhs_panels", int),
+    ("audit", "regularity_cap", "regularity_cap", float),
+    ("audit", "regularity_growth", "regularity_growth", float),
+    ("output", "out_dir", "out_dir", str),
+)
+META_DEFAULTS = {"mesh_file": "", "out_dir": "."}
+_ROWS = {(section, key): (target, conv)
+         for section, key, target, conv in CONFIG_TABLE}
+_SECTIONS = {section for section, *_ in CONFIG_TABLE} | {"thresholds"}
+
+
+def _fill_box(box, bounds: dict) -> tuple:
+    """`box` with its (axis, end) bounds replaced by those in `bounds`."""
+    return tuple(tuple(bounds.get((axis, end), lim)
+                       for end, lim in enumerate(axis_bounds))
+                 for axis, axis_bounds in enumerate(box))
 
 
 def parse_config(path) -> tuple[StudyConfig, dict]:
@@ -64,134 +107,63 @@ def parse_config(path) -> tuple[StudyConfig, dict]:
             cp.read_file(fh)
     except (OSError, configparser.Error) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    values, boxes, thresholds = {}, {"domain": {}, "support": {}}, {}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-        schema = _SCHEMA[section]
-        if schema is None:
-            continue
-        for key in cp[section]:
-            if key not in schema:
+        for key, text in cp[section].items():
+            if section == "thresholds":
+                target, conv = key, float
+            elif (section, key) in _ROWS:
+                target, conv = _ROWS[section, key]
+            else:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-
-    def get(section, key, conv, default):
-        if cp.has_option(section, key):
             try:
-                return conv(cp.get(section, key))
+                value = conv(text)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for {key!r} in [{section}]: {exc}") from exc
-        return default
-
-    layout = get("study", "layout", str, "mac")
-    dim = 1 if layout == "colocated1d" else 2
-    domain_x = (get("mesh", "x0", float, 0.0), get("mesh", "x1", float, 1.0))
-    domain_y = (get("mesh", "y0", float, 0.0), get("mesh", "y1", float, 1.0))
-    domain = (domain_x,) if dim == 1 else (domain_x, domain_y)
-    support = None
-    if cp.has_section("test_function") and cp.has_option("test_function", "x0"):
-        sx = (get("test_function", "x0", float, 0.2),
-              get("test_function", "x1", float, 0.8))
-        if dim == 1:
-            support = (sx,)
-        else:
-            support = (sx, (get("test_function", "y0", float, 0.2),
-                            get("test_function", "y1", float, 0.8)))
-    thresholds = {}
-    if cp.has_section("thresholds"):
-        for key in cp["thresholds"]:
-            thresholds[key] = float(cp.get("thresholds", key))
-    cfg = StudyConfig(
-        mesh_family=get("mesh", "family", str,
-                        "interval" if dim == 1 else "uniform"),
-        nx0=get("mesh", "nx", int, 8),
-        ny0=get("mesh", "ny", int, 8),
-        levels=get("study", "levels", int, 3),
-        domain=domain,
-        grading=get("mesh", "grading", float, 1.0),
-        grading_growth=get("mesh", "grading_growth", float, 1.0),
-        amplitude=get("mesh", "amplitude", float, 0.2),
-        seed=get("mesh", "seed", int, 0),
-        layout=layout,
-        beta_name=get("study", "beta", str, "id"),
-        g_name=get("study", "g", str, "id"),
-        face_scheme=get("study", "face_scheme", str, "upwind"),
-        lam=get("study", "lambda", float, 0.5),
-        field_source=get("study", "field_source", str, "manufactured"),
-        solution=get("study", "solution", str,
-                     "bump_advect_1d" if dim == 1 else "sinsin_cos"),
-        boundary_policy=get("study", "boundary_policy", str, "upwind_zero"),
-        cfl=get("study", "cfl", float, 0.5),
-        T=get("time", "T", float, 0.5),
-        dt_over_h=get("time", "dt_over_h", float, 0.5),
-        time_pattern=get("time", "pattern", str, "uniform"),
-        time_ratio=get("time", "ratio", float, 1.0),
-        support=support,
-        t_max_factor=get("test_function", "t_max_factor", float, 0.7),
-        time_profile=get("test_function", "time_profile", str, "initial"),
-        quad_order=get("numerics", "quad_order", int, 4),
-        interp_panels=get("numerics", "interp_panels", int, 4),
-        oracle_order=get("numerics", "oracle_order", int, 8),
-        rhs_panels=get("numerics", "rhs_panels", int, 12),
-        translate_theta=get("study", "translate_theta", float, 1.0),
-        regularity_cap=get("audit", "regularity_cap", float, 1e3),
-        regularity_growth=get("audit", "regularity_growth", float, 2.0),
-        thresholds=thresholds,
-        threads=get("study", "threads", int, 1),
-    )
-    meta = {"mesh_file": get("mesh", "file", str, ""),
-            "out_dir": get("output", "out_dir", str, ".")}
+            if section == "thresholds":
+                thresholds[key] = value
+            elif isinstance(target, tuple):
+                boxes[target[0]][target[1:]] = value
+            else:
+                values[target] = value
+    meta = {key: values.pop(key, default)
+            for key, default in META_DEFAULTS.items()}
+    try:
+        cfg = StudyConfig(**values, thresholds=thresholds)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    cfg.domain = _fill_box(cfg.domain, boxes["domain"])
+    if boxes["support"]:
+        cfg.support = _fill_box(cfg.default_support(), boxes["support"])
     return cfg, meta
 
 
 def serialize_config(cfg: StudyConfig, meta: dict | None = None) -> str:
     """Write a StudyConfig back to INI text (parse -> serialize -> parse is
     the identity)."""
-    meta = meta or {}
-    dim = cfg.dim()
-    lines = ["[mesh]",
-             f"family = {cfg.mesh_family}",
-             f"nx = {cfg.nx0}", f"ny = {cfg.ny0}",
-             f"x0 = {cfg.domain[0][0]!r}", f"x1 = {cfg.domain[0][1]!r}"]
-    if dim == 2:
-        lines += [f"y0 = {cfg.domain[1][0]!r}", f"y1 = {cfg.domain[1][1]!r}"]
-    lines += [f"grading = {cfg.grading!r}",
-              f"grading_growth = {cfg.grading_growth!r}",
-              f"amplitude = {cfg.amplitude!r}", f"seed = {cfg.seed}"]
-    if meta.get("mesh_file"):
-        lines.append(f"file = {meta['mesh_file']}")
-    lines += ["", "[time]", f"T = {cfg.T!r}",
-              f"dt_over_h = {cfg.dt_over_h!r}",
-              f"pattern = {cfg.time_pattern}", f"ratio = {cfg.time_ratio!r}"]
-    lines += ["", "[study]", f"levels = {cfg.levels}",
-              f"layout = {cfg.layout}", f"beta = {cfg.beta_name}",
-              f"g = {cfg.g_name}", f"face_scheme = {cfg.face_scheme}",
-              f"lambda = {cfg.lam!r}", f"field_source = {cfg.field_source}",
-              f"solution = {cfg.solution}",
-              f"boundary_policy = {cfg.boundary_policy}",
-              f"cfl = {cfg.cfl!r}",
-              f"translate_theta = {cfg.translate_theta!r}",
-              f"threads = {cfg.threads}"]
-    lines += ["", "[test_function]"]
-    if cfg.support is not None:
-        lines += [f"x0 = {cfg.support[0][0]!r}", f"x1 = {cfg.support[0][1]!r}"]
-        if dim == 2:
-            lines += [f"y0 = {cfg.support[1][0]!r}",
-                      f"y1 = {cfg.support[1][1]!r}"]
-    lines += [f"t_max_factor = {cfg.t_max_factor!r}",
-              f"time_profile = {cfg.time_profile}"]
-    lines += ["", "[numerics]", f"quad_order = {cfg.quad_order}",
-              f"interp_panels = {cfg.interp_panels}",
-              f"oracle_order = {cfg.oracle_order}",
-              f"rhs_panels = {cfg.rhs_panels}"]
-    lines += ["", "[audit]", f"regularity_cap = {cfg.regularity_cap!r}",
-              f"regularity_growth = {cfg.regularity_growth!r}"]
-    if meta.get("out_dir", ".") != ".":
-        lines += ["", "[output]", f"out_dir = {meta['out_dir']}"]
-    if cfg.thresholds:
-        lines += ["", "[thresholds]"]
-        lines += [f"{k} = {v!r}" for k, v in cfg.thresholds.items()]
-    return "\n".join(lines) + "\n"
+    meta = {**META_DEFAULTS, **(meta or {})}
+    sections = {}
+    for section, key, target, conv in CONFIG_TABLE:
+        if isinstance(target, tuple):
+            box, axis, end = target
+            bounds = getattr(cfg, box)
+            if bounds is None or axis >= len(bounds):
+                continue
+            value = bounds[axis][end]
+        elif target in META_DEFAULTS:
+            value = meta[target]
+            if value == META_DEFAULTS[target]:
+                continue
+        else:
+            value = getattr(cfg, target)
+        text = repr(value) if conv is float else str(value)
+        sections.setdefault(section, []).append(f"{key} = {text}")
+    sections["thresholds"] = [f"{k} = {v!r}" for k, v in cfg.thresholds.items()]
+    return "\n\n".join("\n".join([f"[{name}]"] + lines)
+                       for name, lines in sections.items() if lines) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -200,24 +172,23 @@ def serialize_config(cfg: StudyConfig, meta: dict | None = None) -> str:
 def _mesh_for(cfg: StudyConfig, meta: dict):
     if meta.get("mesh_file"):
         mesh = load_mesh(meta["mesh_file"])
+        layout = get_layout(cfg.layout)
         dual = None
-        if mesh.dim == 2 and cfg.layout == "mac" and mesh.is_rectangular():
-            dual = build_dual_mac(mesh)
-        elif mesh.dim == 2 and cfg.layout == "rt":
-            dual = build_dual_rt(mesh)
+        # a loaded mesh the layout's dual does not fit gets no dual
+        if layout.dual_builder and layout.fits(mesh):
+            dual = globals()[layout.dual_builder](mesh)
         return mesh, dual
     mesh, dual, _ = build_level(cfg, 0)
     return mesh, dual
 
 
 def cmd_mesh_info(cfg: StudyConfig, meta: dict, out=None) -> int:
-    out = out if out is not None else sys.stdout
     mesh, dual = _mesh_for(cfg, meta)
     grid = build_time_grid(cfg.T, max(1, round(
         cfg.T / (cfg.dt_over_h * mesh.delta()))), pattern=cfg.time_pattern,
         ratio=cfg.time_ratio)
-    reg = regularity(mesh, grid,
-                     mac=dual if cfg.layout == "mac" and dual else None)
+    mac = dual if isinstance(dual, DualMeshMAC) else None
+    reg = regularity(mesh, grid, mac=mac)
     print(f"dimension    {mesh.dim}", file=out)
     print(f"cells        {mesh.n_cells}", file=out)
     print(f"faces        {mesh.n_faces}", file=out)
@@ -227,13 +198,12 @@ def cmd_mesh_info(cfg: StudyConfig, meta: dict, out=None) -> int:
     print(f"theta1       {reg.theta1:.17g}", file=out)
     print(f"theta2       {reg.theta2:.17g}", file=out)
     print(f"theta3       {reg.theta3:.17g}", file=out)
-    if cfg.layout == "mac" and dual is not None:
+    if mac is not None:
         print(f"theta_mac    {dual.theta:.17g}", file=out)
     return 0
 
 
 def cmd_run_study(cfg: StudyConfig, meta: dict, out=None) -> int:
-    out = out if out is not None else sys.stdout
     out_dir = Path(meta.get("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -247,23 +217,19 @@ def cmd_run_study(cfg: StudyConfig, meta: dict, out=None) -> int:
     print(f"wrote {out_dir / 'report.csv'} and {out_dir / 'rates.csv'}",
           file=out)
     failed = result.failed_thresholds()
-    if failed:
-        for name in failed:
-            fit = result.rates.get(name)
-            got = fit.finest_pair if fit is not None else float("nan")
-            print(f"threshold failed: {name}: finest-pair slope {got:.3f} "
-                  f"< {cfg.thresholds[name]}", file=sys.stderr)
-        return 3
-    return 0
+    for name in failed:
+        print(f"threshold failed: {name}: finest-pair slope "
+              f"{result.rates[name].finest_pair:.3f} < {cfg.thresholds[name]}",
+              file=sys.stderr)
+    return 3 if failed else 0
 
 
 def cmd_check_identities(cfg: StudyConfig, meta: dict, out=None) -> int:
-    out = out if out is not None else sys.stdout
     mesh, dual = _mesh_for(cfg, meta)
     problems = check_mesh_identities(
         mesh,
-        mac=dual if cfg.layout == "mac" else None,
-        rt=dual if cfg.layout == "rt" else None)
+        mac=dual if isinstance(dual, DualMeshMAC) else None,
+        rt=dual if isinstance(dual, DualMeshRT) else None)
     # gradient-averaging identity on the configured test function
     if not problems and not meta.get("mesh_file"):
         grid = build_time_grid(cfg.T, 2)
@@ -294,12 +260,16 @@ def cmd_check_identities(cfg: StudyConfig, meta: dict, out=None) -> int:
     return 0
 
 
+COMMANDS = {"mesh-info": cmd_mesh_info, "run-study": cmd_run_study,
+            "check-identities": cmd_check_identities}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fvlab",
         description="finite-volume weak-consistency laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("mesh-info", "run-study", "check-identities"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI configuration file")
         p.add_argument("--out", default=None, help="output directory")
@@ -336,11 +306,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "mesh-info":
-            return cmd_mesh_info(cfg, meta)
-        if args.command == "run-study":
-            return cmd_run_study(cfg, meta)
-        return cmd_check_identities(cfg, meta)
+        return COMMANDS[args.command](cfg, meta)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import InterpolatedTest, SupportError
+from .geometry import LOCAL_OPPOSITE
+from .layouts import get_layout
 from .operators import BetaFamily, FluxFamily, dt_beta, flux_divergence, flux_dot_n
 from .quadrature import (DEFAULT_ORDER, ORACLE_ORDER, BoxQuadrature,
                          CellQuadrature, SlabQuadrature)
@@ -30,11 +32,17 @@ __all__ = [
     "LOCAL_OPPOSITE",
 ]
 
-LOCAL_OPPOSITE = (2, 3, 0, 1)   # quadrangle local faces: bottom/right/top/left
-
 
 class RouteMismatchError(AssertionError):
     """Two algebraically equal evaluation routes disagreed numerically."""
+
+
+def _check_routes(what: str, a: float, b: float, scale: float, rtol: float):
+    """The dual-route contract: |a - b| <= rtol * scale, where the scale is
+    the absolute term mass of the two routes."""
+    if abs(a - b) > rtol * max(scale, 1e-300):
+        raise RouteMismatchError(f"{what} routes disagree: {a!r} vs {b!r} "
+                                 f"(scale {scale!r})")
 
 
 # ----------------------------------------------------------------------
@@ -70,63 +78,16 @@ def compute_X1(betas: BetaFamily, interp: InterpolatedTest, mesh, grid,
                 float(np.einsum("n,nc,c->", steps, np.abs(dtb * phi_c[:-1]), vols)),
                 float(np.einsum("c,c->", vols, np.abs(betas.values[0] * phi_c[0])))
                 + float(np.einsum("nc,c->", np.abs(betas.values[1:] * dphi), vols)))
-    if abs(direct - by_parts) > rtol * max(scale, 1e-300):
-        raise RouteMismatchError(
-            f"X1 routes disagree: {direct!r} vs {by_parts!r}")
+    _check_routes("X1", direct, by_parts, scale, rtol)
     return X1Result(direct, by_parts)
 
 
 # ----------------------------------------------------------------------
 # piecewise-constant flux function f(U)
 
-def _flux_pieces(layout: str, q, v, pair, mesh, dual, n_steps: int):
-    """Piece table of f(U).n_{P,zeta}: measures (NC, nf, np) and values
-    (N, NC, nf, np), one entry per constancy region of f(U) inside P."""
-    cf = mesh.cell_faces
-    qv = q.values[:n_steps]
-    if layout == "rt":
-        vcf = v.values[:n_steps][:, cf]                        # (N, NC, 4, 2)
-        dots = np.einsum("ncpd,ckd->nckp", vcf, mesh.cell_face_normals)
-        piece = pair.g(qv)[:, :, None, None] * dots
-        meas = np.broadcast_to((0.25 * mesh.cell_volumes)[:, None, None],
-                               (mesh.n_cells, 4, 4))
-        return meas, piece
-    if layout == "mac":
-        vcf = v.values[:n_steps][:, cf]                        # (N, NC, 4)
-        vopp = vcf[:, :, LOCAL_OPPOSITE]
-        delta = dual.cell_face_delta[None, :, :]
-        own = vcf * delta
-        opp = vopp * delta
-        piece = pair.g(qv)[:, :, None, None] * np.stack([own, opp], axis=-1)
-        meas = np.broadcast_to((0.5 * mesh.cell_volumes)[:, None, None],
-                               (mesh.n_cells, 4, 2))
-        return meas, piece
-    if layout == "colocated1d":
-        fq = pair.f(qv) if pair.f is not None else pair.g(qv)
-        piece = fq[:, :, None, None] * mesh.cell_face_normals[None, :, :, 0:1]
-        meas = np.broadcast_to(mesh.cell_volumes[:, None, None],
-                               (mesh.n_cells, 2, 1))
-        return meas, piece
-    raise ValueError(f"unknown layout {layout!r}")
-
-
-def _flux_cell_means(layout: str, q, v, pair, mesh, n_steps: int):
-    """Mean of the vector f(U) over each cell per step, shape (N, NC, d)."""
-    cf = mesh.cell_faces
-    qv = q.values[:n_steps]
-    if layout == "rt":
-        vcf = v.values[:n_steps][:, cf]
-        mean_v = 0.25 * ((vcf[:, :, 0] + vcf[:, :, 2]) + (vcf[:, :, 1] + vcf[:, :, 3]))
-        return pair.g(qv)[:, :, None] * mean_v
-    if layout == "mac":
-        vcf = v.values[:n_steps][:, cf]
-        mean1 = 0.5 * (vcf[:, :, 3] + vcf[:, :, 1])   # left/right pair
-        mean2 = 0.5 * (vcf[:, :, 0] + vcf[:, :, 2])   # bottom/top pair
-        return pair.g(qv)[:, :, None] * np.stack([mean1, mean2], axis=-1)
-    if layout == "colocated1d":
-        fq = pair.f(qv) if pair.f is not None else pair.g(qv)
-        return fq[:, :, None]
-    raise ValueError(f"unknown layout {layout!r}")
+def _slab_levels(field, n_steps: int):
+    """Levels 0..N-1 of a field, one per slab; None for an absent field."""
+    return None if field is None else field.values[:n_steps]
 
 
 # ----------------------------------------------------------------------
@@ -159,12 +120,15 @@ def compute_X2(flux: FluxFamily, interp: InterpolatedTest, mesh, grid,
         return X2Result(direct, np.nan, np.nan, np.nan)
     n_steps = grid.n_steps
     interior = mesh.interior_cell_mask
-    mean_f = _flux_cell_means(flux.layout, q, v, pair, mesh, n_steps)
+    layout = get_layout(flux.layout)
+    qv, vv = _slab_levels(q, n_steps), _slab_levels(v, n_steps)
+    mean_f = layout.flux_cell_means(qv, vv, pair, mesh)
     grad = interp.grad_phi[:-1]
     vols = mesh.cell_volumes
     gdots = np.einsum("ncd,ncd->nc", mean_f[:, interior], grad[:, interior])
     grad_term = -float(np.einsum("n,nc,c->", steps, gdots, vols[interior]))
-    meas, piece = _flux_pieces(flux.layout, q, v, pair, mesh, dual, n_steps)
+    meas = layout.piece_measures(mesh)
+    piece = layout.flux_pieces(qv, vv, pair, mesh, dual)
     dotn = flux_dot_n(flux)                                    # (N, NC, nf)
     areas = mesh.face_measures[mesh.cell_faces]                # (NC, nf)
     dphi = phi_c[:, :, None] - interp.phi_face[:-1][:, mesh.cell_faces]
@@ -176,10 +140,7 @@ def compute_X2(flux: FluxFamily, interp: InterpolatedTest, mesh, grid,
                 float(np.einsum("n,nc->", steps, np.abs(div * phi_c))),
                 float(np.einsum("n,nc,c->", steps, np.abs(gdots), vols[interior]))
                 + float(np.einsum("n,nckp->", steps, np.abs(weighted[:, interior]))))
-    if abs(direct - gradient_route) > rtol * max(scale, 1e-300):
-        raise RouteMismatchError(
-            f"X2 routes disagree: {direct!r} vs {gradient_route!r} "
-            f"(scale {scale!r})")
+    _check_routes("X2", direct, gradient_route, scale, rtol)
     return X2Result(direct, gradient_route, grad_term, remainder)
 
 
@@ -260,7 +221,10 @@ def residual_flux_terms(flux: FluxFamily, q, v, pair, mesh, grid,
     """
     dual = dual if dual is not None else flux.dual
     n_steps = grid.n_steps
-    meas, piece = _flux_pieces(layout, q, v, pair, mesh, dual, n_steps)
+    rules = get_layout(layout)
+    meas = rules.piece_measures(mesh)
+    piece = rules.flux_pieces(_slab_levels(q, n_steps),
+                              _slab_levels(v, n_steps), pair, mesh, dual)
     dotn = flux_dot_n(flux)
     interior = mesh.interior_cell_mask
     coef = mesh.cell_diameters / mesh.cell_volumes
@@ -324,32 +288,13 @@ def jump_sums(q, v, mesh, dual, grid, layout: str,
     jump_f = np.abs(qv[:, fc[ifaces, 0]] - qv[:, fc[ifaces, 1]])
     omega = (diam[fc[ifaces, 0]] + diam[fc[ifaces, 1]]) * mesh.face_measures[ifaces]
     r1_face = float(np.dot(steps, jump_f @ omega))
-    scale = max(abs(r1), abs(r1_face), 1e-300)
-    if abs(r1 - r1_face) > rtol * scale:
-        raise RouteMismatchError(f"R1 forms disagree: {r1!r} vs {r1_face!r}")
-    if layout == "colocated1d":
-        return JumpSums(r1, r1_face, 0.0, None)
-    if layout == "rt":
-        vcf = v.values[:n_steps][:, cf]                      # (N, NC, 4, 2)
-        const = dual.jump_weight_constant
-        per_cell = np.zeros((n_steps, mesh.n_cells))
-        for a, b in dual.dual_edges_local:
-            per_cell += np.sqrt(((vcf[:, :, a] - vcf[:, :, b]) ** 2).sum(-1))
-        r2 = float(np.dot(steps, per_cell @ (const * diam ** 2)))
-        return JumpSums(r1, r1_face, r2, const)
-    if layout == "mac":
-        vcf = v.values[:n_steps][:, cf]                      # (N, NC, 4)
-        areas = mesh.face_measures[cf]
-        r2 = 0.0
-        for a, b in dual.direction_pairs_local:
-            jump = np.abs(vcf[:, :, a] - vcf[:, :, b])
-            w = diam * (areas[:, a] + areas[:, b])
-            r2 += float(np.dot(steps, jump @ w))
-        return JumpSums(r1, r1_face, r2, None)
-    raise ValueError(f"unknown layout {layout!r}")
+    _check_routes("R1", r1, r1_face, max(abs(r1), abs(r1_face)), rtol)
+    r2, const = get_layout(layout).velocity_jumps(_slab_levels(v, n_steps),
+                                                  mesh, dual, steps)
+    return JumpSums(r1, r1_face, r2, const)
 
 
-def measured_constant(q, v, pair, layout: str) -> float:
+def measured_constant(q, v, pair) -> float:
     """Measured product constant dominating R <= C (R1 + R2): the larger of
     C_g * sup|v| and sup|g(q)| over the discrete data."""
     qmin = float(q.values.min())
@@ -405,8 +350,7 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
         t = pts[:, dim]
         qb = np.asarray(q_exact(x, t), dtype=float)
         if v_exact is None:
-            return (pair.f(qb) if pair.f is not None else pair.g(qb)) \
-                * phi.grad(x, t)[:, 0]
+            return pair.flux(qb) * phi.grad(x, t)[:, 0]
         vv = np.asarray(v_exact(x, t), dtype=float)
         return pair.g(qb) * np.einsum("nd,nd->n", vv, phi.grad(x, t))
 

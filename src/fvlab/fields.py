@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .geometry import sum_opposite_first
 from .quadrature import (DEFAULT_ORDER, CellQuadrature, FaceQuadrature,
                          SlabQuadrature)
 
@@ -22,100 +23,80 @@ __all__ = [
     "TestFunction", "InterpolatedTest", "TranslateWeights",
     "sample_cell_means", "interpolate_test", "lp_distance",
     "translate_functional", "translate_functional_general",
-    "default_translate_weights", "SupportError",
+    "default_translate_weights", "SupportError", "TIME_PROFILES",
 ]
+
+TIME_PROFILES = ("initial", "interior")
 
 
 class SupportError(ValueError):
     """Raised when a test function's support violates C_c(Omega x [0,T))."""
 
 
-def _freeze(*arrays):
-    for a in arrays:
-        a.setflags(write=False)
+class _LevelField:
+    """Values per mesh entity for levels n = 0..N, finite and read-only."""
 
+    dual = None
 
-class CellScalarField:
-    """Cell-centred scalar unknown q_P^n, levels n = 0..N."""
-
-    def __init__(self, mesh, grid, values):
+    def __init__(self, mesh, grid, values, entity_shape):
         values = np.ascontiguousarray(values, dtype=float)
-        if values.shape != (grid.n_steps + 1, mesh.n_cells):
-            raise ValueError(f"expected shape {(grid.n_steps + 1, mesh.n_cells)}, "
-                             f"got {values.shape}")
+        shape = (grid.n_steps + 1,) + entity_shape
+        if values.shape != shape:
+            raise ValueError(f"expected shape {shape}, got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite field values")
         self.mesh = mesh
         self.grid = grid
         self.values = values
-        _freeze(values)
+        values.setflags(write=False)
 
     def sup_norm(self) -> float:
-        """Max |q_P^n| over the slab levels 0..N-1 (the space-time function)."""
+        """Max |value| over the slab levels 0..N-1 (the space-time function)."""
         return float(np.abs(self.values[:-1]).max())
 
 
-class FaceVectorFieldRT:
-    """Full velocity vector per face (RT layout), levels 0..N."""
+class CellScalarField(_LevelField):
+    """Cell-centred scalar unknown q_P^n, levels n = 0..N."""
 
     def __init__(self, mesh, grid, values):
-        values = np.ascontiguousarray(values, dtype=float)
-        if values.shape != (grid.n_steps + 1, mesh.n_faces, 2):
-            raise ValueError(f"expected shape {(grid.n_steps + 1, mesh.n_faces, 2)}, "
-                             f"got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite field values")
-        self.mesh = mesh
-        self.grid = grid
-        self.values = values
-        _freeze(values)
+        super().__init__(mesh, grid, values, (mesh.n_cells,))
+
+
+class FaceVectorFieldRT(_LevelField):
+    """Full velocity vector per face (RT layout), levels 0..N.  The RT
+    rules need the primal normals only, so the field carries no dual."""
+
+    def __init__(self, mesh, grid, values):
+        super().__init__(mesh, grid, values, (mesh.n_faces, 2))
 
     def sup_norm(self) -> float:
         return float(np.sqrt((self.values[:-1] ** 2).sum(-1)).max())
 
 
-class FaceScalarFieldMAC:
+class FaceScalarFieldMAC(_LevelField):
     """Normal velocity component per face (MAC layout), levels 0..N."""
 
     def __init__(self, mesh, grid, dual, values):
-        values = np.ascontiguousarray(values, dtype=float)
-        if values.shape != (grid.n_steps + 1, mesh.n_faces):
-            raise ValueError(f"expected shape {(grid.n_steps + 1, mesh.n_faces)}, "
-                             f"got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite field values")
-        self.mesh = mesh
-        self.grid = grid
+        super().__init__(mesh, grid, values, (mesh.n_faces,))
         self.dual = dual
-        self.values = values
-        _freeze(values)
-
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values[:-1]).max())
 
 
 # ----------------------------------------------------------------------
 # test functions
 
-def _bump(s, a, b):
-    """exp(-1/(1-u^2)) rescaled to (a, b), extended by zero outside."""
+def _bump(s, a, b, derivative=False):
+    """exp(-1/(1-u^2)) rescaled to (a, b), extended by zero outside; with
+    ``derivative`` its derivative in s."""
     s = np.asarray(s, dtype=float)
     u = (2.0 * s - (a + b)) / (b - a)
     out = np.zeros_like(u)
     inside = np.abs(u) < 1.0
     ui = u[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
-    return out
-
-
-def _bump_deriv(s, a, b):
-    s = np.asarray(s, dtype=float)
-    u = (2.0 * s - (a + b)) / (b - a)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    one = 1.0 - ui * ui
-    out[inside] = np.exp(-1.0 / one) * (-2.0 * ui / one ** 2) * (2.0 / (b - a))
+    if derivative:
+        one = 1.0 - ui * ui
+        out[inside] = np.exp(-1.0 / one) * (-2.0 * ui / one ** 2) * (2.0 / (b - a))
+    else:
+        out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
     return out
 
 
@@ -136,7 +117,7 @@ class TestFunction:
     def __init__(self, support, t_max, time_profile="initial"):
         self.support = tuple((float(a), float(b)) for a, b in support)
         self.t_max = float(t_max)
-        if time_profile not in ("initial", "interior"):
+        if time_profile not in TIME_PROFILES:
             raise ValueError(f"unknown time profile {time_profile!r}")
         self.time_profile = time_profile
         self.dim = len(self.support)
@@ -155,43 +136,36 @@ class TestFunction:
             raise SupportError(
                 f"t_max={self.t_max} must be < T={grid.final_time}")
 
-    # -- time factor ----------------------------------------------------
-    def _tf(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.time_profile == "interior":
-            return _bump(t, 0.0, self.t_max)
-        out = _bump(t, -self.t_max, self.t_max)
-        return np.where(t >= 0.0, out, 0.0)
-
-    def _dtf(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.time_profile == "interior":
-            return _bump_deriv(t, 0.0, self.t_max)
-        out = _bump_deriv(t, -self.t_max, self.t_max)
-        return np.where(t >= 0.0, out, 0.0)
-
     # -- evaluation ------------------------------------------------------
-    def value(self, x, t):
+    def _time_factor(self, t, derivative=False):
+        """The time bump, or its derivative, at the times t."""
+        t = np.asarray(t, dtype=float)
+        if self.time_profile == "interior":
+            return _bump(t, 0.0, self.t_max, derivative)
+        out = _bump(t, -self.t_max, self.t_max, derivative)
+        return np.where(t >= 0.0, out, 0.0)
+
+    def _product(self, x, t, derivative=False):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = self._tf(np.broadcast_to(t, x.shape[0]).astype(float))
+        out = self._time_factor(np.broadcast_to(t, x.shape[0]).astype(float),
+                                derivative)
         for d, (a, b) in enumerate(self.support):
             out = out * _bump(x[:, d], a, b)
         return out
+
+    def value(self, x, t):
+        return self._product(x, t)
 
     def dt(self, x, t):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = self._dtf(np.broadcast_to(t, x.shape[0]).astype(float))
-        for d, (a, b) in enumerate(self.support):
-            out = out * _bump(x[:, d], a, b)
-        return out
+        return self._product(x, t, derivative=True)
 
     def grad(self, x, t):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        tf = self._tf(np.broadcast_to(t, x.shape[0]).astype(float))
+        tf = self._time_factor(np.broadcast_to(t, x.shape[0]).astype(float))
         bumps = [_bump(x[:, d], a, b) for d, (a, b) in enumerate(self.support)]
         out = np.empty((x.shape[0], self.dim))
         for d, (a, b) in enumerate(self.support):
-            g = _bump_deriv(x[:, d], a, b) * tf
+            g = _bump(x[:, d], a, b, derivative=True) * tf
             for e, be in enumerate(bumps):
                 if e != d:
                     g = g * be
@@ -207,16 +181,6 @@ class TestFunction:
         if self.time_profile == "interior":
             return 0.0
         return float(np.exp(-(self.dim + 1)))
-
-
-def default_test_function(mesh, grid, margin=0.2, t_fraction=0.8,
-                          time_profile="initial") -> TestFunction:
-    """Bump supported on the central (1-2*margin) part of the domain box."""
-    support = []
-    for lo, hi in mesh.domain:
-        w = hi - lo
-        support.append((lo + margin * w, hi - margin * w))
-    return TestFunction(support, t_fraction * grid.final_time, time_profile)
 
 
 # ----------------------------------------------------------------------
@@ -266,8 +230,6 @@ class InterpolatedTest:
     phi_face: np.ndarray        # (N+1, NF)
     dt_phi: np.ndarray          # (N, NC)
     grad_phi: np.ndarray        # (N+1, NC, dim)
-    order: int = DEFAULT_ORDER
-    panels: int = 4
 
     def interior_support_clear(self) -> bool:
         """True when phi_P^n and phi_zeta^n vanish on all non-interior cells."""
@@ -304,20 +266,14 @@ def interpolate_test(phi: TestFunction, mesh, grid, variant: str = "at_tn",
     areas = mesh.face_measures[mesh.cell_faces]             # (NC, nf)
     weights = areas[:, :, None] * mesh.cell_face_normals    # (NC, nf, dim)
     face_vals = phi_face[:, mesh.cell_faces]                # (N+1, NC, nf)
-    # pair opposite faces first so constants cancel exactly on rectangles
-    nf = weights.shape[1]
-    if nf == 4:
-        gsum = ((face_vals[:, :, 0, None] * weights[None, :, 0]
-                 + face_vals[:, :, 2, None] * weights[None, :, 2])
-                + (face_vals[:, :, 1, None] * weights[None, :, 1]
-                   + face_vals[:, :, 3, None] * weights[None, :, 3]))
+    if weights.shape[1] == 4:
+        gsum = sum_opposite_first(face_vals[..., None] * weights[None], axis=2)
     else:
         gsum = np.einsum("ncf,cfd->ncd", face_vals, weights)
     grad_phi = gsum / mesh.cell_volumes[None, :, None]
     return InterpolatedTest(phi=phi, mesh=mesh, grid=grid, variant=variant,
                             phi_cell=phi_cell, phi_face=phi_face,
-                            dt_phi=dt_phi, grad_phi=grad_phi, order=order,
-                            panels=panels)
+                            dt_phi=dt_phi, grad_phi=grad_phi)
 
 
 # ----------------------------------------------------------------------

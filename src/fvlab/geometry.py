@@ -19,17 +19,29 @@ __all__ = [
     "build_intervals", "build_cartesian", "build_perturbed_quads",
     "build_tensor", "subdivide_nodes", "build_dual_rt", "build_dual_mac",
     "build_time_grid", "regularity", "check_mesh_identities",
-    "MeshConstructionError",
+    "MeshConstructionError", "LOCAL_OPPOSITE", "sum_opposite_first",
+    "TIME_PATTERNS",
 ]
+
+TIME_PATTERNS = ("uniform", "alternating")
 
 # local-face index pairs for quadrangles
 QUAD_ADJACENT_PAIRS = ((0, 1), (1, 2), (2, 3), (3, 0))
+LOCAL_OPPOSITE = (2, 3, 0, 1)   # the opposite of each local face
 # opposite pairs with the fixed two-hop via-face used to split their jump
 QUAD_OPPOSITE_PAIRS = ((0, 2, 1), (1, 3, 2))
 
 
 class MeshConstructionError(ValueError):
     pass
+
+
+def sum_opposite_first(terms, axis: int):
+    """Sum over the four local faces of a quadrangle, opposite faces paired
+    first: (t0 + t2) + (t1 + t3).  Constant states cancel bitwise on
+    rectangles in this order."""
+    t = np.moveaxis(terms, axis, 0)
+    return (t[0] + t[2]) + (t[1] + t[3])
 
 
 class PrimalMesh:
@@ -88,32 +100,36 @@ class PrimalMesh:
             diff = verts[:, :, None, :] - verts[:, None, :, :]
             self.cell_diameters = np.sqrt((diff ** 2).sum(-1)).max(axis=(1, 2))
 
-    def _build_faces(self):
-        nv_per_cell = self.cell_vertices.shape[1]
-        face_of = {}
-        face_vertices = []
-        face_cells = []
-        n_local = 2 if self.dim == 1 else nv_per_cell
-        cell_faces = np.empty((self.n_cells, n_local), dtype=np.int64)
-        for c in range(self.n_cells):
-            loop = self.cell_vertices[c]
+    def _local_faces(self):
+        """(cell, local index, vertex tuple) of every cell face, in the
+        fixed local order (a vertex in 1D, an edge of the loop in 2D)."""
+        nv = self.cell_vertices.shape[1]
+        for c, loop in enumerate(self.cell_vertices):
             if self.dim == 1:
                 local = [(loop[0],), (loop[1],)]
             else:
-                local = [(loop[k], loop[(k + 1) % nv_per_cell]) for k in range(nv_per_cell)]
+                local = [(loop[k], loop[(k + 1) % nv]) for k in range(nv)]
             for k, fv in enumerate(local):
-                key = tuple(sorted(fv))
-                fid = face_of.get(key)
-                if fid is None:
-                    fid = len(face_vertices)
-                    face_of[key] = fid
-                    face_vertices.append(fv)
-                    face_cells.append([c, -1])
-                else:
-                    if face_cells[fid][1] != -1:
-                        raise MeshConstructionError(f"face {fid} shared by >2 cells")
-                    face_cells[fid][1] = c
-                cell_faces[c, k] = fid
+                yield c, k, fv
+
+    def _build_faces(self):
+        face_of = {}
+        face_vertices = []
+        face_cells = []
+        cell_faces = np.empty(self.cell_vertices.shape, dtype=np.int64)
+        for c, k, fv in self._local_faces():
+            key = tuple(sorted(fv))
+            fid = face_of.get(key)
+            if fid is None:
+                fid = len(face_vertices)
+                face_of[key] = fid
+                face_vertices.append(fv)
+                face_cells.append([c, -1])
+            else:
+                if face_cells[fid][1] != -1:
+                    raise MeshConstructionError(f"face {fid} shared by >2 cells")
+                face_cells[fid][1] = c
+            cell_faces[c, k] = fid
         self.face_vertices = np.asarray(face_vertices, dtype=np.int64)
         self.face_cells = np.asarray(face_cells, dtype=np.int64)
         self.cell_faces = cell_faces
@@ -123,22 +139,14 @@ class PrimalMesh:
         """Adopt an explicit face table (mesh import); normals kept as given."""
         self.face_vertices = np.ascontiguousarray(face_vertices, dtype=np.int64)
         self.face_cells = np.ascontiguousarray(face_cells, dtype=np.int64)
-        nv_per_cell = self.cell_vertices.shape[1]
-        n_local = 2 if self.dim == 1 else nv_per_cell
         face_of = {tuple(sorted(fv)): i for i, fv in enumerate(self.face_vertices)}
-        cell_faces = np.empty((self.n_cells, n_local), dtype=np.int64)
-        for c in range(self.n_cells):
-            loop = self.cell_vertices[c]
-            if self.dim == 1:
-                local = [(loop[0],), (loop[1],)]
-            else:
-                local = [(loop[k], loop[(k + 1) % nv_per_cell]) for k in range(nv_per_cell)]
-            for k, fv in enumerate(local):
-                try:
-                    cell_faces[c, k] = face_of[tuple(sorted(fv))]
-                except KeyError:
-                    raise MeshConstructionError(
-                        f"cell {c} references missing face {fv}") from None
+        cell_faces = np.empty(self.cell_vertices.shape, dtype=np.int64)
+        for c, k, fv in self._local_faces():
+            try:
+                cell_faces[c, k] = face_of[tuple(sorted(fv))]
+            except KeyError:
+                raise MeshConstructionError(
+                    f"cell {c} references missing face {fv}") from None
         self.cell_faces = cell_faces
         self._derive_face_geometry(stored_normals=face_normals)
 
@@ -183,8 +191,7 @@ class PrimalMesh:
         self.boundary_face_mask = self.face_cells[:, 1] < 0
         self.interior_face_mask = ~self.boundary_face_mask
         has_boundary = np.zeros(self.n_cells, dtype=bool)
-        for f in np.nonzero(self.boundary_face_mask)[0]:
-            has_boundary[self.face_cells[f, 0]] = True
+        has_boundary[self.face_cells[self.boundary_face_mask, 0]] = True
         self.interior_cell_mask = ~has_boundary
         # canonical per-face normal: the one seen from the first adjacent cell
         normals = np.empty((self.n_faces, self.dim))
@@ -194,18 +201,11 @@ class PrimalMesh:
             owner = self.face_cells[fids, 0] == cells
             normals[fids[owner]] = self.cell_face_normals[owner, k]
         self.face_normals = normals
-        # local index of each face within its first cell's face list
-        loc = np.empty(self.n_faces, dtype=np.int64)
-        for k in range(self.cell_faces.shape[1]):
-            fids = self.cell_faces[:, k]
-            owner = self.face_cells[fids, 0] == cells
-            loc[fids[owner]] = k
-        self.face_local_in_first = loc
         for arr in (self.vertices, self.cell_vertices, self.cell_volumes,
                     self.cell_diameters, self.cell_centroids, self.face_vertices,
                     self.face_cells, self.cell_faces, self.face_midpoints,
                     self.face_measures, self.cell_face_normals, self.face_normals,
-                    self.face_local_in_first, self.boundary_face_mask,
+                    self.boundary_face_mask,
                     self.interior_face_mask, self.interior_cell_mask):
             arr.setflags(write=False)
 
@@ -235,9 +235,6 @@ class PrimalMesh:
         for a, b in self.domain:
             out *= (b - a)
         return out
-
-    def interior_cells(self):
-        return np.nonzero(self.interior_cell_mask)[0]
 
     def local_face_index(self, cell: int, face: int) -> int:
         k = np.where(self.cell_faces[cell] == face)[0]
@@ -319,12 +316,6 @@ class DualMeshRT:
     jump_multiplicity: np.ndarray = field(default=None)
     jump_weight_constant: int = 3
 
-    def dual_edge_faces(self):
-        """Global face-id pairs of all dual edges, shape (NC, 4, 2)."""
-        cf = self.mesh.cell_faces
-        pairs = np.array(self.dual_edges_local, dtype=np.int64)
-        return np.stack([cf[:, pairs[:, 0]], cf[:, pairs[:, 1]]], axis=-1)
-
 
 @dataclass
 class DualMeshMAC:
@@ -337,15 +328,6 @@ class DualMeshMAC:
     face_delta_first: np.ndarray = None  # (NF,) sign seen from the first cell
     direction_pairs_local: tuple = ((3, 1), (0, 2))   # (left,right), (bottom,top)
     theta: float = np.nan               # quasi-uniformity max(hbar1/h2, hbar2/h1)
-
-    def opposite_face(self, cell: int, face: int) -> int:
-        k = self.mesh.local_face_index(cell, face)
-        for a, b in self.direction_pairs_local:
-            if k == a:
-                return int(self.mesh.cell_faces[cell, b])
-            if k == b:
-                return int(self.mesh.cell_faces[cell, a])
-        raise KeyError(f"face {face} has no opposite in cell {cell}")
 
 
 @dataclass(frozen=True)
@@ -387,15 +369,20 @@ def build_intervals(n: int, domain=(0.0, 1.0), grading: float = 1.0) -> PrimalMe
 
 
 def _cartesian_vertices(nx, ny, domain, grading):
+    if nx < 1 or ny < 1:
+        raise MeshConstructionError(f"need nx, ny >= 1, got ({nx}, {ny})")
     (x0, x1), (y0, y1) = domain
     if not (x1 > x0 and y1 > y0):
         raise MeshConstructionError("degenerate domain box")
     gx, gy = (grading, grading) if np.isscalar(grading) else grading
     xs = _graded_nodes(x0, x1, nx, gx)
     ys = _graded_nodes(y0, y1, ny, gy)
+    return _tensor_vertices(xs, ys), xs, ys
+
+
+def _tensor_vertices(xs, ys):
     xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    verts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    return verts, xs, ys
+    return np.stack([xx.ravel(), yy.ravel()], axis=1)
 
 
 def _cartesian_cells(nx, ny):
@@ -410,12 +397,8 @@ def _cartesian_cells(nx, ny):
 def build_cartesian(nx: int, ny: int, domain=((0.0, 1.0), (0.0, 1.0)),
                     grading=1.0) -> PrimalMesh:
     """Tensor-product quadrangle mesh of nx x ny cells (rectangles)."""
-    if nx < 1 or ny < 1:
-        raise MeshConstructionError(f"need nx, ny >= 1, got ({nx}, {ny})")
     verts, xs, ys = _cartesian_vertices(nx, ny, domain, grading)
-    mesh = PrimalMesh(verts, _cartesian_cells(nx, ny), domain=domain)
-    mesh.structured_shape = (nx, ny)
-    return mesh
+    return PrimalMesh(verts, _cartesian_cells(nx, ny), domain=domain)
 
 
 def subdivide_nodes(nodes, factor: int):
@@ -438,11 +421,8 @@ def build_tensor(xs, ys, domain=None) -> PrimalMesh:
     nx, ny = xs.size - 1, ys.size - 1
     if nx < 1 or ny < 1:
         raise MeshConstructionError("need at least one cell per axis")
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    verts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-    mesh = PrimalMesh(verts, _cartesian_cells(nx, ny), domain=domain)
-    mesh.structured_shape = (nx, ny)
-    return mesh
+    return PrimalMesh(_tensor_vertices(xs, ys), _cartesian_cells(nx, ny),
+                      domain=domain)
 
 
 def build_perturbed_quads(nx: int, ny: int, domain=((0.0, 1.0), (0.0, 1.0)),
@@ -456,8 +436,6 @@ def build_perturbed_quads(nx: int, ny: int, domain=((0.0, 1.0), (0.0, 1.0)),
     if not 0.0 <= amplitude < 0.25:
         raise MeshConstructionError(
             f"amplitude must be in [0, 0.25), got {amplitude}")
-    if nx < 1 or ny < 1:
-        raise MeshConstructionError(f"need nx, ny >= 1, got ({nx}, {ny})")
     verts, xs, ys = _cartesian_vertices(nx, ny, domain, 1.0)
     if amplitude > 0.0:
         hx = np.min(np.diff(xs))
@@ -472,7 +450,6 @@ def build_perturbed_quads(nx: int, ny: int, domain=((0.0, 1.0), (0.0, 1.0)),
     cells = _cartesian_cells(nx, ny)
     mesh = PrimalMesh(verts, cells, domain=domain)
     _check_convex_quads(mesh)
-    mesh.structured_shape = (nx, ny)
     return mesh
 
 
@@ -514,11 +491,7 @@ def build_dual_mac(mesh: PrimalMesh) -> DualMeshMAC:
         raise MeshConstructionError("MAC duals need a rectangular tensor mesh")
     normals = mesh.cell_face_normals
     # family from the first adjacent cell's normal: 0 along e1, 1 along e2
-    family = np.empty(mesh.n_faces, dtype=np.int64)
-    for f in range(mesh.n_faces):
-        p = mesh.face_cells[f, 0]
-        k = mesh.local_face_index(p, f)
-        family[f] = 0 if abs(normals[p, k, 0]) == 1.0 else 1
+    family = np.where(np.abs(mesh.face_normals[:, 0]) == 1.0, 0, 1)
     dual = np.zeros(mesh.n_faces)
     for k in range(4):
         np.add.at(dual, mesh.cell_faces[:, k], 0.5 * mesh.cell_volumes)

@@ -61,8 +61,10 @@ def save_mesh(mesh: PrimalMesh, path):
 
 
 def _expect(tokens, word):
+    """The record `tokens`, checked to start with `word`."""
     if not tokens or tokens[0] != word:
         raise MeshFormatError(f"expected {word!r}, got {tokens[:1]!r}")
+    return tokens
 
 
 def load_mesh(path) -> PrimalMesh:
@@ -78,35 +80,25 @@ def load_mesh(path) -> PrimalMesh:
         except StopIteration:
             raise MeshFormatError("truncated mesh file") from None
 
-    tok = take()
-    _expect(tok, "dim")
-    dim = int(tok[1])
+    dim = int(_expect(take(), "dim")[1])
     if dim not in (1, 2):
         raise MeshFormatError(f"bad dimension {dim}")
-    tok = take()
-    _expect(tok, "domain")
-    vals = [float(s) for s in tok[1:]]
+    vals = [float(s) for s in _expect(take(), "domain")[1:]]
     if len(vals) != 2 * dim:
         raise MeshFormatError("bad domain record")
     domain = [(vals[2 * i], vals[2 * i + 1]) for i in range(dim)]
-    tok = take()
-    _expect(tok, "vertices")
-    nv = int(tok[1])
+    nv = int(_expect(take(), "vertices")[1])
     vertices = np.empty((nv, dim))
     for _ in range(nv):
         rec = take()
         vertices[int(rec[0])] = [float(s) for s in rec[1:1 + dim]]
-    tok = take()
-    _expect(tok, "cells")
-    nc = int(tok[1])
+    nc = int(_expect(take(), "cells")[1])
     nv_per_cell = 2 if dim == 1 else 4
     cells = np.empty((nc, nv_per_cell), dtype=np.int64)
     for _ in range(nc):
         rec = take()
         cells[int(rec[0])] = [int(s) for s in rec[1:1 + nv_per_cell]]
-    tok = take()
-    _expect(tok, "faces")
-    nf = int(tok[1])
+    nf = int(_expect(take(), "faces")[1])
     fv_len = 1 if dim == 1 else 2
     face_vertices = np.empty((nf, fv_len), dtype=np.int64)
     face_cells = np.empty((nf, 2), dtype=np.int64)

@@ -13,14 +13,18 @@ from typing import Callable
 
 import numpy as np
 
+from .fields import CellScalarField
+from .geometry import sum_opposite_first
+from .layouts import BOUNDARY_POLICIES, COLOCATED_1D, get_layout, layout_of
+
 __all__ = [
     "NonlinearityPair", "get_pair", "BetaFamily", "FluxFamily",
     "dt_beta", "face_value", "flux_staggered", "flux_colocated_upwind_1d",
     "assemble_convection", "flux_divergence", "flux_dot_n",
-    "telescoping_defect", "BOUNDARY_POLICIES",
+    "telescoping_defect", "BOUNDARY_POLICIES", "FACE_SCHEMES",
 ]
 
-BOUNDARY_POLICIES = ("upwind_zero", "zero_flux", "periodic")
+FACE_SCHEMES = ("centered", "upwind")
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,10 @@ class NonlinearityPair:
             v = np.asarray(fn(s), dtype=float)
             return float(np.abs(np.diff(v) / np.diff(s)).max())
         return modulus(self.beta), modulus(self.g)
+
+    def flux(self, s):
+        """The colocated flux f(s), g(s) when no f is given."""
+        return self.f(s) if self.f is not None else self.g(s)
 
 
 def _slogs(s):
@@ -67,30 +75,19 @@ _PAIRS = {
 
 def get_pair(beta_name: str, g_name: str | None = None) -> NonlinearityPair:
     """Look up beta/g from the registry (id, square, slogs)."""
-    if beta_name not in _PAIRS:
-        raise KeyError(f"unknown nonlinearity {beta_name!r}; "
-                       f"choose from {sorted(_PAIRS)}")
-    if g_name is None or g_name == beta_name:
+    g_name = beta_name if g_name is None else g_name
+    for name in (beta_name, g_name):
+        if name not in _PAIRS:
+            raise KeyError(f"unknown nonlinearity {name!r}; "
+                           f"choose from {sorted(_PAIRS)}")
+    if g_name == beta_name:
         return _PAIRS[beta_name]
-    if g_name not in _PAIRS:
-        raise KeyError(f"unknown nonlinearity {g_name!r}; "
-                       f"choose from {sorted(_PAIRS)}")
     b, g = _PAIRS[beta_name], _PAIRS[g_name]
     return NonlinearityPair(f"{beta_name}/{g_name}", b.beta, g.g, f=g.f)
 
 
-class BetaFamily:
+class BetaFamily(CellScalarField):
     """beta_P^n = beta(q_P^n), levels 0..N."""
-
-    def __init__(self, mesh, grid, values):
-        values = np.ascontiguousarray(values, dtype=float)
-        if values.shape != (grid.n_steps + 1, mesh.n_cells):
-            raise ValueError(f"expected shape {(grid.n_steps + 1, mesh.n_cells)}, "
-                             f"got {values.shape}")
-        self.mesh = mesh
-        self.grid = grid
-        self.values = values
-        values.setflags(write=False)
 
     @classmethod
     def from_field(cls, q, pair: NonlinearityPair):
@@ -115,8 +112,7 @@ class FluxFamily:
     dual: object = None
 
     def __post_init__(self):
-        if self.layout not in ("rt", "mac", "colocated1d"):
-            raise ValueError(f"unknown layout {self.layout!r}")
+        get_layout(self.layout)
         self.values = np.ascontiguousarray(self.values, dtype=float)
 
 
@@ -133,36 +129,22 @@ def face_value(q, face: int, n: int, scheme: str = "centered",
     upwinding picks the upstream side and falls back to the centered value
     when the signal vanishes.
     """
-    mesh = q.mesh
-    p, qq = mesh.face_cells[face]
+    p, qq = q.mesh.face_cells[face]
     if qq < 0:
         raise ValueError(f"face {face} is a boundary face; apply a boundary policy")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    qp = q.values[n, p]
-    qn = q.values[n, qq]
-    if scheme == "centered":
-        return float(lam * qp + (1.0 - lam) * qn)
-    if scheme == "upwind":
-        if signal > 0.0:
-            return float(qp)
-        if signal < 0.0:
-            return float(qn)
-        return float(0.5 * qp + 0.5 * qn)
-    raise ValueError(f"unknown face scheme {scheme!r}")
+    return float(_convex_value(q.values[n, p], q.values[n, qq], scheme, lam,
+                               signal))
 
 
-def _interior_face_values(q, scheme, lam, signal):
-    """Vectorized q_zeta^n for all interior faces, shape (N, n_int)."""
-    mesh = q.mesh
-    faces = np.nonzero(mesh.interior_face_mask)[0]
-    qp = q.values[:-1][:, mesh.face_cells[faces, 0]]
-    qq = q.values[:-1][:, mesh.face_cells[faces, 1]]
-    centered = 0.5 * qp + 0.5 * qq
+def _convex_value(qp, qq, scheme, lam, signal):
+    """Face value between the first cell's qp and the second cell's qq."""
     if scheme == "centered":
-        return faces, lam * qp + (1.0 - lam) * qq
+        return lam * qp + (1.0 - lam) * qq
     if scheme == "upwind":
-        return faces, np.where(signal > 0.0, qp, np.where(signal < 0.0, qq, centered))
+        return np.where(signal > 0.0, qp,
+                        np.where(signal < 0.0, qq, 0.5 * qp + 0.5 * qq))
     raise ValueError(f"unknown face scheme {scheme!r}")
 
 
@@ -177,56 +159,45 @@ def flux_staggered(q, v, pair: NonlinearityPair, scheme: str = "upwind",
     mesh = q.mesh
     if v.mesh is not mesh:
         raise ValueError("q and v live on different meshes")
-    if policy not in ("upwind_zero", "zero_flux"):
+    layout = layout_of(v)
+    if policy not in layout.boundary_policies:
         raise ValueError(f"policy {policy!r} not supported for staggered layouts")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
     n_steps = q.grid.n_steps
-    is_mac = hasattr(v, "dual") and v.values.ndim == 2
     vface = v.values[:n_steps]
+
+    def g_times_v(qf, faces):
+        g = pair.g(qf)
+        return g.reshape(g.shape + (1,) * (vface.ndim - 2)) * vface[:, faces]
+
     ifaces = np.nonzero(mesh.interior_face_mask)[0]
-    if is_mac:
-        signal = vface[:, ifaces] * v.dual.face_delta_first[None, ifaces]
-    else:
-        signal = np.einsum("nfd,fd->nf", vface[:, ifaces], mesh.face_normals[ifaces])
-    _, qf = _interior_face_values(q, scheme, lam, signal)
-    if is_mac:
-        values = np.zeros((n_steps, mesh.n_faces))
-        values[:, ifaces] = pair.g(qf) * vface[:, ifaces]
-    else:
-        values = np.zeros((n_steps, mesh.n_faces, 2))
-        values[:, ifaces] = pair.g(qf)[:, :, None] * vface[:, ifaces]
+    qp = q.values[:-1][:, mesh.face_cells[ifaces, 0]]
+    qq = q.values[:-1][:, mesh.face_cells[ifaces, 1]]
+    qf = _convex_value(qp, qq, scheme, lam,
+                       layout.face_normal(vface, ifaces, mesh, v.dual))
+    values = np.zeros(vface.shape)
+    values[:, ifaces] = g_times_v(qf, ifaces)
     # boundary faces: exterior state 0 (upwind) or hard zero flux
     bfaces = np.nonzero(mesh.boundary_face_mask)[0]
     if policy == "upwind_zero" and bfaces.size:
-        if is_mac:
-            sig_b = vface[:, bfaces] * v.dual.face_delta_first[None, bfaces]
-        else:
-            sig_b = np.einsum("nfd,fd->nf", vface[:, bfaces],
-                              mesh.face_normals[bfaces])
+        sig_b = layout.face_normal(vface, bfaces, mesh, v.dual)
         qp = q.values[:-1][:, mesh.face_cells[bfaces, 0]]
         qb = np.where(sig_b > 0.0, qp, np.where(sig_b < 0.0, 0.0, 0.5 * qp))
-        if is_mac:
-            values[:, bfaces] = pair.g(qb) * vface[:, bfaces]
-        else:
-            values[:, bfaces] = pair.g(qb)[:, :, None] * vface[:, bfaces]
-    layout = "mac" if is_mac else "rt"
-    return FluxFamily(layout=layout, mesh=mesh, grid=q.grid, values=values,
-                      boundary_policy=policy, dual=v.dual if is_mac else None)
+        values[:, bfaces] = g_times_v(qb, bfaces)
+    return FluxFamily(layout=layout.name, mesh=mesh, grid=q.grid,
+                      values=values, boundary_policy=policy, dual=v.dual)
 
 
-def flux_colocated_upwind_1d(u, speed: float = 1.0,
-                             policy: str = "upwind_zero") -> FluxFamily:
+def flux_colocated_upwind_1d(u, policy: str = "upwind_zero") -> FluxFamily:
     """First-order upwind flux for C(u) = d_t u + d_x u on a 1D mesh.
 
-    The flux at the face between P^- (left) and P is u of the upstream cell;
-    only speed +1 is supported.
+    The flux at the face between P^- (left) and P is u of the upstream cell
+    (speed +1).
     """
     mesh = u.mesh
     if mesh.dim != 1:
         raise ValueError("colocated upwind flux needs a 1D mesh")
-    if speed != 1.0:
-        raise ValueError("only speed +1 is supported")
     if policy not in BOUNDARY_POLICIES:
         raise ValueError(f"unknown boundary policy {policy!r}")
     n_steps = u.grid.n_steps
@@ -234,34 +205,27 @@ def flux_colocated_upwind_1d(u, speed: float = 1.0,
     values = np.zeros((n_steps, mesh.n_faces))
     left_of = -np.ones(mesh.n_faces, dtype=np.int64)
     # upstream cell of each face: the cell whose right face it is
-    for c in range(mesh.n_cells):
-        left_of[mesh.cell_faces[c, 1]] = c
+    left_of[mesh.cell_faces[:, 1]] = np.arange(mesh.n_cells)
     inflow = np.nonzero(left_of < 0)[0]
     filled = left_of >= 0
-    values[:, filled] = vals[:, left_of[filled]] * speed
+    values[:, filled] = vals[:, left_of[filled]]
     if policy == "periodic":
         rightmost = int(np.argmax(mesh.cell_centroids[:, 0]))
-        values[:, inflow] = vals[:, [rightmost]] * speed
+        values[:, inflow] = vals[:, [rightmost]]
     elif policy == "zero_flux":
         outflow = mesh.boundary_face_mask & filled
         values[:, inflow] = 0.0
         values[:, outflow] = 0.0
     else:  # upwind_zero: exterior value 0 feeds the inflow face
         values[:, inflow] = 0.0
-    return FluxFamily(layout="colocated1d", mesh=mesh, grid=u.grid,
+    return FluxFamily(layout=COLOCATED_1D.name, mesh=mesh, grid=u.grid,
                       values=values, boundary_policy=policy)
 
 
 def flux_dot_n(flux: FluxFamily) -> np.ndarray:
     """F_zeta^n . n_{P,zeta} per (step, cell, local face), shape (N, NC, nf)."""
-    mesh = flux.mesh
-    cf = mesh.cell_faces
-    if flux.layout == "rt":
-        vals = flux.values[:, cf]                     # (N, NC, nf, 2)
-        return np.einsum("ncfd,cfd->ncf", vals, mesh.cell_face_normals)
-    if flux.layout == "mac":
-        return flux.values[:, cf] * flux.dual.cell_face_delta[None, :, :]
-    return flux.values[:, cf] * mesh.cell_face_normals[None, :, :, 0]
+    return get_layout(flux.layout).cell_normal(flux.values, flux.mesh,
+                                               flux.dual)
 
 
 def flux_divergence(flux: FluxFamily) -> np.ndarray:
@@ -270,7 +234,7 @@ def flux_divergence(flux: FluxFamily) -> np.ndarray:
     dots = flux_dot_n(flux)
     terms = mesh.face_measures[mesh.cell_faces][None, :, :] * dots
     if terms.shape[2] == 4:
-        return (terms[:, :, 0] + terms[:, :, 2]) + (terms[:, :, 1] + terms[:, :, 3])
+        return sum_opposite_first(terms, axis=2)
     return terms[:, :, 0] + terms[:, :, 1]
 
 
@@ -291,16 +255,9 @@ def telescoping_defect(flux: FluxFamily):
     mesh = flux.mesh
     total = flux_divergence(flux).sum(axis=1)
     bfaces = np.nonzero(mesh.boundary_face_mask)[0]
-    if flux.layout == "rt":
-        bnd = np.einsum("nfd,fd->nf", flux.values[:, bfaces],
-                        mesh.face_normals[bfaces])
-        mags = np.sqrt((flux.values ** 2).sum(-1))
-    elif flux.layout == "mac":
-        bnd = flux.values[:, bfaces] * flux.dual.face_delta_first[None, bfaces]
-        mags = np.abs(flux.values)
-    else:
-        bnd = flux.values[:, bfaces] * mesh.face_normals[bfaces, 0][None, :]
-        mags = np.abs(flux.values)
+    layout = get_layout(flux.layout)
+    bnd = layout.face_normal(flux.values, bfaces, mesh, flux.dual)
+    mags = layout.magnitude(flux.values)
     boundary_sum = (mesh.face_measures[bfaces][None, :] * bnd).sum(axis=1)
     scale = (mesh.face_measures[None, :] * mags).sum(axis=1)
     return np.abs(total - boundary_sum), scale

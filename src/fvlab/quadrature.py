@@ -12,6 +12,8 @@ constant integrand reproduces the constant bitwise.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 DEFAULT_ORDER = 4
@@ -29,12 +31,15 @@ def composite_gauss_legendre(order: int, panels: int = 1):
     """Composite rule on [-1, 1]: `panels` equal sub-intervals, an
     `order`-point Gauss-Legendre rule on each.  Needed to resolve bump test
     functions, whose derivatives are huge near the support edge."""
+    return _panel_rule(order, panels, -1.0, 1.0)
+
+
+def _panel_rule(order: int, panels: int, a: float, b: float):
+    """Nodes and weights of the composite rule on [a, b]."""
     if panels < 1:
         raise ValueError(f"panels must be >= 1, got {panels}")
     nodes, weights = gauss_legendre(order)
-    if panels == 1:
-        return nodes, weights
-    edges = np.linspace(-1.0, 1.0, panels + 1)
+    edges = np.linspace(a, b, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halfs = 0.5 * np.diff(edges)
     all_nodes = (mids[:, None] + halfs[:, None] * nodes[None, :]).ravel()
@@ -42,14 +47,28 @@ def composite_gauss_legendre(order: int, panels: int = 1):
     return all_nodes, all_weights
 
 
+def _takes_time(f) -> bool:
+    """Whether f accepts (x, t).  Python functions and methods are read from
+    their code object, which is cheap enough for every evaluation; other
+    callables from their signature, and without one they are assumed to."""
+    code = getattr(f, "__code__", None)
+    if code is not None:
+        positional = code.co_argcount - inspect.ismethod(f)
+        return positional >= 2 or bool(code.co_flags & inspect.CO_VARARGS)
+    try:
+        inspect.signature(f).bind(None, None)
+    except ValueError:
+        return True
+    except TypeError:
+        return False
+    return True
+
+
 def _eval(f, x, t):
     """Evaluate f on points x (n, dim); f may take (x) or (x, t)."""
-    if t is None:
+    if t is None or not _takes_time(f):
         return np.asarray(f(x), dtype=float)
-    try:
-        return np.asarray(f(x, t), dtype=float)
-    except TypeError:
-        return np.asarray(f(x), dtype=float)
+    return np.asarray(f(x, t), dtype=float)
 
 
 class CellQuadrature:
@@ -122,8 +141,8 @@ class CellQuadrature:
 
     def cell_vector_means(self, f, t=None):
         """Cell averages of a vector-valued f, shaped (NC, dim_out)."""
-        vals = np.asarray(f(self.flat_points(), t) if t is not None else f(self.flat_points()))
-        vals = vals.reshape(self.points.shape[0], self.n_points, -1)
+        vals = _eval(f, self.flat_points(), t).reshape(
+            self.points.shape[0], self.n_points, -1)
         f0 = vals[:, 0, :]
         return f0 + np.einsum("ck,ckd->cd", self._wnorm, vals - f0[:, None, :])
 
@@ -193,20 +212,11 @@ class BoxQuadrature:
         bounds = [tuple(map(float, b)) for b in bounds]
         if np.isscalar(panels):
             panels = [int(panels)] * len(bounds)
-        nodes1d, w1d = gauss_legendre(order)
-        axes_nodes = []
-        axes_weights = []
-        for (a, b), m in zip(bounds, panels):
-            edges = np.linspace(a, b, m + 1)
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            halfs = 0.5 * np.diff(edges)
-            pts = (mids[:, None] + halfs[:, None] * nodes1d[None, :]).ravel()
-            wts = (halfs[:, None] * w1d[None, :]).ravel()
-            axes_nodes.append(pts)
-            axes_weights.append(wts)
-        grids = np.meshgrid(*axes_nodes, indexing="ij")
+        axes = [_panel_rule(order, m, a, b)
+                for (a, b), m in zip(bounds, panels)]
+        grids = np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij")
         self.points = np.stack([g.ravel() for g in grids], axis=-1)
-        wgrids = np.meshgrid(*axes_weights, indexing="ij")
+        wgrids = np.meshgrid(*(weights for _, weights in axes), indexing="ij")
         self.weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
         self.bounds = bounds
 

@@ -10,9 +10,9 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import (CellScalarField, FaceScalarFieldMAC, FaceVectorFieldRT,
-                     sample_cell_means)
-from .geometry import TimeGrid, build_time_grid
+from .fields import CellScalarField, sample_cell_means
+from .geometry import TimeGrid, build_time_grid, sum_opposite_first
+from .layouts import MAC, get_layout
 from .quadrature import DEFAULT_ORDER, CellQuadrature
 
 __all__ = ["SchemeConfig", "MassLedger", "run_upwind_1d", "run_mass_mac",
@@ -89,8 +89,6 @@ def run_upwind_1d(mesh, config: SchemeConfig):
     if dt > config.cfl * float(h.min()) * (1.0 + 1e-12):
         raise CFLError(f"dt={dt} violates CFL bound {config.cfl * h.min()}")
     order = np.argsort(mesh.cell_centroids[:, 0])
-    inv = np.empty_like(order)
-    inv[order] = np.arange(order.size)
     n_steps = grid.n_steps
     values = np.empty((n_steps + 1, mesh.n_cells))
     values[0] = CellQuadrature(mesh, config.quad_order).cell_means(config.q0)
@@ -125,22 +123,20 @@ def run_mass_mac(mesh, dual, config: SchemeConfig):
     """
     if config.velocity is None:
         raise ValueError("run_mass_mac needs a closed-form velocity")
-    if config.boundary_policy not in ("upwind_zero", "zero_flux"):
+    if config.boundary_policy not in MAC.boundary_policies:
         raise ValueError(f"policy {config.boundary_policy!r} not supported on MAC")
-    fam = dual.face_family
-    mid = mesh.face_midpoints
-
-    def face_normal_component(t):
-        vv = np.asarray(config.velocity(mid, t), dtype=float)
-        return vv[np.arange(mesh.n_faces), fam]
-
     vols = mesh.cell_volumes
     areas = mesh.face_measures[mesh.cell_faces]
     delta = dual.cell_face_delta
-    v0 = face_normal_component(0.0)
-    outflow0 = (areas * np.maximum(v0[mesh.cell_faces] * delta, 0.0)).sum(axis=1)
-    with np.errstate(divide="ignore"):
-        bound = float(np.min(np.where(outflow0 > 0, vols / outflow0, np.inf)))
+
+    def dt_bound(vn):
+        """Largest stable dt for face velocities vn (at CFL 1)."""
+        outflow = (areas * np.maximum(vn[mesh.cell_faces] * delta, 0.0)).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            return float(np.min(np.where(outflow > 0, vols / outflow, np.inf)))
+
+    bound = dt_bound(MAC.face_components(
+        config.velocity(mesh.face_midpoints, 0.0), mesh, dual))
     if not np.isfinite(bound):
         bound = config.T
     grid = _uniform_grid_for(config.T, config.cfl * bound)
@@ -148,7 +144,7 @@ def run_mass_mac(mesh, dual, config: SchemeConfig):
     n_steps = grid.n_steps
     values = np.empty((n_steps + 1, mesh.n_cells))
     values[0] = CellQuadrature(mesh, config.quad_order).cell_means(config.q0)
-    vface = np.empty((n_steps + 1, mesh.n_faces))
+    v = MAC.sample_velocity(config.velocity, mesh, dual, grid)
     cf = mesh.cell_faces
     fc = mesh.face_cells
     interior = mesh.interior_face_mask
@@ -160,13 +156,8 @@ def run_mass_mac(mesh, dual, config: SchemeConfig):
     second = fc[:, 1]
     dfirst = dual.face_delta_first
     for n in range(n_steps):
-        t = grid.knots[n]
-        vn = face_normal_component(t)
-        vface[n] = vn
-        outflow = (areas * np.maximum(vn[cf] * delta, 0.0)).sum(axis=1)
-        with np.errstate(divide="ignore"):
-            bound_n = float(np.min(np.where(outflow > 0, vols / outflow, np.inf)))
-        if dt > config.cfl * bound_n * (1.0 + 1e-12):
+        vn = v.values[n]
+        if dt > config.cfl * dt_bound(vn) * (1.0 + 1e-12):
             raise CFLError(f"CFL violated at step {n}")
         q = values[n]
         # upwind face value seen from the first adjacent cell
@@ -179,16 +170,13 @@ def run_mass_mac(mesh, dual, config: SchemeConfig):
         fluxes = mesh.face_measures * qface * vn
         if config.boundary_policy == "zero_flux":
             fluxes[~interior] = 0.0
-        div = (fluxes[cf] * delta)
-        div = (div[:, 0] + div[:, 2]) + (div[:, 1] + div[:, 3])
+        div = sum_opposite_first(fluxes[cf] * delta, axis=1)
         values[n + 1] = q - (dt / vols) * div
         mass[n + 1] = float(np.dot(vols, values[n + 1]))
         bnd = dt * float((fluxes[~interior] * dfirst[~interior]).sum())
         boundary[n] = bnd
         defect[n] = abs(mass[n + 1] - mass[n] + bnd)
-    vface[n_steps] = face_normal_component(grid.knots[-1])
-    return (CellScalarField(mesh, grid, values),
-            FaceScalarFieldMAC(mesh, grid, dual, vface), grid,
+    return (CellScalarField(mesh, grid, values), v, grid,
             MassLedger(mass=mass, boundary_flux=boundary, defect=defect))
 
 
@@ -196,25 +184,9 @@ def sample_manufactured(q_exact, v_exact, layout: str, mesh, dual, grid,
                         order: int = DEFAULT_ORDER, check: bool = False):
     """Sample closed forms: q by cell means at t_n, v at face midpoints.
 
-    layout "rt" stores the full vector per face; "mac" the normal component
-    per face family; "colocated1d" needs no velocity field (v_exact may be
-    None).
+    The layout decides what a face stores (``Layout.sample_velocity``); the
+    colocated 1D layout needs no velocity field (v_exact may be None).
     """
+    rules = get_layout(layout)
     q = sample_cell_means(q_exact, mesh, grid, order=order, check=check)
-    if layout == "colocated1d":
-        return q, None
-    mid = mesh.face_midpoints
-    n_lev = grid.n_steps + 1
-    if layout == "rt":
-        vals = np.empty((n_lev, mesh.n_faces, 2))
-        for n, t in enumerate(grid.knots):
-            vals[n] = np.asarray(v_exact(mid, t), dtype=float)
-        return q, FaceVectorFieldRT(mesh, grid, vals)
-    if layout == "mac":
-        fam = dual.face_family
-        idx = np.arange(mesh.n_faces)
-        vals = np.empty((n_lev, mesh.n_faces))
-        for n, t in enumerate(grid.knots):
-            vals[n] = np.asarray(v_exact(mid, t), dtype=float)[idx, fam]
-        return q, FaceScalarFieldMAC(mesh, grid, dual, vals)
-    raise ValueError(f"unknown layout {layout!r}")
+    return q, rules.sample_velocity(v_exact, mesh, dual, grid)

@@ -19,12 +19,17 @@ import numpy as np
 from .consistency import (compute_X1, compute_X2, jump_sums, measured_constant,
                           residual_flux, residual_init, residual_time,
                           weak_form_gap, weak_rhs)
-from .fields import (TestFunction, default_translate_weights, interpolate_test,
-                     lp_distance, translate_functional)
-from .geometry import (build_cartesian, build_dual_mac, build_dual_rt,
-                       build_intervals, build_perturbed_quads, build_tensor,
-                       build_time_grid, regularity, subdivide_nodes)
-from .operators import (BetaFamily, assemble_convection,
+from .fields import (TIME_PROFILES, TestFunction, _bump,
+                     default_translate_weights, interpolate_test, lp_distance,
+                     translate_functional)
+# build_dual_mac and build_dual_rt are called by their names in this module
+# (see build_level), so rebinding fvlab.study.build_dual_* reaches the call
+from .geometry import (TIME_PATTERNS, DualMeshMAC, build_cartesian,
+                       build_dual_mac, build_dual_rt, build_intervals,
+                       build_perturbed_quads, build_tensor, build_time_grid,
+                       regularity, subdivide_nodes)
+from .layouts import MAC, get_layout
+from .operators import (FACE_SCHEMES, BetaFamily, assemble_convection,
                         flux_colocated_upwind_1d, flux_staggered, get_pair)
 from .schemes import SchemeConfig, run_mass_mac, run_upwind_1d, sample_manufactured
 
@@ -36,6 +41,10 @@ __all__ = [
 
 RATE_SERIES = ("res_init", "res_time", "res_flux", "R1", "R2", "translate",
                "weak_gap")
+FIELD_SOURCES = ("manufactured", "scheme")
+# mesh families per space dimension; the first is the default
+MESH_FAMILIES = {1: ("interval",), 2: ("uniform", "graded", "perturbed")}
+DEFAULT_SOLUTIONS = {1: "bump_advect_1d", 2: "sinsin_cos"}
 
 
 class StudyRegularityError(RuntimeError):
@@ -48,14 +57,6 @@ class StudyRegularityError(RuntimeError):
 
 # ----------------------------------------------------------------------
 # manufactured solutions
-
-def _bump_profile(s, a, b):
-    u = (2.0 * np.asarray(s, dtype=float) - (a + b)) / (b - a)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-    return out
-
 
 SOLUTIONS = {
     "constant": dict(
@@ -78,8 +79,8 @@ SOLUTIONS = {
                                 axis=-1)),
     "bump_advect_1d": dict(
         dim=1,
-        q=lambda x, t: _bump_profile(np.atleast_2d(x)[:, 0]
-                                     - np.asarray(t), 0.15, 0.45),
+        q=lambda x, t: _bump(np.atleast_2d(x)[:, 0] - np.asarray(t),
+                             0.15, 0.45),
         v=None),
 }
 
@@ -98,9 +99,14 @@ def manufactured_solution(name: str):
 class StudyConfig:
     """Everything a refinement study needs; see the CLI docs for the INI
     mapping.  ``grading_growth`` > 1 deliberately unbounds theta2 across
-    levels (used to exercise the regularity audit)."""
+    levels (used to exercise the regularity audit).
 
-    mesh_family: str = "uniform"          # uniform | graded | perturbed | interval
+    ``mesh_family`` and ``solution`` default to the first family and the
+    default solution of the layout's dimension, and ``domain`` keeps one
+    (lo, hi) bound per axis of the layout.
+    """
+
+    mesh_family: str | None = None        # uniform | graded | perturbed | interval
     nx0: int = 8
     ny0: int = 8
     levels: int = 3
@@ -109,13 +115,13 @@ class StudyConfig:
     grading_growth: float = 1.0
     amplitude: float = 0.2
     seed: int = 0
-    layout: str = "mac"                   # mac | rt | colocated1d
+    layout: str = MAC.name                # a key of fvlab.layouts.LAYOUTS
     beta_name: str = "id"
     g_name: str = "id"
     face_scheme: str = "upwind"
     lam: float = 0.5
     field_source: str = "manufactured"    # manufactured | scheme
-    solution: str = "sinsin_cos"
+    solution: str | None = None
     boundary_policy: str = "upwind_zero"
     cfl: float = 0.5
     T: float = 0.5
@@ -135,35 +141,51 @@ class StudyConfig:
     thresholds: dict = field(default_factory=dict)
     threads: int = 1
 
-    def dim(self) -> int:
-        return 1 if self.layout == "colocated1d" else 2
+    def __post_init__(self):
+        dim = get_layout(self.layout).dim
+        if self.mesh_family is None:
+            self.mesh_family = MESH_FAMILIES[dim][0]
+        if self.solution is None:
+            self.solution = DEFAULT_SOLUTIONS[dim]
+        self.domain = tuple(self.domain)[:dim]
 
     def validate(self):
+        """Check every named choice up front, before any level runs."""
         if self.levels < 3:
             raise ValueError("a study needs >= 3 levels for rate fitting")
-        if self.layout not in ("mac", "rt", "colocated1d"):
-            raise ValueError(f"unknown layout {self.layout!r}")
-        if self.field_source not in ("manufactured", "scheme"):
-            raise ValueError(f"unknown field source {self.field_source!r}")
-        if self.layout == "colocated1d" and self.mesh_family != "interval":
-            raise ValueError("colocated1d needs the interval mesh family")
-        if self.layout != "colocated1d" and self.mesh_family == "interval":
-            raise ValueError(f"layout {self.layout!r} needs a 2D mesh family")
+        layout = get_layout(self.layout)
+        _check_choice("field source", self.field_source, FIELD_SOURCES)
+        if self.field_source == "scheme" and not layout.scheme_source:
+            raise ValueError(f"no scheme generates {layout.name!r} fields")
+        _check_choice(f"mesh family for layout {layout.name!r}",
+                      self.mesh_family, MESH_FAMILIES[layout.dim])
+        _check_choice("face scheme", self.face_scheme, FACE_SCHEMES)
+        _check_choice(f"boundary policy for layout {layout.name!r}",
+                      self.boundary_policy, layout.boundary_policies)
+        _check_choice("time pattern", self.time_pattern, TIME_PATTERNS)
+        _check_choice("time profile", self.time_profile, TIME_PROFILES)
+        for name in self.thresholds:
+            _check_choice("threshold series", name, RATE_SERIES)
         sol = manufactured_solution(self.solution)
-        if sol["dim"] != self.dim():
+        if sol["dim"] != layout.dim:
             raise ValueError(f"solution {self.solution!r} is {sol['dim']}D but "
-                             f"the layout is {self.dim()}D")
+                             f"the layout is {layout.dim}D")
         get_pair(self.beta_name, self.g_name)
 
+    def default_support(self) -> tuple:
+        """The central box of the domain, 60% of it along each axis."""
+        return tuple((lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
+                     for lo, hi in self.domain)
+
     def test_function(self) -> TestFunction:
-        dom = self.domain if self.dim() == 2 else (self.domain[0],)
-        if self.support is not None:
-            support = self.support
-        else:
-            support = tuple((lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
-                            for lo, hi in dom)
-        return TestFunction(support, self.t_max_factor * self.T,
-                            self.time_profile)
+        return TestFunction(self.support or self.default_support(),
+                            self.t_max_factor * self.T, self.time_profile)
+
+
+def _check_choice(what: str, value, choices):
+    if value not in choices:
+        raise ValueError(f"unknown {what}: {value!r}; choose from "
+                         f"{', '.join(choices)}")
 
 
 # ----------------------------------------------------------------------
@@ -201,11 +223,10 @@ class ResidualReport:
     mass_defect: float = np.nan
 
     def series(self, name: str) -> float:
-        return {"res_init": self.res_init, "res_time": self.res_time,
-                "res_flux": self.res_flux, "R1": self.r1, "R2": self.r2,
-                "translate": self.translate, "weak_gap": self.weak_gap}[name]
+        return getattr(self, name.lower())
 
 
+# report.csv columns; each one lower-cased is a ResidualReport attribute
 CSV_COLUMNS = ("level", "h", "dt", "theta1", "theta2", "theta3", "X1", "X2",
                "res_init", "res_time", "res_flux", "R1", "R2", "translate",
                "weak_gap", "sup_norm")
@@ -238,12 +259,10 @@ def fit_rates(reports) -> dict:
     out = {}
     for name in RATE_SERIES:
         vals = np.array([r.series(name) for r in reports])
-        pair = np.full(len(reports) - 1, np.nan)
         ok = vals > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.where(ok, np.log(np.where(ok, vals, 1.0)), np.nan)
-            d = np.diff(logs) / np.diff(x)
-        pair[:] = d
+            pair = np.diff(logs) / np.diff(x)
         lsq = np.nan
         if ok.sum() >= 3:
             lsq = float(np.polyfit(x[ok], logs[ok], 1)[0])
@@ -259,13 +278,8 @@ class StudyResult:
 
     def failed_thresholds(self):
         """Threshold names whose finest-pair slope falls short."""
-        bad = []
-        for name, min_slope in self.config.thresholds.items():
-            fit = self.rates.get(name)
-            if fit is None or not np.isfinite(fit.finest_pair) \
-                    or fit.finest_pair < float(min_slope):
-                bad.append(name)
-        return bad
+        return [name for name, min_slope in self.config.thresholds.items()
+                if not self.rates[name].finest_pair >= float(min_slope)]
 
 
 # ----------------------------------------------------------------------
@@ -274,15 +288,14 @@ class StudyResult:
 def build_level(config: StudyConfig, level: int):
     """Mesh, dual and reference axis step for one refinement level."""
     scale = 2 ** level
+    grading = config.grading * config.grading_growth ** level
     if config.mesh_family == "interval":
         n = config.nx0 * scale
         dom = config.domain[0]
-        mesh = build_intervals(n, dom, grading=config.grading
-                               * config.grading_growth ** level)
+        mesh = build_intervals(n, dom, grading=grading)
         h_ref = (dom[1] - dom[0]) / n
         return mesh, None, h_ref
     nx, ny = config.nx0 * scale, config.ny0 * scale
-    grading = config.grading * config.grading_growth ** level
     if config.mesh_family == "uniform":
         mesh = build_cartesian(nx, ny, config.domain)
     elif config.mesh_family == "graded":
@@ -304,8 +317,8 @@ def build_level(config: StudyConfig, level: int):
                                      seed=config.seed + level)
     else:
         raise ValueError(f"unknown mesh family {config.mesh_family!r}")
-    dual = build_dual_mac(mesh) if config.layout == "mac" else (
-        build_dual_rt(mesh) if config.layout == "rt" else None)
+    builder = get_layout(config.layout).dual_builder
+    dual = globals()[builder](mesh) if builder else None
     h_ref = (config.domain[0][1] - config.domain[0][0]) / nx
     return mesh, dual, h_ref
 
@@ -314,28 +327,20 @@ def _tensor_field_function(field) -> Callable | None:
     """Evaluate a cell field on a tensor-product mesh as a function (x, t);
     None for meshes without tensor structure (perturbed quadrangles)."""
     mesh, grid = field.mesh, field.grid
-    if mesh.dim == 2 and not mesh.is_rectangular():
+    if not mesh.is_rectangular():
         return None
-    if mesh.dim == 1:
-        xs = np.unique(mesh.vertices[:, 0])
-        shape = (xs.size - 1,)
-    else:
-        xs = np.unique(mesh.vertices[:, 0])
-        ys = np.unique(mesh.vertices[:, 1])
-        shape = (xs.size - 1, ys.size - 1)
+    nodes = [np.unique(mesh.vertices[:, d]) for d in range(mesh.dim)]
+    shape = tuple(axis.size - 1 for axis in nodes)
     table = field.values.reshape((grid.n_steps + 1,) + shape)
 
     def fn(x, t):
         x = np.atleast_2d(x)
         n = int(np.clip(np.searchsorted(grid.knots, t, side="right") - 1,
                         0, grid.n_steps - 1))
-        ix = np.clip(np.searchsorted(xs, x[:, 0], side="right") - 1,
-                     0, shape[0] - 1)
-        if mesh.dim == 1:
-            return table[n][ix]
-        iy = np.clip(np.searchsorted(ys, x[:, 1], side="right") - 1,
-                     0, shape[1] - 1)
-        return table[n][ix, iy]
+        cell = tuple(np.clip(np.searchsorted(axis, x[:, d], side="right") - 1,
+                             0, size - 1)
+                     for d, (axis, size) in enumerate(zip(nodes, shape)))
+        return table[n][cell]
 
     return fn
 
@@ -362,8 +367,10 @@ def _audit(config, level, reg, base):
 
 def _compute_level(config: StudyConfig, level: int, phi, rhs, base_reg):
     mesh, dual, h_ref = build_level(config, level)
+    layout = get_layout(config.layout)
     sol = manufactured_solution(config.solution)
     q_exact, v_exact = sol["q"], sol["v"]
+    q0 = lambda x: q_exact(x, 0.0)
     pair = get_pair(config.beta_name, config.g_name)
     extras = {}
     if config.field_source == "manufactured":
@@ -373,46 +380,43 @@ def _compute_level(config: StudyConfig, level: int, phi, rhs, base_reg):
         q, v = sample_manufactured(q_exact, v_exact, config.layout, mesh, dual,
                                    grid, order=config.quad_order, check=False)
     else:
-        scheme_cfg = SchemeConfig(q0=lambda x: q_exact(x, 0.0), T=config.T,
+        scheme_cfg = SchemeConfig(q0=q0, T=config.T,
                                   cfl=config.cfl, velocity=v_exact,
                                   boundary_policy=config.boundary_policy,
                                   quad_order=config.quad_order)
-        if config.layout == "colocated1d":
-            q, grid, ledger = run_upwind_1d(mesh, scheme_cfg)
-            v = None
-        elif config.layout == "mac":
+        # validate admits the scheme source for colocated 1D and MAC only
+        if layout.staggered:
             q, v, grid, ledger = run_mass_mac(mesh, dual, scheme_cfg)
         else:
-            raise ValueError("scheme source supports colocated1d and mac only")
+            q, grid, ledger = run_upwind_1d(mesh, scheme_cfg)
+            v = None
         extras["scheme_min"] = float(q.values.min())
         extras["scheme_max"] = float(q.values.max())
         extras["mass_defect"] = ledger.max_relative_defect()
-    reg = regularity(mesh, grid, mac=dual if config.layout == "mac" else None)
+    reg = regularity(mesh, grid,
+                     mac=dual if isinstance(dual, DualMeshMAC) else None)
     _audit(config, level, reg, base_reg)
-    if config.layout == "colocated1d":
-        flux = flux_colocated_upwind_1d(q, policy=config.boundary_policy)
-    else:
+    if layout.staggered:
         flux = flux_staggered(q, v, pair, scheme=config.face_scheme,
                               lam=config.lam, policy=config.boundary_policy)
+    else:
+        flux = flux_colocated_upwind_1d(q, policy=config.boundary_policy)
     betas = BetaFamily.from_field(q, pair)
     c_values = assemble_convection(betas, flux, mesh, grid)
     interp = interpolate_test(phi, mesh, grid, order=config.quad_order,
                               panels=config.interp_panels)
     x1 = compute_X1(betas, interp, mesh, grid)
     x2 = compute_X2(flux, interp, mesh, grid, q=q, v=v, pair=pair, dual=dual)
-    init = residual_init(betas, lambda x: q_exact(x, 0.0), phi, mesh, pair,
-                         order=config.oracle_order)
+    init = residual_init(betas, q0, phi, mesh, pair, order=config.oracle_order)
     times = residual_time(betas, q, phi, pair, mesh, grid,
                           space_order=config.quad_order)
     rflux = residual_flux(flux, q, v, pair, mesh, grid, config.layout, dual)
     jumps = jump_sums(q, v, mesh, dual, grid, config.layout)
     weights = default_translate_weights(mesh, grid, theta=config.translate_theta)
     trans = translate_functional(q, weights)
-    gap = weak_form_gap(c_values, interp, (q_exact, v_exact,
-                                           lambda x: q_exact(x, 0.0)),
-                        pair, mesh, grid, rhs=rhs)
-    sup_q = q.values[:-1]
-    sup_norm = float(np.abs(sup_q).max())
+    gap = weak_form_gap(c_values, interp, (q_exact, v_exact, q0), pair, mesh,
+                        grid, rhs=rhs)
+    sup_norm = q.sup_norm()
     if v is not None:
         sup_norm = max(sup_norm, v.sup_norm())
     l1 = lp_distance(q, q_exact, p=1, order=config.quad_order).distance
@@ -426,7 +430,7 @@ def _compute_level(config: StudyConfig, level: int, phi, rhs, base_reg):
         res_time_signed=times.signed, x2_gradient=x2.gradient_route,
         rt_constant=(jumps.rt_constant if jumps.rt_constant is not None
                      else np.nan),
-        measured_c=measured_constant(q, v, pair, config.layout),
+        measured_c=measured_constant(q, v, pair),
         l1_distance=l1, **extras)
     return report, q
 
@@ -447,30 +451,24 @@ def run_study(config: StudyConfig) -> StudyResult:
     pair = get_pair(config.beta_name, config.g_name)
     rhs = weak_rhs(pair, sol["q"], sol["v"], lambda x: sol["q"](x, 0.0),
                    phi, order=config.oracle_order, panels=config.rhs_panels)
-    base_reg = None
     # level 0 first: it fixes the regularity baseline for the audit
-    report0, field0 = _compute_level(config, 0, phi, rhs, None)
-    base_reg = report0
-    results = [(report0, field0)]
-    levels = list(range(1, config.levels))
+    results = [_compute_level(config, 0, phi, rhs, None)]
+    base_reg = results[0][0]
+    levels = range(1, config.levels)
     if config.threads > 1 and levels:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             futures = [pool.submit(_compute_level, config, lv, phi, rhs,
                                    base_reg) for lv in levels]
             results.extend(f.result() for f in futures)
     else:
-        for lv in levels:
-            results.extend([_compute_level(config, lv, phi, rhs, base_reg)])
-    reports = []
-    prev_field = None
-    for report, fld in results:
-        if prev_field is not None:
-            coarse_fn = _tensor_field_function(prev_field)
-            if coarse_fn is not None:
-                report.l1_cauchy = lp_distance(fld, coarse_fn, p=1,
-                                               order=2).distance
-        reports.append(report)
-        prev_field = fld
+        results.extend(_compute_level(config, lv, phi, rhs, base_reg)
+                       for lv in levels)
+    for (_, coarse), (report, fld) in zip(results, results[1:]):
+        coarse_fn = _tensor_field_function(coarse)
+        if coarse_fn is not None:
+            report.l1_cauchy = lp_distance(fld, coarse_fn, p=1,
+                                           order=2).distance
+    reports = [report for report, _ in results]
     return StudyResult(config=config, reports=reports, rates=fit_rates(reports))
 
 
@@ -489,11 +487,8 @@ def write_report_csv(result: StudyResult, path):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS + CSV_EXTRAS)
         for r in result.reports:
-            row = [r.level, r.h, r.dt, r.theta1, r.theta2, r.theta3, r.x1,
-                   r.x2, r.res_init, r.res_time, r.res_flux, r.r1, r.r2,
-                   r.translate, r.weak_gap, r.sup_norm]
-            row += [getattr(r, name) for name in CSV_EXTRAS]
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([_fmt(getattr(r, name.lower()))
+                             for name in CSV_COLUMNS + CSV_EXTRAS])
 
 
 def write_rates_csv(result: StudyResult, path):

@@ -1,3 +1,5 @@
+import configparser
+
 import numpy as np
 
 from fvlab.cli import main, parse_config, serialize_config
@@ -37,16 +39,6 @@ def write_config(tmp_path, text=BASE_CONFIG, name="study.ini"):
     return path
 
 
-def test_config_round_trip_identity(tmp_path):
-    path = write_config(tmp_path)
-    cfg1, meta1 = parse_config(path)
-    again = tmp_path / "again.ini"
-    again.write_text(serialize_config(cfg1, meta1))
-    cfg2, meta2 = parse_config(again)
-    assert cfg1 == cfg2
-    assert meta1["out_dir"] == meta2["out_dir"]
-
-
 def test_mesh_info_reports_theta(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["mesh-info", "--config", str(path)]) == 0
@@ -69,6 +61,186 @@ def test_bad_config_exit_2(tmp_path, capsys):
     assert main(["mesh-info", "--config", str(path2)]) == 2
     missing = tmp_path / "missing.ini"
     assert main(["mesh-info", "--config", str(missing)]) == 2
+    # every named choice is checked before any level runs: no report is
+    # written and the error names the offending value
+    bad_inputs = [
+        ("[thresholds]\nres_flux = abc\n", "'abc'"),
+        ("[thresholds]\nres_flx = 0.5\n", "'res_flx'"),
+        ("family = uniform", "family = hexagonal", "'hexagonal'"),
+        ("family = uniform", "family = interval", "'interval'"),
+        ("face_scheme = upwind", "face_scheme = downwind", "'downwind'"),
+        ("layout = mac", "layout = mac\nboundary_policy = periodic",
+         "'periodic'"),
+        ("T = 0.5", "T = 0.5\npattern = zigzag", "'zigzag'"),
+        ("t_max_factor = 0.7", "t_max_factor = 0.7\ntime_profile = late",
+         "'late'"),
+        ("layout = mac", "layout = rt\nfield_source = scheme", "'rt'"),
+        ("layout = mac", "layout = hex", "'hex'"),
+    ]
+    for k, case in enumerate(bad_inputs):
+        if len(case) == 2:
+            text, needle = BASE_CONFIG + "\n" + case[0], case[1]
+        else:
+            text, needle = BASE_CONFIG.replace(case[0], case[1]), case[2]
+        path = write_config(tmp_path, text, f"bad_case{k}.ini")
+        out_dir = tmp_path / f"out{k}"
+        assert main(["run-study", "--config", str(path), "--out",
+                     str(out_dir)]) == 2, case
+        err = capsys.readouterr().err
+        assert "config error" in err and needle in err, (case, err)
+        assert not (out_dir / "report.csv").exists()
+
+
+# every key of the schema at a value other than its default; parsing does
+# not validate, so the 2D case may combine choices a study would reject
+EVERY_KEY_2D = """\
+[mesh]
+family = perturbed
+nx = 5
+ny = 6
+x0 = -1.0
+x1 = 2.0
+y0 = -0.5
+y1 = 1.5
+grading = 1.25
+grading_growth = 1.5
+amplitude = 0.1
+seed = 9
+file = meshes/grid.txt
+
+[time]
+T = 0.75
+dt_over_h = 0.25
+pattern = alternating
+ratio = 1.5
+
+[study]
+levels = 4
+layout = rt
+beta = square
+g = slogs
+face_scheme = centered
+lambda = 0.25
+field_source = scheme
+solution = sinsin_shear
+boundary_policy = zero_flux
+cfl = 0.4
+translate_theta = 2.0
+threads = 2
+
+[test_function]
+x0 = 0.125
+x1 = 0.875
+y0 = 0.25
+y1 = 0.75
+t_max_factor = 0.6
+time_profile = interior
+
+[numerics]
+quad_order = 5
+interp_panels = 3
+oracle_order = 6
+rhs_panels = 10
+
+[audit]
+regularity_cap = 500.0
+regularity_growth = 3.0
+
+[output]
+out_dir = results
+
+[thresholds]
+res_flux = 0.7
+weak_gap = 0.5
+"""
+
+EVERY_KEY_1D = """\
+[mesh]
+nx = 12
+x0 = -1.0
+x1 = 3.0
+grading = 1.25
+grading_growth = 1.5
+amplitude = 0.1
+seed = 4
+ny = 3
+file = line.txt
+
+[time]
+T = 0.25
+dt_over_h = 0.75
+pattern = alternating
+ratio = 2.0
+
+[study]
+levels = 5
+layout = colocated1d
+beta = slogs
+g = square
+face_scheme = centered
+lambda = 0.75
+field_source = scheme
+boundary_policy = periodic
+cfl = 0.9
+translate_theta = 0.5
+threads = 3
+
+[test_function]
+x0 = 0.25
+x1 = 0.5
+t_max_factor = 0.5
+time_profile = interior
+
+[numerics]
+quad_order = 3
+interp_panels = 2
+oracle_order = 9
+rhs_panels = 7
+
+[audit]
+regularity_cap = 50.0
+regularity_growth = 1.5
+
+[output]
+out_dir = out1d
+
+[thresholds]
+R1 = 0.9
+"""
+
+
+def test_config_round_trip_identity(tmp_path):
+    from dataclasses import fields
+
+    from fvlab.cli import CONFIG_TABLE
+    from fvlab.study import StudyConfig
+    cases = (("base", BASE_CONFIG), ("2d", EVERY_KEY_2D), ("1d", EVERY_KEY_1D))
+    for name, text in cases:
+        cfg1, meta1 = parse_config(write_config(tmp_path, text, name + ".ini"))
+        out = serialize_config(cfg1, meta1)
+        cfg2, meta2 = parse_config(write_config(tmp_path, out, name + "2.ini"))
+        assert cfg1 == cfg2
+        assert meta1 == meta2
+        if name == "base":
+            continue
+        # every key was read: no field is left at its default (1D has a
+        # single mesh family and a single solution, so those stay)
+        assert cfg1.layout != StudyConfig().layout
+        assert meta1["mesh_file"] and meta1["out_dir"] != "."
+        fixed = {"layout"} | ({"mesh_family", "solution"} if name == "1d"
+                              else set())
+        default = StudyConfig(layout=cfg1.layout)
+        for f in fields(StudyConfig):
+            if f.name not in fixed:
+                assert getattr(cfg1, f.name) != getattr(default, f.name), \
+                    (name, f.name)
+        if name == "2d":
+            written = configparser.ConfigParser()
+            written.optionxform = str
+            written.read_string(out)
+            for section, key, _, _ in CONFIG_TABLE:
+                assert written.has_option(section, key), (section, key)
+    assert cfg1.domain == ((-1.0, 3.0),) and cfg1.support == ((0.25, 0.5),)
 
 
 def test_run_study_writes_reports(tmp_path, capsys):

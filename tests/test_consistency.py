@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fvlab.consistency import (compute_X1, compute_X2, jump_sums,
-                               measured_constant, residual_flux,
+from fvlab import consistency
+from fvlab.consistency import (RouteMismatchError, compute_X1, compute_X2,
+                               jump_sums, measured_constant, residual_flux,
                                residual_flux_terms, residual_init,
                                residual_time, weak_form_gap, weak_lhs,
                                weak_rhs)
@@ -434,7 +435,7 @@ def test_majorant_ordering_flux_vs_jumps():
         flux = flux_staggered(q, v, pair, scheme="upwind")
         r = residual_flux(flux, q, v, pair, mesh, grid, layout, dual)
         js = jump_sums(q, v, mesh, dual, grid, layout)
-        c_meas = measured_constant(q, v, pair, layout)
+        c_meas = measured_constant(q, v, pair)
         assert r <= c_meas * (js.r1 + js.r2) * (1 + 1e-12)
 
 
@@ -564,3 +565,67 @@ def test_x1_x2_converge_to_their_separate_limits():
         assert np.all(np.diff(errs) < 0)
         rate = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert rate >= 0.7
+
+
+# ---------------------------------------------------------------- route guards
+# each guard compares two algebraically equal routes; corrupting one entry
+# of one route must make it fire
+
+def test_x1_guard_fires_on_one_corrupt_time_derivative(monkeypatch):
+    mesh, grid, dual, pair, q, v, flux, qf, vf = manufactured_mac(8)
+    interp = interpolate_test(bump2d(), mesh, grid)
+    betas = BetaFamily.from_field(q, pair)
+    compute_X1(betas, interp, mesh, grid)
+    centre = int(np.argmax(interp.phi_cell[0]))
+    real = consistency.dt_beta
+
+    def corrupt(betas, grid):
+        out = real(betas, grid).copy()
+        out[0, centre] += 1.0
+        return out
+
+    monkeypatch.setattr(consistency, "dt_beta", corrupt)
+    with pytest.raises(RouteMismatchError, match="X1"):
+        compute_X1(betas, interp, mesh, grid)
+
+
+def test_x2_guard_fires_on_one_corrupt_face_flux(monkeypatch):
+    mesh, grid, dual, pair, q, v, flux, qf, vf = manufactured_mac(8)
+    interp = interpolate_test(bump2d(), mesh, grid)
+    compute_X2(flux, interp, mesh, grid, q=q, v=v, pair=pair, dual=dual)
+    centre = int(np.argmax(interp.phi_cell[0]))
+    real = consistency.flux_dot_n
+
+    def corrupt(flux):
+        out = real(flux).copy()
+        out[0, centre, 0] += 1.0
+        return out
+
+    monkeypatch.setattr(consistency, "flux_dot_n", corrupt)
+    with pytest.raises(RouteMismatchError, match="X2"):
+        compute_X2(flux, interp, mesh, grid, q=q, v=v, pair=pair, dual=dual)
+
+
+class _MeshView:
+    """A mesh with some attributes replaced."""
+
+    def __init__(self, mesh, **replaced):
+        self._mesh = mesh
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(self._mesh, name)
+
+
+def test_r1_guard_fires_on_one_dropped_face_pairing():
+    mesh, grid, dual, pair, q, v, flux, qf, vf = manufactured_mac(8)
+    jump_sums(q, v, mesh, dual, grid, "mac")
+    # the face route loses one interior face; the cell route keeps it
+    mask = mesh.interior_face_mask.copy()
+    fc = mesh.face_cells
+    jumps = np.where(mask, np.abs(q.values[0, fc[:, 0]] - q.values[0, fc[:, 1]]),
+                     0.0)
+    mask[int(np.argmax(jumps))] = False
+    view = _MeshView(mesh, interior_face_mask=mask)
+    with pytest.raises(RouteMismatchError, match="R1"):
+        jump_sums(q, v, view, dual, grid, "mac")

@@ -86,3 +86,22 @@ def test_box_quadrature_matches_closed_form():
     box = BoxQuadrature([(0.0, 1.0), (0.0, 2.0)], panels=3, order=6)
     val = box.integrate(lambda p: np.sin(p[:, 0]) * p[:, 1])
     assert abs(val - (1 - np.cos(1.0)) * 2.0) < 1e-12
+
+
+def test_type_error_inside_f_of_x_t_propagates():
+    # f takes (x, t): a TypeError it raises is the caller's error, never a
+    # cue to retry as f(x)
+    mesh = build_cartesian(3, 3)
+    quad = CellQuadrature(mesh, 2)
+
+    def f(x, t=0.0):
+        if t > 0.0:
+            raise TypeError("boom")
+        return x[:, 0]
+
+    quad.cell_means(f, 0.0)
+    with pytest.raises(TypeError, match="boom"):
+        quad.cell_means(f, 0.5)
+    # one-argument integrands ignore the time argument
+    means = quad.cell_means(lambda x: np.full(x.shape[0], 2.0), 0.5)
+    assert np.all(means == 2.0)
