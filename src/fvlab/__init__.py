@@ -22,7 +22,7 @@ from .geometry import (DualMeshMAC, DualMeshRT, MeshConstructionError,
                        check_mesh_identities, regularity)
 from .meshio import load_field, load_mesh, save_field, save_mesh
 from .operators import (BetaFamily, FluxFamily, NonlinearityPair,
-                        assemble_convection, dt_beta, face_value,
+                        assemble_convection, dt_beta,
                         flux_colocated_upwind_1d, flux_divergence,
                         flux_staggered, get_pair, telescoping_defect)
 from .quadrature import (DEFAULT_ORDER, ORACLE_ORDER, BoxQuadrature,

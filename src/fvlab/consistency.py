@@ -161,8 +161,9 @@ def residual_init(betas: BetaFamily, q0, phi, mesh, pair,
     the same quantity) and the Lipschitz L1 majorant.
     """
     quad = CellQuadrature(mesh, order)
-    phi0 = quad.cell_integrals(lambda x: phi.value(x, 0.0))
-    bq0 = quad.cell_integrals(lambda x: pair.beta(q0(x)) * phi.value(x, 0.0))
+    phi_x0 = phi.value(quad.flat_points(), 0.0)
+    phi0 = quad.cell_integrals(lambda _: phi_x0)
+    bq0 = quad.cell_integrals(lambda x: pair.beta(q0(x)) * phi_x0)
     per_cell = betas.values[0] * phi0 - bq0
     interior = mesh.interior_cell_mask
     signed = float(per_cell[interior].sum())
@@ -195,9 +196,11 @@ def residual_time(betas: BetaFamily, q, phi, pair, mesh, grid,
     """
     slab = SlabQuadrature(mesh, grid, space_order, time_order)
     interior = mesh.interior_cell_mask
+    # phi on the slab rule's own cell points, its bumps evaluated once
+    on_cells = phi.at(slab.cell.flat_points())
     signed = 0.0
     for m in range(grid.n_steps):
-        phi_int = slab.slab_cell_integrals(phi.value, m)
+        phi_int = slab.slab_cell_integrals(lambda _, t: on_cells.value(t), m)
         diff = betas.values[m + 1] - betas.values[m]
         signed += float((diff * phi_int)[interior].sum())
     jumps = np.abs(np.diff(q.values, axis=0))[:, interior]
@@ -332,35 +335,41 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
 
     Both terms use mesh-independent panelised rules over the support box of
     phi (the limit object does not depend on the discretisation level; the
-    integrands vanish outside the support).
+    integrands vanish outside the support).  The limit fields are evaluated
+    once per box node; phi, d_t phi and grad phi come from the bumps and the
+    time factor on each axis's 1D nodes (``TestFunction.at_grid``), formed
+    in the product order of ``TestFunction``, so they equal
+    ``phi.value/dt/grad`` at the nodes bit for bit.  Each term is one flat
+    ``np.dot`` of the box weights with the integrand in the C order of the
+    box nodes (``BoxQuadrature.integrate``).
     """
-    dim = len(phi.support)
+    dim = phi.dim
     space_box = BoxQuadrature(list(phi.support), panels, order)
-    init = -space_box.integrate(
-        lambda x: pair.beta(q0(x)) * phi.value(x, 0.0))
+    phi_x0 = phi.at_grid(space_box.grid_axes).value(0.0).ravel()
+    init = -space_box.integrate(lambda x: pair.beta(q0(x)) * phi_x0)
     bounds = list(phi.support) + [(0.0, phi.t_max)]
 
-    def time_part(pts):
-        x = pts[:, :dim]
-        t = pts[:, dim]
-        return pair.beta(np.asarray(q_exact(x, t), dtype=float)) * phi.dt(x, t)
-
-    def space_part(pts):
-        x = pts[:, :dim]
-        t = pts[:, dim]
+    def volume_integrals(box):
+        """int beta(q) d_t phi and int g(q) v . grad phi over the box."""
+        x, t = box.points[:, :dim], box.points[:, dim]
+        on_box = phi.at_grid(box.grid_axes[:dim])
+        t_axis = box.grid_axes[dim]
         qb = np.asarray(q_exact(x, t), dtype=float)
+        dt_phi = on_box.dt(t_axis).ravel()
+        grad = on_box.grad(t_axis).reshape(-1, dim)
         if v_exact is None:
-            return pair.flux(qb) * phi.grad(x, t)[:, 0]
-        vv = np.asarray(v_exact(x, t), dtype=float)
-        return pair.g(qb) * np.einsum("nd,nd->n", vv, phi.grad(x, t))
+            space = pair.flux(qb) * grad[:, 0]
+        else:
+            vv = np.asarray(v_exact(x, t), dtype=float)
+            space = pair.g(qb) * np.einsum("nd,nd->n", vv, grad)
+        return (box.integrate(lambda _: pair.beta(qb) * dt_phi),
+                box.integrate(lambda _: space))
 
-    box = BoxQuadrature(bounds, panels, order)
-    vol_time = -box.integrate(time_part)
-    vol_space = -box.integrate(space_part)
+    time_int, space_int = volume_integrals(BoxQuadrature(bounds, panels, order))
+    vol_time, vol_space = -time_int, -space_int
     volume = vol_time + vol_space
     if check:
-        finer = BoxQuadrature(bounds, panels, order + 2)
-        vol2 = -(finer.integrate(time_part) + finer.integrate(space_part))
+        vol2 = -sum(volume_integrals(BoxQuadrature(bounds, panels, order + 2)))
         if abs(volume - vol2) > 1e-7 * (1.0 + abs(volume)):
             warnings.warn(f"weak-form volume quadrature disagreement "
                           f"{abs(volume - vol2):.3e}", stacklevel=2)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -103,8 +104,9 @@ def _bump(s, a, b, derivative=False):
 class TestFunction:
     """Smooth compactly supported phi(x, t) with closed-form derivatives.
 
-    The spatial part is a product of exponential bumps over the support box.
-    Two time profiles are available:
+    phi is separable, phi(x, t) = tf(t) * prod_d b_d(x_d): the spatial part
+    is a product of exponential bumps over the support box.  Two time
+    profiles are available:
 
     * ``"initial"`` (default): an even bump in t restricted to [0, t_max), so
       phi(., 0) != 0 and the initialization terms of the weak form are
@@ -112,6 +114,13 @@ class TestFunction:
     * ``"interior"``: the bump rescaled to (0, t_max), vanishing at t = 0.
 
     The support must lie strictly inside the domain box and t_max < T.
+
+    Product order (a bitwise contract): values and time derivatives are
+    formed as ``(tf * b_0) * b_1``, with tf evaluated once per time, and
+    grad component d as ``(b_d' * tf) * b_e`` over the other axes e in
+    order.  ``at`` and ``at_grid`` evaluate the bumps once per point set and
+    form every product in this same order, so their values equal
+    ``value``/``dt``/``grad`` on the same points bit for bit.
     """
 
     def __init__(self, support, t_max, time_profile="initial"):
@@ -145,32 +154,38 @@ class TestFunction:
         out = _bump(t, -self.t_max, self.t_max, derivative)
         return np.where(t >= 0.0, out, 0.0)
 
-    def _product(self, x, t, derivative=False):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        out = self._time_factor(np.broadcast_to(t, x.shape[0]).astype(float),
-                                derivative)
-        for d, (a, b) in enumerate(self.support):
-            out = out * _bump(x[:, d], a, b)
-        return out
+    def _bumps(self, coords, derivative=False):
+        """The spatial bumps (or their derivatives), one per axis."""
+        if len(coords) < self.dim:
+            raise ValueError(f"points have {len(coords)} coordinates, "
+                             f"phi needs {self.dim}")
+        return [_bump(c, a, b, derivative)
+                for c, (a, b) in zip(coords, self.support)]
+
+    def at(self, x) -> PhiAt:
+        """phi on the fixed points x, shape (n, dim), for any number of
+        times: ``.value(t)``, ``.dt(t)`` and ``.grad(t)``."""
+        return PhiAt(self, list(np.atleast_2d(np.asarray(x, dtype=float)).T))
+
+    def at_grid(self, axes) -> PhiAt:
+        """phi on a tensor grid given by its per-axis coordinates: ``axes[d]``
+        holds the x_d nodes, shaped so that the axes (and the times passed
+        to the evaluator) broadcast to the grid.  Each bump is evaluated on
+        its own axis only."""
+        return PhiAt(self, [np.asarray(a, dtype=float) for a in axes])
 
     def value(self, x, t):
-        return self._product(x, t)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return _times(self._time_factor(t), self._bumps(x.T))
 
     def dt(self, x, t):
-        return self._product(x, t, derivative=True)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        return _times(self._time_factor(t, derivative=True), self._bumps(x.T))
 
     def grad(self, x, t):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        tf = self._time_factor(np.broadcast_to(t, x.shape[0]).astype(float))
-        bumps = [_bump(x[:, d], a, b) for d, (a, b) in enumerate(self.support)]
-        out = np.empty((x.shape[0], self.dim))
-        for d, (a, b) in enumerate(self.support):
-            g = _bump(x[:, d], a, b, derivative=True) * tf
-            for e, be in enumerate(bumps):
-                if e != d:
-                    g = g * be
-            out[:, d] = g
-        return out
+        return _grad(self._time_factor(t), self._bumps(x.T),
+                     self._bumps(x.T, derivative=True))
 
     def sup_norm(self) -> float:
         """Analytic sup of |phi|: each bump factor peaks at exp(-1)."""
@@ -181,6 +196,76 @@ class TestFunction:
         if self.time_profile == "interior":
             return 0.0
         return float(np.exp(-(self.dim + 1)))
+
+
+def _times(tf, bumps):
+    """(tf * b_0) * b_1 ...: the product order of ``TestFunction``."""
+    out = tf
+    for b in bumps:
+        out = out * b
+    return out
+
+
+def _grad(tf, bumps, dbumps):
+    """Component d is (b_d' * tf) times the other bumps in axis order; the
+    components are stacked on a trailing axis."""
+    shape = np.broadcast_shapes(np.shape(tf), *(np.shape(b) for b in bumps))
+    out = np.empty(shape + (len(bumps),))
+    for d, db in enumerate(dbumps):
+        g = db * tf
+        for e, be in enumerate(bumps):
+            if e != d:
+                g = g * be
+        out[..., d] = g
+    return out
+
+
+class PhiAt:
+    """A test function on one fixed point set (``TestFunction.at`` and
+    ``at_grid``): the spatial bumps are evaluated once, their derivatives
+    once on the first ``grad``, and each call forms tf(t) once and the
+    product in the order of ``TestFunction``.
+
+    A subclass that overrides ``value``, ``dt`` or ``grad`` is evaluated
+    through its override, on the points spelled out in full.
+    """
+
+    def __init__(self, phi: TestFunction, coords):
+        self.phi = phi
+        self.coords = coords
+
+    @cached_property
+    def _bumps(self):
+        return self.phi._bumps(self.coords)
+
+    @cached_property
+    def _dbumps(self):
+        return self.phi._bumps(self.coords, derivative=True)
+
+    def _evaluate(self, name, t, direct):
+        """``direct()``, or the subclass's own ``name`` if it has one."""
+        if getattr(type(self.phi), name) is getattr(TestFunction, name):
+            return direct()
+        shape = np.broadcast_shapes(np.shape(t),
+                                    *(np.shape(c) for c in self.coords))
+        x = np.stack([np.broadcast_to(c, shape).ravel() for c in self.coords],
+                     axis=-1)
+        if np.ndim(t):
+            t = np.broadcast_to(t, shape).ravel()
+        out = np.asarray(getattr(self.phi, name)(x, t), dtype=float)
+        return out.reshape(shape + out.shape[1:])
+
+    def value(self, t):
+        return self._evaluate("value", t, lambda: _times(
+            self.phi._time_factor(t), self._bumps))
+
+    def dt(self, t):
+        return self._evaluate("dt", t, lambda: _times(
+            self.phi._time_factor(t, derivative=True), self._bumps))
+
+    def grad(self, t):
+        return self._evaluate("grad", t, lambda: _grad(
+            self.phi._time_factor(t), self._bumps, self._dbumps))
 
 
 # ----------------------------------------------------------------------
@@ -257,11 +342,14 @@ def interpolate_test(phi: TestFunction, mesh, grid, variant: str = "at_tn",
     n_lev = grid.n_steps + 1
     phi_cell = np.empty((n_lev, mesh.n_cells))
     phi_face = np.empty((n_lev, mesh.n_faces))
+    # phi on each rule's own points, its bumps evaluated once for all levels
+    on_cells = phi.at(cq.flat_points())
+    on_faces = phi.at(fq.points.reshape(-1, mesh.dim))
     for n in range(n_lev):
         t = grid.knots[min(n + 1, grid.n_steps)] if variant == "at_tn_plus_1" \
             else grid.knots[n]
-        phi_cell[n] = cq.cell_means(phi.value, t)
-        phi_face[n] = fq.face_means(phi.value, t)
+        phi_cell[n] = cq.cell_means(lambda _: on_cells.value(t))
+        phi_face[n] = fq.face_means(lambda _: on_faces.value(t))
     dt_phi = np.diff(phi_cell, axis=0) / grid.steps[:, None]
     areas = mesh.face_measures[mesh.cell_faces]             # (NC, nf)
     weights = areas[:, :, None] * mesh.cell_face_normals    # (NC, nf, dim)

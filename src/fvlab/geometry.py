@@ -139,6 +139,13 @@ class PrimalMesh:
         """Adopt an explicit face table (mesh import); normals kept as given."""
         self.face_vertices = np.ascontiguousarray(face_vertices, dtype=np.int64)
         self.face_cells = np.ascontiguousarray(face_cells, dtype=np.int64)
+        fc = self.face_cells
+        bad = (fc[:, 0] < 0) | (fc[:, 1] < -1) | (fc >= self.n_cells).any(axis=1)
+        if bad.any():
+            f = int(np.argmax(bad))
+            raise MeshConstructionError(
+                f"face {f} names cells {fc[f, 0]} and {fc[f, 1]}, outside "
+                f"the {self.n_cells} cells")
         face_of = {tuple(sorted(fv)): i for i, fv in enumerate(self.face_vertices)}
         cell_faces = np.empty(self.cell_vertices.shape, dtype=np.int64)
         for c, k, fv in self._local_faces():
@@ -179,13 +186,20 @@ class PrimalMesh:
             # import path: the file's per-face normal (as seen from its first
             # cell) replaces the derived one, so corruption stays observable
             stored = np.ascontiguousarray(stored_normals, dtype=float)
-            for f in range(self.n_faces):
-                p, q = self.face_cells[f]
-                kp = int(np.where(self.cell_faces[p] == f)[0][0])
-                normals[p, kp] = stored[f]
-                if q >= 0:
-                    kq = int(np.where(self.cell_faces[q] == f)[0][0])
-                    normals[q, kq] = -stored[f]
+            faces = np.arange(self.n_faces)
+            for side in (0, 1):
+                cells = self.face_cells[:, side]
+                f, c = faces[cells >= 0], cells[cells >= 0]
+                # local index of face f in cell c: its first match in c's list
+                hits = self.cell_faces[c] == f[:, None]
+                k = hits.argmax(axis=1)
+                missing = ~hits[np.arange(f.size), k]
+                if missing.any():
+                    i = int(np.argmax(missing))
+                    raise MeshConstructionError(
+                        f"face {f[i]} names cell {c[i]}, which does not "
+                        f"hold it")
+                normals[c, k] = stored[f] if side == 0 else -stored[f]
 
     def _finalize(self):
         self.boundary_face_mask = self.face_cells[:, 1] < 0

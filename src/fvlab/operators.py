@@ -19,7 +19,7 @@ from .layouts import BOUNDARY_POLICIES, COLOCATED_1D, get_layout, layout_of
 
 __all__ = [
     "NonlinearityPair", "get_pair", "BetaFamily", "FluxFamily",
-    "dt_beta", "face_value", "flux_staggered", "flux_colocated_upwind_1d",
+    "dt_beta", "flux_staggered", "flux_colocated_upwind_1d",
     "assemble_convection", "flux_divergence", "flux_dot_n",
     "telescoping_defect", "BOUNDARY_POLICIES", "FACE_SCHEMES",
 ]
@@ -119,23 +119,6 @@ class FluxFamily:
 def dt_beta(betas: BetaFamily, grid) -> np.ndarray:
     """(beta_P^{n+1} - beta_P^n)/(t_{n+1} - t_n), shape (N, NC)."""
     return np.diff(betas.values, axis=0) / grid.steps[:, None]
-
-
-def face_value(q, face: int, n: int, scheme: str = "centered",
-               lam: float = 0.5, signal: float = 0.0) -> float:
-    """Convex face value q_zeta^n of one interior face.
-
-    ``signal`` is v_zeta^n . n_{P,zeta} seen from the first adjacent cell;
-    upwinding picks the upstream side and falls back to the centered value
-    when the signal vanishes.
-    """
-    p, qq = q.mesh.face_cells[face]
-    if qq < 0:
-        raise ValueError(f"face {face} is a boundary face; apply a boundary policy")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    return float(_convex_value(q.values[n, p], q.values[n, qq], scheme, lam,
-                               signal))
 
 
 def _convex_value(qp, qq, scheme, lam, signal):

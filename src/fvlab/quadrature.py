@@ -13,6 +13,7 @@ constant integrand reproduces the constant bitwise.
 from __future__ import annotations
 
 import inspect
+from functools import reduce
 
 import numpy as np
 
@@ -214,10 +215,20 @@ class BoxQuadrature:
             panels = [int(panels)] * len(bounds)
         axes = [_panel_rule(order, m, a, b)
                 for (a, b), m in zip(bounds, panels)]
-        grids = np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij")
-        self.points = np.stack([g.ravel() for g in grids], axis=-1)
-        wgrids = np.meshgrid(*(weights for _, weights in axes), indexing="ij")
-        self.weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
+        k = len(axes)
+        # the 1D nodes of axis d laid along dimension d: they broadcast to
+        # the tensor grid, whose C order is the order of `points`
+        along = [[-1 if e == d else 1 for e in range(k)] for d in range(k)]
+        self.grid_axes = [nodes.reshape(along[d])
+                          for d, (nodes, _) in enumerate(axes)]
+        points = np.empty(tuple(nodes.size for nodes, _ in axes) + (k,))
+        for d, nodes in enumerate(self.grid_axes):
+            points[..., d] = nodes
+        self.points = points.reshape(-1, k)
+        # weight products in axis order, (w_0 * w_1) * w_2
+        self.weights = reduce(np.multiply, [
+            weights.reshape(along[d])
+            for d, (_, weights) in enumerate(axes)]).ravel()
         self.bounds = bounds
 
     def integrate(self, f) -> float:

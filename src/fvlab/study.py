@@ -24,10 +24,10 @@ from .fields import (TIME_PROFILES, TestFunction, _bump,
                      translate_functional)
 # build_dual_mac and build_dual_rt are called by their names in this module
 # (see build_level), so rebinding fvlab.study.build_dual_* reaches the call
-from .geometry import (TIME_PATTERNS, DualMeshMAC, build_cartesian,
-                       build_dual_mac, build_dual_rt, build_intervals,
-                       build_perturbed_quads, build_tensor, build_time_grid,
-                       regularity, subdivide_nodes)
+from .geometry import (TIME_PATTERNS, DualMeshMAC, _cartesian_vertices,
+                       build_cartesian, build_dual_mac, build_dual_rt,
+                       build_intervals, build_perturbed_quads, build_tensor,
+                       build_time_grid, regularity, subdivide_nodes)
 from .layouts import MAC, get_layout
 from .operators import (FACE_SCHEMES, BetaFamily, assemble_convection,
                         flux_colocated_upwind_1d, flux_staggered, get_pair)
@@ -303,11 +303,10 @@ def build_level(config: StudyConfig, level: int):
             # refine by nested subdivision of the level-0 graded nodes:
             # rebuilding at a fixed consecutive ratio would unbound theta1
             # (worst aspect ratio grows like ratio^nx under refinement)
-            base = build_cartesian(config.nx0, config.ny0, config.domain,
-                                   grading=config.grading)
-            xs = subdivide_nodes(np.unique(base.vertices[:, 0]), scale)
-            ys = subdivide_nodes(np.unique(base.vertices[:, 1]), scale)
-            mesh = build_tensor(xs, ys, config.domain)
+            _, xs0, ys0 = _cartesian_vertices(config.nx0, config.ny0,
+                                              config.domain, config.grading)
+            mesh = build_tensor(subdivide_nodes(xs0, scale),
+                                subdivide_nodes(ys0, scale), config.domain)
         else:
             # deliberate blow-up hook for the regularity audit
             mesh = build_cartesian(nx, ny, config.domain, grading=grading)

@@ -3,6 +3,56 @@
 import numpy as np
 
 from fvlab.consistency import LOCAL_OPPOSITE
+from fvlab.fields import _bump
+
+
+def face_value(q, face: int, n: int, scheme: str = "centered",
+               lam: float = 0.5, signal: float = 0.0) -> float:
+    """Convex face value q_zeta^n of one interior face, by scalar
+    arithmetic.
+
+    ``signal`` is v_zeta^n . n_{P,zeta} seen from the first adjacent cell;
+    upwinding picks the upstream side and falls back to the centered value
+    when the signal vanishes.
+    """
+    p, qq = q.mesh.face_cells[face]
+    if qq < 0:
+        raise ValueError(f"face {face} is a boundary face; apply a boundary policy")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+    first, second = q.values[n, p], q.values[n, qq]
+    if scheme == "centered":
+        return float(lam * first + (1.0 - lam) * second)
+    if scheme != "upwind":
+        raise ValueError(f"unknown face scheme {scheme!r}")
+    if signal > 0.0:
+        return float(first)
+    if signal < 0.0:
+        return float(second)
+    return float(0.5 * first + 0.5 * second)
+
+
+def separable_phi(phi, x, t, kind="value"):
+    """phi.value/dt/grad at the points x, evaluated the direct way: the
+    time factor on one time per point and every bump at every point, in
+    the documented product order."""
+    x = np.atleast_2d(x)
+    t = np.broadcast_to(np.asarray(t, dtype=float), x.shape[0]).copy()
+    tf = phi._time_factor(t, derivative=kind == "dt")
+    bumps = [_bump(x[:, d], a, b) for d, (a, b) in enumerate(phi.support)]
+    if kind != "grad":
+        out = tf
+        for b in bumps:
+            out = out * b
+        return out
+    out = np.empty((x.shape[0], len(bumps)))
+    for d, (a, b) in enumerate(phi.support):
+        g = _bump(x[:, d], a, b, derivative=True) * tf
+        for e, be in enumerate(bumps):
+            if e != d:
+                g = g * be
+        out[:, d] = g
+    return out
 
 
 def brute_force_flux_residual(flux, q, v, pair, mesh, grid, layout, dual):

@@ -14,9 +14,11 @@ from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
 from fvlab.operators import (BetaFamily, assemble_convection,
                              flux_colocated_upwind_1d, flux_staggered,
                              get_pair)
+from fvlab.quadrature import BoxQuadrature
 from fvlab.schemes import sample_manufactured
+from fvlab.study import manufactured_solution
 
-from _oracles import brute_force_flux_residual
+from _oracles import brute_force_flux_residual, separable_phi
 
 
 def bump2d():
@@ -629,3 +631,51 @@ def test_r1_guard_fires_on_one_dropped_face_pairing():
     view = _MeshView(mesh, interior_face_mask=mask)
     with pytest.raises(RouteMismatchError, match="R1"):
         jump_sums(q, v, view, dual, grid, "mac")
+
+
+def test_weak_rhs_self_check_warns_on_coarse_rule():
+    # one 2-point panel per axis cannot resolve the bump: the order+2 rerun
+    # disagrees and the self-check reports it
+    sol = manufactured_solution("sinsin_cos")
+    q0 = lambda x: sol["q"](x, 0.0)
+    with pytest.warns(UserWarning,
+                      match="weak-form volume quadrature disagreement"):
+        weak_rhs(get_pair("id"), sol["q"], sol["v"], q0, bump2d(),
+                 order=2, panels=1)
+
+
+@pytest.mark.parametrize("solution,support", [
+    ("sinsin_shear", ((0.2, 0.8), (0.3, 0.7))),
+    ("bump_advect_1d", ((0.3, 0.8),)),
+])
+def test_weak_rhs_equals_pointwise_evaluation(solution, support):
+    # every term is one flat dot of the box weights with the integrand at
+    # the box nodes; phi evaluated point by point gives the same bits
+    sol = manufactured_solution(solution)
+    q_exact, v_exact = sol["q"], sol["v"]
+    q0 = lambda x: q_exact(x, 0.0)
+    phi = TestFunction(support, 0.3)
+    pair = get_pair("square")
+    dim = phi.dim
+    rhs = weak_rhs(pair, q_exact, v_exact, q0, phi, order=4, panels=3,
+                   check=False)
+    space = BoxQuadrature(list(support), 3, 4)
+    init = -space.integrate(
+        lambda x: pair.beta(q0(x)) * separable_phi(phi, x, 0.0))
+    box = BoxQuadrature(list(support) + [(0.0, 0.3)], 3, 4)
+
+    def time_part(pts):
+        x, t = pts[:, :dim], pts[:, dim]
+        return pair.beta(q_exact(x, t)) * separable_phi(phi, x, t, "dt")
+
+    def space_part(pts):
+        x, t = pts[:, :dim], pts[:, dim]
+        grad = separable_phi(phi, x, t, "grad")
+        if v_exact is None:
+            return pair.flux(q_exact(x, t)) * grad[:, 0]
+        return pair.g(q_exact(x, t)) * np.einsum("nd,nd->n", v_exact(x, t),
+                                                 grad)
+
+    assert rhs.init_term == init
+    assert rhs.volume_time == -box.integrate(time_part)
+    assert rhs.volume_space == -box.integrate(space_part)

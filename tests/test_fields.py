@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import separable_phi
 from fvlab.fields import (SupportError, TestFunction, interpolate_test,
                           lp_distance, sample_cell_means)
 from fvlab.geometry import build_cartesian, build_intervals, build_time_grid
@@ -47,6 +50,49 @@ def test_bump_derivatives_match_finite_differences(profile):
             e[0, d] = eps
             g_fd = (phi.value(xi + e, ti) - phi.value(xi - e, ti)) / (2 * eps)
             assert abs(phi.grad(xi, ti)[0, d] - g_fd) < 1e-7
+
+
+@st.composite
+def phi_points_time(draw):
+    """A test function, points inside and outside its support, and a time
+    before 0, inside [0, t_max) or at or past t_max."""
+    dim = draw(st.sampled_from([1, 2]))
+    support = [(a, a + draw(st.floats(0.05, 0.6)))
+               for a in draw(st.lists(st.floats(0.0, 0.4), min_size=dim,
+                                      max_size=dim))]
+    t_max = draw(st.floats(0.1, 1.0))
+    phi = TestFunction(support, t_max,
+                       draw(st.sampled_from(["initial", "interior"])))
+    n = draw(st.integers(1, 12))
+    x = np.array([[draw(st.floats(a - 0.1, b + 0.1)) for a, b in support]
+                  for _ in range(n)])
+    t = draw(st.one_of(st.floats(-t_max, 0.0, exclude_max=True),
+                       st.floats(0.0, t_max, exclude_max=True),
+                       st.floats(t_max, 2.0 * t_max)))
+    return phi, x, t
+
+
+@settings(max_examples=80, deadline=None)
+@given(phi_points_time())
+def test_evaluator_bitwise_equal_to_phi(case):
+    phi, x, t = case
+    at = phi.at(x)
+    for kind in ("value", "dt", "grad"):
+        direct = getattr(phi, kind)(x, t)
+        assert np.array_equal(getattr(at, kind)(t), direct)
+        assert np.array_equal(direct, separable_phi(phi, x, t, kind))
+    # the tensor grid of the point coordinates, times on a trailing axis
+    k = phi.dim + 1
+    nodes = [x[:, d] for d in range(phi.dim)] + [np.array([t, 0.5 * t])]
+    axes = [a.reshape([-1 if e == d else 1 for e in range(k)])
+            for d, a in enumerate(nodes)]
+    grids = np.meshgrid(*nodes, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids[:-1]], axis=-1)
+    on_grid = phi.at_grid(axes[:-1])
+    for kind in ("value", "dt", "grad"):
+        out = getattr(on_grid, kind)(axes[-1])
+        ref = separable_phi(phi, pts, grids[-1].ravel(), kind)
+        assert np.array_equal(out.reshape(ref.shape), ref)
 
 
 def test_sup_norm_analytic():

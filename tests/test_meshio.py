@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from fvlab.cli import main
 from fvlab.fields import CellScalarField, FaceScalarFieldMAC, FaceVectorFieldRT
-from fvlab.geometry import (build_cartesian, build_dual_mac, build_intervals,
+from fvlab.geometry import (MeshConstructionError, build_cartesian,
+                            build_dual_mac, build_intervals,
                             build_perturbed_quads, build_time_grid,
                             check_mesh_identities)
 from fvlab.meshio import (MeshFormatError, load_field, load_mesh, save_field,
@@ -49,6 +51,35 @@ def test_corrupted_normal_is_detected(tmp_path):
     problems = check_mesh_identities(corrupted)
     assert problems
     assert any(f"face {target}" in p for p in problems)
+
+
+@pytest.mark.parametrize("wrong_cell", ["not_holding", "out_of_range"])
+def test_corrupted_face_cells_is_a_format_error(wrong_cell, tmp_path, capsys):
+    mesh = build_cartesian(3, 3)
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    target = int(np.nonzero(mesh.interior_face_mask)[0][0])
+    if wrong_cell == "not_holding":
+        cell = next(c for c in range(mesh.n_cells)
+                    if target not in mesh.cell_faces[c])
+    else:
+        cell = mesh.n_cells
+    lines = path.read_text().splitlines()
+    for i, ln in enumerate(lines):
+        parts = ln.split()
+        if len(parts) == 7 and parts[0] == str(target):
+            parts[4] = str(cell)        # the face's second cell, cellQ
+            lines[i] = " ".join(parts)
+            break
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshConstructionError,
+                       match=rf"face {target} names cells? .*{cell}"):
+        load_mesh(path)
+    config = tmp_path / "check.ini"
+    config.write_text(f"[mesh]\nfile = {path}\n\n[study]\nlayout = rt\n")
+    assert main(["check-identities", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"face {target}" in err
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from fvlab.fields import CellScalarField, FaceScalarFieldMAC
+from _oracles import face_value
+from fvlab.fields import CellScalarField, FaceScalarFieldMAC, FaceVectorFieldRT
 from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
                             build_intervals, build_time_grid)
 from fvlab.operators import (BetaFamily, assemble_convection, dt_beta,
-                             face_value, flux_colocated_upwind_1d,
-                             flux_divergence, flux_staggered, get_pair,
-                             telescoping_defect)
+                             flux_colocated_upwind_1d, flux_divergence,
+                             flux_staggered, get_pair, telescoping_defect)
 from fvlab.schemes import sample_manufactured
 
 
@@ -103,6 +103,38 @@ def test_face_value_boundary_rejected():
     bface = int(np.nonzero(mesh.boundary_face_mask)[0][0])
     with pytest.raises(ValueError, match="boundary"):
         face_value(q, bface, 0)
+
+
+@pytest.mark.parametrize("layout", ["rt", "mac"])
+@pytest.mark.parametrize("scheme,lam", [("centered", 0.3), ("upwind", 0.5)])
+def test_flux_staggered_matches_face_value_oracle(layout, scheme, lam):
+    # F_zeta^n = g(q_zeta^n) v_zeta^n on every interior face, with q_zeta^n
+    # from the scalar oracle and the upwind signal from the primal normal
+    mesh = build_cartesian(4, 4)
+    grid = build_time_grid(1.0, 3)
+    rng = np.random.default_rng(11)
+    q = CellScalarField(mesh, grid, rng.normal(size=(4, mesh.n_cells)))
+    shape = (4, mesh.n_faces) + ((2,) if layout == "rt" else ())
+    vel = rng.normal(size=shape)
+    if layout == "rt":
+        # tangential velocities: a zero signal but a nonzero flux, so the
+        # tie rule shows
+        tangent = mesh.face_normals[::5, ::-1] * np.array([-1.0, 1.0])
+        vel[:, ::5] = rng.normal(size=(4, tangent.shape[0], 1)) * tangent
+        v = FaceVectorFieldRT(mesh, grid, vel)
+    else:
+        v = FaceScalarFieldMAC(mesh, grid, build_dual_mac(mesh), vel)
+    pair = get_pair("square")
+    flux = flux_staggered(q, v, pair, scheme=scheme, lam=lam)
+    for f in np.nonzero(mesh.interior_face_mask)[0]:
+        normal = mesh.face_normals[f]
+        for n in range(grid.n_steps):
+            if layout == "rt":
+                signal = vel[n, f, 0] * normal[0] + vel[n, f, 1] * normal[1]
+            else:
+                signal = vel[n, f] * normal[np.argmax(np.abs(normal))]
+            qf = face_value(q, int(f), n, scheme, lam=lam, signal=signal)
+            assert np.array_equal(flux.values[n, f], pair.g(qf) * vel[n, f])
 
 
 # ---------------------------------------------------------------- fluxes

@@ -149,6 +149,26 @@ def test_graded_family_regularity_constant_across_levels():
         assert res.rates[name].finest_pair >= 0.7
 
 
+def test_graded_levels_reuse_level0_nodes(monkeypatch):
+    # nested subdivision needs the level-0 graded nodes only, not a mesh
+    from fvlab import study
+    from fvlab.geometry import build_cartesian
+    cfg = StudyConfig(levels=3, nx0=4, ny0=3, layout="mac",
+                      mesh_family="graded", grading=1.3,
+                      domain=((0.0, 2.0), (-1.0, 1.0)))
+    base = build_cartesian(4, 3, cfg.domain, grading=1.3)
+    calls = []
+    monkeypatch.setattr(study, "build_cartesian",
+                        lambda *a, **k: calls.append(a))
+    for level in range(3):
+        mesh = study.build_level(cfg, level)[0]
+        for d in range(2):
+            nodes = np.unique(mesh.vertices[:, d])
+            assert np.array_equal(nodes[::2 ** level],
+                                  np.unique(base.vertices[:, d]))
+    assert calls == []
+
+
 def test_alternating_time_grid_study():
     cfg = StudyConfig(levels=3, nx0=8, ny0=8, layout="mac",
                       solution="sinsin_shear", time_pattern="alternating",
