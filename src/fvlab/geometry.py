@@ -10,6 +10,7 @@ positions (0, 2) and (1, 3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +64,13 @@ class PrimalMesh:
         self.domain = tuple((float(a), float(b)) for a, b in domain)
         if self.dim not in (1, 2):
             raise MeshConstructionError(f"dimension must be 1 or 2, got {self.dim}")
+        cv = self.cell_vertices
+        bad = ((cv < 0) | (cv >= len(self.vertices))).any(axis=1)
+        if bad.any():
+            c = int(np.argmax(bad))
+            raise MeshConstructionError(
+                f"cell {c} names vertices {cv[c].tolist()}, outside the "
+                f"{len(self.vertices)} vertices")
         self._build_cells()
         if face_vertices is None:
             self._build_faces()
@@ -100,61 +108,67 @@ class PrimalMesh:
             diff = verts[:, :, None, :] - verts[:, None, :, :]
             self.cell_diameters = np.sqrt((diff ** 2).sum(-1)).max(axis=(1, 2))
 
+    def _face_keys(self, fv):
+        """One integer per face (row of vertex ids `fv`): the vertex in 1D,
+        min*NV + max in 2D."""
+        if fv.shape[1] == 1:
+            return fv[:, 0]
+        return fv.min(axis=1) * self.n_vertices + fv.max(axis=1)
+
     def _local_faces(self):
-        """(cell, local index, vertex tuple) of every cell face, in the
-        fixed local order (a vertex in 1D, an edge of the loop in 2D)."""
-        nv = self.cell_vertices.shape[1]
-        for c, loop in enumerate(self.cell_vertices):
-            if self.dim == 1:
-                local = [(loop[0],), (loop[1],)]
-            else:
-                local = [(loop[k], loop[(k + 1) % nv]) for k in range(nv)]
-            for k, fv in enumerate(local):
-                yield c, k, fv
+        """Vertices and keys of every cell face, cell-major in the fixed
+        local order: a vertex in 1D, an edge of the loop in 2D."""
+        loop = self.cell_vertices
+        if self.dim == 2:
+            loop = np.stack([loop, np.roll(loop, -1, axis=1)], axis=-1)
+        fv = loop.reshape(-1, self.dim)
+        return fv, self._face_keys(fv)
 
     def _build_faces(self):
-        face_of = {}
-        face_vertices = []
-        face_cells = []
-        cell_faces = np.empty(self.cell_vertices.shape, dtype=np.int64)
-        for c, k, fv in self._local_faces():
-            key = tuple(sorted(fv))
-            fid = face_of.get(key)
-            if fid is None:
-                fid = len(face_vertices)
-                face_of[key] = fid
-                face_vertices.append(fv)
-                face_cells.append([c, -1])
-            else:
-                if face_cells[fid][1] != -1:
-                    raise MeshConstructionError(f"face {fid} shared by >2 cells")
-                face_cells[fid][1] = c
-            cell_faces[c, k] = fid
-        self.face_vertices = np.asarray(face_vertices, dtype=np.int64)
-        self.face_cells = np.asarray(face_cells, dtype=np.int64)
-        self.cell_faces = cell_faces
+        """Deduplicate the local faces by key with one stable sort.  Faces
+        are numbered in order of first appearance (cell-major, local order);
+        a face's first and second appearances give its two cells."""
+        local, keys = self._local_faces()
+        pos = np.argsort(keys, kind="stable")       # appearances, key by key
+        new = np.r_[True, np.diff(keys[pos]) != 0]
+        key = np.cumsum(new) - 1
+        nth = np.arange(pos.size) - np.flatnonzero(new)[key]
+        fid = np.argsort(np.argsort(pos[new]))[key]
+        cell_faces = fid[np.argsort(pos)]           # pos inverted
+        if np.any(nth > 1):
+            raise MeshConstructionError(
+                f"face {cell_faces[pos[nth > 1].min()]} shared by >2 cells")
+        self.face_cells = np.full((new.sum(), 2), -1)
+        self.face_cells[fid, nth] = pos // self.cell_vertices.shape[1]
+        self.face_vertices = local[np.sort(pos[new])]
+        self.cell_faces = cell_faces.reshape(self.cell_vertices.shape)
         self._derive_face_geometry()
 
     def _adopt_faces(self, face_vertices, face_cells, face_normals):
         """Adopt an explicit face table (mesh import); normals kept as given."""
         self.face_vertices = np.ascontiguousarray(face_vertices, dtype=np.int64)
         self.face_cells = np.ascontiguousarray(face_cells, dtype=np.int64)
-        fc = self.face_cells
-        bad = (fc[:, 0] < 0) | (fc[:, 1] < -1) | (fc >= self.n_cells).any(axis=1)
+        fc, fv = self.face_cells, self.face_vertices
+        bad = ((fc[:, 0] < 0) | (fc[:, 1] < -1) | (fc >= self.n_cells).any(axis=1)
+               | ((fv < 0) | (fv >= self.n_vertices)).any(axis=1))
         if bad.any():
             f = int(np.argmax(bad))
             raise MeshConstructionError(
-                f"face {f} names cells {fc[f, 0]} and {fc[f, 1]}, outside "
-                f"the {self.n_cells} cells")
-        face_of = {tuple(sorted(fv)): i for i, fv in enumerate(self.face_vertices)}
-        cell_faces = np.empty(self.cell_vertices.shape, dtype=np.int64)
-        for c, k, fv in self._local_faces():
-            try:
-                cell_faces[c, k] = face_of[tuple(sorted(fv))]
-            except KeyError:
-                raise MeshConstructionError(
-                    f"cell {c} references missing face {fv}") from None
-        self.cell_faces = cell_faces
+                f"face {f} names cells {fc[f, 0]} and {fc[f, 1]} and vertices "
+                f"{fv[f].tolist()}, outside the {self.n_cells} cells or the "
+                f"{self.n_vertices} vertices")
+        # a key shared by several faces resolves to the last of them
+        keys = self._face_keys(self.face_vertices)
+        by_key = np.argsort(keys, kind="stable")
+        sorted_keys = np.append(keys[by_key], -1)   # -1: below every key
+        local, want = self._local_faces()
+        at = np.searchsorted(sorted_keys[:-1], want, side="right") - 1
+        missing = np.flatnonzero(sorted_keys[at] != want)
+        if missing.size:
+            raise MeshConstructionError(
+                f"cell {missing[0] // self.cell_vertices.shape[1]} references "
+                f"missing face {tuple(local[missing[0]].tolist())}")
+        self.cell_faces = by_key[at].reshape(self.cell_vertices.shape)
         self._derive_face_geometry(stored_normals=face_normals)
 
     def _derive_face_geometry(self, stored_normals=None):
@@ -169,37 +183,41 @@ class PrimalMesh:
             if np.any(self.face_measures <= 0):
                 raise MeshConstructionError("zero-length face")
         # outward normals per (cell, local face), from the cell's own loop
-        n_local = self.cell_faces.shape[1]
-        normals = np.empty((self.n_cells, n_local, self.dim))
-        if self.dim == 1:
-            normals[:, 0, 0] = -1.0
-            normals[:, 1, 0] = 1.0
-        else:
-            loop = self.vertices[self.cell_vertices]       # (NC, 4, 2)
-            nxt = np.roll(loop, -1, axis=1)
-            edge = nxt - loop                              # CCW edge vectors
-            length = np.sqrt((edge ** 2).sum(-1))
-            normals[:, :, 0] = edge[:, :, 1] / length
-            normals[:, :, 1] = -edge[:, :, 0] / length
-        self.cell_face_normals = normals
+        normals = self.cell_face_normals = (
+            np.tile([[-1.0], [1.0]], (self.n_cells, 1, 1)) if self.dim == 1
+            else self._edge_normals())
         if stored_normals is not None:
             # import path: the file's per-face normal (as seen from its first
             # cell) replaces the derived one, so corruption stays observable
             stored = np.ascontiguousarray(stored_normals, dtype=float)
-            faces = np.arange(self.n_faces)
             for side in (0, 1):
-                cells = self.face_cells[:, side]
-                f, c = faces[cells >= 0], cells[cells >= 0]
-                # local index of face f in cell c: its first match in c's list
-                hits = self.cell_faces[c] == f[:, None]
-                k = hits.argmax(axis=1)
-                missing = ~hits[np.arange(f.size), k]
-                if missing.any():
-                    i = int(np.argmax(missing))
+                f = np.flatnonzero(self.face_cells[:, side] >= 0)
+                c = self.face_cells[f, side]
+                k = self._local_index(c, f)
+                if np.any(k < 0):
+                    i = int(np.argmax(k < 0))
                     raise MeshConstructionError(
                         f"face {f[i]} names cell {c[i]}, which does not "
                         f"hold it")
                 normals[c, k] = stored[f] if side == 0 else -stored[f]
+
+    def _cell_edges(self):
+        """(NC, nv, 2) counter-clockwise edge vectors of the cell loops."""
+        loop = self.vertices[self.cell_vertices]
+        return np.roll(loop, -1, axis=1) - loop
+
+    def _edge_normals(self):
+        """(NC, nv, 2) outward unit normals of the cell edges (2D)."""
+        edge = self._cell_edges()
+        length = np.sqrt((edge ** 2).sum(-1))
+        return np.stack([edge[:, :, 1] / length, -edge[:, :, 0] / length],
+                        axis=-1)
+
+    def _local_index(self, cells, faces):
+        """Local index of each face in its cell's list (the first match),
+        -1 where the cell does not hold the face."""
+        hits = self.cell_faces[cells] == np.expand_dims(faces, -1)
+        return np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
 
     def _finalize(self):
         self.boundary_face_mask = self.face_cells[:, 1] < 0
@@ -208,20 +226,12 @@ class PrimalMesh:
         has_boundary[self.face_cells[self.boundary_face_mask, 0]] = True
         self.interior_cell_mask = ~has_boundary
         # canonical per-face normal: the one seen from the first adjacent cell
-        normals = np.empty((self.n_faces, self.dim))
-        cells = np.arange(self.n_cells)
-        for k in range(self.cell_faces.shape[1]):
-            fids = self.cell_faces[:, k]
-            owner = self.face_cells[fids, 0] == cells
-            normals[fids[owner]] = self.cell_face_normals[owner, k]
-        self.face_normals = normals
-        for arr in (self.vertices, self.cell_vertices, self.cell_volumes,
-                    self.cell_diameters, self.cell_centroids, self.face_vertices,
-                    self.face_cells, self.cell_faces, self.face_midpoints,
-                    self.face_measures, self.cell_face_normals, self.face_normals,
-                    self.boundary_face_mask,
-                    self.interior_face_mask, self.interior_cell_mask):
-            arr.setflags(write=False)
+        owner = self.face_cells[:, 0]
+        self.face_normals = self.cell_face_normals[
+            owner, self._local_index(owner, np.arange(self.n_faces))]
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
 
     # ------------------------------------------------------------------
     @property
@@ -245,16 +255,13 @@ class PrimalMesh:
         return float(self.cell_diameters.max())
 
     def domain_measure(self) -> float:
-        out = 1.0
-        for a, b in self.domain:
-            out *= (b - a)
-        return out
+        return math.prod(b - a for a, b in self.domain)
 
     def local_face_index(self, cell: int, face: int) -> int:
-        k = np.where(self.cell_faces[cell] == face)[0]
-        if k.size == 0:
+        k = int(self._local_index(cell, face))
+        if k < 0:
             raise KeyError(f"face {face} is not a face of cell {cell}")
-        return int(k[0])
+        return k
 
     def outward_normal(self, cell: int, face: int):
         return self.cell_face_normals[cell, self.local_face_index(cell, face)]
@@ -263,8 +270,7 @@ class PrimalMesh:
         """True when every cell is an axis-aligned rectangle (exact test)."""
         if self.dim == 1:
             return True
-        loop = self.vertices[self.cell_vertices]
-        edge = np.roll(loop, -1, axis=1) - loop
+        edge = self._cell_edges()
         horiz = edge[:, [0, 2], 1] == 0.0
         vert = edge[:, [1, 3], 0] == 0.0
         return bool(horiz.all() and vert.all())
@@ -456,10 +462,8 @@ def build_perturbed_quads(nx: int, ny: int, domain=((0.0, 1.0), (0.0, 1.0)),
         hy = np.min(np.diff(ys))
         rng = np.random.default_rng(seed)
         shift = rng.uniform(-1.0, 1.0, size=(nx + 1, ny + 1, 2))
-        shift[0, :, :] = 0.0
-        shift[-1, :, :] = 0.0
-        shift[:, 0, :] = 0.0
-        shift[:, -1, :] = 0.0
+        shift[[0, -1]] = 0.0
+        shift[:, [0, -1]] = 0.0
         verts = verts + amplitude * (shift.reshape(-1, 2) * np.array([hx, hy]))
     cells = _cartesian_cells(nx, ny)
     mesh = PrimalMesh(verts, cells, domain=domain)
@@ -468,8 +472,7 @@ def build_perturbed_quads(nx: int, ny: int, domain=((0.0, 1.0), (0.0, 1.0)),
 
 
 def _check_convex_quads(mesh):
-    loop = mesh.vertices[mesh.cell_vertices]
-    edge = np.roll(loop, -1, axis=1) - loop
+    edge = mesh._cell_edges()
     nxt = np.roll(edge, -1, axis=1)
     cross = edge[:, :, 0] * nxt[:, :, 1] - edge[:, :, 1] * nxt[:, :, 0]
     bad = np.nonzero(~(cross > 0).all(axis=1))[0]
@@ -486,12 +489,9 @@ def build_dual_rt(mesh: PrimalMesh) -> DualMeshRT:
     for k in range(4):
         np.add.at(dual, mesh.cell_faces[:, k], half[:, k])
     # leg multiplicities of the fixed opposite-pair splitting (per local pair)
-    mult = np.ones(4, dtype=np.int64)
-    pair_index = {p: i for i, p in enumerate(QUAD_ADJACENT_PAIRS)}
-    for a, b, via in QUAD_OPPOSITE_PAIRS:
-        for leg in ((a, via), (via, b)):
-            key = leg if leg in pair_index else (leg[1], leg[0])
-            mult[pair_index[key]] += 1
+    legs = [sorted(leg) for a, b, via in QUAD_OPPOSITE_PAIRS
+            for leg in ((a, via), (via, b))]
+    mult = np.array([1 + legs.count(sorted(p)) for p in QUAD_ADJACENT_PAIRS])
     half.setflags(write=False)
     dual.setflags(write=False)
     return DualMeshRT(mesh=mesh, half_measures=half, dual_measures=dual,
@@ -549,13 +549,10 @@ def regularity(mesh: PrimalMesh, grid: TimeGrid,
                mac: DualMeshMAC | None = None) -> MeshRegularity:
     """theta1 = max diam^2/|P|, theta2 = max adjacent area ratio, theta3."""
     theta1 = float(np.max(mesh.cell_diameters ** 2 / mesh.cell_volumes))
-    interior = np.nonzero(mesh.interior_face_mask)[0]
-    if interior.size:
-        vol_p = mesh.cell_volumes[mesh.face_cells[interior, 0]]
-        vol_q = mesh.cell_volumes[mesh.face_cells[interior, 1]]
-        theta2 = float(np.max(np.maximum(vol_p / vol_q, vol_q / vol_p)))
-    else:
-        theta2 = 1.0
+    # max(p/q, q/p) >= 1 after rounding, so 1 is also the empty maximum
+    vol_p, vol_q = mesh.cell_volumes[mesh.face_cells[mesh.interior_face_mask]].T
+    theta2 = float(np.max(np.maximum(vol_p / vol_q, vol_q / vol_p),
+                          initial=1.0))
     theta_mac = mac.theta if mac is not None else np.nan
     return MeshRegularity(theta1=theta1, theta2=theta2, theta3=grid.theta3,
                           theta_mac=theta_mac)
@@ -567,31 +564,26 @@ def regularity(mesh: PrimalMesh, grid: TimeGrid,
 def check_mesh_identities(mesh: PrimalMesh, mac: DualMeshMAC | None = None,
                           rt: DualMeshRT | None = None):
     """Return a list of human-readable violations (empty when all hold)."""
-    bad = []
     # per-cell closure sum |zeta| n_{P,zeta} = 0
     areas = mesh.face_measures[mesh.cell_faces]             # (NC, nf)
     closure = np.einsum("cf,cfd->cd", areas, mesh.cell_face_normals)
     norm = np.sqrt((closure ** 2).sum(-1))
-    tol = 1e-12 * areas.sum(axis=1)
-    for c in np.nonzero(norm > tol)[0]:
-        bad.append(f"cell {c}: face closure sum violated (|sum|={norm[c]:.3e})")
-    # antisymmetric normals across interior faces
-    for f in np.nonzero(mesh.interior_face_mask)[0]:
-        p, q = mesh.face_cells[f]
-        np_ = mesh.outward_normal(p, f)
-        nq = mesh.outward_normal(q, f)
-        if np.sqrt(((np_ + nq) ** 2).sum()) > 1e-14:
-            bad.append(f"face {f}: normals not antisymmetric")
+    bad = [f"cell {c}: face closure sum violated (|sum|={norm[c]:.3e})"
+           for c in np.flatnonzero(norm > 1e-12 * areas.sum(axis=1))]
+    # antisymmetric normals across interior faces, all at once
+    f = np.flatnonzero(mesh.interior_face_mask)
+    p, q = mesh.face_cells[f, 0], mesh.face_cells[f, 1]
+    pair = (mesh.cell_face_normals[p, mesh._local_index(p, f)]
+            + mesh.cell_face_normals[q, mesh._local_index(q, f)])
+    bad += [f"face {f[i]}: normals not antisymmetric"
+            for i in np.flatnonzero(np.sqrt((pair ** 2).sum(-1)) > 1e-14)]
     # stored normals consistent with geometry (catches corrupted imports)
     if mesh.dim == 2:
-        loop = mesh.vertices[mesh.cell_vertices]
-        edge = np.roll(loop, -1, axis=1) - loop
-        length = np.sqrt((edge ** 2).sum(-1))
-        geom = np.stack([edge[:, :, 1] / length, -edge[:, :, 0] / length], axis=-1)
-        err = np.sqrt(((geom - mesh.cell_face_normals) ** 2).sum(-1))
-        for c, k in zip(*np.nonzero(err > 1e-12)):
-            bad.append(f"face {mesh.cell_faces[c, k]}: stored normal differs "
-                       f"from geometry (cell {c})")
+        err = np.sqrt(((mesh._edge_normals() - mesh.cell_face_normals) ** 2)
+                      .sum(-1))
+        bad += [f"face {mesh.cell_faces[c, k]}: stored normal differs "
+                f"from geometry (cell {c})"
+                for c, k in zip(*np.nonzero(err > 1e-12))]
     # measures positive, domain covered
     if np.any(mesh.cell_volumes <= 0):
         bad.append("non-positive cell measure")
@@ -601,8 +593,8 @@ def check_mesh_identities(mesh: PrimalMesh, mac: DualMeshMAC | None = None,
                    f"{mesh.domain_measure()!r}")
     if rt is not None:
         half_sum = rt.half_measures.sum(axis=1)
-        for c in np.nonzero(half_sum != mesh.cell_volumes)[0]:
-            bad.append(f"cell {c}: RT half-dual measures do not sum to |P|")
+        bad += [f"cell {c}: RT half-dual measures do not sum to |P|"
+                for c in np.flatnonzero(half_sum != mesh.cell_volumes)]
     if mac is not None:
         omega = mesh.domain_measure()
         for i in (0, 1):

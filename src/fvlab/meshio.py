@@ -15,7 +15,11 @@ Mesh format (whitespace-separated, one record per line, floats printed with
 
 The per-face normal is the one seen from cellP and is stored explicitly, so
 a corrupted file remains observable to the identity checker rather than
-being silently healed on load.
+being silently healed on load.  The ids of a section are a permutation of
+0..n-1 and its records may come in any order.  A repeated or out-of-range
+id, a record of the wrong width or a bad number is a ``MeshFormatError``; a
+cell or face naming a vertex or cell outside the mesh, or a face its cells
+do not hold, is a ``MeshConstructionError`` (both are ``ValueError``s).
 
 Field format: CSV with one record per (entity, level).
 """
@@ -37,80 +41,87 @@ class MeshFormatError(ValueError):
     pass
 
 
-def _f(x) -> str:
-    return f"{float(x):.17g}"
+def _write_rows(fh, fmt, *columns):
+    """Write the rows of side-by-side `columns` with the %-template `fmt`,
+    4096 per block to bound memory (ints pass exactly through float64)."""
+    rows = np.column_stack(columns)
+    for lo in range(0, len(rows), 4096):
+        part = rows[lo:lo + 4096]
+        fh.write((f"{fmt}\n" * len(part)) % tuple(part.ravel().tolist()))
 
 
 def save_mesh(mesh: PrimalMesh, path):
-    lines = [MAGIC, f"dim {mesh.dim}"]
-    lines.append("domain " + " ".join(_f(b) for ab in mesh.domain for b in ab))
-    lines.append(f"vertices {mesh.n_vertices}")
-    for i, v in enumerate(mesh.vertices):
-        lines.append(f"{i} " + " ".join(_f(c) for c in v))
-    lines.append(f"cells {mesh.n_cells}")
-    for i, loop in enumerate(mesh.cell_vertices):
-        lines.append(f"{i} " + " ".join(str(int(k)) for k in loop))
-    lines.append(f"faces {mesh.n_faces}")
-    for i in range(mesh.n_faces):
-        fv = " ".join(str(int(k)) for k in np.atleast_1d(mesh.face_vertices[i]))
-        p, q = mesh.face_cells[i]
-        nrm = " ".join(_f(c) for c in mesh.face_normals[i])
-        lines.append(f"{i} {fv} {int(p)} {int(q)} {nrm}")
+    real = " %.17g" * mesh.dim
+    ids = [np.arange(n) for n in (mesh.n_vertices, mesh.n_cells, mesh.n_faces)]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{MAGIC}\ndim {mesh.dim}\ndomain "
+                 + " ".join("%.17g" % b for ab in mesh.domain for b in ab)
+                 + f"\nvertices {mesh.n_vertices}\n")
+        _write_rows(fh, "%d" + real, ids[0], mesh.vertices)
+        fh.write(f"cells {mesh.n_cells}\n")
+        _write_rows(fh, "%d" + " %d" * mesh.cell_vertices.shape[1], ids[1],
+                    mesh.cell_vertices)
+        fh.write(f"faces {mesh.n_faces}\n")
+        _write_rows(fh, "%d" + " %d" * (mesh.face_vertices.shape[1] + 2)
+                    + real, ids[2], mesh.face_vertices, mesh.face_cells,
+                    mesh.face_normals)
 
 
-def _expect(tokens, word):
-    """The record `tokens`, checked to start with `word`."""
-    if not tokens or tokens[0] != word:
-        raise MeshFormatError(f"expected {word!r}, got {tokens[:1]!r}")
-    return tokens
+def _header(lines, at, word, count):
+    """The `count` values of header line `at`, which must start with `word`."""
+    tokens = lines[at].split() if at < len(lines) else ["end of file"]
+    if tokens[0] != word or len(tokens) != 1 + count:
+        raise MeshFormatError(f"expected {word!r} and {count} value(s), got "
+                              f"{' '.join(tokens)!r}")
+    return tokens[1:]
+
+
+def _section(lines, at, word, fields):
+    """The section "<word> n" at line `at`: its n records "<id> <fields>"
+    ((name, type, count) each) in id order, and the line after them."""
+    n = int(_header(lines, at, word, 1)[0])
+    rows = lines[at + 1:at + 1 + n]
+    if n < 0 or len(rows) < n:
+        raise MeshFormatError("truncated mesh file")
+    dtype = np.dtype([("id", np.int64)] + [(name, t, (k,))
+                                            for name, t, k in fields])
+    try:
+        rec = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
+    except ValueError as exc:
+        width = 1 + sum(k for _, _, k in fields)
+        bad = next((r.split() for r in rows if len(r.split()) != width), None)
+        raise MeshFormatError(f"{word} section: {exc}" if bad is None else
+                              f"{word} record {bad[0]} has {len(bad)} "
+                              f"fields, expected {width}") from None
+    ids = rec["id"]
+    outside = (ids < 0) | (ids >= n)
+    if outside.any():
+        raise MeshFormatError(f"{word} record id {ids[np.argmax(outside)]} "
+                              f"is outside 0..{n - 1}")
+    repeated = np.bincount(ids, minlength=n)[ids] > 1
+    if repeated.any():
+        raise MeshFormatError(f"{word} record id "
+                              f"{ids[np.argmax(repeated)]} is repeated")
+    return rec[np.argsort(ids)], at + 1 + n
 
 
 def load_mesh(path) -> PrimalMesh:
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln for ln in map(str.strip, fh) if ln]
     if not lines or lines[0] != MAGIC:
         raise MeshFormatError(f"not a {MAGIC!r} file")
-    it = iter(lines[1:])
-
-    def take():
-        try:
-            return next(it).split()
-        except StopIteration:
-            raise MeshFormatError("truncated mesh file") from None
-
-    dim = int(_expect(take(), "dim")[1])
+    dim = int(_header(lines, 1, "dim", 1)[0])
     if dim not in (1, 2):
         raise MeshFormatError(f"bad dimension {dim}")
-    vals = [float(s) for s in _expect(take(), "domain")[1:]]
-    if len(vals) != 2 * dim:
-        raise MeshFormatError("bad domain record")
-    domain = [(vals[2 * i], vals[2 * i + 1]) for i in range(dim)]
-    nv = int(_expect(take(), "vertices")[1])
-    vertices = np.empty((nv, dim))
-    for _ in range(nv):
-        rec = take()
-        vertices[int(rec[0])] = [float(s) for s in rec[1:1 + dim]]
-    nc = int(_expect(take(), "cells")[1])
-    nv_per_cell = 2 if dim == 1 else 4
-    cells = np.empty((nc, nv_per_cell), dtype=np.int64)
-    for _ in range(nc):
-        rec = take()
-        cells[int(rec[0])] = [int(s) for s in rec[1:1 + nv_per_cell]]
-    nf = int(_expect(take(), "faces")[1])
-    fv_len = 1 if dim == 1 else 2
-    face_vertices = np.empty((nf, fv_len), dtype=np.int64)
-    face_cells = np.empty((nf, 2), dtype=np.int64)
-    face_normals = np.empty((nf, dim))
-    for _ in range(nf):
-        rec = take()
-        i = int(rec[0])
-        face_vertices[i] = [int(s) for s in rec[1:1 + fv_len]]
-        face_cells[i] = [int(rec[1 + fv_len]), int(rec[2 + fv_len])]
-        face_normals[i] = [float(s) for s in rec[3 + fv_len:3 + fv_len + dim]]
-    return PrimalMesh(vertices, cells, domain, face_normals=face_normals,
-                      face_cells=face_cells, face_vertices=face_vertices)
+    domain = np.array(_header(lines, 2, "domain", 2 * dim),
+                      dtype=float).reshape(dim, 2)
+    vertices, at = _section(lines, 3, "vertices", [("x", float, dim)])
+    cells, at = _section(lines, at, "cells", [("v", np.int64, 2 * dim)])
+    faces, at = _section(lines, at, "faces", [
+        ("v", np.int64, dim), ("c", np.int64, 2), ("n", float, dim)])
+    return PrimalMesh(vertices["x"], cells["v"], domain,
+                      face_normals=faces["n"], face_cells=faces["c"],
+                      face_vertices=faces["v"])
 
 
 # ----------------------------------------------------------------------
@@ -128,16 +139,13 @@ def save_field(fld, path):
         kind, vals = "face_mac", fld.values[:, :, None]
     else:
         raise TypeError(f"cannot save field of type {type(fld).__name__}")
-    width = _FIELD_KINDS[kind]
-    header = ["entity", "level"] + [f"v{i}" for i in range(width)]
-    lines = [f"# fvlab-field {kind}", ",".join(header)]
-    n_lev, n_ent = vals.shape[:2]
-    for e in range(n_ent):
-        for n in range(n_lev):
-            row = [str(e), str(n)] + [_f(vals[n, e, i]) for i in range(width)]
-            lines.append(",".join(row))
+    n_lev, n_ent, width = vals.shape
+    entity, level = np.divmod(np.arange(n_ent * n_lev), n_lev)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# fvlab-field {kind}\nentity,level,"
+                 + ",".join(f"v{i}" for i in range(width)) + "\n")
+        _write_rows(fh, "%d,%d" + ",%.17g" * width, entity, level,
+                    vals.transpose(1, 0, 2).reshape(-1, width))
 
 
 def load_field(path, mesh, grid, dual=None):

@@ -4,6 +4,7 @@ import numpy as np
 
 from fvlab.consistency import LOCAL_OPPOSITE
 from fvlab.fields import _bump
+from fvlab.geometry import MeshConstructionError, PrimalMesh
 
 
 def face_value(q, face: int, n: int, scheme: str = "centered",
@@ -106,3 +107,124 @@ def brute_force_flux_residual(flux, q, v, pair, mesh, grid, layout, dual):
                     t = t * abs(fdot - piece)
                     terms[ni, ii, k, p] = t
     return terms
+
+
+class ScalarFaceMesh(PrimalMesh):
+    """PrimalMesh whose face table is built, adopted and oriented one cell
+    face at a time through a dict of sorted vertex tuples: the reference
+    for the array face code of ``PrimalMesh``."""
+
+    def _scalar_local_faces(self):
+        nv = self.cell_vertices.shape[1]
+        for c, loop in enumerate(self.cell_vertices):
+            if self.dim == 1:
+                local = [(loop[0],), (loop[1],)]
+            else:
+                local = [(loop[k], loop[(k + 1) % nv]) for k in range(nv)]
+            for k, fv in enumerate(local):
+                yield c, k, fv
+
+    def _build_faces(self):
+        face_of = {}
+        face_vertices = []
+        face_cells = []
+        cell_faces = np.empty(self.cell_vertices.shape, dtype=np.int64)
+        for c, k, fv in self._scalar_local_faces():
+            key = tuple(sorted(fv))
+            fid = face_of.get(key)
+            if fid is None:
+                fid = len(face_vertices)
+                face_of[key] = fid
+                face_vertices.append(fv)
+                face_cells.append([c, -1])
+            else:
+                if face_cells[fid][1] != -1:
+                    raise MeshConstructionError(f"face {fid} shared by >2 cells")
+                face_cells[fid][1] = c
+            cell_faces[c, k] = fid
+        self.face_vertices = np.asarray(face_vertices, dtype=np.int64)
+        self.face_cells = np.asarray(face_cells, dtype=np.int64)
+        self.cell_faces = cell_faces
+        self._derive_face_geometry()
+
+    def _adopt_faces(self, face_vertices, face_cells, face_normals):
+        self.face_vertices = np.ascontiguousarray(face_vertices, dtype=np.int64)
+        self.face_cells = np.ascontiguousarray(face_cells, dtype=np.int64)
+        face_of = {tuple(sorted(fv)): i
+                   for i, fv in enumerate(self.face_vertices)}
+        cell_faces = np.empty(self.cell_vertices.shape, dtype=np.int64)
+        for c, k, fv in self._scalar_local_faces():
+            try:
+                cell_faces[c, k] = face_of[tuple(sorted(fv))]
+            except KeyError:
+                raise MeshConstructionError(
+                    f"cell {c} references missing face {fv}") from None
+        self.cell_faces = cell_faces
+        self._derive_face_geometry(stored_normals=face_normals)
+
+    def _finalize(self):
+        super()._finalize()
+        normals = np.empty((self.n_faces, self.dim))
+        cells = np.arange(self.n_cells)
+        for k in range(self.cell_faces.shape[1]):
+            fids = self.cell_faces[:, k]
+            owner = self.face_cells[fids, 0] == cells
+            normals[fids[owner]] = self.cell_face_normals[owner, k]
+        normals.setflags(write=False)
+        self.face_normals = normals
+
+
+def scalar_outward_normal(mesh, cell, face):
+    """n_{cell,face}: the normal at the first match of `face` in the cell's
+    face list."""
+    k = np.where(mesh.cell_faces[cell] == face)[0]
+    if k.size == 0:
+        raise KeyError(f"face {face} is not a face of cell {cell}")
+    return mesh.cell_face_normals[cell, int(k[0])]
+
+
+def scalar_mesh_identities(mesh, mac=None, rt=None):
+    """``check_mesh_identities`` with the antisymmetry test run face by
+    face; the same messages in the same order."""
+    bad = []
+    areas = mesh.face_measures[mesh.cell_faces]
+    closure = np.einsum("cf,cfd->cd", areas, mesh.cell_face_normals)
+    norm = np.sqrt((closure ** 2).sum(-1))
+    tol = 1e-12 * areas.sum(axis=1)
+    for c in np.nonzero(norm > tol)[0]:
+        bad.append(f"cell {c}: face closure sum violated (|sum|={norm[c]:.3e})")
+    for f in np.nonzero(mesh.interior_face_mask)[0]:
+        p, q = mesh.face_cells[f]
+        pair = (scalar_outward_normal(mesh, p, f)
+                + scalar_outward_normal(mesh, q, f))
+        if np.sqrt((pair ** 2).sum()) > 1e-14:
+            bad.append(f"face {f}: normals not antisymmetric")
+    if mesh.dim == 2:
+        loop = mesh.vertices[mesh.cell_vertices]
+        edge = np.roll(loop, -1, axis=1) - loop
+        length = np.sqrt((edge ** 2).sum(-1))
+        geom = np.stack([edge[:, :, 1] / length, -edge[:, :, 0] / length],
+                        axis=-1)
+        err = np.sqrt(((geom - mesh.cell_face_normals) ** 2).sum(-1))
+        for c, k in zip(*np.nonzero(err > 1e-12)):
+            bad.append(f"face {mesh.cell_faces[c, k]}: stored normal differs "
+                       f"from geometry (cell {c})")
+    if np.any(mesh.cell_volumes <= 0):
+        bad.append("non-positive cell measure")
+    omega = 1.0
+    for a, b in mesh.domain:
+        omega *= (b - a)
+    total = mesh.cell_volumes.sum()
+    if abs(total - omega) > 1e-12 * omega:
+        bad.append(f"cell measures sum to {total!r}, expected {omega!r}")
+    if rt is not None:
+        half_sum = rt.half_measures.sum(axis=1)
+        for c in np.nonzero(half_sum != mesh.cell_volumes)[0]:
+            bad.append(f"cell {c}: RT half-dual measures do not sum to |P|")
+    if mac is not None:
+        for i in (0, 1):
+            tot = mac.dual_measures[mac.face_family == i].sum()
+            if abs(tot - omega) > 1e-12 * omega:
+                bad.append(f"MAC duals of direction {i + 1} sum to {tot!r}, "
+                           f"expected {omega!r}")
+    return bad

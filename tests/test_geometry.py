@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
+from _oracles import scalar_mesh_identities, scalar_outward_normal
 from fvlab.geometry import (MeshConstructionError, build_cartesian,
                             build_dual_mac, build_dual_rt, build_intervals,
                             build_perturbed_quads, build_time_grid,
@@ -255,3 +258,54 @@ def test_subdivide_nodes_and_build_tensor():
     assert mesh.n_cells == 8
     assert mesh.is_rectangular()
     assert check_mesh_identities(mesh) == []
+
+
+def test_identity_messages_match_scalar_oracle():
+    """A mesh corrupted in several places: the array checks report the
+    same violations, in the same order, as the face-by-face oracle."""
+    mesh = build_perturbed_quads(6, 6, amplitude=0.2, seed=3)
+    rt = copy.copy(build_dual_rt(mesh))
+    bad = copy.copy(mesh)
+    normals = mesh.cell_face_normals.copy()
+    measures = mesh.face_measures.copy()
+    f1, f2, f3, f4 = np.flatnonzero(mesh.interior_face_mask)[[2, 17, 30, 41]]
+    # two flipped normals, seen from each face's first cell
+    for f in (f1, f2):
+        p = mesh.face_cells[f, 0]
+        normals[p, mesh.local_face_index(p, f)] *= -1.0
+    # one broken closure: a wrong face measure
+    measures[f3] *= 1.5
+    # a rotated normal on both sides: antisymmetric, but not the geometry's
+    turn = np.array([[np.cos(0.1), -np.sin(0.1)], [np.sin(0.1), np.cos(0.1)]])
+    p, q = mesh.face_cells[f4]
+    kp, kq = mesh.local_face_index(p, f4), mesh.local_face_index(q, f4)
+    normals[p, kp] = turn @ normals[p, kp]
+    normals[q, kq] = -normals[p, kp]
+    bad.cell_face_normals, bad.face_measures = normals, measures
+    half = rt.half_measures.copy()
+    half[5, 1] *= 2.0
+    rt.half_measures = half
+    problems = check_mesh_identities(bad, rt=rt)
+    assert problems == scalar_mesh_identities(bad, rt=rt)
+    assert [m for m in problems if "antisymmetric" in m] == [
+        f"face {f}: normals not antisymmetric" for f in sorted((f1, f2))]
+    for text in ("closure sum violated", f"face {f4}: stored normal differs",
+                 "cell 5: RT half-dual"):
+        assert any(text in m for m in problems), text
+
+
+def test_local_face_index_is_the_first_match():
+    mesh = build_perturbed_quads(4, 4, amplitude=0.2, seed=1)
+    for c in range(mesh.n_cells):
+        for k, f in enumerate(mesh.cell_faces[c]):
+            assert mesh.local_face_index(c, f) == k
+            assert np.array_equal(mesh.outward_normal(c, f),
+                                  scalar_outward_normal(mesh, c, f))
+    outside = next(f for f in range(mesh.n_faces)
+                   if f not in mesh.cell_faces[0])
+    with pytest.raises(KeyError, match=f"face {outside} is not a face of cell 0"):
+        mesh.local_face_index(0, outside)
+    # a cell list that holds a face twice resolves to its first position
+    twice = copy.copy(mesh)
+    twice.cell_faces = np.array([[4, 7, 4, 9]])
+    assert twice.local_face_index(0, 4) == 0

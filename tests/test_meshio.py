@@ -1,10 +1,17 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import ScalarFaceMesh, scalar_mesh_identities
 from fvlab.cli import main
 from fvlab.fields import CellScalarField, FaceScalarFieldMAC, FaceVectorFieldRT
-from fvlab.geometry import (MeshConstructionError, build_cartesian,
-                            build_dual_mac, build_intervals,
+from fvlab.geometry import (MeshConstructionError, PrimalMesh,
+                            build_cartesian, build_dual_mac, build_intervals,
                             build_perturbed_quads, build_time_grid,
                             check_mesh_identities)
 from fvlab.meshio import (MeshFormatError, load_field, load_mesh, save_field,
@@ -80,6 +87,138 @@ def test_corrupted_face_cells_is_a_format_error(wrong_cell, tmp_path, capsys):
     assert main(["check-identities", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"face {target}" in err
+
+
+def mesh_arrays(mesh):
+    return {k: v for k, v in vars(mesh).items() if isinstance(v, np.ndarray)}
+
+
+def assert_same_arrays(got, want):
+    got, want = mesh_arrays(got), mesh_arrays(want)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        assert np.array_equal(got[key], want[key]), key
+
+
+@st.composite
+def built_meshes(draw):
+    kind = draw(st.sampled_from(["intervals", "cartesian", "perturbed"]))
+    ratio = st.floats(0.8, 1.25)
+    if kind == "intervals":
+        return build_intervals(draw(st.integers(1, 30)), grading=draw(ratio))
+    nx, ny = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    if kind == "cartesian":
+        grading = draw(st.one_of(st.just(1.0), ratio, st.tuples(ratio, ratio)))
+        return build_cartesian(nx, ny, grading=grading)
+    return build_perturbed_quads(nx, ny, amplitude=draw(st.floats(0.0, 0.24)),
+                                 seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(built_meshes())
+def test_mesh_pipeline_matches_scalar_oracles(mesh):
+    """Array face table == the dict-built one; save -> load gives equal
+    arrays; save -> load -> save gives identical bytes."""
+    assert_same_arrays(
+        mesh, ScalarFaceMesh(mesh.vertices, mesh.cell_vertices, mesh.domain))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
+        save_mesh(mesh, first)
+        back = load_mesh(first)
+        save_mesh(back, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert back.domain == mesh.domain
+    assert_same_arrays(back, mesh)
+    assert_same_arrays(back, ScalarFaceMesh(
+        back.vertices, back.cell_vertices, back.domain,
+        face_normals=back.face_normals, face_cells=back.face_cells,
+        face_vertices=back.face_vertices))
+    assert check_mesh_identities(back) == scalar_mesh_identities(back) == []
+
+
+@pytest.mark.parametrize("vertices, cells, domain", [
+    ([[0.0], [1.0], [2.0], [3.0]], [[0, 1], [1, 2], [1, 3]], [(0.0, 3.0)]),
+    (build_cartesian(2, 1).vertices, [[0, 2, 3, 1], [2, 4, 5, 3], [0, 2, 3, 1]],
+     [(0.0, 1.0), (0.0, 1.0)]),
+])
+def test_face_shared_by_three_cells(vertices, cells, domain):
+    with pytest.raises(MeshConstructionError) as want:
+        ScalarFaceMesh(vertices, cells, domain)
+    with pytest.raises(MeshConstructionError, match="shared by >2 cells") as got:
+        PrimalMesh(vertices, cells, domain)
+    assert str(got.value) == str(want.value)
+
+
+def test_missing_and_out_of_range_faces_rejected():
+    mesh = build_cartesian(2, 2)
+    table = dict(face_normals=mesh.face_normals[1:],
+                 face_cells=mesh.face_cells[1:],
+                 face_vertices=mesh.face_vertices[1:])
+    fv = re.escape(str(tuple(mesh.face_vertices[0].tolist())))
+    with pytest.raises(MeshConstructionError,
+                       match=rf"cell 0 references missing face {fv}$"):
+        PrimalMesh(mesh.vertices, mesh.cell_vertices, mesh.domain, **table)
+    table["face_vertices"] = mesh.face_vertices[1:] + 1
+    with pytest.raises(MeshConstructionError,
+                       match=r"and vertices \[8, 9\], outside the 4 cells "
+                             r"or the 9 vertices"):
+        PrimalMesh(mesh.vertices, mesh.cell_vertices, mesh.domain, **table)
+    cells = mesh.cell_vertices.copy()
+    cells[3, 2] = 9
+    with pytest.raises(MeshConstructionError, match="cell 3 names vertices"):
+        PrimalMesh(mesh.vertices, cells, mesh.domain)
+
+
+def _sections(lines):
+    """Line range of each section's records in a saved mesh file."""
+    out = {}
+    for i, ln in enumerate(lines):
+        word, *rest = ln.split()
+        if word in ("vertices", "cells", "faces"):
+            out[word] = range(i + 1, i + 1 + int(rest[0]))
+    return out
+
+
+@pytest.mark.parametrize("section", ["vertices", "cells", "faces"])
+@pytest.mark.parametrize("defect", ["duplicate", "out_of_range", "short"])
+def test_bad_record_ids_are_format_errors(section, defect, tmp_path, capsys):
+    path = tmp_path / "mesh.txt"
+    save_mesh(build_cartesian(2, 2), path)
+    lines = path.read_text().splitlines()
+    rows = _sections(lines)[section]
+    tokens = lines[rows[1]].split()
+    if defect == "duplicate":
+        tokens[0], match = "0", rf"{section} record id 0 is repeated"
+    elif defect == "out_of_range":
+        tokens[0] = str(len(rows))
+        match = rf"{section} record id {len(rows)} is outside 0..{len(rows) - 1}"
+    else:
+        tokens.pop()
+        match = rf"{section} record 1 has {len(tokens)} fields"
+    lines[rows[1]] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshFormatError, match=match):
+        load_mesh(path)
+    config = tmp_path / "check.ini"
+    config.write_text(f"[mesh]\nfile = {path}\n\n[study]\nlayout = rt\n")
+    assert main(["check-identities", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and section in err
+
+
+def test_records_load_in_any_order(tmp_path):
+    mesh = build_perturbed_quads(4, 3, amplitude=0.2, seed=3)
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    lines = path.read_text().splitlines()
+    rng = np.random.default_rng(0)
+    for rows in _sections(lines).values():
+        block = [lines[i] for i in rows]
+        for i, j in zip(rows, rng.permutation(len(block))):
+            lines[i] = block[j]
+    path.write_text("\n".join(lines) + "\n")
+    assert_same_arrays(load_mesh(path), mesh)
 
 
 def test_bad_magic_rejected(tmp_path):
