@@ -1,5 +1,5 @@
 """Command-line front end: flat INI configuration, study orchestration with
-CSV emission, mesh inspection and identity checking.
+CSV emission, mesh summaries and identity checking.
 
 Exit codes: 0 success, 2 configuration/parse errors, 3 acceptance-threshold
 failure (the failing series is named), 4 regularity audit abort (the
@@ -241,8 +241,7 @@ def cmd_check_identities(cfg: StudyConfig, meta: dict, out=None) -> int:
                                       order=max(cfg.quad_order, 6), panels=8)
             oracle = CellQuadrature(mesh, cfg.oracle_order, panels=8)
             for n, t in enumerate(grid.knots):
-                ref = oracle.cell_vector_means(
-                    lambda x, t=t: phi.grad(x, t))
+                ref = oracle.cell_vector_means(oracle.values(phi.grad, t))
                 err = np.sqrt(((interp.grad_phi[n] - ref) ** 2).sum(-1))
                 worst = int(np.argmax(err))
                 if err[worst] > 1e-7:

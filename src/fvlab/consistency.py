@@ -161,18 +161,18 @@ def residual_init(betas: BetaFamily, q0, phi, mesh, pair,
     the same quantity) and the Lipschitz L1 majorant.
     """
     quad = CellQuadrature(mesh, order)
-    phi_x0 = phi.value(quad.flat_points(), 0.0)
-    phi0 = quad.cell_integrals(lambda _: phi_x0)
-    bq0 = quad.cell_integrals(lambda x: pair.beta(q0(x)) * phi_x0)
+    q0_x = quad.values(q0)
+    phi_x0 = quad.values(phi.value, 0.0)
+    phi0 = quad.cell_integrals(phi_x0)
+    bq0 = quad.cell_integrals(pair.beta(q0_x) * phi_x0)
     per_cell = betas.values[0] * phi0 - bq0
     interior = mesh.interior_cell_mask
     signed = float(per_cell[interior].sum())
     cellwise = float(np.abs(per_cell[interior]).sum())
-    q_sample = quad.cell_means(q0)
-    devs = quad.cell_integrals(
-        lambda x: np.abs(q0(x) - np.repeat(q_sample, quad.n_points)))
-    qmin = float(min(q_sample.min(), quad.values(q0).min()))
-    qmax = float(max(q_sample.max(), quad.values(q0).max()))
+    q_sample = quad.cell_means(q0_x)
+    devs = quad.cell_integrals(np.abs(q0_x - q_sample[:, None]))
+    qmin = float(min(q_sample.min(), q0_x.min()))
+    qmax = float(max(q_sample.max(), q0_x.max()))
     c_beta, _ = pair.lipschitz(qmin, qmax)
     l1 = c_beta * phi.sup_norm_initial() * float(devs[interior].sum())
     return InitResidual(signed, cellwise, l1)
@@ -200,7 +200,7 @@ def residual_time(betas: BetaFamily, q, phi, pair, mesh, grid,
     on_cells = phi.at(slab.cell.flat_points())
     signed = 0.0
     for m in range(grid.n_steps):
-        phi_int = slab.slab_cell_integrals(lambda _, t: on_cells.value(t), m)
+        phi_int = slab.slab_cell_integrals(on_cells.value, m)
         diff = betas.values[m + 1] - betas.values[m]
         signed += float((diff * phi_int)[interior].sum())
     jumps = np.abs(np.diff(q.values, axis=0))[:, interior]
@@ -346,7 +346,7 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
     dim = phi.dim
     space_box = BoxQuadrature(list(phi.support), panels, order)
     phi_x0 = phi.at_grid(space_box.grid_axes).value(0.0).ravel()
-    init = -space_box.integrate(lambda x: pair.beta(q0(x)) * phi_x0)
+    init = -space_box.integrate(pair.beta(q0(space_box.points)) * phi_x0)
     bounds = list(phi.support) + [(0.0, phi.t_max)]
 
     def volume_integrals(box):
@@ -362,8 +362,7 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
         else:
             vv = np.asarray(v_exact(x, t), dtype=float)
             space = pair.g(qb) * np.einsum("nd,nd->n", vv, grad)
-        return (box.integrate(lambda _: pair.beta(qb) * dt_phi),
-                box.integrate(lambda _: space))
+        return box.integrate(pair.beta(qb) * dt_phi), box.integrate(space)
 
     time_int, space_int = volume_integrals(BoxQuadrature(bounds, panels, order))
     vol_time, vol_space = -time_int, -space_int

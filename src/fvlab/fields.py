@@ -115,12 +115,15 @@ class TestFunction:
 
     The support must lie strictly inside the domain box and t_max < T.
 
+    ``at`` and ``at_grid`` are the one evaluation seam: they evaluate the
+    bumps once per point set, and ``value``/``dt``/``grad`` go through
+    ``at``.  A subclass changes phi by overriding ``_time_factor`` and
+    ``_bumps``, or ``at`` and ``at_grid`` themselves.
+
     Product order (a bitwise contract): values and time derivatives are
     formed as ``(tf * b_0) * b_1``, with tf evaluated once per time, and
     grad component d as ``(b_d' * tf) * b_e`` over the other axes e in
-    order.  ``at`` and ``at_grid`` evaluate the bumps once per point set and
-    form every product in this same order, so their values equal
-    ``value``/``dt``/``grad`` on the same points bit for bit.
+    order.
     """
 
     def __init__(self, support, t_max, time_profile="initial"):
@@ -175,17 +178,13 @@ class TestFunction:
         return PhiAt(self, [np.asarray(a, dtype=float) for a in axes])
 
     def value(self, x, t):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return _times(self._time_factor(t), self._bumps(x.T))
+        return self.at(x).value(t)
 
     def dt(self, x, t):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return _times(self._time_factor(t, derivative=True), self._bumps(x.T))
+        return self.at(x).dt(t)
 
     def grad(self, x, t):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return _grad(self._time_factor(t), self._bumps(x.T),
-                     self._bumps(x.T, derivative=True))
+        return self.at(x).grad(t)
 
     def sup_norm(self) -> float:
         """Analytic sup of |phi|: each bump factor peaks at exp(-1)."""
@@ -224,11 +223,7 @@ class PhiAt:
     """A test function on one fixed point set (``TestFunction.at`` and
     ``at_grid``): the spatial bumps are evaluated once, their derivatives
     once on the first ``grad``, and each call forms tf(t) once and the
-    product in the order of ``TestFunction``.
-
-    A subclass that overrides ``value``, ``dt`` or ``grad`` is evaluated
-    through its override, on the points spelled out in full.
-    """
+    product in the order of ``TestFunction``."""
 
     def __init__(self, phi: TestFunction, coords):
         self.phi = phi
@@ -242,30 +237,14 @@ class PhiAt:
     def _dbumps(self):
         return self.phi._bumps(self.coords, derivative=True)
 
-    def _evaluate(self, name, t, direct):
-        """``direct()``, or the subclass's own ``name`` if it has one."""
-        if getattr(type(self.phi), name) is getattr(TestFunction, name):
-            return direct()
-        shape = np.broadcast_shapes(np.shape(t),
-                                    *(np.shape(c) for c in self.coords))
-        x = np.stack([np.broadcast_to(c, shape).ravel() for c in self.coords],
-                     axis=-1)
-        if np.ndim(t):
-            t = np.broadcast_to(t, shape).ravel()
-        out = np.asarray(getattr(self.phi, name)(x, t), dtype=float)
-        return out.reshape(shape + out.shape[1:])
-
     def value(self, t):
-        return self._evaluate("value", t, lambda: _times(
-            self.phi._time_factor(t), self._bumps))
+        return _times(self.phi._time_factor(t), self._bumps)
 
     def dt(self, t):
-        return self._evaluate("dt", t, lambda: _times(
-            self.phi._time_factor(t, derivative=True), self._bumps))
+        return _times(self.phi._time_factor(t, derivative=True), self._bumps)
 
     def grad(self, t):
-        return self._evaluate("grad", t, lambda: _grad(
-            self.phi._time_factor(t), self._bumps, self._dbumps))
+        return _grad(self.phi._time_factor(t), self._bumps, self._dbumps)
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +252,7 @@ class PhiAt:
 
 def sample_cell_means(f, mesh, grid, order: int = DEFAULT_ORDER,
                       check: bool = True) -> CellScalarField:
-    """Cell means of f(x) or f(x, t_n) at every knot (initialization rule
+    """Cell means of f(x, t_n) at every knot (initialization rule
     generalized to all levels).
 
     With ``check=True`` the means are recomputed at order+2 and a warning is
@@ -283,12 +262,13 @@ def sample_cell_means(f, mesh, grid, order: int = DEFAULT_ORDER,
     knots = grid.knots
     values = np.empty((knots.size, mesh.n_cells))
     for n, t in enumerate(knots):
-        values[n] = quad.cell_means(f, t)
+        values[n] = quad.cell_means(quad.values(f, t))
     if check:
         quad2 = CellQuadrature(mesh, order + 2)
         worst = 0.0
         for n, t in enumerate(knots):
-            worst = max(worst, float(np.abs(quad2.cell_means(f, t) - values[n]).max()))
+            means = quad2.cell_means(quad2.values(f, t))
+            worst = max(worst, float(np.abs(means - values[n]).max()))
         scale = 1.0 + float(np.abs(values).max())
         if worst > 1e-8 * scale:
             warnings.warn(
@@ -348,8 +328,8 @@ def interpolate_test(phi: TestFunction, mesh, grid, variant: str = "at_tn",
     for n in range(n_lev):
         t = grid.knots[min(n + 1, grid.n_steps)] if variant == "at_tn_plus_1" \
             else grid.knots[n]
-        phi_cell[n] = cq.cell_means(lambda _: on_cells.value(t))
-        phi_face[n] = fq.face_means(lambda _: on_faces.value(t))
+        phi_cell[n] = cq.cell_means(on_cells.value(t))
+        phi_face[n] = fq.face_means(on_faces.value(t))
     dt_phi = np.diff(phi_cell, axis=0) / grid.steps[:, None]
     areas = mesh.face_measures[mesh.cell_faces]             # (NC, nf)
     weights = areas[:, :, None] * mesh.cell_face_normals    # (NC, nf, dim)
@@ -386,11 +366,10 @@ def lp_distance(field: CellScalarField, ref: Callable, p=1,
         slab = SlabQuadrature(mesh, grid, order, time_order)
         total = 0.0
         for n in range(grid.n_steps):
-            qn = field.values[n]
+            qn = field.values[n][:, None]
             total += slab.slab_cell_integrals(
-                lambda x, t, qn=qn: np.abs(
-                    np.repeat(qn, slab.cell.n_points)
-                    - np.asarray(ref(x, t), dtype=float)), n).sum()
+                lambda t, qn=qn: np.abs(qn - slab.cell.values(ref, t)),
+                n).sum()
         return LpDistance(float(total), field.sup_norm())
     if p in (np.inf, "inf"):
         quad = CellQuadrature(mesh, order)

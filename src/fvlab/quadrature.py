@@ -6,13 +6,20 @@ along each edge, and ``BoxQuadrature`` provides a mesh-independent panelised
 rule for smooth space-time integrals (the "oracle" side of dual-route
 checks).
 
+The rules reduce arrays: ``cell_means``, ``cell_integrals``,
+``cell_vector_means``, ``face_means`` and ``BoxQuadrature.integrate`` take
+the integrand's values on the rule's own nodes (``points``, in their C
+order), and ``SlabQuadrature.slab_cell_integrals`` takes a function of t
+that returns the values on the ``cell`` rule's nodes.
+``CellQuadrature.values(f, t)`` is the one place where a callable meets
+the nodes: it calls ``f(x)`` when t is None and ``f(x, t)`` otherwise.
+
 Cell means use a shifted weighted average, ``f0 + sum(w * (f - f0))``, so a
 constant integrand reproduces the constant bitwise.
 """
 
 from __future__ import annotations
 
-import inspect
 from functools import reduce
 
 import numpy as np
@@ -46,30 +53,6 @@ def _panel_rule(order: int, panels: int, a: float, b: float):
     all_nodes = (mids[:, None] + halfs[:, None] * nodes[None, :]).ravel()
     all_weights = (halfs[:, None] * weights[None, :]).ravel()
     return all_nodes, all_weights
-
-
-def _takes_time(f) -> bool:
-    """Whether f accepts (x, t).  Python functions and methods are read from
-    their code object, which is cheap enough for every evaluation; other
-    callables from their signature, and without one they are assumed to."""
-    code = getattr(f, "__code__", None)
-    if code is not None:
-        positional = code.co_argcount - inspect.ismethod(f)
-        return positional >= 2 or bool(code.co_flags & inspect.CO_VARARGS)
-    try:
-        inspect.signature(f).bind(None, None)
-    except ValueError:
-        return True
-    except TypeError:
-        return False
-    return True
-
-
-def _eval(f, x, t):
-    """Evaluate f on points x (n, dim); f may take (x) or (x, t)."""
-    if t is None or not _takes_time(f):
-        return np.asarray(f(x), dtype=float)
-    return np.asarray(f(x, t), dtype=float)
 
 
 class CellQuadrature:
@@ -126,24 +109,29 @@ class CellQuadrature:
         return self.points.reshape(-1, self.mesh.dim)
 
     def values(self, f, t=None):
-        """f evaluated at all nodes, shaped (NC, k)."""
-        vals = _eval(f, self.flat_points(), t)
-        return vals.reshape(self.points.shape[0], -1)
+        """f(x), or f(x, t) when t is given, at all nodes x, shaped (NC, k)
+        for scalar f and (NC, k, m) for f with m components."""
+        x = self.flat_points()
+        vals = np.asarray(f(x) if t is None else f(x, t), dtype=float)
+        return vals.reshape(self.points.shape[:2] + vals.shape[1:])
 
-    def cell_means(self, f, t=None):
-        """Cell averages of f(., t); constants are reproduced bitwise."""
-        vals = self.values(f, t)
+    def _scalars(self, vals):
+        return np.asarray(vals, dtype=float).reshape(self.points.shape[:2])
+
+    def cell_means(self, vals):
+        """Cell averages of the values on the nodes; constants are
+        reproduced bitwise."""
+        vals = self._scalars(vals)
         f0 = vals[:, 0]
         return f0 + np.einsum("ck,ck->c", self._wnorm, vals - f0[:, None])
 
-    def cell_integrals(self, f, t=None):
-        vals = self.values(f, t)
-        return np.einsum("ck,ck->c", self.weights, vals)
+    def cell_integrals(self, vals):
+        """Cell integrals of the values on the nodes."""
+        return np.einsum("ck,ck->c", self.weights, self._scalars(vals))
 
-    def cell_vector_means(self, f, t=None):
-        """Cell averages of a vector-valued f, shaped (NC, dim_out)."""
-        vals = _eval(f, self.flat_points(), t).reshape(
-            self.points.shape[0], self.n_points, -1)
+    def cell_vector_means(self, vals):
+        """Cell averages of vector values on the nodes, shaped (NC, m)."""
+        vals = np.asarray(vals, dtype=float).reshape(self.points.shape[:2] + (-1,))
         f0 = vals[:, 0, :]
         return f0 + np.einsum("ck,ckd->cd", self._wnorm, vals - f0[:, None, :])
 
@@ -171,10 +159,10 @@ class FaceQuadrature:
         for arr in (self.points, self.weights, self._wnorm):
             arr.setflags(write=False)
 
-    def face_means(self, f, t=None):
-        """Mean of f over each face; constants reproduced bitwise."""
-        vals = _eval(f, self.points.reshape(-1, self.mesh.dim), t)
-        vals = vals.reshape(self.points.shape[0], -1)
+    def face_means(self, vals):
+        """Mean over each face of the values on the face nodes; constants
+        reproduced bitwise."""
+        vals = np.asarray(vals, dtype=float).reshape(self.points.shape[:2])
         f0 = vals[:, 0]
         return f0 + np.einsum("fk,fk->f", self._wnorm, vals - f0[:, None])
 
@@ -189,15 +177,14 @@ class SlabQuadrature:
         self.tnodes1d, self.tweights1d = gauss_legendre(time_order)
 
     def slab_cell_integrals(self, f, n: int):
-        """Integrals of f over P x (t_n, t_{n+1}) for every cell, shape (NC,)."""
+        """Integrals over P x (t_n, t_{n+1}) for every cell, shape (NC,);
+        f(t) gives the integrand's values on the ``cell`` nodes at time t."""
         t0 = self.grid.knots[n]
         t1 = self.grid.knots[n + 1]
         half = 0.5 * (t1 - t0)
         out = np.zeros(self.cell.points.shape[0])
-        pts = self.cell.flat_points()
         for tn, tw in zip(0.5 * (t0 + t1) + half * self.tnodes1d, half * self.tweights1d):
-            vals = _eval(f, pts, tn).reshape(out.shape[0], -1)
-            out += tw * np.einsum("ck,ck->c", self.cell.weights, vals)
+            out += tw * self.cell.cell_integrals(f(tn))
         return out
 
 
@@ -231,6 +218,6 @@ class BoxQuadrature:
             for d, (_, weights) in enumerate(axes)]).ravel()
         self.bounds = bounds
 
-    def integrate(self, f) -> float:
-        """Integral of f(points) over the box; f maps (n, naxes) -> (n,)."""
-        return float(np.dot(self.weights, np.asarray(f(self.points), dtype=float)))
+    def integrate(self, vals) -> float:
+        """Integral over the box of the values on ``points``."""
+        return float(np.dot(self.weights, np.asarray(vals, dtype=float)))

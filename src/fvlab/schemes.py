@@ -91,7 +91,8 @@ def run_upwind_1d(mesh, config: SchemeConfig):
     order = np.argsort(mesh.cell_centroids[:, 0])
     n_steps = grid.n_steps
     values = np.empty((n_steps + 1, mesh.n_cells))
-    values[0] = CellQuadrature(mesh, config.quad_order).cell_means(config.q0)
+    quad = CellQuadrature(mesh, config.quad_order)
+    values[0] = quad.cell_means(quad.values(config.q0))
     mass = np.empty(n_steps + 1)
     boundary = np.empty(n_steps)
     defect = np.empty(n_steps)
@@ -143,7 +144,8 @@ def run_mass_mac(mesh, dual, config: SchemeConfig):
     dt = float(grid.steps[0])
     n_steps = grid.n_steps
     values = np.empty((n_steps + 1, mesh.n_cells))
-    values[0] = CellQuadrature(mesh, config.quad_order).cell_means(config.q0)
+    quad = CellQuadrature(mesh, config.quad_order)
+    values[0] = quad.cell_means(quad.values(config.q0))
     v = MAC.sample_velocity(config.velocity, mesh, dual, grid)
     cf = mesh.cell_faces
     fc = mesh.face_cells

@@ -102,7 +102,7 @@ def test_criterion_03_gradient_averaging():
     oracle = CellQuadrature(mesh, 8, panels=8)
     worst = 0.0
     for n, t in enumerate(grid.knots):
-        ref = oracle.cell_vector_means(lambda x, t=t: phi.grad(x, t))
+        ref = oracle.cell_vector_means(oracle.values(phi.grad, t))
         worst = max(worst, float(np.sqrt(
             ((interp.grad_phi[n] - ref) ** 2).sum(-1)).max()))
     assert worst <= 1e-8

@@ -54,8 +54,8 @@ def test_x1_zero_interpolate():
     grid = build_time_grid(1.0, 4)
 
     class Zero(TestFunction):
-        def value(self, x, t):
-            return np.zeros(np.atleast_2d(x).shape[0])
+        def _time_factor(self, t, derivative=False):
+            return np.zeros(np.shape(t))
 
     betas = BetaFamily(mesh, grid,
                        np.random.default_rng(0).normal(size=(5, 64)))
@@ -466,14 +466,8 @@ def test_weak_gap_zero_testfunction():
     mesh, grid, dual, pair, q, v, flux, qf, vf = manufactured_mac(8)
 
     class Zero(TestFunction):
-        def value(self, x, t):
-            return np.zeros(np.atleast_2d(x).shape[0])
-
-        def dt(self, x, t):
-            return np.zeros(np.atleast_2d(x).shape[0])
-
-        def grad(self, x, t):
-            return np.zeros((np.atleast_2d(x).shape[0], 2))
+        def _time_factor(self, t, derivative=False):
+            return np.zeros(np.shape(t))
 
     betas = BetaFamily.from_field(q, pair)
     c = assemble_convection(betas, flux, mesh, grid)
@@ -660,8 +654,8 @@ def test_weak_rhs_equals_pointwise_evaluation(solution, support):
     rhs = weak_rhs(pair, q_exact, v_exact, q0, phi, order=4, panels=3,
                    check=False)
     space = BoxQuadrature(list(support), 3, 4)
-    init = -space.integrate(
-        lambda x: pair.beta(q0(x)) * separable_phi(phi, x, 0.0))
+    x0 = space.points
+    init = -space.integrate(pair.beta(q0(x0)) * separable_phi(phi, x0, 0.0))
     box = BoxQuadrature(list(support) + [(0.0, 0.3)], 3, 4)
 
     def time_part(pts):
@@ -677,5 +671,5 @@ def test_weak_rhs_equals_pointwise_evaluation(solution, support):
                                                  grad)
 
     assert rhs.init_term == init
-    assert rhs.volume_time == -box.integrate(time_part)
-    assert rhs.volume_space == -box.integrate(space_part)
+    assert rhs.volume_time == -box.integrate(time_part(box.points))
+    assert rhs.volume_space == -box.integrate(space_part(box.points))

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,7 +114,7 @@ def test_sup_norm_analytic():
 def test_sample_constant():
     mesh = build_cartesian(3, 3)
     grid = build_time_grid(1.0, 2)
-    q = sample_cell_means(lambda x: np.full(x.shape[0], 3.0), mesh, grid)
+    q = sample_cell_means(lambda x, t: np.full(x.shape[0], 3.0), mesh, grid)
     assert np.all(q.values == 3.0)
 
 
@@ -120,7 +122,7 @@ def test_sample_affine_column_means():
     # affine data: the cell mean is the value at the centroid
     mesh = build_cartesian(2, 2)
     grid = build_time_grid(1.0, 1)
-    q = sample_cell_means(lambda x: x[:, 0], mesh, grid)
+    q = sample_cell_means(lambda x, t: x[:, 0], mesh, grid)
     assert np.abs(q.values[0] - mesh.cell_centroids[:, 0]).max() < 1e-15
     assert sorted(np.unique(np.round(q.values[0], 14))) == [0.25, 0.75]
 
@@ -128,7 +130,7 @@ def test_sample_affine_column_means():
 def test_sample_matches_highorder_tensor_oracle():
     mesh = build_cartesian(4, 4)
     grid = build_time_grid(1.0, 1)
-    f = lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+    f = lambda x, t: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
     q = sample_cell_means(f, mesh, grid)
     q8 = sample_cell_means(f, mesh, grid, order=8, check=False)
     # independent 64-point tensor rule per cell
@@ -148,7 +150,7 @@ def test_sample_matches_highorder_tensor_oracle():
 def test_sample_warns_on_rough_integrand():
     mesh = build_cartesian(2, 2)
     grid = build_time_grid(1.0, 1)
-    rough = lambda x: np.sin(73.0 * x[:, 0]) * np.cos(61.0 * x[:, 1])
+    rough = lambda x, t: np.sin(73.0 * x[:, 0]) * np.cos(61.0 * x[:, 1])
     with pytest.warns(UserWarning, match="disagreement"):
         sample_cell_means(rough, mesh, grid)
 
@@ -160,8 +162,8 @@ def test_interpolate_zero_function():
     grid = build_time_grid(1.0, 4)
 
     class Zero(TestFunction):
-        def value(self, x, t):
-            return np.zeros(np.atleast_2d(x).shape[0])
+        def _time_factor(self, t, derivative=False):
+            return np.zeros(np.shape(t))
 
     phi = Zero(((0.3, 0.7), (0.3, 0.7)), 0.5)
     interp = interpolate_test(phi, mesh, grid)
@@ -197,7 +199,7 @@ def test_gradient_identity_against_volume_oracle():
     oracle = CellQuadrature(mesh, 8, panels=8)
     worst = 0.0
     for n, t in enumerate(grid.knots):
-        ref = oracle.cell_vector_means(lambda x, t=t: phi.grad(x, t))
+        ref = oracle.cell_vector_means(oracle.values(phi.grad, t))
         worst = max(worst, float(np.sqrt(
             ((interp.grad_phi[n] - ref) ** 2).sum(-1)).max()))
     assert worst <= 1e-8
@@ -208,9 +210,10 @@ def test_gradient_of_affine_is_exact_constant():
     grid = build_time_grid(1.0, 2)
 
     class Affine(TestFunction):
-        def value(self, x, t):
+        def at(self, x):
             x = np.atleast_2d(x)
-            return 3.0 * x[:, 0] - 2.0 * x[:, 1] + 0.25
+            return SimpleNamespace(
+                value=lambda t: 3.0 * x[:, 0] - 2.0 * x[:, 1] + 0.25)
 
     phi = Affine(((0.2, 0.8), (0.2, 0.8)), 0.5)
     interp = interpolate_test(phi, mesh, grid)
@@ -223,8 +226,11 @@ def test_gradient_of_constant_is_zero_on_rectangles():
     grid = build_time_grid(1.0, 2)
 
     class Const(TestFunction):
-        def value(self, x, t):
-            return np.full(np.atleast_2d(x).shape[0], 7.0)
+        def _time_factor(self, t, derivative=False):
+            return np.full(np.shape(t), 7.0)
+
+        def _bumps(self, coords, derivative=False):
+            return [np.ones_like(c) for c in coords]
 
     interp = interpolate_test(Const(((0.2, 0.8), (0.2, 0.8)), 0.5), mesh, grid)
     assert np.all(interp.grad_phi == 0.0)
@@ -267,7 +273,7 @@ def test_interpolate_variant_shifts_sample_time():
 def test_lp_distance_zero_for_sampled_constant():
     mesh = build_cartesian(4, 4)
     grid = build_time_grid(1.0, 2)
-    q = sample_cell_means(lambda x: np.full(x.shape[0], 2.5), mesh, grid)
+    q = sample_cell_means(lambda x, t: np.full(x.shape[0], 2.5), mesh, grid)
     res = lp_distance(q, lambda x, t: np.full(x.shape[0], 2.5), p=1)
     assert res.distance == 0.0
     assert res.sup_field == 2.5
@@ -276,7 +282,7 @@ def test_lp_distance_zero_for_sampled_constant():
 def test_lp_distance_l1_constant_gap():
     mesh = build_cartesian(4, 4)
     grid = build_time_grid(1.0, 4)
-    zero = sample_cell_means(lambda x: np.zeros(x.shape[0]), mesh, grid)
+    zero = sample_cell_means(lambda x, t: np.zeros(x.shape[0]), mesh, grid)
     res = lp_distance(zero, lambda x, t: np.ones(x.shape[0]), p=1)
     assert abs(res.distance - 1.0) < 1e-12
 
@@ -284,7 +290,7 @@ def test_lp_distance_l1_constant_gap():
 def test_lp_distance_l1_cell_mean_of_x():
     mesh = build_cartesian(8, 8)
     grid = build_time_grid(1.0, 1)
-    q = sample_cell_means(lambda x: x[:, 0], mesh, grid)
+    q = sample_cell_means(lambda x, t: x[:, 0], mesh, grid)
     res = lp_distance(q, lambda x, t: x[:, 0], p=1)
     # per cell: integral of |x1 - centroid| = h^3/4, 64 cells, T = 1
     expect = 64 * (1.0 / 8) ** 3 / 4
@@ -294,6 +300,6 @@ def test_lp_distance_l1_cell_mean_of_x():
 def test_lp_distance_linf():
     mesh = build_intervals(8)
     grid = build_time_grid(1.0, 2)
-    q = sample_cell_means(lambda x: np.zeros(x.shape[0]), mesh, grid)
+    q = sample_cell_means(lambda x, t: np.zeros(x.shape[0]), mesh, grid)
     res = lp_distance(q, lambda x, t: x[:, 0], p=np.inf)
     assert 0.9 < res.distance <= 1.0

@@ -32,14 +32,15 @@ def test_bad_order_rejected():
 def test_cell_means_constant_bitwise():
     mesh = build_perturbed_quads(5, 4, amplitude=0.2, seed=3)
     quad = CellQuadrature(mesh, 4)
-    means = quad.cell_means(lambda x: np.full(x.shape[0], 3.0))
+    means = quad.cell_means(quad.values(lambda x: np.full(x.shape[0], 3.0)))
     assert np.all(means == 3.0)
 
 
 def test_cell_means_affine_hits_centroid():
     mesh = build_perturbed_quads(6, 6, amplitude=0.15, seed=11)
     quad = CellQuadrature(mesh, 4)
-    means = quad.cell_means(lambda x: 2.0 * x[:, 0] - 0.5 * x[:, 1] + 1.0)
+    means = quad.cell_means(
+        quad.values(lambda x: 2.0 * x[:, 0] - 0.5 * x[:, 1] + 1.0))
     expect = 2.0 * mesh.cell_centroids[:, 0] - 0.5 * mesh.cell_centroids[:, 1] + 1.0
     assert np.abs(means - expect).max() < 1e-14
 
@@ -53,13 +54,15 @@ def test_cell_means_polynomial_exact_to_1e12():
         return (x[:, 0] ** 3) * (x[:, 1] ** 2) - 2.0 * x[:, 1] ** 3 + x[:, 0]
 
     oracle = CellQuadrature(mesh, 8)
-    assert np.abs(quad.cell_means(poly) - oracle.cell_means(poly)).max() < 1e-12
+    assert np.abs(quad.cell_means(quad.values(poly))
+                  - oracle.cell_means(oracle.values(poly))).max() < 1e-12
 
 
 def test_cell_integrals_sum_to_domain_integral():
     mesh = build_perturbed_quads(8, 8, amplitude=0.2, seed=7)
     quad = CellQuadrature(mesh, 6)
-    total = quad.cell_integrals(lambda x: np.sin(np.pi * x[:, 0])
+    x = quad.flat_points()
+    total = quad.cell_integrals(np.sin(np.pi * x[:, 0])
                                 * np.sin(np.pi * x[:, 1])).sum()
     assert abs(total - 4.0 / np.pi ** 2) < 1e-10
 
@@ -67,7 +70,8 @@ def test_cell_integrals_sum_to_domain_integral():
 def test_face_means_linear_exact():
     mesh = build_cartesian(3, 3)
     fq = FaceQuadrature(mesh, 2)
-    means = fq.face_means(lambda x: x[:, 0] + 2.0 * x[:, 1])
+    x = fq.points.reshape(-1, 2)
+    means = fq.face_means(x[:, 0] + 2.0 * x[:, 1])
     expect = mesh.face_midpoints[:, 0] + 2.0 * mesh.face_midpoints[:, 1]
     assert np.abs(means - expect).max() < 1e-14
 
@@ -75,7 +79,7 @@ def test_face_means_linear_exact():
 def test_1d_cell_rule():
     mesh = build_intervals(8)
     quad = CellQuadrature(mesh, 4)
-    means = quad.cell_means(lambda x: x[:, 0] ** 2)
+    means = quad.cell_means(quad.flat_points()[:, 0] ** 2)
     # mean of s^2 over [a,b] = (a^2+ab+b^2)/3
     edges = np.linspace(0, 1, 9)
     a, b = edges[:-1], edges[1:]
@@ -84,13 +88,14 @@ def test_1d_cell_rule():
 
 def test_box_quadrature_matches_closed_form():
     box = BoxQuadrature([(0.0, 1.0), (0.0, 2.0)], panels=3, order=6)
-    val = box.integrate(lambda p: np.sin(p[:, 0]) * p[:, 1])
+    p = box.points
+    val = box.integrate(np.sin(p[:, 0]) * p[:, 1])
     assert abs(val - (1 - np.cos(1.0)) * 2.0) < 1e-12
 
 
 def test_type_error_inside_f_of_x_t_propagates():
-    # f takes (x, t): a TypeError it raises is the caller's error, never a
-    # cue to retry as f(x)
+    # values(f, t) calls f(x, t) exactly when t is given: a TypeError f
+    # raises is the caller's error, never a cue to retry as f(x)
     mesh = build_cartesian(3, 3)
     quad = CellQuadrature(mesh, 2)
 
@@ -99,9 +104,11 @@ def test_type_error_inside_f_of_x_t_propagates():
             raise TypeError("boom")
         return x[:, 0]
 
-    quad.cell_means(f, 0.0)
+    assert np.array_equal(quad.values(f), quad.values(f, 0.0))
     with pytest.raises(TypeError, match="boom"):
-        quad.cell_means(f, 0.5)
-    # one-argument integrands ignore the time argument
-    means = quad.cell_means(lambda x: np.full(x.shape[0], 2.0), 0.5)
+        quad.values(f, 0.5)
+    # a one-argument integrand is not handed a time it cannot take
+    with pytest.raises(TypeError):
+        quad.values(lambda x: np.full(x.shape[0], 2.0), 0.5)
+    means = quad.cell_means(quad.values(lambda x, t: np.full(x.shape[0], t), 2.0))
     assert np.all(means == 2.0)
