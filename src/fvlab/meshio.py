@@ -127,28 +127,31 @@ def load_mesh(path) -> PrimalMesh:
 # ----------------------------------------------------------------------
 # fields
 
-_FIELD_KINDS = {"cell": 1, "face_rt": 2, "face_mac": 1}
+# field kind -> (field class, mesh entity count attribute, values per record)
+_FIELD_KINDS = {"cell": (CellScalarField, "n_cells", 1),
+                "face_rt": (FaceVectorFieldRT, "n_faces", 2),
+                "face_mac": (FaceScalarFieldMAC, "n_faces", 1)}
 
 
 def save_field(fld, path):
-    if isinstance(fld, CellScalarField):
-        kind, vals = "cell", fld.values[:, :, None]
-    elif isinstance(fld, FaceVectorFieldRT):
-        kind, vals = "face_rt", fld.values
-    elif isinstance(fld, FaceScalarFieldMAC):
-        kind, vals = "face_mac", fld.values[:, :, None]
-    else:
+    kind = next((k for k, (cls, _, _) in _FIELD_KINDS.items()
+                 if isinstance(fld, cls)), None)
+    if kind is None:
         raise TypeError(f"cannot save field of type {type(fld).__name__}")
-    n_lev, n_ent, width = vals.shape
+    n_lev, n_ent = fld.values.shape[:2]
+    width = _FIELD_KINDS[kind][2]
     entity, level = np.divmod(np.arange(n_ent * n_lev), n_lev)
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# fvlab-field {kind}\nentity,level,"
                  + ",".join(f"v{i}" for i in range(width)) + "\n")
         _write_rows(fh, "%d,%d" + ",%.17g" * width, entity, level,
-                    vals.transpose(1, 0, 2).reshape(-1, width))
+                    fld.values.swapaxes(0, 1).reshape(-1, width))
 
 
 def load_field(path, mesh, grid, dual=None):
+    """Read a field saved by ``save_field``.  Each (entity, level) of the
+    mesh and grid needs exactly one record; an id outside them, a repeated
+    record or a record of the wrong width is a ``MeshFormatError``."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("# fvlab-field "):
@@ -156,18 +159,38 @@ def load_field(path, mesh, grid, dual=None):
     kind = lines[0].split()[-1]
     if kind not in _FIELD_KINDS:
         raise MeshFormatError(f"unknown field kind {kind!r}")
-    width = _FIELD_KINDS[kind]
-    n_lev = grid.n_steps + 1
-    n_ent = mesh.n_cells if kind == "cell" else mesh.n_faces
-    vals = np.full((n_lev, n_ent, width), np.nan)
-    for ln in lines[2:]:
-        parts = ln.split(",")
-        e, n = int(parts[0]), int(parts[1])
-        vals[n, e] = [float(s) for s in parts[2:2 + width]]
-    if np.any(np.isnan(vals)):
+    cls, entities, width = _FIELD_KINDS[kind]
+    n_lev, n_ent = grid.n_steps + 1, getattr(mesh, entities)
+    rows = lines[2:]
+    if len(rows) < n_lev * n_ent:
         raise MeshFormatError("field file is missing records")
-    if kind == "cell":
-        return CellScalarField(mesh, grid, vals[:, :, 0])
-    if kind == "face_rt":
-        return FaceVectorFieldRT(mesh, grid, vals)
-    return FaceScalarFieldMAC(mesh, grid, dual, vals[:, :, 0])
+    dtype = np.dtype([("entity", np.int64), ("level", np.int64),
+                      ("v", float, (width,))])
+    try:
+        rec = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None,
+                         ndmin=1)
+    except ValueError as exc:
+        bad = next((r.split(",") for r in rows
+                    if len(r.split(",")) != 2 + width), None)
+        raise MeshFormatError(f"field file: {exc}" if bad is None else
+                              f"field record {','.join(bad[:2])} has "
+                              f"{len(bad)} fields, expected {2 + width}") from None
+    entity, level = rec["entity"], rec["level"]
+    outside = (entity < 0) | (entity >= n_ent) | (level < 0) | (level >= n_lev)
+    if outside.any():
+        i = np.argmax(outside)
+        raise MeshFormatError(f"field record {entity[i]},{level[i]} is outside "
+                              f"entities 0..{n_ent - 1}, levels 0..{n_lev - 1}")
+    key = entity * n_lev + level
+    repeated = np.bincount(key, minlength=n_ent * n_lev)[key] > 1
+    if repeated.any():
+        i = np.argmax(repeated)
+        raise MeshFormatError(f"field record {entity[i]},{level[i]} is repeated")
+    # every record in range and none repeated, with at least n_ent * n_lev
+    # records: each (entity, level) has exactly one
+    vals = np.empty((n_lev, n_ent, width))
+    vals[level, entity] = rec["v"]
+    values = vals if width > 1 else vals[:, :, 0]
+    if cls is FaceScalarFieldMAC:
+        return cls(mesh, grid, dual, values)
+    return cls(mesh, grid, values)

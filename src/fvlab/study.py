@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -226,14 +226,10 @@ class ResidualReport:
         return getattr(self, name.lower())
 
 
-# report.csv columns; each one lower-cased is a ResidualReport attribute
-CSV_COLUMNS = ("level", "h", "dt", "theta1", "theta2", "theta3", "X1", "X2",
-               "res_init", "res_time", "res_flux", "R1", "R2", "translate",
-               "weak_gap", "sup_norm")
-CSV_EXTRAS = ("theta_mac", "res_init_signed", "res_init_l1",
-              "res_time_signed", "x2_gradient", "rt_constant", "measured_c",
-              "l1_distance", "l1_cauchy", "scheme_min", "scheme_max",
-              "mass_defect")
+# report.csv columns: the ResidualReport fields in order, with the paper's
+# upper-case names for the pairings and the jump sums
+CSV_COLUMNS = tuple({"x1": "X1", "x2": "X2", "r1": "R1", "r2": "R2"}.get(
+    f.name, f.name) for f in fields(ResidualReport))
 
 
 @dataclass
@@ -484,10 +480,9 @@ def _fmt(x) -> str:
 def write_report_csv(result: StudyResult, path):
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS + CSV_EXTRAS)
+        writer.writerow(CSV_COLUMNS)
         for r in result.reports:
-            writer.writerow([_fmt(getattr(r, name.lower()))
-                             for name in CSV_COLUMNS + CSV_EXTRAS])
+            writer.writerow([_fmt(getattr(r, f.name)) for f in fields(r)])
 
 
 def write_rates_csv(result: StudyResult, path):

@@ -1,0 +1,35 @@
+"""Hypothesis strategies for the property tests: random meshes and time
+grids."""
+
+from hypothesis import strategies as st
+
+from fvlab.geometry import build_cartesian, build_perturbed_quads, build_time_grid
+
+
+@st.composite
+def perturbed_meshes(draw, max_cells=8):
+    """Perturbed quadrangle meshes: random size, amplitude < 0.25 and seed."""
+    nx, ny = draw(st.integers(1, max_cells)), draw(st.integers(1, max_cells))
+    return build_perturbed_quads(
+        nx, ny, amplitude=draw(st.floats(0.0, 0.25, exclude_max=True)),
+        seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@st.composite
+def graded_meshes(draw, max_cells=8):
+    """Rectangular tensor meshes with one grading ratio, or one per axis."""
+    ratio = st.floats(0.8, 1.25)
+    nx, ny = draw(st.integers(1, max_cells)), draw(st.integers(1, max_cells))
+    grading = draw(st.one_of(st.just(1.0), ratio, st.tuples(ratio, ratio)))
+    return build_cartesian(nx, ny, grading=grading)
+
+
+@st.composite
+def time_grids(draw, max_steps=6):
+    """Uniform time grids, or grids whose steps alternate 1 : ratio."""
+    T = draw(st.floats(0.25, 2.0))
+    n = draw(st.integers(1, max_steps))
+    if draw(st.booleans()):
+        return build_time_grid(T, n)
+    return build_time_grid(T, n, pattern="alternating",
+                           ratio=draw(st.floats(0.5, 2.0)))

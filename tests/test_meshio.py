@@ -266,3 +266,23 @@ def test_field_missing_record_rejected(tmp_path):
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(MeshFormatError):
         load_field(path, mesh, grid)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda rows: rows + ["-1,0,99"], "record -1,0 is outside"),
+    (lambda rows: rows + ["4,0,99"], "record 4,0 is outside"),
+    (lambda rows: rows + ["0,2,99"], "record 0,2 is outside"),
+    (lambda rows: rows + ["3,1,77"], "record 3,1 is repeated"),
+    (lambda rows: rows[:-1] + ["3,1,77,5"], "record 3,1 has 4 fields"),
+    (lambda rows: rows[:-1] + ["3,1"], "record 3,1 has 2 fields"),
+], ids=["negative_entity", "entity_past_mesh", "level_past_grid",
+        "repeated", "too_wide", "too_narrow"])
+def test_field_bad_record_rejected(tmp_path, edit, match):
+    mesh = build_cartesian(2, 2)
+    grid = build_time_grid(1.0, 1)
+    path = tmp_path / "f.csv"
+    save_field(CellScalarField(mesh, grid, np.ones((2, 4))), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + edit(lines[2:])) + "\n")
+    with pytest.raises(MeshFormatError, match=match):
+        load_field(path, mesh, grid)

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _oracles import face_value
+from _strategies import graded_meshes, perturbed_meshes, time_grids
 from fvlab.fields import CellScalarField, FaceScalarFieldMAC, FaceVectorFieldRT
 from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
                             build_intervals, build_time_grid)
-from fvlab.operators import (BetaFamily, assemble_convection, dt_beta,
-                             flux_colocated_upwind_1d, flux_divergence,
-                             flux_staggered, get_pair, telescoping_defect)
+from fvlab.operators import (FACE_SCHEMES, BetaFamily, assemble_convection,
+                             dt_beta, flux_colocated_upwind_1d,
+                             flux_divergence, flux_staggered, get_pair,
+                             telescoping_defect)
 from fvlab.schemes import sample_manufactured
 
 
@@ -287,19 +291,34 @@ def test_missing_flux_names_face():
         assemble_convection(betas, flux, mesh, grid)
 
 
-def test_conservativity_telescoping():
-    for layout in ("mac", "rt"):
-        mesh = build_cartesian(6, 5)
-        grid = build_time_grid(1.0, 3)
-        dual = build_dual_mac(mesh) if layout == "mac" else build_dual_rt(mesh)
-        q, v = sample_manufactured(
-            lambda x, t: 1.0 + 0.3 * np.sin(2 * np.pi * x[:, 0]) * np.cos(t),
-            lambda x, t: np.stack([np.cos(np.pi * x[:, 1]),
-                                   np.sin(np.pi * x[:, 0])], axis=-1),
-            layout, mesh, dual, grid)
-        flux = flux_staggered(q, v, get_pair("id"))
-        defect, scale = telescoping_defect(flux)
-        assert np.all(defect <= 1e-12 * scale)
+@st.composite
+def staggered_meshes(draw):
+    """A layout with a mesh it admits: graded tensor meshes for MAC,
+    perturbed quadrangles for RT."""
+    layout = draw(st.sampled_from(["mac", "rt"]))
+    mesh = draw(graded_meshes() if layout == "mac" else perturbed_meshes())
+    return layout, mesh
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=staggered_meshes(), grid=time_grids(),
+       nonlinearity=st.sampled_from(["id", "square", "slogs"]),
+       scheme=st.sampled_from(FACE_SCHEMES))
+@example(case=("mac", build_cartesian(6, 5)), grid=build_time_grid(1.0, 3),
+         nonlinearity="id", scheme="upwind")
+@example(case=("rt", build_cartesian(6, 5)), grid=build_time_grid(1.0, 3),
+         nonlinearity="id", scheme="upwind")
+def test_conservativity_telescoping(case, grid, nonlinearity, scheme):
+    layout, mesh = case
+    dual = build_dual_mac(mesh) if layout == "mac" else build_dual_rt(mesh)
+    q, v = sample_manufactured(
+        lambda x, t: 1.0 + 0.3 * np.sin(2 * np.pi * x[:, 0]) * np.cos(t),
+        lambda x, t: np.stack([np.cos(np.pi * x[:, 1]),
+                               np.sin(np.pi * x[:, 0])], axis=-1),
+        layout, mesh, dual, grid)
+    flux = flux_staggered(q, v, get_pair(nonlinearity), scheme=scheme)
+    defect, scale = telescoping_defect(flux)
+    assert np.all(defect <= 1e-12 * scale)
 
 
 def test_mac_rt_agreement_constant_axis_aligned_velocity():

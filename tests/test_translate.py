@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _strategies import perturbed_meshes, time_grids
 from fvlab.fields import (CellScalarField, TranslateWeights,
                           default_translate_weights, generalize_weights,
                           sample_cell_means, translate_functional,
@@ -12,11 +15,15 @@ def field_from_array(mesh, grid, arr):
     return CellScalarField(mesh, grid, np.asarray(arr, dtype=float))
 
 
-def test_constant_field_gives_zero():
-    mesh = build_cartesian(4, 4)
-    grid = build_time_grid(1.0, 4)
-    u = field_from_array(mesh, grid, np.full((5, 16), 2.0))
-    w = default_translate_weights(mesh, grid)
+@settings(max_examples=40, deadline=None)
+@given(mesh=perturbed_meshes(), grid=time_grids(),
+       c=st.floats(-1e3, 1e3), theta=st.floats(0.1, 3.0))
+@example(mesh=build_cartesian(4, 4), grid=build_time_grid(1.0, 4), c=2.0,
+         theta=1.0)
+def test_constant_field_gives_zero(mesh, grid, c, theta):
+    u = field_from_array(mesh, grid,
+                         np.full((grid.n_steps + 1, mesh.n_cells), c))
+    w = default_translate_weights(mesh, grid, theta=theta)
     assert translate_functional(u, w) == 0.0
     assert translate_functional_general(u, generalize_weights(w)).value == 0.0
 
@@ -84,13 +91,18 @@ def test_negative_weights_rejected():
                          delta_half=np.zeros(1))
 
 
-def test_specialization_identity_exact():
+@settings(max_examples=40, deadline=None)
+@given(mesh=perturbed_meshes(), grid=time_grids(),
+       seed=st.integers(0, 2 ** 32 - 1), theta=st.floats(0.1, 3.0))
+@example(mesh=build_cartesian(5, 3),
+         grid=build_time_grid(1.0, 4, pattern="alternating", ratio=1.5),
+         seed=11, theta=1.3)
+def test_specialization_identity_exact(mesh, grid, seed, theta):
     # generalized functional with faces / consecutive levels == base functional
-    mesh = build_cartesian(5, 3)
-    grid = build_time_grid(1.0, 4, pattern="alternating", ratio=1.5)
-    rng = np.random.default_rng(11)
-    u = field_from_array(mesh, grid, rng.normal(size=(5, 15)))
-    w = default_translate_weights(mesh, grid, theta=1.3)
+    rng = np.random.default_rng(seed)
+    u = field_from_array(mesh, grid,
+                         rng.normal(size=(grid.n_steps + 1, mesh.n_cells)))
+    w = default_translate_weights(mesh, grid, theta=theta)
     base = translate_functional(u, w)
     gen = translate_functional_general(u, generalize_weights(w))
     assert gen.value == base
