@@ -340,8 +340,8 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
     time factor on each axis's 1D nodes (``TestFunction.at_grid``), formed
     in the product order of ``TestFunction``, so they equal
     ``phi.value/dt/grad`` at the nodes bit for bit.  Each term is one flat
-    ``np.dot`` of the box weights with the integrand in the C order of the
-    box nodes (``BoxQuadrature.integrate``).
+    weighted sum of the integrand in the C order of the box nodes
+    (``BoxQuadrature.integrate``), independent of the BLAS thread count.
     """
     dim = phi.dim
     space_box = BoxQuadrature(list(phi.support), panels, order)

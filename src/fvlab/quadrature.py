@@ -219,5 +219,8 @@ class BoxQuadrature:
         self.bounds = bounds
 
     def integrate(self, vals) -> float:
-        """Integral over the box of the values on ``points``."""
-        return float(np.dot(self.weights, np.asarray(vals, dtype=float)))
+        """Integral over the box of the values on ``points``.  The sum is
+        numpy's own loop, not a BLAS dot, whose split across BLAS threads
+        would change its last digits with the BLAS thread count."""
+        return float(np.einsum("i,i->", self.weights,
+                               np.asarray(vals, dtype=float)))

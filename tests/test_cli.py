@@ -1,7 +1,12 @@
 import configparser
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import fvlab
 from fvlab.cli import main, parse_config, serialize_config
 from fvlab.geometry import build_cartesian
 from fvlab.meshio import save_mesh
@@ -339,3 +344,23 @@ def test_threads_flag_and_env(tmp_path, monkeypatch):
     assert ra == (b / "report.csv").read_bytes()
     assert ra == (c / "report.csv").read_bytes()
     assert (a / "rates.csv").read_bytes() == (b / "rates.csv").read_bytes()
+
+
+def test_blas_thread_count_does_not_change_bytes(tmp_path):
+    # a graded MAC study run in fresh processes under one and two OpenBLAS
+    # threads: the weak-form volume sums must not follow the BLAS split
+    path = write_config(tmp_path, BASE_CONFIG.replace(
+        "family = uniform", "family = graded\ngrading = 1.1"))
+    src = str(Path(fvlab.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "fvlab.cli", "run-study",
+                        "--config", str(path), "--out", str(out_dir)],
+                       env=env, check=True, capture_output=True)
+        outputs.append([(out_dir / name).read_bytes()
+                        for name in ("report.csv", "rates.csv")])
+    assert outputs[0] == outputs[1]
