@@ -101,10 +101,6 @@ class CellQuadrature:
         for arr in (self.points, self.weights, self._wsum, self._wnorm):
             arr.setflags(write=False)
 
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[1]
-
     def flat_points(self):
         return self.points.reshape(-1, self.mesh.dim)
 
@@ -131,7 +127,8 @@ class CellQuadrature:
 
     def cell_vector_means(self, vals):
         """Cell averages of vector values on the nodes, shaped (NC, m)."""
-        vals = np.asarray(vals, dtype=float).reshape(self.points.shape[:2] + (-1,))
+        vals = np.asarray(vals, dtype=float).reshape(
+            self.points.shape[:2] + (-1,))
         f0 = vals[:, 0, :]
         return f0 + np.einsum("ck,ckd->cd", self._wnorm, vals - f0[:, None, :])
 
