@@ -226,11 +226,9 @@ def test_gradient_of_constant_is_zero_on_rectangles():
     grid = build_time_grid(1.0, 2)
 
     class Const(TestFunction):
-        def _time_factor(self, t, derivative=False):
-            return np.full(np.shape(t), 7.0)
-
-        def _bumps(self, coords, derivative=False):
-            return [np.ones_like(c) for c in coords]
+        def at(self, x):
+            n = np.atleast_2d(x).shape[0]
+            return SimpleNamespace(value=lambda t: np.full(n, 7.0))
 
     interp = interpolate_test(Const(((0.2, 0.8), (0.2, 0.8)), 0.5), mesh, grid)
     assert np.all(interp.grad_phi == 0.0)
