@@ -198,11 +198,15 @@ def residual_time(betas: BetaFamily, q, phi, pair, mesh, grid,
     interior = mesh.interior_cell_mask
     # phi on the slab rule's own cell points, its bumps evaluated once
     on_cells = phi.at(slab.cell.flat_points())
+    phi_int = slab.slab_cell_integrals(
+        lambda steps, tn: on_cells.value(tn[..., None]))
+    # boolean indexing of the columns transposes memory; copy back to C
+    # order so each row is summed as the 1D pairwise sum of that slab
+    terms = np.ascontiguousarray(
+        (np.diff(betas.values, axis=0) * phi_int)[:, interior])
     signed = 0.0
-    for m in range(grid.n_steps):
-        phi_int = slab.slab_cell_integrals(on_cells.value, m)
-        diff = betas.values[m + 1] - betas.values[m]
-        signed += float((diff * phi_int)[interior].sum())
+    for row in terms.sum(axis=1):
+        signed += float(row)
     jumps = np.abs(np.diff(q.values, axis=0))[:, interior]
     weighted = jumps @ mesh.cell_volumes[interior]
     qmin = float(q.values.min())

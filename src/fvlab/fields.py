@@ -17,12 +17,12 @@ import numpy as np
 
 from .geometry import sum_opposite_first
 from .quadrature import (DEFAULT_ORDER, CellQuadrature, FaceQuadrature,
-                         SlabQuadrature)
+                         SlabQuadrature, chunk_slices)
 
 __all__ = [
     "CellScalarField", "FaceVectorFieldRT", "FaceScalarFieldMAC",
-    "TestFunction", "InterpolatedTest", "TranslateWeights",
-    "sample_cell_means", "interpolate_test", "lp_distance",
+    "TestFunction", "InterpolatedTest", "TranslateWeights", "Reference",
+    "reference_at", "sample_cell_means", "interpolate_test", "lp_distance",
     "translate_functional", "translate_functional_general",
     "default_translate_weights", "SupportError", "TIME_PROFILES",
 ]
@@ -248,27 +248,71 @@ class PhiAt:
 
 
 # ----------------------------------------------------------------------
+# reference functions f(x, t)
+
+class Reference:
+    """f(x, t) = combine(space(x), t), with the x-only part split off so
+    that it is formed once per point set.
+
+    ``f(x, t)`` calls ``combine(space(x), t)``; t is a scalar or one time
+    per point.  ``f.at(points)`` forms ``space(points)`` once and returns
+    the evaluator ``ev(times)``, shaped (len(times), len(points)), that
+    calls ``combine`` with the times on a leading axis.  Both evaluate each
+    value by the same operations, so they agree bit for bit.
+    """
+
+    def __init__(self, space: Callable, combine: Callable):
+        self.space = space
+        self.combine = combine
+
+    def __call__(self, x, t):
+        return self.combine(self.space(np.atleast_2d(x)), np.asarray(t))
+
+    def at(self, points) -> Callable:
+        s = self.space(np.atleast_2d(points))
+        return lambda times: self.combine(
+            s, np.asarray(times, dtype=float)[:, None])
+
+
+def reference_at(ref, points) -> Callable:
+    """The evaluator of ref on the fixed points: ``ref.at(points)`` when ref
+    has one, else one ``ref(points, t)`` call per time, stacked; either way
+    ``ev(times)`` is shaped (len(times), len(points))."""
+    at = getattr(ref, "at", None)
+    if at is not None:
+        return at(points)
+    return lambda times: np.stack(
+        [np.asarray(ref(points, t), dtype=float) for t in times])
+
+
+# ----------------------------------------------------------------------
 # sampling and interpolates
+
+def _knot_means(quad: CellQuadrature, f, knots) -> np.ndarray:
+    """Cell means of f(., t) at every time of knots, shape (len(knots), NC);
+    f is evaluated once per point set and once per chunk of times."""
+    ev = reference_at(f, quad.flat_points())
+    out = np.empty((knots.size, quad.points.shape[0]))
+    for chunk in chunk_slices(knots.size, quad.weights.size):
+        for n, vals in zip(range(chunk.start, chunk.stop), ev(knots[chunk])):
+            out[n] = quad.cell_means(vals)
+    return out
+
 
 def sample_cell_means(f, mesh, grid, order: int = DEFAULT_ORDER,
                       check: bool = True) -> CellScalarField:
     """Cell means of f(x, t_n) at every knot (initialization rule
-    generalized to all levels).
+    generalized to all levels); f is a ``Reference`` or a plain f(x, t).
 
     With ``check=True`` the means are recomputed at order+2 and a warning is
     emitted when the two disagree beyond 1e-8 (reported, not fatal).
     """
-    quad = CellQuadrature(mesh, order)
-    knots = grid.knots
-    values = np.empty((knots.size, mesh.n_cells))
-    for n, t in enumerate(knots):
-        values[n] = quad.cell_means(quad.values(f, t))
+    values = _knot_means(CellQuadrature(mesh, order), f, grid.knots)
     if check:
-        quad2 = CellQuadrature(mesh, order + 2)
+        means = _knot_means(CellQuadrature(mesh, order + 2), f, grid.knots)
         worst = 0.0
-        for n, t in enumerate(knots):
-            means = quad2.cell_means(quad2.values(f, t))
-            worst = max(worst, float(np.abs(means - values[n]).max()))
+        for gap in np.abs(means - values).max(axis=1):
+            worst = max(worst, float(gap))
         scale = 1.0 + float(np.abs(values).max())
         if worst > 1e-8 * scale:
             warnings.warn(
@@ -354,31 +398,43 @@ class LpDistance(NamedTuple):
 
 def lp_distance(field: CellScalarField, ref: Callable, p=1,
                 order: int = DEFAULT_ORDER, time_order: int = 4) -> LpDistance:
-    """L1 or Linf distance between a cell field and a continuous function.
+    """L1 or Linf distance between a cell field and a continuous function
+    (a ``Reference`` or a plain ref(x, t)).
 
     L1 uses per-cell / per-slab quadrature of |q_P^n - ref(x, t)| (the kink
     where the two cross limits accuracy to a few percent, which is enough for
-    convergence diagnostics); Linf is the max over quadrature nodes, exact
-    for piecewise-constant fields up to the sampling of ref.
+    convergence diagnostics), each slab summed over cells by numpy's
+    pairwise ``sum`` and the slabs added in step order; Linf is the max over
+    quadrature nodes, exact for piecewise-constant fields up to the sampling
+    of ref.
     """
     mesh, grid = field.mesh, field.grid
     if p == 1:
         slab = SlabQuadrature(mesh, grid, order, time_order)
+        ev = reference_at(ref, slab.cell.flat_points())
+        nodes = slab.cell.points.shape[:2]
+
+        def integrand(steps, tn):
+            vals = ev(tn.ravel()).reshape(tn.shape + nodes)
+            return np.abs(field.values[steps][:, None, :, None] - vals)
+
         total = 0.0
-        for n in range(grid.n_steps):
-            qn = field.values[n][:, None]
-            total += slab.slab_cell_integrals(
-                lambda t, qn=qn: np.abs(qn - slab.cell.values(ref, t)),
-                n).sum()
+        for row in slab.slab_cell_integrals(integrand).sum(axis=1):
+            total += row
         return LpDistance(float(total), field.sup_norm())
     if p in (np.inf, "inf"):
         quad = CellQuadrature(mesh, order)
+        ev = reference_at(ref, quad.flat_points())
+        knots = grid.knots
         worst = 0.0
-        for n in range(grid.n_steps):
-            for t in (grid.knots[n], 0.5 * (grid.knots[n] + grid.knots[n + 1])):
-                vals = quad.values(ref, t)
-                worst = max(worst, float(
-                    np.abs(field.values[n][:, None] - vals).max()))
+        for steps in chunk_slices(grid.n_steps, 2 * quad.weights.size):
+            t0 = knots[steps]
+            times = np.stack([t0, 0.5 * (t0 + knots[steps.start + 1:
+                                                    steps.stop + 1])], axis=1)
+            vals = ev(times.ravel()).reshape(times.shape + quad.points.shape[:2])
+            gaps = np.abs(field.values[steps][:, None, :, None] - vals)
+            for gap in gaps.max(axis=(2, 3)).ravel():
+                worst = max(worst, float(gap))
         return LpDistance(worst, field.sup_norm())
     raise ValueError(f"p must be 1 or inf, got {p!r}")
 

@@ -9,10 +9,19 @@ checks).
 The rules reduce arrays: ``cell_means``, ``cell_integrals``,
 ``cell_vector_means``, ``face_means`` and ``BoxQuadrature.integrate`` take
 the integrand's values on the rule's own nodes (``points``, in their C
-order), and ``SlabQuadrature.slab_cell_integrals`` takes a function of t
-that returns the values on the ``cell`` rule's nodes.
-``CellQuadrature.values(f, t)`` is the one place where a callable meets
-the nodes: it calls ``f(x)`` when t is None and ``f(x, t)`` otherwise.
+order), and ``SlabQuadrature.slab_cell_integrals`` takes a function that
+returns the values on the ``cell`` rule's nodes at the Gauss times of a
+chunk of time steps.  ``CellQuadrature.values(f, t)`` is the one place
+where a callable meets the nodes: it calls ``f(x)`` when t is None and
+``f(x, t)`` otherwise.
+
+Slab integrals are summed in a fixed order: per slab, each Gauss time's
+cell integral (one ``einsum`` over the cell's nodes) is weighted and added
+in time order; callers that reduce a slab over cells use numpy's pairwise
+``sum`` of that slab's row and add the rows in step order.  Steps are
+evaluated in chunks of about ``CHUNK_VALUES`` node values, a constant that
+decides only how many steps share one call: every value goes through the
+same operations whatever the chunk, so the chunk size cannot change bits.
 
 Cell means use a shifted weighted average, ``f0 + sum(w * (f - f0))``, so a
 constant integrand reproduces the constant bitwise.
@@ -26,6 +35,8 @@ import numpy as np
 
 DEFAULT_ORDER = 4
 ORACLE_ORDER = 8
+# node values evaluated per call when integrands are batched over times
+CHUNK_VALUES = 2 ** 16
 
 
 def gauss_legendre(order: int):
@@ -53,6 +64,13 @@ def _panel_rule(order: int, panels: int, a: float, b: float):
     all_nodes = (mids[:, None] + halfs[:, None] * nodes[None, :]).ravel()
     all_weights = (halfs[:, None] * weights[None, :]).ravel()
     return all_nodes, all_weights
+
+
+def chunk_slices(n: int, per_item: int):
+    """Consecutive slices covering range(n), each holding at least one
+    item and at most ``CHUNK_VALUES // per_item`` items."""
+    step = max(1, CHUNK_VALUES // max(1, per_item))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 class CellQuadrature:
@@ -173,15 +191,38 @@ class SlabQuadrature:
         self.grid = grid
         self.tnodes1d, self.tweights1d = gauss_legendre(time_order)
 
-    def slab_cell_integrals(self, f, n: int):
-        """Integrals over P x (t_n, t_{n+1}) for every cell, shape (NC,);
-        f(t) gives the integrand's values on the ``cell`` nodes at time t."""
-        t0 = self.grid.knots[n]
-        t1 = self.grid.knots[n + 1]
-        half = 0.5 * (t1 - t0)
-        out = np.zeros(self.cell.points.shape[0])
-        for tn, tw in zip(0.5 * (t0 + t1) + half * self.tnodes1d, half * self.tweights1d):
-            out += tw * self.cell.cell_integrals(f(tn))
+    def slab_cell_integrals(self, f):
+        """Integrals over P x (t_n, t_{n+1}) for every step n and cell P,
+        shape (N, NC).
+
+        ``f(steps, tn)`` gives the integrand's values on the ``cell`` nodes
+        at the Gauss times ``tn[b, j]`` of the steps ``steps`` (a slice),
+        shaped (len(steps), T, NC, k) or reshapeable to it.  Each (cell,
+        time) row is reduced by the same ``einsum`` as ``cell_integrals``,
+        and per slab the weighted rows are added in time order.
+        """
+        knots = self.grid.knots
+        n_steps = knots.size - 1
+        n_cells, k = self.cell.points.shape[:2]
+        n_t = self.tnodes1d.size
+        out = np.zeros((n_steps, n_cells))
+        chunks = chunk_slices(n_steps, n_t * n_cells * k)
+        rows = (chunks[0].stop - chunks[0].start) * n_t
+        # the cell weights once per (step, time) row of the largest chunk
+        weights = np.broadcast_to(self.cell.weights,
+                                  (rows, n_cells, k)).reshape(-1, k)
+        for steps in chunks:
+            t0 = knots[steps]
+            t1 = knots[steps.start + 1:steps.stop + 1]
+            half = 0.5 * (t1 - t0)
+            tn = (0.5 * (t0 + t1))[:, None] + half[:, None] * self.tnodes1d
+            tw = half[:, None] * self.tweights1d
+            vals = np.asarray(f(steps, tn), dtype=float).reshape(-1, k)
+            ints = np.einsum("ck,ck->c", weights[:vals.shape[0]], vals)
+            ints = ints.reshape(tn.shape + (n_cells,))
+            acc = out[steps]
+            for j in range(n_t):
+                acc += tw[:, j, None] * ints[:, j]
         return out
 
 

@@ -12,14 +12,12 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from typing import Callable
-
 import numpy as np
 
 from .consistency import (compute_X1, compute_X2, jump_sums, measured_constant,
                           residual_flux, residual_init, residual_time,
                           weak_form_gap, weak_rhs)
-from .fields import (TIME_PROFILES, TestFunction, _bump,
+from .fields import (TIME_PROFILES, Reference, TestFunction, _bump,
                      default_translate_weights, interpolate_test, lp_distance,
                      translate_functional)
 # build_dual_mac and build_dual_rt are called by their names in this module
@@ -58,6 +56,12 @@ class StudyRegularityError(RuntimeError):
 # ----------------------------------------------------------------------
 # manufactured solutions
 
+def _sinsin(x):
+    return np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+
+
+# the q of each solution is a Reference: its x-only factor, formed once per
+# point set, and the rest of the closed form in its left-to-right order
 SOLUTIONS = {
     "constant": dict(
         dim=2,
@@ -66,21 +70,21 @@ SOLUTIONS = {
                                        (x.shape[0], 2)).copy()),
     "sinsin_cos": dict(
         dim=2,
-        q=lambda x, t: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
-        * np.cos(t),
+        q=Reference(_sinsin, lambda s, t: s * np.cos(t)),
         v=lambda x, t: np.broadcast_to(np.array([1.0, 0.5]),
                                        (x.shape[0], 2)).copy()),
     "sinsin_shear": dict(
         dim=2,
-        q=lambda x, t: 1.0 + 0.5 * np.sin(np.pi * x[:, 0])
-        * np.sin(np.pi * x[:, 1]) * np.cos(t),
+        q=Reference(lambda x: 0.5 * np.sin(np.pi * x[:, 0])
+                    * np.sin(np.pi * x[:, 1]),
+                    lambda s, t: 1.0 + s * np.cos(t)),
         v=lambda x, t: np.stack([1.0 + 0.3 * np.sin(np.pi * x[:, 0]),
                                  0.5 + 0.2 * np.cos(np.pi * x[:, 1])],
                                 axis=-1)),
     "bump_advect_1d": dict(
         dim=1,
-        q=lambda x, t: _bump(np.atleast_2d(x)[:, 0] - np.asarray(t),
-                             0.15, 0.45),
+        q=Reference(lambda x: x[:, 0],
+                    lambda x0, t: _bump(x0 - t, 0.15, 0.45)),
         v=None),
 }
 
@@ -318,26 +322,28 @@ def build_level(config: StudyConfig, level: int):
     return mesh, dual, h_ref
 
 
-def _tensor_field_function(field) -> Callable | None:
-    """Evaluate a cell field on a tensor-product mesh as a function (x, t);
-    None for meshes without tensor structure (perturbed quadrangles)."""
+def _tensor_field_function(field) -> Reference | None:
+    """A cell field on a tensor-product mesh as a function of (x, t), whose
+    evaluator finds the cell of each point once per point set; None for
+    meshes without tensor structure (perturbed quadrangles)."""
     mesh, grid = field.mesh, field.grid
     if not mesh.is_rectangular():
         return None
     nodes = [np.unique(mesh.vertices[:, d]) for d in range(mesh.dim)]
     shape = tuple(axis.size - 1 for axis in nodes)
-    table = field.values.reshape((grid.n_steps + 1,) + shape)
 
-    def fn(x, t):
-        x = np.atleast_2d(x)
-        n = int(np.clip(np.searchsorted(grid.knots, t, side="right") - 1,
-                        0, grid.n_steps - 1))
-        cell = tuple(np.clip(np.searchsorted(axis, x[:, d], side="right") - 1,
-                             0, size - 1)
-                     for d, (axis, size) in enumerate(zip(nodes, shape)))
-        return table[n][cell]
+    def cells(x):
+        return np.ravel_multi_index(tuple(
+            np.clip(np.searchsorted(axis, x[:, d], side="right") - 1,
+                    0, size - 1)
+            for d, (axis, size) in enumerate(zip(nodes, shape))), shape)
 
-    return fn
+    def lookup(cell, t):
+        n = np.clip(np.searchsorted(grid.knots, t, side="right") - 1,
+                    0, grid.n_steps - 1)
+        return field.values[n, cell]
+
+    return Reference(cells, lookup)
 
 
 def _audit(config, level, reg, base):

@@ -5,6 +5,7 @@ import numpy as np
 from fvlab.consistency import LOCAL_OPPOSITE
 from fvlab.fields import _bump
 from fvlab.geometry import MeshConstructionError, PrimalMesh
+from fvlab.quadrature import SlabQuadrature
 
 
 def face_value(q, face: int, n: int, scheme: str = "centered",
@@ -228,3 +229,68 @@ def scalar_mesh_identities(mesh, mac=None, rt=None):
                 bad.append(f"MAC duals of direction {i + 1} sum to {tot!r}, "
                            f"expected {omega!r}")
     return bad
+
+
+# the manufactured q of fvlab.study written out as plain f(x, t), in the
+# left-to-right product order the solutions' evaluators must keep
+CLOSED_FORMS = {
+    "sinsin_cos": lambda x, t: np.sin(np.pi * x[:, 0])
+    * np.sin(np.pi * x[:, 1]) * np.cos(t),
+    "sinsin_shear": lambda x, t: 1.0 + 0.5 * np.sin(np.pi * x[:, 0])
+    * np.sin(np.pi * x[:, 1]) * np.cos(t),
+    "bump_advect_1d": lambda x, t: _bump(np.atleast_2d(x)[:, 0]
+                                         - np.asarray(t), 0.15, 0.45),
+}
+
+
+def slab_integrals_per_slab(slab, f, n):
+    """Slab integrals of step n the per-slab way: ``f(t)``, the values on
+    the ``slab.cell`` nodes at time t, is called once per Gauss time, and
+    the weighted cell integrals are added in time order."""
+    t0 = slab.grid.knots[n]
+    t1 = slab.grid.knots[n + 1]
+    half = 0.5 * (t1 - t0)
+    out = np.zeros(slab.cell.points.shape[0])
+    for tn, tw in zip(0.5 * (t0 + t1) + half * slab.tnodes1d,
+                      half * slab.tweights1d):
+        out += tw * slab.cell.cell_integrals(f(tn))
+    return out
+
+
+def l1_distance_per_slab(field, ref, order=4, time_order=4):
+    """The L1 distance of ``lp_distance`` with one ``ref(x, t)`` call per
+    Gauss time of every slab, the slab sums added in step order."""
+    slab = SlabQuadrature(field.mesh, field.grid, order, time_order)
+    total = 0.0
+    for n in range(field.grid.n_steps):
+        qn = field.values[n][:, None]
+        total += slab_integrals_per_slab(
+            slab, lambda t: np.abs(qn - slab.cell.values(ref, t)), n).sum()
+    return float(total)
+
+
+def tensor_field_per_call(field):
+    """A cell field on a tensor mesh as f(x, t), locating the time level
+    and the cell of every point anew at each call."""
+    mesh, grid = field.mesh, field.grid
+    nodes = [np.unique(mesh.vertices[:, d]) for d in range(mesh.dim)]
+    shape = tuple(axis.size - 1 for axis in nodes)
+    table = field.values.reshape((grid.n_steps + 1,) + shape)
+
+    def fn(x, t):
+        x = np.atleast_2d(x)
+        n = int(np.clip(np.searchsorted(grid.knots, t, side="right") - 1,
+                        0, grid.n_steps - 1))
+        cell = tuple(np.clip(np.searchsorted(axis, x[:, d], side="right") - 1,
+                             0, size - 1)
+                     for d, (axis, size) in enumerate(zip(nodes, shape)))
+        return table[n][cell]
+
+    return fn
+
+
+def assert_bitwise(a, b):
+    """Equal shapes and equal bytes: values, NaNs and signs of zeros."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes(), np.abs(a - b).max()

@@ -3,7 +3,15 @@ grids."""
 
 from hypothesis import strategies as st
 
-from fvlab.geometry import build_cartesian, build_perturbed_quads, build_time_grid
+from fvlab.geometry import (build_cartesian, build_intervals,
+                            build_perturbed_quads, build_time_grid)
+
+
+@st.composite
+def interval_meshes(draw, max_cells=8):
+    """1D interval meshes on [0, 1], uniform or graded."""
+    return build_intervals(draw(st.integers(1, max_cells)),
+                           grading=draw(st.floats(0.8, 1.25)))
 
 
 @st.composite
@@ -25,10 +33,11 @@ def graded_meshes(draw, max_cells=8):
 
 
 @st.composite
-def time_grids(draw, max_steps=6):
-    """Uniform time grids, or grids whose steps alternate 1 : ratio."""
+def time_grids(draw, max_steps=6, n_steps=None):
+    """Uniform time grids, or grids whose steps alternate 1 : ratio; with
+    ``n_steps`` the number of steps is fixed."""
     T = draw(st.floats(0.25, 2.0))
-    n = draw(st.integers(1, max_steps))
+    n = n_steps or draw(st.integers(1, max_steps))
     if draw(st.booleans()):
         return build_time_grid(T, n)
     return build_time_grid(T, n, pattern="alternating",

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import separable_phi
+from _oracles import (CLOSED_FORMS, assert_bitwise, l1_distance_per_slab,
+                      separable_phi)
+from _strategies import interval_meshes, perturbed_meshes, time_grids
 from fvlab.fields import (SupportError, TestFunction, interpolate_test,
                           lp_distance, sample_cell_means)
 from fvlab.geometry import build_cartesian, build_intervals, build_time_grid
 from fvlab.quadrature import CellQuadrature, gauss_legendre
+from fvlab.study import manufactured_solution
 
 
 def bump2d(t_profile="initial"):
@@ -293,6 +297,35 @@ def test_lp_distance_l1_cell_mean_of_x():
     # per cell: integral of |x1 - centroid| = h^3/4, 64 cells, T = 1
     expect = 64 * (1.0 / 8) ** 3 / 4
     assert res.distance == pytest.approx(expect, rel=0.05)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), name=st.sampled_from(
+    ["sinsin_cos", "sinsin_shear", "bump_advect_1d"]))
+def test_reference_evaluator_matches_plain_closure(data, name):
+    # a solution's evaluator (Reference.at) against its closed form as a
+    # plain f(x, t), called once per time: equal bytes for the L1 and Linf
+    # distances and the sampled cell means, and the L1 distance equal to
+    # the one-call-per-Gauss-time rule; the means equal one cell_means per
+    # knot
+    ref = manufactured_solution(name)["q"]
+    plain = CLOSED_FORMS[name]
+    mesh = data.draw(interval_meshes() if name == "bump_advect_1d"
+                     else perturbed_meshes(max_cells=4))
+    grid = data.draw(time_grids(max_steps=5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        q = sample_cell_means(ref, mesh, grid, order=2)
+        assert_bitwise(q.values,
+                       sample_cell_means(plain, mesh, grid, order=2).values)
+    quad = CellQuadrature(mesh, 2)
+    assert_bitwise(q.values, [quad.cell_means(quad.values(plain, t))
+                              for t in grid.knots])
+    for p in (1, np.inf):
+        assert_bitwise(lp_distance(q, ref, p=p).distance,
+                       lp_distance(q, plain, p=p).distance)
+    assert_bitwise(lp_distance(q, ref).distance,
+                   l1_distance_per_slab(q, plain))
 
 
 def test_lp_distance_linf():

@@ -1,8 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import assert_bitwise, slab_integrals_per_slab
+from _strategies import interval_meshes, perturbed_meshes, time_grids
+from fvlab import quadrature
+from fvlab.fields import Reference
 from fvlab.geometry import build_cartesian, build_intervals, build_perturbed_quads
 from fvlab.quadrature import (BoxQuadrature, CellQuadrature, FaceQuadrature,
+                              SlabQuadrature,
                               composite_gauss_legendre, gauss_legendre)
 
 
@@ -112,3 +121,44 @@ def test_type_error_inside_f_of_x_t_propagates():
         quad.values(lambda x: np.full(x.shape[0], 2.0), 0.5)
     means = quad.cell_means(quad.values(lambda x, t: np.full(x.shape[0], t), 2.0))
     assert np.all(means == 2.0)
+
+
+# a signed integrand with an x-only factor, for meshes of either dimension
+WAVE = Reference(lambda x: np.sin(3.0 * x[:, 0]) - x[:, -1],
+                 lambda s, t: s * np.cos(5.0 * t) - t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mesh=st.one_of(interval_meshes(), perturbed_meshes(max_cells=3)),
+       space_order=st.integers(1, 4), time_order=st.integers(1, 4),
+       chunk=st.integers(1, 40), spare=st.integers(0, 50),
+       offset=st.sampled_from([None, -1, 0, 1]), data=st.data())
+def test_slab_integrals_match_per_slab_oracle(mesh, space_order, time_order,
+                                              chunk, spare, offset, data):
+    # the batched slab rule against one f(t) call per Gauss time of every
+    # slab, at 1 step and at one chunk of steps minus one, exactly and plus
+    # one, for a chunk constant holding `chunk` steps; equal bytes (signs
+    # of zeros too), and the same bytes at the module's constant and at 1
+    per_step = time_order * mesh.n_cells * space_order ** mesh.dim
+    n_steps = 1 if offset is None else max(1, chunk + offset)
+    grid = data.draw(time_grids(n_steps=n_steps))
+    slab = SlabQuadrature(mesh, grid, space_order, time_order)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    q = rng.normal(size=(n_steps, mesh.n_cells))
+    q[rng.random(q.shape) < 0.2] = 0.0
+    q[rng.random(q.shape) < 0.2] = -0.0
+    x = slab.cell.flat_points()
+    ev = WAVE.at(x)
+    nodes = slab.cell.points.shape[:2]
+
+    def batched(steps, tn):
+        vals = ev(tn.ravel()).reshape(tn.shape + nodes)
+        return q[steps][:, None, :, None] * vals
+
+    want = np.array([slab_integrals_per_slab(
+        slab, lambda t: q[n][:, None] * WAVE(x, t).reshape(nodes), n)
+        for n in range(n_steps)])
+    assert_bitwise(slab.slab_cell_integrals(batched), want)
+    for values in (chunk * per_step + spare % per_step, 1):
+        with mock.patch.object(quadrature, "CHUNK_VALUES", values):
+            assert_bitwise(slab.slab_cell_integrals(batched), want)

@@ -1,8 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fvlab.study import (StudyConfig, fit_rates, manufactured_solution,
-                         run_study, write_rates_csv, write_report_csv)
+from _oracles import assert_bitwise, tensor_field_per_call
+from _strategies import graded_meshes, interval_meshes, time_grids
+from fvlab.fields import CellScalarField
+from fvlab.study import (StudyConfig, _tensor_field_function, fit_rates,
+                         manufactured_solution, run_study, write_rates_csv,
+                         write_report_csv)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=st.one_of(interval_meshes(), graded_meshes()),
+       grid=time_grids(), seed=st.integers(0, 2 ** 32 - 1))
+def test_tensor_field_evaluator_matches_per_call_lookup(mesh, grid, seed):
+    # the Cauchy reference locates each point's cell once per point set;
+    # it must pick the values the per-call lookup picks, on vertices, on
+    # random points (some outside the domain) and at knots and random times
+    rng = np.random.default_rng(seed)
+    field = CellScalarField(mesh, grid, rng.normal(
+        size=(grid.n_steps + 1, mesh.n_cells)))
+    points = np.concatenate([
+        mesh.vertices, mesh.cell_centroids,
+        rng.uniform(-0.1, 1.1, size=(20, mesh.dim))])
+    times = np.concatenate([grid.knots, rng.uniform(
+        -0.1, 1.1 * grid.final_time, size=5)])
+    fn = _tensor_field_function(field)
+    old = tensor_field_per_call(field)
+    want = np.stack([old(points, t) for t in times])
+    assert_bitwise(fn.at(points)(times), want)
+    for t, row in zip(times, want):
+        assert_bitwise(fn(points, t), row)
 
 
 def test_constant_study_all_zero_residual_columns(tmp_path):
