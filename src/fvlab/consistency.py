@@ -322,14 +322,6 @@ class WeakRhs(NamedTuple):
     volume_time: float = np.nan     # -int int beta(q) d_t phi
     volume_space: float = np.nan    # -int int g(q) v . grad phi
 
-    def time_limit(self) -> float:
-        """Limit of the X1 pairing: -int beta(q0) phi(.,0) - int int beta d_t phi."""
-        return self.init_term + self.volume_time
-
-    def space_limit(self) -> float:
-        """Limit of the X2 pairing: -int int f(q, v) . grad phi."""
-        return self.volume_space
-
 
 def weak_rhs(pair, q_exact, v_exact, q0, phi,
              order: int = ORACLE_ORDER, panels: int = 12,

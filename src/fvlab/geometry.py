@@ -246,10 +246,6 @@ class PrimalMesh:
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
 
-    @property
-    def max_faces_per_cell(self) -> int:
-        return self.cell_faces.shape[1]
-
     def delta(self) -> float:
         """Space step: the largest cell diameter."""
         return float(self.cell_diameters.max())
@@ -262,9 +258,6 @@ class PrimalMesh:
         if k < 0:
             raise KeyError(f"face {face} is not a face of cell {cell}")
         return k
-
-    def outward_normal(self, cell: int, face: int):
-        return self.cell_face_normals[cell, self.local_face_index(cell, face)]
 
     def is_rectangular(self) -> bool:
         """True when every cell is an axis-aligned rectangle (exact test)."""

@@ -69,7 +69,8 @@ def test_criterion_01_geometric_identities():
         assert np.all(norms <= 1e-12 * areas.sum(axis=1))
         for f in np.nonzero(mesh.interior_face_mask)[0]:
             p, q = mesh.face_cells[f]
-            pair_sum = mesh.outward_normal(p, f) + mesh.outward_normal(q, f)
+            pair_sum = (mesh.cell_face_normals[p, mesh.local_face_index(p, f)]
+                        + mesh.cell_face_normals[q, mesh.local_face_index(q, f)])
             assert np.sqrt((pair_sum ** 2).sum()) <= 1e-14
         omega = mesh.domain_measure()
         assert abs(mesh.cell_volumes.sum() - omega) <= 1e-12 * omega

@@ -554,8 +554,10 @@ def test_x1_x2_converge_to_their_separate_limits():
         x1 = compute_X1(betas, interp, mesh, grid).value
         x2 = compute_X2(flux, interp, mesh, grid, q=q, v=v, pair=pair,
                         dual=dual).value
-        e1.append(abs(x1 - rhs.time_limit()))
-        e2.append(abs(x2 - rhs.space_limit()))
+        # the limits of the X1 and X2 pairings: -int beta(q0) phi(., 0)
+        # - int int beta d_t phi, and -int int f(q, v) . grad phi
+        e1.append(abs(x1 - (rhs.init_term + rhs.volume_time)))
+        e2.append(abs(x2 - rhs.volume_space))
         hs.append(mesh.delta() + grid.dt_max)
     for errs in (e1, e2):
         assert np.all(np.diff(errs) < 0)

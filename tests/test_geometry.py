@@ -35,14 +35,14 @@ def test_geometric_identities(make):
     assert np.all(norms <= 1e-12 * scale)
     for f in np.nonzero(mesh.interior_face_mask)[0]:
         p, q = mesh.face_cells[f]
-        n_p = mesh.outward_normal(p, f)
-        n_q = mesh.outward_normal(q, f)
+        n_p = mesh.cell_face_normals[p, mesh.local_face_index(p, f)]
+        n_q = mesh.cell_face_normals[q, mesh.local_face_index(q, f)]
         assert np.sqrt(((n_p + n_q) ** 2).sum()) <= 1e-14
     omega = mesh.domain_measure()
     assert abs(mesh.cell_volumes.sum() - omega) <= 1e-12 * omega
     assert np.all(mesh.cell_volumes > 0)
     assert np.all(mesh.face_measures > 0)
-    assert mesh.max_faces_per_cell == (2 if mesh.dim == 1 else 4)
+    assert mesh.cell_faces.shape[1] == (2 if mesh.dim == 1 else 4)
     assert check_mesh_identities(mesh) == []
 
 
@@ -299,7 +299,7 @@ def test_local_face_index_is_the_first_match():
     for c in range(mesh.n_cells):
         for k, f in enumerate(mesh.cell_faces[c]):
             assert mesh.local_face_index(c, f) == k
-            assert np.array_equal(mesh.outward_normal(c, f),
+            assert np.array_equal(mesh.cell_face_normals[c, k],
                                   scalar_outward_normal(mesh, c, f))
     outside = next(f for f in range(mesh.n_faces)
                    if f not in mesh.cell_faces[0])
