@@ -393,6 +393,13 @@ def weak_form_gap(c_values, interp, exact, pair, mesh, grid,
     ``exact = (q_exact, v_exact, q0)`` gives the closed-form limit fields
     (v_exact None for the colocated 1D operator).  A precomputed ``rhs`` may
     be passed to avoid re-integrating the level-independent right-hand side.
+
+    For fields a scheme produced (``field_source = scheme``) the gap is a
+    floor, not a convergence measure: the scheme solves its own discrete
+    equation, so C(U) vanishes up to rounding and the LHS is ~1e-19.  The
+    gap is then |RHS|, the quadrature error of ``weak_rhs`` for a limit
+    that solves the PDE (7.1e-9 at all six levels of the 1D upwind bench
+    study), and its fitted rate is not a convergence rate.
     """
     q_exact, v_exact, q0 = exact
     if rhs is None:

@@ -429,8 +429,8 @@ def lp_distance(field: CellScalarField, ref: Callable, p=1,
         worst = 0.0
         for steps in chunk_slices(grid.n_steps, 2 * quad.weights.size):
             t0 = knots[steps]
-            times = np.stack([t0, 0.5 * (t0 + knots[steps.start + 1:
-                                                    steps.stop + 1])], axis=1)
+            t1 = knots[steps.start + 1:steps.stop + 1]
+            times = np.stack([t0, 0.5 * (t0 + t1)], axis=1)
             vals = ev(times.ravel()).reshape(times.shape + quad.points.shape[:2])
             gaps = np.abs(field.values[steps][:, None, :, None] - vals)
             for gap in gaps.max(axis=(2, 3)).ravel():

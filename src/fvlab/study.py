@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+
 import numpy as np
 
 from .consistency import (compute_X1, compute_X2, jump_sums, measured_constant,
@@ -56,10 +57,6 @@ class StudyRegularityError(RuntimeError):
 # ----------------------------------------------------------------------
 # manufactured solutions
 
-def _sinsin(x):
-    return np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
-
-
 # the q of each solution is a Reference: its x-only factor, formed once per
 # point set, and the rest of the closed form in its left-to-right order
 SOLUTIONS = {
@@ -70,7 +67,9 @@ SOLUTIONS = {
                                        (x.shape[0], 2)).copy()),
     "sinsin_cos": dict(
         dim=2,
-        q=Reference(_sinsin, lambda s, t: s * np.cos(t)),
+        q=Reference(lambda x: np.sin(np.pi * x[:, 0])
+                    * np.sin(np.pi * x[:, 1]),
+                    lambda s, t: s * np.cos(t)),
         v=lambda x, t: np.broadcast_to(np.array([1.0, 0.5]),
                                        (x.shape[0], 2)).copy()),
     "sinsin_shear": dict(
