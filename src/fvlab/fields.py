@@ -22,7 +22,7 @@ from .quadrature import (DEFAULT_ORDER, CellQuadrature, FaceQuadrature,
 __all__ = [
     "CellScalarField", "FaceVectorFieldRT", "FaceScalarFieldMAC",
     "TestFunction", "InterpolatedTest", "TranslateWeights", "Reference",
-    "reference_at", "sample_cell_means", "interpolate_test", "lp_distance",
+    "sample_cell_means", "interpolate_test", "lp_distance",
     "translate_functional", "translate_functional_general",
     "default_translate_weights", "SupportError", "TIME_PROFILES",
 ]
@@ -274,7 +274,7 @@ class Reference:
             s, np.asarray(times, dtype=float)[:, None])
 
 
-def reference_at(ref, points) -> Callable:
+def _reference_at(ref, points) -> Callable:
     """The evaluator of ref on the fixed points: ``ref.at(points)`` when ref
     has one, else one ``ref(points, t)`` call per time, stacked; either way
     ``ev(times)`` is shaped (len(times), len(points))."""
@@ -291,7 +291,7 @@ def reference_at(ref, points) -> Callable:
 def _knot_means(quad: CellQuadrature, f, knots) -> np.ndarray:
     """Cell means of f(., t) at every time of knots, shape (len(knots), NC);
     f is evaluated once per point set and once per chunk of times."""
-    ev = reference_at(f, quad.flat_points())
+    ev = _reference_at(f, quad.flat_points())
     out = np.empty((knots.size, quad.points.shape[0]))
     for chunk in chunk_slices(knots.size, quad.weights.size):
         for n, vals in zip(range(chunk.start, chunk.stop), ev(knots[chunk])):
@@ -411,7 +411,7 @@ def lp_distance(field: CellScalarField, ref: Callable, p=1,
     mesh, grid = field.mesh, field.grid
     if p == 1:
         slab = SlabQuadrature(mesh, grid, order, time_order)
-        ev = reference_at(ref, slab.cell.flat_points())
+        ev = _reference_at(ref, slab.cell.flat_points())
         nodes = slab.cell.points.shape[:2]
 
         def integrand(steps, tn):
@@ -424,7 +424,7 @@ def lp_distance(field: CellScalarField, ref: Callable, p=1,
         return LpDistance(float(total), field.sup_norm())
     if p in (np.inf, "inf"):
         quad = CellQuadrature(mesh, order)
-        ev = reference_at(ref, quad.flat_points())
+        ev = _reference_at(ref, quad.flat_points())
         knots = grid.knots
         worst = 0.0
         for steps in chunk_slices(grid.n_steps, 2 * quad.weights.size):

@@ -304,10 +304,10 @@ def test_lp_distance_l1_cell_mean_of_x():
     ["sinsin_cos", "sinsin_shear", "bump_advect_1d"]))
 def test_reference_evaluator_matches_plain_closure(data, name):
     # a solution's evaluator (Reference.at) against its closed form as a
-    # plain f(x, t), called once per time: equal bytes for the L1 and Linf
-    # distances and the sampled cell means, and the L1 distance equal to
-    # the one-call-per-Gauss-time rule; the means equal one cell_means per
-    # knot
+    # plain f(x, t), called once per time: equal bytes for the sampled cell
+    # means (also against one cell_means per knot), for the L1 and Linf
+    # distances, and for the L1 distance of one call per Gauss time; the
+    # order-2 sampling may warn of its order+2 check, which is not tested
     ref = manufactured_solution(name)["q"]
     plain = CLOSED_FORMS[name]
     mesh = data.draw(interval_meshes() if name == "bump_advect_1d"
