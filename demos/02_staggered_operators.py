@@ -42,7 +42,7 @@ q_const, v_const = sample_manufactured(
 for name in ("id", "square", "slogs"):
     p = get_pair(name)
     c = assemble_convection(BetaFamily.from_field(q_const, p),
-                            flux_staggered(q_const, v_const, p), mesh, grid)
+                            flux_staggered(q_const, v_const, p))
     interior_zero = bool(np.all(c[:, mesh.interior_cell_mask] == 0.0))
     print(f"beta = g = {name}: every interior C(U)_P^n == 0.0 bitwise: "
           f"{interior_zero}")
@@ -61,7 +61,7 @@ q1, v1 = sample_manufactured(q_smooth, lambda x, t: np.broadcast_to(
 q2, v2 = sample_manufactured(q_smooth, lambda x, t: np.broadcast_to(
     np.array([1.0, 0.5]), (x.shape[0], 2)).copy(), "rt", mesh, rt, grid)
 c1 = assemble_convection(BetaFamily.from_field(q1, pair),
-                         flux_staggered(q1, v1, pair), mesh, grid)
+                         flux_staggered(q1, v1, pair))
 c2 = assemble_convection(BetaFamily.from_field(q2, pair),
-                         flux_staggered(q2, v2, pair), mesh, grid)
+                         flux_staggered(q2, v2, pair))
 print(f"assemblies identical bitwise: {np.array_equal(c1, c2)}")

@@ -25,7 +25,7 @@ for n in (32, 64, 128, 256):
     mesh = build_intervals(n)
     cfg = SchemeConfig(q0=lambda x: q_exact(x, 0.0), T=0.25, cfl=0.5)
     q, grid, ledger = run_upwind_1d(mesh, cfg)
-    l1 = lp_distance(q, q_exact, p=1).distance
+    l1 = lp_distance(q, q_exact).distance
     r = residual_flux(flux_colocated_upwind_1d(q), q, None, pair, mesh, grid,
                       "colocated1d")
     print(f"n = {n:4d}: steps {grid.n_steps:3d}, "

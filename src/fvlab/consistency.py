@@ -9,6 +9,12 @@ direction for MAC, one piece for colocated 1D), so every integral reduces to
 a finite weighted sum.  Term tables keep a documented (step, cell, face,
 piece) layout so a brute-force enumeration with the same summation order
 reproduces the results bit for bit.
+
+Stages read mesh, grid, layout and dual from their fields: ``.mesh`` and
+``.grid`` of every field and interpolate, ``.layout`` and ``.dual`` of a
+``FluxFamily``, ``.dual`` of a face velocity.  ``residual_flux`` (with its
+``residual_flux_terms``) is the one exception: ``bench/tracing.py`` reads
+mesh, grid and layout from its positional arguments to size the table.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from .fields import InterpolatedTest, SupportError
 from .geometry import LOCAL_OPPOSITE
-from .layouts import get_layout
+from .layouts import COLOCATED_1D, get_layout, layout_of
 from .operators import BetaFamily, FluxFamily, dt_beta, flux_divergence, flux_dot_n
 from .quadrature import (DEFAULT_ORDER, ORACLE_ORDER, BoxQuadrature,
                          CellQuadrature, SlabQuadrature)
@@ -53,7 +59,7 @@ class X1Result(NamedTuple):
     by_parts: float             # discrete summation-by-parts route
 
 
-def compute_X1(betas: BetaFamily, interp: InterpolatedTest, mesh, grid,
+def compute_X1(betas: BetaFamily, interp: InterpolatedTest,
                rtol: float = 1e-12) -> X1Result:
     """X1 = sum_n dt_n sum_P |P| (d_t beta)_P^n phi_P^n, plus the
     summation-by-parts route; the two must agree to `rtol`.
@@ -62,7 +68,8 @@ def compute_X1(betas: BetaFamily, interp: InterpolatedTest, mesh, grid,
     constant (d_t beta) against the interpolate, so each cell enters with
     its measure.
     """
-    vols = mesh.cell_volumes
+    grid = betas.grid
+    vols = betas.mesh.cell_volumes
     steps = grid.steps
     dtb = dt_beta(betas, grid)
     phi_c = interp.phi_cell
@@ -90,6 +97,17 @@ def _slab_levels(field, n_steps: int):
     return None if field is None else field.values[:n_steps]
 
 
+def _flux_defects(flux: FluxFamily, q, v, pair, mesh, grid, layout,
+                  dual) -> np.ndarray:
+    """(F_zeta^n - f(U)|_piece) . n_{P,zeta} per (step, cell, local face,
+    piece), shape (N, NC, nf, pieces): the table that the X2 remainder and
+    the flux residual weigh, each in its own product order."""
+    n_steps = grid.n_steps
+    piece = layout.flux_pieces(_slab_levels(q, n_steps),
+                               _slab_levels(v, n_steps), pair, mesh, dual)
+    return flux_dot_n(flux)[:, :, :, None] - piece
+
+
 # ----------------------------------------------------------------------
 # X2: flux pairing, direct and gradient/remainder routes
 
@@ -100,8 +118,8 @@ class X2Result(NamedTuple):
     remainder: float
 
 
-def compute_X2(flux: FluxFamily, interp: InterpolatedTest, mesh, grid,
-               q=None, v=None, pair=None, dual=None, rtol: float = 1e-10):
+def compute_X2(flux: FluxFamily, interp: InterpolatedTest, q=None, v=None,
+               pair=None, rtol: float = 1e-10):
     """X2 = sum_n dt_n sum_P sum_zeta |zeta| F_zeta^n.n_{P,zeta} phi_P^n.
 
     When the discrete fields are supplied the gradient/remainder route is
@@ -112,6 +130,7 @@ def compute_X2(flux: FluxFamily, interp: InterpolatedTest, mesh, grid,
     if not interp.interior_support_clear():
         raise SupportError(
             "test-function support reaches non-interior cells at this resolution")
+    mesh, grid = flux.mesh, flux.grid
     steps = grid.steps
     div = flux_divergence(flux)
     phi_c = interp.phi_cell[:-1]
@@ -121,18 +140,17 @@ def compute_X2(flux: FluxFamily, interp: InterpolatedTest, mesh, grid,
     n_steps = grid.n_steps
     interior = mesh.interior_cell_mask
     layout = get_layout(flux.layout)
-    qv, vv = _slab_levels(q, n_steps), _slab_levels(v, n_steps)
-    mean_f = layout.flux_cell_means(qv, vv, pair, mesh)
+    mean_f = layout.flux_cell_means(_slab_levels(q, n_steps),
+                                    _slab_levels(v, n_steps), pair, mesh)
     grad = interp.grad_phi[:-1]
     vols = mesh.cell_volumes
     gdots = np.einsum("ncd,ncd->nc", mean_f[:, interior], grad[:, interior])
     grad_term = -float(np.einsum("n,nc,c->", steps, gdots, vols[interior]))
     meas = layout.piece_measures(mesh)
-    piece = layout.flux_pieces(qv, vv, pair, mesh, dual)
-    dotn = flux_dot_n(flux)                                    # (N, NC, nf)
+    defects = _flux_defects(flux, q, v, pair, mesh, grid, layout, flux.dual)
     areas = mesh.face_measures[mesh.cell_faces]                # (NC, nf)
     dphi = phi_c[:, :, None] - interp.phi_face[:-1][:, mesh.cell_faces]
-    inner = (dotn[:, :, :, None] - piece) * dphi[:, :, :, None]
+    inner = defects * dphi[:, :, :, None]
     weighted = (meas / vols[:, None, None])[None] * areas[None, :, :, None] * inner
     remainder = float(np.einsum("n,nckp->", steps, weighted[:, interior]))
     gradient_route = grad_term + remainder
@@ -153,13 +171,14 @@ class InitResidual(NamedTuple):
     l1_majorant: float          # C_beta ||phi(.,0)||_inf sum int |q0 - q_P^0|
 
 
-def residual_init(betas: BetaFamily, q0, phi, mesh, pair,
+def residual_init(betas: BetaFamily, q0, phi, pair,
                   order: int = ORACLE_ORDER) -> InitResidual:
     """Initialization-consistency residual over interior cells.
 
     Returns the signed sum, the per-cell absolute sum (a sharper majorant of
     the same quantity) and the Lipschitz L1 majorant.
     """
+    mesh = betas.mesh
     quad = CellQuadrature(mesh, order)
     q0_x = quad.values(q0)
     phi_x0 = quad.values(phi.value, 0.0)
@@ -184,7 +203,7 @@ class TimeResidual(NamedTuple):
     c_beta: float
 
 
-def residual_time(betas: BetaFamily, q, phi, pair, mesh, grid,
+def residual_time(betas: BetaFamily, q, phi, pair,
                   space_order: int = DEFAULT_ORDER,
                   time_order: int = DEFAULT_ORDER) -> TimeResidual:
     """Time-consistency residual for the explicit convention (the discrete
@@ -194,6 +213,7 @@ def residual_time(betas: BetaFamily, q, phi, pair, mesh, grid,
     quadrature.  The majorant carries the cell measure so that it is the
     time part of the translate functional.
     """
+    mesh, grid = betas.mesh, betas.grid
     slab = SlabQuadrature(mesh, grid, space_order, time_order)
     interior = mesh.interior_cell_mask
     # phi on the slab rule's own cell points, its bumps evaluated once
@@ -227,16 +247,12 @@ def residual_flux_terms(flux: FluxFamily, q, v, pair, mesh, grid,
     scalar enumeration in the same layout reproduces it bit for bit.
     """
     dual = dual if dual is not None else flux.dual
-    n_steps = grid.n_steps
     rules = get_layout(layout)
     meas = rules.piece_measures(mesh)
-    piece = rules.flux_pieces(_slab_levels(q, n_steps),
-                              _slab_levels(v, n_steps), pair, mesh, dual)
-    dotn = flux_dot_n(flux)
+    absdiff = np.abs(_flux_defects(flux, q, v, pair, mesh, grid, rules, dual))
     interior = mesh.interior_cell_mask
     coef = mesh.cell_diameters / mesh.cell_volumes
     areas = mesh.face_measures[mesh.cell_faces]
-    absdiff = np.abs(dotn[:, :, :, None] - piece)
     terms = (grid.steps[:, None, None, None]
              * coef[None, :, None, None]
              * areas[None, :, :, None]
@@ -264,16 +280,19 @@ class JumpSums(NamedTuple):
     rt_constant: int | None
 
 
-def jump_sums(q, v, mesh, dual, grid, layout: str,
-              rtol: float = 1e-12) -> JumpSums:
+def jump_sums(q, v, rtol: float = 1e-12) -> JumpSums:
     """Scalar jumps R1 (cell-sum and reordered face-sum forms, asserted
     equal) and staggered velocity jumps R2 across dual edges.
+
+    The layout and dual are those of the face velocity v; with v None the
+    layout is colocated 1D and R2 is 0.
 
     RT dual-edge weights are C*diam(P)^2 with the realized splitting
     constant C (adjacent pairs counted once directly plus at most twice via
     the fixed two-hop opposite-pair splits); MAC weights are
     diam(P)(|zeta| + |zeta'|).
     """
+    mesh, grid = q.mesh, q.grid
     n_steps = grid.n_steps
     steps = grid.steps
     qv = q.values[:n_steps]
@@ -296,8 +315,9 @@ def jump_sums(q, v, mesh, dual, grid, layout: str,
     omega = (diam[fc[ifaces, 0]] + diam[fc[ifaces, 1]]) * mesh.face_measures[ifaces]
     r1_face = float(np.dot(steps, jump_f @ omega))
     _check_routes("R1", r1, r1_face, max(abs(r1), abs(r1_face)), rtol)
-    r2, const = get_layout(layout).velocity_jumps(_slab_levels(v, n_steps),
-                                                  mesh, dual, steps)
+    layout = COLOCATED_1D if v is None else layout_of(v)
+    r2, const = layout.velocity_jumps(_slab_levels(v, n_steps), mesh,
+                                      getattr(v, "dual", None), steps)
     return JumpSums(r1, r1_face, r2, const)
 
 
@@ -371,10 +391,12 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
     return WeakRhs(init + volume, init, volume, vol_time, vol_space)
 
 
-def weak_lhs(c_values: np.ndarray, interp: InterpolatedTest, mesh, grid) -> float:
-    """Exact pairing int int C(U) I(phi) of the piecewise constants."""
-    return float(np.einsum("n,nc,c->", grid.steps,
-                           c_values * interp.phi_cell[:-1], mesh.cell_volumes))
+def weak_lhs(c_values: np.ndarray, interp: InterpolatedTest) -> float:
+    """Exact pairing int int C(U) I(phi) of the piecewise constants, on the
+    mesh and grid of the interpolate."""
+    return float(np.einsum("n,nc,c->", interp.grid.steps,
+                           c_values * interp.phi_cell[:-1],
+                           interp.mesh.cell_volumes))
 
 
 class WeakGap(NamedTuple):
@@ -385,9 +407,8 @@ class WeakGap(NamedTuple):
     rhs_volume: float
 
 
-def weak_form_gap(c_values, interp, exact, pair, mesh, grid,
-                  order: int = ORACLE_ORDER, panels: int = 12,
-                  rhs: WeakRhs | None = None) -> WeakGap:
+def weak_form_gap(c_values, interp, exact, pair, order: int = ORACLE_ORDER,
+                  panels: int = 12, rhs: WeakRhs | None = None) -> WeakGap:
     """|LHS - RHS| of the weak-consistency statement.
 
     ``exact = (q_exact, v_exact, q0)`` gives the closed-form limit fields
@@ -405,6 +426,6 @@ def weak_form_gap(c_values, interp, exact, pair, mesh, grid,
     if rhs is None:
         rhs = weak_rhs(pair, q_exact, v_exact, q0, interp.phi,
                        order=order, panels=panels)
-    lhs = weak_lhs(c_values, interp, mesh, grid)
+    lhs = weak_lhs(c_values, interp)
     return WeakGap(abs(lhs - rhs.total), lhs, rhs.total, rhs.init_term,
                    rhs.volume_term)

@@ -1,5 +1,5 @@
 """Discrete fields, smooth compactly supported test functions, their
-interpolates, L^p distances and the translate functionals.
+interpolates, L1 distances and the translate functionals.
 
 Discrete values live on the primal cells (scalars) or on faces (RT vectors,
 MAC normal components); the associated space-time function is piecewise
@@ -37,8 +37,6 @@ class SupportError(ValueError):
 class _LevelField:
     """Values per mesh entity for levels n = 0..N, finite and read-only."""
 
-    dual = None
-
     def __init__(self, mesh, grid, values, entity_shape):
         values = np.ascontiguousarray(values, dtype=float)
         shape = (grid.n_steps + 1,) + entity_shape
@@ -63,23 +61,29 @@ class CellScalarField(_LevelField):
         super().__init__(mesh, grid, values, (mesh.n_cells,))
 
 
-class FaceVectorFieldRT(_LevelField):
-    """Full velocity vector per face (RT layout), levels 0..N.  The RT
-    rules need the primal normals only, so the field carries no dual."""
+class _FaceField(_LevelField):
+    """A face velocity with the dual mesh of its layout, levels 0..N."""
 
-    def __init__(self, mesh, grid, values):
-        super().__init__(mesh, grid, values, (mesh.n_faces, 2))
+    components = ()
+
+    def __init__(self, mesh, grid, dual, values):
+        super().__init__(mesh, grid, values, (mesh.n_faces,) + self.components)
+        self.dual = dual
+
+
+class FaceVectorFieldRT(_FaceField):
+    """Full velocity vector per face (RT layout).  Its fluxes need only the
+    primal normals; the dual gives R2 its dual edges and splitting
+    constant."""
+
+    components = (2,)
 
     def sup_norm(self) -> float:
         return float(np.sqrt((self.values[:-1] ** 2).sum(-1)).max())
 
 
-class FaceScalarFieldMAC(_LevelField):
-    """Normal velocity component per face (MAC layout), levels 0..N."""
-
-    def __init__(self, mesh, grid, dual, values):
-        super().__init__(mesh, grid, values, (mesh.n_faces,))
-        self.dual = dual
+class FaceScalarFieldMAC(_FaceField):
+    """Normal velocity component per face (MAC layout)."""
 
 
 # ----------------------------------------------------------------------
@@ -325,19 +329,15 @@ def sample_cell_means(f, mesh, grid, order: int = DEFAULT_ORDER,
 class InterpolatedTest:
     """Discrete interpolates of a test function on a mesh/time grid.
 
-    phi_cell[n, P] are cell means of phi(., t_n) (or t_{n+1} for the
-    ``at_tn_plus_1`` variant), phi_face the face means, dt_phi the discrete
-    time derivative on slabs, and grad_phi the face-mean gradient
-    (1/|P|) sum |zeta| phi_zeta n_{P,zeta}.
+    phi_cell[n, P] are cell means of phi(., t_n), phi_face the face means,
+    and grad_phi the face-mean gradient (1/|P|) sum |zeta| phi_zeta n_{P,zeta}.
     """
 
     phi: TestFunction
     mesh: object
     grid: object
-    variant: str
     phi_cell: np.ndarray        # (N+1, NC)
     phi_face: np.ndarray        # (N+1, NF)
-    dt_phi: np.ndarray          # (N, NC)
     grad_phi: np.ndarray        # (N+1, NC, dim)
 
     def interior_support_clear(self) -> bool:
@@ -349,17 +349,14 @@ class InterpolatedTest:
         return not np.any(self.phi_face[:, faces] != 0.0)
 
 
-def interpolate_test(phi: TestFunction, mesh, grid, variant: str = "at_tn",
-                     order: int = DEFAULT_ORDER, panels: int = 4) -> InterpolatedTest:
-    """Build phi_P^n, phi_zeta^n, the slab time derivative and the
-    face-mean gradient.
+def interpolate_test(phi: TestFunction, mesh, grid, order: int = DEFAULT_ORDER,
+                     panels: int = 4) -> InterpolatedTest:
+    """Build phi_P^n, phi_zeta^n and the face-mean gradient.
 
     The cell/face rules are panelised (4 panels of the base order per axis
     by default): bump test functions have steep support edges and the
     face-mean gradient amplifies edge-quadrature error by 1/h.
     """
-    if variant not in ("at_tn", "at_tn_plus_1"):
-        raise ValueError(f"unknown interpolate variant {variant!r}")
     phi.validate_against(mesh, grid)
     cq = CellQuadrature(mesh, order, panels)
     fq = FaceQuadrature(mesh, order, panels)
@@ -369,12 +366,9 @@ def interpolate_test(phi: TestFunction, mesh, grid, variant: str = "at_tn",
     # phi on each rule's own points, its bumps evaluated once for all levels
     on_cells = phi.at(cq.flat_points())
     on_faces = phi.at(fq.points.reshape(-1, mesh.dim))
-    for n in range(n_lev):
-        t = grid.knots[min(n + 1, grid.n_steps)] if variant == "at_tn_plus_1" \
-            else grid.knots[n]
+    for n, t in enumerate(grid.knots):
         phi_cell[n] = cq.cell_means(on_cells.value(t))
         phi_face[n] = fq.face_means(on_faces.value(t))
-    dt_phi = np.diff(phi_cell, axis=0) / grid.steps[:, None]
     areas = mesh.face_measures[mesh.cell_faces]             # (NC, nf)
     weights = areas[:, :, None] * mesh.cell_face_normals    # (NC, nf, dim)
     face_vals = phi_face[:, mesh.cell_faces]                # (N+1, NC, nf)
@@ -383,9 +377,8 @@ def interpolate_test(phi: TestFunction, mesh, grid, variant: str = "at_tn",
     else:
         gsum = np.einsum("ncf,cfd->ncd", face_vals, weights)
     grad_phi = gsum / mesh.cell_volumes[None, :, None]
-    return InterpolatedTest(phi=phi, mesh=mesh, grid=grid, variant=variant,
-                            phi_cell=phi_cell, phi_face=phi_face,
-                            dt_phi=dt_phi, grad_phi=grad_phi)
+    return InterpolatedTest(phi=phi, mesh=mesh, grid=grid, phi_cell=phi_cell,
+                            phi_face=phi_face, grad_phi=grad_phi)
 
 
 # ----------------------------------------------------------------------
@@ -396,47 +389,29 @@ class LpDistance(NamedTuple):
     sup_field: float            # measured sup-norm of the discrete field
 
 
-def lp_distance(field: CellScalarField, ref: Callable, p=1,
+def lp_distance(field: CellScalarField, ref: Callable,
                 order: int = DEFAULT_ORDER, time_order: int = 4) -> LpDistance:
-    """L1 or Linf distance between a cell field and a continuous function
-    (a ``Reference`` or a plain ref(x, t)).
+    """L1 distance between a cell field and a continuous function (a
+    ``Reference`` or a plain ref(x, t)).
 
-    L1 uses per-cell / per-slab quadrature of |q_P^n - ref(x, t)| (the kink
-    where the two cross limits accuracy to a few percent, which is enough for
+    Per-cell / per-slab quadrature of |q_P^n - ref(x, t)| (the kink where
+    the two cross limits accuracy to a few percent, which is enough for
     convergence diagnostics), each slab summed over cells by numpy's
-    pairwise ``sum`` and the slabs added in step order; Linf is the max over
-    quadrature nodes, exact for piecewise-constant fields up to the sampling
-    of ref.
+    pairwise ``sum`` and the slabs added in step order.
     """
     mesh, grid = field.mesh, field.grid
-    if p == 1:
-        slab = SlabQuadrature(mesh, grid, order, time_order)
-        ev = _reference_at(ref, slab.cell.flat_points())
-        nodes = slab.cell.points.shape[:2]
+    slab = SlabQuadrature(mesh, grid, order, time_order)
+    ev = _reference_at(ref, slab.cell.flat_points())
+    nodes = slab.cell.points.shape[:2]
 
-        def integrand(steps, tn):
-            vals = ev(tn.ravel()).reshape(tn.shape + nodes)
-            return np.abs(field.values[steps][:, None, :, None] - vals)
+    def integrand(steps, tn):
+        vals = ev(tn.ravel()).reshape(tn.shape + nodes)
+        return np.abs(field.values[steps][:, None, :, None] - vals)
 
-        total = 0.0
-        for row in slab.slab_cell_integrals(integrand).sum(axis=1):
-            total += row
-        return LpDistance(float(total), field.sup_norm())
-    if p in (np.inf, "inf"):
-        quad = CellQuadrature(mesh, order)
-        ev = _reference_at(ref, quad.flat_points())
-        knots = grid.knots
-        worst = 0.0
-        for steps in chunk_slices(grid.n_steps, 2 * quad.weights.size):
-            t0 = knots[steps]
-            t1 = knots[steps.start + 1:steps.stop + 1]
-            times = np.stack([t0, 0.5 * (t0 + t1)], axis=1)
-            vals = ev(times.ravel()).reshape(times.shape + quad.points.shape[:2])
-            gaps = np.abs(field.values[steps][:, None, :, None] - vals)
-            for gap in gaps.max(axis=(2, 3)).ravel():
-                worst = max(worst, float(gap))
-        return LpDistance(worst, field.sup_norm())
-    raise ValueError(f"p must be 1 or inf, got {p!r}")
+    total = 0.0
+    for row in slab.slab_cell_integrals(integrand).sum(axis=1):
+        total += row
+    return LpDistance(float(total), field.sup_norm())
 
 
 # ----------------------------------------------------------------------

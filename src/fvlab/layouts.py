@@ -118,7 +118,7 @@ class _RT(Layout):
         vals = np.empty((grid.n_steps + 1, mesh.n_faces, 2))
         for n, t in enumerate(grid.knots):
             vals[n] = np.asarray(v_exact(mesh.face_midpoints, t), dtype=float)
-        return FaceVectorFieldRT(mesh, grid, vals)
+        return FaceVectorFieldRT(mesh, grid, dual, vals)
 
     def velocity_jumps(self, vv, mesh, dual, steps):
         # dual-edge weight C*diam(P)^2, C the realised splitting constant

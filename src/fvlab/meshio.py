@@ -76,6 +76,21 @@ def _header(lines, at, word, count):
     return tokens[1:]
 
 
+def _check_ids(what, columns, limits, bounds):
+    """Record ids (one array per column) lie in 0..limit-1, no two records
+    alike; the first offender, named `what` and its ids, is a format error."""
+    outside = np.zeros(len(columns[0]), dtype=bool)
+    for col, limit in zip(columns, limits):
+        outside |= (col < 0) | (col >= limit)
+    name = lambda i: f"{what} {','.join(str(col[i]) for col in columns)}"
+    if outside.any():
+        raise MeshFormatError(f"{name(np.argmax(outside))} is outside {bounds}")
+    key = np.ravel_multi_index(columns, limits)
+    repeated = np.bincount(key, minlength=int(np.prod(limits)))[key] > 1
+    if repeated.any():
+        raise MeshFormatError(f"{name(np.argmax(repeated))} is repeated")
+
+
 def _section(lines, at, word, fields):
     """The section "<word> n" at line `at`: its n records "<id> <fields>"
     ((name, type, count) each) in id order, and the line after them."""
@@ -94,14 +109,7 @@ def _section(lines, at, word, fields):
                               f"{word} record {bad[0]} has {len(bad)} "
                               f"fields, expected {width}") from None
     ids = rec["id"]
-    outside = (ids < 0) | (ids >= n)
-    if outside.any():
-        raise MeshFormatError(f"{word} record id {ids[np.argmax(outside)]} "
-                              f"is outside 0..{n - 1}")
-    repeated = np.bincount(ids, minlength=n)[ids] > 1
-    if repeated.any():
-        raise MeshFormatError(f"{word} record id "
-                              f"{ids[np.argmax(repeated)]} is repeated")
+    _check_ids(f"{word} record id", (ids,), (n,), f"0..{n - 1}")
     return rec[np.argsort(ids)], at + 1 + n
 
 
@@ -149,9 +157,10 @@ def save_field(fld, path):
 
 
 def load_field(path, mesh, grid, dual=None):
-    """Read a field saved by ``save_field``.  Each (entity, level) of the
-    mesh and grid needs exactly one record; an id outside them, a repeated
-    record or a record of the wrong width is a ``MeshFormatError``."""
+    """Read a field saved by ``save_field``, a face field with `dual`.  Each
+    (entity, level) of the mesh and grid needs exactly one record; an id
+    outside them, a repeated record or one of the wrong width is a
+    ``MeshFormatError``."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("# fvlab-field "):
@@ -176,21 +185,13 @@ def load_field(path, mesh, grid, dual=None):
                               f"field record {','.join(bad[:2])} has "
                               f"{len(bad)} fields, expected {2 + width}") from None
     entity, level = rec["entity"], rec["level"]
-    outside = (entity < 0) | (entity >= n_ent) | (level < 0) | (level >= n_lev)
-    if outside.any():
-        i = np.argmax(outside)
-        raise MeshFormatError(f"field record {entity[i]},{level[i]} is outside "
-                              f"entities 0..{n_ent - 1}, levels 0..{n_lev - 1}")
-    key = entity * n_lev + level
-    repeated = np.bincount(key, minlength=n_ent * n_lev)[key] > 1
-    if repeated.any():
-        i = np.argmax(repeated)
-        raise MeshFormatError(f"field record {entity[i]},{level[i]} is repeated")
+    _check_ids("field record", (entity, level), (n_ent, n_lev),
+               f"entities 0..{n_ent - 1}, levels 0..{n_lev - 1}")
     # every record in range and none repeated, with at least n_ent * n_lev
     # records: each (entity, level) has exactly one
     vals = np.empty((n_lev, n_ent, width))
     vals[level, entity] = rec["v"]
     values = vals if width > 1 else vals[:, :, 0]
-    if cls is FaceScalarFieldMAC:
-        return cls(mesh, grid, dual, values)
-    return cls(mesh, grid, values)
+    if cls is CellScalarField:
+        return cls(mesh, grid, values)
+    return cls(mesh, grid, dual, values)

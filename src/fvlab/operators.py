@@ -221,12 +221,13 @@ def flux_divergence(flux: FluxFamily) -> np.ndarray:
     return terms[:, :, 0] + terms[:, :, 1]
 
 
-def assemble_convection(betas: BetaFamily, flux: FluxFamily, mesh, grid) -> np.ndarray:
+def assemble_convection(betas: BetaFamily, flux: FluxFamily) -> np.ndarray:
     """C(U)_P^n = (d_t beta)_P^n + (1/|P|) sum |zeta| F_zeta^n . n_{P,zeta}."""
+    mesh = flux.mesh
     if np.any(~np.isfinite(flux.values)):
         idx = np.argwhere(~np.isfinite(flux.values.reshape(flux.values.shape[0], mesh.n_faces, -1)))
         raise ValueError(f"missing flux on face {int(idx[0][1])} at step {int(idx[0][0])}")
-    return dt_beta(betas, grid) + flux_divergence(flux) / mesh.cell_volumes[None, :]
+    return dt_beta(betas, betas.grid) + flux_divergence(flux) / mesh.cell_volumes[None, :]
 
 
 def telescoping_defect(flux: FluxFamily):

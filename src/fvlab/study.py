@@ -402,24 +402,22 @@ def _compute_level(config: StudyConfig, level: int, phi, rhs, base_reg):
     else:
         flux = flux_colocated_upwind_1d(q, policy=config.boundary_policy)
     betas = BetaFamily.from_field(q, pair)
-    c_values = assemble_convection(betas, flux, mesh, grid)
+    c_values = assemble_convection(betas, flux)
     interp = interpolate_test(phi, mesh, grid, order=config.quad_order,
                               panels=config.interp_panels)
-    x1 = compute_X1(betas, interp, mesh, grid)
-    x2 = compute_X2(flux, interp, mesh, grid, q=q, v=v, pair=pair, dual=dual)
-    init = residual_init(betas, q0, phi, mesh, pair, order=config.oracle_order)
-    times = residual_time(betas, q, phi, pair, mesh, grid,
-                          space_order=config.quad_order)
+    x1 = compute_X1(betas, interp)
+    x2 = compute_X2(flux, interp, q=q, v=v, pair=pair)
+    init = residual_init(betas, q0, phi, pair, order=config.oracle_order)
+    times = residual_time(betas, q, phi, pair, space_order=config.quad_order)
     rflux = residual_flux(flux, q, v, pair, mesh, grid, config.layout, dual)
-    jumps = jump_sums(q, v, mesh, dual, grid, config.layout)
+    jumps = jump_sums(q, v)
     weights = default_translate_weights(mesh, grid, theta=config.translate_theta)
     trans = translate_functional(q, weights)
-    gap = weak_form_gap(c_values, interp, (q_exact, v_exact, q0), pair, mesh,
-                        grid, rhs=rhs)
+    gap = weak_form_gap(c_values, interp, (q_exact, v_exact, q0), pair, rhs=rhs)
     sup_norm = q.sup_norm()
     if v is not None:
         sup_norm = max(sup_norm, v.sup_norm())
-    l1 = lp_distance(q, q_exact, p=1, order=config.quad_order).distance
+    l1 = lp_distance(q, q_exact, order=config.quad_order).distance
     report = ResidualReport(
         level=level, h=mesh.delta(), dt=grid.dt_max, theta1=reg.theta1,
         theta2=reg.theta2, theta3=reg.theta3, x1=x1.value, x2=x2.value,
@@ -466,8 +464,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     for (_, coarse), (report, fld) in zip(results, results[1:]):
         coarse_fn = _tensor_field_function(coarse)
         if coarse_fn is not None:
-            report.l1_cauchy = lp_distance(fld, coarse_fn, p=1,
-                                           order=2).distance
+            report.l1_cauchy = lp_distance(fld, coarse_fn, order=2).distance
     reports = [report for report, _ in results]
     return StudyResult(config=config, reports=reports, rates=fit_rates(reports))
 

@@ -126,7 +126,7 @@ def test_criterion_04_constant_state_exactness():
         for name in ("id", "square", "slogs"):
             pair = get_pair(name)
             c = assemble_convection(BetaFamily.from_field(q, pair),
-                                    flux_staggered(q, v, pair), mesh, grid)
+                                    flux_staggered(q, v, pair))
             assert np.all(c[:, mesh.interior_cell_mask] == 0.0)
     # every consistency residual column of the constant study is literally 0
     res = run_study(criterion7_config(levels=3, solution="constant",
@@ -188,7 +188,7 @@ def test_criterion_06_flux_residual_oracle_bitwise():
             v = FaceScalarFieldMAC(mesh, grid, dual,
                                    rng.normal(size=(4, mesh.n_faces)))
         else:
-            v = FaceVectorFieldRT(mesh, grid,
+            v = FaceVectorFieldRT(mesh, grid, dual,
                                   rng.normal(size=(4, mesh.n_faces, 2)))
         flux = flux_staggered(q, v, pair, scheme="centered")
         table = residual_flux_terms(flux, q, v, pair, mesh, grid, layout, dual)
@@ -259,7 +259,7 @@ def test_criterion_08_lax_wendroff_1d():
         lo, hi = 0.0, float(np.exp(-1.0))
         assert q.values.min() >= lo - 1e-15
         assert q.values.max() <= hi + 1e-15
-        l1.append(lp_distance(q, q_exact, p=1).distance)
+        l1.append(lp_distance(q, q_exact).distance)
     assert np.all(np.diff(l1) < 0)      # l1conv surrogate toward the limit
     ok(8, f"1D upwind: weak-gap slope {slope:.2f}, max principle at all "
           f"levels, L1 distance to the shifted solution decreasing")
@@ -281,20 +281,19 @@ def test_criterion_09_boundary_policy_independence():
         q, v = sample_manufactured(qf, vf, "mac", mesh, dual, grid)
         flux = flux_staggered(q, v, pair, policy=policy)
         betas = BetaFamily.from_field(q, pair)
-        c = assemble_convection(betas, flux, mesh, grid)
+        c = assemble_convection(betas, flux)
         phi = TestFunction(((0.2, 0.8), (0.2, 0.8)), 0.35)
         interp = interpolate_test(phi, mesh, grid)
-        x2 = compute_X2(flux, interp, mesh, grid, q=q, v=v, pair=pair,
-                        dual=dual)
-        init = residual_init(betas, lambda x: qf(x, 0.0), phi, mesh, pair)
-        times = residual_time(betas, q, phi, pair, mesh, grid)
-        js = jump_sums(q, v, mesh, dual, grid, "mac")
+        x2 = compute_X2(flux, interp, q=q, v=v, pair=pair)
+        init = residual_init(betas, lambda x: qf(x, 0.0), phi, pair)
+        times = residual_time(betas, q, phi, pair)
+        js = jump_sums(q, v)
         results[policy] = (
-            compute_X1(betas, interp, mesh, grid).value, x2.value,
+            compute_X1(betas, interp).value, x2.value,
             x2.gradient_route, init.signed, init.cellwise, times.signed,
             times.majorant,
             residual_flux(flux, q, v, pair, mesh, grid, "mac", dual),
-            js.r1, js.r2, weak_lhs(c, interp, mesh, grid))
+            js.r1, js.r2, weak_lhs(c, interp))
     assert results["upwind_zero"] == results["zero_flux"]
     ok(9, "all interior-restricted residuals bitwise unchanged across "
           "boundary flux policies")

@@ -45,7 +45,7 @@ def test_x1_constant_beta_zero():
     grid = build_time_grid(1.0, 4)
     betas = BetaFamily(mesh, grid, np.full((5, 16), 3.0))
     interp = interpolate_test(bump2d(), mesh, grid)
-    res = compute_X1(betas, interp, mesh, grid)
+    res = compute_X1(betas, interp)
     assert res.value == 0.0 and res.by_parts == 0.0
 
 
@@ -60,7 +60,7 @@ def test_x1_zero_interpolate():
     betas = BetaFamily(mesh, grid,
                        np.random.default_rng(0).normal(size=(5, 64)))
     interp = interpolate_test(Zero(((0.3, 0.7), (0.3, 0.7)), 0.5), mesh, grid)
-    assert compute_X1(betas, interp, mesh, grid).value == 0.0
+    assert compute_X1(betas, interp).value == 0.0
 
 
 def test_x1_linear_beta_against_double_loop_oracle():
@@ -68,7 +68,7 @@ def test_x1_linear_beta_against_double_loop_oracle():
     grid = build_time_grid(1.0, 8)
     betas = BetaFamily(mesh, grid, np.tile(grid.knots[:, None], (1, 64)))
     interp = interpolate_test(bump2d(), mesh, grid)
-    res = compute_X1(betas, interp, mesh, grid)
+    res = compute_X1(betas, interp)
     # independent double loop: dt_beta = 1, so X1 = sum dt |P| phi_P^n
     oracle = 0.0
     for n in range(grid.n_steps):
@@ -84,7 +84,7 @@ def test_x1_routes_agree_on_random_data():
     rng = np.random.default_rng(7)
     betas = BetaFamily(mesh, grid, rng.normal(size=(6, 36)))
     interp = interpolate_test(bump2d(), mesh, grid)
-    res = compute_X1(betas, interp, mesh, grid)  # raises on route mismatch
+    res = compute_X1(betas, interp)  # raises on route mismatch
     assert np.isfinite(res.value)
 
 
@@ -95,7 +95,7 @@ def test_x2_zero_flux():
     interp = interpolate_test(bump2d(), mesh, grid)
     zero = flux
     zero.values = np.zeros_like(flux.values)
-    res = compute_X2(zero, interp, mesh, grid, q=q, v=v, pair=pair, dual=dual)
+    res = compute_X2(zero, interp, q=q, v=v, pair=pair)
     assert res.value == 0.0
 
 
@@ -104,7 +104,7 @@ def test_x2_support_violation_raises():
     wide = TestFunction(((0.05, 0.95), (0.05, 0.95)), 0.35)
     interp = interpolate_test(wide, mesh, grid)
     with pytest.raises(SupportError):
-        compute_X2(flux, interp, mesh, grid)
+        compute_X2(flux, interp)
 
 
 def test_x2_constant_flux_two_routes():
@@ -117,7 +117,7 @@ def test_x2_constant_flux_two_routes():
         "mac", mesh, dual, grid)
     fluxc = flux_staggered(qc, vc, pair)
     interp = interpolate_test(bump2d(), mesh, grid)
-    res = compute_X2(fluxc, interp, mesh, grid, q=qc, v=vc, pair=pair, dual=dual)
+    res = compute_X2(fluxc, interp, q=qc, v=vc, pair=pair)
     # oracle: direct sum with the constant vector F = (0.8, -0.4)
     interior = mesh.interior_cell_mask
     direct = 0.0
@@ -151,8 +151,8 @@ def test_x2_route_agreement_manufactured():
         q, v = sample_manufactured(qf, vf, layout, mesh, dual, grid)
         flux = flux_staggered(q, v, pair, scheme="centered")
         interp = interpolate_test(bump2d(), mesh, grid)
-        res = compute_X2(flux, interp, mesh, grid, q=q, v=v, pair=pair,
-                         dual=dual)  # raises on >1e-10 mismatch
+        # raises on a >1e-10 route mismatch
+        res = compute_X2(flux, interp, q=q, v=v, pair=pair)
         assert np.isfinite(res.value)
         assert res.gradient_route == pytest.approx(res.value, rel=1e-10)
 
@@ -168,7 +168,7 @@ def test_residual_init_constant_q0():
                                "mac", mesh, build_dual_mac(mesh), grid)
     betas = BetaFamily.from_field(q, pair)
     res = residual_init(betas, lambda x: np.full(x.shape[0], 2.0),
-                        bump2d(), mesh, pair)
+                        bump2d(), pair)
     assert res.signed == 0.0
     assert res.cellwise == 0.0
     assert res.l1_majorant == 0.0
@@ -183,7 +183,7 @@ def test_residual_init_zero_initial_testfunction():
                                lambda x, t: np.zeros((x.shape[0], 2)),
                                "mac", mesh, build_dual_mac(mesh), grid)
     betas = BetaFamily.from_field(q, pair)
-    res = residual_init(betas, lambda x: x[:, 0], phi, mesh, pair)
+    res = residual_init(betas, lambda x: x[:, 0], phi, pair)
     assert res.signed == 0.0
 
 
@@ -200,7 +200,7 @@ def test_residual_init_decay_orders():
                                    lambda x, t: np.zeros((x.shape[0], 2)),
                                    "mac", mesh, build_dual_mac(mesh), grid)
         betas = BetaFamily.from_field(q, pair)
-        res = residual_init(betas, q0, bump2d(), mesh, pair)
+        res = residual_init(betas, q0, bump2d(), pair)
         assert abs(res.signed) <= res.cellwise * (1 + 1e-12)
         cellwise.append(res.cellwise)
         l1.append(res.l1_majorant)
@@ -219,7 +219,7 @@ def test_residual_time_constant_in_time():
     qc, _ = sample_manufactured(lambda x, t: x[:, 0] + x[:, 1],
                                 vf, "mac", mesh, dual, grid)
     betas = BetaFamily.from_field(qc, pair)
-    res = residual_time(betas, qc, bump2d(), pair, mesh, grid)
+    res = residual_time(betas, qc, bump2d(), pair)
     assert res.signed == 0.0 and res.majorant == 0.0
 
 
@@ -232,7 +232,7 @@ def test_residual_time_single_step():
                                lambda x, t: np.zeros((x.shape[0], 2)),
                                "mac", mesh, dual, grid)
     betas = BetaFamily.from_field(q, pair)
-    res = residual_time(betas, q, bump2d(), pair, mesh, grid)
+    res = residual_time(betas, q, bump2d(), pair)
     assert res.signed == 0.0 and res.majorant == 0.0
 
 
@@ -248,7 +248,7 @@ def test_residual_time_majorant_decay_and_ordering():
         q, _ = sample_manufactured(qf, lambda x, t: np.zeros((x.shape[0], 2)),
                                    "mac", mesh, dual, grid)
         betas = BetaFamily.from_field(q, pair)
-        res = residual_time(betas, q, bump2d(), pair, mesh, grid)
+        res = residual_time(betas, q, bump2d(), pair)
         assert abs(res.signed) <= res.majorant * (1 + 1e-12)
         vals.append(res.majorant)
         hs.append(grid.dt_max)
@@ -318,7 +318,7 @@ def test_residual_flux_bitwise_matches_enumeration(layout):
                                rng.normal(size=(4, mesh.n_faces)))
     else:
         from fvlab.fields import FaceVectorFieldRT
-        v = FaceVectorFieldRT(mesh, grid,
+        v = FaceVectorFieldRT(mesh, grid, dual,
                               rng.normal(size=(4, mesh.n_faces, 2)))
     flux = flux_staggered(q, v, pair, scheme="centered")
     table = residual_flux_terms(flux, q, v, pair, mesh, grid, layout, dual)
@@ -337,7 +337,7 @@ def test_jump_sums_constants():
         lambda x, t: np.broadcast_to(np.array([1.0, 1.0]),
                                      (x.shape[0], 2)).copy(),
         "mac", mesh, dual, grid)
-    res = jump_sums(qc, vc, mesh, dual, grid, "mac")
+    res = jump_sums(qc, vc)
     assert res.r1 == 0.0 and res.r2 == 0.0
 
 
@@ -345,7 +345,6 @@ def test_jump_sums_single_jump_closed_form():
     # single q-jump of 1 across one interior face of a uniform 2D mesh
     mesh = build_cartesian(4, 4)
     grid = build_time_grid(2.0, 4)
-    dual = build_dual_mac(mesh)
     vals = np.where(mesh.cell_centroids[:, 0] < 0.25, 1.0, 0.0)
     # jump across the three faces of the first column boundary... restrict to
     # a single face by a field that differs only across one face
@@ -364,7 +363,7 @@ def test_jump_sums_single_jump_closed_form():
                 break
     vals[c_b] = 1.0
     q = CellScalarField(mesh, grid, np.tile(vals, (5, 1)))
-    res = jump_sums(q, None, mesh, dual, grid, "colocated1d")
+    res = jump_sums(q, None)
     # oracle: cell c_b has up to 4 interior faces each with jump 1
     direct = 0.0
     for n in range(grid.n_steps):
@@ -388,7 +387,7 @@ def test_jump_sums_mac_quiet_direction():
     vf = lambda x, t: np.stack([np.sin(3.0 * x[:, 0]),
                                 np.zeros(x.shape[0])], axis=-1)
     q, v = sample_manufactured(lambda x, t: x[:, 0], vf, "mac", mesh, dual, grid)
-    res = jump_sums(q, v, mesh, dual, grid, "mac")
+    res = jump_sums(q, v)
     # oracle: direction-1 only (left/right opposite pairs)
     direct = 0.0
     cf = mesh.cell_faces
@@ -410,7 +409,7 @@ def test_jump_sums_rt_constant_and_weights():
     qf = lambda x, t: x[:, 0]
     vf = lambda x, t: np.stack([x[:, 1], x[:, 0]], axis=-1)
     q, v = sample_manufactured(qf, vf, "rt", mesh, rt, grid)
-    res = jump_sums(q, v, mesh, rt, grid, "rt")
+    res = jump_sums(q, v)
     assert res.rt_constant == 3
     # oracle: per cell, 4 adjacent dual-edge jumps with weight 3*diam^2
     direct = 0.0
@@ -436,7 +435,7 @@ def test_majorant_ordering_flux_vs_jumps():
         q, v = sample_manufactured(qf, vf, layout, mesh, dual, grid)
         flux = flux_staggered(q, v, pair, scheme="upwind")
         r = residual_flux(flux, q, v, pair, mesh, grid, layout, dual)
-        js = jump_sums(q, v, mesh, dual, grid, layout)
+        js = jump_sums(q, v)
         c_meas = measured_constant(q, v, pair)
         assert r <= c_meas * (js.r1 + js.r2) * (1 + 1e-12)
 
@@ -454,10 +453,10 @@ def test_weak_gap_constant_fields_quadrature_floor():
     q, v = sample_manufactured(qf, vf, "mac", mesh, dual, grid)
     flux = flux_staggered(q, v, pair)
     betas = BetaFamily.from_field(q, pair)
-    c = assemble_convection(betas, flux, mesh, grid)
+    c = assemble_convection(betas, flux)
     interp = interpolate_test(bump2d(), mesh, grid)
     res = weak_form_gap(c, interp, (qf, vf, lambda x: qf(x, 0.0)), pair,
-                        mesh, grid, panels=24)
+                        panels=24)
     assert res.lhs == 0.0
     assert res.gap <= 1e-12
 
@@ -470,10 +469,9 @@ def test_weak_gap_zero_testfunction():
             return np.zeros(np.shape(t))
 
     betas = BetaFamily.from_field(q, pair)
-    c = assemble_convection(betas, flux, mesh, grid)
+    c = assemble_convection(betas, flux)
     interp = interpolate_test(Zero(((0.3, 0.7), (0.3, 0.7)), 0.35), mesh, grid)
-    res = weak_form_gap(c, interp, (qf, vf, lambda x: qf(x, 0.0)), pair,
-                        mesh, grid)
+    res = weak_form_gap(c, interp, (qf, vf, lambda x: qf(x, 0.0)), pair)
     assert res.gap == 0.0
 
 
@@ -492,10 +490,9 @@ def test_weak_gap_manufactured_decay():
         q, v = sample_manufactured(qf, vf, "mac", mesh, dual, grid)
         flux = flux_staggered(q, v, pair)
         betas = BetaFamily.from_field(q, pair)
-        c = assemble_convection(betas, flux, mesh, grid)
+        c = assemble_convection(betas, flux)
         interp = interpolate_test(bump2d(), mesh, grid)
-        res = weak_form_gap(c, interp, (qf, vf, lambda x: qf(x, 0.0)),
-                            pair, mesh, grid)
+        res = weak_form_gap(c, interp, (qf, vf, lambda x: qf(x, 0.0)), pair)
         gaps.append(res.gap)
         hs.append(mesh.delta() + grid.dt_max)
     rate = np.polyfit(np.log(hs), np.log(gaps), 1)[0]
@@ -517,14 +514,13 @@ def test_boundary_policy_independence_bitwise():
         q, v = sample_manufactured(qf, vf, "mac", mesh, dual, grid)
         flux = flux_staggered(q, v, pair, policy=policy)
         betas = BetaFamily.from_field(q, pair)
-        c = assemble_convection(betas, flux, mesh, grid)
+        c = assemble_convection(betas, flux)
         interp = interpolate_test(bump2d(), mesh, grid)
-        x1 = compute_X1(betas, interp, mesh, grid).value
-        x2 = compute_X2(flux, interp, mesh, grid, q=q, v=v, pair=pair,
-                        dual=dual).value
+        x1 = compute_X1(betas, interp).value
+        x2 = compute_X2(flux, interp, q=q, v=v, pair=pair).value
         r = residual_flux(flux, q, v, pair, mesh, grid, "mac", dual)
-        js = jump_sums(q, v, mesh, dual, grid, "mac")
-        lhs = weak_lhs(c, interp, mesh, grid)
+        js = jump_sums(q, v)
+        lhs = weak_lhs(c, interp)
         results[policy] = (x1, x2, r, js.r1, js.r2, lhs)
     a, b = results["upwind_zero"], results["zero_flux"]
     assert a == b
@@ -551,9 +547,8 @@ def test_x1_x2_converge_to_their_separate_limits():
         interp = interpolate_test(phi, mesh, grid)
         betas = BetaFamily.from_field(q, pair)
         flux = flux_staggered(q, v, pair)
-        x1 = compute_X1(betas, interp, mesh, grid).value
-        x2 = compute_X2(flux, interp, mesh, grid, q=q, v=v, pair=pair,
-                        dual=dual).value
+        x1 = compute_X1(betas, interp).value
+        x2 = compute_X2(flux, interp, q=q, v=v, pair=pair).value
         # the limits of the X1 and X2 pairings: -int beta(q0) phi(., 0)
         # - int int beta d_t phi, and -int int f(q, v) . grad phi
         e1.append(abs(x1 - (rhs.init_term + rhs.volume_time)))
@@ -573,7 +568,7 @@ def test_x1_guard_fires_on_one_corrupt_time_derivative(monkeypatch):
     mesh, grid, dual, pair, q, v, flux, qf, vf = manufactured_mac(8)
     interp = interpolate_test(bump2d(), mesh, grid)
     betas = BetaFamily.from_field(q, pair)
-    compute_X1(betas, interp, mesh, grid)
+    compute_X1(betas, interp)
     centre = int(np.argmax(interp.phi_cell[0]))
     real = consistency.dt_beta
 
@@ -584,13 +579,13 @@ def test_x1_guard_fires_on_one_corrupt_time_derivative(monkeypatch):
 
     monkeypatch.setattr(consistency, "dt_beta", corrupt)
     with pytest.raises(RouteMismatchError, match="X1"):
-        compute_X1(betas, interp, mesh, grid)
+        compute_X1(betas, interp)
 
 
 def test_x2_guard_fires_on_one_corrupt_face_flux(monkeypatch):
     mesh, grid, dual, pair, q, v, flux, qf, vf = manufactured_mac(8)
     interp = interpolate_test(bump2d(), mesh, grid)
-    compute_X2(flux, interp, mesh, grid, q=q, v=v, pair=pair, dual=dual)
+    compute_X2(flux, interp, q=q, v=v, pair=pair)
     centre = int(np.argmax(interp.phi_cell[0]))
     real = consistency.flux_dot_n
 
@@ -601,7 +596,7 @@ def test_x2_guard_fires_on_one_corrupt_face_flux(monkeypatch):
 
     monkeypatch.setattr(consistency, "flux_dot_n", corrupt)
     with pytest.raises(RouteMismatchError, match="X2"):
-        compute_X2(flux, interp, mesh, grid, q=q, v=v, pair=pair, dual=dual)
+        compute_X2(flux, interp, q=q, v=v, pair=pair)
 
 
 class _MeshView:
@@ -617,7 +612,7 @@ class _MeshView:
 
 def test_r1_guard_fires_on_one_dropped_face_pairing():
     mesh, grid, dual, pair, q, v, flux, qf, vf = manufactured_mac(8)
-    jump_sums(q, v, mesh, dual, grid, "mac")
+    jump_sums(q, v)
     # the face route loses one interior face; the cell route keeps it
     mask = mesh.interior_face_mask.copy()
     fc = mesh.face_cells
@@ -626,7 +621,7 @@ def test_r1_guard_fires_on_one_dropped_face_pairing():
     mask[int(np.argmax(jumps))] = False
     view = _MeshView(mesh, interior_face_mask=mask)
     with pytest.raises(RouteMismatchError, match="R1"):
-        jump_sums(q, v, view, dual, grid, "mac")
+        jump_sums(CellScalarField(view, grid, q.values), v)
 
 
 def test_weak_rhs_self_check_warns_on_coarse_rule():

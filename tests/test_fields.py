@@ -11,7 +11,7 @@ from _oracles import (CLOSED_FORMS, assert_bitwise, l1_distance_per_slab,
 from _strategies import interval_meshes, perturbed_meshes, time_grids
 from fvlab.fields import (SupportError, TestFunction, interpolate_test,
                           lp_distance, sample_cell_means)
-from fvlab.geometry import build_cartesian, build_intervals, build_time_grid
+from fvlab.geometry import build_cartesian, build_time_grid
 from fvlab.quadrature import CellQuadrature, gauss_legendre
 from fvlab.study import manufactured_solution
 
@@ -240,8 +240,8 @@ def test_gradient_of_constant_is_zero_on_rectangles():
 
 def test_dt_phi_uniform_convergence_order():
     # sup |dt_phi - exact d_t phi at (centroid, t_n)| decays under combined
-    # refinement; asymptotic order 1, measured past the bump-edge
-    # preasymptotic level
+    # refinement, dt_phi the slab difference quotient of the cell means;
+    # asymptotic order 1, measured past the bump-edge preasymptotic level
     errs = []
     hs = []
     for n in (16, 32, 64):
@@ -249,25 +249,16 @@ def test_dt_phi_uniform_convergence_order():
         grid = build_time_grid(1.0, n)
         phi = bump2d()
         interp = interpolate_test(phi, mesh, grid, panels=2)
+        dt_phi = np.diff(interp.phi_cell, axis=0) / grid.steps[:, None]
         worst = 0.0
         for m in range(grid.n_steps):
             exact = phi.dt(mesh.cell_centroids, grid.knots[m])
-            worst = max(worst, float(np.abs(interp.dt_phi[m] - exact).max()))
+            worst = max(worst, float(np.abs(dt_phi[m] - exact).max()))
         errs.append(worst)
         hs.append(mesh.delta() + grid.dt_max)
     assert errs[1] < errs[0] and errs[2] < errs[1]
     rate = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert rate >= 0.85
-
-
-def test_interpolate_variant_shifts_sample_time():
-    mesh = build_cartesian(8, 8)
-    grid = build_time_grid(1.0, 4)
-    phi = bump2d()
-    a = interpolate_test(phi, mesh, grid, variant="at_tn")
-    b = interpolate_test(phi, mesh, grid, variant="at_tn_plus_1")
-    assert np.array_equal(b.phi_cell[0], a.phi_cell[1])
-    assert np.array_equal(b.phi_cell[grid.n_steps - 1], a.phi_cell[grid.n_steps])
 
 
 # ---------------------------------------------------------------- distances
@@ -276,7 +267,7 @@ def test_lp_distance_zero_for_sampled_constant():
     mesh = build_cartesian(4, 4)
     grid = build_time_grid(1.0, 2)
     q = sample_cell_means(lambda x, t: np.full(x.shape[0], 2.5), mesh, grid)
-    res = lp_distance(q, lambda x, t: np.full(x.shape[0], 2.5), p=1)
+    res = lp_distance(q, lambda x, t: np.full(x.shape[0], 2.5))
     assert res.distance == 0.0
     assert res.sup_field == 2.5
 
@@ -285,7 +276,7 @@ def test_lp_distance_l1_constant_gap():
     mesh = build_cartesian(4, 4)
     grid = build_time_grid(1.0, 4)
     zero = sample_cell_means(lambda x, t: np.zeros(x.shape[0]), mesh, grid)
-    res = lp_distance(zero, lambda x, t: np.ones(x.shape[0]), p=1)
+    res = lp_distance(zero, lambda x, t: np.ones(x.shape[0]))
     assert abs(res.distance - 1.0) < 1e-12
 
 
@@ -293,7 +284,7 @@ def test_lp_distance_l1_cell_mean_of_x():
     mesh = build_cartesian(8, 8)
     grid = build_time_grid(1.0, 1)
     q = sample_cell_means(lambda x, t: x[:, 0], mesh, grid)
-    res = lp_distance(q, lambda x, t: x[:, 0], p=1)
+    res = lp_distance(q, lambda x, t: x[:, 0])
     # per cell: integral of |x1 - centroid| = h^3/4, 64 cells, T = 1
     expect = 64 * (1.0 / 8) ** 3 / 4
     assert res.distance == pytest.approx(expect, rel=0.05)
@@ -305,8 +296,8 @@ def test_lp_distance_l1_cell_mean_of_x():
 def test_reference_evaluator_matches_plain_closure(data, name):
     # a solution's evaluator (Reference.at) against its closed form as a
     # plain f(x, t), called once per time: equal bytes for the sampled cell
-    # means (also against one cell_means per knot), for the L1 and Linf
-    # distances, and for the L1 distance of one call per Gauss time; the
+    # means (also against one cell_means per knot), for the L1 distance,
+    # and for the L1 distance of one call per Gauss time; the
     # order-2 sampling may warn of its order+2 check, which is not tested
     ref = manufactured_solution(name)["q"]
     plain = CLOSED_FORMS[name]
@@ -321,16 +312,8 @@ def test_reference_evaluator_matches_plain_closure(data, name):
     quad = CellQuadrature(mesh, 2)
     assert_bitwise(q.values, [quad.cell_means(quad.values(plain, t))
                               for t in grid.knots])
-    for p in (1, np.inf):
-        assert_bitwise(lp_distance(q, ref, p=p).distance,
-                       lp_distance(q, plain, p=p).distance)
+    assert_bitwise(lp_distance(q, ref).distance,
+                   lp_distance(q, plain).distance)
     assert_bitwise(lp_distance(q, ref).distance,
                    l1_distance_per_slab(q, plain))
 
-
-def test_lp_distance_linf():
-    mesh = build_intervals(8)
-    grid = build_time_grid(1.0, 2)
-    q = sample_cell_means(lambda x, t: np.zeros(x.shape[0]), mesh, grid)
-    res = lp_distance(q, lambda x, t: x[:, 0], p=np.inf)
-    assert 0.9 < res.distance <= 1.0

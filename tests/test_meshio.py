@@ -11,9 +11,9 @@ from _oracles import ScalarFaceMesh, scalar_mesh_identities
 from fvlab.cli import main
 from fvlab.fields import CellScalarField, FaceScalarFieldMAC, FaceVectorFieldRT
 from fvlab.geometry import (MeshConstructionError, PrimalMesh,
-                            build_cartesian, build_dual_mac, build_intervals,
-                            build_perturbed_quads, build_time_grid,
-                            check_mesh_identities)
+                            build_cartesian, build_dual_mac, build_dual_rt,
+                            build_intervals, build_perturbed_quads,
+                            build_time_grid, check_mesh_identities)
 from fvlab.meshio import (MeshFormatError, load_field, load_mesh, save_field,
                           save_mesh)
 
@@ -241,18 +241,22 @@ def test_truncated_file_rejected(tmp_path):
 def test_field_round_trips(tmp_path):
     mesh = build_cartesian(3, 3)
     grid = build_time_grid(1.0, 2)
-    dual = build_dual_mac(mesh)
+    mac, rt = build_dual_mac(mesh), build_dual_rt(mesh)
     rng = np.random.default_rng(4)
     cases = [
-        CellScalarField(mesh, grid, rng.normal(size=(3, 9))),
-        FaceVectorFieldRT(mesh, grid, rng.normal(size=(3, mesh.n_faces, 2))),
-        FaceScalarFieldMAC(mesh, grid, dual, rng.normal(size=(3, mesh.n_faces))),
+        (CellScalarField(mesh, grid, rng.normal(size=(3, 9))), None),
+        (FaceVectorFieldRT(mesh, grid, rt,
+                           rng.normal(size=(3, mesh.n_faces, 2))), rt),
+        (FaceScalarFieldMAC(mesh, grid, mac,
+                            rng.normal(size=(3, mesh.n_faces))), mac),
     ]
-    for i, fld in enumerate(cases):
+    for i, (fld, dual) in enumerate(cases):
         path = tmp_path / f"field{i}.csv"
         save_field(fld, path)
         back = load_field(path, mesh, grid, dual=dual)
+        assert type(back) is type(fld)
         assert np.array_equal(back.values, fld.values)
+        assert getattr(back, "dual", None) is dual
         assert path.read_text().splitlines()[1].startswith("entity,level,")
 
 

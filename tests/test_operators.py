@@ -125,7 +125,7 @@ def test_flux_staggered_matches_face_value_oracle(layout, scheme, lam):
         # tie rule shows
         tangent = mesh.face_normals[::5, ::-1] * np.array([-1.0, 1.0])
         vel[:, ::5] = rng.normal(size=(4, tangent.shape[0], 1)) * tangent
-        v = FaceVectorFieldRT(mesh, grid, vel)
+        v = FaceVectorFieldRT(mesh, grid, build_dual_rt(mesh), vel)
     else:
         v = FaceScalarFieldMAC(mesh, grid, build_dual_mac(mesh), vel)
     pair = get_pair("square")
@@ -239,6 +239,16 @@ def test_flux_mesh_mismatch():
         flux_staggered(q_other, v, get_pair("id"))
 
 
+@pytest.mark.parametrize("layout", ["mac", "rt"])
+def test_staggered_flux_carries_the_velocity_dual(layout):
+    # the stages read layout and dual from the flux, so both must come
+    # from the velocity field
+    mesh, grid, dual, q, v = constant_setup(layout=layout)
+    flux = flux_staggered(q, v, get_pair("id"))
+    assert v.dual is dual and flux.dual is dual
+    assert flux.layout == layout
+
+
 # ---------------------------------------------------------------- assembly
 
 def test_constant_state_interior_exact_zero():
@@ -248,7 +258,7 @@ def test_constant_state_interior_exact_zero():
             pair = get_pair(pname)
             betas = BetaFamily.from_field(q, pair)
             flux = flux_staggered(q, v, pair)
-            c = assemble_convection(betas, flux, mesh, grid)
+            c = assemble_convection(betas, flux)
             assert np.all(c[:, mesh.interior_cell_mask] == 0.0)
 
 
@@ -258,7 +268,7 @@ def test_zero_flux_linear_beta_gives_one():
     betas = BetaFamily(mesh, grid, np.tile(grid.knots[:, None], (1, 4)))
     u = CellScalarField(mesh, grid, np.zeros((5, 4)))
     flux = flux_colocated_upwind_1d(u)
-    c = assemble_convection(betas, flux, mesh, grid)
+    c = assemble_convection(betas, flux)
     assert np.abs(c - 1.0).max() < 1e-14
 
 
@@ -288,7 +298,7 @@ def test_missing_flux_names_face():
     broken[0, 7] = np.nan
     flux.values = broken
     with pytest.raises(ValueError, match="face 7"):
-        assemble_convection(betas, flux, mesh, grid)
+        assemble_convection(betas, flux)
 
 
 @st.composite
@@ -334,7 +344,7 @@ def test_mac_rt_agreement_constant_axis_aligned_velocity():
     q1, v1 = sample_manufactured(qf, vf, "mac", mesh, mac, grid)
     q2, v2 = sample_manufactured(qf, vf, "rt", mesh, rt, grid)
     c1 = assemble_convection(BetaFamily.from_field(q1, pair),
-                             flux_staggered(q1, v1, pair), mesh, grid)
+                             flux_staggered(q1, v1, pair))
     c2 = assemble_convection(BetaFamily.from_field(q2, pair),
-                             flux_staggered(q2, v2, pair), mesh, grid)
+                             flux_staggered(q2, v2, pair))
     assert np.array_equal(c1, c2)

@@ -206,7 +206,7 @@ def test_sample_manufactured_l1_convergence():
         dual = build_dual_mac(mesh)
         q, _ = sample_manufactured(
             qf, lambda x, t: np.zeros((x.shape[0], 2)), "mac", mesh, dual, grid)
-        dists.append(lp_distance(q, qf, p=1).distance)
+        dists.append(lp_distance(q, qf).distance)
         hs.append(mesh.delta() + grid.dt_max)
     rates = np.diff(np.log(dists)) / np.diff(np.log(hs))
     assert np.all(rates >= 0.9)
