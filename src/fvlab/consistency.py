@@ -24,12 +24,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import InterpolatedTest, SupportError
+from .fields import InterpolatedTest, SupportError, _reference_at
 from .geometry import LOCAL_OPPOSITE
 from .layouts import COLOCATED_1D, get_layout, layout_of
 from .operators import BetaFamily, FluxFamily, dt_beta, flux_divergence, flux_dot_n
 from .quadrature import (DEFAULT_ORDER, ORACLE_ORDER, BoxQuadrature,
-                         CellQuadrature, SlabQuadrature)
+                         CellQuadrature, SlabQuadrature, tensor_points)
 
 __all__ = [
     "compute_X1", "compute_X2", "residual_init", "residual_time",
@@ -341,6 +341,7 @@ class WeakRhs(NamedTuple):
     volume_term: float
     volume_time: float = np.nan     # -int int beta(q) d_t phi
     volume_space: float = np.nan    # -int int g(q) v . grad phi
+    check_delta: float = np.nan     # |volume - volume at order+2|; NaN unchecked
 
 
 def weak_rhs(pair, q_exact, v_exact, q0, phi,
@@ -351,13 +352,21 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
 
     Both terms use mesh-independent panelised rules over the support box of
     phi (the limit object does not depend on the discretisation level; the
-    integrands vanish outside the support).  The limit fields are evaluated
-    once per box node; phi, d_t phi and grad phi come from the bumps and the
-    time factor on each axis's 1D nodes (``TestFunction.at_grid``), formed
-    in the product order of ``TestFunction``, so they equal
+    integrands vanish outside the support).  The space-time box is a tensor
+    grid of spatial nodes x time nodes, and the limit fields are evaluated
+    on it as such: a ``Reference`` q or v forms its x-only part once per
+    spatial node and combines it with each time node
+    (``Reference.on_grid``), while a plain closure is called once on every
+    box node.  phi, d_t phi and grad phi come from the bumps and the time
+    factor on each axis's 1D nodes (``TestFunction.at_grid``), formed in
+    the product order of ``TestFunction``, so they equal
     ``phi.value/dt/grad`` at the nodes bit for bit.  Each term is one flat
     weighted sum of the integrand in the C order of the box nodes
     (``BoxQuadrature.integrate``), independent of the BLAS thread count.
+
+    With ``check`` the volume term is integrated again at order+2; the
+    difference is returned as ``check_delta`` and a warning is emitted
+    when it exceeds 1e-7 (1 + |volume|).
     """
     dim = phi.dim
     space_box = BoxQuadrature(list(phi.support), panels, order)
@@ -367,28 +376,32 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
 
     def volume_integrals(box):
         """int beta(q) d_t phi and int g(q) v . grad phi over the box."""
-        x, t = box.points[:, :dim], box.points[:, dim]
-        on_box = phi.at_grid(box.grid_axes[:dim])
+        x = tensor_points(box.grid_axes[:dim])
         t_axis = box.grid_axes[dim]
-        qb = np.asarray(q_exact(x, t), dtype=float)
+        on_box = phi.at_grid(box.grid_axes[:dim])
+        qb = np.asarray(_reference_at(q_exact, x, t_axis.ravel()),
+                        dtype=float).ravel()
         dt_phi = on_box.dt(t_axis).ravel()
         grad = on_box.grad(t_axis).reshape(-1, dim)
         if v_exact is None:
             space = pair.flux(qb) * grad[:, 0]
         else:
-            vv = np.asarray(v_exact(x, t), dtype=float)
+            vv = np.asarray(_reference_at(v_exact, x, t_axis.ravel()),
+                            dtype=float).reshape(-1, dim)
             space = pair.g(qb) * np.einsum("nd,nd->n", vv, grad)
         return box.integrate(pair.beta(qb) * dt_phi), box.integrate(space)
 
     time_int, space_int = volume_integrals(BoxQuadrature(bounds, panels, order))
     vol_time, vol_space = -time_int, -space_int
     volume = vol_time + vol_space
+    delta = np.nan
     if check:
         vol2 = -sum(volume_integrals(BoxQuadrature(bounds, panels, order + 2)))
-        if abs(volume - vol2) > 1e-7 * (1.0 + abs(volume)):
+        delta = abs(volume - vol2)
+        if delta > 1e-7 * (1.0 + abs(volume)):
             warnings.warn(f"weak-form volume quadrature disagreement "
-                          f"{abs(volume - vol2):.3e}", stacklevel=2)
-    return WeakRhs(init + volume, init, volume, vol_time, vol_space)
+                          f"{delta:.3e}", stacklevel=2)
+    return WeakRhs(init + volume, init, volume, vol_time, vol_space, delta)
 
 
 def weak_lhs(c_values: np.ndarray, interp: InterpolatedTest) -> float:

@@ -258,30 +258,67 @@ class Reference:
     """f(x, t) = combine(space(x), t), with the x-only part split off so
     that it is formed once per point set.
 
-    ``f(x, t)`` calls ``combine(space(x), t)``; t is a scalar or one time
-    per point.  ``f.at(points)`` forms ``space(points)`` once and returns
-    the evaluator ``ev(times)``, shaped (len(times), len(points)), that
-    calls ``combine`` with the times on a leading axis.  Both evaluate each
-    value by the same operations, so they agree bit for bit.
+    ``space(points)`` has one row per point, shaped (M,) for a scalar f and
+    (M, m) for an m-vector.  Three evaluations share one broadcasting rule:
+    the times get one trailing unit axis per component axis of the space
+    part, and the result of ``combine`` is copied out to the joint shape, so
+    a steady ``combine`` may return the space part itself.
+
+    * ``f(x, t)``, t a scalar or one time per point: shaped (M,) + C;
+    * ``f.at(points)``, the evaluator ``ev(times)`` with the times on a
+      leading axis: shaped (len(times), M) + C;
+    * ``f.on_grid(points, times)``, the tensor grid of points x times in C
+      order with time fastest: shaped (M, len(times)) + C.
+
+    All three evaluate each value by the same operations, so they agree
+    bit for bit.
     """
 
     def __init__(self, space: Callable, combine: Callable):
         self.space = space
         self.combine = combine
 
+    def _combine(self, s, t, n_comp):
+        t = np.asarray(t, dtype=float)
+        t = t.reshape(t.shape + (1,) * n_comp)
+        out = np.asarray(self.combine(s, t))
+        shape = np.broadcast_shapes(out.shape, np.shape(s), t.shape)
+        # fill the axes a steady combine leaves out by block copies
+        out = out.reshape((1,) * (len(shape) - out.ndim) + out.shape)
+        for axis, n in enumerate(shape):
+            if out.shape[axis] != n:
+                out = np.repeat(out, n, axis=axis)
+        return out
+
     def __call__(self, x, t):
-        return self.combine(self.space(np.atleast_2d(x)), np.asarray(t))
+        s = self.space(np.atleast_2d(x))
+        return self._combine(s, t, s.ndim - 1)
 
     def at(self, points) -> Callable:
         s = self.space(np.atleast_2d(points))
-        return lambda times: self.combine(
-            s, np.asarray(times, dtype=float)[:, None])
+        return lambda times: self._combine(
+            s, np.asarray(times, dtype=float)[:, None], s.ndim - 1)
+
+    def on_grid(self, points, times) -> np.ndarray:
+        s = self.space(np.atleast_2d(points))
+        return self._combine(s[:, None], times, s.ndim - 1)
 
 
-def _reference_at(ref, points) -> Callable:
-    """The evaluator of ref on the fixed points: ``ref.at(points)`` when ref
-    has one, else one ``ref(points, t)`` call per time, stacked; either way
-    ``ev(times)`` is shaped (len(times), len(points))."""
+def _reference_at(ref, points, times=None):
+    """ref on the fixed points.  Without times, the evaluator ``ev(times)``,
+    shaped (len(times), len(points)) + C: ``ref.at(points)`` when ref has
+    one, else one ``ref(points, t)`` call per time, stacked.  With times,
+    the values on the tensor grid points x times, shaped (len(points),
+    len(times)) + C with time fastest: ``ref.on_grid`` when ref has one,
+    else one ``ref(x, t)`` call on every grid node."""
+    if times is not None:
+        on_grid = getattr(ref, "on_grid", None)
+        if on_grid is not None:
+            return on_grid(points, times)
+        times = np.asarray(times, dtype=float)
+        vals = np.asarray(ref(np.repeat(points, times.size, axis=0),
+                              np.tile(times, len(points))), dtype=float)
+        return vals.reshape((len(points), times.size) + vals.shape[1:])
     at = getattr(ref, "at", None)
     if at is not None:
         return at(points)

@@ -29,7 +29,7 @@ constant integrand reproduces the constant bitwise.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -71,6 +71,17 @@ def chunk_slices(n: int, per_item: int):
     item and at most ``CHUNK_VALUES // per_item`` items."""
     step = max(1, CHUNK_VALUES // max(1, per_item))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def tensor_points(axes) -> np.ndarray:
+    """The nodes of the tensor grid spanned by per-axis coordinates laid
+    along their own dimensions (as ``BoxQuadrature.grid_axes``), one row
+    per node in C order."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
+    points = np.empty(shape + (len(axes),))
+    for d, nodes in enumerate(axes):
+        points[..., d] = nodes
+    return points.reshape(-1, len(axes))
 
 
 class CellQuadrature:
@@ -246,15 +257,17 @@ class BoxQuadrature:
         along = [[-1 if e == d else 1 for e in range(k)] for d in range(k)]
         self.grid_axes = [nodes.reshape(along[d])
                           for d, (nodes, _) in enumerate(axes)]
-        points = np.empty(tuple(nodes.size for nodes, _ in axes) + (k,))
-        for d, nodes in enumerate(self.grid_axes):
-            points[..., d] = nodes
-        self.points = points.reshape(-1, k)
         # weight products in axis order, (w_0 * w_1) * w_2
         self.weights = reduce(np.multiply, [
             weights.reshape(along[d])
             for d, (_, weights) in enumerate(axes)]).ravel()
         self.bounds = bounds
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The box nodes, one row per node in C order; built on first use
+        only, callers that can work per axis use ``grid_axes``."""
+        return tensor_points(self.grid_axes)
 
     def integrate(self, vals) -> float:
         """Integral over the box of the values on ``points``.  The sum is

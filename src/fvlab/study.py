@@ -57,29 +57,34 @@ class StudyRegularityError(RuntimeError):
 # ----------------------------------------------------------------------
 # manufactured solutions
 
-# the q of each solution is a Reference: its x-only factor, formed once per
-# point set, and the rest of the closed form in its left-to-right order
+# the q and v of each solution are References: the x-only factor, formed
+# once per point set, and the rest of the closed form in its left-to-right
+# order; the steady velocities combine to their x-only part
+_STEADY = lambda s, t: s
+_UNIFORM_V = Reference(lambda x: np.broadcast_to(np.array([1.0, 0.5]),
+                                                 (x.shape[0], 2)).copy(),
+                       _STEADY)
+
 SOLUTIONS = {
     "constant": dict(
         dim=2,
         q=lambda x, t: np.full(x.shape[0], 2.0),
-        v=lambda x, t: np.broadcast_to(np.array([1.0, 0.5]),
-                                       (x.shape[0], 2)).copy()),
+        v=_UNIFORM_V),
     "sinsin_cos": dict(
         dim=2,
         q=Reference(lambda x: np.sin(np.pi * x[:, 0])
                     * np.sin(np.pi * x[:, 1]),
                     lambda s, t: s * np.cos(t)),
-        v=lambda x, t: np.broadcast_to(np.array([1.0, 0.5]),
-                                       (x.shape[0], 2)).copy()),
+        v=_UNIFORM_V),
     "sinsin_shear": dict(
         dim=2,
         q=Reference(lambda x: 0.5 * np.sin(np.pi * x[:, 0])
                     * np.sin(np.pi * x[:, 1]),
                     lambda s, t: 1.0 + s * np.cos(t)),
-        v=lambda x, t: np.stack([1.0 + 0.3 * np.sin(np.pi * x[:, 0]),
-                                 0.5 + 0.2 * np.cos(np.pi * x[:, 1])],
-                                axis=-1)),
+        v=Reference(lambda x: np.stack([1.0 + 0.3 * np.sin(np.pi * x[:, 0]),
+                                        0.5 + 0.2 * np.cos(np.pi * x[:, 1])],
+                                       axis=-1),
+                    _STEADY)),
     "bump_advect_1d": dict(
         dim=1,
         q=Reference(lambda x: x[:, 0],

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -631,29 +633,41 @@ def test_weak_rhs_self_check_warns_on_coarse_rule():
     q0 = lambda x: sol["q"](x, 0.0)
     with pytest.warns(UserWarning,
                       match="weak-form volume quadrature disagreement"):
-        weak_rhs(get_pair("id"), sol["q"], sol["v"], q0, bump2d(),
-                 order=2, panels=1)
+        rhs = weak_rhs(get_pair("id"), sol["q"], sol["v"], q0, bump2d(),
+                       order=2, panels=1)
+    assert rhs.check_delta > 1e-7 * (1.0 + abs(rhs.volume_term))
 
 
-@pytest.mark.parametrize("solution,support", [
-    ("sinsin_shear", ((0.2, 0.8), (0.3, 0.7))),
-    ("bump_advect_1d", ((0.3, 0.8),)),
-])
-def test_weak_rhs_equals_pointwise_evaluation(solution, support):
+def _plain(f):
+    """f as a plain closure: no ``at`` or ``on_grid``, so the evaluation
+    falls back to one call on every node."""
+    return None if f is None else (lambda x, t: f(x, t))
+
+
+@pytest.mark.parametrize("closure", ["reference", "plain"])
+@pytest.mark.parametrize("beta", ["id", "square", "slogs"])
+@pytest.mark.parametrize("solution", ["constant", "sinsin_cos",
+                                      "sinsin_shear", "bump_advect_1d"])
+def test_weak_rhs_equals_pointwise_evaluation(solution, beta, closure):
     # every term is one flat dot of the box weights with the integrand at
-    # the box nodes; phi evaluated point by point gives the same bits
+    # the box nodes; the limit fields and phi evaluated point by point give
+    # the same bits, and so does the order+2 rerun of the self-check
     sol = manufactured_solution(solution)
     q_exact, v_exact = sol["q"], sol["v"]
+    if closure == "plain":
+        q_exact, v_exact = _plain(q_exact), _plain(v_exact)
     q0 = lambda x: q_exact(x, 0.0)
+    support = ((0.3, 0.8),) if sol["dim"] == 1 else ((0.2, 0.8), (0.3, 0.7))
     phi = TestFunction(support, 0.3)
-    pair = get_pair("square")
+    pair = get_pair(beta)
     dim = phi.dim
-    rhs = weak_rhs(pair, q_exact, v_exact, q0, phi, order=4, panels=3,
-                   check=False)
+    with warnings.catch_warnings():
+        # the coarse rule may be reported by the self-check
+        warnings.simplefilter("ignore")
+        rhs = weak_rhs(pair, q_exact, v_exact, q0, phi, order=4, panels=3)
     space = BoxQuadrature(list(support), 3, 4)
     x0 = space.points
     init = -space.integrate(pair.beta(q0(x0)) * separable_phi(phi, x0, 0.0))
-    box = BoxQuadrature(list(support) + [(0.0, 0.3)], 3, 4)
 
     def time_part(pts):
         x, t = pts[:, :dim], pts[:, dim]
@@ -667,6 +681,22 @@ def test_weak_rhs_equals_pointwise_evaluation(solution, support):
         return pair.g(q_exact(x, t)) * np.einsum("nd,nd->n", v_exact(x, t),
                                                  grad)
 
+    def integrals(order):
+        box = BoxQuadrature(list(support) + [(0.0, 0.3)], 3, order)
+        return (box.integrate(time_part(box.points)),
+                box.integrate(space_part(box.points)))
+
+    time_int, space_int = integrals(4)
     assert rhs.init_term == init
-    assert rhs.volume_time == -box.integrate(time_part(box.points))
-    assert rhs.volume_space == -box.integrate(space_part(box.points))
+    assert rhs.volume_time == -time_int
+    assert rhs.volume_space == -space_int
+    volume = -time_int + -space_int
+    assert rhs.check_delta == abs(volume - -sum(integrals(6)))
+
+
+def test_weak_rhs_check_delta_is_nan_unchecked():
+    sol = manufactured_solution("sinsin_cos")
+    rhs = weak_rhs(get_pair("id"), sol["q"], sol["v"],
+                   lambda x: sol["q"](x, 0.0), bump2d(), order=4, panels=3,
+                   check=False)
+    assert np.isnan(rhs.check_delta)

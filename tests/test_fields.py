@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from _oracles import (CLOSED_FORMS, assert_bitwise, l1_distance_per_slab,
                       separable_phi)
 from _strategies import interval_meshes, perturbed_meshes, time_grids
-from fvlab.fields import (SupportError, TestFunction, interpolate_test,
-                          lp_distance, sample_cell_means)
+from fvlab.fields import (Reference, SupportError, TestFunction,
+                          interpolate_test, lp_distance, sample_cell_means)
 from fvlab.geometry import build_cartesian, build_time_grid
 from fvlab.quadrature import CellQuadrature, gauss_legendre
 from fvlab.study import manufactured_solution
@@ -317,3 +317,23 @@ def test_reference_evaluator_matches_plain_closure(data, name):
     assert_bitwise(lp_distance(q, ref).distance,
                    l1_distance_per_slab(q, plain))
 
+
+
+@pytest.mark.parametrize("ref", [
+    manufactured_solution("sinsin_shear")["v"],
+    Reference(lambda x: np.stack([np.sin(3.0 * x[:, 0]), x[:, 1]], axis=-1),
+              lambda s, t: s * np.cos(t)),
+], ids=["steady", "unsteady"])
+def test_vector_reference_evaluations_agree(ref):
+    # __call__, at and on_grid share one broadcasting rule: the same bits
+    # in (point, time, component) order, one time per point or not
+    points = np.random.default_rng(3).uniform(size=(7, 2))
+    times = np.array([0.0, 0.25, 1.5])
+    grid = ref.on_grid(points, times)
+    assert grid.shape == (7, 3, 2)
+    per_node = ref(np.repeat(points, times.size, axis=0),
+                   np.tile(times, len(points)))
+    assert_bitwise(grid, per_node.reshape(grid.shape))
+    assert_bitwise(grid, ref.at(points)(times).transpose(1, 0, 2))
+    for j, t in enumerate(times):
+        assert_bitwise(grid[:, j], ref(points, t))
