@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -241,6 +241,20 @@ class PhiAt:
     def _dbumps(self):
         return self.phi._bumps(self.coords, derivative=True)
 
+    def on_support(self, k):
+        """Split the points into rows of k consecutive points (the nodes of
+        one cell or face) and keep the rows that meet the support: those
+        with a point at which every spatial bump is nonzero.  Returns the
+        row ids and phi on the points of those rows, its bumps taken from
+        this evaluator.  On every other row each point has a zero bump, so
+        phi(., t) is a signed zero there for any finite tf(t)."""
+        inside = reduce(np.logical_and, [b != 0.0 for b in self._bumps])
+        rows = np.flatnonzero(inside.reshape(-1, k).any(axis=1))
+        take = (rows[:, None] * k + np.arange(k)).ravel()
+        sub = PhiAt(self.phi, [c[take] for c in self.coords])
+        sub._bumps = [b[take] for b in self._bumps]
+        return rows, sub
+
     def value(self, t):
         return _times(self.phi._time_factor(t), self._bumps)
 
@@ -386,26 +400,41 @@ class InterpolatedTest:
         return not np.any(self.phi_face[:, faces] != 0.0)
 
 
+def _support_means(phi: TestFunction, points, means, knots) -> np.ndarray:
+    """Row means of phi(., t) at every knot, shape (len(knots), rows), for
+    a rule with nodes ``points`` (rows, k, dim) and its ``means(vals,
+    rows)``.  phi's bumps are evaluated once; at each knot the products and
+    the means are formed on the rows that meet the support only, and the
+    other rows get +0.0, the mean of signed zeros.  An evaluator without
+    ``on_support`` (a subclass's own ``at``) is averaged on every row."""
+    n_rows, k = points.shape[:2]
+    on_points = phi.at(points.reshape(-1, points.shape[-1]))
+    if hasattr(on_points, "on_support"):
+        rows, on_points = on_points.on_support(k)
+    else:
+        rows = np.arange(n_rows)
+    out = np.zeros((knots.size, n_rows))
+    for n, t in enumerate(knots):
+        out[n, rows] = means(on_points.value(t), rows)
+    return out
+
+
 def interpolate_test(phi: TestFunction, mesh, grid, order: int = DEFAULT_ORDER,
                      panels: int = 4) -> InterpolatedTest:
     """Build phi_P^n, phi_zeta^n and the face-mean gradient.
 
     The cell/face rules are panelised (4 panels of the base order per axis
     by default): bump test functions have steep support edges and the
-    face-mean gradient amplifies edge-quadrature error by 1/h.
+    face-mean gradient amplifies edge-quadrature error by 1/h.  The means
+    are formed on the cells and faces that meet the support of phi only
+    (``PhiAt.on_support``); every other one gets +0.0, the bits that the
+    means over all cells and faces give it.
     """
     phi.validate_against(mesh, grid)
     cq = CellQuadrature(mesh, order, panels)
     fq = FaceQuadrature(mesh, order, panels)
-    n_lev = grid.n_steps + 1
-    phi_cell = np.empty((n_lev, mesh.n_cells))
-    phi_face = np.empty((n_lev, mesh.n_faces))
-    # phi on each rule's own points, its bumps evaluated once for all levels
-    on_cells = phi.at(cq.flat_points())
-    on_faces = phi.at(fq.points.reshape(-1, mesh.dim))
-    for n, t in enumerate(grid.knots):
-        phi_cell[n] = cq.cell_means(on_cells.value(t))
-        phi_face[n] = fq.face_means(on_faces.value(t))
+    phi_cell = _support_means(phi, cq.points, cq.cell_means, grid.knots)
+    phi_face = _support_means(phi, fq.points, fq.face_means, grid.knots)
     areas = mesh.face_measures[mesh.cell_faces]             # (NC, nf)
     weights = areas[:, :, None] * mesh.cell_face_normals    # (NC, nf, dim)
     face_vals = phi_face[:, mesh.cell_faces]                # (N+1, NC, nf)

@@ -84,6 +84,14 @@ def tensor_points(axes) -> np.ndarray:
     return points.reshape(-1, len(axes))
 
 
+def _shifted_means(wnorm, vals):
+    """f0 + sum(w * (f - f0)) per row: the mean of each row of values
+    against its normalised weights, reproducing constants bitwise."""
+    vals = np.asarray(vals, dtype=float)
+    f0 = vals[:, 0]
+    return f0 + np.einsum("ck,ck->c", wnorm, vals - f0[:, None])
+
+
 class CellQuadrature:
     """Per-cell tensor Gauss-Legendre rule of a given order.
 
@@ -143,12 +151,13 @@ class CellQuadrature:
     def _scalars(self, vals):
         return np.asarray(vals, dtype=float).reshape(self.points.shape[:2])
 
-    def cell_means(self, vals):
+    def cell_means(self, vals, rows=None):
         """Cell averages of the values on the nodes; constants are
-        reproduced bitwise."""
-        vals = self._scalars(vals)
-        f0 = vals[:, 0]
-        return f0 + np.einsum("ck,ck->c", self._wnorm, vals - f0[:, None])
+        reproduced bitwise.  With ``rows`` (cell ids), the values are those
+        on the nodes of these cells only, and so are the means; each mean
+        has the bits of the all-cells call."""
+        wnorm = self._wnorm if rows is None else self._wnorm[rows]
+        return _shifted_means(wnorm, np.reshape(vals, wnorm.shape))
 
     def cell_integrals(self, vals):
         """Cell integrals of the values on the nodes."""
@@ -185,12 +194,12 @@ class FaceQuadrature:
         for arr in (self.points, self.weights, self._wnorm):
             arr.setflags(write=False)
 
-    def face_means(self, vals):
+    def face_means(self, vals, rows=None):
         """Mean over each face of the values on the face nodes; constants
-        reproduced bitwise."""
-        vals = np.asarray(vals, dtype=float).reshape(self.points.shape[:2])
-        f0 = vals[:, 0]
-        return f0 + np.einsum("fk,fk->f", self._wnorm, vals - f0[:, None])
+        reproduced bitwise.  ``rows`` (face ids) restricts the values and
+        the means to these faces, as in ``CellQuadrature.cell_means``."""
+        wnorm = self._wnorm if rows is None else self._wnorm[rows]
+        return _shifted_means(wnorm, np.reshape(vals, wnorm.shape))
 
 
 class SlabQuadrature:

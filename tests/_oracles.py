@@ -4,8 +4,9 @@ import numpy as np
 
 from fvlab.consistency import LOCAL_OPPOSITE
 from fvlab.fields import _bump
-from fvlab.geometry import MeshConstructionError, PrimalMesh
-from fvlab.quadrature import SlabQuadrature
+from fvlab.geometry import (MeshConstructionError, PrimalMesh,
+                            sum_opposite_first)
+from fvlab.quadrature import CellQuadrature, FaceQuadrature, SlabQuadrature
 
 
 def face_value(q, face: int, n: int, scheme: str = "centered",
@@ -294,3 +295,26 @@ def assert_bitwise(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     assert a.shape == b.shape
     assert a.tobytes() == b.tobytes(), np.abs(a - b).max()
+
+
+def interpolate_test_all_rows(phi, mesh, grid, order=4, panels=4):
+    """``interpolate_test`` forming the products and the means on every
+    cell and face at every knot, support or not."""
+    cq = CellQuadrature(mesh, order, panels)
+    fq = FaceQuadrature(mesh, order, panels)
+    n_lev = grid.n_steps + 1
+    phi_cell = np.empty((n_lev, mesh.n_cells))
+    phi_face = np.empty((n_lev, mesh.n_faces))
+    on_cells = phi.at(cq.flat_points())
+    on_faces = phi.at(fq.points.reshape(-1, mesh.dim))
+    for n, t in enumerate(grid.knots):
+        phi_cell[n] = cq.cell_means(on_cells.value(t))
+        phi_face[n] = fq.face_means(on_faces.value(t))
+    areas = mesh.face_measures[mesh.cell_faces]
+    weights = areas[:, :, None] * mesh.cell_face_normals
+    face_vals = phi_face[:, mesh.cell_faces]
+    if weights.shape[1] == 4:
+        gsum = sum_opposite_first(face_vals[..., None] * weights[None], axis=2)
+    else:
+        gsum = np.einsum("ncf,cfd->ncd", face_vals, weights)
+    return phi_cell, phi_face, gsum / mesh.cell_volumes[None, :, None]

@@ -1,5 +1,5 @@
-"""Hypothesis strategies for the property tests: random meshes and time
-grids."""
+"""Hypothesis strategies for the property tests: random meshes, time
+grids and support boxes."""
 
 from hypothesis import strategies as st
 
@@ -42,3 +42,14 @@ def time_grids(draw, max_steps=6, n_steps=None):
         return build_time_grid(T, n)
     return build_time_grid(T, n, pattern="alternating",
                            ratio=draw(st.floats(0.5, 2.0)))
+
+
+@st.composite
+def support_boxes(draw, dim=2):
+    """Boxes strictly inside the unit box, from a sliver to most of it,
+    one (a, b) pair per axis."""
+    box = []
+    for _ in range(dim):
+        a = draw(st.floats(0.01, 0.9))
+        box.append((a, draw(st.floats(a + 0.02, 0.99))))
+    return tuple(box)

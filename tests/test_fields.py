@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (CLOSED_FORMS, assert_bitwise, l1_distance_per_slab,
+from _oracles import (CLOSED_FORMS, assert_bitwise,
+                      interpolate_test_all_rows, l1_distance_per_slab,
                       separable_phi)
-from _strategies import interval_meshes, perturbed_meshes, time_grids
-from fvlab.fields import (Reference, SupportError, TestFunction,
-                          interpolate_test, lp_distance, sample_cell_means)
+from _strategies import (graded_meshes, interval_meshes, perturbed_meshes,
+                         support_boxes, time_grids)
+from fvlab.fields import (TIME_PROFILES, Reference, SupportError,
+                          TestFunction, interpolate_test, lp_distance,
+                          sample_cell_means)
 from fvlab.geometry import build_cartesian, build_time_grid
 from fvlab.quadrature import CellQuadrature, gauss_legendre
 from fvlab.study import manufactured_solution
@@ -160,6 +163,34 @@ def test_sample_warns_on_rough_integrand():
 
 
 # ---------------------------------------------------------------- interpolates
+
+class _Negated(TestFunction):
+    """phi with a negative time factor: products outside the support are
+    -0.0 before the means."""
+
+    def _time_factor(self, t, derivative=False):
+        return -super()._time_factor(t, derivative)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), profile=st.sampled_from(TIME_PROFILES),
+       negated=st.booleans(), panels=st.sampled_from([1, 2, 4]))
+def test_interpolate_on_support_matches_all_rows(data, profile, negated,
+                                                 panels):
+    # the means formed on the support rows only, +0.0 elsewhere, have the
+    # bits and the zero signs of the means formed on every row, at every
+    # knot, for cells, faces and the face-mean gradient
+    mesh = data.draw(st.one_of(perturbed_meshes(), graded_meshes(),
+                               interval_meshes(max_cells=16)))
+    grid = data.draw(time_grids(max_steps=8))
+    support = data.draw(support_boxes(mesh.dim))
+    t_max = data.draw(st.floats(0.1, 0.95)) * grid.final_time
+    phi = (_Negated if negated else TestFunction)(support, t_max, profile)
+    got = interpolate_test(phi, mesh, grid, panels=panels)
+    want = interpolate_test_all_rows(phi, mesh, grid, panels=panels)
+    for a, b in zip((got.phi_cell, got.phi_face, got.grad_phi), want):
+        assert_bitwise(a, b)
+
 
 def test_interpolate_zero_function():
     mesh = build_cartesian(8, 8)
