@@ -51,6 +51,20 @@ def _check_routes(what: str, a: float, b: float, scale: float, rtol: float):
                                  f"(scale {scale!r})")
 
 
+def _same_level(stage: str, *fields):
+    """The fields of one stage (None skipped) must share one mesh object
+    and time grids with equal knots; else a ValueError names the stage."""
+    fields = [f for f in fields if f is not None]
+    mesh, grid = fields[0].mesh, fields[0].grid
+    for f in fields[1:]:
+        if f.mesh is not mesh:
+            raise ValueError(f"{stage}: its fields lie on different meshes")
+        if f.grid is not grid and not np.array_equal(f.grid.knots,
+                                                     grid.knots):
+            raise ValueError(f"{stage}: its fields lie on different time "
+                             f"grids")
+
+
 # ----------------------------------------------------------------------
 # X1: time-derivative pairing
 
@@ -68,6 +82,7 @@ def compute_X1(betas: BetaFamily, interp: InterpolatedTest,
     constant (d_t beta) against the interpolate, so each cell enters with
     its measure.
     """
+    _same_level("compute_X1", betas, interp)
     grid = betas.grid
     vols = betas.mesh.cell_volumes
     steps = grid.steps
@@ -127,6 +142,7 @@ def compute_X2(flux: FluxFamily, interp: InterpolatedTest, q=None, v=None,
     absolute term mass).  Requires phi to vanish on all non-interior cells
     and their faces at the current resolution.
     """
+    _same_level("compute_X2", flux, interp, q, v)
     if not interp.interior_support_clear():
         raise SupportError(
             "test-function support reaches non-interior cells at this resolution")
@@ -213,6 +229,7 @@ def residual_time(betas: BetaFamily, q, phi, pair,
     quadrature.  The majorant carries the cell measure so that it is the
     time part of the translate functional.
     """
+    _same_level("residual_time", betas, q)
     mesh, grid = betas.mesh, betas.grid
     slab = SlabQuadrature(mesh, grid, space_order, time_order)
     interior = mesh.interior_cell_mask
@@ -292,6 +309,7 @@ def jump_sums(q, v, rtol: float = 1e-12) -> JumpSums:
     the fixed two-hop opposite-pair splits); MAC weights are
     diam(P)(|zeta| + |zeta'|).
     """
+    _same_level("jump_sums", q, v)
     mesh, grid = q.mesh, q.grid
     n_steps = grid.n_steps
     steps = grid.steps
@@ -406,7 +424,12 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
 
 def weak_lhs(c_values: np.ndarray, interp: InterpolatedTest) -> float:
     """Exact pairing int int C(U) I(phi) of the piecewise constants, on the
-    mesh and grid of the interpolate."""
+    mesh and grid of the interpolate.  ``c_values`` is a bare (N, NC) array
+    with no mesh or grid of its own, so only its shape can be checked."""
+    shape = (interp.grid.n_steps, interp.mesh.n_cells)
+    if np.shape(c_values) != shape:
+        raise ValueError(f"weak_lhs: C(U) has shape {np.shape(c_values)}, "
+                         f"the interpolate's level needs {shape}")
     return float(np.einsum("n,nc,c->", interp.grid.steps,
                            c_values * interp.phi_cell[:-1],
                            interp.mesh.cell_volumes))

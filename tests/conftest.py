@@ -1,4 +1,13 @@
+import os
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
+# that fails in CI fails the same way locally; without it the draws are
+# random as usual
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

@@ -159,6 +159,55 @@ def test_x2_route_agreement_manufactured():
         assert res.gradient_route == pytest.approx(res.value, rel=1e-10)
 
 
+def test_stages_reject_an_interpolate_on_another_time_grid():
+    # interp on an alternating grid with the step count of the fields: X2
+    # used to come out as 0.0012677 instead of 0.0012129, silently
+    mesh, grid, dual, pair, q, v, flux, qf, vf = manufactured_mac(8)
+    alternating = build_time_grid(0.5, 8, pattern="alternating", ratio=2.0)
+    interp = interpolate_test(bump2d(), mesh, alternating)
+    betas = BetaFamily.from_field(q, pair)
+    with pytest.raises(ValueError, match="compute_X2: .* time grids"):
+        compute_X2(flux, interp, q=q, v=v, pair=pair)
+    with pytest.raises(ValueError, match="compute_X2: .* time grids"):
+        compute_X2(flux, interp)
+    with pytest.raises(ValueError, match="compute_X1: .* time grids"):
+        compute_X1(betas, interp)
+    # the same knots on another grid object are the same level
+    same = interpolate_test(bump2d(), mesh, build_time_grid(0.5, 8))
+    assert compute_X2(flux, same, q=q, v=v, pair=pair).value == \
+        compute_X2(flux, interpolate_test(bump2d(), mesh, grid), q=q, v=v,
+                   pair=pair).value
+
+
+def test_stages_reject_fields_on_another_mesh():
+    mesh, grid, dual, pair, q, v, flux, qf, vf = manufactured_mac(8)
+    # equal geometry, another object: a field of another level
+    _, _, _, _, q2, v2, _, _, _ = manufactured_mac(8)
+    betas = BetaFamily.from_field(q, pair)
+    interp = interpolate_test(bump2d(), q2.mesh, grid)
+    with pytest.raises(ValueError, match="compute_X1: .* meshes"):
+        compute_X1(betas, interp)
+    with pytest.raises(ValueError, match="compute_X2: .* meshes"):
+        compute_X2(flux, interp)
+    with pytest.raises(ValueError, match="compute_X2: .* meshes"):
+        compute_X2(flux, interpolate_test(bump2d(), mesh, grid), q=q, v=v2,
+                   pair=pair)
+    with pytest.raises(ValueError, match="jump_sums: .* meshes"):
+        jump_sums(q, v2)
+    with pytest.raises(ValueError, match="residual_time: .* meshes"):
+        residual_time(betas, q2, bump2d(), pair)
+
+
+def test_weak_lhs_rejects_convection_of_another_level():
+    mesh, grid, dual, pair, q, v, flux, qf, vf = manufactured_mac(8)
+    c_values = assemble_convection(BetaFamily.from_field(q, pair), flux)
+    finer = interpolate_test(bump2d(), mesh, build_time_grid(0.5, 16))
+    with pytest.raises(ValueError, match="weak_lhs"):
+        weak_lhs(c_values, finer)
+    with pytest.raises(ValueError, match="weak_lhs"):
+        weak_form_gap(c_values, finer, (qf, vf, lambda x: qf(x, 0.0)), pair)
+
+
 # ---------------------------------------------------------------- residuals
 
 def test_residual_init_constant_q0():
@@ -623,7 +672,8 @@ def test_r1_guard_fires_on_one_dropped_face_pairing():
     mask[int(np.argmax(jumps))] = False
     view = _MeshView(mesh, interior_face_mask=mask)
     with pytest.raises(RouteMismatchError, match="R1"):
-        jump_sums(CellScalarField(view, grid, q.values), v)
+        jump_sums(CellScalarField(view, grid, q.values),
+                  FaceScalarFieldMAC(view, grid, dual, v.values))
 
 
 def test_weak_rhs_self_check_warns_on_coarse_rule():
