@@ -399,7 +399,9 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
         on_box = phi.at_grid(box.grid_axes[:dim])
         qb = np.asarray(_reference_at(q_exact, x, t_axis.ravel()),
                         dtype=float).ravel()
-        dt_phi = on_box.dt(t_axis).ravel()
+        # one term after the other: the first's arrays are gone before the
+        # second's are formed
+        time_int = box.integrate(pair.beta(qb) * on_box.dt(t_axis).ravel())
         grad = on_box.grad(t_axis).reshape(-1, dim)
         if v_exact is None:
             space = pair.flux(qb) * grad[:, 0]
@@ -407,7 +409,7 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
             vv = np.asarray(_reference_at(v_exact, x, t_axis.ravel()),
                             dtype=float).reshape(-1, dim)
             space = pair.g(qb) * np.einsum("nd,nd->n", vv, grad)
-        return box.integrate(pair.beta(qb) * dt_phi), box.integrate(space)
+        return time_int, box.integrate(space)
 
     time_int, space_int = volume_integrals(BoxQuadrature(bounds, panels, order))
     vol_time, vol_space = -time_int, -space_int
