@@ -396,9 +396,9 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
         """int beta(q) d_t phi and int g(q) v . grad phi over the box."""
         x = tensor_points(box.grid_axes[:dim])
         t_axis = box.grid_axes[dim]
+        times = t_axis.ravel()
         on_box = phi.at_grid(box.grid_axes[:dim])
-        qb = np.asarray(_reference_at(q_exact, x, t_axis.ravel()),
-                        dtype=float).ravel()
+        qb = np.asarray(_reference_at(q_exact, x, times), dtype=float).ravel()
         # one term after the other: the first's arrays are gone before the
         # second's are formed
         time_int = box.integrate(pair.beta(qb) * on_box.dt(t_axis).ravel())
@@ -406,7 +406,7 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
         if v_exact is None:
             space = pair.flux(qb) * grad[:, 0]
         else:
-            vv = np.asarray(_reference_at(v_exact, x, t_axis.ravel()),
+            vv = np.asarray(_reference_at(v_exact, x, times),
                             dtype=float).reshape(-1, dim)
             space = pair.g(qb) * np.einsum("nd,nd->n", vv, grad)
         return time_int, box.integrate(space)
