@@ -292,30 +292,37 @@ class Reference:
         self.space = space
         self.combine = combine
 
-    def _combine(self, s, t, n_comp):
-        t = np.asarray(t, dtype=float)
-        t = t.reshape(t.shape + (1,) * n_comp)
+    def _combine(self, s, t, shape):
+        """combine(s, t) as an array of the given shape: the axes that a
+        steady combine leaves out are filled by block copies."""
         out = np.asarray(self.combine(s, t))
-        shape = np.broadcast_shapes(out.shape, np.shape(s), t.shape)
-        # fill the axes a steady combine leaves out by block copies
-        out = out.reshape((1,) * (len(shape) - out.ndim) + out.shape)
-        for axis, n in enumerate(shape):
-            if out.shape[axis] != n:
-                out = np.repeat(out, n, axis=axis)
+        if out.shape != shape:
+            out = out.reshape((1,) * (len(shape) - out.ndim) + out.shape)
+            for axis, n in enumerate(shape):
+                if out.shape[axis] != n:
+                    out = np.repeat(out, n, axis=axis)
         return out
 
     def __call__(self, x, t):
         s = self.space(np.atleast_2d(x))
-        return self._combine(s, t, s.ndim - 1)
+        return self._combine(s, _unit_axes(t, s.ndim - 1), s.shape)
 
     def at(self, points) -> Callable:
         s = self.space(np.atleast_2d(points))
         return lambda times: self._combine(
-            s, np.asarray(times, dtype=float)[:, None], s.ndim - 1)
+            s, _unit_axes(np.asarray(times, dtype=float)[:, None], s.ndim - 1),
+            (len(times),) + s.shape)
 
     def on_grid(self, points, times) -> np.ndarray:
         s = self.space(np.atleast_2d(points))
-        return self._combine(s[:, None], times, s.ndim - 1)
+        return self._combine(s[:, None], _unit_axes(times, s.ndim - 1),
+                             s.shape[:1] + (len(times),) + s.shape[1:])
+
+
+def _unit_axes(t, n):
+    """The times t as floats with n trailing unit axes."""
+    t = np.asarray(t, dtype=float)
+    return t.reshape(t.shape + (1,) * n)
 
 
 def _reference_at(ref, points, times=None):

@@ -349,7 +349,6 @@ def test_reference_evaluator_matches_plain_closure(data, name):
                    l1_distance_per_slab(q, plain))
 
 
-
 @pytest.mark.parametrize("ref", [
     manufactured_solution("sinsin_shear")["v"],
     Reference(lambda x: np.stack([np.sin(3.0 * x[:, 0]), x[:, 1]], axis=-1),
