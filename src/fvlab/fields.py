@@ -407,22 +407,23 @@ class InterpolatedTest:
         return not np.any(self.phi_face[:, faces] != 0.0)
 
 
-def _support_means(phi: TestFunction, points, means, knots) -> np.ndarray:
-    """Row means of phi(., t) at every knot, shape (len(knots), rows), for
-    a rule with nodes ``points`` (rows, k, dim) and its ``means(vals,
-    rows)``.  phi's bumps are evaluated once; at each knot the products and
-    the means are formed on the rows that meet the support only, and the
-    other rows get +0.0, the mean of signed zeros.  An evaluator without
-    ``on_support`` (a subclass's own ``at``) is averaged on every row."""
-    n_rows, k = points.shape[:2]
-    on_points = phi.at(points.reshape(-1, points.shape[-1]))
+def _support_means(phi: TestFunction, quad, knots) -> np.ndarray:
+    """Means of phi(., t) over each row of nodes of the cell or face rule
+    ``quad`` at every knot, shape (len(knots), rows).  phi's bumps are
+    evaluated once; at each knot the products and the means are formed on
+    the rows that meet the support only, and the other rows get +0.0, the
+    mean of signed zeros.  An evaluator without ``on_support`` (a
+    subclass's own ``at``) is averaged on every row."""
+    n_rows, k, dim = quad.points.shape
+    on_points = phi.at(quad.points.reshape(-1, dim))
     if hasattr(on_points, "on_support"):
         rows, on_points = on_points.on_support(k)
     else:
         rows = np.arange(n_rows)
+    means = quad.means_on(rows)
     out = np.zeros((knots.size, n_rows))
     for n, t in enumerate(knots):
-        out[n, rows] = means(on_points.value(t), rows)
+        out[n, rows] = means(on_points.value(t))
     return out
 
 
@@ -440,8 +441,8 @@ def interpolate_test(phi: TestFunction, mesh, grid, order: int = DEFAULT_ORDER,
     phi.validate_against(mesh, grid)
     cq = CellQuadrature(mesh, order, panels)
     fq = FaceQuadrature(mesh, order, panels)
-    phi_cell = _support_means(phi, cq.points, cq.cell_means, grid.knots)
-    phi_face = _support_means(phi, fq.points, fq.face_means, grid.knots)
+    phi_cell = _support_means(phi, cq, grid.knots)
+    phi_face = _support_means(phi, fq, grid.knots)
     areas = mesh.face_measures[mesh.cell_faces]             # (NC, nf)
     weights = areas[:, :, None] * mesh.cell_face_normals    # (NC, nf, dim)
     face_vals = phi_face[:, mesh.cell_faces]                # (N+1, NC, nf)

@@ -87,12 +87,24 @@ def tensor_points(axes) -> np.ndarray:
 def _shifted_means(wnorm, vals):
     """f0 + sum(w * (f - f0)) per row: the mean of each row of values
     against its normalised weights, reproducing constants bitwise."""
-    vals = np.asarray(vals, dtype=float)
+    vals = np.asarray(vals, dtype=float).reshape(wnorm.shape)
     f0 = vals[:, 0]
     return f0 + np.einsum("ck,ck->c", wnorm, vals - f0[:, None])
 
 
-class CellQuadrature:
+class _RowRule:
+    """A rule with one row of nodes per cell or face (``points``, shaped
+    (rows, k, dim)) and normalised weights ``_wnorm`` per row."""
+
+    def means_on(self, rows):
+        """Means over the rows ``rows`` only: a function of the values on
+        the nodes of these rows, in their order, that gives each row the
+        bits of the means over all rows."""
+        wnorm = self._wnorm[rows]
+        return lambda vals: _shifted_means(wnorm, vals)
+
+
+class CellQuadrature(_RowRule):
     """Per-cell tensor Gauss-Legendre rule of a given order.
 
     Precomputes physical node coordinates and weights for every cell of the
@@ -151,13 +163,10 @@ class CellQuadrature:
     def _scalars(self, vals):
         return np.asarray(vals, dtype=float).reshape(self.points.shape[:2])
 
-    def cell_means(self, vals, rows=None):
+    def cell_means(self, vals):
         """Cell averages of the values on the nodes; constants are
-        reproduced bitwise.  With ``rows`` (cell ids), the values are those
-        on the nodes of these cells only, and so are the means; each mean
-        has the bits of the all-cells call."""
-        wnorm = self._wnorm if rows is None else self._wnorm[rows]
-        return _shifted_means(wnorm, np.reshape(vals, wnorm.shape))
+        reproduced bitwise."""
+        return _shifted_means(self._wnorm, vals)
 
     def cell_integrals(self, vals):
         """Cell integrals of the values on the nodes."""
@@ -171,7 +180,7 @@ class CellQuadrature:
         return f0 + np.einsum("ck,ckd->cd", self._wnorm, vals - f0[:, None, :])
 
 
-class FaceQuadrature:
+class FaceQuadrature(_RowRule):
     """Per-face Gauss-Legendre rule along each edge (a point in 1D)."""
 
     def __init__(self, mesh, order: int = DEFAULT_ORDER, panels: int = 1):
@@ -194,12 +203,10 @@ class FaceQuadrature:
         for arr in (self.points, self.weights, self._wnorm):
             arr.setflags(write=False)
 
-    def face_means(self, vals, rows=None):
+    def face_means(self, vals):
         """Mean over each face of the values on the face nodes; constants
-        reproduced bitwise.  ``rows`` (face ids) restricts the values and
-        the means to these faces, as in ``CellQuadrature.cell_means``."""
-        wnorm = self._wnorm if rows is None else self._wnorm[rows]
-        return _shifted_means(wnorm, np.reshape(vals, wnorm.shape))
+        reproduced bitwise."""
+        return _shifted_means(self._wnorm, vals)
 
 
 class SlabQuadrature:
