@@ -10,6 +10,16 @@ a finite weighted sum.  Term tables keep a documented (step, cell, face,
 piece) layout so a brute-force enumeration with the same summation order
 reproduces the results bit for bit.
 
+The flux-defect table (F_zeta^n - f(U)|_piece) . n_{P,zeta} of the X2
+remainder and the flux residual is never held whole: it is built on the
+interior cells one chunk of time steps at a time (``quadrature.chunk_slices``
+over N steps of NC * nf * pieces values, so about ``CHUNK_VALUES`` values a
+chunk whatever the thread count).  Each term is formed by the same
+operations in any chunk.  Sums over the table are taken per chunk
+(``residual_flux``: numpy's pairwise ``sum`` of the chunk's C-order terms;
+the X2 remainder: one ``einsum`` over the chunk), and the chunk sums are
+added in step order.
+
 Stages read mesh, grid, layout and dual from their fields: ``.mesh`` and
 ``.grid`` of every field and interpolate, ``.layout`` and ``.dual`` of a
 ``FluxFamily``, ``.dual`` of a face velocity.  ``residual_flux`` (with its
@@ -24,12 +34,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import InterpolatedTest, SupportError, _reference_at
+from .fields import (InterpolatedTest, SupportError, _reference_at,
+                     _same_level)
 from .geometry import LOCAL_OPPOSITE
 from .layouts import COLOCATED_1D, get_layout, layout_of
 from .operators import BetaFamily, FluxFamily, dt_beta, flux_divergence, flux_dot_n
 from .quadrature import (DEFAULT_ORDER, ORACLE_ORDER, BoxQuadrature,
-                         CellQuadrature, SlabQuadrature, tensor_points)
+                         CellQuadrature, SlabQuadrature, chunk_slices,
+                         tensor_points)
 
 __all__ = [
     "compute_X1", "compute_X2", "residual_init", "residual_time",
@@ -49,20 +61,6 @@ def _check_routes(what: str, a: float, b: float, scale: float, rtol: float):
     if abs(a - b) > rtol * max(scale, 1e-300):
         raise RouteMismatchError(f"{what} routes disagree: {a!r} vs {b!r} "
                                  f"(scale {scale!r})")
-
-
-def _same_level(stage: str, *fields):
-    """The fields of one stage (None skipped) must share one mesh object
-    and time grids with equal knots; else a ValueError names the stage."""
-    fields = [f for f in fields if f is not None]
-    mesh, grid = fields[0].mesh, fields[0].grid
-    for f in fields[1:]:
-        if f.mesh is not mesh:
-            raise ValueError(f"{stage}: its fields lie on different meshes")
-        if f.grid is not grid and not np.array_equal(f.grid.knots,
-                                                     grid.knots):
-            raise ValueError(f"{stage}: its fields lie on different time "
-                             f"grids")
 
 
 # ----------------------------------------------------------------------
@@ -112,15 +110,21 @@ def _slab_levels(field, n_steps: int):
     return None if field is None else field.values[:n_steps]
 
 
-def _flux_defects(flux: FluxFamily, q, v, pair, mesh, grid, layout,
-                  dual) -> np.ndarray:
-    """(F_zeta^n - f(U)|_piece) . n_{P,zeta} per (step, cell, local face,
-    piece), shape (N, NC, nf, pieces): the table that the X2 remainder and
-    the flux residual weigh, each in its own product order."""
-    n_steps = grid.n_steps
-    piece = layout.flux_pieces(_slab_levels(q, n_steps),
-                               _slab_levels(v, n_steps), pair, mesh, dual)
-    return flux_dot_n(flux)[:, :, :, None] - piece
+def _flux_defects(fdotn, q, v, pair, mesh, layout, dual):
+    """Per chunk of time steps, the slice of steps and the table
+    (F_zeta^n - f(U)|_piece) . n_{P,zeta} on the interior cells (ascending
+    id) of those steps, shape (steps, NI, nf, pieces) in C order; ``fdotn``
+    is F.n per (step, cell, local face).  The X2 remainder and the flux
+    residual weigh it, each in its own product order."""
+    nf = mesh.cell_faces.shape[1]
+    cells = np.nonzero(mesh.interior_cell_mask)[0]
+    for steps in chunk_slices(fdotn.shape[0],
+                              mesh.n_cells * nf * layout.pieces):
+        piece = layout.flux_pieces(q.values[steps],
+                                   None if v is None else v.values[steps],
+                                   pair, mesh, dual)
+        yield steps, (np.take(fdotn[steps], cells, axis=1)[:, :, :, None]
+                      - np.take(piece, cells, axis=1))
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +155,8 @@ def compute_X2(flux: FluxFamily, interp: InterpolatedTest, q=None, v=None,
     div = flux_divergence(flux)
     phi_c = interp.phi_cell[:-1]
     direct = float(np.einsum("n,nc->", steps, div * phi_c))
+    direct_mass = float(np.einsum("n,nc->", steps, np.abs(div * phi_c)))
+    del div
     if q is None:
         return X2Result(direct, np.nan, np.nan, np.nan)
     n_steps = grid.n_steps
@@ -161,19 +167,28 @@ def compute_X2(flux: FluxFamily, interp: InterpolatedTest, q=None, v=None,
     grad = interp.grad_phi[:-1]
     vols = mesh.cell_volumes
     gdots = np.einsum("ncd,ncd->nc", mean_f[:, interior], grad[:, interior])
+    del mean_f
     grad_term = -float(np.einsum("n,nc,c->", steps, gdots, vols[interior]))
-    meas = layout.piece_measures(mesh)
-    defects = _flux_defects(flux, q, v, pair, mesh, grid, layout, flux.dual)
-    areas = mesh.face_measures[mesh.cell_faces]                # (NC, nf)
-    dphi = phi_c[:, :, None] - interp.phi_face[:-1][:, mesh.cell_faces]
-    inner = defects * dphi[:, :, :, None]
-    weighted = (meas / vols[:, None, None])[None] * areas[None, :, :, None] * inner
-    remainder = float(np.einsum("n,nckp->", steps, weighted[:, interior]))
+    grad_mass = float(np.einsum("n,nc,c->", steps, np.abs(gdots),
+                                vols[interior]))
+    # remainder: per chunk of steps, sum_P sum_zeta sum_piece
+    # (|D_piece|/|P|) |zeta| (F.n - f(U)|_piece.n) (phi_P - phi_zeta)
+    cells = np.nonzero(interior)[0]
+    cell_faces = mesh.cell_faces[cells]
+    coef = ((layout.piece_measures(mesh)[cells] / vols[cells, None, None])
+            * mesh.face_measures[cell_faces][:, :, None])
+    remainder = remainder_mass = 0.0
+    for chunk, defects in _flux_defects(flux_dot_n(flux), q, v, pair, mesh,
+                                        layout, flux.dual):
+        dphi = (interp.phi_cell[chunk][:, cells, None]
+                - interp.phi_face[chunk][:, cell_faces])
+        weighted = coef[None] * (defects * dphi[:, :, :, None])
+        remainder += float(np.einsum("n,nckp->", steps[chunk], weighted))
+        remainder_mass += float(np.einsum("n,nckp->", steps[chunk],
+                                          np.abs(weighted)))
     gradient_route = grad_term + remainder
-    scale = max(abs(direct), abs(gradient_route),
-                float(np.einsum("n,nc->", steps, np.abs(div * phi_c))),
-                float(np.einsum("n,nc,c->", steps, np.abs(gdots), vols[interior]))
-                + float(np.einsum("n,nckp->", steps, np.abs(weighted[:, interior]))))
+    scale = max(abs(direct), abs(gradient_route), direct_mass,
+                grad_mass + remainder_mass)
     _check_routes("X2", direct, gradient_route, scale, rtol)
     return X2Result(direct, gradient_route, grad_term, remainder)
 
@@ -253,6 +268,24 @@ def residual_time(betas: BetaFamily, q, phi, pair,
     return TimeResidual(signed, majorant, c_beta)
 
 
+def _flux_residual_chunks(flux, q, v, pair, mesh, grid, layout, dual):
+    """The term table of the flux residual, one chunk of time steps at a
+    time (see ``residual_flux_terms``)."""
+    dual = dual if dual is not None else flux.dual
+    rules = get_layout(layout)
+    cells = np.nonzero(mesh.interior_cell_mask)[0]
+    coef = (mesh.cell_diameters / mesh.cell_volumes)[cells]
+    areas = mesh.face_measures[mesh.cell_faces[cells]]
+    meas = rules.piece_measures(mesh)[cells]
+    for steps, defects in _flux_defects(flux_dot_n(flux), q, v, pair, mesh,
+                                        rules, dual):
+        yield (grid.steps[steps, None, None, None]
+               * coef[None, :, None, None]
+               * areas[None, :, :, None]
+               * meas[None, :, :, :]
+               * np.abs(defects))
+
+
 def residual_flux_terms(flux: FluxFamily, q, v, pair, mesh, grid,
                         layout: str, dual=None) -> np.ndarray:
     """Exact term table of the flux-consistency residual.
@@ -260,31 +293,25 @@ def residual_flux_terms(flux: FluxFamily, q, v, pair, mesh, grid,
     terms[n, i, k, p] = dt_n * (diam/|P|)_i * |zeta|_{i,k} * |D_piece|
                         * |(F_zeta^n - f(U)|_piece) . n_{P,zeta}|
     over interior cells i (ascending cell id), local faces k and constancy
-    pieces p.  ``residual_flux`` is the plain np.sum of this table, so a
-    scalar enumeration in the same layout reproduces it bit for bit.
+    pieces p, in C order.  ``residual_flux`` sums it in chunks of time
+    steps (``quadrature.chunk_slices(N, NC * nf * pieces)``): numpy's
+    pairwise ``sum`` of each chunk's rows, then the chunk sums added in
+    step order.  A scalar enumeration in the same layout, summed in the
+    same chunks, reproduces both bit for bit.
     """
-    dual = dual if dual is not None else flux.dual
-    rules = get_layout(layout)
-    meas = rules.piece_measures(mesh)
-    absdiff = np.abs(_flux_defects(flux, q, v, pair, mesh, grid, rules, dual))
-    interior = mesh.interior_cell_mask
-    coef = mesh.cell_diameters / mesh.cell_volumes
-    areas = mesh.face_measures[mesh.cell_faces]
-    terms = (grid.steps[:, None, None, None]
-             * coef[None, :, None, None]
-             * areas[None, :, :, None]
-             * meas[None, :, :, :]
-             * absdiff)
-    # keep the documented (step, cell, face, piece) C-order layout: boolean
-    # indexing transposes memory, which would change the pairwise sum order
-    return np.ascontiguousarray(terms[:, interior])
+    return np.concatenate(list(_flux_residual_chunks(
+        flux, q, v, pair, mesh, grid, layout, dual)))
 
 
 def residual_flux(flux: FluxFamily, q, v, pair, mesh, grid,
                   layout: str, dual=None) -> float:
-    """Flux-consistency residual (exact finite sum over constancy pieces)."""
-    return float(np.sum(residual_flux_terms(flux, q, v, pair, mesh, grid,
-                                            layout, dual)))
+    """Flux-consistency residual (exact finite sum over constancy pieces),
+    summed chunk by chunk in step order as ``residual_flux_terms`` states."""
+    total = 0.0
+    for terms in _flux_residual_chunks(flux, q, v, pair, mesh, grid, layout,
+                                       dual):
+        total += float(np.sum(terms))
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -424,16 +451,12 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
     return WeakRhs(init + volume, init, volume, vol_time, vol_space, delta)
 
 
-def weak_lhs(c_values: np.ndarray, interp: InterpolatedTest) -> float:
-    """Exact pairing int int C(U) I(phi) of the piecewise constants, on the
-    mesh and grid of the interpolate.  ``c_values`` is a bare (N, NC) array
-    with no mesh or grid of its own, so only its shape can be checked."""
-    shape = (interp.grid.n_steps, interp.mesh.n_cells)
-    if np.shape(c_values) != shape:
-        raise ValueError(f"weak_lhs: C(U) has shape {np.shape(c_values)}, "
-                         f"the interpolate's level needs {shape}")
+def weak_lhs(c_field, interp: InterpolatedTest) -> float:
+    """Exact pairing int int C(U) I(phi) of the piecewise constants; C(U)
+    (``assemble_convection``) and the interpolate must share their level."""
+    _same_level("weak_lhs", c_field, interp)
     return float(np.einsum("n,nc,c->", interp.grid.steps,
-                           c_values * interp.phi_cell[:-1],
+                           c_field.values * interp.phi_cell[:-1],
                            interp.mesh.cell_volumes))
 
 
@@ -445,7 +468,7 @@ class WeakGap(NamedTuple):
     rhs_volume: float
 
 
-def weak_form_gap(c_values, interp, exact, pair, order: int = ORACLE_ORDER,
+def weak_form_gap(c_field, interp, exact, pair, order: int = ORACLE_ORDER,
                   panels: int = 12, rhs: WeakRhs | None = None) -> WeakGap:
     """|LHS - RHS| of the weak-consistency statement.
 
@@ -461,9 +484,9 @@ def weak_form_gap(c_values, interp, exact, pair, order: int = ORACLE_ORDER,
     study), and its fitted rate is not a convergence rate.
     """
     q_exact, v_exact, q0 = exact
+    lhs = weak_lhs(c_field, interp)
     if rhs is None:
         rhs = weak_rhs(pair, q_exact, v_exact, q0, interp.phi,
                        order=order, panels=panels)
-    lhs = weak_lhs(c_values, interp)
     return WeakGap(abs(lhs - rhs.total), lhs, rhs.total, rhs.init_term,
                    rhs.volume_term)

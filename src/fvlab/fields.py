@@ -20,8 +20,9 @@ from .quadrature import (DEFAULT_ORDER, CellQuadrature, FaceQuadrature,
                          SlabQuadrature, chunk_slices)
 
 __all__ = [
-    "CellScalarField", "FaceVectorFieldRT", "FaceScalarFieldMAC",
-    "TestFunction", "InterpolatedTest", "TranslateWeights", "Reference",
+    "CellScalarField", "CellSlabField", "FaceVectorFieldRT",
+    "FaceScalarFieldMAC", "TestFunction", "InterpolatedTest",
+    "TranslateWeights", "Reference",
     "sample_cell_means", "interpolate_test", "lp_distance",
     "translate_functional", "translate_functional_general",
     "default_translate_weights", "SupportError", "TIME_PROFILES",
@@ -34,12 +35,29 @@ class SupportError(ValueError):
     """Raised when a test function's support violates C_c(Omega x [0,T))."""
 
 
+def _same_level(stage: str, *fields):
+    """The fields of one stage (None skipped) must share one mesh object
+    and time grids with equal knots; else a ValueError names the stage."""
+    fields = [f for f in fields if f is not None]
+    mesh, grid = fields[0].mesh, fields[0].grid
+    for f in fields[1:]:
+        if f.mesh is not mesh:
+            raise ValueError(f"{stage}: its fields lie on different meshes")
+        if f.grid is not grid and not np.array_equal(f.grid.knots,
+                                                     grid.knots):
+            raise ValueError(f"{stage}: its fields lie on different time "
+                             f"grids")
+
+
 class _LevelField:
-    """Values per mesh entity for levels n = 0..N, finite and read-only."""
+    """Values per mesh entity for levels n = 0..N (per slab n = 0..N-1
+    when ``slab``), finite and read-only."""
+
+    slab = False
 
     def __init__(self, mesh, grid, values, entity_shape):
         values = np.ascontiguousarray(values, dtype=float)
-        shape = (grid.n_steps + 1,) + entity_shape
+        shape = (grid.n_steps + (not self.slab),) + entity_shape
         if values.shape != shape:
             raise ValueError(f"expected shape {shape}, got {values.shape}")
         if not np.all(np.isfinite(values)):
@@ -51,11 +69,21 @@ class _LevelField:
 
     def sup_norm(self) -> float:
         """Max |value| over the slab levels 0..N-1 (the space-time function)."""
-        return float(np.abs(self.values[:-1]).max())
+        return float(np.abs(self.values[:self.grid.n_steps]).max())
 
 
 class CellScalarField(_LevelField):
     """Cell-centred scalar unknown q_P^n, levels n = 0..N."""
+
+    def __init__(self, mesh, grid, values):
+        super().__init__(mesh, grid, values, (mesh.n_cells,))
+
+
+class CellSlabField(_LevelField):
+    """Cell scalar per time slab [t_n, t_{n+1}), n = 0..N-1, such as the
+    convection operator C(U)_P^n."""
+
+    slab = True
 
     def __init__(self, mesh, grid, values):
         super().__init__(mesh, grid, values, (mesh.n_cells,))

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import CellScalarField
+from .fields import CellScalarField, CellSlabField, _same_level
 from .geometry import sum_opposite_first
 from .layouts import BOUNDARY_POLICIES, COLOCATED_1D, get_layout, layout_of
 
@@ -221,13 +221,16 @@ def flux_divergence(flux: FluxFamily) -> np.ndarray:
     return terms[:, :, 0] + terms[:, :, 1]
 
 
-def assemble_convection(betas: BetaFamily, flux: FluxFamily) -> np.ndarray:
-    """C(U)_P^n = (d_t beta)_P^n + (1/|P|) sum |zeta| F_zeta^n . n_{P,zeta}."""
+def assemble_convection(betas: BetaFamily, flux: FluxFamily) -> CellSlabField:
+    """C(U)_P^n = (d_t beta)_P^n + (1/|P|) sum |zeta| F_zeta^n . n_{P,zeta},
+    per slab on the level that ``betas`` and ``flux`` share."""
+    _same_level("assemble_convection", betas, flux)
     mesh = flux.mesh
     if np.any(~np.isfinite(flux.values)):
         idx = np.argwhere(~np.isfinite(flux.values.reshape(flux.values.shape[0], mesh.n_faces, -1)))
         raise ValueError(f"missing flux on face {int(idx[0][1])} at step {int(idx[0][0])}")
-    return dt_beta(betas, betas.grid) + flux_divergence(flux) / mesh.cell_volumes[None, :]
+    return CellSlabField(betas.mesh, betas.grid, dt_beta(betas, betas.grid)
+                         + flux_divergence(flux) / mesh.cell_volumes[None, :])
 
 
 def telescoping_defect(flux: FluxFamily):

@@ -407,7 +407,7 @@ def _compute_level(config: StudyConfig, level: int, phi, rhs, base_reg):
     else:
         flux = flux_colocated_upwind_1d(q, policy=config.boundary_policy)
     betas = BetaFamily.from_field(q, pair)
-    c_values = assemble_convection(betas, flux)
+    conv = assemble_convection(betas, flux)
     interp = interpolate_test(phi, mesh, grid, order=config.quad_order,
                               panels=config.interp_panels)
     x1 = compute_X1(betas, interp)
@@ -418,7 +418,7 @@ def _compute_level(config: StudyConfig, level: int, phi, rhs, base_reg):
     jumps = jump_sums(q, v)
     weights = default_translate_weights(mesh, grid, theta=config.translate_theta)
     trans = translate_functional(q, weights)
-    gap = weak_form_gap(c_values, interp, (q_exact, v_exact, q0), pair, rhs=rhs)
+    gap = weak_form_gap(conv, interp, (q_exact, v_exact, q0), pair, rhs=rhs)
     sup_norm = q.sup_norm()
     if v is not None:
         sup_norm = max(sup_norm, v.sup_norm())

@@ -6,7 +6,8 @@ from fvlab.consistency import LOCAL_OPPOSITE
 from fvlab.fields import _bump
 from fvlab.geometry import (MeshConstructionError, PrimalMesh,
                             sum_opposite_first)
-from fvlab.quadrature import CellQuadrature, FaceQuadrature, SlabQuadrature
+from fvlab.quadrature import (CellQuadrature, FaceQuadrature, SlabQuadrature,
+                              chunk_slices)
 
 
 def face_value(q, face: int, n: int, scheme: str = "centered",
@@ -109,6 +110,17 @@ def brute_force_flux_residual(flux, q, v, pair, mesh, grid, layout, dual):
                     t = t * abs(fdot - piece)
                     terms[ni, ii, k, p] = t
     return terms
+
+
+def chunk_ordered_sum(table, per_step: int) -> float:
+    """The documented summation order of ``residual_flux``: numpy's
+    pairwise sum of each chunk of time steps of the C-order term table
+    (``chunk_slices(N, per_step)``, per_step = NC * nf * pieces), the chunk
+    sums added in step order."""
+    total = 0.0
+    for steps in chunk_slices(table.shape[0], per_step):
+        total += float(np.sum(table[steps]))
+    return total
 
 
 class ScalarFaceMesh(PrimalMesh):

@@ -1,10 +1,15 @@
 """Hypothesis strategies for the property tests: random meshes, time
-grids and support boxes."""
+grids, support boxes and discrete fields with their fluxes."""
 
+import numpy as np
 from hypothesis import strategies as st
 
-from fvlab.geometry import (build_cartesian, build_intervals,
-                            build_perturbed_quads, build_time_grid)
+from fvlab.fields import CellScalarField, FaceScalarFieldMAC, FaceVectorFieldRT
+from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
+                            build_intervals, build_perturbed_quads,
+                            build_time_grid)
+from fvlab.operators import (FACE_SCHEMES, flux_colocated_upwind_1d,
+                             flux_staggered, get_pair)
 
 
 @st.composite
@@ -53,3 +58,28 @@ def support_boxes(draw, dim=2):
         a = draw(st.floats(0.01, 0.9))
         box.append((a, draw(st.floats(a + 0.02, 0.99))))
     return tuple(box)
+
+
+@st.composite
+def flux_levels(draw):
+    """A layout, a mesh and time grid it admits, random fields on them and
+    their flux: graded tensor meshes for MAC, perturbed quadrangles for RT,
+    graded intervals with the upwind flux for colocated 1D."""
+    layout = draw(st.sampled_from(["mac", "rt", "colocated1d"]))
+    mesh = draw({"mac": graded_meshes(max_cells=4),
+                 "rt": perturbed_meshes(max_cells=4),
+                 "colocated1d": interval_meshes()}[layout])
+    grid = draw(time_grids(max_steps=5))
+    pair = get_pair(draw(st.sampled_from(["id", "square", "slogs"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    q = CellScalarField(mesh, grid,
+                        rng.normal(size=(grid.n_steps + 1, mesh.n_cells)))
+    if layout == "colocated1d":
+        return layout, None, pair, q, None, flux_colocated_upwind_1d(q)
+    dual = build_dual_mac(mesh) if layout == "mac" else build_dual_rt(mesh)
+    field = FaceScalarFieldMAC if layout == "mac" else FaceVectorFieldRT
+    v = field(mesh, grid, dual, rng.normal(
+        size=(grid.n_steps + 1, mesh.n_faces) + field.components))
+    flux = flux_staggered(q, v, pair,
+                          scheme=draw(st.sampled_from(FACE_SCHEMES)))
+    return layout, dual, pair, q, v, flux

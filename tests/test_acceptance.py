@@ -127,7 +127,7 @@ def test_criterion_04_constant_state_exactness():
             pair = get_pair(name)
             c = assemble_convection(BetaFamily.from_field(q, pair),
                                     flux_staggered(q, v, pair))
-            assert np.all(c[:, mesh.interior_cell_mask] == 0.0)
+            assert np.all(c.values[:, mesh.interior_cell_mask] == 0.0)
     # every consistency residual column of the constant study is literally 0
     res = run_study(criterion7_config(levels=3, solution="constant",
                                       rhs_panels=24))

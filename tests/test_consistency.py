@@ -1,26 +1,32 @@
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from fvlab import consistency
+from fvlab import consistency, quadrature
 from fvlab.consistency import (RouteMismatchError, compute_X1, compute_X2,
                                jump_sums, measured_constant, residual_flux,
                                residual_flux_terms, residual_init,
                                residual_time, weak_form_gap, weak_lhs,
                                weak_rhs)
-from fvlab.fields import (CellScalarField, FaceScalarFieldMAC, SupportError,
-                          TestFunction, interpolate_test)
+from fvlab.fields import (CellScalarField, FaceScalarFieldMAC,
+                          FaceVectorFieldRT, SupportError, TestFunction,
+                          interpolate_test)
 from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
                             build_intervals, build_time_grid)
-from fvlab.operators import (BetaFamily, assemble_convection,
+from fvlab.operators import (BetaFamily, FluxFamily, assemble_convection,
                              flux_colocated_upwind_1d, flux_staggered,
-                             get_pair)
+                             get_pair, telescoping_defect)
 from fvlab.quadrature import BoxQuadrature
 from fvlab.schemes import sample_manufactured
 from fvlab.study import manufactured_solution
 
-from _oracles import brute_force_flux_residual, separable_phi
+from _oracles import (brute_force_flux_residual, chunk_ordered_sum,
+                      separable_phi)
+from _strategies import flux_levels
 
 
 def bump2d():
@@ -208,6 +214,25 @@ def test_weak_lhs_rejects_convection_of_another_level():
         weak_form_gap(c_values, finer, (qf, vf, lambda x: qf(x, 0.0)), pair)
 
 
+def test_weak_lhs_rejects_convection_on_another_time_grid():
+    # C(U) of 8 uniform steps against an interpolate on an alternating grid
+    # of 8 steps: the shapes agree, and the pairing used to come out as
+    # 0.0010332817 instead of 0.0010380342, silently
+    mesh, grid, dual, pair, q, v, flux, qf, vf = manufactured_mac(8)
+    conv = assemble_convection(BetaFamily.from_field(q, pair), flux)
+    assert conv.mesh is mesh and conv.grid is grid
+    assert not conv.values.flags.writeable
+    alternating = build_time_grid(0.5, 8, pattern="alternating", ratio=2.0)
+    interp = interpolate_test(bump2d(), mesh, alternating)
+    assert interp.phi_cell[:-1].shape == conv.values.shape
+    with pytest.raises(ValueError, match="weak_lhs: .* time grids"):
+        weak_lhs(conv, interp)
+    with pytest.raises(ValueError, match="weak_lhs: .* time grids"):
+        weak_form_gap(conv, interp, (qf, vf, lambda x: qf(x, 0.0)), pair)
+    assert weak_lhs(conv, interpolate_test(bump2d(), mesh, grid)) == \
+        pytest.approx(0.0010380342, rel=1e-7)
+
+
 # ---------------------------------------------------------------- residuals
 
 def test_residual_init_constant_q0():
@@ -377,6 +402,58 @@ def test_residual_flux_bitwise_matches_enumeration(layout):
     assert np.array_equal(table, oracle)
     assert residual_flux(flux, q, v, pair, mesh, grid, layout, dual) \
         == float(np.sum(oracle))
+
+
+@settings(max_examples=30, deadline=None)
+@given(flux_levels())
+def test_residual_flux_chunks_match_enumeration(case):
+    # chunks of 1 step, of N - 1, N and N + 1 steps: the term table is the
+    # oracle's byte for byte, and the residual is its chunk-ordered sum
+    layout, dual, pair, q, v, flux = case
+    mesh, grid = q.mesh, q.grid
+    oracle = brute_force_flux_residual(flux, q, v, pair, mesh, grid, layout,
+                                       dual)
+    n = grid.n_steps
+    per_step = mesh.n_cells * mesh.cell_faces.shape[1] * oracle.shape[3]
+    for steps in sorted({1, max(1, n - 1), n, n + 1}):
+        with mock.patch.object(quadrature, "CHUNK_VALUES", steps * per_step):
+            table = residual_flux_terms(flux, q, v, pair, mesh, grid, layout,
+                                        dual)
+            assert table.shape == oracle.shape
+            assert table.tobytes() == oracle.tobytes()
+            assert residual_flux(flux, q, v, pair, mesh, grid, layout, dual) \
+                == chunk_ordered_sum(oracle, per_step)
+
+
+def test_streamed_flux_stages_stay_in_bounded_memory():
+    # 64^2 MAC level, 64 steps: the full (N, NC, nf, pieces) defect table is
+    # 16 MiB, and building it whole with its temporaries took 95 MiB
+    # (compute_X2) and 62 MiB (residual_flux) above the stage's start
+    n = 64
+    mesh = build_cartesian(n, n)
+    grid = build_time_grid(0.5, n)
+    dual = build_dual_mac(mesh)
+    sol = manufactured_solution("sinsin_cos")
+    pair = get_pair("id")
+    q, v = sample_manufactured(sol["q"], sol["v"], "mac", mesh, dual, grid)
+    flux = flux_staggered(q, v, pair)
+    interp = interpolate_test(bump2d(), mesh, grid)
+    stages = {
+        "compute_X2": lambda: compute_X2(flux, interp, q=q, v=v, pair=pair),
+        "residual_flux": lambda: residual_flux(flux, q, v, pair, mesh, grid,
+                                               "mac", dual)}
+    transient = {}
+    tracemalloc.start()
+    try:
+        for name, stage in stages.items():
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            stage()
+            transient[name] = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert all(size <= 32 * 2 ** 20 for size in transient.values()), \
+        {name: size / 2 ** 20 for name, size in transient.items()}
 
 
 # ---------------------------------------------------------------- jump sums
@@ -650,6 +727,29 @@ def test_x2_guard_fires_on_one_corrupt_face_flux(monkeypatch):
         compute_X2(flux, interp, q=q, v=v, pair=pair)
 
 
+def test_x2_guard_fires_on_a_corrupt_face_flux_in_the_last_chunk(monkeypatch):
+    # the same corruption at the last step, with the remainder streamed over
+    # chunks of 3 steps; phi lasts until t = 0.49, past the last knot 0.4375
+    mesh, grid, dual, pair, q, v, flux, qf, vf = manufactured_mac(8)
+    phi = TestFunction(((0.2, 0.8), (0.2, 0.8)), 0.49, time_profile="initial")
+    interp = interpolate_test(phi, mesh, grid)
+    per_step = mesh.n_cells * 4 * 2
+    monkeypatch.setattr(quadrature, "CHUNK_VALUES", 3 * per_step)
+    assert len(quadrature.chunk_slices(grid.n_steps, per_step)) == 3
+    compute_X2(flux, interp, q=q, v=v, pair=pair)
+    centre = int(np.argmax(interp.phi_cell[-2]))
+    real = consistency.flux_dot_n
+
+    def corrupt(flux):
+        out = real(flux).copy()
+        out[-1, centre, 0] += 1.0
+        return out
+
+    monkeypatch.setattr(consistency, "flux_dot_n", corrupt)
+    with pytest.raises(RouteMismatchError, match="X2"):
+        compute_X2(flux, interp, q=q, v=v, pair=pair)
+
+
 class _MeshView:
     """A mesh with some attributes replaced."""
 
@@ -674,6 +774,38 @@ def test_r1_guard_fires_on_one_dropped_face_pairing():
     with pytest.raises(RouteMismatchError, match="R1"):
         jump_sums(CellScalarField(view, grid, q.values),
                   FaceScalarFieldMAC(view, grid, dual, v.values))
+
+
+def test_a_flipped_cell_normal_makes_the_flux_checks_fail():
+    # mutation: one interior RT cell sees its faces with inward normals
+    mesh = build_cartesian(8, 8)
+    grid = build_time_grid(0.5, 8)
+    dual = build_dual_rt(mesh)
+    qf = lambda x, t: 1.0 + 0.4 * np.sin(np.pi * x[:, 0]) \
+        * np.sin(np.pi * x[:, 1]) * np.cos(t)
+    vf = lambda x, t: np.stack([np.cos(x[:, 1]) + 0.2,
+                                0.5 * np.sin(x[:, 0])], axis=-1)
+    pair = get_pair("square")
+    q, v = sample_manufactured(qf, vf, "rt", mesh, dual, grid)
+    flux = flux_staggered(q, v, pair, scheme="centered")
+    interp = interpolate_test(bump2d(), mesh, grid)
+    compute_X2(flux, interp, q=q, v=v, pair=pair)
+    defect, scale = telescoping_defect(flux)
+    assert np.all(defect <= 1e-12 * scale)
+    centre = int(np.argmax(interp.phi_cell[0]))
+    assert mesh.interior_cell_mask[centre]
+    normals = mesh.cell_face_normals.copy()
+    normals[centre] *= -1.0
+    view = _MeshView(mesh, cell_face_normals=normals)
+    q_view = CellScalarField(view, grid, q.values)
+    v_view = FaceVectorFieldRT(view, grid, dual, v.values)
+    flux_view = FluxFamily("rt", view, grid, flux.values,
+                           flux.boundary_policy, dual)
+    defect, scale = telescoping_defect(flux_view)
+    assert np.any(defect > 1e-12 * scale)
+    with pytest.raises(RouteMismatchError, match="X2"):
+        compute_X2(flux_view, interpolate_test(bump2d(), view, grid),
+                   q=q_view, v=v_view, pair=pair)
 
 
 def test_weak_rhs_self_check_warns_on_coarse_rule():

@@ -259,7 +259,7 @@ def test_constant_state_interior_exact_zero():
             betas = BetaFamily.from_field(q, pair)
             flux = flux_staggered(q, v, pair)
             c = assemble_convection(betas, flux)
-            assert np.all(c[:, mesh.interior_cell_mask] == 0.0)
+            assert np.all(c.values[:, mesh.interior_cell_mask] == 0.0)
 
 
 def test_zero_flux_linear_beta_gives_one():
@@ -269,7 +269,29 @@ def test_zero_flux_linear_beta_gives_one():
     u = CellScalarField(mesh, grid, np.zeros((5, 4)))
     flux = flux_colocated_upwind_1d(u)
     c = assemble_convection(betas, flux)
-    assert np.abs(c - 1.0).max() < 1e-14
+    assert np.abs(c.values - 1.0).max() < 1e-14
+
+
+def test_assemble_convection_rejects_a_flux_of_another_level():
+    # betas of 8 uniform steps, the flux of an alternating grid of 8 steps:
+    # the shapes agree, and C(U) used to differ by up to 0.027, silently
+    mesh = build_cartesian(8, 8)
+    dual = build_dual_mac(mesh)
+    pair = get_pair("id")
+    qf = lambda x, t: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]) \
+        * np.cos(t)
+    vf = lambda x, t: np.broadcast_to(np.array([1.0, 0.5]),
+                                      (x.shape[0], 2)).copy()
+    fields = [sample_manufactured(qf, vf, "mac", mesh, dual, grid)
+              for grid in (build_time_grid(0.5, 8),
+                           build_time_grid(0.5, 8, pattern="alternating",
+                                           ratio=2.0))]
+    (q, v), (q_other, v_other) = fields
+    betas = BetaFamily.from_field(q, pair)
+    conv = assemble_convection(betas, flux_staggered(q, v, pair))
+    assert conv.mesh is mesh and conv.grid is q.grid
+    with pytest.raises(ValueError, match="assemble_convection: .* time"):
+        assemble_convection(betas, flux_staggered(q_other, v_other, pair))
 
 
 def test_upwind_explicit_step_reproduction():
@@ -347,4 +369,4 @@ def test_mac_rt_agreement_constant_axis_aligned_velocity():
                              flux_staggered(q1, v1, pair))
     c2 = assemble_convection(BetaFamily.from_field(q2, pair),
                              flux_staggered(q2, v2, pair))
-    assert np.array_equal(c1, c2)
+    assert np.array_equal(c1.values, c2.values)
