@@ -398,15 +398,19 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
     Both terms use mesh-independent panelised rules over the support box of
     phi (the limit object does not depend on the discretisation level; the
     integrands vanish outside the support).  The space-time box is a tensor
-    grid of spatial nodes x time nodes, and the limit fields are evaluated
-    on it as such: a ``Reference`` q or v forms its x-only part once per
-    spatial node and combines it with each time node
-    (``Reference.on_grid``), while a plain closure is called once on every
-    box node.  phi, d_t phi and grad phi come from the bumps and the time
-    factor on each axis's 1D nodes (``TestFunction.at_grid``), formed in
-    the product order of ``TestFunction``, so they equal
-    ``phi.value/dt/grad`` at the nodes bit for bit.  Each term is one flat
-    weighted sum of the integrand in the C order of the box nodes
+    grid of spatial nodes x time nodes, and each volume integrand is formed
+    over chunks of its first spatial axis (``quadrature.chunk_slices``,
+    about ``CHUNK_VALUES`` nodes a chunk), written into one vector of the
+    box's nodes: the time term, then the space term.  On each chunk the
+    limit fields are evaluated on the grid as such: a ``Reference`` q or v
+    forms its x-only part once per spatial node and combines it with each
+    time node (``Reference.on_grid``), while a plain closure is called once
+    on every node.  phi, d_t phi and grad phi come from the bumps and the
+    time factor on each axis's 1D nodes (``TestFunction.at_grid``), formed
+    in the product order of ``TestFunction``, so they equal
+    ``phi.value/dt/grad`` at the nodes bit for bit.  Every value goes
+    through the same operations in any chunk, and each term is one flat
+    weighted sum of the whole vector in the C order of the box nodes
     (``BoxQuadrature.integrate``), independent of the BLAS thread count.
 
     With ``check`` the volume term is integrated again at order+2; the
@@ -421,22 +425,34 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
 
     def volume_integrals(box):
         """int beta(q) d_t phi and int g(q) v . grad phi over the box."""
-        x = tensor_points(box.grid_axes[:dim])
-        t_axis = box.grid_axes[dim]
+        axes, t_axis = box.grid_axes[:dim], box.grid_axes[dim]
         times = t_axis.ravel()
-        on_box = phi.at_grid(box.grid_axes[:dim])
-        qb = np.asarray(_reference_at(q_exact, x, times), dtype=float).ravel()
-        # one term after the other: the first's arrays are gone before the
-        # second's are formed
-        time_int = box.integrate(pair.beta(qb) * on_box.dt(t_axis).ravel())
-        grad = on_box.grad(t_axis).reshape(-1, dim)
-        if v_exact is None:
-            space = pair.flux(qb) * grad[:, 0]
-        else:
+        on_box = phi.at_grid(axes)
+
+        def time_term(on_chunk, x, qb):
+            return pair.beta(qb) * on_chunk.dt(t_axis).ravel()
+
+        def space_term(on_chunk, x, qb):
+            grad = on_chunk.grad(t_axis).reshape(-1, dim)
+            if v_exact is None:
+                return pair.flux(qb) * grad[:, 0]
             vv = np.asarray(_reference_at(v_exact, x, times),
                             dtype=float).reshape(-1, dim)
-            space = pair.g(qb) * np.einsum("nd,nd->n", vv, grad)
-        return time_int, box.integrate(space)
+            return pair.g(qb) * np.einsum("nd,nd->n", vv, grad)
+
+        # the nodes of one index of the first axis are consecutive in C order
+        per_row = box.weights.size // axes[0].size
+        vals = np.empty(box.weights.size)
+        out = []
+        for term in (time_term, space_term):
+            for rows in chunk_slices(axes[0].size, per_row):
+                x = tensor_points([axes[0][rows]] + axes[1:])
+                qb = np.asarray(_reference_at(q_exact, x, times),
+                                dtype=float).ravel()
+                vals[rows.start * per_row:rows.stop * per_row] = term(
+                    on_box.first_rows(rows), x, qb)
+            out.append(box.integrate(vals))
+        return out
 
     time_int, space_int = volume_integrals(BoxQuadrature(bounds, panels, order))
     vol_time, vol_space = -time_int, -space_int

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -150,7 +150,9 @@ class TestFunction:
     ``at`` and ``at_grid`` are the one evaluation seam: they evaluate the
     bumps once per point set, and ``value``/``dt``/``grad`` go through
     ``at``.  A subclass changes phi by overriding ``_time_factor`` and
-    ``_bumps``, or ``at`` and ``at_grid`` themselves.
+    ``_bumps``, or ``at`` and ``at_grid`` themselves.  Its bumps must
+    vanish outside the support box: ``interpolate_test`` averages phi only
+    on the cells and faces that meet that box (``PhiAt.on_support``).
 
     Product order (a bitwise contract): values and time derivatives are
     formed as ``(tf * b_0) * b_1``, with tf evaluated once per time, and
@@ -270,18 +272,25 @@ class PhiAt:
         return self.phi._bumps(self.coords, derivative=True)
 
     def on_support(self, k):
-        """Split the points into rows of k consecutive points (the nodes of
-        one cell or face) and keep the rows that meet the support: those
-        with a point at which every spatial bump is nonzero.  Returns the
-        row ids and phi on the points of those rows, its bumps taken from
-        this evaluator.  On every other row each point has a zero bump, so
-        phi(., t) is a signed zero there for any finite tf(t)."""
-        inside = reduce(np.logical_and, [b != 0.0 for b in self._bumps])
-        rows = np.flatnonzero(inside.reshape(-1, k).any(axis=1))
-        take = (rows[:, None] * k + np.arange(k)).ravel()
-        sub = PhiAt(self.phi, [c[take] for c in self.coords])
-        sub._bumps = [b[take] for b in self._bumps]
-        return rows, sub
+        """Split the points into rows of k consecutive points (the vertices
+        of one cell or face) and return the ids of the rows whose bounding
+        box meets the open support box of phi.  A cell or face outside its
+        vertices' box has every node on or past an edge of the support, so
+        phi(., t) is a signed zero at each of its nodes for any finite
+        tf(t)."""
+        corners = np.stack(self.coords, axis=-1).reshape(-1, k, self.phi.dim)
+        lo, hi = np.asarray(self.phi.support).T
+        meets = (corners.max(axis=1) > lo) & (corners.min(axis=1) < hi)
+        return np.flatnonzero(meets.all(axis=1))
+
+    def first_rows(self, rows):
+        """phi on the part of a tensor grid (``TestFunction.at_grid``) whose
+        first coordinate is one of the nodes ``rows`` of the first axis; the
+        bumps and their derivatives are sliced from this evaluator's."""
+        sub = PhiAt(self.phi, [self.coords[0][rows]] + self.coords[1:])
+        sub._bumps = [self._bumps[0][rows]] + self._bumps[1:]
+        sub._dbumps = [self._dbumps[0][rows]] + self._dbumps[1:]
+        return sub
 
     def value(self, t):
         return _times(self.phi._time_factor(t), self._bumps)
@@ -435,23 +444,28 @@ class InterpolatedTest:
         return not np.any(self.phi_face[:, faces] != 0.0)
 
 
-def _support_means(phi: TestFunction, quad, knots) -> np.ndarray:
-    """Means of phi(., t) over each row of nodes of the cell or face rule
-    ``quad`` at every knot, shape (len(knots), rows).  phi's bumps are
-    evaluated once; at each knot the products and the means are formed on
-    the rows that meet the support only, and the other rows get +0.0, the
-    mean of signed zeros.  An evaluator without ``on_support`` (a
-    subclass's own ``at``) is averaged on every row."""
-    n_rows, k, dim = quad.points.shape
-    on_points = phi.at(quad.points.reshape(-1, dim))
-    if hasattr(on_points, "on_support"):
-        rows, on_points = on_points.on_support(k)
-    else:
-        rows = np.arange(n_rows)
-    means = quad.means_on(rows)
-    out = np.zeros((knots.size, n_rows))
-    for n, t in enumerate(knots):
-        out[n, rows] = means(on_points.value(t))
+def _support_means(phi: TestFunction, rule, mesh, row_vertices,
+                   knots, order, panels) -> np.ndarray:
+    """Means of phi(., t) over each cell or face at every knot, shape
+    (len(knots), rows): ``rule`` is ``CellQuadrature`` or
+    ``FaceQuadrature`` and ``row_vertices`` the mesh's vertex ids of its
+    rows.  The rule is built on the rows that meet the support of phi only
+    (``PhiAt.on_support``), and the means are formed on them at the knots
+    where the time factor is nonzero; every other entry gets +0.0, the
+    mean of a row of signed zeros.  An evaluator without ``on_support`` (a
+    subclass's own ``at``) is averaged on every row at every knot."""
+    corners = mesh.vertices[row_vertices]
+    on_corners = phi.at(corners.reshape(-1, mesh.dim))
+    support = hasattr(on_corners, "on_support")
+    rows = on_corners.on_support(corners.shape[1]) if support else None
+    quad = rule(mesh, order, panels, rows=rows)
+    on_points = phi.at(quad.points.reshape(-1, mesh.dim))
+    out = np.zeros((knots.size, corners.shape[0]))
+    live = np.ones(knots.size, dtype=bool)
+    if support:
+        live = phi._time_factor(knots) != 0.0
+    for n in np.flatnonzero(live):
+        out[n, quad.rows] = quad.means(on_points.value(knots[n]))
     return out
 
 
@@ -461,16 +475,17 @@ def interpolate_test(phi: TestFunction, mesh, grid, order: int = DEFAULT_ORDER,
 
     The cell/face rules are panelised (4 panels of the base order per axis
     by default): bump test functions have steep support edges and the
-    face-mean gradient amplifies edge-quadrature error by 1/h.  The means
-    are formed on the cells and faces that meet the support of phi only
-    (``PhiAt.on_support``); every other one gets +0.0, the bits that the
-    means over all cells and faces give it.
+    face-mean gradient amplifies edge-quadrature error by 1/h.  The rules
+    are built on the cells and faces whose vertex box meets the support of
+    phi only, and the means formed at the knots where its time factor is
+    nonzero (``_support_means``); every other entry gets +0.0, the bits
+    that the means over all cells and faces give it.
     """
     phi.validate_against(mesh, grid)
-    cq = CellQuadrature(mesh, order, panels)
-    fq = FaceQuadrature(mesh, order, panels)
-    phi_cell = _support_means(phi, cq, grid.knots)
-    phi_face = _support_means(phi, fq, grid.knots)
+    phi_cell = _support_means(phi, CellQuadrature, mesh, mesh.cell_vertices,
+                              grid.knots, order, panels)
+    phi_face = _support_means(phi, FaceQuadrature, mesh, mesh.face_vertices,
+                              grid.knots, order, panels)
     areas = mesh.face_measures[mesh.cell_faces]             # (NC, nf)
     weights = areas[:, :, None] * mesh.cell_face_normals    # (NC, nf, dim)
     face_vals = phi_face[:, mesh.cell_faces]                # (N+1, NC, nf)

@@ -94,31 +94,37 @@ def _shifted_means(wnorm, vals):
 
 class _RowRule:
     """A rule with one row of nodes per cell or face (``points``, shaped
-    (rows, k, dim)) and normalised weights ``_wnorm`` per row."""
+    (rows, k, dim)) and normalised weights ``_wnorm`` per row.  Built on
+    the mesh's cells or faces ``rows`` only (all of them by default), a
+    rule's rows carry the bits of the same rows of the rule on all."""
 
-    def means_on(self, rows):
-        """Means over the rows ``rows`` only: a function of the values on
-        the nodes of these rows, in their order, that gives each row the
-        bits of the means over all rows."""
-        wnorm = self._wnorm[rows]
-        return lambda vals: _shifted_means(wnorm, vals)
+    def __init__(self, mesh, order, panels, rows):
+        self.mesh = mesh
+        self.order = order
+        self.panels = panels
+        self.rows = (slice(None) if rows is None
+                     else np.asarray(rows, dtype=np.intp))
+
+    def means(self, vals):
+        """The mean of each row of values on the nodes against its
+        normalised weights; constants are reproduced bitwise."""
+        return _shifted_means(self._wnorm, vals)
 
 
 class CellQuadrature(_RowRule):
     """Per-cell tensor Gauss-Legendre rule of a given order.
 
     Precomputes physical node coordinates and weights for every cell of the
-    mesh; the same rule is reused across time levels.  Weights include the
-    Jacobian of the bilinear map, so ``weights[c].sum()`` approximates the
-    cell measure.
+    mesh, or for the cells ``rows`` only; the same rule is reused across
+    time levels.  Weights include the Jacobian of the bilinear map, so
+    ``weights[c].sum()`` approximates the cell measure.
     """
 
-    def __init__(self, mesh, order: int = DEFAULT_ORDER, panels: int = 1):
-        self.mesh = mesh
-        self.order = order
-        self.panels = panels
+    def __init__(self, mesh, order: int = DEFAULT_ORDER, panels: int = 1,
+                 rows=None):
+        super().__init__(mesh, order, panels, rows)
         nodes1d, w1d = composite_gauss_legendre(order, panels)
-        verts = mesh.vertices[mesh.cell_vertices]  # (NC, nv, dim)
+        verts = mesh.vertices[mesh.cell_vertices[self.rows]]  # (NC, nv, dim)
         if mesh.dim == 1:
             a = verts[:, 0, 0][:, None]
             b = verts[:, 1, 0][:, None]
@@ -163,10 +169,7 @@ class CellQuadrature(_RowRule):
     def _scalars(self, vals):
         return np.asarray(vals, dtype=float).reshape(self.points.shape[:2])
 
-    def cell_means(self, vals):
-        """Cell averages of the values on the nodes; constants are
-        reproduced bitwise."""
-        return _shifted_means(self._wnorm, vals)
+    cell_means = _RowRule.means
 
     def cell_integrals(self, vals):
         """Cell integrals of the values on the nodes."""
@@ -181,32 +184,31 @@ class CellQuadrature(_RowRule):
 
 
 class FaceQuadrature(_RowRule):
-    """Per-face Gauss-Legendre rule along each edge (a point in 1D)."""
+    """Per-face Gauss-Legendre rule along each edge (a point in 1D), on
+    every face of the mesh or on the faces ``rows`` only."""
 
-    def __init__(self, mesh, order: int = DEFAULT_ORDER, panels: int = 1):
-        self.mesh = mesh
-        self.order = order
-        self.panels = panels
+    def __init__(self, mesh, order: int = DEFAULT_ORDER, panels: int = 1,
+                 rows=None):
+        super().__init__(mesh, order, panels, rows)
+        face_vertices = mesh.face_vertices[self.rows]
         if mesh.dim == 1:
-            self.points = mesh.face_midpoints[:, None, :]      # (NF, 1, 1)
-            self.weights = np.ones((mesh.n_faces, 1))
+            # (NF, 1, 1)
+            self.points = mesh.face_midpoints[self.rows][:, None, :]
+            self.weights = np.ones((len(face_vertices), 1))
         else:
             nodes1d, w1d = composite_gauss_legendre(order, panels)
-            va = mesh.vertices[mesh.face_vertices[:, 0]]
-            vb = mesh.vertices[mesh.face_vertices[:, 1]]
+            va = mesh.vertices[face_vertices[:, 0]]
+            vb = mesh.vertices[face_vertices[:, 1]]
             mid = 0.5 * (va + vb)
             half = 0.5 * (vb - va)
             self.points = mid[:, None, :] + nodes1d[None, :, None] * half[:, None, :]
             self.weights = np.broadcast_to(
-                0.5 * w1d[None, :], (mesh.n_faces, nodes1d.size)).copy()
+                0.5 * w1d[None, :], (len(face_vertices), nodes1d.size)).copy()
         self._wnorm = self.weights / self.weights.sum(axis=1)[:, None]
         for arr in (self.points, self.weights, self._wnorm):
             arr.setflags(write=False)
 
-    def face_means(self, vals):
-        """Mean over each face of the values on the face nodes; constants
-        reproduced bitwise."""
-        return _shifted_means(self._wnorm, vals)
+    face_means = _RowRule.means
 
 
 class SlabQuadrature:

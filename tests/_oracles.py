@@ -1,13 +1,16 @@
 """Independent brute-force oracles shared by the unit and acceptance tests."""
 
+import warnings
+
 import numpy as np
 
-from fvlab.consistency import LOCAL_OPPOSITE
-from fvlab.fields import _bump
+from fvlab.consistency import LOCAL_OPPOSITE, WeakRhs
+from fvlab.fields import _bump, _reference_at
 from fvlab.geometry import (MeshConstructionError, PrimalMesh,
                             sum_opposite_first)
-from fvlab.quadrature import (CellQuadrature, FaceQuadrature, SlabQuadrature,
-                              chunk_slices)
+from fvlab.quadrature import (ORACLE_ORDER, BoxQuadrature, CellQuadrature,
+                              FaceQuadrature, SlabQuadrature, chunk_slices,
+                              tensor_points)
 
 
 def face_value(q, face: int, n: int, scheme: str = "centered",
@@ -330,3 +333,43 @@ def interpolate_test_all_rows(phi, mesh, grid, order=4, panels=4):
     else:
         gsum = np.einsum("ncf,cfd->ncd", face_vals, weights)
     return phi_cell, phi_face, gsum / mesh.cell_volumes[None, :, None]
+
+
+def weak_rhs_whole(pair, q_exact, v_exact, q0, phi, order=ORACLE_ORDER,
+                   panels=12, check=True):
+    """``weak_rhs`` with each volume integrand formed on the whole
+    space-time box at once, then summed by the same flat
+    ``BoxQuadrature.integrate``."""
+    dim = phi.dim
+    space_box = BoxQuadrature(list(phi.support), panels, order)
+    phi_x0 = phi.at_grid(space_box.grid_axes).value(0.0).ravel()
+    init = -space_box.integrate(pair.beta(q0(space_box.points)) * phi_x0)
+    bounds = list(phi.support) + [(0.0, phi.t_max)]
+
+    def volume_integrals(box):
+        x = tensor_points(box.grid_axes[:dim])
+        t_axis = box.grid_axes[dim]
+        times = t_axis.ravel()
+        on_box = phi.at_grid(box.grid_axes[:dim])
+        qb = np.asarray(_reference_at(q_exact, x, times), dtype=float).ravel()
+        time_int = box.integrate(pair.beta(qb) * on_box.dt(t_axis).ravel())
+        grad = on_box.grad(t_axis).reshape(-1, dim)
+        if v_exact is None:
+            space = pair.flux(qb) * grad[:, 0]
+        else:
+            vv = np.asarray(_reference_at(v_exact, x, times),
+                            dtype=float).reshape(-1, dim)
+            space = pair.g(qb) * np.einsum("nd,nd->n", vv, grad)
+        return time_int, box.integrate(space)
+
+    time_int, space_int = volume_integrals(BoxQuadrature(bounds, panels, order))
+    vol_time, vol_space = -time_int, -space_int
+    volume = vol_time + vol_space
+    delta = np.nan
+    if check:
+        vol2 = -sum(volume_integrals(BoxQuadrature(bounds, panels, order + 2)))
+        delta = abs(volume - vol2)
+        if delta > 1e-7 * (1.0 + abs(volume)):
+            warnings.warn(f"weak-form volume quadrature disagreement "
+                          f"{delta:.3e}", stacklevel=2)
+    return WeakRhs(init + volume, init, volume, vol_time, vol_space, delta)

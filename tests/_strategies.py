@@ -50,13 +50,25 @@ def time_grids(draw, max_steps=6, n_steps=None):
 
 
 @st.composite
-def support_boxes(draw, dim=2):
+def support_boxes(draw, dim=2, mesh=None):
     """Boxes strictly inside the unit box, from a sliver to most of it,
-    one (a, b) pair per axis."""
+    one (a, b) pair per axis.  Given a mesh, an edge is sometimes moved
+    onto a vertex coordinate of that axis (a mesh line of a tensor mesh),
+    where the open box only touches the cells on one side."""
     box = []
-    for _ in range(dim):
+    for d in range(dim):
         a = draw(st.floats(0.01, 0.9))
-        box.append((a, draw(st.floats(a + 0.02, 0.99))))
+        b = draw(st.floats(a + 0.02, 0.99))
+        if mesh is not None and draw(st.booleans()):
+            lines = np.unique(mesh.vertices[:, d])
+            lines = lines[(lines > 0.0) & (lines < 1.0)]
+            if lines.size:
+                edge = float(draw(st.sampled_from(lines)))
+                if draw(st.booleans()) and edge < b:
+                    a = edge
+                elif edge > a:
+                    b = edge
+        box.append((a, b))
     return tuple(box)
 
 

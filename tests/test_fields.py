@@ -183,13 +183,23 @@ def test_interpolate_on_support_matches_all_rows(data, profile, negated,
     mesh = data.draw(st.one_of(perturbed_meshes(), graded_meshes(),
                                interval_meshes(max_cells=16)))
     grid = data.draw(time_grids(max_steps=8))
-    support = data.draw(support_boxes(mesh.dim))
+    support = data.draw(support_boxes(mesh.dim, mesh))
     t_max = data.draw(st.floats(0.1, 0.95)) * grid.final_time
     phi = (_Negated if negated else TestFunction)(support, t_max, profile)
     got = interpolate_test(phi, mesh, grid, panels=panels)
     want = interpolate_test_all_rows(phi, mesh, grid, panels=panels)
     for a, b in zip((got.phi_cell, got.phi_face, got.grad_phi), want):
         assert_bitwise(a, b)
+
+
+def test_interpolate_stays_in_bounded_memory(transient_mib):
+    # a 32^2 MAC level of the criterion-7 study, 32 steps: the rules built
+    # on every cell and face took 18.9 MiB above the call's start
+    mesh = build_cartesian(32, 32)
+    grid = build_time_grid(0.5, 32)
+    phi = TestFunction(((0.2, 0.8), (0.2, 0.8)), 0.35)
+    size = transient_mib(lambda: interpolate_test(phi, mesh, grid))
+    assert size <= 12, size
 
 
 def test_interpolate_zero_function():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import assert_bitwise, slab_integrals_per_slab
-from _strategies import interval_meshes, perturbed_meshes, time_grids
+from _strategies import (graded_meshes, interval_meshes, perturbed_meshes,
+                         time_grids)
 from fvlab import quadrature
 from fvlab.fields import Reference
 from fvlab.geometry import build_cartesian, build_intervals, build_perturbed_quads
@@ -162,3 +163,21 @@ def test_slab_integrals_match_per_slab_oracle(mesh, space_order, time_order,
     for values in (chunk * per_step + spare % per_step, 1):
         with mock.patch.object(quadrature, "CHUNK_VALUES", values):
             assert_bitwise(slab.slab_cell_integrals(batched), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), rule=st.sampled_from([CellQuadrature, FaceQuadrature]),
+       order=st.integers(1, 5), panels=st.integers(1, 3))
+def test_rules_on_rows_match_the_full_rule(data, rule, order, panels):
+    # a rule built on some cells or faces, in any order, repeated or none,
+    # has the points, weights and normalised weights of those rows of the
+    # rule built on all of them, bit for bit
+    mesh = data.draw(st.one_of(perturbed_meshes(), graded_meshes(),
+                               interval_meshes(max_cells=16)))
+    full = rule(mesh, order, panels)
+    n_rows = full.points.shape[0]
+    rows = data.draw(st.lists(st.integers(0, n_rows - 1), max_size=n_rows))
+    part = rule(mesh, order, panels, rows=rows)
+    for name in ("points", "weights", "_wnorm"):
+        assert_bitwise(getattr(part, name),
+                       getattr(full, name)[np.asarray(rows, dtype=int)])
