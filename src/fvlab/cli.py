@@ -27,7 +27,7 @@ from .quadrature import CellQuadrature
 from .study import (StudyConfig, StudyRegularityError, build_level, run_study,
                     write_report_csv, write_rates_csv)
 
-__all__ = ["main", "parse_config", "serialize_config", "ConfigError"]
+__all__ = ["main", "parse_config", "ConfigError"]
 
 
 class ConfigError(ValueError):
@@ -141,31 +141,6 @@ def parse_config(path) -> tuple[StudyConfig, dict]:
     return cfg, meta
 
 
-def serialize_config(cfg: StudyConfig, meta: dict | None = None) -> str:
-    """Write a StudyConfig back to INI text (parse -> serialize -> parse is
-    the identity)."""
-    meta = {**META_DEFAULTS, **(meta or {})}
-    sections = {}
-    for section, key, target, conv in CONFIG_TABLE:
-        if isinstance(target, tuple):
-            box, axis, end = target
-            bounds = getattr(cfg, box)
-            if bounds is None or axis >= len(bounds):
-                continue
-            value = bounds[axis][end]
-        elif target in META_DEFAULTS:
-            value = meta[target]
-            if value == META_DEFAULTS[target]:
-                continue
-        else:
-            value = getattr(cfg, target)
-        text = repr(value) if conv is float else str(value)
-        sections.setdefault(section, []).append(f"{key} = {text}")
-    sections["thresholds"] = [f"{k} = {v!r}" for k, v in cfg.thresholds.items()]
-    return "\n\n".join("\n".join([f"[{name}]"] + lines)
-                       for name, lines in sections.items() if lines) + "\n"
-
-
 # ----------------------------------------------------------------------
 # commands
 
@@ -242,7 +217,8 @@ def cmd_check_identities(cfg: StudyConfig, meta: dict, out=None) -> int:
             oracle = CellQuadrature(mesh, cfg.oracle_order, panels=8)
             for n, t in enumerate(grid.knots):
                 ref = oracle.cell_vector_means(oracle.values(phi.grad, t))
-                err = np.sqrt(((interp.grad_phi[n] - ref) ** 2).sum(-1))
+                grad = interp.tf[n] * interp.grad_table
+                err = np.sqrt(((grad - ref) ** 2).sum(-1))
                 worst = int(np.argmax(err))
                 if err[worst] > 1e-7:
                     problems.append(

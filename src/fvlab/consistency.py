@@ -35,12 +35,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import (InterpolatedTest, SupportError, _reference_at,
-                     _same_level)
+                     _same_level, _support_table)
 from .geometry import LOCAL_OPPOSITE
 from .layouts import COLOCATED_1D, get_layout, layout_of
 from .operators import BetaFamily, FluxFamily, dt_beta, flux_divergence, flux_dot_n
 from .quadrature import (DEFAULT_ORDER, ORACLE_ORDER, BoxQuadrature,
-                         CellQuadrature, SlabQuadrature, chunk_slices,
+                         CellQuadrature, chunk_slices, slab_time_integrals,
                          tensor_points)
 
 __all__ = [
@@ -85,7 +85,7 @@ def compute_X1(betas: BetaFamily, interp: InterpolatedTest,
     vols = betas.mesh.cell_volumes
     steps = grid.steps
     dtb = dt_beta(betas, grid)
-    phi_c = interp.phi_cell
+    phi_c = interp.cells()
     direct = float(np.einsum("n,nc,c->", steps, dtb * phi_c[:-1], vols))
     # by parts: -sum |P| beta^0 phi^0 - sum_{n>=1} |P| beta^n (phi^n - phi^{n-1})
     bnd = float(np.einsum("c,c->", vols, betas.values[0] * phi_c[0]))
@@ -153,7 +153,7 @@ def compute_X2(flux: FluxFamily, interp: InterpolatedTest, q=None, v=None,
     mesh, grid = flux.mesh, flux.grid
     steps = grid.steps
     div = flux_divergence(flux)
-    phi_c = interp.phi_cell[:-1]
+    phi_c = interp.cells(np.s_[:-1])
     direct = float(np.einsum("n,nc->", steps, div * phi_c))
     direct_mass = float(np.einsum("n,nc->", steps, np.abs(div * phi_c)))
     del div
@@ -164,9 +164,9 @@ def compute_X2(flux: FluxFamily, interp: InterpolatedTest, q=None, v=None,
     layout = get_layout(flux.layout)
     mean_f = layout.flux_cell_means(_slab_levels(q, n_steps),
                                     _slab_levels(v, n_steps), pair, mesh)
-    grad = interp.grad_phi[:-1]
+    grad = interp.tf[:-1, None, None] * interp.grad_table[interior]
     vols = mesh.cell_volumes
-    gdots = np.einsum("ncd,ncd->nc", mean_f[:, interior], grad[:, interior])
+    gdots = np.einsum("ncd,ncd->nc", mean_f[:, interior], grad)
     del mean_f
     grad_term = -float(np.einsum("n,nc,c->", steps, gdots, vols[interior]))
     grad_mass = float(np.einsum("n,nc,c->", steps, np.abs(gdots),
@@ -180,8 +180,9 @@ def compute_X2(flux: FluxFamily, interp: InterpolatedTest, q=None, v=None,
     remainder = remainder_mass = 0.0
     for chunk, defects in _flux_defects(flux_dot_n(flux), q, v, pair, mesh,
                                         layout, flux.dual):
-        dphi = (interp.phi_cell[chunk][:, cells, None]
-                - interp.phi_face[chunk][:, cell_faces])
+        tf = interp.tf[chunk, None, None]
+        dphi = (tf * interp.cell_table[cells, None]
+                - tf * interp.face_table[cell_faces])
         weighted = coef[None] * (defects * dphi[:, :, :, None])
         remainder += float(np.einsum("n,nckp->", steps[chunk], weighted))
         remainder_mass += float(np.einsum("n,nckp->", steps[chunk],
@@ -241,17 +242,18 @@ def residual_time(betas: BetaFamily, q, phi, pair,
     function takes the level n-1 value on [t_{n-1}, t_n)).
 
     The integrand is piecewise constant per (cell, slab); only phi needs
-    quadrature.  The majorant carries the cell measure so that it is the
-    time part of the translate functional.
+    quadrature, factored as phi is: (Gauss rule of tf over the slab) * (cell
+    rule of B over P, on the cells meeting its support).  The majorant
+    carries the cell measure so that it is the time part of the translate
+    functional.
     """
     _same_level("residual_time", betas, q)
     mesh, grid = betas.mesh, betas.grid
-    slab = SlabQuadrature(mesh, grid, space_order, time_order)
     interior = mesh.interior_cell_mask
-    # phi on the slab rule's own cell points, its bumps evaluated once
-    on_cells = phi.at(slab.cell.flat_points())
-    phi_int = slab.slab_cell_integrals(
-        lambda steps, tn: on_cells.value(tn[..., None]))
+    space_int = _support_table(phi, CellQuadrature, mesh, space_order, 1,
+                               CellQuadrature.cell_integrals)
+    time_int = slab_time_integrals(grid.knots, phi._time_factor, time_order)
+    phi_int = time_int[:, None] * space_int
     # boolean indexing of the columns transposes memory; copy back to C
     # order so each row is summed as the 1D pairwise sum of that slab
     terms = np.ascontiguousarray(
@@ -472,7 +474,7 @@ def weak_lhs(c_field, interp: InterpolatedTest) -> float:
     (``assemble_convection``) and the interpolate must share their level."""
     _same_level("weak_lhs", c_field, interp)
     return float(np.einsum("n,nc,c->", interp.grid.steps,
-                           c_field.values * interp.phi_cell[:-1],
+                           c_field.values * interp.cells(np.s_[:-1]),
                            interp.mesh.cell_volumes))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -136,9 +136,9 @@ def _bump(s, a, b, derivative=False):
 class TestFunction:
     """Smooth compactly supported phi(x, t) with closed-form derivatives.
 
-    phi is separable, phi(x, t) = tf(t) * prod_d b_d(x_d): the spatial part
-    is a product of exponential bumps over the support box.  Two time
-    profiles are available:
+    phi is separable, phi(x, t) = tf(t) * B(x) with B(x) = prod_d b_d(x_d):
+    the spatial part is a product of exponential bumps over the support
+    box.  Two time profiles are available:
 
     * ``"initial"`` (default): an even bump in t restricted to [0, t_max), so
       phi(., 0) != 0 and the initialization terms of the weak form are
@@ -150,14 +150,14 @@ class TestFunction:
     ``at`` and ``at_grid`` are the one evaluation seam: they evaluate the
     bumps once per point set, and ``value``/``dt``/``grad`` go through
     ``at``.  A subclass changes phi by overriding ``_time_factor`` and
-    ``_bumps``, or ``at`` and ``at_grid`` themselves.  Its bumps must
-    vanish outside the support box: ``interpolate_test`` averages phi only
-    on the cells and faces that meet that box (``PhiAt.on_support``).
+    ``_bumps``; its bumps must vanish outside the support box, since
+    ``interpolate_test`` and ``residual_time`` apply their rules to B
+    (``PhiAt.space``) only on the cells and faces that meet it.
 
     Product order (a bitwise contract): values and time derivatives are
-    formed as ``(tf * b_0) * b_1``, with tf evaluated once per time, and
-    grad component d as ``(b_d' * tf) * b_e`` over the other axes e in
-    order.
+    formed as ``(tf * b_0) * b_1``, with tf evaluated once per time, grad
+    component d as ``(b_d' * tf) * b_e`` over the other axes e in order, B
+    as ``b_0 * b_1``, and a factored quantity as ``tf * (rule over B)``.
     """
 
     def __init__(self, support, t_max, time_profile="initial"):
@@ -292,6 +292,10 @@ class PhiAt:
         sub._dbumps = [self._dbumps[0][rows]] + self._dbumps[1:]
         return sub
 
+    def space(self):
+        """The spatial factor B = b_0 * b_1 ... at the points."""
+        return reduce(np.multiply, self._bumps)
+
     def value(self, t):
         return _times(self.phi._time_factor(t), self._bumps)
 
@@ -409,9 +413,7 @@ def sample_cell_means(f, mesh, grid, order: int = DEFAULT_ORDER,
     values = _knot_means(CellQuadrature(mesh, order), f, grid.knots)
     if check:
         means = _knot_means(CellQuadrature(mesh, order + 2), f, grid.knots)
-        worst = 0.0
-        for gap in np.abs(means - values).max(axis=1):
-            worst = max(worst, float(gap))
+        worst = float(np.abs(means - values).max())
         scale = 1.0 + float(np.abs(values).max())
         if worst > 1e-8 * scale:
             warnings.warn(
@@ -422,80 +424,89 @@ def sample_cell_means(f, mesh, grid, order: int = DEFAULT_ORDER,
 
 @dataclass
 class InterpolatedTest:
-    """Discrete interpolates of a test function on a mesh/time grid.
-
-    phi_cell[n, P] are cell means of phi(., t_n), phi_face the face means,
-    and grad_phi the face-mean gradient (1/|P|) sum |zeta| phi_zeta n_{P,zeta}.
+    """Interpolates of a test function on a mesh/time grid, factored as phi
+    is (``TestFunction``): tf[n] = tf(t_n) and three tables of B, its cell
+    means <B>_P, face means <B>_zeta and face-mean gradient G_P = (1/|P|)
+    sum_zeta |zeta| <B>_zeta n_{P,zeta}.  Each interpolate is formed as
+    ``tf[n] * table``: phi_P^n (``cells`` at the selected knots, or
+    ``phi_cell``), phi_zeta^n (``phi_face``) and the gradient (``grad_phi``).
     """
 
     phi: TestFunction
     mesh: object
     grid: object
-    phi_cell: np.ndarray        # (N+1, NC)
-    phi_face: np.ndarray        # (N+1, NF)
-    grad_phi: np.ndarray        # (N+1, NC, dim)
+    tf: np.ndarray              # (N+1,)
+    cell_table: np.ndarray      # (NC,)
+    face_table: np.ndarray      # (NF,)
+    grad_table: np.ndarray      # (NC, dim)
+
+    def cells(self, knots=slice(None)):
+        return self.tf[knots, None] * self.cell_table
+
+    phi_cell = property(cells)
+    phi_face = property(lambda self: self.tf[:, None] * self.face_table)
+    grad_phi = property(lambda self: self.tf[:, None, None] * self.grad_table)
 
     def interior_support_clear(self) -> bool:
-        """True when phi_P^n and phi_zeta^n vanish on all non-interior cells."""
+        """True when phi_P^n and phi_zeta^n vanish on all non-interior cells
+        and their faces.  Rounding is monotone, so some tf[n] * table[i] is
+        nonzero exactly when the product of the largest magnitudes is."""
         outside = ~self.mesh.interior_cell_mask
-        if np.any(self.phi_cell[:, outside] != 0.0):
-            return False
-        faces = np.unique(self.mesh.cell_faces[outside])
-        return not np.any(self.phi_face[:, faces] != 0.0)
+        faces = np.zeros(self.mesh.n_faces, dtype=bool)
+        faces[self.mesh.cell_faces[outside]] = True
+        tables = np.abs(np.concatenate([self.cell_table[outside],
+                                        self.face_table[faces]]))
+        return bool(tables.size == 0
+                    or np.abs(self.tf).max() * tables.max() == 0.0)
 
 
-def _support_means(phi: TestFunction, rule, mesh, row_vertices,
-                   knots, order, panels) -> np.ndarray:
-    """Means of phi(., t) over each cell or face at every knot, shape
-    (len(knots), rows): ``rule`` is ``CellQuadrature`` or
-    ``FaceQuadrature`` and ``row_vertices`` the mesh's vertex ids of its
-    rows.  The rule is built on the rows that meet the support of phi only
-    (``PhiAt.on_support``), and the means are formed on them at the knots
-    where the time factor is nonzero; every other entry gets +0.0, the
-    mean of a row of signed zeros.  An evaluator without ``on_support`` (a
-    subclass's own ``at``) is averaged on every row at every knot."""
-    corners = mesh.vertices[row_vertices]
-    on_corners = phi.at(corners.reshape(-1, mesh.dim))
-    support = hasattr(on_corners, "on_support")
-    rows = on_corners.on_support(corners.shape[1]) if support else None
-    quad = rule(mesh, order, panels, rows=rows)
-    on_points = phi.at(quad.points.reshape(-1, mesh.dim))
-    out = np.zeros((knots.size, corners.shape[0]))
-    live = np.ones(knots.size, dtype=bool)
-    if support:
-        live = phi._time_factor(knots) != 0.0
-    for n in np.flatnonzero(live):
-        out[n, quad.rows] = quad.means(on_points.value(knots[n]))
+def _support_table(phi: TestFunction, rule, mesh, order, panels, op):
+    """A table over the cells or faces of the mesh (``rule`` is
+    ``CellQuadrature`` or ``FaceQuadrature``): ``op(quad, B)`` of the
+    spatial factor B on the rows that meet the support of phi
+    (``PhiAt.on_support``), +0.0 on every other row, where B is a signed
+    zero at each node.  The rule is built on chunks of those rows of about
+    ``CHUNK_VALUES`` nodes; a row's bits do not depend on its chunk."""
+    cells = rule is CellQuadrature
+    row_vertices = mesh.cell_vertices if cells else mesh.face_vertices
+    corners = mesh.vertices[row_vertices].reshape(-1, mesh.dim)
+    rows = phi.at(corners).on_support(row_vertices.shape[1])
+    out = np.zeros(len(row_vertices))
+    for chunk in chunk_slices(rows.size,
+                              (order * panels) ** (mesh.dim - (not cells))):
+        quad = rule(mesh, order, panels, rows=rows[chunk])
+        out[quad.rows] = op(
+            quad, phi.at(quad.points.reshape(-1, mesh.dim)).space())
     return out
 
 
 def interpolate_test(phi: TestFunction, mesh, grid, order: int = DEFAULT_ORDER,
                      panels: int = 4) -> InterpolatedTest:
-    """Build phi_P^n, phi_zeta^n and the face-mean gradient.
+    """Build tf at the knots and the spatial tables of ``InterpolatedTest``.
 
     The cell/face rules are panelised (4 panels of the base order per axis
     by default): bump test functions have steep support edges and the
-    face-mean gradient amplifies edge-quadrature error by 1/h.  The rules
-    are built on the cells and faces whose vertex box meets the support of
-    phi only, and the means formed at the knots where its time factor is
-    nonzero (``_support_means``); every other entry gets +0.0, the bits
-    that the means over all cells and faces give it.
+    face-mean gradient amplifies edge-quadrature error by 1/h.  Each table
+    is built once per level, its rule on the cells or faces whose vertex box
+    meets the support of phi only (``_support_table``); every other entry
+    gets +0.0.
     """
     phi.validate_against(mesh, grid)
-    phi_cell = _support_means(phi, CellQuadrature, mesh, mesh.cell_vertices,
-                              grid.knots, order, panels)
-    phi_face = _support_means(phi, FaceQuadrature, mesh, mesh.face_vertices,
-                              grid.knots, order, panels)
+    cell_table = _support_table(phi, CellQuadrature, mesh, order, panels,
+                                CellQuadrature.means)
+    face_table = _support_table(phi, FaceQuadrature, mesh, order, panels,
+                                FaceQuadrature.means)
     areas = mesh.face_measures[mesh.cell_faces]             # (NC, nf)
     weights = areas[:, :, None] * mesh.cell_face_normals    # (NC, nf, dim)
-    face_vals = phi_face[:, mesh.cell_faces]                # (N+1, NC, nf)
+    face_vals = face_table[mesh.cell_faces]                 # (NC, nf)
     if weights.shape[1] == 4:
-        gsum = sum_opposite_first(face_vals[..., None] * weights[None], axis=2)
+        gsum = sum_opposite_first(face_vals[..., None] * weights, axis=1)
     else:
-        gsum = np.einsum("ncf,cfd->ncd", face_vals, weights)
-    grad_phi = gsum / mesh.cell_volumes[None, :, None]
-    return InterpolatedTest(phi=phi, mesh=mesh, grid=grid, phi_cell=phi_cell,
-                            phi_face=phi_face, grad_phi=grad_phi)
+        gsum = np.einsum("cf,cfd->cd", face_vals, weights)
+    return InterpolatedTest(
+        phi=phi, mesh=mesh, grid=grid, tf=phi._time_factor(grid.knots),
+        cell_table=cell_table, face_table=face_table,
+        grad_table=gsum / mesh.cell_volumes[:, None])
 
 
 # ----------------------------------------------------------------------

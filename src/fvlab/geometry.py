@@ -253,12 +253,6 @@ class PrimalMesh:
     def domain_measure(self) -> float:
         return math.prod(b - a for a, b in self.domain)
 
-    def local_face_index(self, cell: int, face: int) -> int:
-        k = int(self._local_index(cell, face))
-        if k < 0:
-            raise KeyError(f"face {face} is not a face of cell {cell}")
-        return k
-
     def is_rectangular(self) -> bool:
         """True when every cell is an axis-aligned rectangle (exact test)."""
         if self.dim == 1:

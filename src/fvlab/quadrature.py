@@ -211,6 +211,26 @@ class FaceQuadrature(_RowRule):
     face_means = _RowRule.means
 
 
+def gauss_times(knots, order: int = DEFAULT_ORDER):
+    """Gauss-Legendre times tn[n, j] and weights tw[n, j] of the time slabs
+    (t_n, t_{n+1}), both shaped (N, order)."""
+    nodes, weights = gauss_legendre(order)
+    half = 0.5 * (knots[1:] - knots[:-1])
+    mid = 0.5 * (knots[:-1] + knots[1:])
+    return mid[:, None] + half[:, None] * nodes, half[:, None] * weights
+
+
+def slab_time_integrals(knots, f, order: int = DEFAULT_ORDER):
+    """Integrals of f(t) over each time slab, shape (N,): ``f(tn)`` gives
+    the values at the times of ``gauss_times``; per slab the weighted
+    values are added in time order."""
+    tn, tw = gauss_times(knots, order)
+    vals, out = f(tn), np.zeros(tn.shape[0])
+    for j in range(order):
+        out += tw[:, j] * vals[:, j]
+    return out
+
+
 class SlabQuadrature:
     """Tensor (cell x time-slab) rule for integrals over P x (t_n, t_{n+1})."""
 
@@ -230,10 +250,9 @@ class SlabQuadrature:
         time) row is reduced by the same ``einsum`` as ``cell_integrals``,
         and per slab the weighted rows are added in time order.
         """
-        knots = self.grid.knots
-        n_steps = knots.size - 1
+        times, tweights = gauss_times(self.grid.knots, self.tnodes1d.size)
+        n_steps, n_t = times.shape
         n_cells, k = self.cell.points.shape[:2]
-        n_t = self.tnodes1d.size
         out = np.zeros((n_steps, n_cells))
         chunks = chunk_slices(n_steps, n_t * n_cells * k)
         rows = (chunks[0].stop - chunks[0].start) * n_t
@@ -241,11 +260,7 @@ class SlabQuadrature:
         weights = np.broadcast_to(self.cell.weights,
                                   (rows, n_cells, k)).reshape(-1, k)
         for steps in chunks:
-            t0 = knots[steps]
-            t1 = knots[steps.start + 1:steps.stop + 1]
-            half = 0.5 * (t1 - t0)
-            tn = (0.5 * (t0 + t1))[:, None] + half[:, None] * self.tnodes1d
-            tw = half[:, None] * self.tweights1d
+            tn, tw = times[steps], tweights[steps]
             vals = np.asarray(f(steps, tn), dtype=float).reshape(-1, k)
             ints = np.einsum("ck,ck->c", weights[:vals.shape[0]], vals)
             ints = ints.reshape(tn.shape + (n_cells,))

@@ -333,7 +333,9 @@ def _tensor_field_function(field) -> Reference | None:
     mesh, grid = field.mesh, field.grid
     if not mesh.is_rectangular():
         return None
-    nodes = [np.unique(mesh.vertices[:, d]) for d in range(mesh.dim)]
+    # distinct sorted coordinates; np.unique imports numpy.ma on first use
+    nodes = [np.sort(mesh.vertices[:, d]) for d in range(mesh.dim)]
+    nodes = [axis[np.append(True, axis[1:] != axis[:-1])] for axis in nodes]
     shape = tuple(axis.size - 1 for axis in nodes)
 
     def cells(x):

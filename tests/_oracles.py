@@ -191,13 +191,18 @@ class ScalarFaceMesh(PrimalMesh):
         self.face_normals = normals
 
 
+def local_face_index(mesh, cell, face) -> int:
+    """The position of the first match of `face` in the cell's face list."""
+    for k, f in enumerate(mesh.cell_faces[cell]):
+        if f == face:
+            return k
+    raise KeyError(f"face {face} is not a face of cell {cell}")
+
+
 def scalar_outward_normal(mesh, cell, face):
     """n_{cell,face}: the normal at the first match of `face` in the cell's
     face list."""
-    k = np.where(mesh.cell_faces[cell] == face)[0]
-    if k.size == 0:
-        raise KeyError(f"face {face} is not a face of cell {cell}")
-    return mesh.cell_face_normals[cell, int(k[0])]
+    return mesh.cell_face_normals[cell, local_face_index(mesh, cell, face)]
 
 
 def scalar_mesh_identities(mesh, mac=None, rt=None):
@@ -313,8 +318,10 @@ def assert_bitwise(a, b):
 
 
 def interpolate_test_all_rows(phi, mesh, grid, order=4, panels=4):
-    """``interpolate_test`` forming the products and the means on every
-    cell and face at every knot, support or not."""
+    """phi_cell, phi_face and grad_phi of ``interpolate_test`` formed
+    unfactored: the means of phi(., t_n) on every cell and face at every
+    knot, support or not.  phi may override ``at`` with an evaluator that
+    has ``value(t)`` only."""
     cq = CellQuadrature(mesh, order, panels)
     fq = FaceQuadrature(mesh, order, panels)
     n_lev = grid.n_steps + 1

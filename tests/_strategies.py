@@ -2,6 +2,7 @@
 grids, support boxes and discrete fields with their fluxes."""
 
 import numpy as np
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from fvlab.fields import CellScalarField, FaceScalarFieldMAC, FaceVectorFieldRT
@@ -13,26 +14,28 @@ from fvlab.operators import (FACE_SCHEMES, flux_colocated_upwind_1d,
 
 
 @st.composite
-def interval_meshes(draw, max_cells=8):
+def interval_meshes(draw, max_cells=8, min_cells=1):
     """1D interval meshes on [0, 1], uniform or graded."""
-    return build_intervals(draw(st.integers(1, max_cells)),
+    return build_intervals(draw(st.integers(min_cells, max_cells)),
                            grading=draw(st.floats(0.8, 1.25)))
 
 
 @st.composite
-def perturbed_meshes(draw, max_cells=8):
+def perturbed_meshes(draw, max_cells=8, min_cells=1):
     """Perturbed quadrangle meshes: random size, amplitude < 0.25 and seed."""
-    nx, ny = draw(st.integers(1, max_cells)), draw(st.integers(1, max_cells))
+    nx = draw(st.integers(min_cells, max_cells))
+    ny = draw(st.integers(min_cells, max_cells))
     return build_perturbed_quads(
         nx, ny, amplitude=draw(st.floats(0.0, 0.25, exclude_max=True)),
         seed=draw(st.integers(0, 2 ** 32 - 1)))
 
 
 @st.composite
-def graded_meshes(draw, max_cells=8):
+def graded_meshes(draw, max_cells=8, min_cells=1):
     """Rectangular tensor meshes with one grading ratio, or one per axis."""
     ratio = st.floats(0.8, 1.25)
-    nx, ny = draw(st.integers(1, max_cells)), draw(st.integers(1, max_cells))
+    nx = draw(st.integers(min_cells, max_cells))
+    ny = draw(st.integers(min_cells, max_cells))
     grading = draw(st.one_of(st.just(1.0), ratio, st.tuples(ratio, ratio)))
     return build_cartesian(nx, ny, grading=grading)
 
@@ -73,14 +76,30 @@ def support_boxes(draw, dim=2, mesh=None):
 
 
 @st.composite
-def flux_levels(draw):
+def interior_support_boxes(draw, mesh):
+    """Boxes that meet the interior cells of the mesh only: about the mean
+    centroid p of the interior cells, inside the largest cube about p that
+    stays clear of the vertex boxes of the other cells, so that a test
+    function on the box vanishes on those cells and their faces."""
+    outside = mesh.vertices[mesh.cell_vertices[~mesh.interior_cell_mask]]
+    p = mesh.cell_centroids[mesh.interior_cell_mask].mean(axis=0)
+    r = np.maximum(outside.min(axis=1) - p, p - outside.max(axis=1))
+    r = float(r.max(axis=1).min())
+    assume(r > 0.0)
+    return tuple((float(c - r * draw(st.floats(0.05, 1.0))),
+                  float(c + r * draw(st.floats(0.05, 1.0)))) for c in p)
+
+
+@st.composite
+def flux_levels(draw, min_cells=1):
     """A layout, a mesh and time grid it admits, random fields on them and
     their flux: graded tensor meshes for MAC, perturbed quadrangles for RT,
-    graded intervals with the upwind flux for colocated 1D."""
+    graded intervals with the upwind flux for colocated 1D; ``min_cells``
+    per axis at least."""
     layout = draw(st.sampled_from(["mac", "rt", "colocated1d"]))
-    mesh = draw({"mac": graded_meshes(max_cells=4),
-                 "rt": perturbed_meshes(max_cells=4),
-                 "colocated1d": interval_meshes()}[layout])
+    mesh = draw({"mac": graded_meshes(max_cells=4, min_cells=min_cells),
+                 "rt": perturbed_meshes(max_cells=4, min_cells=min_cells),
+                 "colocated1d": interval_meshes(min_cells=min_cells)}[layout])
     grid = draw(time_grids(max_steps=5))
     pair = get_pair(draw(st.sampled_from(["id", "square", "slogs"])))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 
 import fvlab
-from fvlab.cli import main, parse_config, serialize_config
+from _configs import serialize_config
+from fvlab.cli import main, parse_config
 from fvlab.geometry import build_cartesian
 from fvlab.meshio import save_mesh
 

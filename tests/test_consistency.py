@@ -12,9 +12,9 @@ from fvlab.consistency import (RouteMismatchError, compute_X1, compute_X2,
                                residual_flux_terms, residual_init,
                                residual_time, weak_form_gap, weak_lhs,
                                weak_rhs)
-from fvlab.fields import (CellScalarField, FaceScalarFieldMAC,
-                          FaceVectorFieldRT, Reference, SupportError,
-                          TestFunction, interpolate_test)
+from fvlab.fields import (TIME_PROFILES, CellScalarField,
+                          FaceScalarFieldMAC, FaceVectorFieldRT, Reference,
+                          SupportError, TestFunction, interpolate_test)
 from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
                             build_intervals, build_time_grid)
 from fvlab.operators import (BetaFamily, FluxFamily, assemble_convection,
@@ -26,7 +26,7 @@ from fvlab.study import manufactured_solution
 
 from _oracles import (brute_force_flux_residual, chunk_ordered_sum,
                       separable_phi, weak_rhs_whole)
-from _strategies import flux_levels, support_boxes
+from _strategies import flux_levels, interior_support_boxes, support_boxes
 
 
 def bump2d():
@@ -49,12 +49,18 @@ def manufactured_mac(n=8, T=0.5, scheme="upwind"):
 # ---------------------------------------------------------------- X1
 
 def test_x1_constant_beta_zero():
+    # the direct route is a sum of exact zeros (d_t beta = 0); the by-parts
+    # route telescopes to zero, exactly in real arithmetic and within a
+    # few ulps of its term mass in floating point
     mesh = build_cartesian(4, 4)
     grid = build_time_grid(1.0, 4)
     betas = BetaFamily(mesh, grid, np.full((5, 16), 3.0))
     interp = interpolate_test(bump2d(), mesh, grid)
     res = compute_X1(betas, interp)
-    assert res.value == 0.0 and res.by_parts == 0.0
+    mass = 3.0 * float(np.einsum("nc,c->", np.abs(interp.phi_cell),
+                                 mesh.cell_volumes))
+    assert res.value == 0.0
+    assert abs(res.by_parts) <= 4 * np.finfo(float).eps * mass
 
 
 def test_x1_zero_interpolate():
@@ -163,6 +169,24 @@ def test_x2_route_agreement_manufactured():
         res = compute_X2(flux, interp, q=q, v=v, pair=pair)
         assert np.isfinite(res.value)
         assert res.gradient_route == pytest.approx(res.value, rel=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_x1_x2_routes_agree_on_random_levels(data):
+    # random fields and their flux on MAC, RT and colocated 1D levels, and
+    # a test function of either profile that clears the non-interior cells:
+    # both pairings' route checks hold (each raises on a mismatch)
+    layout, dual, pair, q, v, flux = data.draw(flux_levels(min_cells=3))
+    mesh, grid = q.mesh, q.grid
+    phi = TestFunction(data.draw(interior_support_boxes(mesh)),
+                       data.draw(st.floats(0.1, 0.95)) * grid.final_time,
+                       data.draw(st.sampled_from(TIME_PROFILES)))
+    interp = interpolate_test(phi, mesh, grid)
+    assert interp.interior_support_clear()
+    x1 = compute_X1(BetaFamily.from_field(q, pair), interp)
+    x2 = compute_X2(flux, interp, q=q, v=v, pair=pair)
+    assert np.isfinite([x1.value, x1.by_parts, x2.value, x2.gradient_route]).all()
 
 
 def test_stages_reject_an_interpolate_on_another_time_grid():

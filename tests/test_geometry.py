@@ -3,7 +3,8 @@ import copy
 import numpy as np
 import pytest
 
-from _oracles import scalar_mesh_identities, scalar_outward_normal
+from _oracles import (local_face_index, scalar_mesh_identities,
+                      scalar_outward_normal)
 from fvlab.geometry import (MeshConstructionError, build_cartesian,
                             build_dual_mac, build_dual_rt, build_intervals,
                             build_perturbed_quads, build_time_grid,
@@ -35,8 +36,8 @@ def test_geometric_identities(make):
     assert np.all(norms <= 1e-12 * scale)
     for f in np.nonzero(mesh.interior_face_mask)[0]:
         p, q = mesh.face_cells[f]
-        n_p = mesh.cell_face_normals[p, mesh.local_face_index(p, f)]
-        n_q = mesh.cell_face_normals[q, mesh.local_face_index(q, f)]
+        n_p = scalar_outward_normal(mesh, p, f)
+        n_q = scalar_outward_normal(mesh, q, f)
         assert np.sqrt(((n_p + n_q) ** 2).sum()) <= 1e-14
     omega = mesh.domain_measure()
     assert abs(mesh.cell_volumes.sum() - omega) <= 1e-12 * omega
@@ -272,13 +273,13 @@ def test_identity_messages_match_scalar_oracle():
     # two flipped normals, seen from each face's first cell
     for f in (f1, f2):
         p = mesh.face_cells[f, 0]
-        normals[p, mesh.local_face_index(p, f)] *= -1.0
+        normals[p, local_face_index(mesh, p, f)] *= -1.0
     # one broken closure: a wrong face measure
     measures[f3] *= 1.5
     # a rotated normal on both sides: antisymmetric, but not the geometry's
     turn = np.array([[np.cos(0.1), -np.sin(0.1)], [np.sin(0.1), np.cos(0.1)]])
     p, q = mesh.face_cells[f4]
-    kp, kq = mesh.local_face_index(p, f4), mesh.local_face_index(q, f4)
+    kp, kq = local_face_index(mesh, p, f4), local_face_index(mesh, q, f4)
     normals[p, kp] = turn @ normals[p, kp]
     normals[q, kq] = -normals[p, kp]
     bad.cell_face_normals, bad.face_measures = normals, measures
@@ -295,17 +296,25 @@ def test_identity_messages_match_scalar_oracle():
 
 
 def test_local_face_index_is_the_first_match():
+    # the vectorised lookup behind the adopted normals and face_normals
+    # against the scalar first match, over all cells at once; -1 where the
+    # cell does not hold the face
     mesh = build_perturbed_quads(4, 4, amplitude=0.2, seed=1)
+    cells = np.repeat(np.arange(mesh.n_cells), 4)
+    faces = mesh.cell_faces.ravel()
+    assert np.array_equal(mesh._local_index(cells, faces),
+                          [local_face_index(mesh, c, f)
+                           for c, f in zip(cells, faces)])
     for c in range(mesh.n_cells):
         for k, f in enumerate(mesh.cell_faces[c]):
-            assert mesh.local_face_index(c, f) == k
             assert np.array_equal(mesh.cell_face_normals[c, k],
                                   scalar_outward_normal(mesh, c, f))
     outside = next(f for f in range(mesh.n_faces)
                    if f not in mesh.cell_faces[0])
+    assert mesh._local_index(0, outside) == -1
     with pytest.raises(KeyError, match=f"face {outside} is not a face of cell 0"):
-        mesh.local_face_index(0, outside)
+        local_face_index(mesh, 0, outside)
     # a cell list that holds a face twice resolves to its first position
     twice = copy.copy(mesh)
     twice.cell_faces = np.array([[4, 7, 4, 9]])
-    assert twice.local_face_index(0, 4) == 0
+    assert twice._local_index(0, 4) == local_face_index(twice, 0, 4) == 0

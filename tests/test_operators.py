@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import face_value
+from _oracles import face_value, local_face_index
 from _strategies import graded_meshes, perturbed_meshes, time_grids
 from fvlab.fields import CellScalarField, FaceScalarFieldMAC, FaceVectorFieldRT
 from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
@@ -185,7 +185,7 @@ def test_mac_centered_flux_hand_loop():
         expect = 0.5 * (q.values[0, p] + q.values[0, qq]) * 1.0
         assert flux.values[0, f] == expect
         # F.n for the left cell carries the outward sign
-        k = mesh.local_face_index(p, f)
+        k = local_face_index(mesh, p, f)
         from fvlab.operators import flux_dot_n
         dots = flux_dot_n(flux)
         assert dots[0, p, k] == expect * dual.cell_face_delta[p, k]

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +10,7 @@ from hypothesis import strategies as st
 
 from _oracles import assert_bitwise, tensor_field_per_call
 from _strategies import graded_meshes, interval_meshes, time_grids
+import fvlab
 from fvlab.fields import CellScalarField
 from fvlab.study import (StudyConfig, _tensor_field_function, fit_rates,
                          manufactured_solution, run_study, write_rates_csv,
@@ -32,6 +38,28 @@ def test_tensor_field_evaluator_matches_per_call_lookup(mesh, grid, seed):
     assert_bitwise(fn.at(points)(times), want)
     for t, row in zip(times, want):
         assert_bitwise(fn(points, t), row)
+
+
+_STUDIES_WITHOUT_MASKED_ARRAYS = """
+import sys
+from fvlab.study import StudyConfig, run_study
+run_study(StudyConfig(levels=3, nx0=6, ny0=6, layout="mac"))
+run_study(StudyConfig(levels=3, nx0=8, layout="colocated1d",
+                      field_source="scheme", T=0.25))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_studies_do_not_import_masked_arrays():
+    # np.unique imports numpy.ma on its first call in a process, about
+    # 19 ms and 1 MiB; a MAC and a 1D scheme study must not pay for it
+    src = str(Path(fvlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c",
+                          _STUDIES_WITHOUT_MASKED_ARRAYS], env=env,
+                         check=True, capture_output=True, text=True)
+    assert out.stdout.split() == ["False"]
 
 
 def test_constant_study_all_zero_residual_columns(tmp_path):
