@@ -239,8 +239,8 @@ def test_interior_support_clear_matches_the_materialised_check(case):
 
 def test_interpolate_stays_in_bounded_memory(transient_mib):
     # the criterion-7 MAC level at 32^2 (32 steps) and a 128^2 level (128
-    # steps): 5.1 and 7.8 MiB above the call's start, built on chunks of
-    # the support rows; the per-knot means took 8.2 and 308.3 MiB
+    # steps) take 5.1 and 7.8 MiB above the call's start: the tables are
+    # built on chunks of the support rows, whatever the level
     phi = TestFunction(((0.2, 0.8), (0.2, 0.8)), 0.35)
     for n, bound in ((32, 7.5), (128, 12)):
         mesh = build_cartesian(n, n)
