@@ -88,8 +88,9 @@ def compute_X1(betas: BetaFamily, interp: InterpolatedTest,
     phi_c = interp.cells()
     direct = float(np.einsum("n,nc,c->", steps, dtb * phi_c[:-1], vols))
     # by parts: -sum |P| beta^0 phi^0 - sum_{n>=1} |P| beta^n (phi^n - phi^{n-1})
+    # with phi^n - phi^{n-1} formed as (tf_n - tf_{n-1}) <B>_P
     bnd = float(np.einsum("c,c->", vols, betas.values[0] * phi_c[0]))
-    dphi = np.diff(phi_c, axis=0)
+    dphi = np.diff(interp.tf)[:, None] * interp.cell_table
     series = float(np.einsum("nc,c->", betas.values[1:] * dphi, vols))
     by_parts = -bnd - series
     # relative scale includes both routes' absolute term masses, so exact

@@ -342,6 +342,29 @@ def interpolate_test_all_rows(phi, mesh, grid, order=4, panels=4):
     return phi_cell, phi_face, gsum / mesh.cell_volumes[None, :, None]
 
 
+def materialise(interp):
+    """phi_P^n, phi_zeta^n and the face-mean gradient of an
+    ``InterpolatedTest`` at every knot, each ``tf[n] * table``: shapes
+    (N+1, NC), (N+1, NF) and (N+1, NC, dim)."""
+    tf = interp.tf
+    return (tf[:, None] * interp.cell_table, tf[:, None] * interp.face_table,
+            tf[:, None, None] * interp.grad_table)
+
+
+def residual_time_slab(betas, phi, space_order=4, time_order=4):
+    """The signed sum of ``residual_time`` and its term mass sum |terms|,
+    with phi's slab integrals formed unfactored: phi.value on every node of
+    the (cell x time-slab) rule of every cell (``slab_cell_integrals``)."""
+    mesh = betas.mesh
+    slab = SlabQuadrature(mesh, betas.grid, space_order, time_order)
+    on_cells = phi.at(slab.cell.flat_points())
+    phi_int = slab.slab_cell_integrals(
+        lambda steps, tn: on_cells.value(tn[..., None]))
+    terms = (np.diff(betas.values, axis=0)
+             * phi_int)[:, mesh.interior_cell_mask]
+    return float(terms.sum()), float(np.abs(terms).sum())
+
+
 def weak_rhs_whole(pair, q_exact, v_exact, q0, phi, order=ORACLE_ORDER,
                    panels=12, check=True):
     """``weak_rhs`` with each volume integrand formed on the whole

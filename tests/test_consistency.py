@@ -25,7 +25,8 @@ from fvlab.schemes import sample_manufactured
 from fvlab.study import manufactured_solution
 
 from _oracles import (brute_force_flux_residual, chunk_ordered_sum,
-                      separable_phi, weak_rhs_whole)
+                      materialise, residual_time_slab, separable_phi,
+                      weak_rhs_whole)
 from _strategies import flux_levels, interior_support_boxes, support_boxes
 
 
@@ -49,18 +50,12 @@ def manufactured_mac(n=8, T=0.5, scheme="upwind"):
 # ---------------------------------------------------------------- X1
 
 def test_x1_constant_beta_zero():
-    # the direct route is a sum of exact zeros (d_t beta = 0); the by-parts
-    # route telescopes to zero, exactly in real arithmetic and within a
-    # few ulps of its term mass in floating point
     mesh = build_cartesian(4, 4)
     grid = build_time_grid(1.0, 4)
     betas = BetaFamily(mesh, grid, np.full((5, 16), 3.0))
     interp = interpolate_test(bump2d(), mesh, grid)
     res = compute_X1(betas, interp)
-    mass = 3.0 * float(np.einsum("nc,c->", np.abs(interp.phi_cell),
-                                 mesh.cell_volumes))
-    assert res.value == 0.0
-    assert abs(res.by_parts) <= 4 * np.finfo(float).eps * mass
+    assert res.value == 0.0 and res.by_parts == 0.0
 
 
 def test_x1_zero_interpolate():
@@ -84,10 +79,11 @@ def test_x1_linear_beta_against_double_loop_oracle():
     interp = interpolate_test(bump2d(), mesh, grid)
     res = compute_X1(betas, interp)
     # independent double loop: dt_beta = 1, so X1 = sum dt |P| phi_P^n
+    phi_cell = interp.cells()
     oracle = 0.0
     for n in range(grid.n_steps):
         for c in range(mesh.n_cells):
-            oracle += grid.steps[n] * mesh.cell_volumes[c] * interp.phi_cell[n, c]
+            oracle += grid.steps[n] * mesh.cell_volumes[c] * phi_cell[n, c]
     assert res.value == pytest.approx(oracle, rel=1e-13)
     assert res.by_parts == pytest.approx(oracle, rel=1e-12)
 
@@ -134,6 +130,7 @@ def test_x2_constant_flux_two_routes():
     res = compute_X2(fluxc, interp, q=qc, v=vc, pair=pair)
     # oracle: direct sum with the constant vector F = (0.8, -0.4)
     interior = mesh.interior_cell_mask
+    phi_cell, _, grad_phi = materialise(interp)
     direct = 0.0
     F = np.array([0.8, -0.4])
     for n in range(grid.n_steps):
@@ -142,12 +139,12 @@ def test_x2_constant_flux_two_routes():
             for k in range(4):
                 f = mesh.cell_faces[c, k]
                 acc += mesh.face_measures[f] * np.dot(F, mesh.cell_face_normals[c, k]) \
-                    * interp.phi_cell[n, c]
+                    * phi_cell[n, c]
             direct += grid.steps[n] * acc
     assert res.value == pytest.approx(direct, abs=1e-13)
     # and the gradient form: -sum dt |P| F . grad_phi
     grad_form = -float(np.einsum(
-        "n,ncd,d,c->", grid.steps, interp.grad_phi[:-1][:, interior],
+        "n,ncd,d,c->", grid.steps, grad_phi[:-1][:, interior],
         F, mesh.cell_volumes[interior]))
     assert res.value == pytest.approx(grad_form, abs=1e-12)
 
@@ -248,7 +245,7 @@ def test_weak_lhs_rejects_convection_on_another_time_grid():
     assert not conv.values.flags.writeable
     alternating = build_time_grid(0.5, 8, pattern="alternating", ratio=2.0)
     interp = interpolate_test(bump2d(), mesh, alternating)
-    assert interp.phi_cell[:-1].shape == conv.values.shape
+    assert interp.cells(np.s_[:-1]).shape == conv.values.shape
     with pytest.raises(ValueError, match="weak_lhs: .* time grids"):
         weak_lhs(conv, interp)
     with pytest.raises(ValueError, match="weak_lhs: .* time grids"):
@@ -356,6 +353,24 @@ def test_residual_time_majorant_decay_and_ordering():
     pair_rates = np.diff(np.log(vals)) / np.diff(np.log(hs))
     assert np.all(np.diff(vals) < 0)
     assert pair_rates[-1] >= 0.8
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_residual_time_matches_the_unfactored_slab_rule(data):
+    # phi's slab integrals as (time rule of tf) * (cell rule of B on the
+    # support cells) against phi.value on every node of the slab rule of
+    # every cell, on graded, perturbed and interval levels: the signed sums
+    # agree within a few ulps of their term mass
+    layout, dual, pair, q, v, flux = data.draw(flux_levels(min_cells=3))
+    mesh, grid = q.mesh, q.grid
+    phi = TestFunction(data.draw(support_boxes(mesh.dim, mesh)),
+                       data.draw(st.floats(0.1, 0.95)) * grid.final_time,
+                       data.draw(st.sampled_from(TIME_PROFILES)))
+    betas = BetaFamily.from_field(q, pair)
+    want, mass = residual_time_slab(betas, phi)
+    got = residual_time(betas, q, phi, pair).signed
+    assert abs(got - want) <= 8 * np.finfo(float).eps * mass
 
 
 # ---------------------------------------------------------------- flux residual
@@ -711,7 +726,7 @@ def test_x1_guard_fires_on_one_corrupt_time_derivative(monkeypatch):
     interp = interpolate_test(bump2d(), mesh, grid)
     betas = BetaFamily.from_field(q, pair)
     compute_X1(betas, interp)
-    centre = int(np.argmax(interp.phi_cell[0]))
+    centre = int(np.argmax(interp.cells()[0]))
     real = consistency.dt_beta
 
     def corrupt(betas, grid):
@@ -728,7 +743,7 @@ def test_x2_guard_fires_on_one_corrupt_face_flux(monkeypatch):
     mesh, grid, dual, pair, q, v, flux, qf, vf = manufactured_mac(8)
     interp = interpolate_test(bump2d(), mesh, grid)
     compute_X2(flux, interp, q=q, v=v, pair=pair)
-    centre = int(np.argmax(interp.phi_cell[0]))
+    centre = int(np.argmax(interp.cells()[0]))
     real = consistency.flux_dot_n
 
     def corrupt(flux):
@@ -751,7 +766,7 @@ def test_x2_guard_fires_on_a_corrupt_face_flux_in_the_last_chunk(monkeypatch):
     monkeypatch.setattr(quadrature, "CHUNK_VALUES", 3 * per_step)
     assert len(quadrature.chunk_slices(grid.n_steps, per_step)) == 3
     compute_X2(flux, interp, q=q, v=v, pair=pair)
-    centre = int(np.argmax(interp.phi_cell[-2]))
+    centre = int(np.argmax(interp.cells()[-2]))
     real = consistency.flux_dot_n
 
     def corrupt(flux):
@@ -806,7 +821,7 @@ def test_a_flipped_cell_normal_makes_the_flux_checks_fail():
     compute_X2(flux, interp, q=q, v=v, pair=pair)
     defect, scale = telescoping_defect(flux)
     assert np.all(defect <= 1e-12 * scale)
-    centre = int(np.argmax(interp.phi_cell[0]))
+    centre = int(np.argmax(interp.cells()[0]))
     assert mesh.interior_cell_mask[centre]
     normals = mesh.cell_face_normals.copy()
     normals[centre] *= -1.0

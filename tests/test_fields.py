@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from _oracles import (CLOSED_FORMS, assert_bitwise,
                       interpolate_test_all_rows, l1_distance_per_slab,
-                      separable_phi)
+                      materialise, separable_phi)
 from _strategies import (graded_meshes, interval_meshes, perturbed_meshes,
                          support_boxes, time_grids)
 from fvlab.fields import (TIME_PROFILES, Reference, SupportError,
@@ -199,23 +199,18 @@ def interpolate_cases(draw):
 def test_interpolate_on_support_matches_all_rows(case):
     # tf(t_n) times the spatial tables, built on the support rows only,
     # against the means of phi(., t_n) formed on every row at every knot,
-    # with the same zeros.  The two routes sum the k node values of a row
-    # (k = 1 to 256 here) in different roundings, and a shifted mean can
-    # cancel down from its first node value, so they agree within (k + 4)
-    # ulps of sup |phi|; the gradient adds the four-term face sum, on the
-    # scale of sup |phi| times sum |zeta| / |P|
+    # with the same zeros.  The two routes round the products and the sum
+    # of a row's nodes differently: they agree within 16 ulps of sup |phi|,
+    # the gradient within 16 ulps of sup |phi| times max sum |zeta| / |P|
+    # (25 000 draws: at most 11.4, 1.3 and 0.7, the largest on 2D cells
+    # with 256 nodes)
     mesh, grid, phi, panels = case
-    got = interpolate_test(phi, mesh, grid, panels=panels)
-    cell, face, grad = interpolate_test_all_rows(phi, mesh, grid,
-                                                 panels=panels)
+    got = materialise(interpolate_test(phi, mesh, grid, panels=panels))
+    want = interpolate_test_all_rows(phi, mesh, grid, panels=panels)
     ulp = np.finfo(float).eps * phi.sup_norm()
-    k = 4 * panels
     face_sum = mesh.face_measures[mesh.cell_faces].sum(axis=1)
     grad_ulp = ulp * (face_sum / mesh.cell_volumes).max()
-    for a, b, tol in ((got.phi_cell, cell, (k ** mesh.dim + 4) * ulp),
-                      (got.phi_face, face, (k ** (mesh.dim - 1) + 4) * ulp),
-                      (got.grad_phi, grad,
-                       (k ** (mesh.dim - 1) + 8) * grad_ulp)):
+    for a, b, tol in zip(got, want, (16 * ulp, 16 * ulp, 16 * grad_ulp)):
         assert a.shape == b.shape
         assert np.abs(a - b).max() <= tol, np.abs(a - b).max() / tol
         assert np.array_equal(a == 0.0, b == 0.0)
@@ -230,8 +225,9 @@ def test_interior_support_clear_matches_the_materialised_check(case):
     interp = interpolate_test(phi, mesh, grid, panels=panels)
     outside = ~mesh.interior_cell_mask
     faces = mesh.cell_faces[outside].ravel()
-    want = not (np.any(interp.phi_cell[:, outside] != 0.0)
-                or np.any(interp.phi_face[:, faces] != 0.0))
+    phi_cell, phi_face, _ = materialise(interp)
+    want = not (np.any(phi_cell[:, outside] != 0.0)
+                or np.any(phi_face[:, faces] != 0.0))
     assert interp.interior_support_clear() == want
     if isinstance(phi, _Zero):
         assert want
@@ -254,9 +250,8 @@ def test_interpolate_zero_function():
     grid = build_time_grid(1.0, 4)
     phi = _Zero(((0.3, 0.7), (0.3, 0.7)), 0.5)
     interp = interpolate_test(phi, mesh, grid)
-    assert np.all(interp.phi_cell == 0.0)
-    assert np.all(interp.phi_face == 0.0)
-    assert np.all(interp.grad_phi == 0.0)
+    for table in materialise(interp):
+        assert np.all(table == 0.0)
 
 
 def test_interpolate_support_validation():
@@ -273,7 +268,7 @@ def test_interpolate_vanishes_on_boundary_cells():
     grid = build_time_grid(1.0, 4)
     interp = interpolate_test(bump2d(), mesh, grid)
     outside = ~mesh.interior_cell_mask
-    assert np.all(interp.phi_cell[:, outside] == 0.0)
+    assert np.all(interp.cells()[:, outside] == 0.0)
     assert interp.interior_support_clear()
 
 
@@ -283,12 +278,13 @@ def test_gradient_identity_against_volume_oracle():
     grid = build_time_grid(1.0, 3)
     phi = bump2d()
     interp = interpolate_test(phi, mesh, grid)
+    grad_phi = materialise(interp)[2]
     oracle = CellQuadrature(mesh, 8, panels=8)
     worst = 0.0
     for n, t in enumerate(grid.knots):
         ref = oracle.cell_vector_means(oracle.values(phi.grad, t))
         worst = max(worst, float(np.sqrt(
-            ((interp.grad_phi[n] - ref) ** 2).sum(-1)).max()))
+            ((grad_phi[n] - ref) ** 2).sum(-1)).max()))
     assert worst <= 1e-8
 
 
@@ -338,7 +334,7 @@ def test_dt_phi_uniform_convergence_order():
         grid = build_time_grid(1.0, n)
         phi = bump2d()
         interp = interpolate_test(phi, mesh, grid, panels=2)
-        dt_phi = np.diff(interp.phi_cell, axis=0) / grid.steps[:, None]
+        dt_phi = np.diff(interp.cells(), axis=0) / grid.steps[:, None]
         worst = 0.0
         for m in range(grid.n_steps):
             exact = phi.dt(mesh.cell_centroids, grid.knots[m])
