@@ -10,15 +10,11 @@ a finite weighted sum.  Term tables keep a documented (step, cell, face,
 piece) layout so a brute-force enumeration with the same summation order
 reproduces the results bit for bit.
 
-The flux-defect table (F_zeta^n - f(U)|_piece) . n_{P,zeta} of the X2
-remainder and the flux residual is never held whole: it is built on the
-interior cells one chunk of time steps at a time (``quadrature.chunk_slices``
-over N steps of NC * nf * pieces values, so about ``CHUNK_VALUES`` values a
-chunk whatever the thread count).  Each term is formed by the same
-operations in any chunk.  Sums over the table are taken per chunk
-(``residual_flux``: numpy's pairwise ``sum`` of the chunk's C-order terms;
-the X2 remainder: one ``einsum`` over the chunk), and the chunk sums are
-added in step order.
+Every space-time sum behind a report column is ``quadrature.step_sum`` of
+its terms, formed one chunk of time steps at a time
+(``quadrature.chunk_slices``) by the same operations in any chunk.  The
+flux-defect table (F_zeta^n - f(U)|_piece) . n_{P,zeta} of the X2 remainder
+and the flux residual is thus never held whole.
 
 Stages read mesh, grid, layout and dual from their fields: ``.mesh`` and
 ``.grid`` of every field and interpolate, ``.layout`` and ``.dual`` of a
@@ -36,18 +32,16 @@ import numpy as np
 
 from .fields import (InterpolatedTest, SupportError, _reference_at,
                      _same_level, _support_table)
-from .geometry import LOCAL_OPPOSITE
-from .layouts import COLOCATED_1D, get_layout, layout_of
+from .layouts import get_layout, layout_of
 from .operators import BetaFamily, FluxFamily, dt_beta, flux_divergence, flux_dot_n
 from .quadrature import (DEFAULT_ORDER, ORACLE_ORDER, BoxQuadrature,
                          CellQuadrature, chunk_slices, slab_time_integrals,
-                         tensor_points)
+                         step_sum, tensor_points)
 
 __all__ = [
     "compute_X1", "compute_X2", "residual_init", "residual_time",
     "residual_flux", "residual_flux_terms", "jump_sums", "weak_lhs",
     "weak_rhs", "weak_form_gap", "measured_constant", "RouteMismatchError",
-    "LOCAL_OPPOSITE",
 ]
 
 
@@ -81,23 +75,22 @@ def compute_X1(betas: BetaFamily, interp: InterpolatedTest,
     its measure.
     """
     _same_level("compute_X1", betas, interp)
-    grid = betas.grid
-    vols = betas.mesh.cell_volumes
-    steps = grid.steps
-    dtb = dt_beta(betas, grid)
-    phi_c = interp.cells()
-    direct = float(np.einsum("n,nc,c->", steps, dtb * phi_c[:-1], vols))
+    vols, steps = betas.mesh.cell_volumes, betas.grid.steps
+    dtb = dt_beta(betas, betas.grid)
+    direct, direct_mass = step_sum(
+        (steps[ch, None] * (dtb[ch] * interp.cells(ch)) * vols
+         for ch in chunk_slices(steps.size, vols.size)), mass=True)
     # by parts: -sum |P| beta^0 phi^0 - sum_{n>=1} |P| beta^n (phi^n - phi^{n-1})
     # with phi^n - phi^{n-1} formed as (tf_n - tf_{n-1}) <B>_P
-    bnd = float(np.einsum("c,c->", vols, betas.values[0] * phi_c[0]))
+    phi0 = interp.cells(0)
+    bnd = float(np.einsum("c,c->", vols, betas.values[0] * phi0))
     dphi = np.diff(interp.tf)[:, None] * interp.cell_table
     series = float(np.einsum("nc,c->", betas.values[1:] * dphi, vols))
     by_parts = -bnd - series
     # relative scale includes both routes' absolute term masses, so exact
     # zeros on one route compare against the other's cancellation scale
-    scale = max(abs(direct), abs(by_parts),
-                float(np.einsum("n,nc,c->", steps, np.abs(dtb * phi_c[:-1]), vols)),
-                float(np.einsum("c,c->", vols, np.abs(betas.values[0] * phi_c[0])))
+    scale = max(abs(direct), abs(by_parts), direct_mass,
+                float(np.einsum("c,c->", vols, np.abs(betas.values[0] * phi0)))
                 + float(np.einsum("nc,c->", np.abs(betas.values[1:] * dphi), vols)))
     _check_routes("X1", direct, by_parts, scale, rtol)
     return X1Result(direct, by_parts)
@@ -105,11 +98,6 @@ def compute_X1(betas: BetaFamily, interp: InterpolatedTest,
 
 # ----------------------------------------------------------------------
 # piecewise-constant flux function f(U)
-
-def _slab_levels(field, n_steps: int):
-    """Levels 0..N-1 of a field, one per slab; None for an absent field."""
-    return None if field is None else field.values[:n_steps]
-
 
 def _flux_defects(fdotn, q, v, pair, mesh, layout, dual):
     """Per chunk of time steps, the slice of steps and the table
@@ -151,43 +139,45 @@ def compute_X2(flux: FluxFamily, interp: InterpolatedTest, q=None, v=None,
     if not interp.interior_support_clear():
         raise SupportError(
             "test-function support reaches non-interior cells at this resolution")
-    mesh, grid = flux.mesh, flux.grid
-    steps = grid.steps
+    mesh, steps = flux.mesh, flux.grid.steps
     div = flux_divergence(flux)
-    phi_c = interp.cells(np.s_[:-1])
-    direct = float(np.einsum("n,nc->", steps, div * phi_c))
-    direct_mass = float(np.einsum("n,nc->", steps, np.abs(div * phi_c)))
+    direct, direct_mass = step_sum(
+        (steps[ch, None] * (div[ch] * interp.cells(ch))
+         for ch in chunk_slices(steps.size, mesh.n_cells)), mass=True)
     del div
     if q is None:
         return X2Result(direct, np.nan, np.nan, np.nan)
-    n_steps = grid.n_steps
-    interior = mesh.interior_cell_mask
     layout = get_layout(flux.layout)
-    mean_f = layout.flux_cell_means(_slab_levels(q, n_steps),
-                                    _slab_levels(v, n_steps), pair, mesh)
-    grad = interp.tf[:-1, None, None] * interp.grad_table[interior]
-    vols = mesh.cell_volumes
-    gdots = np.einsum("ncd,ncd->nc", mean_f[:, interior], grad)
-    del mean_f
-    grad_term = -float(np.einsum("n,nc,c->", steps, gdots, vols[interior]))
-    grad_mass = float(np.einsum("n,nc,c->", steps, np.abs(gdots),
-                                vols[interior]))
-    # remainder: per chunk of steps, sum_P sum_zeta sum_piece
+    cells = np.nonzero(mesh.interior_cell_mask)[0]
+    vols = mesh.cell_volumes[cells]
+
+    def gradient_terms(ch):
+        # -dt_n |P| f(U)_P^n . G_P^n, the cell mean of f(U) dotted first
+        mean_f = layout.flux_cell_means(
+            q.values[ch], None if v is None else v.values[ch], pair,
+            mesh)[:, cells]
+        grad = interp.tf[ch, None, None] * interp.grad_table[cells]
+        return -(steps[ch, None] * np.einsum("ncd,ncd->nc", mean_f, grad)
+                 * vols)
+
+    grad_term, grad_mass = step_sum(map(gradient_terms, chunk_slices(
+        steps.size, mesh.n_cells * mesh.dim)), mass=True)
+    # remainder: sum_n dt_n sum_P sum_zeta sum_piece
     # (|D_piece|/|P|) |zeta| (F.n - f(U)|_piece.n) (phi_P - phi_zeta)
-    cells = np.nonzero(interior)[0]
     cell_faces = mesh.cell_faces[cells]
-    coef = ((layout.piece_measures(mesh)[cells] / vols[cells, None, None])
+    coef = ((layout.piece_measures(mesh)[cells] / vols[:, None, None])
             * mesh.face_measures[cell_faces][:, :, None])
-    remainder = remainder_mass = 0.0
-    for chunk, defects in _flux_defects(flux_dot_n(flux), q, v, pair, mesh,
-                                        layout, flux.dual):
-        tf = interp.tf[chunk, None, None]
-        dphi = (tf * interp.cell_table[cells, None]
-                - tf * interp.face_table[cell_faces])
-        weighted = coef[None] * (defects * dphi[:, :, :, None])
-        remainder += float(np.einsum("n,nckp->", steps[chunk], weighted))
-        remainder_mass += float(np.einsum("n,nckp->", steps[chunk],
-                                          np.abs(weighted)))
+
+    def remainder_terms():
+        for ch, defects in _flux_defects(flux_dot_n(flux), q, v, pair, mesh,
+                                         layout, flux.dual):
+            tf = interp.tf[ch, None, None]
+            dphi = (tf * interp.cell_table[cells, None]
+                    - tf * interp.face_table[cell_faces])
+            yield (steps[ch, None, None, None]
+                   * (coef[None] * (defects * dphi[:, :, :, None])))
+
+    remainder, remainder_mass = step_sum(remainder_terms(), mass=True)
     gradient_route = grad_term + remainder
     scale = max(abs(direct), abs(gradient_route), direct_mass,
                 grad_mass + remainder_mass)
@@ -250,25 +240,22 @@ def residual_time(betas: BetaFamily, q, phi, pair,
     """
     _same_level("residual_time", betas, q)
     mesh, grid = betas.mesh, betas.grid
-    interior = mesh.interior_cell_mask
+    cells = np.nonzero(mesh.interior_cell_mask)[0]
     space_int = _support_table(phi, CellQuadrature, mesh, space_order, 1,
-                               CellQuadrature.cell_integrals)
+                               CellQuadrature.cell_integrals)[cells]
     time_int = slab_time_integrals(grid.knots, phi._time_factor, time_order)
-    phi_int = time_int[:, None] * space_int
-    # boolean indexing of the columns transposes memory; copy back to C
-    # order so each row is summed as the 1D pairwise sum of that slab
-    terms = np.ascontiguousarray(
-        (np.diff(betas.values, axis=0) * phi_int)[:, interior])
-    signed = 0.0
-    for row in terms.sum(axis=1):
-        signed += float(row)
-    jumps = np.abs(np.diff(q.values, axis=0))[:, interior]
-    weighted = jumps @ mesh.cell_volumes[interior]
-    qmin = float(q.values.min())
-    qmax = float(q.values.max())
-    c_beta, _ = pair.lipschitz(qmin, qmax)
-    majorant = c_beta * phi.sup_norm() * float(np.dot(grid.steps, weighted))
-    return TimeResidual(signed, majorant, c_beta)
+    chunks = chunk_slices(grid.n_steps, cells.size)
+
+    def jumps(field, ch):
+        """Level n+1 minus level n on the interior cells, per step n."""
+        return np.diff(field.values[ch.start:ch.stop + 1][:, cells], axis=0)
+
+    signed = step_sum(jumps(betas, ch) * (time_int[ch, None] * space_int)
+                      for ch in chunks)
+    c_beta, _ = pair.lipschitz(float(q.values.min()), float(q.values.max()))
+    total = step_sum(grid.steps[ch, None] * np.abs(jumps(q, ch))
+                     * mesh.cell_volumes[cells] for ch in chunks)
+    return TimeResidual(signed, c_beta * phi.sup_norm() * total, c_beta)
 
 
 def _flux_residual_chunks(flux, q, v, pair, mesh, grid, layout, dual):
@@ -296,11 +283,8 @@ def residual_flux_terms(flux: FluxFamily, q, v, pair, mesh, grid,
     terms[n, i, k, p] = dt_n * (diam/|P|)_i * |zeta|_{i,k} * |D_piece|
                         * |(F_zeta^n - f(U)|_piece) . n_{P,zeta}|
     over interior cells i (ascending cell id), local faces k and constancy
-    pieces p, in C order.  ``residual_flux`` sums it in chunks of time
-    steps (``quadrature.chunk_slices(N, NC * nf * pieces)``): numpy's
-    pairwise ``sum`` of each chunk's rows, then the chunk sums added in
-    step order.  A scalar enumeration in the same layout, summed in the
-    same chunks, reproduces both bit for bit.
+    pieces p, in C order; ``residual_flux`` is its ``step_sum``.  A scalar
+    enumeration in the same layout reproduces the table bit for bit.
     """
     return np.concatenate(list(_flux_residual_chunks(
         flux, q, v, pair, mesh, grid, layout, dual)))
@@ -308,13 +292,10 @@ def residual_flux_terms(flux: FluxFamily, q, v, pair, mesh, grid,
 
 def residual_flux(flux: FluxFamily, q, v, pair, mesh, grid,
                   layout: str, dual=None) -> float:
-    """Flux-consistency residual (exact finite sum over constancy pieces),
-    summed chunk by chunk in step order as ``residual_flux_terms`` states."""
-    total = 0.0
-    for terms in _flux_residual_chunks(flux, q, v, pair, mesh, grid, layout,
-                                       dual):
-        total += float(np.sum(terms))
-    return total
+    """Flux-consistency residual (exact finite sum over constancy pieces):
+    the ``step_sum`` of ``residual_flux_terms``, built chunk by chunk."""
+    return step_sum(_flux_residual_chunks(flux, q, v, pair, mesh, grid,
+                                          layout, dual))
 
 
 # ----------------------------------------------------------------------
@@ -340,41 +321,35 @@ def jump_sums(q, v, rtol: float = 1e-12) -> JumpSums:
     diam(P)(|zeta| + |zeta'|).
     """
     _same_level("jump_sums", q, v)
-    mesh, grid = q.mesh, q.grid
-    n_steps = grid.n_steps
-    steps = grid.steps
-    qv = q.values[:n_steps]
+    mesh, qv, steps = q.mesh, q.values, q.grid.steps
     fc = mesh.face_cells
     diam = mesh.cell_diameters
     cf = mesh.cell_faces
-    # cell-sum form: every cell sees each of its interior faces once
-    cells = np.arange(mesh.n_cells)[:, None]
-    first = fc[cf][:, :, 0]
-    second = fc[cf][:, :, 1]
-    other = np.where(first == cells, second, first)
-    neighbor_mask = other >= 0
-    jump_ck = np.abs(qv[:, :, None] - qv[:, np.maximum(other, 0)]) \
-        * neighbor_mask[None, :, :]
-    w_ck = diam[:, None] * mesh.face_measures[cf]
-    r1 = float(np.dot(steps, np.einsum("nck,ck->n", jump_ck, w_ck)))
+    # cell-sum form: every cell sees each of its interior faces once, the
+    # other cell of a boundary face weighted by 0
+    first, second = fc[cf][:, :, 0], fc[cf][:, :, 1]
+    other = np.where(first == np.arange(mesh.n_cells)[:, None], second, first)
+    w_ck = diam[:, None] * mesh.face_measures[cf] * (other >= 0)
+    other = np.maximum(other, 0)
     # reordered face form with omega = (diam P + diam Q)|zeta|
-    ifaces = np.nonzero(mesh.interior_face_mask)[0]
-    jump_f = np.abs(qv[:, fc[ifaces, 0]] - qv[:, fc[ifaces, 1]])
-    omega = (diam[fc[ifaces, 0]] + diam[fc[ifaces, 1]]) * mesh.face_measures[ifaces]
-    r1_face = float(np.dot(steps, jump_f @ omega))
+    p, r = fc[mesh.interior_face_mask].T
+    omega = (diam[p] + diam[r]) * mesh.face_measures[mesh.interior_face_mask]
+    chunks = chunk_slices(steps.size, w_ck.size)
+    r1 = step_sum(steps[ch, None, None] * np.abs(qv[ch, :, None]
+                                                 - qv[ch][:, other]) * w_ck
+                  for ch in chunks)
+    r1_face = step_sum(steps[ch, None] * np.abs(qv[ch][:, p] - qv[ch][:, r])
+                       * omega for ch in chunks)
     _check_routes("R1", r1, r1_face, max(abs(r1), abs(r1_face)), rtol)
-    layout = COLOCATED_1D if v is None else layout_of(v)
-    r2, const = layout.velocity_jumps(_slab_levels(v, n_steps), mesh,
-                                      getattr(v, "dual", None), steps)
+    r2, const = (0.0, None) if v is None else layout_of(v).velocity_jumps(
+        v.values, mesh, v.dual, steps)
     return JumpSums(r1, r1_face, r2, const)
 
 
 def measured_constant(q, v, pair) -> float:
     """Measured product constant dominating R <= C (R1 + R2): the larger of
     C_g * sup|v| and sup|g(q)| over the discrete data."""
-    qmin = float(q.values.min())
-    qmax = float(q.values.max())
-    _, c_g = pair.lipschitz(qmin, qmax)
+    _, c_g = pair.lipschitz(float(q.values.min()), float(q.values.max()))
     sup_v = 1.0 if v is None else v.sup_norm()
     sup_g = float(np.abs(pair.g(q.values)).max())
     return max(c_g * sup_v, sup_g)
@@ -474,9 +449,9 @@ def weak_lhs(c_field, interp: InterpolatedTest) -> float:
     """Exact pairing int int C(U) I(phi) of the piecewise constants; C(U)
     (``assemble_convection``) and the interpolate must share their level."""
     _same_level("weak_lhs", c_field, interp)
-    return float(np.einsum("n,nc,c->", interp.grid.steps,
-                           c_field.values * interp.cells(np.s_[:-1]),
-                           interp.mesh.cell_volumes))
+    steps, vols = interp.grid.steps, interp.mesh.cell_volumes
+    return step_sum(steps[ch, None] * (c_field.values[ch] * interp.cells(ch))
+                    * vols for ch in chunk_slices(steps.size, vols.size))
 
 
 class WeakGap(NamedTuple):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import sum_opposite_first
 from .quadrature import (DEFAULT_ORDER, CellQuadrature, FaceQuadrature,
-                         SlabQuadrature, chunk_slices)
+                         SlabQuadrature, chunk_slices, step_sum)
 
 __all__ = [
     "CellScalarField", "CellSlabField", "FaceVectorFieldRT",
@@ -522,8 +522,8 @@ def lp_distance(field: CellScalarField, ref: Callable,
 
     Per-cell / per-slab quadrature of |q_P^n - ref(x, t)| (the kink where
     the two cross limits accuracy to a few percent, which is enough for
-    convergence diagnostics), each slab summed over cells by numpy's
-    pairwise ``sum`` and the slabs added in step order.
+    convergence diagnostics); the distance is the ``step_sum`` of the
+    (slab, cell) table.
     """
     mesh, grid = field.mesh, field.grid
     slab = SlabQuadrature(mesh, grid, order, time_order)
@@ -534,10 +534,8 @@ def lp_distance(field: CellScalarField, ref: Callable,
         vals = ev(tn.ravel()).reshape(tn.shape + nodes)
         return np.abs(field.values[steps][:, None, :, None] - vals)
 
-    total = 0.0
-    for row in slab.slab_cell_integrals(integrand).sum(axis=1):
-        total += row
-    return LpDistance(float(total), field.sup_norm())
+    return LpDistance(step_sum([slab.slab_cell_integrals(integrand)]),
+                      field.sup_norm())
 
 
 # ----------------------------------------------------------------------
@@ -629,10 +627,22 @@ def default_translate_weights(mesh, grid, theta: float = 1.0) -> TranslateWeight
                             delta_half=delta)
 
 
-def _space_jump_table(u: CellScalarField, pairs):
-    """|u_K^n - u_L^n| for slab levels n = 0..N-1, shape (N, n_pairs)."""
+def _translate_sum(u: CellScalarField, weights: TranslateWeights) -> float:
+    """The translate functional of u over explicit pair sets: the
+    ``step_sum`` of dt_n * |u_K^n - u_L^n| * omega per (step, cell pair),
+    plus the ``step_sum`` of delta * |u_K^p - u_K^q| * |K| per (slab-level
+    pair, cell)."""
     vals = u.values[:-1]
-    return np.abs(vals[:, pairs[:, 0]] - vals[:, pairs[:, 1]])
+    steps, vols = u.grid.steps, u.mesh.cell_volumes
+    kx, lx = weights.pairs_x.T
+    pt, qt = weights.pairs_t.T
+    space = step_sum(
+        steps[ch, None] * np.abs(vals[ch][:, kx] - vals[ch][:, lx])
+        * weights.omega_x for ch in chunk_slices(steps.size, kx.size))
+    time = step_sum(
+        weights.delta_t[ch, None] * np.abs(vals[pt[ch]] - vals[qt[ch]]) * vols
+        for ch in chunk_slices(pt.size, vols.size))
+    return space + time
 
 
 def translate_functional(u: CellScalarField, weights: TranslateWeights) -> float:
@@ -640,18 +650,7 @@ def translate_functional(u: CellScalarField, weights: TranslateWeights) -> float
     measure-weighted jumps between consecutive slab values."""
     if weights.is_general:
         raise ValueError("got generalized weights; use translate_functional_general")
-    mesh, grid = u.mesh, u.grid
-    faces = np.nonzero(mesh.interior_face_mask)[0]
-    pairs = mesh.face_cells[faces]
-    jumps = _space_jump_table(u, pairs)
-    space = float(np.dot(grid.steps, jumps @ weights.omega_face))
-    vals = u.values[:-1]
-    if weights.delta_half is not None and weights.delta_half.size:
-        tj = np.abs(np.diff(vals, axis=0)) @ mesh.cell_volumes
-        time = float(np.dot(weights.delta_half, tj))
-    else:
-        time = 0.0
-    return space + time
+    return _translate_sum(u, generalize_weights(weights))
 
 
 class GeneralTranslateResult(NamedTuple):
@@ -671,13 +670,7 @@ def translate_functional_general(u: CellScalarField,
     """
     if not weights.is_general:
         raise ValueError("expected generalized weights")
-    mesh, grid = u.mesh, u.grid
-    jumps = _space_jump_table(u, weights.pairs_x)
-    space = float(np.dot(grid.steps, jumps @ weights.omega_x))
-    vals = u.values[:-1]
-    tj = np.abs(vals[weights.pairs_t[:, 0]] - vals[weights.pairs_t[:, 1]])
-    time = float(np.dot(weights.delta_t, tj @ mesh.cell_volumes))
-    return GeneralTranslateResult(space + time, weights.theta_m(),
+    return GeneralTranslateResult(_translate_sum(u, weights), weights.theta_m(),
                                   weights.theta_t(), weights.gap_x(),
                                   weights.gap_t())
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .fields import FaceScalarFieldMAC, FaceVectorFieldRT
 from .geometry import LOCAL_OPPOSITE, sum_opposite_first
+from .quadrature import chunk_slices, step_sum
 
 __all__ = ["Layout", "LAYOUTS", "RT", "MAC", "COLOCATED_1D", "get_layout",
            "layout_of", "BOUNDARY_POLICIES"]
@@ -78,8 +79,19 @@ class Layout:
         return None
 
     def velocity_jumps(self, vv, mesh, dual, steps):
-        """(R2, realised splitting constant or None) over the dual edges."""
-        return 0.0, None
+        """(R2, realised splitting constant or None): the ``step_sum`` of
+        dt_n * |v_a - v_b| * w_{P,e} over the dual edges e = (a, b) of each
+        cell (local faces, ``_jump_edges``), laid out (step, cell, edge)."""
+        edges, weights, const = self._jump_edges(mesh, dual)
+        a, b = np.asarray(edges).T
+
+        def terms(ch):
+            vcf = vv[ch][:, mesh.cell_faces]
+            return (steps[ch, None, None]
+                    * self.magnitude(vcf[:, :, a] - vcf[:, :, b]) * weights)
+
+        return step_sum(map(terms, chunk_slices(steps.size, vv[0].size
+                                                * len(a)))), const
 
 
 class _RT(Layout):
@@ -120,15 +132,11 @@ class _RT(Layout):
             vals[n] = np.asarray(v_exact(mesh.face_midpoints, t), dtype=float)
         return FaceVectorFieldRT(mesh, grid, dual, vals)
 
-    def velocity_jumps(self, vv, mesh, dual, steps):
+    def _jump_edges(self, mesh, dual):
         # dual-edge weight C*diam(P)^2, C the realised splitting constant
-        vcf = vv[:, mesh.cell_faces]                           # (N, NC, 4, 2)
         const = dual.jump_weight_constant
-        per_cell = np.zeros(vcf.shape[:2])
-        for a, b in dual.dual_edges_local:
-            per_cell += np.sqrt(((vcf[:, :, a] - vcf[:, :, b]) ** 2).sum(-1))
-        r2 = float(np.dot(steps, per_cell @ (const * mesh.cell_diameters ** 2)))
-        return r2, const
+        return (dual.dual_edges_local,
+                (const * mesh.cell_diameters ** 2)[:, None], const)
 
 
 class _MAC(Layout):
@@ -175,16 +183,13 @@ class _MAC(Layout):
                                            mesh, dual)
         return FaceScalarFieldMAC(mesh, grid, dual, vals)
 
-    def velocity_jumps(self, vv, mesh, dual, steps):
+    def _jump_edges(self, mesh, dual):
         # weight diam(P)(|zeta| + |zeta'|) per direction pair
-        vcf = vv[:, mesh.cell_faces]                           # (N, NC, 4)
         areas = mesh.face_measures[mesh.cell_faces]
-        r2 = 0.0
-        for a, b in dual.direction_pairs_local:
-            jump = np.abs(vcf[:, :, a] - vcf[:, :, b])
-            w = mesh.cell_diameters * (areas[:, a] + areas[:, b])
-            r2 += float(np.dot(steps, jump @ w))
-        return r2, None
+        a, b = np.asarray(dual.direction_pairs_local).T
+        return (dual.direction_pairs_local,
+                mesh.cell_diameters[:, None] * (areas[:, a] + areas[:, b]),
+                None)
 
 
 class _Colocated1D(Layout):

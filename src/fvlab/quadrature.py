@@ -15,13 +15,10 @@ chunk of time steps.  ``CellQuadrature.values(f, t)`` is the one place
 where a callable meets the nodes: it calls ``f(x)`` when t is None and
 ``f(x, t)`` otherwise.
 
-Slab integrals are summed in a fixed order: per slab, each Gauss time's
-cell integral (one ``einsum`` over the cell's nodes) is weighted and added
-in time order; callers that reduce a slab over cells use numpy's pairwise
-``sum`` of that slab's row and add the rows in step order.  Steps are
-evaluated in chunks of about ``CHUNK_VALUES`` node values, a constant that
-decides only how many steps share one call: every value goes through the
-same operations whatever the chunk, so the chunk size cannot change bits.
+Every space-time sum that fvlab reports is taken by ``step_sum``, whose
+docstring states the one summation order.  Steps are evaluated in chunks
+of about ``CHUNK_VALUES`` values (``chunk_slices``), a constant that
+decides only how many steps share one call.
 
 Cell means use a shifted weighted average, ``f0 + sum(w * (f - f0))``, so a
 constant integrand reproduces the constant bitwise.
@@ -29,6 +26,7 @@ constant integrand reproduces the constant bitwise.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, reduce
 
 import numpy as np
@@ -71,6 +69,30 @@ def chunk_slices(n: int, per_item: int):
     item and at most ``CHUNK_VALUES // per_item`` items."""
     step = max(1, CHUNK_VALUES // max(1, per_item))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def step_sum(tables, mass: bool = False):
+    """The summation order of every space-time sum that fvlab reports.
+
+    ``tables`` holds the term tables, shaped (steps, ...), of consecutive
+    chunks of steps in step order; a whole table is one chunk, and a step
+    may be a time step, a slab or a pair of levels.  The caller forms each
+    term elementwise, in a product order its code states.  Each step's row
+    of terms, in C order, is reduced by numpy's pairwise ``sum``, and the
+    step values are added left to right.  A C-contiguous row sums to the
+    same bits alone, in a chunk or in the whole table, so neither the
+    chunks, nor a thread count, nor the memory layout of the caller's
+    operands moves a bit.  With ``mass`` the sum of |terms| is returned too.
+    """
+    total = absolute = 0.0
+    for table in tables:
+        rows = np.ascontiguousarray(table, dtype=float).reshape(
+            len(table), math.prod(table.shape[1:]))
+        for value in rows.sum(axis=1).tolist():
+            total += value
+        for value in np.abs(rows).sum(axis=1).tolist() if mass else ():
+            absolute += value
+    return (total, absolute) if mass else total
 
 
 def tensor_points(axes) -> np.ndarray:

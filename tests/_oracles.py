@@ -4,13 +4,12 @@ import warnings
 
 import numpy as np
 
-from fvlab.consistency import LOCAL_OPPOSITE, WeakRhs
+from fvlab.consistency import WeakRhs
 from fvlab.fields import _bump, _reference_at
-from fvlab.geometry import (MeshConstructionError, PrimalMesh,
-                            sum_opposite_first)
+from fvlab.geometry import (LOCAL_OPPOSITE, MeshConstructionError,
+                            PrimalMesh, sum_opposite_first)
 from fvlab.quadrature import (ORACLE_ORDER, BoxQuadrature, CellQuadrature,
-                              FaceQuadrature, SlabQuadrature, chunk_slices,
-                              tensor_points)
+                              FaceQuadrature, SlabQuadrature, tensor_points)
 
 
 def face_value(q, face: int, n: int, scheme: str = "centered",
@@ -115,14 +114,14 @@ def brute_force_flux_residual(flux, q, v, pair, mesh, grid, layout, dual):
     return terms
 
 
-def chunk_ordered_sum(table, per_step: int) -> float:
-    """The documented summation order of ``residual_flux``: numpy's
-    pairwise sum of each chunk of time steps of the C-order term table
-    (``chunk_slices(N, per_step)``, per_step = NC * nf * pieces), the chunk
-    sums added in step order."""
+def per_step_sum(table) -> float:
+    """The documented summation order of every reported space-time sum
+    (``quadrature.step_sum``), one step at a time: numpy's pairwise sum of
+    each step's C-order row of the term table, the step values added left
+    to right."""
     total = 0.0
-    for steps in chunk_slices(table.shape[0], per_step):
-        total += float(np.sum(table[steps]))
+    for n in range(table.shape[0]):
+        total += float(np.sum(np.ascontiguousarray(table[n])))
     return total
 
 

@@ -24,9 +24,8 @@ from fvlab.quadrature import BoxQuadrature
 from fvlab.schemes import sample_manufactured
 from fvlab.study import manufactured_solution
 
-from _oracles import (brute_force_flux_residual, chunk_ordered_sum,
-                      materialise, residual_time_slab, separable_phi,
-                      weak_rhs_whole)
+from _oracles import (brute_force_flux_residual, materialise, per_step_sum,
+                      residual_time_slab, separable_phi, weak_rhs_whole)
 from _strategies import flux_levels, interior_support_boxes, support_boxes
 
 
@@ -440,14 +439,14 @@ def test_residual_flux_bitwise_matches_enumeration(layout):
     oracle = brute_force_flux_residual(flux, q, v, pair, mesh, grid, layout, dual)
     assert np.array_equal(table, oracle)
     assert residual_flux(flux, q, v, pair, mesh, grid, layout, dual) \
-        == float(np.sum(oracle))
+        == per_step_sum(oracle)
 
 
 @settings(max_examples=30, deadline=None)
 @given(flux_levels())
 def test_residual_flux_chunks_match_enumeration(case):
     # chunks of 1 step, of N - 1, N and N + 1 steps: the term table is the
-    # oracle's byte for byte, and the residual is its chunk-ordered sum
+    # oracle's byte for byte, and the residual is its per-step sum
     layout, dual, pair, q, v, flux = case
     mesh, grid = q.mesh, q.grid
     oracle = brute_force_flux_residual(flux, q, v, pair, mesh, grid, layout,
@@ -461,7 +460,7 @@ def test_residual_flux_chunks_match_enumeration(case):
             assert table.shape == oracle.shape
             assert table.tobytes() == oracle.tobytes()
             assert residual_flux(flux, q, v, pair, mesh, grid, layout, dual) \
-                == chunk_ordered_sum(oracle, per_step)
+                == per_step_sum(oracle)
 
 
 def test_streamed_flux_stages_stay_in_bounded_memory(transient_mib):
