@@ -161,6 +161,10 @@ class StudyConfig:
         """Check every named choice up front, before any level runs."""
         if self.levels < 3:
             raise ValueError("a study needs >= 3 levels for rate fitting")
+        for name in ("T", "dt_over_h"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be finite and positive, got "
+                                 f"{getattr(self, name)!r}")
         layout = get_layout(self.layout)
         _check_choice("field source", self.field_source, FIELD_SOURCES)
         if self.field_source == "scheme" and not layout.scheme_source:

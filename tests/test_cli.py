@@ -82,6 +82,9 @@ def test_bad_config_exit_2(tmp_path, capsys):
          "'late'"),
         ("layout = mac", "layout = rt\nfield_source = scheme", "'rt'"),
         ("layout = mac", "layout = hex", "'hex'"),
+        ("dt_over_h = 0.5", "dt_over_h = 0", "dt_over_h must be finite"),
+        ("T = 0.5", "T = inf", "T must be finite and positive, got inf"),
+        ("dt_over_h = 0.5", "dt_over_h = -0.5", "got -0.5"),
     ]
     for k, case in enumerate(bad_inputs):
         if len(case) == 2:
