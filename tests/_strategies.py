@@ -5,10 +5,13 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from fvlab.fields import CellScalarField, FaceScalarFieldMAC, FaceVectorFieldRT
+from fvlab import geometry
+from fvlab.fields import (TIME_PROFILES, CellScalarField, FaceScalarFieldMAC,
+                          FaceVectorFieldRT, TestFunction)
 from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
                             build_intervals, build_perturbed_quads,
                             build_time_grid)
+from fvlab.layouts import MAC, get_layout
 from fvlab.operators import (FACE_SCHEMES, flux_colocated_upwind_1d,
                              flux_staggered, get_pair)
 
@@ -114,3 +117,38 @@ def flux_levels(draw, min_cells=1):
     flux = flux_staggered(q, v, pair,
                           scheme=draw(st.sampled_from(FACE_SCHEMES)))
     return layout, dual, pair, q, v, flux
+
+
+@st.composite
+def constant_levels(draw):
+    """A constant state q = c (and v = (a, b)) with its flux on a level of
+    a layout: graded tensor meshes for MAC and RT, graded intervals for
+    colocated 1D.  Drawn: the pair (only ``id`` for colocated 1D, whose
+    flux is fixed), the face scheme and one of the layout's boundary
+    policies.  Returns the layout, the pair, q, v (None in 1D), the flux
+    and a test function on a support box inside the domain."""
+    layout = draw(st.sampled_from(["mac", "rt", "colocated1d"]))
+    rules = get_layout(layout)
+    mesh = draw(interval_meshes() if rules.dim == 1 else graded_meshes())
+    grid = draw(time_grids(max_steps=5))
+    policy = draw(st.sampled_from(rules.boundary_policies))
+    levels = grid.n_steps + 1
+    q = CellScalarField(mesh, grid, np.full((levels, mesh.n_cells),
+                                            draw(st.floats(-3.0, 3.0))))
+    phi = TestFunction(draw(support_boxes(rules.dim)),
+                       draw(st.floats(0.05, 0.95)) * grid.final_time,
+                       draw(st.sampled_from(TIME_PROFILES)))
+    if not rules.staggered:
+        return (layout, get_pair("id"), q, None,
+                flux_colocated_upwind_1d(q, policy=policy), phi)
+    pair = get_pair(draw(st.sampled_from(["id", "square", "slogs"])))
+    dual = getattr(geometry, rules.dual_builder)(mesh)
+    vel = np.broadcast_to([draw(st.floats(-2.0, 2.0)),
+                           draw(st.floats(-2.0, 2.0))], (mesh.n_faces, 2))
+    if rules is MAC:
+        vel = MAC.face_components(vel, mesh, dual)
+    v = rules.velocity_field(mesh, grid, dual,
+                             np.broadcast_to(vel, (levels,) + vel.shape))
+    flux = flux_staggered(q, v, pair, policy=policy,
+                          scheme=draw(st.sampled_from(FACE_SCHEMES)))
+    return layout, pair, q, v, flux, phi

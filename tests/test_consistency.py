@@ -14,7 +14,9 @@ from fvlab.consistency import (RouteMismatchError, compute_X1, compute_X2,
                                weak_rhs)
 from fvlab.fields import (TIME_PROFILES, CellScalarField,
                           FaceScalarFieldMAC, FaceVectorFieldRT, Reference,
-                          SupportError, TestFunction, interpolate_test)
+                          SupportError, TestFunction,
+                          default_translate_weights, interpolate_test,
+                          translate_functional)
 from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
                             build_intervals, build_time_grid)
 from fvlab.operators import (BetaFamily, FluxFamily, assemble_convection,
@@ -26,7 +28,8 @@ from fvlab.study import manufactured_solution
 
 from _oracles import (brute_force_flux_residual, materialise, per_step_sum,
                       residual_time_slab, separable_phi, weak_rhs_whole)
-from _strategies import flux_levels, interior_support_boxes, support_boxes
+from _strategies import (constant_levels, flux_levels, interior_support_boxes,
+                         support_boxes)
 
 
 def bump2d():
@@ -482,6 +485,29 @@ def test_streamed_flux_stages_stay_in_bounded_memory(transient_mib):
                                                "mac", dual)}
     transient = {name: transient_mib(stage) for name, stage in stages.items()}
     assert all(size <= 32 for size in transient.values()), transient
+
+
+# ---------------------------------------------------------------- constant states
+
+@settings(max_examples=60, deadline=None)
+@given(constant_levels())
+def test_constant_states_are_exact(case):
+    # a constant state makes each quantity below exactly zero on every
+    # drawn level; the X1 by-parts route is left out, as its series of
+    # beta^n (phi^n - phi^{n-1}) cancels only to rounding (~1e-17)
+    layout, pair, q, v, flux, phi = case
+    mesh, grid = q.mesh, q.grid
+    betas = BetaFamily.from_field(q, pair)
+    conv = assemble_convection(betas, flux)
+    assert np.all(conv.values[:, mesh.interior_cell_mask] == 0.0)
+    assert compute_X1(betas, interpolate_test(phi, mesh, grid)).value == 0.0
+    assert residual_flux(flux, q, v, pair, mesh, grid, layout) == 0.0
+    jumps = jump_sums(q, v)
+    assert jumps.r1 == 0.0 and jumps.r2 == 0.0
+    times = residual_time(betas, q, phi, pair)
+    assert times.signed == 0.0 and times.majorant == 0.0
+    assert translate_functional(q, default_translate_weights(mesh, grid)) \
+        == 0.0
 
 
 # ---------------------------------------------------------------- jump sums

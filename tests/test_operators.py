@@ -8,6 +8,7 @@ from _strategies import graded_meshes, perturbed_meshes, time_grids
 from fvlab.fields import CellScalarField, FaceScalarFieldMAC, FaceVectorFieldRT
 from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
                             build_intervals, build_time_grid)
+from fvlab.layouts import get_layout
 from fvlab.operators import (FACE_SCHEMES, BetaFamily, assemble_convection,
                              dt_beta, flux_colocated_upwind_1d,
                              flux_divergence, flux_staggered, get_pair,
@@ -325,30 +326,32 @@ def test_missing_flux_names_face():
 
 @st.composite
 def staggered_meshes(draw):
-    """A layout with a mesh it admits: graded tensor meshes for MAC,
-    perturbed quadrangles for RT."""
+    """A layout with a mesh it admits (graded tensor meshes for MAC,
+    perturbed quadrangles for RT) and one of its boundary policies."""
     layout = draw(st.sampled_from(["mac", "rt"]))
     mesh = draw(graded_meshes() if layout == "mac" else perturbed_meshes())
-    return layout, mesh
+    return layout, mesh, draw(st.sampled_from(
+        get_layout(layout).boundary_policies))
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=staggered_meshes(), grid=time_grids(),
        nonlinearity=st.sampled_from(["id", "square", "slogs"]),
        scheme=st.sampled_from(FACE_SCHEMES))
-@example(case=("mac", build_cartesian(6, 5)), grid=build_time_grid(1.0, 3),
-         nonlinearity="id", scheme="upwind")
-@example(case=("rt", build_cartesian(6, 5)), grid=build_time_grid(1.0, 3),
-         nonlinearity="id", scheme="upwind")
+@example(case=("mac", build_cartesian(6, 5), "upwind_zero"),
+         grid=build_time_grid(1.0, 3), nonlinearity="id", scheme="upwind")
+@example(case=("rt", build_cartesian(6, 5), "zero_flux"),
+         grid=build_time_grid(1.0, 3), nonlinearity="id", scheme="upwind")
 def test_conservativity_telescoping(case, grid, nonlinearity, scheme):
-    layout, mesh = case
+    layout, mesh, policy = case
     dual = build_dual_mac(mesh) if layout == "mac" else build_dual_rt(mesh)
     q, v = sample_manufactured(
         lambda x, t: 1.0 + 0.3 * np.sin(2 * np.pi * x[:, 0]) * np.cos(t),
         lambda x, t: np.stack([np.cos(np.pi * x[:, 1]),
                                np.sin(np.pi * x[:, 0])], axis=-1),
         layout, mesh, dual, grid)
-    flux = flux_staggered(q, v, get_pair(nonlinearity), scheme=scheme)
+    flux = flux_staggered(q, v, get_pair(nonlinearity), scheme=scheme,
+                          policy=policy)
     defect, scale = telescoping_defect(flux)
     assert np.all(defect <= 1e-12 * scale)
 

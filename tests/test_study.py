@@ -1,7 +1,9 @@
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,10 +13,17 @@ from hypothesis import strategies as st
 from _oracles import assert_bitwise, tensor_field_per_call
 from _strategies import graded_meshes, interval_meshes, time_grids
 import fvlab
+from fvlab import quadrature
+from fvlab.cli import parse_config
+from fvlab.consistency import weak_rhs
 from fvlab.fields import CellScalarField
-from fvlab.study import (StudyConfig, _tensor_field_function, fit_rates,
-                         manufactured_solution, run_study, write_rates_csv,
-                         write_report_csv)
+from fvlab.layouts import get_layout
+from fvlab.operators import get_pair
+from fvlab.study import (StudyConfig, _compute_level, _tensor_field_function,
+                         fit_rates, manufactured_solution, run_study,
+                         write_rates_csv, write_report_csv)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @settings(max_examples=30, deadline=None)
@@ -79,6 +88,36 @@ def test_constant_study_all_zero_residual_columns(tmp_path):
     rows = (tmp_path / "report.csv").read_text().splitlines()
     # residual columns (X1 .. translate) print as literal zeros
     assert rows[1].split(",")[6:14] == ["0"] * 8
+
+
+@pytest.mark.parametrize("case, level", [("mac_scheme8", 0),
+                                         ("rt_perturbed_seed1", 0),
+                                         ("col1d_scheme16", 1)])
+def test_report_rows_do_not_depend_on_the_chunk_size(case, level):
+    # one level of a golden study computed with CHUNK_VALUES at one value a
+    # chunk and at 1, N - 1, N and N + 1 steps of the flux-defect table:
+    # every column of its report row, the weak-form RHS included, keeps
+    # its bytes
+    config, _ = parse_config(GOLDEN / case / "study.ini")
+    phi = config.test_function()
+    sol = manufactured_solution(config.solution)
+
+    def row():
+        rhs = weak_rhs(get_pair(config.beta_name, config.g_name), sol["q"],
+                       sol["v"], lambda x: sol["q"](x, 0.0), phi,
+                       panels=config.rhs_panels, check=False)
+        report, q = _compute_level(config, level, phi, rhs, None)
+        return np.array(dataclasses.astuple(report), dtype=float), q
+
+    want, q = row()
+    n = q.grid.n_steps
+    per_step = (q.mesh.n_cells * q.mesh.cell_faces.shape[1]
+                * get_layout(config.layout).pieces)
+    assert n > 2
+    for values in sorted({1} | {k * per_step for k in (1, n - 1, n, n + 1)}):
+        with mock.patch.object(quadrature, "CHUNK_VALUES", values):
+            got, _ = row()
+        assert_bitwise(got, want)
 
 
 def test_manufactured_study_monotone_and_rated():
