@@ -34,7 +34,8 @@ class Layout:
     boundary_policies  the boundary policies its fluxes support
     scheme_source      a transport scheme can generate its fields
 
-    Each layout gives ``flux_pieces`` and ``flux_cell_means``.  The normal
+    Each layout gives ``flux_pieces`` and ``flux_cell_means``, and a
+    staggered one the dual edges of R2 (``_jump_edges``).  The normal
     rules below suit one component per face, whose outward sign a layout
     gives by ``_cell_signs`` (NC, nf) and ``_face_signs`` (NF,); RT
     overrides them for its full vectors.
@@ -90,8 +91,8 @@ class Layout:
             return (steps[ch, None, None]
                     * self.magnitude(vcf[:, :, a] - vcf[:, :, b]) * weights)
 
-        return step_sum(map(terms, chunk_slices(steps.size, vv[0].size
-                                                * len(a)))), const
+        chunks = chunk_slices(steps.size, vv[0].size * len(a))
+        return step_sum(map(terms, chunks)), const
 
 
 class _RT(Layout):

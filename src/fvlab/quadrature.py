@@ -74,16 +74,14 @@ def chunk_slices(n: int, per_item: int):
 def step_sum(tables, mass: bool = False):
     """The summation order of every space-time sum that fvlab reports.
 
-    ``tables`` holds the term tables, shaped (steps, ...), of consecutive
-    chunks of steps in step order; a whole table is one chunk, and a step
-    may be a time step, a slab or a pair of levels.  The caller forms each
-    term elementwise, in a product order its code states.  Each step's row
-    of terms, in C order, is reduced by numpy's pairwise ``sum``, and the
-    step values are added left to right.  A C-contiguous row sums to the
-    same bits alone, in a chunk or in the whole table, so neither the
-    chunks, nor a thread count, nor the memory layout of the caller's
-    operands moves a bit.  With ``mass`` the sum of |terms| is returned too.
-    """
+    ``tables``: the term tables (steps, ...) of consecutive chunks of steps
+    (time steps, slabs or level pairs) in step order, each term formed
+    elementwise by the caller.  Each step's row of C-order terms is reduced
+    by numpy's pairwise ``sum``, and the step values are added left to
+    right.  A C-contiguous row sums to the same bits alone, in a chunk or
+    in the whole table, so neither the chunks, nor a thread count, nor the
+    caller's memory layout moves a bit.  With ``mass`` the sum of |terms|
+    is returned too."""
     total = absolute = 0.0
     for table in tables:
         rows = np.ascontiguousarray(table, dtype=float).reshape(
