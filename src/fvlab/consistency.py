@@ -10,11 +10,24 @@ a finite weighted sum.  Term tables keep a documented (step, cell, face,
 piece) layout so a brute-force enumeration with the same summation order
 reproduces the results bit for bit.
 
-Every space-time sum behind a report column is ``quadrature.step_sum`` of
-its terms, formed one chunk of time steps at a time
-(``quadrature.chunk_slices``) by the same operations in any chunk.  The
-flux-defect table (F_zeta^n - f(U)|_piece) . n_{P,zeta} of the X2 remainder
-and the flux residual is thus never held whole.
+Every space-time sum behind a report column is added in one order: each
+step's row of C-order terms is reduced by ``quadrature.step_values``, and
+the step values are added left to right (``quadrature.add_steps``).  The
+terms of each quantity are formed by one term function per chunk of time
+steps (``quadrature.chunk_slices``), by the same operations in any chunk.
+
+``level_pass`` computes every quantity of one level in a single walk over
+chunks of its steps.  Per chunk it forms once the face fluxes of those
+steps, beta on their knots n..n+1, F.n and its divergence, and the
+flux-defect table (F_zeta^n - f(U)|_piece) . n_{P,zeta}, and hands them to
+the term functions of C(U) and the weak LHS, X1, X2, the time and flux
+residuals, R1/R2, the translate functional and the L1 distance; the
+sup, min and max reductions ride along.  The step values go into
+step-indexed arrays, added at the end, so its results equal those of the
+whole-level functions (``compute_X1``, ``compute_X2``, ``residual_time``,
+``residual_flux``, ``jump_sums``, ``weak_lhs``, ...), which are thin loops
+over the same term functions, bit for bit, for any chunk size.  No table
+over all steps of a level is formed.
 
 Stages read mesh, grid, layout and dual from their fields: ``.mesh`` and
 ``.grid`` of every field and interpolate, ``.layout`` and ``.dual`` of a
@@ -31,18 +44,29 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import (InterpolatedTest, SupportError, _reference_at,
-                     _same_level, _support_table)
-from .layouts import get_layout, layout_of
-from .operators import BetaFamily, FluxFamily, dt_beta, flux_divergence, flux_dot_n
+                     _same_level, _support_table, l1_steps,
+                     translate_space_terms, translate_time_terms)
+from .layouts import COLOCATED_1D, get_layout, layout_of
+# dt_beta, flux_divergence and flux_dot_n are looked up here by name, so
+# rebinding fvlab.consistency.<name> reaches the whole-level stages
+from .operators import (BetaFamily, FluxFamily, check_finite_flux,
+                        convection, divergence, dt_beta, flux_divergence,
+                        flux_dot_n, time_derivative)
 from .quadrature import (DEFAULT_ORDER, ORACLE_ORDER, BoxQuadrature,
-                         CellQuadrature, chunk_slices, slab_time_integrals,
-                         step_sum, tensor_points)
+                         CellQuadrature, add_steps, chunk_slices,
+                         slab_time_integrals, step_sum, step_values,
+                         tensor_points)
 
 __all__ = [
     "compute_X1", "compute_X2", "residual_init", "residual_time",
     "residual_flux", "residual_flux_terms", "jump_sums", "weak_lhs",
-    "weak_rhs", "weak_form_gap", "measured_constant", "RouteMismatchError",
+    "weak_rhs", "weak_form_gap", "measured_constant", "level_pass",
+    "LevelSums", "RouteMismatchError",
 ]
+
+
+# relative tolerances of the X1, X2 and R1 route checks
+X1_RTOL, X2_RTOL, R1_RTOL = 1e-12, 1e-10, 1e-12
 
 
 class RouteMismatchError(AssertionError):
@@ -57,6 +81,27 @@ def _check_routes(what: str, a: float, b: float, scale: float, rtol: float):
                                  f"(scale {scale!r})")
 
 
+class _StepValues(dict):
+    """The step values of named sums, appended chunk by chunk in step
+    order; ``total`` adds one name's values left to right, and a name
+    holding term masses too gives (sum, mass)."""
+
+    def add(self, **chunk):
+        for name, values in chunk.items():
+            self.setdefault(name, []).append(values)
+
+    def total(self, name):
+        values = np.concatenate(self[name], axis=-1)
+        if values.ndim == 1:
+            return add_steps(values)
+        return tuple(add_steps(row) for row in values)
+
+
+def _paired(dt, values, phi):
+    """dt_n * (values_P^n * phi_P^n) per (step, cell)."""
+    return dt[:, None] * (values * phi)
+
+
 # ----------------------------------------------------------------------
 # X1: time-derivative pairing
 
@@ -65,8 +110,33 @@ class X1Result(NamedTuple):
     by_parts: float             # discrete summation-by-parts route
 
 
+def _x1_terms(dt, dtb, beta, phi, dtf, table, vols):
+    """The step values and masses of X1's two routes on some steps: the
+    direct terms dt_n |P| (d_t beta)_P^n phi_P^n and the by-parts series
+    terms |P| beta_P^{n+1} (phi_P^{n+1} - phi_P^n), the difference formed
+    as (tf_{n+1} - tf_n) <B>_P; beta on the knots n..n+1."""
+    return dict(x1=step_values(_paired(dt, dtb, phi) * vols, mass=True),
+                x1_series=step_values(beta[1:] * (dtf[:, None] * table)
+                                      * vols, mass=True))
+
+
+def _x1_result(sums, beta0, interp, vols, rtol) -> X1Result:
+    """X1 from its step values, the by-parts route closed by the boundary
+    term -sum |P| beta^0 phi^0; the two routes must agree to ``rtol``."""
+    direct, direct_mass = sums.total("x1")
+    series, series_mass = sums.total("x1_series")
+    start = beta0 * interp.cells(0)
+    by_parts = -float(np.einsum("c,c->", vols, start)) - series
+    # relative scale includes both routes' absolute term masses, so exact
+    # zeros on one route compare against the other's cancellation scale
+    scale = max(abs(direct), abs(by_parts), direct_mass,
+                float(np.einsum("c,c->", vols, np.abs(start))) + series_mass)
+    _check_routes("X1", direct, by_parts, scale, rtol)
+    return X1Result(direct, by_parts)
+
+
 def compute_X1(betas: BetaFamily, interp: InterpolatedTest,
-               rtol: float = 1e-12) -> X1Result:
+               rtol: float = X1_RTOL) -> X1Result:
     """X1 = sum_n dt_n sum_P |P| (d_t beta)_P^n phi_P^n, plus the
     summation-by-parts route; the two must agree to `rtol`.
 
@@ -77,47 +147,17 @@ def compute_X1(betas: BetaFamily, interp: InterpolatedTest,
     _same_level("compute_X1", betas, interp)
     vols, steps = betas.mesh.cell_volumes, betas.grid.steps
     dtb = dt_beta(betas, betas.grid)
-    direct, direct_mass = step_sum(
-        (steps[ch, None] * (dtb[ch] * interp.cells(ch)) * vols
-         for ch in chunk_slices(steps.size, vols.size)), mass=True)
-    # by parts: -sum |P| beta^0 phi^0 - sum_{n>=1} |P| beta^n (phi^n - phi^{n-1})
-    # with phi^n - phi^{n-1} formed as (tf_n - tf_{n-1}) <B>_P
-    phi0 = interp.cells(0)
-    bnd = float(np.einsum("c,c->", vols, betas.values[0] * phi0))
-    dphi = np.diff(interp.tf)[:, None] * interp.cell_table
-    series = float(np.einsum("nc,c->", betas.values[1:] * dphi, vols))
-    by_parts = -bnd - series
-    # relative scale includes both routes' absolute term masses, so exact
-    # zeros on one route compare against the other's cancellation scale
-    scale = max(abs(direct), abs(by_parts), direct_mass,
-                float(np.einsum("c,c->", vols, np.abs(betas.values[0] * phi0)))
-                + float(np.einsum("nc,c->", np.abs(betas.values[1:] * dphi), vols)))
-    _check_routes("X1", direct, by_parts, scale, rtol)
-    return X1Result(direct, by_parts)
+    sums = _StepValues()
+    for ch in chunk_slices(steps.size, vols.size):
+        knots = slice(ch.start, ch.stop + 1)
+        sums.add(**_x1_terms(steps[ch], dtb[ch], betas.values[knots],
+                             interp.cells(ch), np.diff(interp.tf[knots]),
+                             interp.cell_table, vols))
+    return _x1_result(sums, betas.values[0], interp, vols, rtol)
 
 
 # ----------------------------------------------------------------------
-# piecewise-constant flux function f(U)
-
-def _flux_defects(fdotn, q, v, pair, mesh, layout, dual):
-    """Per chunk of time steps, the slice of steps and the table
-    (F_zeta^n - f(U)|_piece) . n_{P,zeta} on the interior cells (ascending
-    id) of those steps, shape (steps, NI, nf, pieces) in C order; ``fdotn``
-    is F.n per (step, cell, local face).  The X2 remainder and the flux
-    residual weigh it, each in its own product order."""
-    nf = mesh.cell_faces.shape[1]
-    cells = np.nonzero(mesh.interior_cell_mask)[0]
-    for steps in chunk_slices(fdotn.shape[0],
-                              mesh.n_cells * nf * layout.pieces):
-        piece = layout.flux_pieces(q.values[steps],
-                                   None if v is None else v.values[steps],
-                                   pair, mesh, dual)
-        yield steps, (np.take(fdotn[steps], cells, axis=1)[:, :, :, None]
-                      - np.take(piece, cells, axis=1))
-
-
-# ----------------------------------------------------------------------
-# X2: flux pairing, direct and gradient/remainder routes
+# X2 and the flux residual: F.n against piecewise-constant f(U)
 
 class X2Result(NamedTuple):
     value: float                # direct face sum
@@ -126,8 +166,86 @@ class X2Result(NamedTuple):
     remainder: float
 
 
+class _FluxDefects:
+    """The level constants of the terms that weigh the flux-defect table
+    (F_zeta^n - f(U)|_piece) . n_{P,zeta} of the interior cells i
+    (ascending id): the X2 gradient term and remainder, and the flux
+    residual."""
+
+    def __init__(self, mesh, layout, dual, pair):
+        self.mesh, self.layout, self.dual, self.pair = mesh, layout, dual, pair
+        self.cells = cells = np.nonzero(mesh.interior_cell_mask)[0]
+        self.vols = mesh.cell_volumes[cells]
+        self.cell_faces = mesh.cell_faces[cells]
+        self.areas = mesh.face_measures[self.cell_faces]
+        self.meas = layout.piece_measures(mesh)[cells]
+        self.diam_coef = (mesh.cell_diameters / mesh.cell_volumes)[cells]
+        self.x2_coef = ((self.meas / self.vols[:, None, None])
+                        * self.areas[:, :, None])
+
+    def table(self, fdotn, qv, vv):
+        """The defect table of some steps, shape (steps, NI, nf, pieces) in
+        C order: ``fdotn`` is F.n per (step, cell, local face), qv and vv
+        the levels of q and v of those steps."""
+        piece = self.layout.flux_pieces(qv, vv, self.pair, self.mesh,
+                                        self.dual)
+        return (np.take(fdotn, self.cells, axis=1)[:, :, :, None]
+                - np.take(piece, self.cells, axis=1))
+
+    def residual_terms(self, dt, defects):
+        """dt_n * (diam/|P|)_i * |zeta|_{i,k} * |D_piece| * |defect|."""
+        return (dt[:, None, None, None]
+                * self.diam_coef[None, :, None, None]
+                * self.areas[None, :, :, None]
+                * self.meas[None, :, :, :]
+                * np.abs(defects))
+
+    def x2_terms(self, dt, qv, vv, defects, interp, tf):
+        """The step values and masses of X2's gradient term
+        -dt_n |P| f(U)_P^n . G_P^n (the cell mean of f(U) dotted first) and
+        remainder dt_n sum_zeta sum_piece (|D_piece|/|P|) |zeta| defect
+        (phi_P - phi_zeta), tf the time factor at the steps."""
+        mean_f = self.layout.flux_cell_means(qv, vv, self.pair,
+                                             self.mesh)[:, self.cells]
+        grad = tf[:, None, None] * interp.grad_table[self.cells]
+        gradient = -(dt[:, None] * np.einsum("ncd,ncd->nc", mean_f, grad)
+                     * self.vols)
+        tf = tf[:, None, None]
+        dphi = (tf * interp.cell_table[self.cells, None]
+                - tf * interp.face_table[self.cell_faces])
+        remainder = (dt[:, None, None, None]
+                     * (self.x2_coef[None] * (defects * dphi[:, :, :, None])))
+        return dict(x2_gradient=step_values(gradient, mass=True),
+                    x2_remainder=step_values(remainder, mass=True))
+
+
+def _x2_result(sums, rtol) -> X2Result:
+    """X2 from its step values; with the gradient route, the two routes
+    must agree to ``rtol`` (relative to the absolute term mass)."""
+    direct, direct_mass = sums.total("x2")
+    if "x2_gradient" not in sums:
+        return X2Result(direct, np.nan, np.nan, np.nan)
+    grad_term, grad_mass = sums.total("x2_gradient")
+    remainder, remainder_mass = sums.total("x2_remainder")
+    gradient_route = grad_term + remainder
+    scale = max(abs(direct), abs(gradient_route), direct_mass,
+                grad_mass + remainder_mass)
+    _check_routes("X2", direct, gradient_route, scale, rtol)
+    return X2Result(direct, gradient_route, grad_term, remainder)
+
+
+def _check_support(interp):
+    if not interp.interior_support_clear():
+        raise SupportError(
+            "test-function support reaches non-interior cells at this resolution")
+
+
+def _levels(field, steps):
+    return None if field is None else field.values[steps]
+
+
 def compute_X2(flux: FluxFamily, interp: InterpolatedTest, q=None, v=None,
-               pair=None, rtol: float = 1e-10):
+               pair=None, rtol: float = X2_RTOL):
     """X2 = sum_n dt_n sum_P sum_zeta |zeta| F_zeta^n.n_{P,zeta} phi_P^n.
 
     When the discrete fields are supplied the gradient/remainder route is
@@ -136,53 +254,22 @@ def compute_X2(flux: FluxFamily, interp: InterpolatedTest, q=None, v=None,
     and their faces at the current resolution.
     """
     _same_level("compute_X2", flux, interp, q, v)
-    if not interp.interior_support_clear():
-        raise SupportError(
-            "test-function support reaches non-interior cells at this resolution")
+    _check_support(interp)
     mesh, steps = flux.mesh, flux.grid.steps
-    div = flux_divergence(flux)
-    direct, direct_mass = step_sum(
-        (steps[ch, None] * (div[ch] * interp.cells(ch))
-         for ch in chunk_slices(steps.size, mesh.n_cells)), mass=True)
-    del div
-    if q is None:
-        return X2Result(direct, np.nan, np.nan, np.nan)
     layout = get_layout(flux.layout)
-    cells = np.nonzero(mesh.interior_cell_mask)[0]
-    vols = mesh.cell_volumes[cells]
-
-    def gradient_terms(ch):
-        # -dt_n |P| f(U)_P^n . G_P^n, the cell mean of f(U) dotted first
-        mean_f = layout.flux_cell_means(
-            q.values[ch], None if v is None else v.values[ch], pair,
-            mesh)[:, cells]
-        grad = interp.tf[ch, None, None] * interp.grad_table[cells]
-        return -(steps[ch, None] * np.einsum("ncd,ncd->nc", mean_f, grad)
-                 * vols)
-
-    grad_term, grad_mass = step_sum(map(gradient_terms, chunk_slices(
-        steps.size, mesh.n_cells * mesh.dim)), mass=True)
-    # remainder: sum_n dt_n sum_P sum_zeta sum_piece
-    # (|D_piece|/|P|) |zeta| (F.n - f(U)|_piece.n) (phi_P - phi_zeta)
-    cell_faces = mesh.cell_faces[cells]
-    coef = ((layout.piece_measures(mesh)[cells] / vols[:, None, None])
-            * mesh.face_measures[cell_faces][:, :, None])
-
-    def remainder_terms():
-        for ch, defects in _flux_defects(flux_dot_n(flux), q, v, pair, mesh,
-                                         layout, flux.dual):
-            tf = interp.tf[ch, None, None]
-            dphi = (tf * interp.cell_table[cells, None]
-                    - tf * interp.face_table[cell_faces])
-            yield (steps[ch, None, None, None]
-                   * (coef[None] * (defects * dphi[:, :, :, None])))
-
-    remainder, remainder_mass = step_sum(remainder_terms(), mass=True)
-    gradient_route = grad_term + remainder
-    scale = max(abs(direct), abs(gradient_route), direct_mass,
-                grad_mass + remainder_mass)
-    _check_routes("X2", direct, gradient_route, scale, rtol)
-    return X2Result(direct, gradient_route, grad_term, remainder)
+    defects = _FluxDefects(mesh, layout, flux.dual, pair)
+    fdotn = flux_dot_n(flux)
+    sums = _StepValues()
+    for ch in chunk_slices(steps.size,
+                           mesh.n_cells * fdotn.shape[2] * layout.pieces):
+        sums.add(x2=step_values(_paired(steps[ch], divergence(fdotn[ch], mesh),
+                                        interp.cells(ch)), mass=True))
+        if q is not None:
+            qv, vv = q.values[ch], _levels(v, ch)
+            sums.add(**defects.x2_terms(
+                steps[ch], qv, vv, defects.table(fdotn[ch], qv, vv), interp,
+                interp.tf[ch]))
+    return _x2_result(sums, rtol)
 
 
 # ----------------------------------------------------------------------
@@ -201,13 +288,17 @@ def residual_init(betas: BetaFamily, q0, phi, pair,
     Returns the signed sum, the per-cell absolute sum (a sharper majorant of
     the same quantity) and the Lipschitz L1 majorant.
     """
-    mesh = betas.mesh
+    return _init_residual(betas.values[0], betas.mesh, q0, phi, pair, order)
+
+
+def _init_residual(beta0, mesh, q0, phi, pair, order) -> InitResidual:
+    """``residual_init`` from beta at the initial level."""
     quad = CellQuadrature(mesh, order)
     q0_x = quad.values(q0)
     phi_x0 = quad.values(phi.value, 0.0)
     phi0 = quad.cell_integrals(phi_x0)
     bq0 = quad.cell_integrals(pair.beta(q0_x) * phi_x0)
-    per_cell = betas.values[0] * phi0 - bq0
+    per_cell = beta0 * phi0 - bq0
     interior = mesh.interior_cell_mask
     signed = float(per_cell[interior].sum())
     cellwise = float(np.abs(per_cell[interior]).sum())
@@ -226,6 +317,37 @@ class TimeResidual(NamedTuple):
     c_beta: float
 
 
+class _TimeTerms:
+    """The level constants of ``residual_time``: phi's slab integrals
+    factored as (Gauss rule of tf over the slab) * (cell rule of B over P,
+    on the cells meeting its support), on the interior cells."""
+
+    def __init__(self, phi, mesh, grid, space_order, time_order):
+        self.cells = np.nonzero(mesh.interior_cell_mask)[0]
+        self.vols = mesh.cell_volumes[self.cells]
+        self.space_int = _support_table(
+            phi, CellQuadrature, mesh, space_order, 1,
+            CellQuadrature.cell_integrals)[self.cells]
+        self.time_int = slab_time_integrals(grid.knots, phi._time_factor,
+                                            time_order)
+
+    def terms(self, ch, dt, beta, qk):
+        """The step values of the signed sum and of the majorant's sum on
+        the steps ch; beta and q on their knots n..n+1."""
+        jumps = np.diff(beta[:, self.cells], axis=0)
+        q_jumps = np.diff(qk[:, self.cells], axis=0)
+        return dict(
+            time_signed=step_values(
+                jumps * (self.time_int[ch, None] * self.space_int)),
+            time_total=step_values(dt[:, None] * np.abs(q_jumps) * self.vols))
+
+
+def _time_result(sums, phi, c_beta) -> TimeResidual:
+    return TimeResidual(sums.total("time_signed"),
+                        c_beta * phi.sup_norm() * sums.total("time_total"),
+                        c_beta)
+
+
 def residual_time(betas: BetaFamily, q, phi, pair,
                   space_order: int = DEFAULT_ORDER,
                   time_order: int = DEFAULT_ORDER) -> TimeResidual:
@@ -240,40 +362,28 @@ def residual_time(betas: BetaFamily, q, phi, pair,
     """
     _same_level("residual_time", betas, q)
     mesh, grid = betas.mesh, betas.grid
-    cells = np.nonzero(mesh.interior_cell_mask)[0]
-    space_int = _support_table(phi, CellQuadrature, mesh, space_order, 1,
-                               CellQuadrature.cell_integrals)[cells]
-    time_int = slab_time_integrals(grid.knots, phi._time_factor, time_order)
-    chunks = chunk_slices(grid.n_steps, cells.size)
-
-    def jumps(field, ch):
-        """Level n+1 minus level n on the interior cells, per step n."""
-        return np.diff(field.values[ch.start:ch.stop + 1][:, cells], axis=0)
-
-    signed = step_sum(jumps(betas, ch) * (time_int[ch, None] * space_int)
-                      for ch in chunks)
+    time_terms = _TimeTerms(phi, mesh, grid, space_order, time_order)
+    sums = _StepValues()
+    for ch in chunk_slices(grid.n_steps, time_terms.cells.size):
+        knots = slice(ch.start, ch.stop + 1)
+        sums.add(**time_terms.terms(ch, grid.steps[ch], betas.values[knots],
+                                    q.values[knots]))
     c_beta, _ = pair.lipschitz(float(q.values.min()), float(q.values.max()))
-    total = step_sum(grid.steps[ch, None] * np.abs(jumps(q, ch))
-                     * mesh.cell_volumes[cells] for ch in chunks)
-    return TimeResidual(signed, c_beta * phi.sup_norm() * total, c_beta)
+    return _time_result(sums, phi, c_beta)
 
 
 def _flux_residual_chunks(flux, q, v, pair, mesh, grid, layout, dual):
     """The term table of the flux residual, one chunk of time steps at a
     time (see ``residual_flux_terms``)."""
-    dual = dual if dual is not None else flux.dual
     rules = get_layout(layout)
-    cells = np.nonzero(mesh.interior_cell_mask)[0]
-    coef = (mesh.cell_diameters / mesh.cell_volumes)[cells]
-    areas = mesh.face_measures[mesh.cell_faces[cells]]
-    meas = rules.piece_measures(mesh)[cells]
-    for steps, defects in _flux_defects(flux_dot_n(flux), q, v, pair, mesh,
-                                        rules, dual):
-        yield (grid.steps[steps, None, None, None]
-               * coef[None, :, None, None]
-               * areas[None, :, :, None]
-               * meas[None, :, :, :]
-               * np.abs(defects))
+    defects = _FluxDefects(mesh, rules, dual if dual is not None else flux.dual,
+                           pair)
+    fdotn = flux_dot_n(flux)
+    for ch in chunk_slices(fdotn.shape[0],
+                           mesh.n_cells * fdotn.shape[2] * rules.pieces):
+        qv, vv = q.values[ch], _levels(v, ch)
+        yield defects.residual_terms(grid.steps[ch],
+                                     defects.table(fdotn[ch], qv, vv))
 
 
 def residual_flux_terms(flux: FluxFamily, q, v, pair, mesh, grid,
@@ -308,42 +418,69 @@ class JumpSums(NamedTuple):
     rt_constant: int | None
 
 
-def jump_sums(q, v, rtol: float = 1e-12) -> JumpSums:
-    """Scalar jumps R1 (cell-sum and reordered face-sum forms, asserted
-    equal) and staggered velocity jumps R2 across dual edges.
-
-    The layout and dual are those of the face velocity v; with v None the
-    layout is colocated 1D and R2 is 0.
+class _JumpTerms:
+    """The level constants of R1 (both forms) and R2.
 
     RT dual-edge weights are C*diam(P)^2 with the realized splitting
     constant C (adjacent pairs counted once directly plus at most twice via
     the fixed two-hop opposite-pair splits); MAC weights are
-    diam(P)(|zeta| + |zeta'|).
+    diam(P)(|zeta| + |zeta'|)."""
+
+    def __init__(self, mesh, v):
+        self.mesh = mesh
+        fc, cf = mesh.face_cells, mesh.cell_faces
+        diam = mesh.cell_diameters
+        # cell-sum form: every cell sees each of its interior faces once,
+        # the other cell of a boundary face weighted by 0
+        first, second = fc[cf][:, :, 0], fc[cf][:, :, 1]
+        other = np.where(first == np.arange(mesh.n_cells)[:, None], second,
+                         first)
+        self.w_ck = diam[:, None] * mesh.face_measures[cf] * (other >= 0)
+        self.other = np.maximum(other, 0)
+        # reordered face form with omega = (diam P + diam Q)|zeta|
+        self.p, self.r = fc[mesh.interior_face_mask].T
+        self.omega = ((diam[self.p] + diam[self.r])
+                      * mesh.face_measures[mesh.interior_face_mask])
+        self.layout = None if v is None else layout_of(v)
+        self.edges, self.weights, self.const = (
+            (None, None, None) if v is None
+            else self.layout.jump_edges(mesh, v.dual))
+
+    def terms(self, dt, qv, vv):
+        """The step values of both R1 forms and of R2 on some steps, qv
+        and vv the levels of q and v of those steps."""
+        out = dict(
+            r1=step_values(dt[:, None, None] * np.abs(
+                qv[:, :, None] - qv[:, self.other]) * self.w_ck),
+            r1_face=step_values(dt[:, None] * np.abs(
+                qv[:, self.p] - qv[:, self.r]) * self.omega))
+        if vv is not None:
+            out["r2"] = step_values(self.layout.velocity_jump_terms(
+                vv, dt, self.mesh, self.edges, self.weights))
+        return out
+
+    def result(self, sums, rtol) -> JumpSums:
+        r1, r1_face = sums.total("r1"), sums.total("r1_face")
+        _check_routes("R1", r1, r1_face, max(abs(r1), abs(r1_face)), rtol)
+        r2 = 0.0 if self.layout is None else sums.total("r2")
+        return JumpSums(r1, r1_face, r2, self.const)
+
+
+def jump_sums(q, v, rtol: float = R1_RTOL) -> JumpSums:
+    """Scalar jumps R1 (cell-sum and reordered face-sum forms, asserted
+    equal) and staggered velocity jumps R2 across dual edges.
+
+    The layout and dual are those of the face velocity v; with v None the
+    layout is colocated 1D and R2 is 0.  The weights are those of
+    ``_JumpTerms``.
     """
     _same_level("jump_sums", q, v)
-    mesh, qv, steps = q.mesh, q.values, q.grid.steps
-    fc = mesh.face_cells
-    diam = mesh.cell_diameters
-    cf = mesh.cell_faces
-    # cell-sum form: every cell sees each of its interior faces once, the
-    # other cell of a boundary face weighted by 0
-    first, second = fc[cf][:, :, 0], fc[cf][:, :, 1]
-    other = np.where(first == np.arange(mesh.n_cells)[:, None], second, first)
-    w_ck = diam[:, None] * mesh.face_measures[cf] * (other >= 0)
-    other = np.maximum(other, 0)
-    # reordered face form with omega = (diam P + diam Q)|zeta|
-    p, r = fc[mesh.interior_face_mask].T
-    omega = (diam[p] + diam[r]) * mesh.face_measures[mesh.interior_face_mask]
-    chunks = chunk_slices(steps.size, w_ck.size)
-    r1 = step_sum(steps[ch, None, None] * np.abs(qv[ch, :, None]
-                                                 - qv[ch][:, other]) * w_ck
-                  for ch in chunks)
-    r1_face = step_sum(steps[ch, None] * np.abs(qv[ch][:, p] - qv[ch][:, r])
-                       * omega for ch in chunks)
-    _check_routes("R1", r1, r1_face, max(abs(r1), abs(r1_face)), rtol)
-    r2, const = (0.0, None) if v is None else layout_of(v).velocity_jumps(
-        v.values, mesh, v.dual, steps)
-    return JumpSums(r1, r1_face, r2, const)
+    steps = q.grid.steps
+    jumps = _JumpTerms(q.mesh, v)
+    sums = _StepValues()
+    for ch in chunk_slices(steps.size, jumps.w_ck.size):
+        sums.add(**jumps.terms(steps[ch], q.values[ch], _levels(v, ch)))
+    return jumps.result(sums, rtol)
 
 
 def measured_constant(q, v, pair) -> float:
@@ -450,7 +587,7 @@ def weak_lhs(c_field, interp: InterpolatedTest) -> float:
     (``assemble_convection``) and the interpolate must share their level."""
     _same_level("weak_lhs", c_field, interp)
     steps, vols = interp.grid.steps, interp.mesh.cell_volumes
-    return step_sum(steps[ch, None] * (c_field.values[ch] * interp.cells(ch))
+    return step_sum(_paired(steps[ch], c_field.values[ch], interp.cells(ch))
                     * vols for ch in chunk_slices(steps.size, vols.size))
 
 
@@ -482,5 +619,117 @@ def weak_form_gap(c_field, interp, exact, pair, order: int = ORACLE_ORDER,
     if rhs is None:
         rhs = weak_rhs(pair, q_exact, v_exact, q0, interp.phi,
                        order=order, panels=panels)
+    return _gap(lhs, rhs)
+
+
+def _gap(lhs: float, rhs: WeakRhs) -> WeakGap:
     return WeakGap(abs(lhs - rhs.total), lhs, rhs.total, rhs.init_term,
                    rhs.volume_term)
+
+
+# ----------------------------------------------------------------------
+# one level in one pass
+
+class LevelSums(NamedTuple):
+    """Every quantity of one level that ``level_pass`` computes."""
+    x1: X1Result
+    x2: X2Result
+    init: InitResidual
+    time: TimeResidual
+    res_flux: float
+    jumps: JumpSums
+    translate: float
+    gap: WeakGap
+    l1_distance: float
+    sup_norm: float             # sup |q|, and sup |v| when larger
+    measured_c: float           # as ``measured_constant``
+    q_min: float                # over all levels 0..N
+    q_max: float
+
+
+def level_pass(q, v, pair, fluxes, interp: InterpolatedTest, exact,
+               weights, rhs: WeakRhs, order: int = DEFAULT_ORDER,
+               init_order: int = ORACLE_ORDER) -> LevelSums:
+    """Every consistency quantity of one level in one walk over chunks of
+    its time steps.
+
+    q and v (None for colocated 1D) are the discrete fields, ``fluxes`` the
+    face fluxes of a slice of steps (``operators.staggered_flux_rule`` or
+    ``upwind_1d_flux_rule`` of q and v), ``exact = (q_exact, v_exact,
+    q0)`` the limit, ``weights`` the face/step translate weights and
+    ``rhs`` the level-independent ``weak_rhs``.  ``order`` is the spatial
+    order of the time residual and of the L1 distance, ``init_order`` that
+    of the initialization residual.
+
+    Per chunk the face fluxes, beta on the knots n..n+1, F.n, its
+    divergence and the flux-defect table are formed once each and feed the
+    term functions of the whole-level stages; every result equals that
+    stage's bit for bit, and the route checks, the support check and the
+    non-finite flux error are theirs.
+    """
+    _same_level("level_pass", q, v, interp)
+    _check_support(interp)
+    mesh, grid = q.mesh, q.grid
+    layout = COLOCATED_1D if v is None else layout_of(v)
+    dual = None if v is None else v.dual
+    q_exact, _, q0 = exact
+    vols, phi = mesh.cell_volumes, interp.phi
+    beta0 = pair.beta(q.values[0])
+    init = _init_residual(beta0, mesh, q0, phi, pair, init_order)
+    defects = _FluxDefects(mesh, layout, dual, pair)
+    time_terms = _TimeTerms(phi, mesh, grid, order, DEFAULT_ORDER)
+    jumps = _JumpTerms(mesh, v)
+    l1 = l1_steps(q, q_exact, order)
+    kx, lx = mesh.face_cells[mesh.interior_face_mask].T
+    sums = _StepValues()
+    q_min, q_max, sup_q, sup_v, sup_g = np.inf, -np.inf, 0.0, 0.0, 0.0
+    for ch in chunk_slices(grid.n_steps, mesh.n_cells
+                           * mesh.cell_faces.shape[1] * layout.pieces):
+        knots = slice(ch.start, ch.stop + 1)
+        slab_pairs = slice(ch.start, min(ch.stop, grid.n_steps - 1))
+        dt, qk = grid.steps[ch], q.values[knots]
+        qv, vv = qk[:-1], _levels(v, ch)
+        beta = pair.beta(qk)
+        flux = fluxes(ch)
+        check_finite_flux(flux, mesh, ch.start)
+        fdotn = layout.cell_normal(flux, mesh, dual)
+        div = divergence(fdotn, mesh)
+        dtb = time_derivative(beta, dt)
+        phi_cells = interp.cells(ch)
+        table = defects.table(fdotn, qv, vv)
+        sums.add(
+            weak_lhs=step_values(_paired(dt, convection(dtb, div, mesh),
+                                         phi_cells) * vols),
+            x2=step_values(_paired(dt, div, phi_cells), mass=True),
+            res_flux=step_values(defects.residual_terms(dt, table)),
+            translate_space=step_values(translate_space_terms(
+                qv, dt, kx, lx, weights.omega_face)),
+            translate_time=step_values(translate_time_terms(
+                q.values[slab_pairs],
+                q.values[slab_pairs.start + 1:slab_pairs.stop + 1],
+                weights.delta_half[slab_pairs], vols)),
+            l1=l1(ch),
+            **_x1_terms(dt, dtb, beta, phi_cells,
+                        np.diff(interp.tf[knots]), interp.cell_table, vols),
+            **defects.x2_terms(dt, qv, vv, table, interp, interp.tf[ch]),
+            **time_terms.terms(ch, dt, beta, qk),
+            **jumps.terms(dt, qv, vv))
+        q_min, q_max = min(q_min, qk.min()), max(q_max, qk.max())
+        sup_g = max(sup_g, float(np.abs(pair.g(qk)).max()))
+        sup_q = max(sup_q, q.sup_norm(ch))
+        sup_v = sup_v if v is None else max(sup_v, v.sup_norm(ch))
+    q_min, q_max = float(q_min), float(q_max)
+    c_beta, c_g = pair.lipschitz(q_min, q_max)
+    return LevelSums(
+        x1=_x1_result(sums, beta0, interp, vols, X1_RTOL),
+        x2=_x2_result(sums, X2_RTOL),
+        init=init,
+        time=_time_result(sums, phi, c_beta),
+        res_flux=sums.total("res_flux"),
+        jumps=jumps.result(sums, R1_RTOL),
+        translate=sums.total("translate_space") + sums.total("translate_time"),
+        gap=_gap(sums.total("weak_lhs"), rhs),
+        l1_distance=sums.total("l1"),
+        sup_norm=sup_q if v is None else max(sup_q, sup_v),
+        measured_c=max(c_g * (1.0 if v is None else sup_v), sup_g),
+        q_min=q_min, q_max=q_max)

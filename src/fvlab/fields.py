@@ -17,7 +17,8 @@ import numpy as np
 
 from .geometry import sum_opposite_first
 from .quadrature import (DEFAULT_ORDER, CellQuadrature, FaceQuadrature,
-                         SlabQuadrature, chunk_slices, step_sum)
+                         SlabQuadrature, add_steps, chunk_slices, step_sum,
+                         step_values)
 
 __all__ = [
     "CellScalarField", "CellSlabField", "FaceVectorFieldRT",
@@ -67,9 +68,15 @@ class _LevelField:
         self.values = values
         values.setflags(write=False)
 
-    def sup_norm(self) -> float:
-        """Max |value| over the slab levels 0..N-1 (the space-time function)."""
-        return float(np.abs(self.values[:self.grid.n_steps]).max())
+    def sup_norm(self, levels=None) -> float:
+        """Max |value| over the slab levels 0..N-1 (the space-time
+        function), or over the slice ``levels`` of them."""
+        return float(self._sizes(levels).max())
+
+    def _sizes(self, levels=None):
+        """|value| per entity of the levels 0..N-1, or of ``levels``."""
+        return np.abs(self.values[slice(0, self.grid.n_steps)
+                                  if levels is None else levels])
 
 
 class CellScalarField(_LevelField):
@@ -106,8 +113,9 @@ class FaceVectorFieldRT(_FaceField):
 
     components = (2,)
 
-    def sup_norm(self) -> float:
-        return float(np.sqrt((self.values[:-1] ** 2).sum(-1)).max())
+    def _sizes(self, levels=None):
+        values = self.values[:-1] if levels is None else self.values[levels]
+        return np.sqrt((values ** 2).sum(-1))
 
 
 class FaceScalarFieldMAC(_FaceField):
@@ -523,19 +531,36 @@ def lp_distance(field: CellScalarField, ref: Callable,
     Per-cell / per-slab quadrature of |q_P^n - ref(x, t)| (the kink where
     the two cross limits accuracy to a few percent, which is enough for
     convergence diagnostics); the distance is the ``step_sum`` of the
-    (slab, cell) table.
+    (slab, cell) table, formed one chunk of steps at a time
+    (``l1_steps``).
     """
-    mesh, grid = field.mesh, field.grid
-    slab = SlabQuadrature(mesh, grid, order, time_order)
+    l1 = l1_steps(field, ref, order, time_order)
+    chunks = chunk_slices(field.grid.n_steps, field.mesh.n_cells)
+    return LpDistance(add_steps(np.concatenate([l1(ch) for ch in chunks])),
+                      field.sup_norm())
+
+
+def l1_steps(field: CellScalarField, ref: Callable,
+             order: int = DEFAULT_ORDER, time_order: int = 4):
+    """The step values (``step_values``) of the L1 distance of
+    ``lp_distance`` as a function of a slice of steps; the rule and the
+    x-only part of ref are formed once, here."""
+    slab = SlabQuadrature(field.mesh, field.grid, order, time_order)
     ev = _reference_at(ref, slab.cell.flat_points())
     nodes = slab.cell.points.shape[:2]
+    buffer = np.empty(0)    # |q - ref| of every chunk of steps, reused
 
     def integrand(steps, tn):
+        nonlocal buffer
         vals = ev(tn.ravel()).reshape(tn.shape + nodes)
-        return np.abs(field.values[steps][:, None, :, None] - vals)
+        if buffer.size < vals.size:
+            buffer = np.empty(vals.size)
+        out = buffer[:vals.size].reshape(vals.shape)
+        np.subtract(field.values[steps][:, None, :, None], vals, out=out)
+        return np.abs(out, out=out)
 
-    return LpDistance(step_sum([slab.slab_cell_integrals(integrand)]),
-                      field.sup_norm())
+    return lambda steps: step_values(slab.slab_cell_integrals(integrand,
+                                                              steps))
 
 
 # ----------------------------------------------------------------------
@@ -627,20 +652,32 @@ def default_translate_weights(mesh, grid, theta: float = 1.0) -> TranslateWeight
                             delta_half=delta)
 
 
+def translate_space_terms(levels, dt, kx, lx, omega) -> np.ndarray:
+    """dt_n * |u_K^n - u_L^n| * omega per (step, cell pair (K, L)), for the
+    levels of some steps."""
+    return dt[:, None] * np.abs(levels[:, kx] - levels[:, lx]) * omega
+
+
+def translate_time_terms(first, second, delta, vols) -> np.ndarray:
+    """delta * |u_K^p - u_K^q| * |K| per (slab-level pair (p, q), cell),
+    for the levels p and q of some pairs."""
+    return delta[:, None] * np.abs(first - second) * vols
+
+
 def _translate_sum(u: CellScalarField, weights: TranslateWeights) -> float:
     """The translate functional of u over explicit pair sets: the
-    ``step_sum`` of dt_n * |u_K^n - u_L^n| * omega per (step, cell pair),
-    plus the ``step_sum`` of delta * |u_K^p - u_K^q| * |K| per (slab-level
-    pair, cell)."""
+    ``step_sum`` of ``translate_space_terms`` per step plus that of
+    ``translate_time_terms`` per slab-level pair."""
     vals = u.values[:-1]
     steps, vols = u.grid.steps, u.mesh.cell_volumes
     kx, lx = weights.pairs_x.T
     pt, qt = weights.pairs_t.T
     space = step_sum(
-        steps[ch, None] * np.abs(vals[ch][:, kx] - vals[ch][:, lx])
-        * weights.omega_x for ch in chunk_slices(steps.size, kx.size))
+        translate_space_terms(vals[ch], steps[ch], kx, lx, weights.omega_x)
+        for ch in chunk_slices(steps.size, kx.size))
     time = step_sum(
-        weights.delta_t[ch, None] * np.abs(vals[pt[ch]] - vals[qt[ch]]) * vols
+        translate_time_terms(vals[pt[ch]], vals[qt[ch]], weights.delta_t[ch],
+                             vols)
         for ch in chunk_slices(pt.size, vols.size))
     return space + time
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from .fields import FaceScalarFieldMAC, FaceVectorFieldRT
 from .geometry import LOCAL_OPPOSITE, sum_opposite_first
-from .quadrature import chunk_slices, step_sum
 
 __all__ = ["Layout", "LAYOUTS", "RT", "MAC", "COLOCATED_1D", "get_layout",
            "layout_of", "BOUNDARY_POLICIES"]
@@ -35,7 +34,7 @@ class Layout:
     scheme_source      a transport scheme can generate its fields
 
     Each layout gives ``flux_pieces`` and ``flux_cell_means``, and a
-    staggered one the dual edges of R2 (``_jump_edges``).  The normal
+    staggered one the dual edges of R2 (``jump_edges``).  The normal
     rules below suit one component per face, whose outward sign a layout
     gives by ``_cell_signs`` (NC, nf) and ``_face_signs`` (NF,); RT
     overrides them for its full vectors.
@@ -79,20 +78,15 @@ class Layout:
         at face midpoints at every knot; None without a face velocity."""
         return None
 
-    def velocity_jumps(self, vv, mesh, dual, steps):
-        """(R2, realised splitting constant or None): the ``step_sum`` of
-        dt_n * |v_a - v_b| * w_{P,e} over the dual edges e = (a, b) of each
-        cell (local faces, ``_jump_edges``), laid out (step, cell, edge)."""
-        edges, weights, const = self._jump_edges(mesh, dual)
+    def velocity_jump_terms(self, vv, dt, mesh, edges, weights):
+        """dt_n * |v_a - v_b| * w_{P,e} per (step, cell, dual edge), for
+        the velocity levels vv and steps dt of some steps and the dual
+        edges e = (a, b) of each cell (local faces) with their weights
+        (``jump_edges``)."""
         a, b = np.asarray(edges).T
-
-        def terms(ch):
-            vcf = vv[ch][:, mesh.cell_faces]
-            return (steps[ch, None, None]
-                    * self.magnitude(vcf[:, :, a] - vcf[:, :, b]) * weights)
-
-        chunks = chunk_slices(steps.size, vv[0].size * len(a))
-        return step_sum(map(terms, chunks)), const
+        vcf = vv[:, mesh.cell_faces]
+        return (dt[:, None, None]
+                * self.magnitude(vcf[:, :, a] - vcf[:, :, b]) * weights)
 
 
 class _RT(Layout):
@@ -133,7 +127,7 @@ class _RT(Layout):
             vals[n] = np.asarray(v_exact(mesh.face_midpoints, t), dtype=float)
         return FaceVectorFieldRT(mesh, grid, dual, vals)
 
-    def _jump_edges(self, mesh, dual):
+    def jump_edges(self, mesh, dual):
         # dual-edge weight C*diam(P)^2, C the realised splitting constant
         const = dual.jump_weight_constant
         return (dual.dual_edges_local,
@@ -184,7 +178,7 @@ class _MAC(Layout):
                                            mesh, dual)
         return FaceScalarFieldMAC(mesh, grid, dual, vals)
 
-    def _jump_edges(self, mesh, dual):
+    def jump_edges(self, mesh, dual):
         # weight diam(P)(|zeta| + |zeta'|) per direction pair
         areas = mesh.face_measures[mesh.cell_faces]
         a, b = np.asarray(dual.direction_pairs_local).T

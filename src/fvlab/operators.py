@@ -118,7 +118,13 @@ class FluxFamily:
 
 def dt_beta(betas: BetaFamily, grid) -> np.ndarray:
     """(beta_P^{n+1} - beta_P^n)/(t_{n+1} - t_n), shape (N, NC)."""
-    return np.diff(betas.values, axis=0) / grid.steps[:, None]
+    return time_derivative(betas.values, grid.steps)
+
+
+def time_derivative(levels, steps) -> np.ndarray:
+    """(u^{n+1} - u^n)/dt_n per step of the levels n..n+1 of some steps,
+    shape (steps, ...)."""
+    return np.diff(levels, axis=0) / steps[:, None]
 
 
 def _convex_value(qp, qq, scheme, lam, signal):
@@ -131,9 +137,11 @@ def _convex_value(qp, qq, scheme, lam, signal):
     raise ValueError(f"unknown face scheme {scheme!r}")
 
 
-def flux_staggered(q, v, pair: NonlinearityPair, scheme: str = "upwind",
-                   lam: float = 0.5, policy: str = "upwind_zero") -> FluxFamily:
-    """F_zeta^n = g(q_zeta^n) v_zeta^n for the RT or MAC layout.
+def staggered_flux_rule(q, v, pair: NonlinearityPair, scheme: str = "upwind",
+                        lam: float = 0.5, policy: str = "upwind_zero"):
+    """The face fluxes F_zeta^n = g(q_zeta^n) v_zeta^n of the RT or MAC
+    layout as a function of a slice of time steps, returning (steps, NF)
+    or (steps, NF, 2); the arguments are checked once, here.
 
     q and v must share the primal mesh.  Boundary faces take the policy:
     ``upwind_zero`` (exterior value 0), ``zero_flux``, or (1D only)
@@ -147,33 +155,46 @@ def flux_staggered(q, v, pair: NonlinearityPair, scheme: str = "upwind",
         raise ValueError(f"policy {policy!r} not supported for staggered layouts")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    n_steps = q.grid.n_steps
-    vface = v.values[:n_steps]
-
-    def g_times_v(qf, faces):
-        g = pair.g(qf)
-        return g.reshape(g.shape + (1,) * (vface.ndim - 2)) * vface[:, faces]
-
     ifaces = np.nonzero(mesh.interior_face_mask)[0]
-    qp = q.values[:-1][:, mesh.face_cells[ifaces, 0]]
-    qq = q.values[:-1][:, mesh.face_cells[ifaces, 1]]
-    qf = _convex_value(qp, qq, scheme, lam,
-                       layout.face_normal(vface, ifaces, mesh, v.dual))
-    values = np.zeros(vface.shape)
-    values[:, ifaces] = g_times_v(qf, ifaces)
-    # boundary faces: exterior state 0 (upwind) or hard zero flux
     bfaces = np.nonzero(mesh.boundary_face_mask)[0]
-    if policy == "upwind_zero" and bfaces.size:
-        sig_b = layout.face_normal(vface, bfaces, mesh, v.dual)
-        qp = q.values[:-1][:, mesh.face_cells[bfaces, 0]]
-        qb = np.where(sig_b > 0.0, qp, np.where(sig_b < 0.0, 0.0, 0.5 * qp))
-        values[:, bfaces] = g_times_v(qb, bfaces)
-    return FluxFamily(layout=layout.name, mesh=mesh, grid=q.grid,
-                      values=values, boundary_policy=policy, dual=v.dual)
+
+    def fluxes(steps):
+        qv, vface = q.values[steps], v.values[steps]
+
+        def g_times_v(qf, faces):
+            g = pair.g(qf)
+            return g.reshape(g.shape + (1,) * (vface.ndim - 2)) * vface[:, faces]
+
+        qp = qv[:, mesh.face_cells[ifaces, 0]]
+        qq = qv[:, mesh.face_cells[ifaces, 1]]
+        qf = _convex_value(qp, qq, scheme, lam,
+                           layout.face_normal(vface, ifaces, mesh, v.dual))
+        values = np.zeros(vface.shape)
+        values[:, ifaces] = g_times_v(qf, ifaces)
+        # boundary faces: exterior state 0 (upwind) or hard zero flux
+        if policy == "upwind_zero" and bfaces.size:
+            sig_b = layout.face_normal(vface, bfaces, mesh, v.dual)
+            qp = qv[:, mesh.face_cells[bfaces, 0]]
+            qb = np.where(sig_b > 0.0, qp, np.where(sig_b < 0.0, 0.0, 0.5 * qp))
+            values[:, bfaces] = g_times_v(qb, bfaces)
+        return values
+
+    return fluxes
 
 
-def flux_colocated_upwind_1d(u, policy: str = "upwind_zero") -> FluxFamily:
-    """First-order upwind flux for C(u) = d_t u + d_x u on a 1D mesh.
+def flux_staggered(q, v, pair: NonlinearityPair, scheme: str = "upwind",
+                   lam: float = 0.5, policy: str = "upwind_zero") -> FluxFamily:
+    """F_zeta^n = g(q_zeta^n) v_zeta^n for the RT or MAC layout at every
+    step (``staggered_flux_rule``)."""
+    fluxes = staggered_flux_rule(q, v, pair, scheme, lam, policy)
+    return FluxFamily(layout=layout_of(v).name, mesh=q.mesh, grid=q.grid,
+                      values=fluxes(slice(0, q.grid.n_steps)),
+                      boundary_policy=policy, dual=v.dual)
+
+
+def upwind_1d_flux_rule(u, policy: str = "upwind_zero"):
+    """The first-order upwind flux for C(u) = d_t u + d_x u on a 1D mesh as
+    a function of a slice of time steps, returning (steps, NF).
 
     The flux at the face between P^- (left) and P is u of the upstream cell
     (speed +1).
@@ -183,26 +204,37 @@ def flux_colocated_upwind_1d(u, policy: str = "upwind_zero") -> FluxFamily:
         raise ValueError("colocated upwind flux needs a 1D mesh")
     if policy not in BOUNDARY_POLICIES:
         raise ValueError(f"unknown boundary policy {policy!r}")
-    n_steps = u.grid.n_steps
-    vals = u.values[:n_steps]
-    values = np.zeros((n_steps, mesh.n_faces))
     left_of = -np.ones(mesh.n_faces, dtype=np.int64)
     # upstream cell of each face: the cell whose right face it is
     left_of[mesh.cell_faces[:, 1]] = np.arange(mesh.n_cells)
     inflow = np.nonzero(left_of < 0)[0]
     filled = left_of >= 0
-    values[:, filled] = vals[:, left_of[filled]]
-    if policy == "periodic":
-        rightmost = int(np.argmax(mesh.cell_centroids[:, 0]))
-        values[:, inflow] = vals[:, [rightmost]]
-    elif policy == "zero_flux":
-        outflow = mesh.boundary_face_mask & filled
-        values[:, inflow] = 0.0
-        values[:, outflow] = 0.0
-    else:  # upwind_zero: exterior value 0 feeds the inflow face
-        values[:, inflow] = 0.0
-    return FluxFamily(layout=COLOCATED_1D.name, mesh=mesh, grid=u.grid,
-                      values=values, boundary_policy=policy)
+    rightmost = int(np.argmax(mesh.cell_centroids[:, 0]))
+    outflow = mesh.boundary_face_mask & filled
+
+    def fluxes(steps):
+        vals = u.values[steps]
+        values = np.zeros((len(vals), mesh.n_faces))
+        values[:, filled] = vals[:, left_of[filled]]
+        if policy == "periodic":
+            values[:, inflow] = vals[:, [rightmost]]
+        elif policy == "zero_flux":
+            values[:, inflow] = 0.0
+            values[:, outflow] = 0.0
+        else:  # upwind_zero: exterior value 0 feeds the inflow face
+            values[:, inflow] = 0.0
+        return values
+
+    return fluxes
+
+
+def flux_colocated_upwind_1d(u, policy: str = "upwind_zero") -> FluxFamily:
+    """The first-order upwind flux (``upwind_1d_flux_rule``) at every
+    step."""
+    fluxes = upwind_1d_flux_rule(u, policy)
+    return FluxFamily(layout=COLOCATED_1D.name, mesh=u.mesh, grid=u.grid,
+                      values=fluxes(slice(0, u.grid.n_steps)),
+                      boundary_policy=policy)
 
 
 def flux_dot_n(flux: FluxFamily) -> np.ndarray:
@@ -213,24 +245,42 @@ def flux_dot_n(flux: FluxFamily) -> np.ndarray:
 
 def flux_divergence(flux: FluxFamily) -> np.ndarray:
     """sum_zeta |zeta| F . n per (step, cell); opposite faces paired first."""
-    mesh = flux.mesh
-    dots = flux_dot_n(flux)
+    return divergence(flux_dot_n(flux), flux.mesh)
+
+
+def divergence(dots, mesh) -> np.ndarray:
+    """sum_zeta |zeta| F . n per (step, cell) of F . n per (step, cell,
+    local face); opposite faces paired first."""
     terms = mesh.face_measures[mesh.cell_faces][None, :, :] * dots
     if terms.shape[2] == 4:
         return sum_opposite_first(terms, axis=2)
     return terms[:, :, 0] + terms[:, :, 1]
 
 
+def check_finite_flux(values, mesh, first_step: int = 0):
+    """Raise on the first non-finite face flux, in (step, face) order, of
+    the flux values of the steps from ``first_step`` on."""
+    if np.any(~np.isfinite(values)):
+        idx = np.argwhere(~np.isfinite(values.reshape(values.shape[0],
+                                                      mesh.n_faces, -1)))
+        raise ValueError(f"missing flux on face {int(idx[0][1])} at step "
+                         f"{first_step + int(idx[0][0])}")
+
+
+def convection(dtb, div, mesh) -> np.ndarray:
+    """C(U)_P^n = (d_t beta)_P^n + (1/|P|) sum |zeta| F_zeta^n . n_{P,zeta}
+    per (step, cell) of some steps."""
+    return dtb + div / mesh.cell_volumes[None, :]
+
+
 def assemble_convection(betas: BetaFamily, flux: FluxFamily) -> CellSlabField:
-    """C(U)_P^n = (d_t beta)_P^n + (1/|P|) sum |zeta| F_zeta^n . n_{P,zeta},
-    per slab on the level that ``betas`` and ``flux`` share."""
+    """C(U) (``convection``) per slab on the level that ``betas`` and
+    ``flux`` share."""
     _same_level("assemble_convection", betas, flux)
-    mesh = flux.mesh
-    if np.any(~np.isfinite(flux.values)):
-        idx = np.argwhere(~np.isfinite(flux.values.reshape(flux.values.shape[0], mesh.n_faces, -1)))
-        raise ValueError(f"missing flux on face {int(idx[0][1])} at step {int(idx[0][0])}")
-    return CellSlabField(betas.mesh, betas.grid, dt_beta(betas, betas.grid)
-                         + flux_divergence(flux) / mesh.cell_volumes[None, :])
+    check_finite_flux(flux.values, flux.mesh)
+    return CellSlabField(betas.mesh, betas.grid,
+                         convection(dt_beta(betas, betas.grid),
+                                    flux_divergence(flux), flux.mesh))
 
 
 def telescoping_defect(flux: FluxFamily):

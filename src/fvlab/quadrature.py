@@ -15,10 +15,11 @@ chunk of time steps.  ``CellQuadrature.values(f, t)`` is the one place
 where a callable meets the nodes: it calls ``f(x)`` when t is None and
 ``f(x, t)`` otherwise.
 
-Every space-time sum that fvlab reports is taken by ``step_sum``, whose
-docstring states the one summation order.  Steps are evaluated in chunks
-of about ``CHUNK_VALUES`` values (``chunk_slices``), a constant that
-decides only how many steps share one call.
+Every space-time sum that fvlab reports follows one summation order,
+stated by ``step_values`` and ``add_steps`` and applied whole by
+``step_sum``.  Steps are evaluated in chunks of about ``CHUNK_VALUES``
+values (``chunk_slices``), a constant that decides only how many steps
+share one call.
 
 Cell means use a shifted weighted average, ``f0 + sum(w * (f - f0))``, so a
 constant integrand reproduces the constant bitwise.
@@ -27,7 +28,7 @@ constant integrand reproduces the constant bitwise.
 from __future__ import annotations
 
 import math
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -38,10 +39,19 @@ CHUNK_VALUES = 2 ** 16
 
 
 def gauss_legendre(order: int):
-    """Nodes and weights of the `order`-point Gauss-Legendre rule on [-1, 1]."""
+    """Nodes and weights of the `order`-point Gauss-Legendre rule on [-1, 1],
+    computed once per order and shared: both arrays are read-only."""
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
-    return np.polynomial.legendre.leggauss(order)
+    return _leggauss(order)
+
+
+@cache
+def _leggauss(order: int):
+    rule = np.polynomial.legendre.leggauss(order)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 def composite_gauss_legendre(order: int, panels: int = 1):
@@ -71,26 +81,42 @@ def chunk_slices(n: int, per_item: int):
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def step_sum(tables, mass: bool = False):
-    """The summation order of every space-time sum that fvlab reports.
+def step_values(table, mass: bool = False):
+    """The summation order of every space-time sum that fvlab reports,
+    first half: ``table`` holds the terms (steps, ...) of consecutive time
+    steps (or slabs, or level pairs), each term formed elementwise by the
+    caller, and each step's row of C-order terms is reduced by numpy's
+    pairwise ``sum``.  A C-contiguous row sums to the same bits alone, in
+    a chunk or in the whole table, so neither the chunks, nor a thread
+    count, nor the caller's memory layout moves a bit.  Returns the step
+    values (steps,), with ``mass`` stacked over the row sums of |terms|,
+    shape (2, steps)."""
+    rows = np.ascontiguousarray(table, dtype=float).reshape(
+        len(table), math.prod(table.shape[1:]))
+    if mass:
+        return np.stack([rows.sum(axis=1), np.abs(rows).sum(axis=1)])
+    return rows.sum(axis=1)
 
-    ``tables``: the term tables (steps, ...) of consecutive chunks of steps
-    (time steps, slabs or level pairs) in step order, each term formed
-    elementwise by the caller.  Each step's row of C-order terms is reduced
-    by numpy's pairwise ``sum``, and the step values are added left to
-    right.  A C-contiguous row sums to the same bits alone, in a chunk or
-    in the whole table, so neither the chunks, nor a thread count, nor the
-    caller's memory layout moves a bit.  With ``mass`` the sum of |terms|
-    is returned too."""
-    total = absolute = 0.0
-    for table in tables:
-        rows = np.ascontiguousarray(table, dtype=float).reshape(
-            len(table), math.prod(table.shape[1:]))
-        for value in rows.sum(axis=1).tolist():
-            total += value
-        for value in np.abs(rows).sum(axis=1).tolist() if mass else ():
-            absolute += value
-    return (total, absolute) if mass else total
+
+def add_steps(values) -> float:
+    """Second half of the summation order: the step values of
+    ``step_values``, in step order, added left to right."""
+    total = 0.0
+    for value in np.asarray(values, dtype=float).tolist():
+        total += value
+    return total
+
+
+def step_sum(tables, mass: bool = False):
+    """``add_steps`` over the ``step_values`` of the term tables of
+    consecutive chunks of steps, in step order; each table is reduced as
+    it comes.  With ``mass`` the sum of |terms| is returned too."""
+    values = [step_values(table, mass) for table in tables]
+    values = (np.concatenate(values, axis=-1) if values
+              else np.zeros((2, 0) if mass else 0))
+    if mass:
+        return add_steps(values[0]), add_steps(values[1])
+    return add_steps(values)
 
 
 def tensor_points(axes) -> np.ndarray:
@@ -259,35 +285,51 @@ class SlabQuadrature:
         self.cell = CellQuadrature(mesh, space_order, panels)
         self.grid = grid
         self.tnodes1d, self.tweights1d = gauss_legendre(time_order)
+        self._weights = None
 
-    def slab_cell_integrals(self, f):
-        """Integrals over P x (t_n, t_{n+1}) for every step n and cell P,
-        shape (N, NC).
+    def slab_cell_integrals(self, f, steps=slice(None)):
+        """Integrals over P x (t_n, t_{n+1}) for the steps n of the slice
+        ``steps`` (all by default) and every cell P, shape (steps, NC).
 
-        ``f(steps, tn)`` gives the integrand's values on the ``cell`` nodes
-        at the Gauss times ``tn[b, j]`` of the steps ``steps`` (a slice),
-        shaped (len(steps), T, NC, k) or reshapeable to it.  Each (cell,
-        time) row is reduced by the same ``einsum`` as ``cell_integrals``,
-        and per slab the weighted rows are added in time order.
+        ``f(sub, tn)`` gives the integrand's values on the ``cell`` nodes
+        at the Gauss times ``tn[b, j]`` of the steps ``sub`` (a slice of
+        ``steps``), shaped (len(sub), T, NC, k) or reshapeable to it.  Each
+        (cell, time) row is reduced by the same ``einsum`` as
+        ``cell_integrals``, and per slab the weighted rows are added in
+        time order.
         """
-        times, tweights = gauss_times(self.grid.knots, self.tnodes1d.size)
+        lo, hi, _ = steps.indices(self.grid.n_steps)
+        times, tweights = gauss_times(self.grid.knots[lo:hi + 1],
+                                      self.tnodes1d.size)
         n_steps, n_t = times.shape
         n_cells, k = self.cell.points.shape[:2]
         out = np.zeros((n_steps, n_cells))
         chunks = chunk_slices(n_steps, n_t * n_cells * k)
-        rows = (chunks[0].stop - chunks[0].start) * n_t
-        # the cell weights once per (step, time) row of the largest chunk
-        weights = np.broadcast_to(self.cell.weights,
-                                  (rows, n_cells, k)).reshape(-1, k)
-        for steps in chunks:
-            tn, tw = times[steps], tweights[steps]
-            vals = np.asarray(f(steps, tn), dtype=float).reshape(-1, k)
+        weights = self._row_weights(
+            (chunks[0].stop - chunks[0].start) * n_t if chunks else 0)
+        for sub in chunks:
+            tn, tw = times[sub], tweights[sub]
+            vals = np.asarray(f(slice(lo + sub.start, lo + sub.stop), tn),
+                              dtype=float).reshape(-1, k)
             ints = np.einsum("ck,ck->c", weights[:vals.shape[0]], vals)
             ints = ints.reshape(tn.shape + (n_cells,))
-            acc = out[steps]
+            acc = out[sub]
             for j in range(n_t):
                 acc += tw[:, j, None] * ints[:, j]
         return out
+
+
+    def _row_weights(self, rows):
+        """The cell weights once per (step, time) row of ``rows`` rows,
+        shape (rows * NC, k); kept for later calls with as many rows or
+        fewer."""
+        weights = self._weights
+        n_cells, k = self.cell.weights.shape
+        if weights is None or weights.shape[0] < rows * n_cells:
+            weights = np.broadcast_to(self.cell.weights,
+                                      (rows, n_cells, k)).reshape(-1, k)
+            self._weights = weights
+        return weights
 
 
 class BoxQuadrature:

@@ -15,12 +15,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .consistency import (compute_X1, compute_X2, jump_sums, measured_constant,
-                          residual_flux, residual_init, residual_time,
-                          weak_form_gap, weak_rhs)
+from .consistency import level_pass, weak_rhs
 from .fields import (TIME_PROFILES, Reference, TestFunction, _bump,
-                     default_translate_weights, interpolate_test, lp_distance,
-                     translate_functional)
+                     default_translate_weights, interpolate_test, lp_distance)
 # build_dual_mac and build_dual_rt are called by their names in this module
 # (see build_level), so rebinding fvlab.study.build_dual_* reaches the call
 from .geometry import (TIME_PATTERNS, DualMeshMAC, _cartesian_vertices,
@@ -28,9 +25,19 @@ from .geometry import (TIME_PATTERNS, DualMeshMAC, _cartesian_vertices,
                        build_intervals, build_perturbed_quads, build_tensor,
                        build_time_grid, regularity, subdivide_nodes)
 from .layouts import MAC, get_layout
-from .operators import (FACE_SCHEMES, BetaFamily, assemble_convection,
-                        flux_colocated_upwind_1d, flux_staggered, get_pair)
+from .operators import (FACE_SCHEMES, get_pair, staggered_flux_rule,
+                        upwind_1d_flux_rule)
 from .schemes import SchemeConfig, run_mass_mac, run_upwind_1d, sample_manufactured
+
+# the whole-level stages, which a level runs as one level_pass instead of
+# one by one, stay importable from this module: bench/tracing.py rebinds
+# their names here
+from .consistency import (compute_X1, compute_X2, jump_sums,  # noqa: F401
+                          measured_constant, residual_flux, residual_init,
+                          residual_time, weak_form_gap)
+from .fields import translate_functional  # noqa: F401
+from .operators import (assemble_convection,  # noqa: F401
+                        flux_colocated_upwind_1d, flux_staggered)
 
 __all__ = [
     "StudyConfig", "ResidualReport", "RateFit", "StudyResult", "run_study",
@@ -161,10 +168,15 @@ class StudyConfig:
         """Check every named choice up front, before any level runs."""
         if self.levels < 3:
             raise ValueError("a study needs >= 3 levels for rate fitting")
-        for name in ("T", "dt_over_h"):
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads!r}")
+        for name in ("T", "dt_over_h", "regularity_cap", "regularity_growth"):
             if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ValueError(f"{name} must be finite and positive, got "
                                  f"{getattr(self, name)!r}")
+        if not (np.isfinite(self.translate_theta) and self.translate_theta >= 0):
+            raise ValueError(f"translate_theta must be finite and "
+                             f"non-negative, got {self.translate_theta!r}")
         layout = get_layout(self.layout)
         _check_choice("field source", self.field_source, FIELD_SOURCES)
         if self.field_source == "scheme" and not layout.scheme_source:
@@ -401,46 +413,37 @@ def _compute_level(config: StudyConfig, level: int, phi, rhs, base_reg):
         else:
             q, grid, ledger = run_upwind_1d(mesh, scheme_cfg)
             v = None
-        extras["scheme_min"] = float(q.values.min())
-        extras["scheme_max"] = float(q.values.max())
         extras["mass_defect"] = ledger.max_relative_defect()
     reg = regularity(mesh, grid,
                      mac=dual if isinstance(dual, DualMeshMAC) else None)
     _audit(config, level, reg, base_reg)
     if layout.staggered:
-        flux = flux_staggered(q, v, pair, scheme=config.face_scheme,
-                              lam=config.lam, policy=config.boundary_policy)
+        fluxes = staggered_flux_rule(q, v, pair, scheme=config.face_scheme,
+                                     lam=config.lam,
+                                     policy=config.boundary_policy)
     else:
-        flux = flux_colocated_upwind_1d(q, policy=config.boundary_policy)
-    betas = BetaFamily.from_field(q, pair)
-    conv = assemble_convection(betas, flux)
+        fluxes = upwind_1d_flux_rule(q, policy=config.boundary_policy)
     interp = interpolate_test(phi, mesh, grid, order=config.quad_order,
                               panels=config.interp_panels)
-    x1 = compute_X1(betas, interp)
-    x2 = compute_X2(flux, interp, q=q, v=v, pair=pair)
-    init = residual_init(betas, q0, phi, pair, order=config.oracle_order)
-    times = residual_time(betas, q, phi, pair, space_order=config.quad_order)
-    rflux = residual_flux(flux, q, v, pair, mesh, grid, config.layout, dual)
-    jumps = jump_sums(q, v)
     weights = default_translate_weights(mesh, grid, theta=config.translate_theta)
-    trans = translate_functional(q, weights)
-    gap = weak_form_gap(conv, interp, (q_exact, v_exact, q0), pair, rhs=rhs)
-    sup_norm = q.sup_norm()
-    if v is not None:
-        sup_norm = max(sup_norm, v.sup_norm())
-    l1 = lp_distance(q, q_exact, order=config.quad_order).distance
+    sums = level_pass(q, v, pair, fluxes, interp, (q_exact, v_exact, q0),
+                      weights, rhs, order=config.quad_order,
+                      init_order=config.oracle_order)
+    if config.field_source == "scheme":
+        extras["scheme_min"], extras["scheme_max"] = sums.q_min, sums.q_max
+    x2, jumps = sums.x2, sums.jumps
     report = ResidualReport(
         level=level, h=mesh.delta(), dt=grid.dt_max, theta1=reg.theta1,
-        theta2=reg.theta2, theta3=reg.theta3, x1=x1.value, x2=x2.value,
-        res_init=init.cellwise, res_time=times.majorant, res_flux=rflux,
-        r1=jumps.r1, r2=jumps.r2, translate=trans, weak_gap=gap.gap,
-        sup_norm=sup_norm, theta_mac=reg.theta_mac,
-        res_init_signed=init.signed, res_init_l1=init.l1_majorant,
-        res_time_signed=times.signed, x2_gradient=x2.gradient_route,
+        theta2=reg.theta2, theta3=reg.theta3, x1=sums.x1.value, x2=x2.value,
+        res_init=sums.init.cellwise, res_time=sums.time.majorant,
+        res_flux=sums.res_flux, r1=jumps.r1, r2=jumps.r2,
+        translate=sums.translate, weak_gap=sums.gap.gap,
+        sup_norm=sums.sup_norm, theta_mac=reg.theta_mac,
+        res_init_signed=sums.init.signed, res_init_l1=sums.init.l1_majorant,
+        res_time_signed=sums.time.signed, x2_gradient=x2.gradient_route,
         rt_constant=(jumps.rt_constant if jumps.rt_constant is not None
                      else np.nan),
-        measured_c=measured_constant(q, v, pair),
-        l1_distance=l1, **extras)
+        measured_c=sums.measured_c, l1_distance=sums.l1_distance, **extras)
     return report, q
 
 
@@ -449,10 +452,11 @@ def run_study(config: StudyConfig) -> StudyResult:
 
     The weak-form right-hand side is integrated once (it is the level-
     independent limit object).  The L1 Cauchy column compares each level's
-    field with the previous level's as a piecewise-constant function: for
-    scheme sources this is the convergence surrogate (no exact limit is
-    assumed), for manufactured sources l1_distance to the exact limit is
-    the primary diagnostic.
+    field with the previous level's as a piecewise-constant function, as
+    soon as the finer level's result arrives, and the coarser field is
+    dropped then: for scheme sources this is the convergence surrogate (no
+    exact limit is assumed), for manufactured sources l1_distance to the
+    exact limit is the primary diagnostic.
     """
     config.validate()
     phi = config.test_function()
@@ -460,23 +464,29 @@ def run_study(config: StudyConfig) -> StudyResult:
     pair = get_pair(config.beta_name, config.g_name)
     rhs = weak_rhs(pair, sol["q"], sol["v"], lambda x: sol["q"](x, 0.0),
                    phi, order=config.oracle_order, panels=config.rhs_panels)
+    reports, coarse = [], None
+
+    def take(result):
+        nonlocal coarse
+        report, fld = result
+        coarse_fn = None if coarse is None else _tensor_field_function(coarse)
+        if coarse_fn is not None:
+            report.l1_cauchy = lp_distance(fld, coarse_fn, order=2).distance
+        reports.append(report)
+        coarse = fld
+
     # level 0 first: it fixes the regularity baseline for the audit
-    results = [_compute_level(config, 0, phi, rhs, None)]
-    base_reg = results[0][0]
+    take(_compute_level(config, 0, phi, rhs, None))
     levels = range(1, config.levels)
     if config.threads > 1 and levels:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             futures = [pool.submit(_compute_level, config, lv, phi, rhs,
-                                   base_reg) for lv in levels]
-            results.extend(f.result() for f in futures)
+                                   reports[0]) for lv in levels]
+            while futures:
+                take(futures.pop(0).result())
     else:
-        results.extend(_compute_level(config, lv, phi, rhs, base_reg)
-                       for lv in levels)
-    for (_, coarse), (report, fld) in zip(results, results[1:]):
-        coarse_fn = _tensor_field_function(coarse)
-        if coarse_fn is not None:
-            report.l1_cauchy = lp_distance(fld, coarse_fn, order=2).distance
-    reports = [report for report, _ in results]
+        for lv in levels:
+            take(_compute_level(config, lv, phi, rhs, reports[0]))
     return StudyResult(config=config, reports=reports, rates=fit_rates(reports))
 
 

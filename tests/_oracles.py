@@ -4,12 +4,24 @@ import warnings
 
 import numpy as np
 
-from fvlab.consistency import WeakRhs
-from fvlab.fields import _bump, _reference_at
-from fvlab.geometry import (LOCAL_OPPOSITE, MeshConstructionError,
-                            PrimalMesh, sum_opposite_first)
+from fvlab.consistency import (WeakRhs, compute_X1, compute_X2, jump_sums,
+                               measured_constant, residual_flux,
+                               residual_init, residual_time, weak_form_gap)
+from fvlab.fields import (_bump, _reference_at, default_translate_weights,
+                          interpolate_test, lp_distance, translate_functional)
+from fvlab.geometry import (LOCAL_OPPOSITE, DualMeshMAC,
+                            MeshConstructionError, PrimalMesh,
+                            build_time_grid, regularity, sum_opposite_first)
+from fvlab.layouts import get_layout
+from fvlab.operators import (BetaFamily, assemble_convection,
+                             flux_colocated_upwind_1d, flux_staggered,
+                             get_pair)
 from fvlab.quadrature import (ORACLE_ORDER, BoxQuadrature, CellQuadrature,
                               FaceQuadrature, SlabQuadrature, tensor_points)
+from fvlab.schemes import (SchemeConfig, run_mass_mac, run_upwind_1d,
+                           sample_manufactured)
+from fvlab.study import (ResidualReport, _audit, build_level,
+                         manufactured_solution)
 
 
 def face_value(q, face: int, n: int, scheme: str = "centered",
@@ -402,3 +414,76 @@ def weak_rhs_whole(pair, q_exact, v_exact, q0, phi, order=ORACLE_ORDER,
             warnings.warn(f"weak-form volume quadrature disagreement "
                           f"{delta:.3e}", stacklevel=2)
     return WeakRhs(init + volume, init, volume, vol_time, vol_space, delta)
+
+
+def compute_level_by_stages(config, level, phi, rhs, base_reg):
+    """(report, q) of one study level with every stage run on its own over
+    the whole level, in turn: the flux family, C(U), X1, X2, the init,
+    time and flux residuals, the jumps, the translate functional, the
+    weak-form gap, the sup norms, the measured constant and the L1
+    distance, each a public whole-level function of fvlab.  The oracle of
+    ``fvlab.study._compute_level`` and its one-pass ``level_pass``."""
+    mesh, dual, h_ref = build_level(config, level)
+    layout = get_layout(config.layout)
+    sol = manufactured_solution(config.solution)
+    q_exact, v_exact = sol["q"], sol["v"]
+    q0 = lambda x: q_exact(x, 0.0)
+    pair = get_pair(config.beta_name, config.g_name)
+    extras = {}
+    if config.field_source == "manufactured":
+        n_steps = max(1, round(config.T / (config.dt_over_h * h_ref)))
+        grid = build_time_grid(config.T, n_steps, pattern=config.time_pattern,
+                               ratio=config.time_ratio)
+        q, v = sample_manufactured(q_exact, v_exact, config.layout, mesh, dual,
+                                   grid, order=config.quad_order, check=False)
+    else:
+        scheme_cfg = SchemeConfig(q0=q0, T=config.T,
+                                  cfl=config.cfl, velocity=v_exact,
+                                  boundary_policy=config.boundary_policy,
+                                  quad_order=config.quad_order)
+        if layout.staggered:
+            q, v, grid, ledger = run_mass_mac(mesh, dual, scheme_cfg)
+        else:
+            q, grid, ledger = run_upwind_1d(mesh, scheme_cfg)
+            v = None
+        extras["scheme_min"] = float(q.values.min())
+        extras["scheme_max"] = float(q.values.max())
+        extras["mass_defect"] = ledger.max_relative_defect()
+    reg = regularity(mesh, grid,
+                     mac=dual if isinstance(dual, DualMeshMAC) else None)
+    _audit(config, level, reg, base_reg)
+    if layout.staggered:
+        flux = flux_staggered(q, v, pair, scheme=config.face_scheme,
+                              lam=config.lam, policy=config.boundary_policy)
+    else:
+        flux = flux_colocated_upwind_1d(q, policy=config.boundary_policy)
+    betas = BetaFamily.from_field(q, pair)
+    conv = assemble_convection(betas, flux)
+    interp = interpolate_test(phi, mesh, grid, order=config.quad_order,
+                              panels=config.interp_panels)
+    x1 = compute_X1(betas, interp)
+    x2 = compute_X2(flux, interp, q=q, v=v, pair=pair)
+    init = residual_init(betas, q0, phi, pair, order=config.oracle_order)
+    times = residual_time(betas, q, phi, pair, space_order=config.quad_order)
+    rflux = residual_flux(flux, q, v, pair, mesh, grid, config.layout, dual)
+    jumps = jump_sums(q, v)
+    weights = default_translate_weights(mesh, grid, theta=config.translate_theta)
+    trans = translate_functional(q, weights)
+    gap = weak_form_gap(conv, interp, (q_exact, v_exact, q0), pair, rhs=rhs)
+    sup_norm = q.sup_norm()
+    if v is not None:
+        sup_norm = max(sup_norm, v.sup_norm())
+    l1 = lp_distance(q, q_exact, order=config.quad_order).distance
+    report = ResidualReport(
+        level=level, h=mesh.delta(), dt=grid.dt_max, theta1=reg.theta1,
+        theta2=reg.theta2, theta3=reg.theta3, x1=x1.value, x2=x2.value,
+        res_init=init.cellwise, res_time=times.majorant, res_flux=rflux,
+        r1=jumps.r1, r2=jumps.r2, translate=trans, weak_gap=gap.gap,
+        sup_norm=sup_norm, theta_mac=reg.theta_mac,
+        res_init_signed=init.signed, res_init_l1=init.l1_majorant,
+        res_time_signed=times.signed, x2_gradient=x2.gradient_route,
+        rt_constant=(jumps.rt_constant if jumps.rt_constant is not None
+                     else np.nan),
+        measured_c=measured_constant(q, v, pair),
+        l1_distance=l1, **extras)
+    return report, q

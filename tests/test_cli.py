@@ -59,7 +59,7 @@ def test_mesh_info_reports_theta(tmp_path, capsys):
     assert "theta_mac    2" in out
 
 
-def test_bad_config_exit_2(tmp_path, capsys):
+def test_bad_config_exit_2(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path, "[mesh]\nnx = banana\n", "bad.ini")
     assert main(["mesh-info", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
@@ -85,6 +85,19 @@ def test_bad_config_exit_2(tmp_path, capsys):
         ("dt_over_h = 0.5", "dt_over_h = 0", "dt_over_h must be finite"),
         ("T = 0.5", "T = inf", "T must be finite and positive, got inf"),
         ("dt_over_h = 0.5", "dt_over_h = -0.5", "got -0.5"),
+        ("layout = mac", "layout = mac\nthreads = 0",
+         "threads must be >= 1, got 0"),
+        ("layout = mac", "layout = mac\nthreads = -1", "got -1"),
+        ("layout = mac", "layout = mac\ntranslate_theta = nan",
+         "translate_theta must be finite and non-negative, got nan"),
+        ("layout = mac", "layout = mac\ntranslate_theta = inf", "got inf"),
+        ("layout = mac", "layout = mac\ntranslate_theta = -1", "got -1.0"),
+        ("[audit]\nregularity_cap = nan\n",
+         "regularity_cap must be finite and positive, got nan"),
+        ("[audit]\nregularity_cap = -inf\n", "got -inf"),
+        ("[audit]\nregularity_growth = nan\n",
+         "regularity_growth must be finite and positive, got nan"),
+        ("[audit]\nregularity_growth = 0\n", "got 0.0"),
     ]
     for k, case in enumerate(bad_inputs):
         if len(case) == 2:
@@ -98,6 +111,16 @@ def test_bad_config_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error" in err and needle in err, (case, err)
         assert not (out_dir / "report.csv").exists()
+    # a thread count below 1 from the flag or the environment, too
+    path = write_config(tmp_path)
+    assert main(["run-study", "--config", str(path), "--out",
+                 str(tmp_path / "flag"), "--threads", "0"]) == 2
+    assert "threads must be >= 1, got 0" in capsys.readouterr().err
+    monkeypatch.setenv("FVLAB_THREADS", "-1")
+    assert main(["run-study", "--config", str(path), "--out",
+                 str(tmp_path / "env")]) == 2
+    assert "threads must be >= 1, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists() and not (tmp_path / "env").exists()
 
 
 # every key of the schema at a value other than its default; parsing does

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from fvlab import consistency, quadrature
 from fvlab.consistency import (RouteMismatchError, compute_X1, compute_X2,
-                               jump_sums, measured_constant, residual_flux,
-                               residual_flux_terms, residual_init,
-                               residual_time, weak_form_gap, weak_lhs,
-                               weak_rhs)
+                               jump_sums, level_pass, measured_constant,
+                               residual_flux, residual_flux_terms,
+                               residual_init, residual_time, weak_form_gap,
+                               weak_lhs, weak_rhs)
 from fvlab.fields import (TIME_PROFILES, CellScalarField,
                           FaceScalarFieldMAC, FaceVectorFieldRT, Reference,
                           SupportError, TestFunction,
@@ -21,10 +21,11 @@ from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
                             build_intervals, build_time_grid)
 from fvlab.operators import (BetaFamily, FluxFamily, assemble_convection,
                              flux_colocated_upwind_1d, flux_staggered,
-                             get_pair, telescoping_defect)
+                             get_pair, telescoping_defect,
+                             upwind_1d_flux_rule)
 from fvlab.quadrature import BoxQuadrature
-from fvlab.schemes import sample_manufactured
-from fvlab.study import manufactured_solution
+from fvlab.schemes import SchemeConfig, run_upwind_1d, sample_manufactured
+from fvlab.study import StudyConfig, build_level, manufactured_solution
 
 from _oracles import (brute_force_flux_residual, materialise, per_step_sum,
                       residual_time_slab, separable_phi, weak_rhs_whole)
@@ -485,6 +486,32 @@ def test_streamed_flux_stages_stay_in_bounded_memory(transient_mib):
                                                "mac", dual)}
     transient = {name: transient_mib(stage) for name, stage in stages.items()}
     assert all(size <= 32 for size in transient.values()), transient
+
+
+def _finest_upwind_1d_level():
+    """q of the finest level of the 1D upwind bench study (1024 cells, 512
+    steps) with the rest of what ``level_pass`` takes."""
+    config = StudyConfig(levels=6, nx0=32, layout="colocated1d",
+                         field_source="scheme", T=0.25)
+    mesh, _, _ = build_level(config, 5)
+    sol = manufactured_solution(config.solution)
+    q0 = lambda x: sol["q"](x, 0.0)
+    q, grid, _ = run_upwind_1d(mesh, SchemeConfig(q0=q0, T=config.T))
+    phi = config.test_function()
+    pair = get_pair("id")
+    rhs = weak_rhs(pair, sol["q"], None, q0, phi, check=False)
+    return (q, None, pair, upwind_1d_flux_rule(q),
+            interpolate_test(phi, mesh, grid),
+            (sol["q"], None, q0), default_translate_weights(mesh, grid), rhs)
+
+
+def test_level_pass_stays_in_bounded_memory(transient_mib):
+    # one (N + 1, NC) table of this level is 4 MiB; run stage by stage over
+    # the whole level, compute_X2 alone peaked about 20 MiB above its start
+    args = _finest_upwind_1d_level()
+    assert args[0].values.shape == (513, 1024)
+    size = transient_mib(lambda: level_pass(*args))
+    assert size <= 8, size
 
 
 # ---------------------------------------------------------------- constant states

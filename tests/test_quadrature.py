@@ -25,6 +25,23 @@ def test_gauss_legendre_basics():
         assert abs(np.dot(weights, nodes ** k) - exact) < 1e-14
 
 
+@pytest.mark.parametrize("order", [1, 2, 4, 8, 13])
+def test_gauss_legendre_is_cached_and_read_only(order):
+    # one rule per order, the bits of leggauss, and no caller can change
+    # what the next caller gets
+    nodes, weights = gauss_legendre(order)
+    want = np.polynomial.legendre.leggauss(order)
+    assert_bitwise(nodes, want[0])
+    assert_bitwise(weights, want[1])
+    again = gauss_legendre(order)
+    assert again[0] is nodes and again[1] is weights
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+
+
 def test_composite_rule_covers_interval():
     nodes, weights = composite_gauss_legendre(3, 5)
     assert nodes.size == 15

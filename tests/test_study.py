@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import assert_bitwise, tensor_field_per_call
+from _oracles import (assert_bitwise, compute_level_by_stages,
+                      tensor_field_per_call)
 from _strategies import graded_meshes, interval_meshes, time_grids
 import fvlab
 from fvlab import quadrature
@@ -90,34 +91,58 @@ def test_constant_study_all_zero_residual_columns(tmp_path):
     assert rows[1].split(",")[6:14] == ["0"] * 8
 
 
-@pytest.mark.parametrize("case, level", [("mac_scheme8", 0),
-                                         ("rt_perturbed_seed1", 0),
-                                         ("col1d_scheme16", 1)])
-def test_report_rows_do_not_depend_on_the_chunk_size(case, level):
-    # one level of a golden study computed with CHUNK_VALUES at one value a
-    # chunk and at 1, N - 1, N and N + 1 steps of the flux-defect table:
-    # every column of its report row, the weak-form RHS included, keeps
-    # its bytes
+@pytest.mark.parametrize("case, source, level", [
+    ("mac_scheme8", "scheme", 0), ("rt_perturbed_seed1", "manufactured", 0),
+    ("col1d_scheme16", "scheme", 1), ("criterion7", "manufactured", 1),
+    ("col1d_scheme16", "manufactured", 1)], ids=[
+    "mac_scheme8-0", "rt_perturbed_seed1-0", "col1d_scheme16-1",
+    "criterion7-1", "col1d_scheme16-manufactured-1"])
+def test_report_rows_do_not_depend_on_the_chunk_size(case, source, level):
+    # one level of a golden study by the one-pass driver, with CHUNK_VALUES
+    # at one value a chunk, at 1, N - 1, N and N + 1 steps of the pass
+    # (its flux-defect table) and at the default, against the same level
+    # with every stage run on its own over the whole level: each field of
+    # the report row, the weak-form RHS included, keeps its bits
     config, _ = parse_config(GOLDEN / case / "study.ini")
+    config = dataclasses.replace(config, field_source=source)
     phi = config.test_function()
     sol = manufactured_solution(config.solution)
 
-    def row():
-        rhs = weak_rhs(get_pair(config.beta_name, config.g_name), sol["q"],
-                       sol["v"], lambda x: sol["q"](x, 0.0), phi,
-                       panels=config.rhs_panels, check=False)
-        report, q = _compute_level(config, level, phi, rhs, None)
-        return np.array(dataclasses.astuple(report), dtype=float), q
+    def rhs():
+        return weak_rhs(get_pair(config.beta_name, config.g_name), sol["q"],
+                        sol["v"], lambda x: sol["q"](x, 0.0), phi,
+                        panels=config.rhs_panels, check=False)
 
-    want, q = row()
+    def hexes(report):
+        return [float(x).hex() for x in dataclasses.astuple(report)]
+
+    report, q = compute_level_by_stages(config, level, phi, rhs(), None)
+    want = hexes(report)
     n = q.grid.n_steps
     per_step = (q.mesh.n_cells * q.mesh.cell_faces.shape[1]
                 * get_layout(config.layout).pieces)
     assert n > 2
-    for values in sorted({1} | {k * per_step for k in (1, n - 1, n, n + 1)}):
+    sizes = {1, quadrature.CHUNK_VALUES}
+    for values in sorted(sizes | {k * per_step for k in (1, n - 1, n, n + 1)}):
         with mock.patch.object(quadrature, "CHUNK_VALUES", values):
-            got, _ = row()
-        assert_bitwise(got, want)
+            got, _ = _compute_level(config, level, phi, rhs(), None)
+        assert hexes(got) == want, values
+
+
+@pytest.mark.parametrize("config", [
+    StudyConfig(levels=3, nx0=6, ny0=6, layout="mac"),
+    StudyConfig(levels=4, nx0=8, layout="colocated1d", field_source="scheme",
+                T=0.25)])
+def test_l1_cauchy_does_not_depend_on_the_thread_count(config):
+    # each level's Cauchy distance is taken as its result arrives, on the
+    # level pool as on one thread
+    columns = []
+    for threads in (1, 2):
+        result = run_study(dataclasses.replace(config, threads=threads))
+        columns.append([r.l1_cauchy.hex() for r in result.reports])
+    assert columns[0] == columns[1]
+    assert columns[0][0] == "nan"
+    assert all(np.isfinite(float.fromhex(x)) for x in columns[0][1:])
 
 
 def test_manufactured_study_monotone_and_rated():
