@@ -608,11 +608,14 @@ def weak_form_gap(c_field, interp, exact, pair, order: int = ORACLE_ORDER,
     be passed to avoid re-integrating the level-independent right-hand side.
 
     For fields a scheme produced (``field_source = scheme``) the gap is a
-    floor, not a convergence measure: the scheme solves its own discrete
-    equation, so C(U) vanishes up to rounding and the LHS is ~1e-19.  The
-    gap is then |RHS|, the quadrature error of ``weak_rhs`` for a limit
-    that solves the PDE (7.1e-9 at all six levels of the 1D upwind bench
-    study), and its fitted rate is not a convergence rate.
+    floor, not a convergence measure: the scheme steps with the flux rule
+    that C(U) is assembled with, so C(U) vanishes up to rounding and the
+    LHS is ~1e-19.  The gap is then |RHS|, the quadrature error of
+    ``weak_rhs`` for a limit that solves the PDE (7.1e-9 at all six levels
+    of the 1D upwind bench study), and its fitted rate is not a
+    convergence rate.  The exception is a ``face_scheme`` other than the
+    scheme's upwind (or a pair other than ``id``), which assembles C(U)
+    with another flux.
     """
     q_exact, v_exact, q0 = exact
     lhs = weak_lhs(c_field, interp)
@@ -653,13 +656,13 @@ def level_pass(q, v, pair, fluxes, interp: InterpolatedTest, exact,
     """Every consistency quantity of one level in one walk over chunks of
     its time steps.
 
-    q and v (None for colocated 1D) are the discrete fields, ``fluxes`` the
-    face fluxes of a slice of steps (``operators.staggered_flux_rule`` or
-    ``upwind_1d_flux_rule`` of q and v), ``exact = (q_exact, v_exact,
-    q0)`` the limit, ``weights`` the face/step translate weights and
-    ``rhs`` the level-independent ``weak_rhs``.  ``order`` is the spatial
-    order of the time residual and of the L1 distance, ``init_order`` that
-    of the initialization residual.
+    q and v (None for colocated 1D) are the discrete fields, ``fluxes(qv,
+    vv)`` the face fluxes of their levels of some steps
+    (``operators.staggered_flux_rule`` or ``upwind_1d_flux_rule``),
+    ``exact = (q_exact, v_exact, q0)`` the limit, ``weights`` the
+    face/step translate weights and ``rhs`` the level-independent
+    ``weak_rhs``.  ``order`` is the spatial order of the time residual and
+    of the L1 distance, ``init_order`` that of the initialization residual.
 
     Per chunk the face fluxes, beta on the knots n..n+1, F.n, its
     divergence and the flux-defect table are formed once each and feed the
@@ -690,7 +693,7 @@ def level_pass(q, v, pair, fluxes, interp: InterpolatedTest, exact,
         dt, qk = grid.steps[ch], q.values[knots]
         qv, vv = qk[:-1], _levels(v, ch)
         beta = pair.beta(qk)
-        flux = fluxes(ch)
+        flux = fluxes(qv, vv)
         check_finite_flux(flux, mesh, ch.start)
         fdotn = layout.cell_normal(flux, mesh, dual)
         div = divergence(fdotn, mesh)

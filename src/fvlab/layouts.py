@@ -34,7 +34,8 @@ class Layout:
     scheme_source      a transport scheme can generate its fields
 
     Each layout gives ``flux_pieces`` and ``flux_cell_means``, and a
-    staggered one the dual edges of R2 (``jump_edges``).  The normal
+    staggered one the dual edges of R2 (``jump_edges``) and what a face
+    stores of a velocity vector (``face_components``).  The normal
     rules below suit one component per face, whose outward sign a layout
     gives by ``_cell_signs`` (NC, nf) and ``_face_signs`` (NF,); RT
     overrides them for its full vectors.
@@ -73,10 +74,23 @@ class Layout:
                                 self.pieces))
 
     # -- sampling and jumps ---------------------------------------------------
+    def face_components(self, vv, mesh, dual):
+        """What each face stores of full face vectors vv (NF, 2): the
+        vector as is."""
+        return np.asarray(vv, dtype=float)
+
     def sample_velocity(self, v_exact, mesh, dual, grid):
-        """Velocity field of the layout from a closed form v(x, t), sampled
-        at face midpoints at every knot; None without a face velocity."""
-        return None
+        """Velocity field of the layout from a closed form v(x, t): the
+        ``face_components`` of v at the face midpoints at every knot; None
+        without a face velocity."""
+        field = self.velocity_field
+        if field is None:
+            return None
+        vals = np.empty((grid.n_steps + 1, mesh.n_faces) + field.components)
+        for n, t in enumerate(grid.knots):
+            vals[n] = self.face_components(v_exact(mesh.face_midpoints, t),
+                                           mesh, dual)
+        return field(mesh, grid, dual, vals)
 
     def velocity_jump_terms(self, vv, dt, mesh, edges, weights):
         """dt_n * |v_a - v_b| * w_{P,e} per (step, cell, dual edge), for
@@ -121,12 +135,6 @@ class _RT(Layout):
         mean_v = 0.25 * sum_opposite_first(vcf, axis=2)
         return pair.g(qv)[:, :, None] * mean_v
 
-    def sample_velocity(self, v_exact, mesh, dual, grid):
-        vals = np.empty((grid.n_steps + 1, mesh.n_faces, 2))
-        for n, t in enumerate(grid.knots):
-            vals[n] = np.asarray(v_exact(mesh.face_midpoints, t), dtype=float)
-        return FaceVectorFieldRT(mesh, grid, dual, vals)
-
     def jump_edges(self, mesh, dual):
         # dual-edge weight C*diam(P)^2, C the realised splitting constant
         const = dual.jump_weight_constant
@@ -167,16 +175,9 @@ class _MAC(Layout):
         return pair.g(qv)[:, :, None] * np.stack([mean1, mean2], axis=-1)
 
     def face_components(self, vv, mesh, dual):
-        """The stored normal components of full face vectors vv (NF, 2)."""
+        """The normal component of each face: the one along its family."""
         return np.asarray(vv, dtype=float)[np.arange(mesh.n_faces),
                                            dual.face_family]
-
-    def sample_velocity(self, v_exact, mesh, dual, grid):
-        vals = np.empty((grid.n_steps + 1, mesh.n_faces))
-        for n, t in enumerate(grid.knots):
-            vals[n] = self.face_components(v_exact(mesh.face_midpoints, t),
-                                           mesh, dual)
-        return FaceScalarFieldMAC(mesh, grid, dual, vals)
 
     def jump_edges(self, mesh, dual):
         # weight diam(P)(|zeta| + |zeta'|) per direction pair

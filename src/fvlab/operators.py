@@ -137,17 +137,18 @@ def _convex_value(qp, qq, scheme, lam, signal):
     raise ValueError(f"unknown face scheme {scheme!r}")
 
 
-def staggered_flux_rule(q, v, pair: NonlinearityPair, scheme: str = "upwind",
-                        lam: float = 0.5, policy: str = "upwind_zero"):
+def staggered_flux_rule(mesh, v, pair: NonlinearityPair,
+                        scheme: str = "upwind", lam: float = 0.5,
+                        policy: str = "upwind_zero"):
     """The face fluxes F_zeta^n = g(q_zeta^n) v_zeta^n of the RT or MAC
-    layout as a function of a slice of time steps, returning (steps, NF)
-    or (steps, NF, 2); the arguments are checked once, here.
+    layout as a function ``fluxes(qv, vv)`` of the q levels (steps, NC)
+    and the v levels of the same steps, returning (steps, NF) or
+    (steps, NF, 2); the arguments are checked once, here.
 
-    q and v must share the primal mesh.  Boundary faces take the policy:
+    v must live on `mesh`.  Boundary faces take the policy:
     ``upwind_zero`` (exterior value 0), ``zero_flux``, or (1D only)
     ``periodic``.
     """
-    mesh = q.mesh
     if v.mesh is not mesh:
         raise ValueError("q and v live on different meshes")
     layout = layout_of(v)
@@ -158,22 +159,20 @@ def staggered_flux_rule(q, v, pair: NonlinearityPair, scheme: str = "upwind",
     ifaces = np.nonzero(mesh.interior_face_mask)[0]
     bfaces = np.nonzero(mesh.boundary_face_mask)[0]
 
-    def fluxes(steps):
-        qv, vface = q.values[steps], v.values[steps]
-
+    def fluxes(qv, vv):
         def g_times_v(qf, faces):
             g = pair.g(qf)
-            return g.reshape(g.shape + (1,) * (vface.ndim - 2)) * vface[:, faces]
+            return g.reshape(g.shape + (1,) * (vv.ndim - 2)) * vv[:, faces]
 
         qp = qv[:, mesh.face_cells[ifaces, 0]]
         qq = qv[:, mesh.face_cells[ifaces, 1]]
         qf = _convex_value(qp, qq, scheme, lam,
-                           layout.face_normal(vface, ifaces, mesh, v.dual))
-        values = np.zeros(vface.shape)
+                           layout.face_normal(vv, ifaces, mesh, v.dual))
+        values = np.zeros(vv.shape)
         values[:, ifaces] = g_times_v(qf, ifaces)
         # boundary faces: exterior state 0 (upwind) or hard zero flux
         if policy == "upwind_zero" and bfaces.size:
-            sig_b = layout.face_normal(vface, bfaces, mesh, v.dual)
+            sig_b = layout.face_normal(vv, bfaces, mesh, v.dual)
             qp = qv[:, mesh.face_cells[bfaces, 0]]
             qb = np.where(sig_b > 0.0, qp, np.where(sig_b < 0.0, 0.0, 0.5 * qp))
             values[:, bfaces] = g_times_v(qb, bfaces)
@@ -186,20 +185,20 @@ def flux_staggered(q, v, pair: NonlinearityPair, scheme: str = "upwind",
                    lam: float = 0.5, policy: str = "upwind_zero") -> FluxFamily:
     """F_zeta^n = g(q_zeta^n) v_zeta^n for the RT or MAC layout at every
     step (``staggered_flux_rule``)."""
-    fluxes = staggered_flux_rule(q, v, pair, scheme, lam, policy)
+    fluxes = staggered_flux_rule(q.mesh, v, pair, scheme, lam, policy)
+    steps = slice(0, q.grid.n_steps)
     return FluxFamily(layout=layout_of(v).name, mesh=q.mesh, grid=q.grid,
-                      values=fluxes(slice(0, q.grid.n_steps)),
+                      values=fluxes(q.values[steps], v.values[steps]),
                       boundary_policy=policy, dual=v.dual)
 
 
-def upwind_1d_flux_rule(u, policy: str = "upwind_zero"):
+def upwind_1d_flux_rule(mesh, policy: str = "upwind_zero"):
     """The first-order upwind flux for C(u) = d_t u + d_x u on a 1D mesh as
-    a function of a slice of time steps, returning (steps, NF).
+    a function ``fluxes(qv, vv=None)`` of the u levels (steps, NC),
+    returning (steps, NF); the speed is +1, so there are no v levels.
 
-    The flux at the face between P^- (left) and P is u of the upstream cell
-    (speed +1).
+    The flux at the face between P^- (left) and P is u of the upstream cell.
     """
-    mesh = u.mesh
     if mesh.dim != 1:
         raise ValueError("colocated upwind flux needs a 1D mesh")
     if policy not in BOUNDARY_POLICIES:
@@ -208,21 +207,20 @@ def upwind_1d_flux_rule(u, policy: str = "upwind_zero"):
     # upstream cell of each face: the cell whose right face it is
     left_of[mesh.cell_faces[:, 1]] = np.arange(mesh.n_cells)
     inflow = np.nonzero(left_of < 0)[0]
-    filled = left_of >= 0
+    filled = np.nonzero(left_of >= 0)[0]
+    upstream = left_of[filled]
     rightmost = int(np.argmax(mesh.cell_centroids[:, 0]))
-    outflow = mesh.boundary_face_mask & filled
+    outflow = filled[mesh.boundary_face_mask[filled]]
 
-    def fluxes(steps):
-        vals = u.values[steps]
-        values = np.zeros((len(vals), mesh.n_faces))
-        values[:, filled] = vals[:, left_of[filled]]
+    def fluxes(qv, vv=None):
+        values = np.zeros((len(qv), mesh.n_faces))
+        values[:, filled] = qv[:, upstream]
+        # the inflow face keeps the exterior value 0 (upwind_zero) or zero
+        # flux, unless the interval is periodic
         if policy == "periodic":
-            values[:, inflow] = vals[:, [rightmost]]
+            values[:, inflow] = qv[:, [rightmost]]
         elif policy == "zero_flux":
-            values[:, inflow] = 0.0
             values[:, outflow] = 0.0
-        else:  # upwind_zero: exterior value 0 feeds the inflow face
-            values[:, inflow] = 0.0
         return values
 
     return fluxes
@@ -231,9 +229,9 @@ def upwind_1d_flux_rule(u, policy: str = "upwind_zero"):
 def flux_colocated_upwind_1d(u, policy: str = "upwind_zero") -> FluxFamily:
     """The first-order upwind flux (``upwind_1d_flux_rule``) at every
     step."""
-    fluxes = upwind_1d_flux_rule(u, policy)
+    fluxes = upwind_1d_flux_rule(u.mesh, policy)
     return FluxFamily(layout=COLOCATED_1D.name, mesh=u.mesh, grid=u.grid,
-                      values=fluxes(slice(0, u.grid.n_steps)),
+                      values=fluxes(u.values[:u.grid.n_steps]),
                       boundary_policy=policy)
 
 

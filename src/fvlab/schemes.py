@@ -1,6 +1,11 @@
 """Discrete solution generators: manufactured sampling of smooth fields,
 explicit first-order upwind transport in 1D, and the 2D MAC mass update
 with a prescribed velocity.
+
+Both schemes step with the convection operator's own flux rules
+(``operators.upwind_1d_flux_rule``; ``staggered_flux_rule`` with the
+identity pair and upwind faces) and ``operators.divergence``, in one
+march, so C(U) of a scheme field assembled with the same flux vanishes.
 """
 
 from __future__ import annotations
@@ -11,8 +16,10 @@ from typing import Callable
 import numpy as np
 
 from .fields import CellScalarField, sample_cell_means
-from .geometry import TimeGrid, build_time_grid, sum_opposite_first
-from .layouts import MAC, get_layout
+from .geometry import TimeGrid, build_time_grid
+from .layouts import COLOCATED_1D, MAC, get_layout, layout_of
+from .operators import (divergence, get_pair, staggered_flux_rule,
+                        upwind_1d_flux_rule)
 from .quadrature import DEFAULT_ORDER, CellQuadrature
 
 __all__ = ["SchemeConfig", "MassLedger", "run_upwind_1d", "run_mass_mac",
@@ -74,6 +81,41 @@ def _uniform_grid_for(T: float, dt_bound: float) -> TimeGrid:
     return build_time_grid(T, n)
 
 
+def _march(mesh, grid, config: SchemeConfig, v, fluxes):
+    """The levels q^0..q^N and their mass ledger of the explicit update
+    q^{n+1} = q^n - (dt/|P|) sum_zeta |zeta| F^n . n_{P,zeta}.
+
+    q^0 is the cell means of ``config.q0``, F^n = fluxes(q^n, v^n) of one
+    level (an ``operators`` flux rule, v None in 1D) and the sum is
+    ``operators.divergence``.  The ledger's boundary flux is
+    dt sum |zeta| F^n . n over the boundary faces, n seen from each face's
+    first cell.
+    """
+    layout = COLOCATED_1D if v is None else layout_of(v)
+    dual = None if v is None else v.dual
+    dt = float(grid.steps[0])
+    vols = mesh.cell_volumes
+    bfaces = np.nonzero(mesh.boundary_face_mask)[0]
+    bmeasures = mesh.face_measures[bfaces]
+    values = np.empty((grid.n_steps + 1, mesh.n_cells))
+    quad = CellQuadrature(mesh, config.quad_order)
+    values[0] = quad.cell_means(quad.values(config.q0))
+    mass = np.empty(grid.n_steps + 1)
+    boundary = np.empty(grid.n_steps)
+    mass[0] = float(np.dot(vols, values[0]))
+    for n in range(grid.n_steps):
+        level = slice(n, n + 1)
+        flux = fluxes(values[level], None if v is None else v.values[level])
+        div = divergence(layout.cell_normal(flux, mesh, dual), mesh)[0]
+        values[n + 1] = values[n] - (dt / vols) * div
+        mass[n + 1] = float(np.dot(vols, values[n + 1]))
+        boundary[n] = dt * float(
+            (bmeasures * layout.face_normal(flux, bfaces, mesh, dual)[0]).sum())
+    return (CellScalarField(mesh, grid, values),
+            MassLedger(mass=mass, boundary_flux=boundary,
+                       defect=np.abs(np.diff(mass) + boundary)))
+
+
 def run_upwind_1d(mesh, config: SchemeConfig):
     """Explicit upwind transport q_t + q_x = 0 at the configured CFL.
 
@@ -83,37 +125,14 @@ def run_upwind_1d(mesh, config: SchemeConfig):
     """
     if mesh.dim != 1:
         raise ValueError("run_upwind_1d needs a 1D mesh")
+    fluxes = upwind_1d_flux_rule(mesh, config.boundary_policy)
     h = mesh.cell_volumes
     grid = _uniform_grid_for(config.T, config.cfl * float(h.min()))
     dt = float(grid.steps[0])
     if dt > config.cfl * float(h.min()) * (1.0 + 1e-12):
         raise CFLError(f"dt={dt} violates CFL bound {config.cfl * h.min()}")
-    order = np.argsort(mesh.cell_centroids[:, 0])
-    n_steps = grid.n_steps
-    values = np.empty((n_steps + 1, mesh.n_cells))
-    quad = CellQuadrature(mesh, config.quad_order)
-    values[0] = quad.cell_means(quad.values(config.q0))
-    mass = np.empty(n_steps + 1)
-    boundary = np.empty(n_steps)
-    defect = np.empty(n_steps)
-    mass[0] = float(np.dot(h, values[0]))
-    periodic = config.boundary_policy == "periodic"
-    for n in range(n_steps):
-        q = values[n][order]
-        if periodic:
-            left = np.roll(q, 1)
-        else:
-            left = np.concatenate([[0.0], q[:-1]])
-        hq = h[order]
-        upd = q - (dt / hq) * (q - left)
-        values[n + 1][order] = upd
-        mass[n + 1] = float(np.dot(h, values[n + 1]))
-        # inflow minus outflow through the boundary faces
-        out = 0.0 if periodic else dt * (q[-1] - left[0])
-        boundary[n] = out
-        defect[n] = abs(mass[n + 1] - mass[n] + out)
-    return (CellScalarField(mesh, grid, values), grid,
-            MassLedger(mass=mass, boundary_flux=boundary, defect=defect))
+    q, ledger = _march(mesh, grid, config, None, fluxes)
+    return q, grid, ledger
 
 
 def run_mass_mac(mesh, dual, config: SchemeConfig):
@@ -124,8 +143,6 @@ def run_mass_mac(mesh, dual, config: SchemeConfig):
     """
     if config.velocity is None:
         raise ValueError("run_mass_mac needs a closed-form velocity")
-    if config.boundary_policy not in MAC.boundary_policies:
-        raise ValueError(f"policy {config.boundary_policy!r} not supported on MAC")
     vols = mesh.cell_volumes
     areas = mesh.face_measures[mesh.cell_faces]
     delta = dual.cell_face_delta
@@ -142,44 +159,14 @@ def run_mass_mac(mesh, dual, config: SchemeConfig):
         bound = config.T
     grid = _uniform_grid_for(config.T, config.cfl * bound)
     dt = float(grid.steps[0])
-    n_steps = grid.n_steps
-    values = np.empty((n_steps + 1, mesh.n_cells))
-    quad = CellQuadrature(mesh, config.quad_order)
-    values[0] = quad.cell_means(quad.values(config.q0))
     v = MAC.sample_velocity(config.velocity, mesh, dual, grid)
-    cf = mesh.cell_faces
-    fc = mesh.face_cells
-    interior = mesh.interior_face_mask
-    mass = np.empty(n_steps + 1)
-    boundary = np.empty(n_steps)
-    defect = np.empty(n_steps)
-    mass[0] = float(np.dot(vols, values[0]))
-    first = fc[:, 0]
-    second = fc[:, 1]
-    dfirst = dual.face_delta_first
-    for n in range(n_steps):
-        vn = v.values[n]
-        if dt > config.cfl * dt_bound(vn) * (1.0 + 1e-12):
+    fluxes = staggered_flux_rule(mesh, v, get_pair("id"),
+                                 policy=config.boundary_policy)
+    for n in range(grid.n_steps):
+        if dt > config.cfl * dt_bound(v.values[n]) * (1.0 + 1e-12):
             raise CFLError(f"CFL violated at step {n}")
-        q = values[n]
-        # upwind face value seen from the first adjacent cell
-        sig = vn * dfirst
-        qp = q[first]
-        qq = np.where(second >= 0, q[np.maximum(second, 0)], 0.0)
-        if config.boundary_policy == "zero_flux":
-            qq = np.where(second >= 0, qq, qp)  # value irrelevant, flux zeroed
-        qface = np.where(sig > 0.0, qp, np.where(sig < 0.0, qq, 0.5 * (qp + qq)))
-        fluxes = mesh.face_measures * qface * vn
-        if config.boundary_policy == "zero_flux":
-            fluxes[~interior] = 0.0
-        div = sum_opposite_first(fluxes[cf] * delta, axis=1)
-        values[n + 1] = q - (dt / vols) * div
-        mass[n + 1] = float(np.dot(vols, values[n + 1]))
-        bnd = dt * float((fluxes[~interior] * dfirst[~interior]).sum())
-        boundary[n] = bnd
-        defect[n] = abs(mass[n + 1] - mass[n] + bnd)
-    return (CellScalarField(mesh, grid, values), v, grid,
-            MassLedger(mass=mass, boundary_flux=boundary, defect=defect))
+    q, ledger = _march(mesh, grid, config, v, fluxes)
+    return q, v, grid, ledger
 
 
 def sample_manufactured(q_exact, v_exact, layout: str, mesh, dual, grid,

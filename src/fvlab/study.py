@@ -418,11 +418,11 @@ def _compute_level(config: StudyConfig, level: int, phi, rhs, base_reg):
                      mac=dual if isinstance(dual, DualMeshMAC) else None)
     _audit(config, level, reg, base_reg)
     if layout.staggered:
-        fluxes = staggered_flux_rule(q, v, pair, scheme=config.face_scheme,
+        fluxes = staggered_flux_rule(mesh, v, pair, scheme=config.face_scheme,
                                      lam=config.lam,
                                      policy=config.boundary_policy)
     else:
-        fluxes = upwind_1d_flux_rule(q, policy=config.boundary_policy)
+        fluxes = upwind_1d_flux_rule(mesh, policy=config.boundary_policy)
     interp = interpolate_test(phi, mesh, grid, order=config.quad_order,
                               panels=config.interp_panels)
     weights = default_translate_weights(mesh, grid, theta=config.translate_theta)

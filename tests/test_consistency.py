@@ -500,7 +500,7 @@ def _finest_upwind_1d_level():
     phi = config.test_function()
     pair = get_pair("id")
     rhs = weak_rhs(pair, sol["q"], None, q0, phi, check=False)
-    return (q, None, pair, upwind_1d_flux_rule(q),
+    return (q, None, pair, upwind_1d_flux_rule(mesh),
             interpolate_test(phi, mesh, grid),
             (sol["q"], None, q0), default_translate_weights(mesh, grid), rhs)
 
