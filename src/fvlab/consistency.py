@@ -38,6 +38,7 @@ mesh, grid and layout from its positional arguments to size the table.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import NamedTuple
 
@@ -177,7 +178,7 @@ class _FluxDefects:
         self.cells = cells = np.nonzero(mesh.interior_cell_mask)[0]
         self.vols = mesh.cell_volumes[cells]
         self.cell_faces = mesh.cell_faces[cells]
-        self.areas = mesh.face_measures[self.cell_faces]
+        self.areas = mesh.cell_face_measures[cells]
         self.meas = layout.piece_measures(mesh)[cells]
         self.diam_coef = (mesh.cell_diameters / mesh.cell_volumes)[cells]
         self.x2_coef = ((self.meas / self.vols[:, None, None])
@@ -513,24 +514,31 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
     Both terms use mesh-independent panelised rules over the support box of
     phi (the limit object does not depend on the discretisation level; the
     integrands vanish outside the support).  The space-time box is a tensor
-    grid of spatial nodes x time nodes, and each volume integrand is formed
-    over chunks of its first spatial axis (``quadrature.chunk_slices``,
-    about ``CHUNK_VALUES`` nodes a chunk), written into one vector of the
-    box's nodes: the time term, then the space term.  On each chunk the
-    limit fields are evaluated on the grid as such: a ``Reference`` q or v
-    forms its x-only part once per spatial node and combines it with each
-    time node (``Reference.on_grid``), while a plain closure is called once
-    on every node.  phi, d_t phi and grad phi come from the bumps and the
-    time factor on each axis's 1D nodes (``TestFunction.at_grid``), formed
-    in the product order of ``TestFunction``, so they equal
-    ``phi.value/dt/grad`` at the nodes bit for bit.  Every value goes
-    through the same operations in any chunk, and each term is one flat
+    grid of spatial nodes x time nodes, and the volume integrands are
+    formed over chunks of its first spatial axis
+    (``quadrature.chunk_slices``, about ``CHUNK_VALUES`` nodes a chunk).
+    On each chunk the limit fields are evaluated on the grid as such: a
+    ``Reference`` q or v forms its x-only part once per spatial node and
+    combines it with each time node (``Reference.on_grid``), while a plain
+    closure is called once on every node.  phi, d_t phi and grad phi come
+    from the bumps and the time factor on each axis's 1D nodes
+    (``TestFunction.at_grid``), formed in the product order of
+    ``TestFunction``, so they equal ``phi.value/dt/grad`` at the nodes bit
+    for bit.  Every value goes through the same operations in any chunk.
+
+    The reported terms are each written into one vector of the box's
+    nodes, the time term and then the space term, and each is one flat
     weighted sum of the whole vector in the C order of the box nodes
     (``BoxQuadrature.integrate``), independent of the BLAS thread count.
 
-    With ``check`` the volume term is integrated again at order+2; the
-    difference is returned as ``check_delta`` and a warning is emitted
-    when it exceeds 1e-7 (1 + |volume|).
+    With ``check`` the volume term is integrated again at order+2, in one
+    pass over the chunks of that box, which is never held whole: per
+    chunk the weighted integrand w (beta(q) d_t phi + g(q) v . grad phi)
+    forms a table of one row per first-axis node (``row_weights``),
+    reduced by ``quadrature.step_sum`` like every reported space-time sum,
+    so its value does not depend on ``CHUNK_VALUES``.  The difference is
+    returned as ``check_delta`` and a warning is emitted when it exceeds
+    1e-7 (1 + |volume|).
     """
     dim = phi.dim
     space_box = BoxQuadrature(list(phi.support), panels, order)
@@ -538,43 +546,50 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
     init = -space_box.integrate(pair.beta(q0(space_box.points)) * phi_x0)
     bounds = list(phi.support) + [(0.0, phi.t_max)]
 
-    def volume_integrals(box):
-        """int beta(q) d_t phi and int g(q) v . grad phi over the box."""
+    def time_term(on_chunk, t_axis, x, qb):
+        return pair.beta(qb) * on_chunk.dt(t_axis).ravel()
+
+    def space_term(on_chunk, t_axis, x, qb):
+        grad = on_chunk.grad(t_axis).reshape(-1, dim)
+        if v_exact is None:
+            return pair.flux(qb) * grad[:, 0]
+        vv = np.asarray(_reference_at(v_exact, x, t_axis.ravel()),
+                        dtype=float).reshape(-1, dim)
+        return pair.g(qb) * np.einsum("nd,nd->n", vv, grad)
+
+    def chunk_values(box, terms):
+        """Per chunk of the box's first-axis nodes, the slice ``rows`` of
+        them and the values of each of ``terms`` on the chunk's nodes, in
+        C order; q is evaluated once for all the terms."""
         axes, t_axis = box.grid_axes[:dim], box.grid_axes[dim]
         times = t_axis.ravel()
         on_box = phi.at_grid(axes)
+        per_row = math.prod(a.size for a in box.grid_axes[1:])
+        for rows in chunk_slices(axes[0].size, per_row):
+            x = tensor_points([axes[0][rows]] + axes[1:])
+            qb = np.asarray(_reference_at(q_exact, x, times),
+                            dtype=float).ravel()
+            on_chunk = on_box.first_rows(rows)
+            yield rows, [term(on_chunk, t_axis, x, qb) for term in terms]
 
-        def time_term(on_chunk, x, qb):
-            return pair.beta(qb) * on_chunk.dt(t_axis).ravel()
-
-        def space_term(on_chunk, x, qb):
-            grad = on_chunk.grad(t_axis).reshape(-1, dim)
-            if v_exact is None:
-                return pair.flux(qb) * grad[:, 0]
-            vv = np.asarray(_reference_at(v_exact, x, times),
-                            dtype=float).reshape(-1, dim)
-            return pair.g(qb) * np.einsum("nd,nd->n", vv, grad)
-
-        # the nodes of one index of the first axis are consecutive in C order
-        per_row = box.weights.size // axes[0].size
-        vals = np.empty(box.weights.size)
-        out = []
-        for term in (time_term, space_term):
-            for rows in chunk_slices(axes[0].size, per_row):
-                x = tensor_points([axes[0][rows]] + axes[1:])
-                qb = np.asarray(_reference_at(q_exact, x, times),
-                                dtype=float).ravel()
-                vals[rows.start * per_row:rows.stop * per_row] = term(
-                    on_box.first_rows(rows), x, qb)
-            out.append(box.integrate(vals))
-        return out
-
-    time_int, space_int = volume_integrals(BoxQuadrature(bounds, panels, order))
-    vol_time, vol_space = -time_int, -space_int
+    box = BoxQuadrature(bounds, panels, order)
+    # the nodes of one index of the first axis are consecutive in C order
+    per_row = box.weights.size // box.grid_axes[0].size
+    vals = np.empty(box.weights.size)
+    integrals = []
+    for term in (time_term, space_term):
+        for rows, (values,) in chunk_values(box, [term]):
+            vals[rows.start * per_row:rows.stop * per_row] = values
+        integrals.append(box.integrate(vals))
+    vol_time, vol_space = -integrals[0], -integrals[1]
     volume = vol_time + vol_space
     delta = np.nan
     if check:
-        vol2 = -sum(volume_integrals(BoxQuadrature(bounds, panels, order + 2)))
+        box = BoxQuadrature(bounds, panels, order + 2)
+        chunks = chunk_values(box, [time_term, space_term])
+        vol2 = -step_sum(box.row_weights(rows)
+                         * (t + s).reshape(rows.stop - rows.start, -1)
+                         for rows, (t, s) in chunks)
         delta = abs(volume - vol2)
         if delta > 1e-7 * (1.0 + abs(volume)):
             warnings.warn(f"weak-form volume quadrature disagreement "

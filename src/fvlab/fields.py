@@ -502,8 +502,8 @@ def interpolate_test(phi: TestFunction, mesh, grid, order: int = DEFAULT_ORDER,
                                 CellQuadrature.means)
     face_table = _support_table(phi, FaceQuadrature, mesh, order, panels,
                                 FaceQuadrature.means)
-    areas = mesh.face_measures[mesh.cell_faces]             # (NC, nf)
-    weights = areas[:, :, None] * mesh.cell_face_normals    # (NC, nf, dim)
+    weights = (mesh.cell_face_measures[:, :, None]
+               * mesh.cell_face_normals)                    # (NC, nf, dim)
     face_vals = face_table[mesh.cell_faces]                 # (NC, nf)
     if weights.shape[1] == 4:
         gsum = sum_opposite_first(face_vals[..., None] * weights, axis=1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -234,6 +235,15 @@ class PrimalMesh:
                 arr.setflags(write=False)
 
     # ------------------------------------------------------------------
+    @cached_property
+    def cell_face_measures(self) -> np.ndarray:
+        """|zeta| per (cell, local face), (NC, nf): the one gather of the
+        face measures that every per-cell face sum reads, built on first
+        use."""
+        measures = self.face_measures[self.cell_faces]
+        measures.setflags(write=False)
+        return measures
+
     @property
     def n_cells(self) -> int:
         return self.cell_vertices.shape[0]
@@ -551,7 +561,8 @@ def regularity(mesh: PrimalMesh, grid: TimeGrid,
 def check_mesh_identities(mesh: PrimalMesh, mac: DualMeshMAC | None = None,
                           rt: DualMeshRT | None = None):
     """Return a list of human-readable violations (empty when all hold)."""
-    # per-cell closure sum |zeta| n_{P,zeta} = 0
+    # per-cell closure sum |zeta| n_{P,zeta} = 0, on the stored face
+    # measures (``cell_face_measures`` is derived from them)
     areas = mesh.face_measures[mesh.cell_faces]             # (NC, nf)
     closure = np.einsum("cf,cfd->cd", areas, mesh.cell_face_normals)
     norm = np.sqrt((closure ** 2).sum(-1))

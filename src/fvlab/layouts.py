@@ -181,7 +181,7 @@ class _MAC(Layout):
 
     def jump_edges(self, mesh, dual):
         # weight diam(P)(|zeta| + |zeta'|) per direction pair
-        areas = mesh.face_measures[mesh.cell_faces]
+        areas = mesh.cell_face_measures
         a, b = np.asarray(dual.direction_pairs_local).T
         return (dual.direction_pairs_local,
                 mesh.cell_diameters[:, None] * (areas[:, a] + areas[:, b]),

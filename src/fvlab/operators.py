@@ -249,7 +249,7 @@ def flux_divergence(flux: FluxFamily) -> np.ndarray:
 def divergence(dots, mesh) -> np.ndarray:
     """sum_zeta |zeta| F . n per (step, cell) of F . n per (step, cell,
     local face); opposite faces paired first."""
-    terms = mesh.face_measures[mesh.cell_faces][None, :, :] * dots
+    terms = mesh.cell_face_measures[None, :, :] * dots
     if terms.shape[2] == 4:
         return sum_opposite_first(terms, axis=2)
     return terms[:, :, 0] + terms[:, :, 1]

@@ -19,7 +19,10 @@ Every space-time sum that fvlab reports follows one summation order,
 stated by ``step_values`` and ``add_steps`` and applied whole by
 ``step_sum``.  Steps are evaluated in chunks of about ``CHUNK_VALUES``
 values (``chunk_slices``), a constant that decides only how many steps
-share one call.
+share one call.  The one flat sum is ``BoxQuadrature.integrate``, kept
+for the reported weak-form terms of ``consistency.weak_rhs``; its order+2
+self-check reduces its box by ``step_sum`` over rows of the first axis
+(``BoxQuadrature.row_weights``) instead.
 
 Cell means use a shifted weighted average, ``f0 + sum(w * (f - f0))``, so a
 constant integrand reproduces the constant bitwise.
@@ -352,10 +355,8 @@ class BoxQuadrature:
         along = [[-1 if e == d else 1 for e in range(k)] for d in range(k)]
         self.grid_axes = [nodes.reshape(along[d])
                           for d, (nodes, _) in enumerate(axes)]
-        # weight products in axis order, (w_0 * w_1) * w_2
-        self.weights = reduce(np.multiply, [
-            weights.reshape(along[d])
-            for d, (_, weights) in enumerate(axes)]).ravel()
+        self._axis_weights = [weights.reshape(along[d])
+                              for d, (_, weights) in enumerate(axes)]
         self.bounds = bounds
 
     @cached_property
@@ -363,6 +364,21 @@ class BoxQuadrature:
         """The box nodes, one row per node in C order; built on first use
         only, callers that can work per axis use ``grid_axes``."""
         return tensor_points(self.grid_axes)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The weight of each node of ``points``, in C order; built on
+        first use only, callers that reduce by rows use ``row_weights``."""
+        return self.row_weights(slice(None)).ravel()
+
+    def row_weights(self, rows: slice) -> np.ndarray:
+        """The weights of the nodes of the first-axis indices ``rows`` (a
+        slice), shaped (rows, nodes per index): the matching rows of
+        ``weights``."""
+        first = self._axis_weights[0][rows]
+        # weight products in axis order, (w_0 * w_1) * w_2
+        products = reduce(np.multiply, [first] + self._axis_weights[1:])
+        return products.reshape(first.size, -1)
 
     def integrate(self, vals) -> float:
         """Integral over the box of the values on ``points``.  The sum is

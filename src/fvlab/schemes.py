@@ -95,6 +95,7 @@ def _march(mesh, grid, config: SchemeConfig, v, fluxes):
     dual = None if v is None else v.dual
     dt = float(grid.steps[0])
     vols = mesh.cell_volumes
+    rates = dt / vols
     bfaces = np.nonzero(mesh.boundary_face_mask)[0]
     bmeasures = mesh.face_measures[bfaces]
     values = np.empty((grid.n_steps + 1, mesh.n_cells))
@@ -107,7 +108,7 @@ def _march(mesh, grid, config: SchemeConfig, v, fluxes):
         level = slice(n, n + 1)
         flux = fluxes(values[level], None if v is None else v.values[level])
         div = divergence(layout.cell_normal(flux, mesh, dual), mesh)[0]
-        values[n + 1] = values[n] - (dt / vols) * div
+        values[n + 1] = values[n] - rates * div
         mass[n + 1] = float(np.dot(vols, values[n + 1]))
         boundary[n] = dt * float(
             (bmeasures * layout.face_normal(flux, bfaces, mesh, dual)[0]).sum())
@@ -144,7 +145,7 @@ def run_mass_mac(mesh, dual, config: SchemeConfig):
     if config.velocity is None:
         raise ValueError("run_mass_mac needs a closed-form velocity")
     vols = mesh.cell_volumes
-    areas = mesh.face_measures[mesh.cell_faces]
+    areas = mesh.cell_face_measures
     delta = dual.cell_face_delta
 
     def dt_bound(vn):

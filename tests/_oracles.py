@@ -379,21 +379,23 @@ def residual_time_slab(betas, phi, space_order=4, time_order=4):
 def weak_rhs_whole(pair, q_exact, v_exact, q0, phi, order=ORACLE_ORDER,
                    panels=12, check=True):
     """``weak_rhs`` with each volume integrand formed on the whole
-    space-time box at once, then summed by the same flat
-    ``BoxQuadrature.integrate``."""
+    space-time box at once: the reported terms summed by the same flat
+    ``BoxQuadrature.integrate``, the order+2 check as the documented
+    summation order (``per_step_sum``) of the whole box's weighted
+    integrand, one row per node of the first axis."""
     dim = phi.dim
     space_box = BoxQuadrature(list(phi.support), panels, order)
     phi_x0 = phi.at_grid(space_box.grid_axes).value(0.0).ravel()
     init = -space_box.integrate(pair.beta(q0(space_box.points)) * phi_x0)
     bounds = list(phi.support) + [(0.0, phi.t_max)]
 
-    def volume_integrals(box):
+    def integrands(box):
         x = tensor_points(box.grid_axes[:dim])
         t_axis = box.grid_axes[dim]
         times = t_axis.ravel()
         on_box = phi.at_grid(box.grid_axes[:dim])
         qb = np.asarray(_reference_at(q_exact, x, times), dtype=float).ravel()
-        time_int = box.integrate(pair.beta(qb) * on_box.dt(t_axis).ravel())
+        time = pair.beta(qb) * on_box.dt(t_axis).ravel()
         grad = on_box.grad(t_axis).reshape(-1, dim)
         if v_exact is None:
             space = pair.flux(qb) * grad[:, 0]
@@ -401,14 +403,18 @@ def weak_rhs_whole(pair, q_exact, v_exact, q0, phi, order=ORACLE_ORDER,
             vv = np.asarray(_reference_at(v_exact, x, times),
                             dtype=float).reshape(-1, dim)
             space = pair.g(qb) * np.einsum("nd,nd->n", vv, grad)
-        return time_int, box.integrate(space)
+        return time, space
 
-    time_int, space_int = volume_integrals(BoxQuadrature(bounds, panels, order))
-    vol_time, vol_space = -time_int, -space_int
+    box = BoxQuadrature(bounds, panels, order)
+    time, space = integrands(box)
+    vol_time, vol_space = -box.integrate(time), -box.integrate(space)
     volume = vol_time + vol_space
     delta = np.nan
     if check:
-        vol2 = -sum(volume_integrals(BoxQuadrature(bounds, panels, order + 2)))
+        box = BoxQuadrature(bounds, panels, order + 2)
+        time, space = integrands(box)
+        terms = box.weights * (time + space)
+        vol2 = -per_step_sum(terms.reshape(box.grid_axes[0].size, -1))
         delta = abs(volume - vol2)
         if delta > 1e-7 * (1.0 + abs(volume)):
             warnings.warn(f"weak-form volume quadrature disagreement "

@@ -912,9 +912,10 @@ def _plain(f):
 @pytest.mark.parametrize("solution", ["constant", "sinsin_cos",
                                       "sinsin_shear", "bump_advect_1d"])
 def test_weak_rhs_equals_pointwise_evaluation(solution, beta, closure):
-    # every term is one flat dot of the box weights with the integrand at
-    # the box nodes; the limit fields and phi evaluated point by point give
-    # the same bits, and so does the order+2 rerun of the self-check
+    # every reported term is one flat dot of the box weights with the
+    # integrand at the box nodes; the limit fields and phi evaluated point
+    # by point give the same bits, and so does the order+2 rerun of the
+    # self-check, reduced row by row
     sol = manufactured_solution(solution)
     q_exact, v_exact = sol["q"], sol["v"]
     if closure == "plain":
@@ -944,17 +945,19 @@ def test_weak_rhs_equals_pointwise_evaluation(solution, beta, closure):
         return pair.g(q_exact(x, t)) * np.einsum("nd,nd->n", v_exact(x, t),
                                                  grad)
 
-    def integrals(order):
-        box = BoxQuadrature(list(support) + [(0.0, 0.3)], 3, order)
-        return (box.integrate(time_part(box.points)),
-                box.integrate(space_part(box.points)))
-
-    time_int, space_int = integrals(4)
+    box = BoxQuadrature(list(support) + [(0.0, 0.3)], 3, 4)
+    time_int = box.integrate(time_part(box.points))
+    space_int = box.integrate(space_part(box.points))
     assert rhs.init_term == init
     assert rhs.volume_time == -time_int
     assert rhs.volume_space == -space_int
     volume = -time_int + -space_int
-    assert rhs.check_delta == abs(volume - -sum(integrals(6)))
+    # the order+2 check: the documented summation order of the weighted
+    # integrand, one row per node of the first axis
+    box = BoxQuadrature(list(support) + [(0.0, 0.3)], 3, 6)
+    terms = box.weights * (time_part(box.points) + space_part(box.points))
+    vol2 = -per_step_sum(terms.reshape(box.grid_axes[0].size, -1))
+    assert rhs.check_delta == abs(volume - vol2)
 
 
 def test_weak_rhs_check_delta_is_nan_unchecked():
@@ -1015,9 +1018,31 @@ def test_weak_rhs_chunks_match_whole_box(data, solution, closure, beta,
 def test_weak_rhs_stays_in_bounded_memory(transient_mib):
     # the study defaults (order 8, 12 panels, and the order-10 self-check
     # box of 1.7 M nodes): forming each integrand on the whole box took
-    # 93.5 MiB above the call's start
+    # 93.5 MiB above the call's start, and the check box's flat weights
+    # and integrand vector 29.3 MiB; streamed, the check adds nothing to
+    # the 17.3 MiB of the order-8 box
     sol = manufactured_solution("sinsin_cos")
     size = transient_mib(lambda: weak_rhs(
         get_pair("id"), sol["q"], sol["v"], lambda x: sol["q"](x, 0.0),
         bump2d()))
-    assert size <= 40, size
+    assert size <= 24, size
+
+
+def test_weak_rhs_check_box_is_never_held_whole():
+    # the order+2 box is reduced chunk by chunk from its per-axis weights:
+    # neither its flat weights nor its points are ever built
+    boxes = []
+
+    class Recorded(BoxQuadrature):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            boxes.append(self)
+
+    sol = manufactured_solution("sinsin_cos")
+    with mock.patch.object(consistency, "BoxQuadrature", Recorded):
+        rhs = weak_rhs(get_pair("id"), sol["q"], sol["v"],
+                       lambda x: sol["q"](x, 0.0), bump2d())
+    assert np.isfinite(rhs.check_delta)
+    space, volume, check = boxes
+    assert "weights" in vars(volume)
+    assert "weights" not in vars(check) and "points" not in vars(check)

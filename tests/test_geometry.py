@@ -44,6 +44,10 @@ def test_geometric_identities(make):
     assert np.all(mesh.cell_volumes > 0)
     assert np.all(mesh.face_measures > 0)
     assert mesh.cell_faces.shape[1] == (2 if mesh.dim == 1 else 4)
+    # |zeta| per (cell, local face): one read-only gather per mesh
+    assert mesh.cell_face_measures.tolist() == [
+        [mesh.face_measures[f] for f in faces] for faces in mesh.cell_faces]
+    assert not mesh.cell_face_measures.flags.writeable
     assert check_mesh_identities(mesh) == []
 
 

@@ -120,6 +120,37 @@ def test_box_quadrature_matches_closed_form():
     assert abs(val - (1 - np.cos(1.0)) * 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("bounds, panels, order, rows", [
+    ([(0.0, 1.0)], 3, 5, 4),
+    ([(0.2, 0.8), (0.3, 0.7)], [2, 3], 4, 3),
+    ([(0.2, 0.8), (0.3, 0.7), (0.0, 0.35)], 2, 5, 7),
+])
+def test_box_row_weights_are_the_rows_of_weights(bounds, panels, order,
+                                                 rows):
+    # the weights of chunks of first-axis rows, the last chunk ragged, are
+    # the rows of the flat weights, whose products run in axis order
+    box = BoxQuadrature(bounds, panels, order)
+    axis_weights = [quadrature._panel_rule(order, m, a, b)[1]
+                    for (a, b), m in zip(bounds, np.broadcast_to(
+                        panels, len(bounds)))]
+    want = axis_weights[0]
+    for w in axis_weights[1:]:
+        want = want[..., None] * w
+    assert [x.hex() for x in box.weights] == \
+        [x.hex() for x in want.ravel()]
+    n_first = box.grid_axes[0].size
+    whole = box.weights.reshape(n_first, -1)
+    with mock.patch.object(quadrature, "CHUNK_VALUES",
+                           rows * whole.shape[1]):
+        chunks = quadrature.chunk_slices(n_first, whole.shape[1])
+    assert len(chunks) > 1 and n_first % rows
+    for chunk in chunks:
+        got = box.row_weights(chunk)
+        assert got.shape == (chunk.stop - chunk.start, whole.shape[1])
+        assert [x.hex() for x in got.ravel()] == \
+            [x.hex() for x in whole[chunk].ravel()]
+
+
 def test_type_error_inside_f_of_x_t_propagates():
     # values(f, t) calls f(x, t) exactly when t is given: a TypeError f
     # raises is the caller's error, never a cue to retry as f(x)

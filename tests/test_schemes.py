@@ -6,9 +6,12 @@ from fvlab.geometry import (build_cartesian, build_dual_mac, build_intervals,
                             build_time_grid)
 from fvlab.operators import (BetaFamily, assemble_convection,
                              flux_colocated_upwind_1d, flux_staggered,
-                             get_pair)
+                             get_pair, staggered_flux_rule)
 from fvlab.schemes import (SchemeConfig, run_mass_mac, run_upwind_1d,
                            sample_manufactured, write_run_metadata_csv)
+from fvlab.study import manufactured_solution
+
+from _oracles import assert_bitwise
 
 
 def bump1d(x):
@@ -157,6 +160,37 @@ def test_mass_mac_one_step_matches_stencil_oracle():
             expect[i, j] = q0[i, j] - (dt / h) * (q0[i, j] - left)
     assert np.abs(q.values[1].reshape(8, 8) - expect).max() < 1e-14
     assert ledger.max_relative_defect() <= 1e-12
+
+
+def test_mass_mac_step_forms_measure_times_flux():
+    # graded faces and the sinsin_shear velocity, so no product is exact:
+    # the flux rule gives F = q_up * v on every face, and one step adds
+    # |zeta| * (F * delta) per local face, opposite faces first.  Forming
+    # the terms as (|zeta| * q_up) * v moves q^1 in its last bits
+    sol = manufactured_solution("sinsin_shear")
+    mesh = build_cartesian(8, 8, grading=1.1)
+    dual = build_dual_mac(mesh)
+    cfg = SchemeConfig(q0=lambda x: sol["q"](x, 0.0), T=0.1, cfl=0.5,
+                       velocity=sol["v"])
+    q, v, grid, ledger = run_mass_mac(mesh, dual, cfg)
+    q0, v0, dt = q.values[0], v.values[0], float(grid.steps[0])
+    flux = np.empty(mesh.n_faces)
+    for f, (p, r) in enumerate(mesh.face_cells):
+        qr = 0.0 if r < 0 else q0[r]        # exterior value 0
+        signal = v0[f] * dual.face_delta_first[f]
+        up = (q0[p] if signal > 0 else qr if signal < 0
+              else 0.5 * q0[p] + 0.5 * qr)
+        flux[f] = up * v0[f]
+    q1 = np.empty(mesh.n_cells)
+    for c, faces in enumerate(mesh.cell_faces):
+        t = [mesh.face_measures[f] * (flux[f] * dual.cell_face_delta[c, k])
+             for k, f in enumerate(faces)]
+        q1[c] = q0[c] - (dt / mesh.cell_volumes[c]) * ((t[0] + t[2])
+                                                       + (t[1] + t[3]))
+    rule = staggered_flux_rule(mesh, v, get_pair("id"))
+    assert_bitwise(rule(q.values[:1], v.values[:1])[0], flux)
+    assert_bitwise(q.values[1], q1)
+    assert np.any(q1 != q0)
 
 
 def test_mass_mac_divergence_free_swirl_mass_exact():
