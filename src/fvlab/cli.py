@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import os
 import sys
 from pathlib import Path
 
@@ -157,28 +156,28 @@ def _mesh_for(cfg: StudyConfig, meta: dict):
     return mesh, dual
 
 
-def cmd_mesh_info(cfg: StudyConfig, meta: dict, out=None) -> int:
+def cmd_mesh_info(cfg: StudyConfig, meta: dict) -> int:
     mesh, dual = _mesh_for(cfg, meta)
     grid = build_time_grid(cfg.T, max(1, round(
         cfg.T / (cfg.dt_over_h * mesh.delta()))), pattern=cfg.time_pattern,
         ratio=cfg.time_ratio)
     mac = dual if isinstance(dual, DualMeshMAC) else None
     reg = regularity(mesh, grid, mac=mac)
-    print(f"dimension    {mesh.dim}", file=out)
-    print(f"cells        {mesh.n_cells}", file=out)
-    print(f"faces        {mesh.n_faces}", file=out)
-    print(f"vertices     {mesh.n_vertices}", file=out)
-    print(f"interior     {int(mesh.interior_cell_mask.sum())}", file=out)
-    print(f"delta        {mesh.delta():.17g}", file=out)
-    print(f"theta1       {reg.theta1:.17g}", file=out)
-    print(f"theta2       {reg.theta2:.17g}", file=out)
-    print(f"theta3       {reg.theta3:.17g}", file=out)
+    print(f"dimension    {mesh.dim}")
+    print(f"cells        {mesh.n_cells}")
+    print(f"faces        {mesh.n_faces}")
+    print(f"vertices     {mesh.n_vertices}")
+    print(f"interior     {int(mesh.interior_cell_mask.sum())}")
+    print(f"delta        {mesh.delta():.17g}")
+    print(f"theta1       {reg.theta1:.17g}")
+    print(f"theta2       {reg.theta2:.17g}")
+    print(f"theta3       {reg.theta3:.17g}")
     if mac is not None:
-        print(f"theta_mac    {dual.theta:.17g}", file=out)
+        print(f"theta_mac    {dual.theta:.17g}")
     return 0
 
 
-def cmd_run_study(cfg: StudyConfig, meta: dict, out=None) -> int:
+def cmd_run_study(cfg: StudyConfig, meta: dict) -> int:
     out_dir = Path(meta.get("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -189,8 +188,7 @@ def cmd_run_study(cfg: StudyConfig, meta: dict, out=None) -> int:
         return 4
     write_report_csv(result, out_dir / "report.csv")
     write_rates_csv(result, out_dir / "rates.csv")
-    print(f"wrote {out_dir / 'report.csv'} and {out_dir / 'rates.csv'}",
-          file=out)
+    print(f"wrote {out_dir / 'report.csv'} and {out_dir / 'rates.csv'}")
     failed = result.failed_thresholds()
     for name in failed:
         print(f"threshold failed: {name}: finest-pair slope "
@@ -199,7 +197,7 @@ def cmd_run_study(cfg: StudyConfig, meta: dict, out=None) -> int:
     return 3 if failed else 0
 
 
-def cmd_check_identities(cfg: StudyConfig, meta: dict, out=None) -> int:
+def cmd_check_identities(cfg: StudyConfig, meta: dict) -> int:
     mesh, dual = _mesh_for(cfg, meta)
     problems = check_mesh_identities(
         mesh,
@@ -229,9 +227,9 @@ def cmd_check_identities(cfg: StudyConfig, meta: dict, out=None) -> int:
             problems.append(f"gradient identity suite: {exc}")
     if problems:
         for p in problems:
-            print(f"FAIL {p}", file=out)
+            print(f"FAIL {p}")
         return 1
-    print("all identities hold", file=out)
+    print("all identities hold")
     return 0
 
 
@@ -250,10 +248,8 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--levels", type=int, default=None,
                        help="override the refinement level count")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the mesh perturbation seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (fallback: FVLAB_THREADS)")
+                       help="worker threads")
     args = parser.parse_args(argv)
     try:
         cfg, meta = parse_config(args.config)
@@ -262,17 +258,8 @@ def main(argv=None) -> int:
         return 2
     if args.levels is not None:
         cfg.levels = args.levels
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.threads is not None:
         cfg.threads = args.threads
-    elif os.environ.get("FVLAB_THREADS"):
-        try:
-            cfg.threads = int(os.environ["FVLAB_THREADS"])
-        except ValueError:
-            print("config error: FVLAB_THREADS is not an integer",
-                  file=sys.stderr)
-            return 2
     if args.out is not None:
         meta["out_dir"] = args.out
     try:

@@ -121,9 +121,9 @@ def _x1_terms(dt, dtb, beta, phi, dtf, table, vols):
                                       * vols, mass=True))
 
 
-def _x1_result(sums, beta0, interp, vols, rtol) -> X1Result:
+def _x1_result(sums, beta0, interp, vols) -> X1Result:
     """X1 from its step values, the by-parts route closed by the boundary
-    term -sum |P| beta^0 phi^0; the two routes must agree to ``rtol``."""
+    term -sum |P| beta^0 phi^0; the two routes must agree to ``X1_RTOL``."""
     direct, direct_mass = sums.total("x1")
     series, series_mass = sums.total("x1_series")
     start = beta0 * interp.cells(0)
@@ -132,14 +132,13 @@ def _x1_result(sums, beta0, interp, vols, rtol) -> X1Result:
     # zeros on one route compare against the other's cancellation scale
     scale = max(abs(direct), abs(by_parts), direct_mass,
                 float(np.einsum("c,c->", vols, np.abs(start))) + series_mass)
-    _check_routes("X1", direct, by_parts, scale, rtol)
+    _check_routes("X1", direct, by_parts, scale, X1_RTOL)
     return X1Result(direct, by_parts)
 
 
-def compute_X1(betas: BetaFamily, interp: InterpolatedTest,
-               rtol: float = X1_RTOL) -> X1Result:
+def compute_X1(betas: BetaFamily, interp: InterpolatedTest) -> X1Result:
     """X1 = sum_n dt_n sum_P |P| (d_t beta)_P^n phi_P^n, plus the
-    summation-by-parts route; the two must agree to `rtol`.
+    summation-by-parts route; the two must agree to ``X1_RTOL``.
 
     Note the |P| weight: the pairing is the integral of the piecewise
     constant (d_t beta) against the interpolate, so each cell enters with
@@ -154,7 +153,7 @@ def compute_X1(betas: BetaFamily, interp: InterpolatedTest,
         sums.add(**_x1_terms(steps[ch], dtb[ch], betas.values[knots],
                              interp.cells(ch), np.diff(interp.tf[knots]),
                              interp.cell_table, vols))
-    return _x1_result(sums, betas.values[0], interp, vols, rtol)
+    return _x1_result(sums, betas.values[0], interp, vols)
 
 
 # ----------------------------------------------------------------------
@@ -220,18 +219,16 @@ class _FluxDefects:
                     x2_remainder=step_values(remainder, mass=True))
 
 
-def _x2_result(sums, rtol) -> X2Result:
-    """X2 from its step values; with the gradient route, the two routes
-    must agree to ``rtol`` (relative to the absolute term mass)."""
+def _x2_result(sums) -> X2Result:
+    """X2 from its step values; its two routes must agree to ``X2_RTOL``
+    (relative to the absolute term mass)."""
     direct, direct_mass = sums.total("x2")
-    if "x2_gradient" not in sums:
-        return X2Result(direct, np.nan, np.nan, np.nan)
     grad_term, grad_mass = sums.total("x2_gradient")
     remainder, remainder_mass = sums.total("x2_remainder")
     gradient_route = grad_term + remainder
     scale = max(abs(direct), abs(gradient_route), direct_mass,
                 grad_mass + remainder_mass)
-    _check_routes("X2", direct, gradient_route, scale, rtol)
+    _check_routes("X2", direct, gradient_route, scale, X2_RTOL)
     return X2Result(direct, gradient_route, grad_term, remainder)
 
 
@@ -245,14 +242,15 @@ def _levels(field, steps):
     return None if field is None else field.values[steps]
 
 
-def compute_X2(flux: FluxFamily, interp: InterpolatedTest, q=None, v=None,
-               pair=None, rtol: float = X2_RTOL):
+def compute_X2(flux: FluxFamily, interp: InterpolatedTest, q, v,
+               pair) -> X2Result:
     """X2 = sum_n dt_n sum_P sum_zeta |zeta| F_zeta^n.n_{P,zeta} phi_P^n.
 
-    When the discrete fields are supplied the gradient/remainder route is
-    evaluated as well and the two must agree to `rtol` (relative to the
-    absolute term mass).  Requires phi to vanish on all non-interior cells
-    and their faces at the current resolution.
+    The gradient/remainder route of the discrete fields q and v (None for
+    colocated 1D) is evaluated as well, and the two must agree to
+    ``X2_RTOL`` (relative to the absolute term mass).  Requires phi to
+    vanish on all non-interior cells and their faces at the current
+    resolution.
     """
     _same_level("compute_X2", flux, interp, q, v)
     _check_support(interp)
@@ -263,14 +261,13 @@ def compute_X2(flux: FluxFamily, interp: InterpolatedTest, q=None, v=None,
     sums = _StepValues()
     for ch in chunk_slices(steps.size,
                            mesh.n_cells * fdotn.shape[2] * layout.pieces):
+        qv, vv = q.values[ch], _levels(v, ch)
         sums.add(x2=step_values(_paired(steps[ch], divergence(fdotn[ch], mesh),
-                                        interp.cells(ch)), mass=True))
-        if q is not None:
-            qv, vv = q.values[ch], _levels(v, ch)
-            sums.add(**defects.x2_terms(
-                steps[ch], qv, vv, defects.table(fdotn[ch], qv, vv), interp,
-                interp.tf[ch]))
-    return _x2_result(sums, rtol)
+                                        interp.cells(ch)), mass=True),
+                 **defects.x2_terms(steps[ch], qv, vv,
+                                    defects.table(fdotn[ch], qv, vv), interp,
+                                    interp.tf[ch]))
+    return _x2_result(sums)
 
 
 # ----------------------------------------------------------------------
@@ -323,14 +320,13 @@ class _TimeTerms:
     factored as (Gauss rule of tf over the slab) * (cell rule of B over P,
     on the cells meeting its support), on the interior cells."""
 
-    def __init__(self, phi, mesh, grid, space_order, time_order):
+    def __init__(self, phi, mesh, grid, space_order):
         self.cells = np.nonzero(mesh.interior_cell_mask)[0]
         self.vols = mesh.cell_volumes[self.cells]
         self.space_int = _support_table(
             phi, CellQuadrature, mesh, space_order, 1,
             CellQuadrature.cell_integrals)[self.cells]
-        self.time_int = slab_time_integrals(grid.knots, phi._time_factor,
-                                            time_order)
+        self.time_int = slab_time_integrals(grid.knots, phi._time_factor)
 
     def terms(self, ch, dt, beta, qk):
         """The step values of the signed sum and of the majorant's sum on
@@ -350,8 +346,7 @@ def _time_result(sums, phi, c_beta) -> TimeResidual:
 
 
 def residual_time(betas: BetaFamily, q, phi, pair,
-                  space_order: int = DEFAULT_ORDER,
-                  time_order: int = DEFAULT_ORDER) -> TimeResidual:
+                  space_order: int = DEFAULT_ORDER) -> TimeResidual:
     """Time-consistency residual for the explicit convention (the discrete
     function takes the level n-1 value on [t_{n-1}, t_n)).
 
@@ -363,7 +358,7 @@ def residual_time(betas: BetaFamily, q, phi, pair,
     """
     _same_level("residual_time", betas, q)
     mesh, grid = betas.mesh, betas.grid
-    time_terms = _TimeTerms(phi, mesh, grid, space_order, time_order)
+    time_terms = _TimeTerms(phi, mesh, grid, space_order)
     sums = _StepValues()
     for ch in chunk_slices(grid.n_steps, time_terms.cells.size):
         knots = slice(ch.start, ch.stop + 1)
@@ -460,16 +455,17 @@ class _JumpTerms:
                 vv, dt, self.mesh, self.edges, self.weights))
         return out
 
-    def result(self, sums, rtol) -> JumpSums:
+    def result(self, sums) -> JumpSums:
         r1, r1_face = sums.total("r1"), sums.total("r1_face")
-        _check_routes("R1", r1, r1_face, max(abs(r1), abs(r1_face)), rtol)
+        _check_routes("R1", r1, r1_face, max(abs(r1), abs(r1_face)), R1_RTOL)
         r2 = 0.0 if self.layout is None else sums.total("r2")
         return JumpSums(r1, r1_face, r2, self.const)
 
 
-def jump_sums(q, v, rtol: float = R1_RTOL) -> JumpSums:
-    """Scalar jumps R1 (cell-sum and reordered face-sum forms, asserted
-    equal) and staggered velocity jumps R2 across dual edges.
+def jump_sums(q, v) -> JumpSums:
+    """Scalar jumps R1 (cell-sum and reordered face-sum forms, which must
+    agree to ``R1_RTOL``) and staggered velocity jumps R2 across dual
+    edges.
 
     The layout and dual are those of the face velocity v; with v None the
     layout is colocated 1D and R2 is 0.  The weights are those of
@@ -481,7 +477,7 @@ def jump_sums(q, v, rtol: float = R1_RTOL) -> JumpSums:
     sums = _StepValues()
     for ch in chunk_slices(steps.size, jumps.w_ck.size):
         sums.add(**jumps.terms(steps[ch], q.values[ch], _levels(v, ch)))
-    return jumps.result(sums, rtol)
+    return jumps.result(sums)
 
 
 def measured_constant(q, v, pair) -> float:
@@ -500,14 +496,13 @@ class WeakRhs(NamedTuple):
     total: float
     init_term: float
     volume_term: float
-    volume_time: float = np.nan     # -int int beta(q) d_t phi
-    volume_space: float = np.nan    # -int int g(q) v . grad phi
-    check_delta: float = np.nan     # |volume - volume at order+2|; NaN unchecked
+    volume_time: float             # -int int beta(q) d_t phi
+    volume_space: float            # -int int g(q) v . grad phi
+    check_delta: float             # |volume - volume at order+2|
 
 
 def weak_rhs(pair, q_exact, v_exact, q0, phi,
-             order: int = ORACLE_ORDER, panels: int = 12,
-             check: bool = True) -> WeakRhs:
+             order: int = ORACLE_ORDER, panels: int = 12) -> WeakRhs:
     """Right-hand side of the weak form for a closed-form limit:
     -int beta(q0) phi(.,0) - int int (beta(q) d_t phi + g(q) v . grad phi).
 
@@ -531,7 +526,7 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
     weighted sum of the whole vector in the C order of the box nodes
     (``BoxQuadrature.integrate``), independent of the BLAS thread count.
 
-    With ``check`` the volume term is integrated again at order+2, in one
+    The volume term is integrated again at order+2 as a self-check, in one
     pass over the chunks of that box, which is never held whole: per
     chunk the weighted integrand w (beta(q) d_t phi + g(q) v . grad phi)
     forms a table of one row per first-axis node (``row_weights``),
@@ -583,17 +578,15 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
         integrals.append(box.integrate(vals))
     vol_time, vol_space = -integrals[0], -integrals[1]
     volume = vol_time + vol_space
-    delta = np.nan
-    if check:
-        box = BoxQuadrature(bounds, panels, order + 2)
-        chunks = chunk_values(box, [time_term, space_term])
-        vol2 = -step_sum(box.row_weights(rows)
-                         * (t + s).reshape(rows.stop - rows.start, -1)
-                         for rows, (t, s) in chunks)
-        delta = abs(volume - vol2)
-        if delta > 1e-7 * (1.0 + abs(volume)):
-            warnings.warn(f"weak-form volume quadrature disagreement "
-                          f"{delta:.3e}", stacklevel=2)
+    box = BoxQuadrature(bounds, panels, order + 2)
+    chunks = chunk_values(box, [time_term, space_term])
+    vol2 = -step_sum(box.row_weights(rows)
+                     * (t + s).reshape(rows.stop - rows.start, -1)
+                     for rows, (t, s) in chunks)
+    delta = abs(volume - vol2)
+    if delta > 1e-7 * (1.0 + abs(volume)):
+        warnings.warn(f"weak-form volume quadrature disagreement "
+                      f"{delta:.3e}", stacklevel=2)
     return WeakRhs(init + volume, init, volume, vol_time, vol_space, delta)
 
 
@@ -614,13 +607,10 @@ class WeakGap(NamedTuple):
     rhs_volume: float
 
 
-def weak_form_gap(c_field, interp, exact, pair, order: int = ORACLE_ORDER,
-                  panels: int = 12, rhs: WeakRhs | None = None) -> WeakGap:
-    """|LHS - RHS| of the weak-consistency statement.
-
-    ``exact = (q_exact, v_exact, q0)`` gives the closed-form limit fields
-    (v_exact None for the colocated 1D operator).  A precomputed ``rhs`` may
-    be passed to avoid re-integrating the level-independent right-hand side.
+def weak_form_gap(c_field, interp, rhs: WeakRhs) -> WeakGap:
+    """|LHS - RHS| of the weak-consistency statement: the pairing
+    ``weak_lhs`` of C(U) with the interpolate against ``rhs``, the
+    level-independent ``weak_rhs`` of the closed-form limit.
 
     For fields a scheme produced (``field_source = scheme``) the gap is a
     floor, not a convergence measure: the scheme steps with the flux rule
@@ -632,12 +622,7 @@ def weak_form_gap(c_field, interp, exact, pair, order: int = ORACLE_ORDER,
     scheme's upwind (or a pair other than ``id``), which assembles C(U)
     with another flux.
     """
-    q_exact, v_exact, q0 = exact
-    lhs = weak_lhs(c_field, interp)
-    if rhs is None:
-        rhs = weak_rhs(pair, q_exact, v_exact, q0, interp.phi,
-                       order=order, panels=panels)
-    return _gap(lhs, rhs)
+    return _gap(weak_lhs(c_field, interp), rhs)
 
 
 def _gap(lhs: float, rhs: WeakRhs) -> WeakGap:
@@ -695,7 +680,7 @@ def level_pass(q, v, pair, fluxes, interp: InterpolatedTest, exact,
     beta0 = pair.beta(q.values[0])
     init = _init_residual(beta0, mesh, q0, phi, pair, init_order)
     defects = _FluxDefects(mesh, layout, dual, pair)
-    time_terms = _TimeTerms(phi, mesh, grid, order, DEFAULT_ORDER)
+    time_terms = _TimeTerms(phi, mesh, grid, order)
     jumps = _JumpTerms(mesh, v)
     l1 = l1_steps(q, q_exact, order)
     kx, lx = mesh.face_cells[mesh.interior_face_mask].T
@@ -739,12 +724,12 @@ def level_pass(q, v, pair, fluxes, interp: InterpolatedTest, exact,
     q_min, q_max = float(q_min), float(q_max)
     c_beta, c_g = pair.lipschitz(q_min, q_max)
     return LevelSums(
-        x1=_x1_result(sums, beta0, interp, vols, X1_RTOL),
-        x2=_x2_result(sums, X2_RTOL),
+        x1=_x1_result(sums, beta0, interp, vols),
+        x2=_x2_result(sums),
         init=init,
         time=_time_result(sums, phi, c_beta),
         res_flux=sums.total("res_flux"),
-        jumps=jumps.result(sums, R1_RTOL),
+        jumps=jumps.result(sums),
         translate=sums.total("translate_space") + sums.total("translate_time"),
         gap=_gap(sums.total("weak_lhs"), rhs),
         l1_distance=sums.total("l1"),

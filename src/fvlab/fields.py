@@ -524,7 +524,7 @@ class LpDistance(NamedTuple):
 
 
 def lp_distance(field: CellScalarField, ref: Callable,
-                order: int = DEFAULT_ORDER, time_order: int = 4) -> LpDistance:
+                order: int = DEFAULT_ORDER) -> LpDistance:
     """L1 distance between a cell field and a continuous function (a
     ``Reference`` or a plain ref(x, t)).
 
@@ -534,18 +534,18 @@ def lp_distance(field: CellScalarField, ref: Callable,
     (slab, cell) table, formed one chunk of steps at a time
     (``l1_steps``).
     """
-    l1 = l1_steps(field, ref, order, time_order)
+    l1 = l1_steps(field, ref, order)
     chunks = chunk_slices(field.grid.n_steps, field.mesh.n_cells)
     return LpDistance(add_steps(np.concatenate([l1(ch) for ch in chunks])),
                       field.sup_norm())
 
 
 def l1_steps(field: CellScalarField, ref: Callable,
-             order: int = DEFAULT_ORDER, time_order: int = 4):
+             order: int = DEFAULT_ORDER):
     """The step values (``step_values``) of the L1 distance of
     ``lp_distance`` as a function of a slice of steps; the rule and the
     x-only part of ref are formed once, here."""
-    slab = SlabQuadrature(field.mesh, field.grid, order, time_order)
+    slab = SlabQuadrature(field.mesh, field.grid, order)
     ev = _reference_at(ref, slab.cell.flat_points())
     nodes = slab.cell.points.shape[:2]
     buffer = np.empty(0)    # |q - ref| of every chunk of steps, reused

@@ -585,7 +585,7 @@ def check_mesh_identities(mesh: PrimalMesh, mac: DualMeshMAC | None = None,
     # measures positive, domain covered
     if np.any(mesh.cell_volumes <= 0):
         bad.append("non-positive cell measure")
-    total = mesh.cell_volumes.sum()
+    total = float(mesh.cell_volumes.sum())
     if abs(total - mesh.domain_measure()) > 1e-12 * mesh.domain_measure():
         bad.append(f"cell measures sum to {total!r}, expected "
                    f"{mesh.domain_measure()!r}")
@@ -596,7 +596,7 @@ def check_mesh_identities(mesh: PrimalMesh, mac: DualMeshMAC | None = None,
     if mac is not None:
         omega = mesh.domain_measure()
         for i in (0, 1):
-            tot = mac.dual_measures[mac.face_family == i].sum()
+            tot = float(mac.dual_measures[mac.face_family == i].sum())
             if abs(tot - omega) > 1e-12 * omega:
                 bad.append(f"MAC duals of direction {i + 1} sum to {tot!r}, "
                            f"expected {omega!r}")

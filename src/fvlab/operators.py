@@ -36,12 +36,12 @@ class NonlinearityPair:
     g: Callable
     f: Callable | None = None
 
-    def lipschitz(self, lo: float, hi: float, samples: int = 4001):
-        """Diagnostic Lipschitz moduli (C_beta, C_g) on [lo, hi] by dense
-        sampling of difference quotients; never used in the schemes."""
+    def lipschitz(self, lo: float, hi: float):
+        """Diagnostic Lipschitz moduli (C_beta, C_g) on [lo, hi] by the
+        difference quotients of 4001 samples; never used in the schemes."""
         if hi <= lo:
             hi = lo + 1.0
-        s = np.linspace(lo, hi, samples)
+        s = np.linspace(lo, hi, 4001)
         def modulus(fn):
             v = np.asarray(fn(s), dtype=float)
             return float(np.abs(np.diff(v) / np.diff(s)).max())

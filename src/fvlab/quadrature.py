@@ -110,16 +110,12 @@ def add_steps(values) -> float:
     return total
 
 
-def step_sum(tables, mass: bool = False):
+def step_sum(tables) -> float:
     """``add_steps`` over the ``step_values`` of the term tables of
     consecutive chunks of steps, in step order; each table is reduced as
-    it comes.  With ``mass`` the sum of |terms| is returned too."""
-    values = [step_values(table, mass) for table in tables]
-    values = (np.concatenate(values, axis=-1) if values
-              else np.zeros((2, 0) if mass else 0))
-    if mass:
-        return add_steps(values[0]), add_steps(values[1])
-    return add_steps(values)
+    it comes."""
+    values = [step_values(table) for table in tables]
+    return add_steps(np.concatenate(values) if values else [])
 
 
 def tensor_points(axes) -> np.ndarray:
@@ -147,10 +143,8 @@ class _RowRule:
     the mesh's cells or faces ``rows`` only (all of them by default), a
     rule's rows carry the bits of the same rows of the rule on all."""
 
-    def __init__(self, mesh, order, panels, rows):
+    def __init__(self, mesh, rows):
         self.mesh = mesh
-        self.order = order
-        self.panels = panels
         self.rows = (slice(None) if rows is None
                      else np.asarray(rows, dtype=np.intp))
 
@@ -171,7 +165,7 @@ class CellQuadrature(_RowRule):
 
     def __init__(self, mesh, order: int = DEFAULT_ORDER, panels: int = 1,
                  rows=None):
-        super().__init__(mesh, order, panels, rows)
+        super().__init__(mesh, rows)
         nodes1d, w1d = composite_gauss_legendre(order, panels)
         verts = mesh.vertices[mesh.cell_vertices[self.rows]]  # (NC, nv, dim)
         if mesh.dim == 1:
@@ -238,7 +232,7 @@ class FaceQuadrature(_RowRule):
 
     def __init__(self, mesh, order: int = DEFAULT_ORDER, panels: int = 1,
                  rows=None):
-        super().__init__(mesh, order, panels, rows)
+        super().__init__(mesh, rows)
         face_vertices = mesh.face_vertices[self.rows]
         if mesh.dim == 1:
             # (NF, 1, 1)
@@ -284,8 +278,8 @@ class SlabQuadrature:
     """Tensor (cell x time-slab) rule for integrals over P x (t_n, t_{n+1})."""
 
     def __init__(self, mesh, grid, space_order: int = DEFAULT_ORDER,
-                 time_order: int = DEFAULT_ORDER, panels: int = 1):
-        self.cell = CellQuadrature(mesh, space_order, panels)
+                 time_order: int = DEFAULT_ORDER):
+        self.cell = CellQuadrature(mesh, space_order)
         self.grid = grid
         self.tnodes1d, self.tweights1d = gauss_legendre(time_order)
         self._weights = None
@@ -339,16 +333,13 @@ class BoxQuadrature:
     """Panelised tensor Gauss-Legendre rule over an axis-aligned box.
 
     Used for mesh-independent space(-time) integrals of smooth integrands;
-    the box is split into `panels` per axis and an `order`-point rule is
-    applied per panel per axis.
+    each axis is split into `panels` panels and an `order`-point rule is
+    applied per panel.
     """
 
-    def __init__(self, bounds, panels, order: int = ORACLE_ORDER):
+    def __init__(self, bounds, panels: int, order: int = ORACLE_ORDER):
         bounds = [tuple(map(float, b)) for b in bounds]
-        if np.isscalar(panels):
-            panels = [int(panels)] * len(bounds)
-        axes = [_panel_rule(order, m, a, b)
-                for (a, b), m in zip(bounds, panels)]
+        axes = [_panel_rule(order, panels, a, b) for a, b in bounds]
         k = len(axes)
         # the 1D nodes of axis d laid along dimension d: they broadcast to
         # the tensor grid, whose C order is the order of `points`

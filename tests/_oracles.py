@@ -247,7 +247,7 @@ def scalar_mesh_identities(mesh, mac=None, rt=None):
     omega = 1.0
     for a, b in mesh.domain:
         omega *= (b - a)
-    total = mesh.cell_volumes.sum()
+    total = float(mesh.cell_volumes.sum())
     if abs(total - omega) > 1e-12 * omega:
         bad.append(f"cell measures sum to {total!r}, expected {omega!r}")
     if rt is not None:
@@ -256,7 +256,7 @@ def scalar_mesh_identities(mesh, mac=None, rt=None):
             bad.append(f"cell {c}: RT half-dual measures do not sum to |P|")
     if mac is not None:
         for i in (0, 1):
-            tot = mac.dual_measures[mac.face_family == i].sum()
+            tot = float(mac.dual_measures[mac.face_family == i].sum())
             if abs(tot - omega) > 1e-12 * omega:
                 bad.append(f"MAC duals of direction {i + 1} sum to {tot!r}, "
                            f"expected {omega!r}")
@@ -289,10 +289,10 @@ def slab_integrals_per_slab(slab, f, n):
     return out
 
 
-def l1_distance_per_slab(field, ref, order=4, time_order=4):
+def l1_distance_per_slab(field, ref, order=4):
     """The L1 distance of ``lp_distance`` with one ``ref(x, t)`` call per
     Gauss time of every slab, the slab sums added in step order."""
-    slab = SlabQuadrature(field.mesh, field.grid, order, time_order)
+    slab = SlabQuadrature(field.mesh, field.grid, order)
     total = 0.0
     for n in range(field.grid.n_steps):
         qn = field.values[n][:, None]
@@ -362,12 +362,12 @@ def materialise(interp):
             tf[:, None, None] * interp.grad_table)
 
 
-def residual_time_slab(betas, phi, space_order=4, time_order=4):
+def residual_time_slab(betas, phi, space_order=4):
     """The signed sum of ``residual_time`` and its term mass sum |terms|,
     with phi's slab integrals formed unfactored: phi.value on every node of
     the (cell x time-slab) rule of every cell (``slab_cell_integrals``)."""
     mesh = betas.mesh
-    slab = SlabQuadrature(mesh, betas.grid, space_order, time_order)
+    slab = SlabQuadrature(mesh, betas.grid, space_order)
     on_cells = phi.at(slab.cell.flat_points())
     phi_int = slab.slab_cell_integrals(
         lambda steps, tn: on_cells.value(tn[..., None]))
@@ -377,7 +377,7 @@ def residual_time_slab(betas, phi, space_order=4, time_order=4):
 
 
 def weak_rhs_whole(pair, q_exact, v_exact, q0, phi, order=ORACLE_ORDER,
-                   panels=12, check=True):
+                   panels=12):
     """``weak_rhs`` with each volume integrand formed on the whole
     space-time box at once: the reported terms summed by the same flat
     ``BoxQuadrature.integrate``, the order+2 check as the documented
@@ -409,16 +409,14 @@ def weak_rhs_whole(pair, q_exact, v_exact, q0, phi, order=ORACLE_ORDER,
     time, space = integrands(box)
     vol_time, vol_space = -box.integrate(time), -box.integrate(space)
     volume = vol_time + vol_space
-    delta = np.nan
-    if check:
-        box = BoxQuadrature(bounds, panels, order + 2)
-        time, space = integrands(box)
-        terms = box.weights * (time + space)
-        vol2 = -per_step_sum(terms.reshape(box.grid_axes[0].size, -1))
-        delta = abs(volume - vol2)
-        if delta > 1e-7 * (1.0 + abs(volume)):
-            warnings.warn(f"weak-form volume quadrature disagreement "
-                          f"{delta:.3e}", stacklevel=2)
+    box = BoxQuadrature(bounds, panels, order + 2)
+    time, space = integrands(box)
+    terms = box.weights * (time + space)
+    vol2 = -per_step_sum(terms.reshape(box.grid_axes[0].size, -1))
+    delta = abs(volume - vol2)
+    if delta > 1e-7 * (1.0 + abs(volume)):
+        warnings.warn(f"weak-form volume quadrature disagreement "
+                      f"{delta:.3e}", stacklevel=2)
     return WeakRhs(init + volume, init, volume, vol_time, vol_space, delta)
 
 
@@ -475,7 +473,7 @@ def compute_level_by_stages(config, level, phi, rhs, base_reg):
     jumps = jump_sums(q, v)
     weights = default_translate_weights(mesh, grid, theta=config.translate_theta)
     trans = translate_functional(q, weights)
-    gap = weak_form_gap(conv, interp, (q_exact, v_exact, q0), pair, rhs=rhs)
+    gap = weak_form_gap(conv, interp, rhs)
     sup_norm = q.sup_norm()
     if v is not None:
         sup_norm = max(sup_norm, v.sup_norm())

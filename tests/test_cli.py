@@ -59,7 +59,7 @@ def test_mesh_info_reports_theta(tmp_path, capsys):
     assert "theta_mac    2" in out
 
 
-def test_bad_config_exit_2(tmp_path, capsys, monkeypatch):
+def test_bad_config_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, "[mesh]\nnx = banana\n", "bad.ini")
     assert main(["mesh-info", "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
@@ -111,16 +111,12 @@ def test_bad_config_exit_2(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert "config error" in err and needle in err, (case, err)
         assert not (out_dir / "report.csv").exists()
-    # a thread count below 1 from the flag or the environment, too
+    # a thread count below 1 from the flag, too
     path = write_config(tmp_path)
     assert main(["run-study", "--config", str(path), "--out",
                  str(tmp_path / "flag"), "--threads", "0"]) == 2
     assert "threads must be >= 1, got 0" in capsys.readouterr().err
-    monkeypatch.setenv("FVLAB_THREADS", "-1")
-    assert main(["run-study", "--config", str(path), "--out",
-                 str(tmp_path / "env")]) == 2
-    assert "threads must be >= 1, got -1" in capsys.readouterr().err
-    assert not (tmp_path / "flag").exists() and not (tmp_path / "env").exists()
+    assert not (tmp_path / "flag").exists()
 
 
 # every key of the schema at a value other than its default; parsing does
@@ -356,20 +352,15 @@ def test_determinism_same_config_same_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_threads_flag_and_env(tmp_path, monkeypatch):
+def test_threads_flag_does_not_change_bytes(tmp_path):
     path = write_config(tmp_path)
     a = tmp_path / "t1"
     b = tmp_path / "t4"
-    c = tmp_path / "tenv"
     assert main(["run-study", "--config", str(path), "--out", str(a),
                  "--threads", "1"]) == 0
     assert main(["run-study", "--config", str(path), "--out", str(b),
                  "--threads", "4"]) == 0
-    monkeypatch.setenv("FVLAB_THREADS", "2")
-    assert main(["run-study", "--config", str(path), "--out", str(c)]) == 0
-    ra = (a / "report.csv").read_bytes()
-    assert ra == (b / "report.csv").read_bytes()
-    assert ra == (c / "report.csv").read_bytes()
+    assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
     assert (a / "rates.csv").read_bytes() == (b / "rates.csv").read_bytes()
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -297,6 +298,33 @@ def test_identity_messages_match_scalar_oracle():
     for text in ("closure sum violated", f"face {f4}: stored normal differs",
                  "cell 5: RT half-dual"):
         assert any(text in m for m in problems), text
+
+
+def test_identity_checks_fire_on_bad_cell_and_dual_measures():
+    # each measure guard on its own, its sums printed as plain floats
+    mesh = build_cartesian(4, 4)
+    mac = build_dual_mac(mesh)
+    assert check_mesh_identities(mesh, mac=mac) == []
+    # one cell of measure 0, its measure moved to a neighbour: the total
+    # still covers the domain
+    flat = copy.copy(mesh)
+    vols = mesh.cell_volumes.copy()
+    vols[6] += vols[5]
+    vols[5] = 0.0
+    flat.cell_volumes = vols
+    assert check_mesh_identities(flat) == ["non-positive cell measure"]
+    grown = copy.copy(mesh)
+    grown.cell_volumes = mesh.cell_volumes * 1.5
+    assert check_mesh_identities(grown) == [
+        "cell measures sum to 1.5, expected 1.0"]
+    wide = dataclasses.replace(mac, dual_measures=mac.dual_measures * 1.5)
+    problems = check_mesh_identities(mesh, mac=wide)
+    assert problems == [
+        f"MAC duals of direction {i} sum to 1.5, expected 1.0"
+        for i in (1, 2)]
+    for bad, dual in ((flat, None), (grown, None), (mesh, wide)):
+        assert check_mesh_identities(bad, mac=dual) == \
+            scalar_mesh_identities(bad, mac=dual)
 
 
 def test_local_face_index_is_the_first_match():

@@ -7,8 +7,9 @@ from fvlab.geometry import (build_cartesian, build_dual_mac, build_intervals,
 from fvlab.operators import (BetaFamily, assemble_convection,
                              flux_colocated_upwind_1d, flux_staggered,
                              get_pair, staggered_flux_rule)
-from fvlab.schemes import (SchemeConfig, run_mass_mac, run_upwind_1d,
-                           sample_manufactured, write_run_metadata_csv)
+from fvlab.schemes import (CFLError, SchemeConfig, run_mass_mac,
+                           run_upwind_1d, sample_manufactured,
+                           write_run_metadata_csv)
 from fvlab.study import manufactured_solution
 
 from _oracles import assert_bitwise
@@ -124,6 +125,18 @@ def test_mass_mac_zero_velocity_identity():
     q, v, grid, ledger = run_mass_mac(mesh, dual, cfg)
     assert np.all(q.values == q.values[0])
     assert ledger.max_relative_defect() == 0.0
+
+
+def test_mass_mac_rejects_a_velocity_that_outgrows_the_step():
+    # dt is chosen from v at t = 0; v = (1 + 20 t, 0.5) has grown past the
+    # CFL bound of that dt by the second step, and the per-step guard names it
+    mesh = build_cartesian(8, 8)
+    dual = build_dual_mac(mesh)
+    velocity = lambda x, t: np.broadcast_to(np.array([1.0 + 20.0 * t, 0.5]),
+                                            (x.shape[0], 2)).copy()
+    cfg = SchemeConfig(q0=bump2d_q0, T=0.2, velocity=velocity)
+    with pytest.raises(CFLError, match="CFL violated at step 1$"):
+        run_mass_mac(mesh, dual, cfg)
 
 
 def test_mass_mac_constant_state_interior():

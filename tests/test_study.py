@@ -111,7 +111,7 @@ def test_report_rows_do_not_depend_on_the_chunk_size(case, source, level):
     def rhs():
         return weak_rhs(get_pair(config.beta_name, config.g_name), sol["q"],
                         sol["v"], lambda x: sol["q"](x, 0.0), phi,
-                        panels=config.rhs_panels, check=False)
+                        panels=config.rhs_panels)
 
     def hexes(report):
         return [float(x).hex() for x in dataclasses.astuple(report)]

@@ -161,6 +161,27 @@ def test_theta_m_face_form_matches_definition():
     assert w.theta_m() <= 2.0 + 1e-12
 
 
+def test_theta_t_face_form_matches_definition():
+    # theta_T of face/step weights: the largest delta_{n+1/2} divided by the
+    # step on either side of the interior knot between slabs n and n+1
+    # on steps (1, 3, 1, 3, 1) / 9 the largest delta sits before a short
+    # step, then after one: each side of the knot decides once
+    mesh = build_intervals(4)
+    grid = build_time_grid(1.0, 5, pattern="alternating", ratio=3.0)
+    steps = grid.steps
+    for delta in ([0.1, 0.05, 0.2, 0.02], [0.1, 0.2, 0.05, 0.02]):
+        w = TranslateWeights(mesh=mesh, grid=grid, omega_face=np.ones(3),
+                             delta_half=np.array(delta))
+        brute = max(max(d / steps[n], d / steps[n + 1])
+                    for n, d in enumerate(delta))
+        assert w.theta_t() == brute == pytest.approx(0.2 * 9.0)
+    # the default delta is the smaller adjacent step: theta_T = 1, and a
+    # single step has no interior knot
+    assert default_translate_weights(mesh, grid).theta_t() == 1.0
+    assert default_translate_weights(
+        mesh, build_time_grid(1.0, 1)).theta_t() == 0.0
+
+
 def test_translate_decay_on_sampled_smooth_field():
     # omega = theta*min(|K|,|L|), delta = min adjacent steps: order >= 0.7
     vals = []
