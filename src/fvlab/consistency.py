@@ -519,7 +519,9 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
     from the bumps and the time factor on each axis's 1D nodes
     (``TestFunction.at_grid``), formed in the product order of
     ``TestFunction``, so they equal ``phi.value/dt/grad`` at the nodes bit
-    for bit.  Every value goes through the same operations in any chunk.
+    for bit; v . grad phi adds its components from +0.0 in axis order,
+    written out rather than left to ``einsum``.  Every value goes through
+    the same operations in any chunk.
 
     The reported terms are each written into one vector of the box's
     nodes, the time term and then the space term, and each is one flat
@@ -545,12 +547,15 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
         return pair.beta(qb) * on_chunk.dt(t_axis).ravel()
 
     def space_term(on_chunk, t_axis, x, qb):
-        grad = on_chunk.grad(t_axis).reshape(-1, dim)
+        grad = [g.ravel() for g in on_chunk.grad_components(t_axis)]
         if v_exact is None:
-            return pair.flux(qb) * grad[:, 0]
+            return pair.flux(qb) * grad[0]
         vv = np.asarray(_reference_at(v_exact, x, t_axis.ravel()),
                         dtype=float).reshape(-1, dim)
-        return pair.g(qb) * np.einsum("nd,nd->n", vv, grad)
+        dot = 0.0
+        for d, g in enumerate(grad):
+            dot = dot + vv[:, d] * g
+        return pair.g(qb) * dot
 
     def chunk_values(box, terms):
         """Per chunk of the box's first-axis nodes, the slice ``rows`` of

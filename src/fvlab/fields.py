@@ -247,17 +247,16 @@ def _times(tf, bumps):
     return out
 
 
-def _grad(tf, bumps, dbumps):
-    """Component d is (b_d' * tf) times the other bumps in axis order; the
-    components are stacked on a trailing axis."""
-    shape = np.broadcast_shapes(np.shape(tf), *(np.shape(b) for b in bumps))
-    out = np.empty(shape + (len(bumps),))
+def _grad_components(tf, bumps, dbumps):
+    """Component d is (b_d' * tf) times the other bumps in axis order; one
+    array per component."""
+    out = []
     for d, db in enumerate(dbumps):
         g = db * tf
         for e, be in enumerate(bumps):
             if e != d:
                 g = g * be
-        out[..., d] = g
+        out.append(g)
     return out
 
 
@@ -311,7 +310,14 @@ class PhiAt:
         return _times(self.phi._time_factor(t, derivative=True), self._bumps)
 
     def grad(self, t):
-        return _grad(self.phi._time_factor(t), self._bumps, self._dbumps)
+        """The components of ``grad_components`` stacked on a trailing
+        axis."""
+        return np.stack(self.grad_components(t), axis=-1)
+
+    def grad_components(self, t):
+        """The components of grad phi, each its own contiguous array."""
+        return _grad_components(self.phi._time_factor(t), self._bumps,
+                                self._dbumps)
 
 
 # ----------------------------------------------------------------------

@@ -55,11 +55,20 @@ class Layout:
     # -- normal components of face-stored values --------------------------
     def cell_normal(self, values, mesh, dual):
         """values . n_{P,zeta} per (step, cell, local face), (N, NC, nf)."""
-        return values[:, mesh.cell_faces] * self._cell_signs(mesh, dual)[None]
+        return (values.take(mesh.cell_faces, axis=1)
+                * self._cell_signs(mesh, dual)[None])
 
     def face_normal(self, values, faces, mesh, dual):
         """values . n of `faces`, seen from their first cell, (N, len(faces))."""
         return values[:, faces] * self._face_signs(mesh, dual)[None, faces]
+
+    def boundary_weights(self, mesh, dual):
+        """The boundary faces and |zeta| times the sign of n_zeta seen from
+        each one's first cell, formed once per level: for one component
+        per face, a face value times its weight is |zeta| times its
+        ``face_normal``, bit for bit, as the signs are +-1."""
+        faces = np.flatnonzero(mesh.boundary_face_mask)
+        return faces, mesh.face_measures[faces] * self._face_signs(mesh, dual)[faces]
 
     def magnitude(self, values):
         """Euclidean size of each face value, (N, NF)."""

@@ -16,6 +16,7 @@ import numpy as np
 from .fields import CellScalarField, CellSlabField, _same_level
 from .geometry import sum_opposite_first
 from .layouts import BOUNDARY_POLICIES, COLOCATED_1D, get_layout, layout_of
+from .quadrature import step_values
 
 __all__ = [
     "NonlinearityPair", "get_pair", "BetaFamily", "FluxFamily",
@@ -203,24 +204,22 @@ def upwind_1d_flux_rule(mesh, policy: str = "upwind_zero"):
         raise ValueError("colocated upwind flux needs a 1D mesh")
     if policy not in BOUNDARY_POLICIES:
         raise ValueError(f"unknown boundary policy {policy!r}")
-    left_of = -np.ones(mesh.n_faces, dtype=np.int64)
-    # upstream cell of each face: the cell whose right face it is
-    left_of[mesh.cell_faces[:, 1]] = np.arange(mesh.n_cells)
-    inflow = np.nonzero(left_of < 0)[0]
-    filled = np.nonzero(left_of >= 0)[0]
-    upstream = left_of[filled]
-    rightmost = int(np.argmax(mesh.cell_centroids[:, 0]))
-    outflow = filled[mesh.boundary_face_mask[filled]]
+    # the upstream cell of each face: the cell whose right face it is.  The
+    # inflow face takes the rightmost cell's value if the interval is
+    # periodic and the exterior value 0 otherwise; zero_flux closes the
+    # outflow face too
+    upstream = np.full(mesh.n_faces, -1, dtype=np.intp)
+    upstream[mesh.cell_faces[:, 1]] = np.arange(mesh.n_cells)
+    inflow = upstream < 0
+    upstream[inflow] = np.argmax(mesh.cell_centroids[:, 0])
+    zero = inflow & (policy != "periodic")
+    if policy == "zero_flux":
+        zero |= mesh.boundary_face_mask
+    zero = np.flatnonzero(zero)
 
     def fluxes(qv, vv=None):
-        values = np.zeros((len(qv), mesh.n_faces))
-        values[:, filled] = qv[:, upstream]
-        # the inflow face keeps the exterior value 0 (upwind_zero) or zero
-        # flux, unless the interval is periodic
-        if policy == "periodic":
-            values[:, inflow] = qv[:, [rightmost]]
-        elif policy == "zero_flux":
-            values[:, outflow] = 0.0
+        values = qv.take(upstream, axis=1)
+        values[:, zero] = 0.0
         return values
 
     return fluxes
@@ -286,9 +285,10 @@ def telescoping_defect(flux: FluxFamily):
 
     Returns (defect, scale): |sum_P sum_zeta |zeta| F.n - boundary-only sum|
     and the absolute flux mass sum_faces |zeta| ||F||, both shape (N,).
+    Each step's cell sum is a row sum of ``quadrature.step_values``.
     """
     mesh = flux.mesh
-    total = flux_divergence(flux).sum(axis=1)
+    total = step_values(flux_divergence(flux))
     bfaces = np.nonzero(mesh.boundary_face_mask)[0]
     layout = get_layout(flux.layout)
     bnd = layout.face_normal(flux.values, bfaces, mesh, flux.dual)

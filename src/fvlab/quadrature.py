@@ -25,7 +25,11 @@ self-check reduces its box by ``step_sum`` over rows of the first axis
 (``BoxQuadrature.row_weights``) instead.
 
 Cell means use a shifted weighted average, ``f0 + sum(w * (f - f0))``, so a
-constant integrand reproduces the constant bitwise.
+constant integrand reproduces the constant bitwise.  A 2D cell rule forms
+its nodes and both Jacobian columns by adding the vertex terms of the
+bilinear map from +0.0 in vertex order, written out over blocks of cells
+(about ``CHUNK_VALUES`` values each), so the order is not left to
+``einsum`` and the block size moves no bit.
 """
 
 from __future__ import annotations
@@ -189,11 +193,20 @@ class CellQuadrature(_RowRule):
             shape = np.stack([n0, n1, n2, n3], axis=0)          # (4, k)
             dxi = 0.25 * np.stack([-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)], axis=0)
             deta = 0.25 * np.stack([-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)], axis=0)
-            self.points = np.einsum("vk,cvd->ckd", shape, verts)
-            jx = np.einsum("vk,cvd->ckd", dxi, verts)           # d x / d xi
-            je = np.einsum("vk,cvd->ckd", deta, verts)          # d x / d eta
-            jac = jx[:, :, 0] * je[:, :, 1] - jx[:, :, 1] * je[:, :, 0]
-            self.weights = wt[None, :] * jac
+            # x, d x / d xi and d x / d eta at the nodes, (maps, k) per vertex
+            maps = np.stack([shape, dxi, deta], axis=1)
+            n_cells, k = len(verts), xi.size
+            self.points = np.empty((n_cells, k, 2))
+            self.weights = np.empty((n_cells, k))
+            # blocks of cells whose 2 x 3 sums per node fill ~CHUNK_VALUES
+            for cells in chunk_slices(n_cells, 6 * k):
+                acc = np.zeros((2, 3, cells.stop - cells.start, k))
+                for v in range(4):
+                    for d in range(2):
+                        acc[d] += maps[v][:, None] * verts[cells, v, d, None]
+                self.points[cells] = np.moveaxis(acc[:, 0], 0, -1)
+                (jx0, jx1), (je0, je1) = acc[:, 1], acc[:, 2]
+                self.weights[cells] = wt * (jx0 * je1 - jx1 * je0)
         self._wsum = self.weights.sum(axis=1)
         self._wnorm = self.weights / self._wsum[:, None]
         for arr in (self.points, self.weights, self._wsum, self._wnorm):

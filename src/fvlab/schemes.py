@@ -96,8 +96,7 @@ def _march(mesh, grid, config: SchemeConfig, v, fluxes):
     dt = float(grid.steps[0])
     vols = mesh.cell_volumes
     rates = dt / vols
-    bfaces = np.nonzero(mesh.boundary_face_mask)[0]
-    bmeasures = mesh.face_measures[bfaces]
+    bfaces, bweights = layout.boundary_weights(mesh, dual)
     values = np.empty((grid.n_steps + 1, mesh.n_cells))
     quad = CellQuadrature(mesh, config.quad_order)
     values[0] = quad.cell_means(quad.values(config.q0))
@@ -108,10 +107,9 @@ def _march(mesh, grid, config: SchemeConfig, v, fluxes):
         level = slice(n, n + 1)
         flux = fluxes(values[level], None if v is None else v.values[level])
         div = divergence(layout.cell_normal(flux, mesh, dual), mesh)[0]
-        values[n + 1] = values[n] - rates * div
+        np.subtract(values[n], rates * div, out=values[n + 1])
         mass[n + 1] = float(np.dot(vols, values[n + 1]))
-        boundary[n] = dt * float(
-            (bmeasures * layout.face_normal(flux, bfaces, mesh, dual)[0]).sum())
+        boundary[n] = dt * float((flux[0, bfaces] * bweights).sum())
     return (CellScalarField(mesh, grid, values),
             MassLedger(mass=mass, boundary_flux=boundary,
                        defect=np.abs(np.diff(mass) + boundary)))

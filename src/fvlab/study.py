@@ -363,6 +363,9 @@ def _tensor_field_function(field) -> Reference | None:
     def lookup(cell, t):
         n = np.clip(np.searchsorted(grid.knots, t, side="right") - 1,
                     0, grid.n_steps - 1)
+        if n.shape[1:] == (1,) and cell.ndim == 1:
+            # times x points (``Reference.at``): whole rows, then the cells
+            return field.values[n[:, 0]].take(cell, axis=1)
         return field.values[n, cell]
 
     return Reference(cells, lookup)

@@ -17,7 +17,8 @@ from fvlab.operators import (BetaFamily, assemble_convection,
                              flux_colocated_upwind_1d, flux_staggered,
                              get_pair)
 from fvlab.quadrature import (ORACLE_ORDER, BoxQuadrature, CellQuadrature,
-                              FaceQuadrature, SlabQuadrature, tensor_points)
+                              FaceQuadrature, SlabQuadrature,
+                              composite_gauss_legendre, tensor_points)
 from fvlab.schemes import (SchemeConfig, run_mass_mac, run_upwind_1d,
                            sample_manufactured)
 from fvlab.study import (ResidualReport, _audit, build_level,
@@ -326,6 +327,27 @@ def assert_bitwise(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     assert a.shape == b.shape
     assert a.tobytes() == b.tobytes(), np.abs(a - b).max()
+
+
+def cell_rule_einsum(mesh, order=4, panels=1, rows=None):
+    """points, weights and normalised weights of a 2D ``CellQuadrature``
+    formed the earlier way: each bilinear map (nodes and both Jacobian
+    columns) by one ``einsum("vk,cvd->ckd")`` over all cells at once."""
+    rows = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
+    nodes1d, w1d = composite_gauss_legendre(order, panels)
+    verts = mesh.vertices[mesh.cell_vertices[rows]]
+    xi, eta = (a.ravel() for a in np.meshgrid(nodes1d, nodes1d,
+                                              indexing="ij"))
+    shape = np.stack([0.25 * (1 - xi) * (1 - eta), 0.25 * (1 + xi) * (1 - eta),
+                      0.25 * (1 + xi) * (1 + eta), 0.25 * (1 - xi) * (1 + eta)])
+    dxi = 0.25 * np.stack([-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)])
+    deta = 0.25 * np.stack([-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)])
+    points = np.einsum("vk,cvd->ckd", shape, verts)
+    jx = np.einsum("vk,cvd->ckd", dxi, verts)
+    je = np.einsum("vk,cvd->ckd", deta, verts)
+    jac = jx[:, :, 0] * je[:, :, 1] - jx[:, :, 1] * je[:, :, 0]
+    weights = np.outer(w1d, w1d).ravel()[None, :] * jac
+    return points, weights, weights / weights.sum(axis=1)[:, None]
 
 
 def interpolate_test_all_rows(phi, mesh, grid, order=4, panels=4):

@@ -104,6 +104,27 @@ def test_evaluator_bitwise_equal_to_phi(case):
         assert np.array_equal(out.reshape(ref.shape), ref)
 
 
+@settings(max_examples=40, deadline=None)
+@given(phi_points_time())
+def test_grad_stacks_the_grad_components(case):
+    # each component is its own contiguous array in the product order of
+    # TestFunction, and grad is their stack, bit for bit with signs of
+    # zeros, on points and on a tensor grid with times on a trailing axis
+    phi, x, t = case
+    k = phi.dim + 1
+    axes = [x[:, d].reshape([-1 if e == d else 1 for e in range(k)])
+            for d in range(phi.dim)]
+    times = np.array([t, 0.5 * t]).reshape((1,) * phi.dim + (-1,))
+    direct = separable_phi(phi, x, t, "grad")
+    for ev, at_t in ((phi.at(x), t), (phi.at_grid(axes), times)):
+        components = ev.grad_components(at_t)
+        assert len(components) == phi.dim
+        assert all(c.flags.c_contiguous for c in components)
+        assert_bitwise(ev.grad(at_t), np.stack(components, axis=-1))
+    for d, component in enumerate(phi.at(x).grad_components(t)):
+        assert_bitwise(component, direct[:, d])
+
+
 def test_sup_norm_analytic():
     phi = bump2d()
     # product of three bump factors, each peaking at exp(-1)

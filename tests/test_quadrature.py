@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import assert_bitwise, slab_integrals_per_slab
+from _oracles import (assert_bitwise, cell_rule_einsum,
+                      slab_integrals_per_slab)
 from _strategies import (graded_meshes, interval_meshes, perturbed_meshes,
                          time_grids)
 from fvlab import quadrature
@@ -228,3 +229,32 @@ def test_rules_on_rows_match_the_full_rule(data, rule, order, panels):
     for name in ("points", "weights", "_wnorm"):
         assert_bitwise(getattr(part, name),
                        getattr(full, name)[np.asarray(rows, dtype=int)])
+
+
+DOMAINS = [((0.0, 1.0), (0.0, 1.0)), ((-1.0, 0.0), (-2.0, 0.0)),
+           ((-1.0, 1.0), (0.0, 0.5))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), order=st.sampled_from([1, 2, 3, 4, 8]),
+       panels=st.sampled_from([1, 2, 4]))
+def test_cell_rule_matches_einsum_oracle(data, order, panels):
+    # the vertex maps are added from +0.0 in vertex order over blocks of
+    # cells: the bits of one einsum over all cells, signs of zeros
+    # included, on uniform meshes of domains at and below 0.0, graded and
+    # perturbed meshes, on any rows and for blocks of one cell or of more
+    # cells than the rule has
+    uniform = st.builds(build_cartesian, st.integers(1, 7), st.integers(1, 7),
+                        st.sampled_from(DOMAINS))
+    mesh = data.draw(st.one_of(uniform, perturbed_meshes(), graded_meshes()))
+    rows = data.draw(st.none() | st.lists(
+        st.integers(0, mesh.n_cells - 1), max_size=mesh.n_cells))
+    want = cell_rule_einsum(mesh, order, panels, rows)
+    for values in (None, 1, 10 ** 9):
+        with mock.patch.object(quadrature, "CHUNK_VALUES",
+                               values or quadrature.CHUNK_VALUES):
+            rule = CellQuadrature(mesh, order, panels, rows=rows)
+        assert rule.points.flags.c_contiguous
+        for got, oracle in zip((rule.points, rule.weights, rule._wnorm), want):
+            assert_bitwise(got, oracle)
+            assert np.array_equal(np.signbit(got), np.signbit(oracle))
