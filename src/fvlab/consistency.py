@@ -290,20 +290,27 @@ def residual_init(betas: BetaFamily, q0, phi, pair,
 
 
 def _init_residual(beta0, mesh, q0, phi, pair, order) -> InitResidual:
-    """``residual_init`` from beta at the initial level."""
-    quad = CellQuadrature(mesh, order)
-    q0_x = quad.values(q0)
-    phi_x0 = quad.values(phi.value, 0.0)
-    phi0 = quad.cell_integrals(phi_x0)
-    bq0 = quad.cell_integrals(pair.beta(q0_x) * phi_x0)
+    """``residual_init`` from beta at the initial level.  The order-``order``
+    rule is built on chunks of cell rows (about ``CHUNK_VALUES`` nodes
+    each) and never held whole; a row's bits do not depend on its chunk,
+    and the per-cell vectors are summed whole, as on the whole rule."""
+    phi0, bq0, devs = (np.empty(mesh.n_cells) for _ in range(3))
+    qmin, qmax = np.inf, -np.inf
+    for rows in chunk_slices(mesh.n_cells, order ** mesh.dim):
+        quad = CellQuadrature(mesh, order, rows=np.arange(rows.start,
+                                                          rows.stop))
+        q0_x = quad.values(q0)
+        phi_x0 = quad.values(phi.value, 0.0)
+        phi0[rows] = quad.cell_integrals(phi_x0)
+        bq0[rows] = quad.cell_integrals(pair.beta(q0_x) * phi_x0)
+        q_sample = quad.cell_means(q0_x)
+        devs[rows] = quad.cell_integrals(np.abs(q0_x - q_sample[:, None]))
+        qmin = min(qmin, float(min(q_sample.min(), q0_x.min())))
+        qmax = max(qmax, float(max(q_sample.max(), q0_x.max())))
     per_cell = beta0 * phi0 - bq0
     interior = mesh.interior_cell_mask
     signed = float(per_cell[interior].sum())
     cellwise = float(np.abs(per_cell[interior]).sum())
-    q_sample = quad.cell_means(q0_x)
-    devs = quad.cell_integrals(np.abs(q0_x - q_sample[:, None]))
-    qmin = float(min(q_sample.min(), q0_x.min()))
-    qmax = float(max(q_sample.max(), q0_x.max()))
     c_beta, _ = pair.lipschitz(qmin, qmax)
     l1 = c_beta * phi.sup_norm_initial() * float(devs[interior].sum())
     return InitResidual(signed, cellwise, l1)
@@ -422,7 +429,7 @@ class _JumpTerms:
     the fixed two-hop opposite-pair splits); MAC weights are
     diam(P)(|zeta| + |zeta'|)."""
 
-    def __init__(self, mesh, v):
+    def __init__(self, mesh, layout, dual):
         self.mesh = mesh
         fc, cf = mesh.face_cells, mesh.cell_faces
         diam = mesh.cell_diameters
@@ -437,10 +444,10 @@ class _JumpTerms:
         self.p, self.r = fc[mesh.interior_face_mask].T
         self.omega = ((diam[self.p] + diam[self.r])
                       * mesh.face_measures[mesh.interior_face_mask])
-        self.layout = None if v is None else layout_of(v)
+        self.layout = layout if layout.staggered else None
         self.edges, self.weights, self.const = (
-            (None, None, None) if v is None
-            else self.layout.jump_edges(mesh, v.dual))
+            (None, None, None) if self.layout is None
+            else layout.jump_edges(mesh, dual))
 
     def terms(self, dt, qv, vv):
         """The step values of both R1 forms and of R2 on some steps, qv
@@ -473,7 +480,8 @@ def jump_sums(q, v) -> JumpSums:
     """
     _same_level("jump_sums", q, v)
     steps = q.grid.steps
-    jumps = _JumpTerms(q.mesh, v)
+    jumps = _JumpTerms(q.mesh, COLOCATED_1D if v is None else layout_of(v),
+                       None if v is None else v.dual)
     sums = _StepValues()
     for ch in chunk_slices(steps.size, jumps.w_ck.size):
         sums.add(**jumps.terms(steps[ch], q.values[ch], _levels(v, ch)))
@@ -653,21 +661,30 @@ class LevelSums(NamedTuple):
     measured_c: float           # as ``measured_constant``
     q_min: float                # over all levels 0..N
     q_max: float
+    l1_cauchy: float            # to the ``cauchy`` reference, nan without
 
 
-def level_pass(q, v, pair, fluxes, interp: InterpolatedTest, exact,
+def level_pass(levels, pair, fluxes, interp: InterpolatedTest, exact,
                weights, rhs: WeakRhs, order: int = DEFAULT_ORDER,
-               init_order: int = ORACLE_ORDER) -> LevelSums:
+               init_order: int = ORACLE_ORDER, cauchy=None,
+               keep=None) -> LevelSums:
     """Every consistency quantity of one level in one walk over chunks of
     its time steps.
 
-    q and v (None for colocated 1D) are the discrete fields, ``fluxes(qv,
-    vv)`` the face fluxes of their levels of some steps
+    ``levels`` is the level's ``schemes.LevelSource``: it hands out the q
+    and v levels (v None for colocated 1D) of the knots n..m+1 of each
+    chunk n..m as the walk reaches it, so q and v are never held whole.
+    ``fluxes(qv, vv)`` gives the face fluxes of the levels of some steps
     (``operators.staggered_flux_rule`` or ``upwind_1d_flux_rule``),
     ``exact = (q_exact, v_exact, q0)`` the limit, ``weights`` the
     face/step translate weights and ``rhs`` the level-independent
-    ``weak_rhs``.  ``order`` is the spatial order of the time residual and
-    of the L1 distance, ``init_order`` that of the initialization residual.
+    ``weak_rhs``.  ``order`` is the spatial order of the time residual;
+    the L1 distance uses the source's cell rule (``levels.quad``), and
+    ``init_order`` is the order of the initialization residual.  With a
+    ``cauchy`` reference (the coarser level as a function of (x, t)), its
+    order-2 L1 distance is taken per chunk too.  ``keep(start, levels)``,
+    when given, is handed the q levels of the knots start.. of each chunk
+    in turn (the source's reused buffer, to be copied).
 
     Per chunk the face fluxes, beta on the knots n..n+1, F.n, its
     divergence and the flux-defect table are formed once each and feed the
@@ -675,28 +692,38 @@ def level_pass(q, v, pair, fluxes, interp: InterpolatedTest, exact,
     stage's bit for bit, and the route checks, the support check and the
     non-finite flux error are theirs.
     """
-    _same_level("level_pass", q, v, interp)
+    _same_level("level_pass", levels, interp)
     _check_support(interp)
-    mesh, grid = q.mesh, q.grid
-    layout = COLOCATED_1D if v is None else layout_of(v)
-    dual = None if v is None else v.dual
+    mesh, grid = levels.mesh, levels.grid
+    layout, dual = levels.layout, levels.dual
     q_exact, _, q0 = exact
     vols, phi = mesh.cell_volumes, interp.phi
-    beta0 = pair.beta(q.values[0])
-    init = _init_residual(beta0, mesh, q0, phi, pair, init_order)
     defects = _FluxDefects(mesh, layout, dual, pair)
     time_terms = _TimeTerms(phi, mesh, grid, order)
-    jumps = _JumpTerms(mesh, v)
-    l1 = l1_steps(q, q_exact, order)
+    jumps = _JumpTerms(mesh, layout, dual)
+    l1 = l1_steps(levels.quad, grid, levels.on_nodes(q_exact))
+    l1_cauchy = None
+    if cauchy is not None:
+        quad = CellQuadrature(mesh, 2)
+        l1_cauchy = l1_steps(quad, grid,
+                             _reference_at(cauchy, quad.flat_points()))
     kx, lx = mesh.face_cells[mesh.interior_face_mask].T
     sums = _StepValues()
     q_min, q_max, sup_q, sup_v, sup_g = np.inf, -np.inf, 0.0, 0.0, 0.0
-    for ch in chunk_slices(grid.n_steps, mesh.n_cells
-                           * mesh.cell_faces.shape[1] * layout.pieces):
+    slices = chunk_slices(grid.n_steps, mesh.n_cells
+                          * mesh.cell_faces.shape[1] * layout.pieces)
+    for ch, (qk, vk) in zip(slices, levels.chunks(slices)):
+        if ch.start == 0:
+            # the level buffers are reused: keep beta^0 of its own
+            beta0 = np.array(pair.beta(qk[0]))
+            init = _init_residual(beta0, mesh, q0, phi, pair, init_order)
+        if keep is not None:
+            keep(ch.start, qk)
+        # the level pairs (n, n+1) of the steps n < N - 1 of the chunk
+        pairs = min(ch.stop, grid.n_steps - 1) - ch.start
         knots = slice(ch.start, ch.stop + 1)
-        slab_pairs = slice(ch.start, min(ch.stop, grid.n_steps - 1))
-        dt, qk = grid.steps[ch], q.values[knots]
-        qv, vv = qk[:-1], _levels(v, ch)
+        dt = grid.steps[ch]
+        qv, vv = qk[:-1], None if vk is None else vk[:-1]
         beta = pair.beta(qk)
         flux = fluxes(qv, vv)
         check_finite_flux(flux, mesh, ch.start)
@@ -713,19 +740,21 @@ def level_pass(q, v, pair, fluxes, interp: InterpolatedTest, exact,
             translate_space=step_values(translate_space_terms(
                 qv, dt, kx, lx, weights.omega_face)),
             translate_time=step_values(translate_time_terms(
-                q.values[slab_pairs],
-                q.values[slab_pairs.start + 1:slab_pairs.stop + 1],
-                weights.delta_half[slab_pairs], vols)),
-            l1=l1(ch),
+                qk[:pairs], qk[1:pairs + 1],
+                weights.delta_half[ch.start:ch.start + pairs], vols)),
+            l1=l1(ch, qv),
             **_x1_terms(dt, dtb, beta, phi_cells,
                         np.diff(interp.tf[knots]), interp.cell_table, vols),
             **defects.x2_terms(dt, qv, vv, table, interp, interp.tf[ch]),
             **time_terms.terms(ch, dt, beta, qk),
             **jumps.terms(dt, qv, vv))
+        if l1_cauchy is not None:
+            sums.add(l1_cauchy=l1_cauchy(ch, qv))
         q_min, q_max = min(q_min, qk.min()), max(q_max, qk.max())
         sup_g = max(sup_g, float(np.abs(pair.g(qk)).max()))
-        sup_q = max(sup_q, q.sup_norm(ch))
-        sup_v = sup_v if v is None else max(sup_v, v.sup_norm(ch))
+        sup_q = max(sup_q, float(np.abs(qv).max()))
+        if vv is not None:
+            sup_v = max(sup_v, float(layout.magnitude(vv).max()))
     q_min, q_max = float(q_min), float(q_max)
     c_beta, c_g = pair.lipschitz(q_min, q_max)
     return LevelSums(
@@ -738,6 +767,8 @@ def level_pass(q, v, pair, fluxes, interp: InterpolatedTest, exact,
         translate=sums.total("translate_space") + sums.total("translate_time"),
         gap=_gap(sums.total("weak_lhs"), rhs),
         l1_distance=sums.total("l1"),
-        sup_norm=sup_q if v is None else max(sup_q, sup_v),
-        measured_c=max(c_g * (1.0 if v is None else sup_v), sup_g),
-        q_min=q_min, q_max=q_max)
+        sup_norm=max(sup_q, sup_v),
+        measured_c=max(c_g * (1.0 if layout.velocity_field is None
+                              else sup_v), sup_g),
+        q_min=q_min, q_max=q_max,
+        l1_cauchy=np.nan if l1_cauchy is None else sums.total("l1_cauchy"))

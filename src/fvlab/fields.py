@@ -17,8 +17,8 @@ import numpy as np
 
 from .geometry import sum_opposite_first
 from .quadrature import (DEFAULT_ORDER, CellQuadrature, FaceQuadrature,
-                         SlabQuadrature, add_steps, chunk_slices, step_sum,
-                         step_values)
+                         SlabQuadrature, _at_least, add_steps, chunk_slices,
+                         step_sum, step_values)
 
 __all__ = [
     "CellScalarField", "CellSlabField", "FaceVectorFieldRT",
@@ -68,15 +68,14 @@ class _LevelField:
         self.values = values
         values.setflags(write=False)
 
-    def sup_norm(self, levels=None) -> float:
+    def sup_norm(self) -> float:
         """Max |value| over the slab levels 0..N-1 (the space-time
-        function), or over the slice ``levels`` of them."""
-        return float(self._sizes(levels).max())
+        function)."""
+        return float(self._sizes().max())
 
-    def _sizes(self, levels=None):
-        """|value| per entity of the levels 0..N-1, or of ``levels``."""
-        return np.abs(self.values[slice(0, self.grid.n_steps)
-                                  if levels is None else levels])
+    def _sizes(self):
+        """|value| per entity of the levels 0..N-1."""
+        return np.abs(self.values[:self.grid.n_steps])
 
 
 class CellScalarField(_LevelField):
@@ -113,9 +112,8 @@ class FaceVectorFieldRT(_FaceField):
 
     components = (2,)
 
-    def _sizes(self, levels=None):
-        values = self.values[:-1] if levels is None else self.values[levels]
-        return np.sqrt((values ** 2).sum(-1))
+    def _sizes(self):
+        return np.sqrt((self.values[:-1] ** 2).sum(-1))
 
 
 class FaceScalarFieldMAC(_FaceField):
@@ -125,20 +123,34 @@ class FaceScalarFieldMAC(_FaceField):
 # ----------------------------------------------------------------------
 # test functions
 
-def _bump(s, a, b, derivative=False):
+def _bump(s, a, b, derivative=False, out=None):
     """exp(-1/(1-u^2)) rescaled to (a, b), extended by zero outside; with
-    ``derivative`` its derivative in s."""
+    ``derivative`` its derivative in s.
+
+    The value is formed in place, in ``out`` when given (it may be s
+    itself): u^2 < 1 exactly where |u| < 1, and there the value is
+    exp(-1.0 / (1.0 - u * u)) by ``where=``-masked ufuncs, so exp never
+    meets the underflow of the points outside, which are set to +0.0."""
     s = np.asarray(s, dtype=float)
-    u = (2.0 * s - (a + b)) / (b - a)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
     if derivative:
+        u = (2.0 * s - (a + b)) / (b - a)
+        grad = np.zeros_like(u)
+        inside = np.abs(u) < 1.0
+        ui = u[inside]
         one = 1.0 - ui * ui
-        out[inside] = np.exp(-1.0 / one) * (-2.0 * ui / one ** 2) * (2.0 / (b - a))
-    else:
-        out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
-    return out
+        grad[inside] = (np.exp(-1.0 / one) * (-2.0 * ui / one ** 2)
+                        * (2.0 / (b - a)))
+        return grad
+    u = np.multiply(2.0, s, out=np.empty_like(s) if out is None else out)
+    np.subtract(u, a + b, out=u)
+    np.divide(u, b - a, out=u)
+    np.multiply(u, u, out=u)
+    inside = u < 1.0
+    np.subtract(1.0, u, out=u, where=inside)
+    np.divide(-1.0, u, out=u, where=inside)
+    np.exp(u, out=u, where=inside)
+    np.copyto(u, 0.0, where=~inside)
+    return u
 
 
 class TestFunction:
@@ -334,29 +346,35 @@ class Reference:
     a steady ``combine`` may return the space part itself.
 
     * ``f(x, t)``, t a scalar or one time per point: shaped (M,) + C;
-    * ``f.at(points)``, the evaluator ``ev(times)`` with the times on a
-      leading axis: shaped (len(times), M) + C;
+    * ``f.at(points)``, the evaluator ``ev(times, out=None)`` with the
+      times on a leading axis: shaped (len(times), M) + C, written into
+      ``out`` when given;
     * ``f.on_grid(points, times)``, the tensor grid of points x times in C
       order with time fastest: shaped (M, len(times)) + C.
 
     All three evaluate each value by the same operations, so they agree
-    bit for bit.
+    bit for bit.  ``ev(times, out=buf)`` passes ``out`` on to the combine,
+    which writes the joint shape into it, so no value array is allocated;
+    a combine is given ``out`` only then, so one that is never evaluated
+    into a buffer (a steady velocity) need not take it.
     """
 
     def __init__(self, space: Callable, combine: Callable):
         self.space = space
         self.combine = combine
 
-    def _combine(self, s, t, shape):
+    def _combine(self, s, t, shape, out=None):
         """combine(s, t) as an array of the given shape: the axes that a
         steady combine leaves out are filled by block copies."""
-        out = np.asarray(self.combine(s, t))
-        if out.shape != shape:
-            out = out.reshape((1,) * (len(shape) - out.ndim) + out.shape)
+        if out is not None:
+            return self.combine(s, t, out=out)
+        vals = np.asarray(self.combine(s, t))
+        if vals.shape != shape:
+            vals = vals.reshape((1,) * (len(shape) - vals.ndim) + vals.shape)
             for axis, n in enumerate(shape):
-                if out.shape[axis] != n:
-                    out = np.repeat(out, n, axis=axis)
-        return out
+                if vals.shape[axis] != n:
+                    vals = np.repeat(vals, n, axis=axis)
+        return vals
 
     def __call__(self, x, t):
         s = self.space(np.atleast_2d(x))
@@ -364,9 +382,9 @@ class Reference:
 
     def at(self, points) -> Callable:
         s = self.space(np.atleast_2d(points))
-        return lambda times: self._combine(
+        return lambda times, out=None: self._combine(
             s, _unit_axes(np.asarray(times, dtype=float)[:, None], s.ndim - 1),
-            (len(times),) + s.shape)
+            (len(times),) + s.shape, out)
 
     def on_grid(self, points, times) -> np.ndarray:
         s = self.space(np.atleast_2d(points))
@@ -381,12 +399,13 @@ def _unit_axes(t, n):
 
 
 def _reference_at(ref, points, times=None):
-    """ref on the fixed points.  Without times, the evaluator ``ev(times)``,
-    shaped (len(times), len(points)) + C: ``ref.at(points)`` when ref has
-    one, else one ``ref(points, t)`` call per time, stacked.  With times,
-    the values on the tensor grid points x times, shaped (len(points),
-    len(times)) + C with time fastest: ``ref.on_grid`` when ref has one,
-    else one ``ref(x, t)`` call on every grid node."""
+    """ref on the fixed points.  Without times, the evaluator ``ev(times,
+    out=None)``, shaped (len(times), len(points)) + C: ``ref.at(points)``
+    when ref has one, else one ``ref(points, t)`` call per time, stacked
+    (into ``out`` when given).  With times, the values on the tensor grid
+    points x times, shaped (len(points), len(times)) + C with time
+    fastest: ``ref.on_grid`` when ref has one, else one ``ref(x, t)`` call
+    on every grid node."""
     if times is not None:
         on_grid = getattr(ref, "on_grid", None)
         if on_grid is not None:
@@ -398,21 +417,29 @@ def _reference_at(ref, points, times=None):
     at = getattr(ref, "at", None)
     if at is not None:
         return at(points)
-    return lambda times: np.stack(
-        [np.asarray(ref(points, t), dtype=float) for t in times])
+
+    def per_time(times, out=None):
+        return np.stack([np.asarray(ref(points, t), dtype=float)
+                         for t in times], out=out)
+
+    return per_time
 
 
 # ----------------------------------------------------------------------
 # sampling and interpolates
 
-def _knot_means(quad: CellQuadrature, f, knots) -> np.ndarray:
-    """Cell means of f(., t) at every time of knots, shape (len(knots), NC);
-    f is evaluated once per point set and once per chunk of times."""
-    ev = _reference_at(f, quad.flat_points())
-    out = np.empty((knots.size, quad.points.shape[0]))
-    for chunk in chunk_slices(knots.size, quad.weights.size):
-        for n, vals in zip(range(chunk.start, chunk.stop), ev(knots[chunk])):
-            out[n] = quad.cell_means(vals)
+def _knot_means(quad: CellQuadrature, ev, knots, out, work=None):
+    """Cell means of f(., t) at every time of knots into the rows of
+    ``out`` (len(knots), NC), from the evaluator ``ev`` of f on the rule's
+    nodes (``_reference_at``), called once per chunk of times; its values
+    go into ``work`` when given."""
+    nodes = quad.weights.size
+    for chunk in chunk_slices(knots.size, nodes):
+        count = chunk.stop - chunk.start
+        vals = ev(knots[chunk], out=None if work is None
+                  else work[:count * nodes].reshape(count, nodes))
+        for n, row in zip(range(chunk.start, chunk.stop), vals):
+            out[n] = quad.cell_means(row)
     return out
 
 
@@ -424,9 +451,9 @@ def sample_cell_means(f, mesh, grid, order: int = DEFAULT_ORDER,
     With ``check=True`` the means are recomputed at order+2 and a warning is
     emitted when the two disagree beyond 1e-8 (reported, not fatal).
     """
-    values = _knot_means(CellQuadrature(mesh, order), f, grid.knots)
+    values = _cell_means_at_knots(CellQuadrature(mesh, order), f, grid)
     if check:
-        means = _knot_means(CellQuadrature(mesh, order + 2), f, grid.knots)
+        means = _cell_means_at_knots(CellQuadrature(mesh, order + 2), f, grid)
         worst = 0.0
         for gap in np.abs(means - values).max(axis=1):
             worst = max(worst, float(gap))
@@ -436,6 +463,11 @@ def sample_cell_means(f, mesh, grid, order: int = DEFAULT_ORDER,
                 f"cell-mean quadrature disagreement {worst:.3e} between orders "
                 f"{order} and {order + 2}", stacklevel=2)
     return CellScalarField(mesh, grid, values)
+
+
+def _cell_means_at_knots(quad, f, grid):
+    return _knot_means(quad, _reference_at(f, quad.flat_points()), grid.knots,
+                       np.empty((grid.n_steps + 1, quad.points.shape[0])))
 
 
 @dataclass
@@ -540,33 +572,48 @@ def lp_distance(field: CellScalarField, ref: Callable,
     (slab, cell) table, formed one chunk of steps at a time
     (``l1_steps``).
     """
-    l1 = l1_steps(field, ref, order)
+    quad = CellQuadrature(field.mesh, order)
+    l1 = l1_steps(quad, field.grid, _reference_at(ref, quad.flat_points()))
     chunks = chunk_slices(field.grid.n_steps, field.mesh.n_cells)
-    return LpDistance(add_steps(np.concatenate([l1(ch) for ch in chunks])),
-                      field.sup_norm())
+    return LpDistance(add_steps(np.concatenate(
+        [l1(ch, field.values[ch]) for ch in chunks])), field.sup_norm())
 
 
-def l1_steps(field: CellScalarField, ref: Callable,
-             order: int = DEFAULT_ORDER):
+def l1_steps(quad: CellQuadrature, grid, ev):
     """The step values (``step_values``) of the L1 distance of
-    ``lp_distance`` as a function of a slice of steps; the rule and the
-    x-only part of ref are formed once, here."""
-    slab = SlabQuadrature(field.mesh, field.grid, order)
-    ev = _reference_at(ref, slab.cell.flat_points())
-    nodes = slab.cell.points.shape[:2]
-    buffer = np.empty(0)    # |q - ref| of every chunk of steps, reused
+    ``lp_distance`` on the cell rule ``quad``, as a function ``l1(steps,
+    levels)`` of a slice of steps and the q levels of those steps; ``ev``
+    evaluates the reference on the rule's nodes (``_reference_at``).
 
-    def integrand(steps, tn):
-        nonlocal buffer
-        vals = ev(tn.ravel()).reshape(tn.shape + nodes)
-        if buffer.size < vals.size:
-            buffer = np.empty(vals.size)
-        out = buffer[:vals.size].reshape(vals.shape)
-        np.subtract(field.values[steps][:, None, :, None], vals, out=out)
-        return np.abs(out, out=out)
+    The slab rule and one workspace are formed once, here; per chunk of
+    the slab rule, the reference's values on the nodes are written into
+    the workspace (``ev(times, out=)``) and turned into |q - ref| in
+    place, and the (cell, time) rows and the slab sums go into the rule's
+    and the distance's reused buffers, so no chunk allocates a value
+    array."""
+    slab = SlabQuadrature(quad, grid)
+    nodes = quad.points.shape[:2]
+    work, sums = np.empty(0), np.empty(0)
 
-    return lambda steps: step_values(slab.slab_cell_integrals(integrand,
-                                                              steps))
+    def l1(steps, levels):
+        nonlocal sums
+
+        def integrand(sub, tn):
+            nonlocal work
+            size = tn.size * nodes[0] * nodes[1]
+            work = _at_least(work, size)
+            vals = ev(tn.ravel(), out=work[:size].reshape(tn.size, -1))
+            vals = vals.reshape(tn.shape + nodes)
+            rows = levels[sub.start - steps.start:sub.stop - steps.start]
+            np.subtract(rows[:, None, :, None], vals, out=vals)
+            return np.abs(vals, out=vals)
+
+        size = len(levels) * nodes[0]
+        sums = _at_least(sums, size)
+        out = sums[:size].reshape(len(levels), nodes[0])
+        return step_values(slab.slab_cell_integrals(integrand, steps, out=out))
+
+    return l1
 
 
 # ----------------------------------------------------------------------

@@ -88,18 +88,11 @@ class Layout:
         vector as is."""
         return np.asarray(vv, dtype=float)
 
-    def sample_velocity(self, v_exact, mesh, dual, grid):
-        """Velocity field of the layout from a closed form v(x, t): the
-        ``face_components`` of v at the face midpoints at every knot; None
-        without a face velocity."""
-        field = self.velocity_field
-        if field is None:
-            return None
-        vals = np.empty((grid.n_steps + 1, mesh.n_faces) + field.components)
-        for n, t in enumerate(grid.knots):
-            vals[n] = self.face_components(v_exact(mesh.face_midpoints, t),
-                                           mesh, dual)
-        return field(mesh, grid, dual, vals)
+    def velocity_at(self, v_exact, mesh, dual, t):
+        """What the faces store of a closed form v(x, t) at the time t: the
+        ``face_components`` of v at the face midpoints."""
+        return self.face_components(v_exact(mesh.face_midpoints, t), mesh,
+                                    dual)
 
     def velocity_jump_terms(self, vv, dt, mesh, edges, weights):
         """dt_n * |v_a - v_b| * w_{P,e} per (step, cell, dual edge), for

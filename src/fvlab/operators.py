@@ -138,21 +138,18 @@ def _convex_value(qp, qq, scheme, lam, signal):
     raise ValueError(f"unknown face scheme {scheme!r}")
 
 
-def staggered_flux_rule(mesh, v, pair: NonlinearityPair,
+def staggered_flux_rule(mesh, layout, dual, pair: NonlinearityPair,
                         scheme: str = "upwind", lam: float = 0.5,
                         policy: str = "upwind_zero"):
-    """The face fluxes F_zeta^n = g(q_zeta^n) v_zeta^n of the RT or MAC
-    layout as a function ``fluxes(qv, vv)`` of the q levels (steps, NC)
-    and the v levels of the same steps, returning (steps, NF) or
-    (steps, NF, 2); the arguments are checked once, here.
+    """The face fluxes F_zeta^n = g(q_zeta^n) v_zeta^n of the staggered
+    ``layout`` (RT or MAC, with its ``dual`` of `mesh`) as a function
+    ``fluxes(qv, vv)`` of the q levels (steps, NC) and the v levels of the
+    same steps, returning (steps, NF) or (steps, NF, 2); the arguments are
+    checked once, here.
 
-    v must live on `mesh`.  Boundary faces take the policy:
-    ``upwind_zero`` (exterior value 0), ``zero_flux``, or (1D only)
-    ``periodic``.
+    Boundary faces take the policy: ``upwind_zero`` (exterior value 0),
+    ``zero_flux``, or (1D only) ``periodic``.
     """
-    if v.mesh is not mesh:
-        raise ValueError("q and v live on different meshes")
-    layout = layout_of(v)
     if policy not in layout.boundary_policies:
         raise ValueError(f"policy {policy!r} not supported for staggered layouts")
     if not 0.0 <= lam <= 1.0:
@@ -168,12 +165,12 @@ def staggered_flux_rule(mesh, v, pair: NonlinearityPair,
         qp = qv[:, mesh.face_cells[ifaces, 0]]
         qq = qv[:, mesh.face_cells[ifaces, 1]]
         qf = _convex_value(qp, qq, scheme, lam,
-                           layout.face_normal(vv, ifaces, mesh, v.dual))
+                           layout.face_normal(vv, ifaces, mesh, dual))
         values = np.zeros(vv.shape)
         values[:, ifaces] = g_times_v(qf, ifaces)
         # boundary faces: exterior state 0 (upwind) or hard zero flux
         if policy == "upwind_zero" and bfaces.size:
-            sig_b = layout.face_normal(vv, bfaces, mesh, v.dual)
+            sig_b = layout.face_normal(vv, bfaces, mesh, dual)
             qp = qv[:, mesh.face_cells[bfaces, 0]]
             qb = np.where(sig_b > 0.0, qp, np.where(sig_b < 0.0, 0.0, 0.5 * qp))
             values[:, bfaces] = g_times_v(qb, bfaces)
@@ -186,7 +183,10 @@ def flux_staggered(q, v, pair: NonlinearityPair, scheme: str = "upwind",
                    lam: float = 0.5, policy: str = "upwind_zero") -> FluxFamily:
     """F_zeta^n = g(q_zeta^n) v_zeta^n for the RT or MAC layout at every
     step (``staggered_flux_rule``)."""
-    fluxes = staggered_flux_rule(q.mesh, v, pair, scheme, lam, policy)
+    if v.mesh is not q.mesh:
+        raise ValueError("q and v live on different meshes")
+    fluxes = staggered_flux_rule(q.mesh, layout_of(v), v.dual, pair, scheme,
+                                 lam, policy)
     steps = slice(0, q.grid.n_steps)
     return FluxFamily(layout=layout_of(v).name, mesh=q.mesh, grid=q.grid,
                       values=fluxes(q.values[steps], v.values[steps]),

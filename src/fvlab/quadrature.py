@@ -288,46 +288,63 @@ def slab_time_integrals(knots, f, order: int = DEFAULT_ORDER):
 
 
 class SlabQuadrature:
-    """Tensor (cell x time-slab) rule for integrals over P x (t_n, t_{n+1})."""
+    """Tensor (cell x time-slab) rule for integrals over P x (t_n, t_{n+1}),
+    from the cell rule ``cell`` of the mesh of ``grid``'s level."""
 
-    def __init__(self, mesh, grid, space_order: int = DEFAULT_ORDER,
+    def __init__(self, cell: CellQuadrature, grid,
                  time_order: int = DEFAULT_ORDER):
-        self.cell = CellQuadrature(mesh, space_order)
+        self.cell = cell
         self.grid = grid
         self.tnodes1d, self.tweights1d = gauss_legendre(time_order)
         self._weights = None
+        # the (cell, time) row integrals and one time's weighted rows of a
+        # chunk, reused by every call
+        self._rows, self._terms = np.empty(0), np.empty(0)
 
-    def slab_cell_integrals(self, f, steps=slice(None)):
+    def slab_cell_integrals(self, f, steps=slice(None), out=None):
         """Integrals over P x (t_n, t_{n+1}) for the steps n of the slice
-        ``steps`` (all by default) and every cell P, shape (steps, NC).
+        ``steps`` (all by default) and every cell P, shape (steps, NC),
+        written into ``out`` when given.
 
         ``f(sub, tn)`` gives the integrand's values on the ``cell`` nodes
         at the Gauss times ``tn[b, j]`` of the steps ``sub`` (a slice of
-        ``steps``), shaped (len(sub), T, NC, k) or reshapeable to it.  Each
-        (cell, time) row is reduced by the same ``einsum`` as
-        ``cell_integrals``, and per slab the weighted rows are added in
-        time order.
+        ``steps``), shaped (len(sub), T, NC, k) or reshapeable to it; when
+        one step's times hold more than ``CHUNK_VALUES`` values, f gets
+        that step with consecutive groups of its times.  Each (cell, time)
+        row is reduced by the same ``einsum`` as ``cell_integrals``, and
+        per slab the weighted rows are added in time order, from +0.0.
         """
         lo, hi, _ = steps.indices(self.grid.n_steps)
         times, tweights = gauss_times(self.grid.knots[lo:hi + 1],
                                       self.tnodes1d.size)
         n_steps, n_t = times.shape
         n_cells, k = self.cell.points.shape[:2]
-        out = np.zeros((n_steps, n_cells))
+        if out is None:
+            out = np.zeros((n_steps, n_cells))
+        else:
+            out[...] = 0.0
         chunks = chunk_slices(n_steps, n_t * n_cells * k)
+        # a chunk of several steps takes all their times at once
+        groups = chunk_slices(n_t, n_cells * k)
         weights = self._row_weights(
-            (chunks[0].stop - chunks[0].start) * n_t if chunks else 0)
+            (chunks[0].stop - chunks[0].start)
+            * (groups[0].stop - groups[0].start) if chunks else 0)
         for sub in chunks:
-            tn, tw = times[sub], tweights[sub]
-            vals = np.asarray(f(slice(lo + sub.start, lo + sub.stop), tn),
-                              dtype=float).reshape(-1, k)
-            ints = np.einsum("ck,ck->c", weights[:vals.shape[0]], vals)
-            ints = ints.reshape(tn.shape + (n_cells,))
             acc = out[sub]
-            for j in range(n_t):
-                acc += tw[:, j, None] * ints[:, j]
+            terms = self._terms = _at_least(self._terms, acc.size)
+            term = terms[:acc.size].reshape(acc.shape)
+            for js in groups:
+                tn, tw = times[sub, js], tweights[sub, js]
+                vals = np.asarray(f(slice(lo + sub.start, lo + sub.stop), tn),
+                                  dtype=float).reshape(-1, k)
+                rows = self._rows = _at_least(self._rows, vals.shape[0])
+                ints = np.einsum("ck,ck->c", weights[:vals.shape[0]], vals,
+                                 out=rows[:vals.shape[0]])
+                ints = ints.reshape(tn.shape + (n_cells,))
+                for j in range(tn.shape[1]):
+                    np.multiply(tw[:, j, None], ints[:, j], out=term)
+                    acc += term
         return out
-
 
     def _row_weights(self, rows):
         """The cell weights once per (step, time) row of ``rows`` rows,
@@ -340,6 +357,11 @@ class SlabQuadrature:
                                       (rows, n_cells, k)).reshape(-1, k)
             self._weights = weights
         return weights
+
+
+def _at_least(buffer, size):
+    """``buffer``, or a new one when it holds fewer than ``size`` values."""
+    return buffer if buffer.size >= size else np.empty(size)
 
 
 class BoxQuadrature:

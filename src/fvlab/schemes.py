@@ -2,6 +2,12 @@
 explicit first-order upwind transport in 1D, and the 2D MAC mass update
 with a prescribed velocity.
 
+Each generator is a ``LevelSource``: it hands out the q and v levels of
+one refinement level chunk by chunk, from a few reused level buffers, so
+that ``consistency.level_pass`` consumes a level as it is formed and no
+level is held whole.  ``sample_manufactured``, ``run_upwind_1d`` and
+``run_mass_mac`` collect a source whole.
+
 Both schemes step with the convection operator's own flux rules
 (``operators.upwind_1d_flux_rule``; ``staggered_flux_rule`` with the
 identity pair and upwind faces) and ``operators.divergence``, in one
@@ -15,15 +21,20 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import CellScalarField, sample_cell_means
+from .fields import CellScalarField, _knot_means, _reference_at
+# no source samples through it; bench/tracing.py rebinds the name here
+from .fields import sample_cell_means  # noqa: F401
 from .geometry import TimeGrid, build_time_grid
-from .layouts import COLOCATED_1D, MAC, get_layout, layout_of
+from .layouts import COLOCATED_1D, MAC, Layout, get_layout
 from .operators import (divergence, get_pair, staggered_flux_rule,
                         upwind_1d_flux_rule)
-from .quadrature import DEFAULT_ORDER, CellQuadrature
+from .quadrature import (DEFAULT_ORDER, CellQuadrature, _at_least,
+                         chunk_slices)
 
-__all__ = ["SchemeConfig", "MassLedger", "run_upwind_1d", "run_mass_mac",
-           "sample_manufactured", "write_run_metadata_csv", "CFLError"]
+__all__ = ["SchemeConfig", "MassLedger", "LevelSource", "ManufacturedLevels",
+           "SchemeLevels", "upwind_1d_levels", "mass_mac_levels",
+           "run_upwind_1d", "run_mass_mac", "sample_manufactured",
+           "write_run_metadata_csv", "CFLError"]
 
 
 class CFLError(RuntimeError):
@@ -81,46 +92,174 @@ def _uniform_grid_for(T: float, dt_bound: float) -> TimeGrid:
     return build_time_grid(T, n)
 
 
-def _march(mesh, grid, config: SchemeConfig, v, fluxes):
-    """The levels q^0..q^N and their mass ledger of the explicit update
-    q^{n+1} = q^n - (dt/|P|) sum_zeta |zeta| F^n . n_{P,zeta}.
+class LevelSource:
+    """The q and v levels of one refinement level, handed out in chunks of
+    steps.
+
+    ``chunks(slices)`` walks consecutive slices of steps that cover 0..N
+    in order and yields, per slice n..m, the q levels of the knots n..m+1,
+    shaped (m - n + 2, NC), and the v levels of the same knots (None
+    without a face velocity).  They are views of two level buffers that
+    the next chunk overwrites; the last knot of a chunk is carried over as
+    the first of the next.  v is what the layout's faces store of the
+    closed form ``v_exact`` (``Layout.velocity_at``), and a subclass forms
+    the q levels (``_fill``); every new level is checked finite.  ``quad``
+    is the level's cell rule of order ``order``, built once: the source
+    samples with it, and ``level_pass`` takes the L1 distance on it.
+    """
+
+    def __init__(self, layout: Layout, mesh, dual, grid, order: int,
+                 v_exact):
+        self.layout, self.mesh, self.dual, self.grid = layout, mesh, dual, grid
+        self.quad = CellQuadrature(mesh, order)
+        self.v_exact = v_exact
+
+    def on_nodes(self, ref):
+        """The evaluator ``ev(times, out=None)`` of ref on the nodes of
+        ``quad`` (``fields._reference_at``)."""
+        return _reference_at(ref, self.quad.flat_points())
+
+    def _fill(self, steps, q, v, first):
+        """Write the q levels of the knots steps.start + first ..
+        steps.stop into the rows first.. of q; v holds the v levels of all
+        the chunk's knots."""
+        raise NotImplementedError
+
+    def _buffers(self, rows):
+        """Arrays for ``rows`` q levels and as many v levels (None without
+        a face velocity)."""
+        field = self.layout.velocity_field
+        return (np.empty((rows, self.mesh.n_cells)),
+                None if field is None
+                else np.empty((rows, self.mesh.n_faces) + field.components))
+
+    def chunks(self, slices):
+        q, v = self._buffers(max(ch.stop - ch.start for ch in slices) + 1)
+        last = None
+        for ch in slices:
+            size = ch.stop - ch.start + 1
+            qk, vk = q[:size], None if v is None else v[:size]
+            first = 0 if last is None else 1
+            if first:
+                qk[0] = q[last]
+            if v is not None:
+                if first:
+                    vk[0] = v[last]
+                for row, t in zip(vk[first:],
+                                  self.grid.knots[ch.start + first:
+                                                  ch.stop + 1]):
+                    row[...] = self.layout.velocity_at(self.v_exact,
+                                                       self.mesh, self.dual, t)
+                _check_finite(vk[first:])
+            self._fill(ch, qk, vk, first)
+            _check_finite(qk[first:])
+            yield qk, vk
+            last = size - 1
+
+    def collect(self):
+        """The whole fields (q, v) of the level, v None without a face
+        velocity."""
+        q, v = self._buffers(self.grid.n_steps + 1)
+        slices = chunk_slices(self.grid.n_steps, self.mesh.n_cells)
+        for ch, (qk, vk) in zip(slices, self.chunks(slices)):
+            q[ch.start:ch.stop + 1] = qk
+            if v is not None:
+                v[ch.start:ch.stop + 1] = vk
+        field = self.layout.velocity_field
+        return (CellScalarField(self.mesh, self.grid, q),
+                None if v is None else field(self.mesh, self.grid, self.dual,
+                                             v))
+
+
+def _check_finite(levels):
+    if not np.all(np.isfinite(levels)):
+        raise ValueError("non-finite field values")
+
+
+class ManufacturedLevels(LevelSource):
+    """Closed forms sampled level by level: q by its cell means at each
+    knot (as ``fields.sample_cell_means``, its x-only part formed once)
+    and v at the face midpoints; the colocated 1D layout needs no velocity
+    (v_exact may be None)."""
+
+    def __init__(self, q_exact, v_exact, layout: Layout, mesh, dual, grid,
+                 order: int = DEFAULT_ORDER):
+        super().__init__(layout, mesh, dual, grid, order, v_exact)
+        self.q_exact = q_exact
+        self._ev = super().on_nodes(q_exact)
+        self._work = np.empty(0)
+
+    def on_nodes(self, ref):
+        # q_exact's x-only part is formed once for sampling and distance
+        return self._ev if ref is self.q_exact else super().on_nodes(ref)
+
+    def _fill(self, steps, q, v, first):
+        knots = self.grid.knots[steps.start + first:steps.stop + 1]
+        nodes = self.quad.weights.size
+        per_call = chunk_slices(knots.size, nodes)[0]
+        self._work = _at_least(self._work,
+                               (per_call.stop - per_call.start) * nodes)
+        _knot_means(self.quad, self._ev, knots, q[first:], self._work)
+
+
+class SchemeLevels(LevelSource):
+    """The levels q^0..q^N of the explicit update
+    q^{n+1} = q^n - (dt/|P|) sum_zeta |zeta| F^n . n_{P,zeta}, marched a
+    chunk at a time into the level buffers, and their mass ledger.
 
     q^0 is the cell means of ``config.q0``, F^n = fluxes(q^n, v^n) of one
-    level (an ``operators`` flux rule, v None in 1D) and the sum is
-    ``operators.divergence``.  The ledger's boundary flux is
-    dt sum |zeta| F^n . n over the boundary faces, n seen from each face's
-    first cell.
+    level (an ``operators`` flux rule, no v in 1D) and the sum is
+    ``operators.divergence``.  A MAC source checks step n against the CFL
+    bound of v^n (``cfl_bound``) before it marches it.  The ledger
+    (``ledger``, once the last chunk is out) holds the mass sum |P| q^n of
+    every level and the boundary flux dt sum |zeta| F^n . n over the
+    boundary faces, n seen from each face's first cell.
     """
-    layout = COLOCATED_1D if v is None else layout_of(v)
-    dual = None if v is None else v.dual
-    dt = float(grid.steps[0])
-    vols = mesh.cell_volumes
-    rates = dt / vols
-    bfaces, bweights = layout.boundary_weights(mesh, dual)
-    values = np.empty((grid.n_steps + 1, mesh.n_cells))
-    quad = CellQuadrature(mesh, config.quad_order)
-    values[0] = quad.cell_means(quad.values(config.q0))
-    mass = np.empty(grid.n_steps + 1)
-    boundary = np.empty(grid.n_steps)
-    mass[0] = float(np.dot(vols, values[0]))
-    for n in range(grid.n_steps):
-        level = slice(n, n + 1)
-        flux = fluxes(values[level], None if v is None else v.values[level])
-        div = divergence(layout.cell_normal(flux, mesh, dual), mesh)[0]
-        np.subtract(values[n], rates * div, out=values[n + 1])
-        mass[n + 1] = float(np.dot(vols, values[n + 1]))
-        boundary[n] = dt * float((flux[0, bfaces] * bweights).sum())
-    return (CellScalarField(mesh, grid, values),
-            MassLedger(mass=mass, boundary_flux=boundary,
-                       defect=np.abs(np.diff(mass) + boundary)))
+
+    def __init__(self, layout: Layout, mesh, dual, grid,
+                 config: SchemeConfig, fluxes, cfl_bound=None):
+        super().__init__(layout, mesh, dual, grid, config.quad_order,
+                         config.velocity)
+        self.config, self.fluxes, self.cfl_bound = config, fluxes, cfl_bound
+        self.ledger = None
+        self._dt = float(grid.steps[0])
+        self._rates = self._dt / mesh.cell_volumes
+        self._bfaces, self._bweights = layout.boundary_weights(mesh, dual)
+        self._mass = np.empty(grid.n_steps + 1)
+        self._boundary = np.empty(grid.n_steps)
+
+    def _fill(self, steps, q, v, first):
+        config, mesh, dual, dt = self.config, self.mesh, self.dual, self._dt
+        vols = mesh.cell_volumes
+        mass, boundary = self._mass, self._boundary
+        if first == 0:
+            q[0] = self.quad.cell_means(self.quad.values(config.q0))
+            mass[0] = float(np.dot(vols, q[0]))
+        for i, n in enumerate(range(steps.start, steps.stop)):
+            vn = None if v is None else v[i:i + 1]
+            if (self.cfl_bound is not None and dt > config.cfl
+                    * self.cfl_bound(vn[0]) * (1.0 + 1e-12)):
+                raise CFLError(f"CFL violated at step {n}")
+            flux = self.fluxes(q[i:i + 1], vn)
+            div = divergence(self.layout.cell_normal(flux, mesh, dual),
+                             mesh)[0]
+            np.subtract(q[i], self._rates * div, out=q[i + 1])
+            mass[n + 1] = float(np.dot(vols, q[i + 1]))
+            boundary[n] = dt * float((flux[0, self._bfaces]
+                                      * self._bweights).sum())
+        if steps.stop == self.grid.n_steps:
+            self.ledger = MassLedger(
+                mass=mass, boundary_flux=boundary,
+                defect=np.abs(np.diff(mass) + boundary))
 
 
-def run_upwind_1d(mesh, config: SchemeConfig):
-    """Explicit upwind transport q_t + q_x = 0 at the configured CFL.
+def upwind_1d_levels(mesh, config: SchemeConfig) -> SchemeLevels:
+    """Explicit upwind transport q_t + q_x = 0 at the configured CFL, as a
+    level source.
 
-    Returns (field, grid, ledger).  The time step satisfies
-    dt <= cfl * min h_P; under that bound the update is a convex combination
-    so the max principle holds (inflow value 0 under the default policy).
+    The time step satisfies dt <= cfl * min h_P; under that bound the
+    update is a convex combination so the max principle holds (inflow
+    value 0 under the default policy).
     """
     if mesh.dim != 1:
         raise ValueError("run_upwind_1d needs a 1D mesh")
@@ -130,15 +269,24 @@ def run_upwind_1d(mesh, config: SchemeConfig):
     dt = float(grid.steps[0])
     if dt > config.cfl * float(h.min()) * (1.0 + 1e-12):
         raise CFLError(f"dt={dt} violates CFL bound {config.cfl * h.min()}")
-    q, ledger = _march(mesh, grid, config, None, fluxes)
-    return q, grid, ledger
+    return SchemeLevels(COLOCATED_1D, mesh, None, grid, config, fluxes)
 
 
-def run_mass_mac(mesh, dual, config: SchemeConfig):
-    """Explicit upwind mass update on a MAC grid with prescribed velocity.
+def run_upwind_1d(mesh, config: SchemeConfig):
+    """``upwind_1d_levels`` marched whole: (field, grid, ledger)."""
+    source = upwind_1d_levels(mesh, config)
+    q, _ = source.collect()
+    return q, source.grid, source.ledger
+
+
+def mass_mac_levels(mesh, dual, config: SchemeConfig) -> SchemeLevels:
+    """Explicit upwind mass update on a MAC grid with prescribed velocity,
+    as a level source.
 
     q_P^{n+1} = q_P^n - (dt/|P|) sum |zeta| q_zeta^up v_zeta^n delta_{P,zeta};
     total mass changes only through boundary faces (checked per step).
+    dt is chosen from v at t = 0, and every step is checked against the
+    CFL bound of its own v^n.
     """
     if config.velocity is None:
         raise ValueError("run_mass_mac needs a closed-form velocity")
@@ -152,29 +300,27 @@ def run_mass_mac(mesh, dual, config: SchemeConfig):
         with np.errstate(divide="ignore"):
             return float(np.min(np.where(outflow > 0, vols / outflow, np.inf)))
 
-    bound = dt_bound(MAC.face_components(
-        config.velocity(mesh.face_midpoints, 0.0), mesh, dual))
+    bound = dt_bound(MAC.velocity_at(config.velocity, mesh, dual, 0.0))
     if not np.isfinite(bound):
         bound = config.T
     grid = _uniform_grid_for(config.T, config.cfl * bound)
-    dt = float(grid.steps[0])
-    v = MAC.sample_velocity(config.velocity, mesh, dual, grid)
-    fluxes = staggered_flux_rule(mesh, v, get_pair("id"),
+    fluxes = staggered_flux_rule(mesh, MAC, dual, get_pair("id"),
                                  policy=config.boundary_policy)
-    for n in range(grid.n_steps):
-        if dt > config.cfl * dt_bound(v.values[n]) * (1.0 + 1e-12):
-            raise CFLError(f"CFL violated at step {n}")
-    q, ledger = _march(mesh, grid, config, v, fluxes)
-    return q, v, grid, ledger
+    return SchemeLevels(MAC, mesh, dual, grid, config, fluxes, dt_bound)
+
+
+def run_mass_mac(mesh, dual, config: SchemeConfig):
+    """``mass_mac_levels`` marched whole: (q, v, grid, ledger)."""
+    source = mass_mac_levels(mesh, dual, config)
+    q, v = source.collect()
+    return q, v, source.grid, source.ledger
 
 
 def sample_manufactured(q_exact, v_exact, layout: str, mesh, dual, grid,
-                        order: int = DEFAULT_ORDER, check: bool = False):
-    """Sample closed forms: q by cell means at t_n, v at face midpoints.
-
-    The layout decides what a face stores (``Layout.sample_velocity``); the
-    colocated 1D layout needs no velocity field (v_exact may be None).
+                        order: int = DEFAULT_ORDER):
+    """Closed forms sampled whole (``ManufacturedLevels``): q by cell
+    means at t_n, v by what the layout's faces store at their midpoints;
+    the colocated 1D layout needs no velocity field (v_exact may be None).
     """
-    rules = get_layout(layout)
-    q = sample_cell_means(q_exact, mesh, grid, order=order, check=check)
-    return q, rules.sample_velocity(v_exact, mesh, dual, grid)
+    return ManufacturedLevels(q_exact, v_exact, get_layout(layout), mesh,
+                              dual, grid, order).collect()

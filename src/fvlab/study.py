@@ -10,6 +10,7 @@ byte-identical for any thread count.
 from __future__ import annotations
 
 import csv
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .consistency import level_pass, weak_rhs
 from .fields import (TIME_PROFILES, Reference, TestFunction, _bump,
-                     default_translate_weights, interpolate_test, lp_distance)
+                     default_translate_weights, interpolate_test)
 # build_dual_mac and build_dual_rt are called by their names in this module
 # (see build_level), so rebinding fvlab.study.build_dual_* reaches the call
 from .geometry import (TIME_PATTERNS, DualMeshMAC, _cartesian_vertices,
@@ -27,7 +28,8 @@ from .geometry import (TIME_PATTERNS, DualMeshMAC, _cartesian_vertices,
 from .layouts import MAC, get_layout
 from .operators import (FACE_SCHEMES, get_pair, staggered_flux_rule,
                         upwind_1d_flux_rule)
-from .schemes import SchemeConfig, run_mass_mac, run_upwind_1d, sample_manufactured
+from .schemes import (ManufacturedLevels, SchemeConfig, mass_mac_levels,
+                      upwind_1d_levels)
 
 # the whole-level stages, which a level runs as one level_pass instead of
 # one by one, stay importable from this module: bench/tracing.py rebinds
@@ -35,9 +37,11 @@ from .schemes import SchemeConfig, run_mass_mac, run_upwind_1d, sample_manufactu
 from .consistency import (compute_X1, compute_X2, jump_sums,  # noqa: F401
                           measured_constant, residual_flux, residual_init,
                           residual_time, weak_form_gap)
-from .fields import translate_functional  # noqa: F401
+from .fields import lp_distance, translate_functional  # noqa: F401
 from .operators import (assemble_convection,  # noqa: F401
                         flux_colocated_upwind_1d, flux_staggered)
+# so are the whole-level field functions, whose sources a level streams
+from .schemes import run_upwind_1d, sample_manufactured  # noqa: F401
 
 __all__ = [
     "StudyConfig", "ResidualReport", "RateFit", "StudyResult", "run_study",
@@ -66,11 +70,20 @@ class StudyRegularityError(RuntimeError):
 
 # the q and v of each solution are References: the x-only factor, formed
 # once per point set, and the rest of the closed form in its left-to-right
-# order; the steady velocities combine to their x-only part
-_STEADY = lambda s, t: s
+# order; the steady velocities combine to their x-only part, and every
+# combine writes into the buffer it is given
+
+
+def _steady(s, t, out=None):
+    if out is None:
+        return s
+    np.copyto(out, s)
+    return out
+
+
 _UNIFORM_V = Reference(lambda x: np.broadcast_to(np.array([1.0, 0.5]),
                                                  (x.shape[0], 2)).copy(),
-                       _STEADY)
+                       _steady)
 
 SOLUTIONS = {
     "constant": dict(
@@ -81,21 +94,23 @@ SOLUTIONS = {
         dim=2,
         q=Reference(lambda x: np.sin(np.pi * x[:, 0])
                     * np.sin(np.pi * x[:, 1]),
-                    lambda s, t: s * np.cos(t)),
+                    lambda s, t, out=None: np.multiply(s, np.cos(t), out=out)),
         v=_UNIFORM_V),
     "sinsin_shear": dict(
         dim=2,
         q=Reference(lambda x: 0.5 * np.sin(np.pi * x[:, 0])
                     * np.sin(np.pi * x[:, 1]),
-                    lambda s, t: 1.0 + s * np.cos(t)),
+                    lambda s, t, out=None: np.add(
+                        1.0, np.multiply(s, np.cos(t), out=out), out=out)),
         v=Reference(lambda x: np.stack([1.0 + 0.3 * np.sin(np.pi * x[:, 0]),
                                         0.5 + 0.2 * np.cos(np.pi * x[:, 1])],
                                        axis=-1),
-                    _STEADY)),
+                    _steady)),
     "bump_advect_1d": dict(
         dim=1,
         q=Reference(lambda x: x[:, 0],
-                    lambda x0, t: _bump(x0 - t, 0.15, 0.45)),
+                    lambda x0, t, out=None: _bump(
+                        np.subtract(x0, t, out=out), 0.15, 0.45, out=out)),
         v=None),
 }
 
@@ -342,10 +357,14 @@ def build_level(config: StudyConfig, level: int):
     return mesh, dual, h_ref
 
 
-def _tensor_field_function(field) -> Reference | None:
-    """A cell field on a tensor-product mesh as a function of (x, t), whose
-    evaluator finds the cell of each point once per point set; None for
-    meshes without tensor structure (perturbed quadrangles)."""
+def _tensor_field_function(field, wait=None) -> Reference | None:
+    """A cell field (its mesh, grid and values: a ``CellScalarField`` or a
+    ``_LevelQ``) on a tensor-product mesh as a function of (x, t), whose
+    evaluator finds the cell of each point once per point set and gathers
+    the values into the buffer it is given; None for meshes without tensor
+    structure (perturbed quadrangles).  ``wait(rows)``, when given, is
+    called before each lookup with the number of leading levels it reads
+    (of a field still being filled)."""
     mesh, grid = field.mesh, field.grid
     if not mesh.is_rectangular():
         return None
@@ -360,15 +379,83 @@ def _tensor_field_function(field) -> Reference | None:
                     0, size - 1)
             for d, (axis, size) in enumerate(zip(nodes, shape))), shape)
 
-    def lookup(cell, t):
+    levels = np.empty((0, field.values.shape[1]))   # one call's, reused
+
+    def lookup(cell, t, out=None):
+        nonlocal levels
         n = np.clip(np.searchsorted(grid.knots, t, side="right") - 1,
                     0, grid.n_steps - 1)
+        if wait is not None and n.size:
+            wait(int(n.max()) + 1)
         if n.shape[1:] == (1,) and cell.ndim == 1:
-            # times x points (``Reference.at``): whole rows, then the cells
-            return field.values[n[:, 0]].take(cell, axis=1)
-        return field.values[n, cell]
+            # times x points (``Reference.at``): whole rows, then the
+            # cells; the indices are in range, and mode "clip" gathers
+            # straight into the buffers, where "raise" would copy
+            if len(levels) < len(n):
+                levels = np.empty((len(n), field.values.shape[1]))
+            rows = field.values.take(n[:, 0], axis=0, out=levels[:len(n)],
+                                     mode="clip")
+            return rows.take(cell, axis=1, out=out, mode="clip")
+        if out is None:
+            return field.values[n, cell]
+        out[...] = field.values[n, cell]
+        return out
 
     return Reference(cells, lookup)
+
+
+class _LevelQ:
+    """One level's q as the L1 Cauchy reference of the next finer level.
+
+    The level publishes it once its mesh and time grid are built (with no
+    values when the mesh has no tensor structure: then there is no
+    reference, and nothing is gathered or waited for), and its pass fills
+    the rows of ``values`` chunk by chunk (``put``).  The finer level, which may
+    run at the same time on the level pool, waits in ``reference()`` only
+    for the publication, and in each lookup only for the rows it reads,
+    so the two passes overlap.  A level that fails calls ``fail()``, which
+    releases its waiters."""
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._published = self._failed = False
+        self._rows = 0
+        self.mesh = self.grid = self.values = None
+
+    def publish(self, mesh, grid):
+        with self._cond:
+            self.mesh, self.grid = mesh, grid
+            if mesh.is_rectangular():
+                self.values = np.empty((grid.n_steps + 1, mesh.n_cells))
+            self._published = True
+            self._cond.notify_all()
+
+    def put(self, start, levels):
+        """The q levels of the knots start.. (``level_pass``'s keep)."""
+        self.values[start:start + len(levels)] = levels
+        with self._cond:
+            self._rows = start + len(levels)
+            self._cond.notify_all()
+
+    def fail(self):
+        with self._cond:
+            self._failed = True
+            self._cond.notify_all()
+
+    def _wait(self, ready):
+        with self._cond:
+            self._cond.wait_for(lambda: ready() or self._failed)
+            if not ready():
+                raise RuntimeError("the coarser level failed")
+
+    def reference(self) -> Reference | None:
+        """The Cauchy reference (``_tensor_field_function``), None without
+        tensor structure."""
+        self._wait(lambda: self._published)
+        if self.values is None:
+            return None
+        rows = lambda count: self._wait(lambda: self._rows >= count)
+        return _tensor_field_function(self, wait=rows)
 
 
 def _audit(config, level, reg, base):
@@ -391,37 +478,53 @@ def _audit(config, level, reg, base):
 # ----------------------------------------------------------------------
 # the study itself
 
-def _compute_level(config: StudyConfig, level: int, phi, rhs, base_reg):
+def _compute_level(config: StudyConfig, level: int, phi, rhs, base_reg,
+                   coarse: _LevelQ | None = None,
+                   mine: _LevelQ | None = None):
+    """The report of one level.  Its q and v are streamed into the level's
+    pass (``level_pass``) from their source: the manufactured sampler or
+    the scheme's march.  l1_cauchy is taken inside the pass against
+    ``coarse``, the coarser level's q, when it has a reference; ``mine``,
+    when given, is published and filled with this level's q for the next
+    finer level."""
+    try:
+        return _level_report(config, level, phi, rhs, base_reg, coarse, mine)
+    except BaseException:
+        if mine is not None:
+            mine.fail()
+        raise
+
+
+def _level_report(config, level, phi, rhs, base_reg, coarse, mine):
     mesh, dual, h_ref = build_level(config, level)
     layout = get_layout(config.layout)
     sol = manufactured_solution(config.solution)
     q_exact, v_exact = sol["q"], sol["v"]
     q0 = lambda x: q_exact(x, 0.0)
     pair = get_pair(config.beta_name, config.g_name)
-    extras = {}
     if config.field_source == "manufactured":
         n_steps = max(1, round(config.T / (config.dt_over_h * h_ref)))
         grid = build_time_grid(config.T, n_steps, pattern=config.time_pattern,
                                ratio=config.time_ratio)
-        q, v = sample_manufactured(q_exact, v_exact, config.layout, mesh, dual,
-                                   grid, order=config.quad_order, check=False)
+        levels = ManufacturedLevels(q_exact, v_exact, layout, mesh, dual,
+                                    grid, config.quad_order)
     else:
         scheme_cfg = SchemeConfig(q0=q0, T=config.T,
                                   cfl=config.cfl, velocity=v_exact,
                                   boundary_policy=config.boundary_policy,
                                   quad_order=config.quad_order)
         # validate admits the scheme source for colocated 1D and MAC only
-        if layout.staggered:
-            q, v, grid, ledger = run_mass_mac(mesh, dual, scheme_cfg)
-        else:
-            q, grid, ledger = run_upwind_1d(mesh, scheme_cfg)
-            v = None
-        extras["mass_defect"] = ledger.max_relative_defect()
+        levels = (mass_mac_levels(mesh, dual, scheme_cfg) if layout.staggered
+                  else upwind_1d_levels(mesh, scheme_cfg))
+        grid = levels.grid
+    if mine is not None:
+        mine.publish(mesh, grid)
     reg = regularity(mesh, grid,
                      mac=dual if isinstance(dual, DualMeshMAC) else None)
     _audit(config, level, reg, base_reg)
     if layout.staggered:
-        fluxes = staggered_flux_rule(mesh, v, pair, scheme=config.face_scheme,
+        fluxes = staggered_flux_rule(mesh, layout, dual, pair,
+                                     scheme=config.face_scheme,
                                      lam=config.lam,
                                      policy=config.boundary_policy)
     else:
@@ -429,11 +532,16 @@ def _compute_level(config: StudyConfig, level: int, phi, rhs, base_reg):
     interp = interpolate_test(phi, mesh, grid, order=config.quad_order,
                               panels=config.interp_panels)
     weights = default_translate_weights(mesh, grid, theta=config.translate_theta)
-    sums = level_pass(q, v, pair, fluxes, interp, (q_exact, v_exact, q0),
+    sums = level_pass(levels, pair, fluxes, interp, (q_exact, v_exact, q0),
                       weights, rhs, order=config.quad_order,
-                      init_order=config.oracle_order)
+                      init_order=config.oracle_order,
+                      cauchy=None if coarse is None else coarse.reference(),
+                      keep=(None if mine is None or mine.values is None
+                            else mine.put))
+    extras = {}
     if config.field_source == "scheme":
-        extras["scheme_min"], extras["scheme_max"] = sums.q_min, sums.q_max
+        extras = dict(scheme_min=sums.q_min, scheme_max=sums.q_max,
+                      mass_defect=levels.ledger.max_relative_defect())
     x2, jumps = sums.x2, sums.jumps
     report = ResidualReport(
         level=level, h=mesh.delta(), dt=grid.dt_max, theta1=reg.theta1,
@@ -446,8 +554,9 @@ def _compute_level(config: StudyConfig, level: int, phi, rhs, base_reg):
         res_time_signed=sums.time.signed, x2_gradient=x2.gradient_route,
         rt_constant=(jumps.rt_constant if jumps.rt_constant is not None
                      else np.nan),
-        measured_c=sums.measured_c, l1_distance=sums.l1_distance, **extras)
-    return report, q
+        measured_c=sums.measured_c, l1_distance=sums.l1_distance,
+        l1_cauchy=sums.l1_cauchy, **extras)
+    return report
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -455,11 +564,15 @@ def run_study(config: StudyConfig) -> StudyResult:
 
     The weak-form right-hand side is integrated once (it is the level-
     independent limit object).  The L1 Cauchy column compares each level's
-    field with the previous level's as a piecewise-constant function, as
-    soon as the finer level's result arrives, and the coarser field is
-    dropped then: for scheme sources this is the convergence surrogate (no
-    exact limit is assumed), for manufactured sources l1_distance to the
-    exact limit is the primary diagnostic.
+    field with the previous level's as a piecewise-constant function,
+    chunk by chunk inside the finer level's pass: every level but the
+    finest gathers its q whole for that (``_LevelQ``), until the next
+    level is done, and the finest level's q is never held whole; on the
+    level pool a level's pass runs alongside the coarser one's and waits
+    only for the coarser rows it reads.  For scheme sources this is
+    the convergence surrogate (no exact limit is assumed), for
+    manufactured sources l1_distance to the exact limit is the primary
+    diagnostic.
     """
     config.validate()
     phi = config.test_function()
@@ -467,29 +580,24 @@ def run_study(config: StudyConfig) -> StudyResult:
     pair = get_pair(config.beta_name, config.g_name)
     rhs = weak_rhs(pair, sol["q"], sol["v"], lambda x: sol["q"](x, 0.0),
                    phi, order=config.oracle_order, panels=config.rhs_panels)
-    reports, coarse = [], None
-
-    def take(result):
-        nonlocal coarse
-        report, fld = result
-        coarse_fn = None if coarse is None else _tensor_field_function(coarse)
-        if coarse_fn is not None:
-            report.l1_cauchy = lp_distance(fld, coarse_fn, order=2).distance
-        reports.append(report)
-        coarse = fld
-
+    # each level but the finest hands its q to the next one
+    handoffs = [_LevelQ() for _ in range(config.levels - 1)] + [None]
     # level 0 first: it fixes the regularity baseline for the audit
-    take(_compute_level(config, 0, phi, rhs, None))
-    levels = range(1, config.levels)
-    if config.threads > 1 and levels:
+    first = _compute_level(config, 0, phi, rhs, None, None, handoffs[0])
+    jobs = [(config, lv, phi, rhs, first, handoffs[lv - 1], handoffs[lv])
+            for lv in range(1, config.levels)]
+    del handoffs        # a level's q is freed once the next level is done
+    if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futures = [pool.submit(_compute_level, config, lv, phi, rhs,
-                                   reports[0]) for lv in levels]
-            while futures:
-                take(futures.pop(0).result())
+            # the pool starts the levels in order, so a level waits only
+            # for coarser levels already running
+            futures = [pool.submit(_compute_level, *job) for job in jobs]
+            del jobs
+            reports = [first] + [f.result() for f in futures]
     else:
-        for lv in levels:
-            take(_compute_level(config, lv, phi, rhs, reports[0]))
+        reports = [first]
+        while jobs:
+            reports.append(_compute_level(*jobs.pop(0)))
     return StudyResult(config=config, reports=reports, rates=fit_rates(reports))
 
 

@@ -13,7 +13,7 @@ from fvlab.geometry import (LOCAL_OPPOSITE, DualMeshMAC,
                             MeshConstructionError, PrimalMesh,
                             build_time_grid, regularity, sum_opposite_first)
 from fvlab.layouts import get_layout
-from fvlab.operators import (BetaFamily, assemble_convection,
+from fvlab.operators import (BetaFamily, assemble_convection, divergence,
                              flux_colocated_upwind_1d, flux_staggered,
                              get_pair)
 from fvlab.quadrature import (ORACLE_ORDER, BoxQuadrature, CellQuadrature,
@@ -293,7 +293,7 @@ def slab_integrals_per_slab(slab, f, n):
 def l1_distance_per_slab(field, ref, order=4):
     """The L1 distance of ``lp_distance`` with one ``ref(x, t)`` call per
     Gauss time of every slab, the slab sums added in step order."""
-    slab = SlabQuadrature(field.mesh, field.grid, order)
+    slab = SlabQuadrature(CellQuadrature(field.mesh, order), field.grid)
     total = 0.0
     for n in range(field.grid.n_steps):
         qn = field.values[n][:, None]
@@ -389,7 +389,7 @@ def residual_time_slab(betas, phi, space_order=4):
     with phi's slab integrals formed unfactored: phi.value on every node of
     the (cell x time-slab) rule of every cell (``slab_cell_integrals``)."""
     mesh = betas.mesh
-    slab = SlabQuadrature(mesh, betas.grid, space_order)
+    slab = SlabQuadrature(CellQuadrature(mesh, space_order), betas.grid)
     on_cells = phi.at(slab.cell.flat_points())
     phi_int = slab.slab_cell_integrals(
         lambda steps, tn: on_cells.value(tn[..., None]))
@@ -461,7 +461,7 @@ def compute_level_by_stages(config, level, phi, rhs, base_reg):
         grid = build_time_grid(config.T, n_steps, pattern=config.time_pattern,
                                ratio=config.time_ratio)
         q, v = sample_manufactured(q_exact, v_exact, config.layout, mesh, dual,
-                                   grid, order=config.quad_order, check=False)
+                                   grid, order=config.quad_order)
     else:
         scheme_cfg = SchemeConfig(q0=q0, T=config.T,
                                   cfl=config.cfl, velocity=v_exact,
@@ -513,3 +513,44 @@ def compute_level_by_stages(config, level, phi, rhs, base_reg):
         measured_c=measured_constant(q, v, pair),
         l1_distance=l1, **extras)
     return report, q
+
+
+def bump_masked(s, a, b):
+    """exp(-1/(1-u^2)) rescaled to (a, b), formed on the masked points
+    |u| < 1 only and +0.0 elsewhere: the oracle of ``fields._bump``."""
+    s = np.asarray(s, dtype=float)
+    u = (2.0 * s - (a + b)) / (b - a)
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    ui = u[inside]
+    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
+    return out
+
+
+def march_by_steps(source):
+    """The levels q^0..q^N and the mass ledger (mass, boundary flux) of a
+    ``schemes.SchemeLevels`` source marched step by step into one whole
+    (N + 1, NC) array, v sampled whole first: the oracle of its chunked
+    march."""
+    mesh, grid, layout, dual = source.mesh, source.grid, source.layout, source.dual
+    config = source.config
+    n = grid.n_steps
+    v = None
+    if layout.velocity_field is not None:
+        v = np.stack([layout.velocity_at(config.velocity, mesh, dual, t)
+                      for t in grid.knots])
+    dt = float(grid.steps[0])
+    vols = mesh.cell_volumes
+    bfaces, bweights = layout.boundary_weights(mesh, dual)
+    values = np.empty((n + 1, mesh.n_cells))
+    quad = CellQuadrature(mesh, config.quad_order)
+    values[0] = quad.cell_means(quad.values(config.q0))
+    mass, boundary = np.empty(n + 1), np.empty(n)
+    mass[0] = float(np.dot(vols, values[0]))
+    for k in range(n):
+        flux = source.fluxes(values[k:k + 1], None if v is None else v[k:k + 1])
+        div = divergence(layout.cell_normal(flux, mesh, dual), mesh)[0]
+        values[k + 1] = values[k] - (dt / vols) * div
+        mass[k + 1] = float(np.dot(vols, values[k + 1]))
+        boundary[k] = dt * float((flux[0, bfaces] * bweights).sum())
+    return values, v, mass, boundary

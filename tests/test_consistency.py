@@ -21,10 +21,13 @@ from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
                             build_intervals, build_time_grid)
 from fvlab.operators import (BetaFamily, FluxFamily, assemble_convection,
                              flux_colocated_upwind_1d, flux_staggered,
-                             get_pair, telescoping_defect,
-                             upwind_1d_flux_rule)
+                             get_pair, staggered_flux_rule,
+                             telescoping_defect, upwind_1d_flux_rule)
 from fvlab.quadrature import BoxQuadrature
-from fvlab.schemes import SchemeConfig, run_upwind_1d, sample_manufactured
+from fvlab.layouts import MAC
+from fvlab.schemes import (CFLError, ManufacturedLevels, SchemeConfig,
+                           mass_mac_levels, run_mass_mac, sample_manufactured,
+                           upwind_1d_levels)
 from fvlab.study import StudyConfig, build_level, manufactured_solution
 
 from _oracles import (brute_force_flux_residual, materialise, per_step_sum,
@@ -492,29 +495,104 @@ def test_streamed_flux_stages_stay_in_bounded_memory(transient_mib):
 
 
 def _finest_upwind_1d_level():
-    """q of the finest level of the 1D upwind bench study (1024 cells, 512
-    steps) with the rest of what ``level_pass`` takes."""
+    """The scheme source of the finest level of the 1D upwind bench study
+    (1024 cells, 512 steps) with the rest of what ``level_pass`` takes."""
     config = StudyConfig(levels=6, nx0=32, layout="colocated1d",
                          field_source="scheme", T=0.25)
     mesh, _, _ = build_level(config, 5)
     sol = manufactured_solution(config.solution)
     q0 = lambda x: sol["q"](x, 0.0)
-    q, grid, _ = run_upwind_1d(mesh, SchemeConfig(q0=q0, T=config.T))
+    levels = upwind_1d_levels(mesh, SchemeConfig(q0=q0, T=config.T))
     phi = config.test_function()
     pair = get_pair("id")
     rhs = weak_rhs(pair, sol["q"], None, q0, phi)
-    return (q, None, pair, upwind_1d_flux_rule(mesh),
-            interpolate_test(phi, mesh, grid),
-            (sol["q"], None, q0), default_translate_weights(mesh, grid), rhs)
+    return (levels, pair, upwind_1d_flux_rule(mesh),
+            interpolate_test(phi, mesh, levels.grid),
+            (sol["q"], None, q0), default_translate_weights(mesh, levels.grid),
+            rhs)
 
 
 def test_level_pass_stays_in_bounded_memory(transient_mib):
     # one (N + 1, NC) table of this level is 4 MiB; run stage by stage over
-    # the whole level, compute_X2 alone peaked about 20 MiB above its start
+    # the whole level, compute_X2 alone peaked about 20 MiB above its start.
+    # The pass marches the scheme chunk by chunk, so not even q is whole
     args = _finest_upwind_1d_level()
-    assert args[0].values.shape == (513, 1024)
+    assert (args[0].grid.n_steps, args[0].mesh.n_cells) == (512, 1024)
     size = transient_mib(lambda: level_pass(*args))
     assert size <= 8, size
+
+
+def _mac_pass_args(source, qf, vf, fluxes=None):
+    """What ``level_pass`` takes with the level source of a MAC level,
+    whose L1 reference is qf; the identity pair and its upwind flux unless
+    ``fluxes`` is given."""
+    mesh, grid, pair, phi = source.mesh, source.grid, get_pair("id"), bump2d()
+    if fluxes is None:
+        fluxes = staggered_flux_rule(mesh, MAC, source.dual, pair)
+    return (source, pair, fluxes, interpolate_test(phi, mesh, grid),
+            (qf, vf, lambda x: qf(x, 0.0)), default_translate_weights(mesh, grid),
+            _rhs(pair, qf, vf, phi))
+
+
+def _steps_a_chunk(mesh, steps):
+    """A CHUNK_VALUES that gives the pass of a MAC level on `mesh` chunks
+    of `steps` steps."""
+    return steps * mesh.n_cells * mesh.cell_faces.shape[1] * MAC.pieces
+
+
+def test_streamed_mac_scheme_raises_the_cfl_error_of_the_whole_run():
+    # v = (1 + 20 (t - 0.1)^+, 0.5) outgrows the CFL bound of dt (chosen
+    # from v at t = 0) at the first knot past 0.1; marched inside the pass
+    # two steps a chunk, that step lies in the second chunk, and the pass
+    # raises the whole run's CFLError with the same step
+    mesh = build_cartesian(8, 8)
+    dual = build_dual_mac(mesh)
+    velocity = lambda x, t: np.stack(np.broadcast_arrays(
+        1.0 + 20.0 * np.maximum(t - 0.1, 0.0), np.full(x.shape[0], 0.5)),
+        axis=-1)
+    qf = lambda x, t: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+    cfg = SchemeConfig(q0=lambda x: qf(x, 0.0), T=0.5, velocity=velocity)
+    with pytest.raises(CFLError) as whole:
+        run_mass_mac(mesh, dual, cfg)
+    assert str(whole.value) == "CFL violated at step 3"
+    args = _mac_pass_args(mass_mac_levels(mesh, dual, cfg), qf, velocity)
+    with mock.patch.object(quadrature, "CHUNK_VALUES", _steps_a_chunk(mesh, 2)):
+        with pytest.raises(CFLError) as streamed:
+            level_pass(*args)
+    assert str(streamed.value) == str(whole.value)
+
+
+def test_streamed_pass_raises_the_missing_flux_of_the_whole_level():
+    # a flux rule that loses face 7 from step 3 on, on a sampled level
+    # whose cell means are t_n exactly: two steps a chunk, the pass meets
+    # it in its second chunk and names the face and step that the whole-
+    # level assembly names
+    mesh = build_cartesian(8, 8)
+    dual = build_dual_mac(mesh)
+    grid = build_time_grid(0.5, 8)
+    pair = get_pair("id")
+    qf = lambda x, t: np.full(x.shape[0], t)
+    vf = lambda x, t: np.broadcast_to(np.array([1.0, 0.5]),
+                                      (x.shape[0], 2)).copy()
+    rule = staggered_flux_rule(mesh, MAC, dual, pair)
+
+    def fluxes(qv, vv):
+        values = rule(qv, vv)
+        values[qv[:, 0] >= grid.knots[3], 7] = np.nan
+        return values
+
+    q, v = sample_manufactured(qf, vf, "mac", mesh, dual, grid)
+    flux = FluxFamily("mac", mesh, grid, fluxes(q.values[:-1], v.values[:-1]),
+                      "upwind_zero", dual)
+    with pytest.raises(ValueError) as whole:
+        assemble_convection(BetaFamily.from_field(q, pair), flux)
+    assert str(whole.value) == "missing flux on face 7 at step 3"
+    args = _mac_pass_args(ManufacturedLevels(qf, vf, MAC, mesh, dual, grid),
+                          qf, vf, fluxes)
+    with mock.patch.object(quadrature, "CHUNK_VALUES", _steps_a_chunk(mesh, 2)):
+        with pytest.raises(ValueError) as streamed:
+            level_pass(*args)
+    assert str(streamed.value) == str(whole.value)
 
 
 # ---------------------------------------------------------------- constant states

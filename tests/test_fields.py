@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import (CLOSED_FORMS, assert_bitwise,
+from _oracles import (CLOSED_FORMS, assert_bitwise, bump_masked,
                       interpolate_test_all_rows, l1_distance_per_slab,
                       materialise, separable_phi)
 from _strategies import (graded_meshes, interval_meshes, perturbed_meshes,
                          support_boxes, time_grids)
 from fvlab.fields import (TIME_PROFILES, Reference, SupportError,
-                          TestFunction, interpolate_test, lp_distance,
+                          TestFunction, _bump, interpolate_test, lp_distance,
                           sample_cell_means)
 from fvlab.geometry import build_cartesian, build_time_grid
 from fvlab.quadrature import CellQuadrature, gauss_legendre
@@ -442,3 +442,24 @@ def test_vector_reference_evaluations_agree(ref):
     assert_bitwise(grid, ref.at(points)(times).transpose(1, 0, 2))
     for j, t in enumerate(times):
         assert_bitwise(grid[:, j], ref(points, t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(-2.0, 2.0), width=st.floats(1e-3, 3.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_bump_in_place_matches_the_masked_bump(a, width, seed):
+    # the maskless bump, allocated or written over its argument, against
+    # exp(-1/(1-u^2)) on the points |u| < 1 only: the same bytes on and
+    # past the support edges, next to them and at the centre
+    b = a + width
+    rng = np.random.default_rng(seed)
+    s = np.concatenate([rng.uniform(a - width, b + width, 200),
+                        [a, b, 0.5 * (a + b), np.nextafter(a, b),
+                         np.nextafter(b, a), np.nextafter(a, -np.inf),
+                         np.nextafter(b, np.inf), -0.0]])
+    want = bump_masked(s, a, b)
+    assert_bitwise(_bump(s, a, b), want)
+    buf = s.copy()
+    assert _bump(buf, a, b, out=buf) is buf
+    assert_bitwise(buf, want)
+    assert_bitwise(_bump(s[3], a, b), want[3])

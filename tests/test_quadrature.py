@@ -191,7 +191,7 @@ def test_slab_integrals_match_per_slab_oracle(mesh, space_order, time_order,
     per_step = time_order * mesh.n_cells * space_order ** mesh.dim
     n_steps = 1 if offset is None else max(1, chunk + offset)
     grid = data.draw(time_grids(n_steps=n_steps))
-    slab = SlabQuadrature(mesh, grid, space_order, time_order)
+    slab = SlabQuadrature(CellQuadrature(mesh, space_order), grid, time_order)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     q = rng.normal(size=(n_steps, mesh.n_cells))
     q[rng.random(q.shape) < 0.2] = 0.0

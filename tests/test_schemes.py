@@ -4,15 +4,17 @@ import pytest
 from fvlab.fields import lp_distance
 from fvlab.geometry import (build_cartesian, build_dual_mac, build_intervals,
                             build_time_grid)
+from fvlab.layouts import MAC
 from fvlab.operators import (BetaFamily, assemble_convection,
                              flux_colocated_upwind_1d, flux_staggered,
                              get_pair, staggered_flux_rule)
-from fvlab.schemes import (CFLError, SchemeConfig, run_mass_mac,
-                           run_upwind_1d, sample_manufactured,
-                           write_run_metadata_csv)
+from fvlab.quadrature import chunk_slices
+from fvlab.schemes import (CFLError, SchemeConfig, mass_mac_levels,
+                           run_mass_mac, run_upwind_1d, sample_manufactured,
+                           upwind_1d_levels, write_run_metadata_csv)
 from fvlab.study import manufactured_solution
 
-from _oracles import assert_bitwise
+from _oracles import assert_bitwise, march_by_steps
 
 
 def bump1d(x):
@@ -200,7 +202,7 @@ def test_mass_mac_step_forms_measure_times_flux():
              for k, f in enumerate(faces)]
         q1[c] = q0[c] - (dt / mesh.cell_volumes[c]) * ((t[0] + t[2])
                                                        + (t[1] + t[3]))
-    rule = staggered_flux_rule(mesh, v, get_pair("id"))
+    rule = staggered_flux_rule(mesh, MAC, dual, get_pair("id"))
     assert_bitwise(rule(q.values[:1], v.values[:1])[0], flux)
     assert_bitwise(q.values[1], q1)
     assert np.any(q1 != q0)
@@ -326,3 +328,46 @@ def test_scheme_honours_its_boundary_policy(layout, policy):
         assert np.all(ledger.boundary_flux == 0.0)
         assert (abs(ledger.mass[-1] - ledger.mass[0])
                 <= 1e-14 * abs(ledger.mass[0]))
+
+
+# ---------------------------------------------------------------- streaming
+
+@pytest.mark.parametrize("layout", ["colocated1d", "mac"])
+def test_streamed_march_equals_the_step_by_step_march(layout):
+    # the scheme source marched in chunks of 1 step, of 3, of uneven size
+    # and whole, into its reused level buffers, against one march step by
+    # step into a whole array: the same q and v levels and the same ledger
+    # and mass defect, bit for bit (graded faces and the sinsin_shear
+    # velocity, so every flux product rounds)
+    sol = manufactured_solution("bump_advect_1d" if layout == "colocated1d"
+                                else "sinsin_shear")
+    cfg = SchemeConfig(q0=lambda x: sol["q"](x, 0.0), T=0.2, cfl=0.5,
+                       velocity=sol["v"])
+    if layout == "mac":
+        mesh = build_cartesian(8, 8, grading=1.1)
+        dual = build_dual_mac(mesh)
+        source = lambda: mass_mac_levels(mesh, dual, cfg)
+    else:
+        mesh = build_intervals(32, grading=1.1)
+        source = lambda: upwind_1d_levels(mesh, cfg)
+    values, v, mass, boundary = march_by_steps(source())
+    n = len(values) - 1
+    assert n > 6
+    whole = run_mass_mac(mesh, dual, cfg)[-1] if layout == "mac" else \
+        run_upwind_1d(mesh, cfg)[-1]
+    for slices in ([slice(k, k + 1) for k in range(n)],
+                   chunk_slices(n, 65536 // 3),
+                   [slice(0, 2), slice(2, n - 1), slice(n - 1, n)],
+                   [slice(0, n)]):
+        levels = source()
+        got = np.full_like(values, np.nan)
+        for ch, (qk, vk) in zip(slices, levels.chunks(slices)):
+            got[ch.start:ch.stop + 1] = qk
+            if v is not None:
+                assert_bitwise(vk, v[ch.start:ch.stop + 1])
+        assert_bitwise(got, values)
+        ledger = levels.ledger
+        assert_bitwise(ledger.mass, mass)
+        assert_bitwise(ledger.boundary_flux, boundary)
+        assert_bitwise(ledger.defect, np.abs(np.diff(mass) + boundary))
+        assert ledger.max_relative_defect() == whole.max_relative_defect()

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -17,12 +18,15 @@ import fvlab
 from fvlab import quadrature
 from fvlab.cli import parse_config
 from fvlab.consistency import weak_rhs
-from fvlab.fields import CellScalarField
+from fvlab.fields import CellScalarField, Reference, lp_distance
+from fvlab.geometry import build_intervals, build_time_grid
 from fvlab.layouts import get_layout
 from fvlab.operators import get_pair
-from fvlab.study import (StudyConfig, _compute_level, _tensor_field_function,
-                         fit_rates, manufactured_solution, run_study,
-                         write_rates_csv, write_report_csv)
+import fvlab.study
+from fvlab.study import (SOLUTIONS, StudyConfig, _compute_level, _LevelQ,
+                         _tensor_field_function, fit_rates,
+                         manufactured_solution, run_study, write_rates_csv,
+                         write_report_csv)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -50,6 +54,51 @@ def test_tensor_field_evaluator_matches_per_call_lookup(mesh, grid, seed):
         assert_bitwise(fn(points, t), row)
 
 
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(SOLUTIONS)), which=st.sampled_from("qv"),
+       n_points=st.integers(1, 40), n_times=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_solution_references_fill_their_buffer_bit_for_bit(
+        name, which, n_points, n_times, seed):
+    # ev(times, out=buf) of every Reference among the q and v of the
+    # solutions writes into buf, unchanged, the bits of ev(times); points
+    # in and past the domain, the bump's support edges and signed zeros
+    ref = SOLUTIONS[name][which]
+    if not isinstance(ref, Reference):
+        return
+    dim = SOLUTIONS[name]["dim"]
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-0.2, 1.2, size=(n_points, dim))
+    points[: min(3, n_points), 0] = [0.15, 0.45, 0.3][: min(3, n_points)]
+    times = np.concatenate([[0.0, -0.0], rng.uniform(0.0, 1.0, n_times)])
+    ev = ref.at(points)
+    want = ev(times)
+    buf = np.full(want.shape, np.nan)
+    got = ev(times, out=buf)
+    assert got is buf
+    assert_bitwise(buf, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mesh=st.one_of(interval_meshes(), graded_meshes()),
+       grid=time_grids(), seed=st.integers(0, 2 ** 32 - 1))
+def test_tensor_field_evaluator_fills_its_buffer_bit_for_bit(mesh, grid,
+                                                             seed):
+    # the Cauchy reference's ev(times, out=buf) gathers into buf the bits
+    # of ev(times), on points in and past the domain at knots and between
+    rng = np.random.default_rng(seed)
+    field = CellScalarField(mesh, grid, rng.normal(
+        size=(grid.n_steps + 1, mesh.n_cells)))
+    points = np.concatenate([mesh.cell_centroids, rng.uniform(
+        -0.1, 1.1, size=(20, mesh.dim))])
+    times = np.concatenate([grid.knots, rng.uniform(
+        -0.1, 1.1 * grid.final_time, size=5)])
+    ev = _tensor_field_function(field).at(points)
+    buf = np.full((times.size, len(points)), np.nan)
+    assert ev(times, out=buf) is buf
+    assert_bitwise(buf, ev(times))
+
+
 _STUDIES_WITHOUT_MASKED_ARRAYS = """
 import sys
 from fvlab.study import StudyConfig, run_study
@@ -60,16 +109,20 @@ print("numpy.ma" in sys.modules)
 """
 
 
-def test_studies_do_not_import_masked_arrays():
-    # np.unique imports numpy.ma on its first call in a process, about
-    # 19 ms and 1 MiB; a MAC and a 1D scheme study must not pay for it
+def _run_script(script, timeout=None):
+    """The stdout of a Python process running script on this fvlab."""
     src = str(Path(fvlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c",
-                          _STUDIES_WITHOUT_MASKED_ARRAYS], env=env,
-                         check=True, capture_output=True, text=True)
-    assert out.stdout.split() == ["False"]
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          check=True, capture_output=True, text=True,
+                          timeout=timeout).stdout
+
+
+def test_studies_do_not_import_masked_arrays():
+    # np.unique imports numpy.ma on its first call in a process, about
+    # 19 ms and 1 MiB; a MAC and a 1D scheme study must not pay for it
+    assert _run_script(_STUDIES_WITHOUT_MASKED_ARRAYS).split() == ["False"]
 
 
 def test_constant_study_all_zero_residual_columns(tmp_path):
@@ -94,15 +147,21 @@ def test_constant_study_all_zero_residual_columns(tmp_path):
 @pytest.mark.parametrize("case, source, level", [
     ("mac_scheme8", "scheme", 0), ("rt_perturbed_seed1", "manufactured", 0),
     ("col1d_scheme16", "scheme", 1), ("criterion7", "manufactured", 1),
-    ("col1d_scheme16", "manufactured", 1)], ids=[
+    ("col1d_scheme16", "manufactured", 1), ("mac_scheme8", "scheme", 1),
+    ("mac_scheme_graded_zero_flux", "scheme", 1)], ids=[
     "mac_scheme8-0", "rt_perturbed_seed1-0", "col1d_scheme16-1",
-    "criterion7-1", "col1d_scheme16-manufactured-1"])
+    "criterion7-1", "col1d_scheme16-manufactured-1", "mac_scheme8-1",
+    "mac_scheme_graded_zero_flux-1"])
 def test_report_rows_do_not_depend_on_the_chunk_size(case, source, level):
-    # one level of a golden study by the one-pass driver, with CHUNK_VALUES
-    # at one value a chunk, at 1, N - 1, N and N + 1 steps of the pass
-    # (its flux-defect table) and at the default, against the same level
-    # with every stage run on its own over the whole level: each field of
-    # the report row, the weak-form RHS included, keeps its bits
+    # one level of a golden study by the one-pass level_pass, its q and v
+    # streamed from their source (the sampler or the scheme's march), with
+    # CHUNK_VALUES at one value a chunk, at 1, N - 1, N and N + 1 steps of
+    # the pass (its flux-defect table) and at the default, against the same
+    # level with every stage run on its own over the whole level: each
+    # field of the report row, the weak-form RHS, the mass defect and the
+    # Cauchy distance to the coarser level taken inside the pass included,
+    # keeps its bits, and so does the q the pass gathers whole for the
+    # next level (none on the perturbed mesh, which has no tensor lookup)
     config, _ = parse_config(GOLDEN / case / "study.ini")
     config = dataclasses.replace(config, field_source=source)
     phi = config.test_function()
@@ -117,6 +176,13 @@ def test_report_rows_do_not_depend_on_the_chunk_size(case, source, level):
         return [float(x).hex() for x in dataclasses.astuple(report)]
 
     report, q = compute_level_by_stages(config, level, phi, rhs(), None)
+    coarse = None
+    if level:
+        _, coarse = compute_level_by_stages(config, level - 1, phi, rhs(),
+                                            None)
+        report.l1_cauchy = lp_distance(q, _tensor_field_function(coarse),
+                                       order=2).distance
+        assert np.isfinite(report.l1_cauchy)
     want = hexes(report)
     n = q.grid.n_steps
     per_step = (q.mesh.n_cells * q.mesh.cell_faces.shape[1]
@@ -124,9 +190,106 @@ def test_report_rows_do_not_depend_on_the_chunk_size(case, source, level):
     assert n > 2
     sizes = {1, quadrature.CHUNK_VALUES}
     for values in sorted(sizes | {k * per_step for k in (1, n - 1, n, n + 1)}):
+        mine = _LevelQ()
         with mock.patch.object(quadrature, "CHUNK_VALUES", values):
-            got, _ = _compute_level(config, level, phi, rhs(), None)
+            got = _compute_level(config, level, phi, rhs(), None,
+                                 _filled(coarse), mine)
         assert hexes(got) == want, values
+        if q.mesh.is_rectangular():
+            assert_bitwise(mine.values, q.values)
+        else:
+            assert mine.values is None
+
+
+def _filled(field):
+    """field as a whole, published and filled ``_LevelQ``."""
+    if field is None:
+        return None
+    level_q = _LevelQ()
+    level_q.publish(field.mesh, field.grid)
+    level_q.put(0, field.values)
+    return level_q
+
+
+def _in_thread(call):
+    """call() on a thread, joined within 60 s: its result, or the
+    exception it raised."""
+    out = []
+
+    def run():
+        try:
+            out.append(call())
+        except Exception as exc:
+            out.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive(), "the call still waits"
+    return out[0]
+
+
+def test_cauchy_lookup_waits_only_for_the_rows_it_reads():
+    # a finer level reads the coarser q while the coarser pass still fills
+    # it: a lookup returns once its rows are in, one past them waits, and
+    # a failing coarser level releases the waiter with an error
+    mesh, grid = build_intervals(4), build_time_grid(1.0, 4)
+    values = np.arange(5.0)[:, None] + np.arange(4.0)
+    coarse = _LevelQ()
+    coarse.publish(mesh, grid)
+    ev = _in_thread(coarse.reference).at(mesh.cell_centroids)
+    coarse.put(0, values[:2])
+    assert_bitwise(_in_thread(lambda: ev(np.array([0.0, 0.3]))), values[:2])
+    thread = threading.Thread(target=ev, args=(np.array([0.6]),),
+                              daemon=True)
+    thread.start()
+    thread.join(0.2)
+    assert thread.is_alive()
+    coarse.fail()
+    thread.join(60)
+    assert not thread.is_alive()
+    assert isinstance(_in_thread(lambda: ev(np.array([0.6]))), RuntimeError)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_perturbed_study_neither_gathers_nor_waits_for_a_cauchy_q(threads):
+    # without tensor structure there is no Cauchy reference: no level
+    # gathers its q or reads a coarser one, and l1_cauchy stays nan
+    config, _ = parse_config(GOLDEN / "rt_perturbed_seed1" / "study.ini")
+    config = dataclasses.replace(config, threads=threads)
+    with mock.patch.object(_LevelQ, "put", side_effect=AssertionError), \
+            mock.patch.object(fvlab.study, "_tensor_field_function",
+                              side_effect=AssertionError):
+        result = run_study(config)
+    assert all(np.isnan(r.l1_cauchy) for r in result.reports)
+
+
+_FAILING_LEVEL = """
+from unittest import mock
+import fvlab.study
+from fvlab.study import StudyConfig, run_study
+real = fvlab.study.level_pass
+
+def failing(levels, *args, **kwargs):
+    if levels.mesh.n_cells == 16 * 16:
+        raise ValueError("level 1 fails")
+    return real(levels, *args, **kwargs)
+
+with mock.patch.object(fvlab.study, "level_pass", failing):
+    try:
+        run_study(StudyConfig(levels=3, nx0=8, ny0=8, layout="mac",
+                              threads=2))
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_a_failing_level_releases_the_finer_level_on_the_pool():
+    # level 1 fails in its pass while level 2 may be waiting for its q:
+    # the study raises level 1's error and the process ends (a waiter
+    # left blocked would keep the pool's thread, and the process, alive)
+    assert _run_script(_FAILING_LEVEL, timeout=120).strip() == \
+        "level 1 fails"
 
 
 @pytest.mark.parametrize("config", [
@@ -134,8 +297,8 @@ def test_report_rows_do_not_depend_on_the_chunk_size(case, source, level):
     StudyConfig(levels=4, nx0=8, layout="colocated1d", field_source="scheme",
                 T=0.25)])
 def test_l1_cauchy_does_not_depend_on_the_thread_count(config):
-    # each level's Cauchy distance is taken as its result arrives, on the
-    # level pool as on one thread
+    # each level's Cauchy distance is taken inside its pass, on the level
+    # pool (as the coarser rows arrive) as on one thread
     columns = []
     for threads in (1, 2):
         result = run_study(dataclasses.replace(config, threads=threads))
