@@ -23,8 +23,8 @@ from .geometry import (DualMeshMAC, DualMeshRT, build_dual_mac, build_dual_rt,
 from .layouts import get_layout
 from .meshio import load_mesh
 from .quadrature import CellQuadrature
-from .study import (StudyConfig, StudyRegularityError, build_level, run_study,
-                    write_report_csv, write_rates_csv)
+from .study import (StudyConfig, StudyRegularityError, build_level,
+                    level_source, run_study, write_report_csv, write_rates_csv)
 
 __all__ = ["main", "parse_config", "ConfigError"]
 
@@ -157,10 +157,15 @@ def _mesh_for(cfg: StudyConfig, meta: dict):
 
 
 def cmd_mesh_info(cfg: StudyConfig, meta: dict) -> int:
-    mesh, dual = _mesh_for(cfg, meta)
-    grid = build_time_grid(cfg.T, max(1, round(
-        cfg.T / (cfg.dt_over_h * mesh.delta()))), pattern=cfg.time_pattern,
-        ratio=cfg.time_ratio)
+    if meta.get("mesh_file"):
+        mesh, dual = _mesh_for(cfg, meta)
+        grid = build_time_grid(cfg.T, max(1, round(
+            cfg.T / (cfg.dt_over_h * mesh.delta()))),
+            pattern=cfg.time_pattern, ratio=cfg.time_ratio)
+    else:
+        # the mesh and time grid of the study's level 0
+        source = level_source(cfg, 0)
+        mesh, dual, grid = source.mesh, source.dual, source.grid
     mac = dual if isinstance(dual, DualMeshMAC) else None
     reg = regularity(mesh, grid, mac=mac)
     print(f"dimension    {mesh.dim}")

@@ -509,10 +509,10 @@ class WeakRhs(NamedTuple):
     check_delta: float             # |volume - volume at order+2|
 
 
-def weak_rhs(pair, q_exact, v_exact, q0, phi,
+def weak_rhs(pair, q_exact, v_exact, phi,
              order: int = ORACLE_ORDER, panels: int = 12) -> WeakRhs:
-    """Right-hand side of the weak form for a closed-form limit:
-    -int beta(q0) phi(.,0) - int int (beta(q) d_t phi + g(q) v . grad phi).
+    """Right-hand side of the weak form for a closed-form limit q = q_exact:
+    -int beta(q(.,0)) phi(.,0) - int int (beta(q) d_t phi + g(q) v.grad phi).
 
     Both terms use mesh-independent panelised rules over the support box of
     phi (the limit object does not depend on the discretisation level; the
@@ -548,7 +548,8 @@ def weak_rhs(pair, q_exact, v_exact, q0, phi,
     dim = phi.dim
     space_box = BoxQuadrature(list(phi.support), panels, order)
     phi_x0 = phi.at_grid(space_box.grid_axes).value(0.0).ravel()
-    init = -space_box.integrate(pair.beta(q0(space_box.points)) * phi_x0)
+    init = -space_box.integrate(pair.beta(q_exact(space_box.points, 0.0))
+                                * phi_x0)
     bounds = list(phi.support) + [(0.0, phi.t_max)]
 
     def time_term(on_chunk, t_axis, x, qb):
@@ -664,7 +665,7 @@ class LevelSums(NamedTuple):
     l1_cauchy: float            # to the ``cauchy`` reference, nan without
 
 
-def level_pass(levels, pair, fluxes, interp: InterpolatedTest, exact,
+def level_pass(levels, pair, fluxes, interp: InterpolatedTest, q_exact,
                weights, rhs: WeakRhs, order: int = DEFAULT_ORDER,
                init_order: int = ORACLE_ORDER, cauchy=None,
                keep=None) -> LevelSums:
@@ -676,15 +677,15 @@ def level_pass(levels, pair, fluxes, interp: InterpolatedTest, exact,
     chunk n..m as the walk reaches it, so q and v are never held whole.
     ``fluxes(qv, vv)`` gives the face fluxes of the levels of some steps
     (``operators.staggered_flux_rule`` or ``upwind_1d_flux_rule``),
-    ``exact = (q_exact, v_exact, q0)`` the limit, ``weights`` the
+    ``q_exact(x, t)`` the limit (q0 = q_exact(., 0)), ``weights`` the
     face/step translate weights and ``rhs`` the level-independent
     ``weak_rhs``.  ``order`` is the spatial order of the time residual;
     the L1 distance uses the source's cell rule (``levels.quad``), and
     ``init_order`` is the order of the initialization residual.  With a
-    ``cauchy`` reference (the coarser level as a function of (x, t)), its
-    order-2 L1 distance is taken per chunk too.  ``keep(start, levels)``,
-    when given, is handed the q levels of the knots start.. of each chunk
-    in turn (the source's reused buffer, to be copied).
+    ``cauchy`` reference (the coarser level's q, with a ``Reference``'s
+    ``at``), its order-2 L1 distance is taken per chunk too.  ``keep(start,
+    levels)``, when given, is handed the q levels of the knots start.. of
+    each chunk in turn (the source's reused buffer, to be copied).
 
     Per chunk the face fluxes, beta on the knots n..n+1, F.n, its
     divergence and the flux-defect table are formed once each and feed the
@@ -696,7 +697,7 @@ def level_pass(levels, pair, fluxes, interp: InterpolatedTest, exact,
     _check_support(interp)
     mesh, grid = levels.mesh, levels.grid
     layout, dual = levels.layout, levels.dual
-    q_exact, _, q0 = exact
+    q0 = lambda x: q_exact(x, 0.0)
     vols, phi = mesh.cell_volumes, interp.phi
     defects = _FluxDefects(mesh, layout, dual, pair)
     time_terms = _TimeTerms(phi, mesh, grid, order)
@@ -705,8 +706,7 @@ def level_pass(levels, pair, fluxes, interp: InterpolatedTest, exact,
     l1_cauchy = None
     if cauchy is not None:
         quad = CellQuadrature(mesh, 2)
-        l1_cauchy = l1_steps(quad, grid,
-                             _reference_at(cauchy, quad.flat_points()))
+        l1_cauchy = l1_steps(quad, grid, cauchy.at(quad.flat_points()))
     kx, lx = mesh.face_cells[mesh.interior_face_mask].T
     sums = _StepValues()
     q_min, q_max, sup_q, sup_v, sup_g = np.inf, -np.inf, 0.0, 0.0, 0.0

@@ -2,9 +2,10 @@
 compute every consistency residual per level, fit decay rates and emit CSV
 reports.
 
-Levels are independent and may be computed by a thread pool; reports are
-assembled in level order with deterministic reductions, so outputs are
-byte-identical for any thread count.
+Each level but the finest hands its q to the next finer level, whose L1
+Cauchy distance reads it as it is filled, so on a thread pool the passes
+overlap.  Reports are assembled in level order with deterministic
+reductions, so outputs are byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -202,6 +203,9 @@ class StudyConfig:
         _check_choice(f"boundary policy for layout {layout.name!r}",
                       self.boundary_policy, layout.boundary_policies)
         _check_choice("time pattern", self.time_pattern, TIME_PATTERNS)
+        if self.field_source == "scheme" and self.time_pattern != "uniform":
+            raise ValueError(f"a scheme steps on its uniform CFL grid, not "
+                             f"the {self.time_pattern!r} time pattern")
         _check_choice("time profile", self.time_profile, TIME_PROFILES)
         for name in self.thresholds:
             _check_choice("threshold series", name, RATE_SERIES)
@@ -357,64 +361,38 @@ def build_level(config: StudyConfig, level: int):
     return mesh, dual, h_ref
 
 
-def _tensor_field_function(field, wait=None) -> Reference | None:
-    """A cell field (its mesh, grid and values: a ``CellScalarField`` or a
-    ``_LevelQ``) on a tensor-product mesh as a function of (x, t), whose
-    evaluator finds the cell of each point once per point set and gathers
-    the values into the buffer it is given; None for meshes without tensor
-    structure (perturbed quadrangles).  ``wait(rows)``, when given, is
-    called before each lookup with the number of leading levels it reads
-    (of a field still being filled)."""
-    mesh, grid = field.mesh, field.grid
-    if not mesh.is_rectangular():
-        return None
-    # distinct sorted coordinates; np.unique imports numpy.ma on first use
-    nodes = [np.sort(mesh.vertices[:, d]) for d in range(mesh.dim)]
-    nodes = [axis[np.append(True, axis[1:] != axis[:-1])] for axis in nodes]
-    shape = tuple(axis.size - 1 for axis in nodes)
-
-    def cells(x):
-        return np.ravel_multi_index(tuple(
-            np.clip(np.searchsorted(axis, x[:, d], side="right") - 1,
-                    0, size - 1)
-            for d, (axis, size) in enumerate(zip(nodes, shape))), shape)
-
-    levels = np.empty((0, field.values.shape[1]))   # one call's, reused
-
-    def lookup(cell, t, out=None):
-        nonlocal levels
-        n = np.clip(np.searchsorted(grid.knots, t, side="right") - 1,
-                    0, grid.n_steps - 1)
-        if wait is not None and n.size:
-            wait(int(n.max()) + 1)
-        if n.shape[1:] == (1,) and cell.ndim == 1:
-            # times x points (``Reference.at``): whole rows, then the
-            # cells; the indices are in range, and mode "clip" gathers
-            # straight into the buffers, where "raise" would copy
-            if len(levels) < len(n):
-                levels = np.empty((len(n), field.values.shape[1]))
-            rows = field.values.take(n[:, 0], axis=0, out=levels[:len(n)],
-                                     mode="clip")
-            return rows.take(cell, axis=1, out=out, mode="clip")
-        if out is None:
-            return field.values[n, cell]
-        out[...] = field.values[n, cell]
-        return out
-
-    return Reference(cells, lookup)
+def level_source(config: StudyConfig, level: int):
+    """The q and v source (``schemes.LevelSource``) of one level's mesh
+    and dual: the closed forms sampled on the time pattern, steps about
+    dt_over_h * h_ref, or the scheme marched on its uniform CFL grid."""
+    mesh, dual, h_ref = build_level(config, level)
+    layout = get_layout(config.layout)
+    sol = manufactured_solution(config.solution)
+    q_exact, v_exact = sol["q"], sol["v"]
+    if config.field_source == "manufactured":
+        n_steps = max(1, round(config.T / (config.dt_over_h * h_ref)))
+        grid = build_time_grid(config.T, n_steps, pattern=config.time_pattern,
+                               ratio=config.time_ratio)
+        return ManufacturedLevels(q_exact, v_exact, layout, mesh, dual, grid,
+                                  config.quad_order)
+    scheme_cfg = SchemeConfig(q0=lambda x: q_exact(x, 0.0), T=config.T,
+                              cfl=config.cfl, velocity=v_exact,
+                              boundary_policy=config.boundary_policy,
+                              quad_order=config.quad_order)
+    # validate admits the scheme source for colocated 1D and MAC only
+    return (mass_mac_levels(mesh, dual, scheme_cfg) if layout.staggered
+            else upwind_1d_levels(mesh, scheme_cfg))
 
 
 class _LevelQ:
     """One level's q as the L1 Cauchy reference of the next finer level.
 
     The level publishes it once its mesh and time grid are built (with no
-    values when the mesh has no tensor structure: then there is no
-    reference, and nothing is gathered or waited for), and its pass fills
-    the rows of ``values`` chunk by chunk (``put``).  The finer level, which may
-    run at the same time on the level pool, waits in ``reference()`` only
-    for the publication, and in each lookup only for the rows it reads,
-    so the two passes overlap.  A level that fails calls ``fail()``, which
-    releases its waiters."""
+    values, and so no reference, without tensor structure), its pass
+    fills the rows chunk by chunk (``put``), and if it fails, ``fail()``
+    releases the waiters.  The finer level, on the level pool perhaps at
+    the same time, waits only for the rows it reads (``at``), so the two
+    passes overlap."""
 
     def __init__(self):
         self._cond = threading.Condition()
@@ -448,14 +426,40 @@ class _LevelQ:
             if not ready():
                 raise RuntimeError("the coarser level failed")
 
-    def reference(self) -> Reference | None:
-        """The Cauchy reference (``_tensor_field_function``), None without
-        tensor structure."""
+    def reference(self) -> _LevelQ | None:
+        """This q once published, None without tensor structure."""
         self._wait(lambda: self._published)
-        if self.values is None:
-            return None
-        rows = lambda count: self._wait(lambda: self._rows >= count)
-        return _tensor_field_function(self, wait=rows)
+        return None if self.values is None else self
+
+    def at(self, points):
+        """The evaluator ``ev(times, out=None)`` of this q on the points,
+        as ``Reference.at``: the cell of each point found once, the rows
+        of the times waited for, then gathered into reused buffers."""
+        mesh, grid = self.mesh, self.grid
+        # distinct sorted coordinates; np.unique imports numpy.ma on first use
+        nodes = [np.sort(mesh.vertices[:, d]) for d in range(mesh.dim)]
+        nodes = [a[np.append(True, a[1:] != a[:-1])] for a in nodes]
+        shape = tuple(axis.size - 1 for axis in nodes)
+        cell = np.ravel_multi_index(tuple(
+            np.clip(np.searchsorted(axis, points[:, d], side="right") - 1,
+                    0, size - 1)
+            for d, (axis, size) in enumerate(zip(nodes, shape))), shape)
+        rows = np.empty((0, mesh.n_cells))
+
+        def ev(times, out=None):
+            nonlocal rows
+            n = np.clip(np.searchsorted(grid.knots, times, side="right") - 1,
+                        0, grid.n_steps - 1)
+            last = int(n.max(initial=-1))
+            self._wait(lambda: self._rows > last)
+            if len(rows) < n.size:
+                rows = np.empty((n.size, mesh.n_cells))
+            # the indices are in range, and mode "clip" gathers straight
+            # into the buffers, where "raise" would copy
+            got = self.values.take(n, axis=0, out=rows[:n.size], mode="clip")
+            return got.take(cell, axis=1, out=out, mode="clip")
+
+        return ev
 
 
 def _audit(config, level, reg, base):
@@ -478,72 +482,47 @@ def _audit(config, level, reg, base):
 # ----------------------------------------------------------------------
 # the study itself
 
-def _compute_level(config: StudyConfig, level: int, phi, rhs, base_reg,
-                   coarse: _LevelQ | None = None,
-                   mine: _LevelQ | None = None):
-    """The report of one level.  Its q and v are streamed into the level's
-    pass (``level_pass``) from their source: the manufactured sampler or
-    the scheme's march.  l1_cauchy is taken inside the pass against
-    ``coarse``, the coarser level's q, when it has a reference; ``mine``,
-    when given, is published and filled with this level's q for the next
-    finer level."""
+def _compute_level(config, level, phi, rhs, base_reg, coarse, mine):
+    """The report of one level: its q and v streamed from ``level_source``
+    into ``level_pass``, l1_cauchy taken against ``coarse`` when it has a
+    reference, and its q put into ``mine`` (when given; failed on error)."""
     try:
-        return _level_report(config, level, phi, rhs, base_reg, coarse, mine)
+        levels = level_source(config, level)
+        mesh, dual, grid = levels.mesh, levels.dual, levels.grid
+        layout = get_layout(config.layout)
+        pair = get_pair(config.beta_name, config.g_name)
+        if mine is not None:
+            mine.publish(mesh, grid)
+        reg = regularity(mesh, grid,
+                         mac=dual if isinstance(dual, DualMeshMAC) else None)
+        _audit(config, level, reg, base_reg)
+        if layout.staggered:
+            fluxes = staggered_flux_rule(mesh, layout, dual, pair,
+                                         scheme=config.face_scheme,
+                                         lam=config.lam,
+                                         policy=config.boundary_policy)
+        else:
+            fluxes = upwind_1d_flux_rule(mesh, policy=config.boundary_policy)
+        interp = interpolate_test(phi, mesh, grid, order=config.quad_order,
+                                  panels=config.interp_panels)
+        weights = default_translate_weights(mesh, grid,
+                                            theta=config.translate_theta)
+        sums = level_pass(
+            levels, pair, fluxes, interp,
+            manufactured_solution(config.solution)["q"], weights, rhs,
+            order=config.quad_order, init_order=config.oracle_order,
+            cauchy=None if coarse is None else coarse.reference(),
+            keep=None if mine is None or mine.values is None else mine.put)
     except BaseException:
         if mine is not None:
             mine.fail()
         raise
-
-
-def _level_report(config, level, phi, rhs, base_reg, coarse, mine):
-    mesh, dual, h_ref = build_level(config, level)
-    layout = get_layout(config.layout)
-    sol = manufactured_solution(config.solution)
-    q_exact, v_exact = sol["q"], sol["v"]
-    q0 = lambda x: q_exact(x, 0.0)
-    pair = get_pair(config.beta_name, config.g_name)
-    if config.field_source == "manufactured":
-        n_steps = max(1, round(config.T / (config.dt_over_h * h_ref)))
-        grid = build_time_grid(config.T, n_steps, pattern=config.time_pattern,
-                               ratio=config.time_ratio)
-        levels = ManufacturedLevels(q_exact, v_exact, layout, mesh, dual,
-                                    grid, config.quad_order)
-    else:
-        scheme_cfg = SchemeConfig(q0=q0, T=config.T,
-                                  cfl=config.cfl, velocity=v_exact,
-                                  boundary_policy=config.boundary_policy,
-                                  quad_order=config.quad_order)
-        # validate admits the scheme source for colocated 1D and MAC only
-        levels = (mass_mac_levels(mesh, dual, scheme_cfg) if layout.staggered
-                  else upwind_1d_levels(mesh, scheme_cfg))
-        grid = levels.grid
-    if mine is not None:
-        mine.publish(mesh, grid)
-    reg = regularity(mesh, grid,
-                     mac=dual if isinstance(dual, DualMeshMAC) else None)
-    _audit(config, level, reg, base_reg)
-    if layout.staggered:
-        fluxes = staggered_flux_rule(mesh, layout, dual, pair,
-                                     scheme=config.face_scheme,
-                                     lam=config.lam,
-                                     policy=config.boundary_policy)
-    else:
-        fluxes = upwind_1d_flux_rule(mesh, policy=config.boundary_policy)
-    interp = interpolate_test(phi, mesh, grid, order=config.quad_order,
-                              panels=config.interp_panels)
-    weights = default_translate_weights(mesh, grid, theta=config.translate_theta)
-    sums = level_pass(levels, pair, fluxes, interp, (q_exact, v_exact, q0),
-                      weights, rhs, order=config.quad_order,
-                      init_order=config.oracle_order,
-                      cauchy=None if coarse is None else coarse.reference(),
-                      keep=(None if mine is None or mine.values is None
-                            else mine.put))
     extras = {}
     if config.field_source == "scheme":
         extras = dict(scheme_min=sums.q_min, scheme_max=sums.q_max,
                       mass_defect=levels.ledger.max_relative_defect())
     x2, jumps = sums.x2, sums.jumps
-    report = ResidualReport(
+    return ResidualReport(
         level=level, h=mesh.delta(), dt=grid.dt_max, theta1=reg.theta1,
         theta2=reg.theta2, theta3=reg.theta3, x1=sums.x1.value, x2=x2.value,
         res_init=sums.init.cellwise, res_time=sums.time.majorant,
@@ -556,7 +535,6 @@ def _level_report(config, level, phi, rhs, base_reg, coarse, mine):
                      else np.nan),
         measured_c=sums.measured_c, l1_distance=sums.l1_distance,
         l1_cauchy=sums.l1_cauchy, **extras)
-    return report
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -564,13 +542,8 @@ def run_study(config: StudyConfig) -> StudyResult:
 
     The weak-form right-hand side is integrated once (it is the level-
     independent limit object).  The L1 Cauchy column compares each level's
-    field with the previous level's as a piecewise-constant function,
-    chunk by chunk inside the finer level's pass: every level but the
-    finest gathers its q whole for that (``_LevelQ``), until the next
-    level is done, and the finest level's q is never held whole; on the
-    level pool a level's pass runs alongside the coarser one's and waits
-    only for the coarser rows it reads.  For scheme sources this is
-    the convergence surrogate (no exact limit is assumed), for
+    field with the previous level's q (``_LevelQ``): for scheme sources
+    the convergence surrogate (no exact limit is assumed); for
     manufactured sources l1_distance to the exact limit is the primary
     diagnostic.
     """
@@ -578,8 +551,8 @@ def run_study(config: StudyConfig) -> StudyResult:
     phi = config.test_function()
     sol = manufactured_solution(config.solution)
     pair = get_pair(config.beta_name, config.g_name)
-    rhs = weak_rhs(pair, sol["q"], sol["v"], lambda x: sol["q"](x, 0.0),
-                   phi, order=config.oracle_order, panels=config.rhs_panels)
+    rhs = weak_rhs(pair, sol["q"], sol["v"], phi, order=config.oracle_order,
+                   panels=config.rhs_panels)
     # each level but the finest hands its q to the next one
     handoffs = [_LevelQ() for _ in range(config.levels - 1)] + [None]
     # level 0 first: it fixes the regularity baseline for the audit
@@ -595,6 +568,9 @@ def run_study(config: StudyConfig) -> StudyResult:
             del jobs
             reports = [first] + [f.result() for f in futures]
     else:
+        # the levels stay on the main thread: through a one-worker pool
+        # the 1D scheme benchmark peaked ~2 MiB higher (2-core Xeon),
+        # likely from the worker thread's own malloc arena
         reports = [first]
         while jobs:
             reports.append(_compute_level(*jobs.pop(0)))

@@ -398,7 +398,7 @@ def residual_time_slab(betas, phi, space_order=4):
     return float(terms.sum()), float(np.abs(terms).sum())
 
 
-def weak_rhs_whole(pair, q_exact, v_exact, q0, phi, order=ORACLE_ORDER,
+def weak_rhs_whole(pair, q_exact, v_exact, phi, order=ORACLE_ORDER,
                    panels=12):
     """``weak_rhs`` with each volume integrand formed on the whole
     space-time box at once: the reported terms summed by the same flat
@@ -408,7 +408,8 @@ def weak_rhs_whole(pair, q_exact, v_exact, q0, phi, order=ORACLE_ORDER,
     dim = phi.dim
     space_box = BoxQuadrature(list(phi.support), panels, order)
     phi_x0 = phi.at_grid(space_box.grid_axes).value(0.0).ravel()
-    init = -space_box.integrate(pair.beta(q0(space_box.points)) * phi_x0)
+    init = -space_box.integrate(pair.beta(q_exact(space_box.points, 0.0))
+                                * phi_x0)
     bounds = list(phi.support) + [(0.0, phi.t_max)]
 
     def integrands(box):

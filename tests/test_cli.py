@@ -59,6 +59,22 @@ def test_mesh_info_reports_theta(tmp_path, capsys):
     assert "theta_mac    2" in out
 
 
+def test_mesh_info_reports_the_time_grid_of_study_level_0(tmp_path, capsys):
+    # the study's level 0 takes its steps from h = 1/8, not from the cell
+    # diameter: 2 alternating steps of ratio 2, where sqrt(2)/8 gives 1
+    text = (BASE_CONFIG.replace("nx = 4\nny = 4", "nx = 8\nny = 8")
+            .replace("T = 0.5", "T = 0.1\npattern = alternating\nratio = 2"))
+    path = write_config(tmp_path, text)
+    assert main(["mesh-info", "--config", str(path)]) == 0
+    info = dict(line.split(None, 1)
+                for line in capsys.readouterr().out.splitlines())
+    assert main(["run-study", "--config", str(path), "--out",
+                 str(tmp_path)]) == 0
+    header, level0 = (tmp_path / "report.csv").read_text().splitlines()[:2]
+    report = dict(zip(header.split(","), level0.split(",")))
+    assert info["theta3"] == report["theta3"] == "2.0000000000000004"
+
+
 def test_bad_config_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, "[mesh]\nnx = banana\n", "bad.ini")
     assert main(["mesh-info", "--config", str(path)]) == 2
@@ -81,6 +97,10 @@ def test_bad_config_exit_2(tmp_path, capsys):
         ("t_max_factor = 0.7", "t_max_factor = 0.7\ntime_profile = late",
          "'late'"),
         ("layout = mac", "layout = rt\nfield_source = scheme", "'rt'"),
+        # a scheme steps on its own uniform CFL grid
+        ("dt_over_h = 0.5\n\n[study]\n",
+         "dt_over_h = 0.5\npattern = alternating\nratio = 2\n\n[study]\n"
+         "field_source = scheme\n", "not the 'alternating' time pattern"),
         ("layout = mac", "layout = hex", "'hex'"),
         ("dt_over_h = 0.5", "dt_over_h = 0", "dt_over_h must be finite"),
         ("T = 0.5", "T = inf", "T must be finite and positive, got inf"),

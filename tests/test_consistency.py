@@ -53,11 +53,6 @@ def manufactured_mac(n=8, T=0.5, scheme="upwind"):
     return mesh, grid, dual, pair, q, v, flux, qf, vf
 
 
-def _rhs(pair, qf, vf, phi, **kwargs):
-    """The weak-form RHS of the limit (qf, vf) started from qf(., 0)."""
-    return weak_rhs(pair, qf, vf, lambda x: qf(x, 0.0), phi, **kwargs)
-
-
 # ---------------------------------------------------------------- X1
 
 def test_x1_constant_beta_zero():
@@ -241,7 +236,7 @@ def test_weak_lhs_rejects_convection_of_another_level():
     with pytest.raises(ValueError, match="weak_lhs"):
         weak_lhs(c_values, finer)
     with pytest.raises(ValueError, match="weak_lhs"):
-        weak_form_gap(c_values, finer, _rhs(pair, qf, vf, finer.phi))
+        weak_form_gap(c_values, finer, weak_rhs(pair, qf, vf, finer.phi))
 
 
 def test_weak_lhs_rejects_convection_on_another_time_grid():
@@ -258,7 +253,7 @@ def test_weak_lhs_rejects_convection_on_another_time_grid():
     with pytest.raises(ValueError, match="weak_lhs: .* time grids"):
         weak_lhs(conv, interp)
     with pytest.raises(ValueError, match="weak_lhs: .* time grids"):
-        weak_form_gap(conv, interp, _rhs(pair, qf, vf, interp.phi))
+        weak_form_gap(conv, interp, weak_rhs(pair, qf, vf, interp.phi))
     assert weak_lhs(conv, interpolate_test(bump2d(), mesh, grid)) == \
         pytest.approx(0.0010380342, rel=1e-7)
 
@@ -501,15 +496,14 @@ def _finest_upwind_1d_level():
                          field_source="scheme", T=0.25)
     mesh, _, _ = build_level(config, 5)
     sol = manufactured_solution(config.solution)
-    q0 = lambda x: sol["q"](x, 0.0)
-    levels = upwind_1d_levels(mesh, SchemeConfig(q0=q0, T=config.T))
+    levels = upwind_1d_levels(mesh, SchemeConfig(
+        q0=lambda x: sol["q"](x, 0.0), T=config.T))
     phi = config.test_function()
     pair = get_pair("id")
-    rhs = weak_rhs(pair, sol["q"], None, q0, phi)
     return (levels, pair, upwind_1d_flux_rule(mesh),
-            interpolate_test(phi, mesh, levels.grid),
-            (sol["q"], None, q0), default_translate_weights(mesh, levels.grid),
-            rhs)
+            interpolate_test(phi, mesh, levels.grid), sol["q"],
+            default_translate_weights(mesh, levels.grid),
+            weak_rhs(pair, sol["q"], None, phi))
 
 
 def test_level_pass_stays_in_bounded_memory(transient_mib):
@@ -530,8 +524,8 @@ def _mac_pass_args(source, qf, vf, fluxes=None):
     if fluxes is None:
         fluxes = staggered_flux_rule(mesh, MAC, source.dual, pair)
     return (source, pair, fluxes, interpolate_test(phi, mesh, grid),
-            (qf, vf, lambda x: qf(x, 0.0)), default_translate_weights(mesh, grid),
-            _rhs(pair, qf, vf, phi))
+            qf, default_translate_weights(mesh, grid),
+            weak_rhs(pair, qf, vf, phi))
 
 
 def _steps_a_chunk(mesh, steps):
@@ -745,7 +739,7 @@ def test_weak_gap_constant_fields_quadrature_floor():
     betas = BetaFamily.from_field(q, pair)
     c = assemble_convection(betas, flux)
     interp = interpolate_test(bump2d(), mesh, grid)
-    res = weak_form_gap(c, interp, _rhs(pair, qf, vf, interp.phi, panels=24))
+    res = weak_form_gap(c, interp, weak_rhs(pair, qf, vf, interp.phi, panels=24))
     assert res.lhs == 0.0
     assert res.gap <= 1e-12
 
@@ -760,7 +754,7 @@ def test_weak_gap_zero_testfunction():
     betas = BetaFamily.from_field(q, pair)
     c = assemble_convection(betas, flux)
     interp = interpolate_test(Zero(((0.3, 0.7), (0.3, 0.7)), 0.35), mesh, grid)
-    res = weak_form_gap(c, interp, _rhs(pair, qf, vf, interp.phi))
+    res = weak_form_gap(c, interp, weak_rhs(pair, qf, vf, interp.phi))
     assert res.gap == 0.0
 
 
@@ -781,7 +775,7 @@ def test_weak_gap_manufactured_decay():
         betas = BetaFamily.from_field(q, pair)
         c = assemble_convection(betas, flux)
         interp = interpolate_test(bump2d(), mesh, grid)
-        res = weak_form_gap(c, interp, _rhs(pair, qf, vf, interp.phi))
+        res = weak_form_gap(c, interp, weak_rhs(pair, qf, vf, interp.phi))
         gaps.append(res.gap)
         hs.append(mesh.delta() + grid.dt_max)
     rate = np.polyfit(np.log(hs), np.log(gaps), 1)[0]
@@ -824,7 +818,7 @@ def test_x1_x2_converge_to_their_separate_limits():
     vf = lambda x, t: np.broadcast_to(np.array([1.0, 0.5]),
                                       (x.shape[0], 2)).copy()
     phi = bump2d()
-    rhs = weak_rhs(pair, qf, vf, lambda x: qf(x, 0.0), phi, panels=16)
+    rhs = weak_rhs(pair, qf, vf, phi, panels=16)
     e1 = []
     e2 = []
     hs = []
@@ -973,10 +967,9 @@ def test_weak_rhs_self_check_warns_on_coarse_rule():
     # one 2-point panel per axis cannot resolve the bump: the order+2 rerun
     # disagrees and the self-check reports it
     sol = manufactured_solution("sinsin_cos")
-    q0 = lambda x: sol["q"](x, 0.0)
     with pytest.warns(UserWarning,
                       match="weak-form volume quadrature disagreement"):
-        rhs = weak_rhs(get_pair("id"), sol["q"], sol["v"], q0, bump2d(),
+        rhs = weak_rhs(get_pair("id"), sol["q"], sol["v"], bump2d(),
                        order=2, panels=1)
     assert rhs.check_delta > 1e-7 * (1.0 + abs(rhs.volume_term))
 
@@ -1000,7 +993,6 @@ def test_weak_rhs_equals_pointwise_evaluation(solution, beta, closure):
     q_exact, v_exact = sol["q"], sol["v"]
     if closure == "plain":
         q_exact, v_exact = _plain(q_exact), _plain(v_exact)
-    q0 = lambda x: q_exact(x, 0.0)
     support = ((0.3, 0.8),) if sol["dim"] == 1 else ((0.2, 0.8), (0.3, 0.7))
     phi = TestFunction(support, 0.3)
     pair = get_pair(beta)
@@ -1008,10 +1000,11 @@ def test_weak_rhs_equals_pointwise_evaluation(solution, beta, closure):
     with warnings.catch_warnings():
         # the coarse rule may be reported by the self-check
         warnings.simplefilter("ignore")
-        rhs = weak_rhs(pair, q_exact, v_exact, q0, phi, order=4, panels=3)
+        rhs = weak_rhs(pair, q_exact, v_exact, phi, order=4, panels=3)
     space = BoxQuadrature(list(support), 3, 4)
     x0 = space.points
-    init = -space.integrate(pair.beta(q0(x0)) * separable_phi(phi, x0, 0.0))
+    init = -space.integrate(pair.beta(q_exact(x0, 0.0))
+                            * separable_phi(phi, x0, 0.0))
 
     def time_part(pts):
         x, t = pts[:, :dim], pts[:, dim]
@@ -1065,7 +1058,6 @@ def test_weak_rhs_chunks_match_whole_box(data, solution, closure, beta,
         v_exact = _UNSTEADY_V
     if closure == "plain":
         q_exact, v_exact = _plain(q_exact), _plain(v_exact)
-    q0 = lambda x: q_exact(x, 0.0)
     phi = TestFunction(data.draw(support_boxes(sol["dim"])),
                        data.draw(st.floats(0.05, 0.5)),
                        data.draw(st.sampled_from(["initial", "interior"])))
@@ -1077,10 +1069,10 @@ def test_weak_rhs_chunks_match_whole_box(data, solution, closure, beta,
     with warnings.catch_warnings():
         # the coarse rules may be reported by the self-check
         warnings.simplefilter("ignore")
-        want = weak_rhs_whole(pair, q_exact, v_exact, q0, phi, order, panels)
+        want = weak_rhs_whole(pair, q_exact, v_exact, phi, order, panels)
         with mock.patch.object(quadrature, "CHUNK_VALUES", rows * per_row):
             assert len(quadrature.chunk_slices(n_first, per_row)) > 1
-            got = weak_rhs(pair, q_exact, v_exact, q0, phi, order, panels)
+            got = weak_rhs(pair, q_exact, v_exact, phi, order, panels)
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
@@ -1092,8 +1084,7 @@ def test_weak_rhs_stays_in_bounded_memory(transient_mib):
     # the 17.3 MiB of the order-8 box
     sol = manufactured_solution("sinsin_cos")
     size = transient_mib(lambda: weak_rhs(
-        get_pair("id"), sol["q"], sol["v"], lambda x: sol["q"](x, 0.0),
-        bump2d()))
+        get_pair("id"), sol["q"], sol["v"], bump2d()))
     assert size <= 24, size
 
 
@@ -1109,8 +1100,7 @@ def test_weak_rhs_check_box_is_never_held_whole():
 
     sol = manufactured_solution("sinsin_cos")
     with mock.patch.object(consistency, "BoxQuadrature", Recorded):
-        rhs = weak_rhs(get_pair("id"), sol["q"], sol["v"],
-                       lambda x: sol["q"](x, 0.0), bump2d())
+        rhs = weak_rhs(get_pair("id"), sol["q"], sol["v"], bump2d())
     assert np.isfinite(rhs.check_delta)
     space, volume, check = boxes
     assert "weights" in vars(volume)

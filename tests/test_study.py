@@ -22,11 +22,9 @@ from fvlab.fields import CellScalarField, Reference, lp_distance
 from fvlab.geometry import build_intervals, build_time_grid
 from fvlab.layouts import get_layout
 from fvlab.operators import get_pair
-import fvlab.study
 from fvlab.study import (SOLUTIONS, StudyConfig, _compute_level, _LevelQ,
-                         _tensor_field_function, fit_rates,
-                         manufactured_solution, run_study, write_rates_csv,
-                         write_report_csv)
+                         fit_rates, manufactured_solution, run_study,
+                         write_rates_csv, write_report_csv)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -35,9 +33,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 @given(mesh=st.one_of(interval_meshes(), graded_meshes()),
        grid=time_grids(), seed=st.integers(0, 2 ** 32 - 1))
 def test_tensor_field_evaluator_matches_per_call_lookup(mesh, grid, seed):
-    # the Cauchy reference locates each point's cell once per point set;
-    # it must pick the values the per-call lookup picks, on vertices, on
-    # random points (some outside the domain) and at knots and random times
+    # the coarser q locates each point's cell once per point set; it must
+    # pick the values the per-call lookup picks, on vertices, on random
+    # points (some outside the domain) and at knots and random times
     rng = np.random.default_rng(seed)
     field = CellScalarField(mesh, grid, rng.normal(
         size=(grid.n_steps + 1, mesh.n_cells)))
@@ -46,12 +44,9 @@ def test_tensor_field_evaluator_matches_per_call_lookup(mesh, grid, seed):
         rng.uniform(-0.1, 1.1, size=(20, mesh.dim))])
     times = np.concatenate([grid.knots, rng.uniform(
         -0.1, 1.1 * grid.final_time, size=5)])
-    fn = _tensor_field_function(field)
     old = tensor_field_per_call(field)
     want = np.stack([old(points, t) for t in times])
-    assert_bitwise(fn.at(points)(times), want)
-    for t, row in zip(times, want):
-        assert_bitwise(fn(points, t), row)
+    assert_bitwise(_filled(field).at(points)(times), want)
 
 
 @settings(max_examples=30, deadline=None)
@@ -84,7 +79,7 @@ def test_solution_references_fill_their_buffer_bit_for_bit(
        grid=time_grids(), seed=st.integers(0, 2 ** 32 - 1))
 def test_tensor_field_evaluator_fills_its_buffer_bit_for_bit(mesh, grid,
                                                              seed):
-    # the Cauchy reference's ev(times, out=buf) gathers into buf the bits
+    # the coarser q's ev(times, out=buf) gathers into buf the bits
     # of ev(times), on points in and past the domain at knots and between
     rng = np.random.default_rng(seed)
     field = CellScalarField(mesh, grid, rng.normal(
@@ -93,7 +88,7 @@ def test_tensor_field_evaluator_fills_its_buffer_bit_for_bit(mesh, grid,
         -0.1, 1.1, size=(20, mesh.dim))])
     times = np.concatenate([grid.knots, rng.uniform(
         -0.1, 1.1 * grid.final_time, size=5)])
-    ev = _tensor_field_function(field).at(points)
+    ev = _filled(field).at(points)
     buf = np.full((times.size, len(points)), np.nan)
     assert ev(times, out=buf) is buf
     assert_bitwise(buf, ev(times))
@@ -169,8 +164,7 @@ def test_report_rows_do_not_depend_on_the_chunk_size(case, source, level):
 
     def rhs():
         return weak_rhs(get_pair(config.beta_name, config.g_name), sol["q"],
-                        sol["v"], lambda x: sol["q"](x, 0.0), phi,
-                        panels=config.rhs_panels)
+                        sol["v"], phi, panels=config.rhs_panels)
 
     def hexes(report):
         return [float(x).hex() for x in dataclasses.astuple(report)]
@@ -180,8 +174,7 @@ def test_report_rows_do_not_depend_on_the_chunk_size(case, source, level):
     if level:
         _, coarse = compute_level_by_stages(config, level - 1, phi, rhs(),
                                             None)
-        report.l1_cauchy = lp_distance(q, _tensor_field_function(coarse),
-                                       order=2).distance
+        report.l1_cauchy = lp_distance(q, _filled(coarse), order=2).distance
         assert np.isfinite(report.l1_cauchy)
     want = hexes(report)
     n = q.grid.n_steps
@@ -211,9 +204,9 @@ def _filled(field):
     return level_q
 
 
-def _in_thread(call):
-    """call() on a thread, joined within 60 s: its result, or the
-    exception it raised."""
+def _started(call):
+    """A thread running call(), started, and the list that receives its
+    result or the exception it raised."""
     out = []
 
     def run():
@@ -224,6 +217,13 @@ def _in_thread(call):
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
+    return thread, out
+
+
+def _in_thread(call):
+    """call() on a thread, joined within 60 s: its result, or the
+    exception it raised."""
+    thread, out = _started(call)
     thread.join(60)
     assert not thread.is_alive(), "the call still waits"
     return out[0]
@@ -237,17 +237,17 @@ def test_cauchy_lookup_waits_only_for_the_rows_it_reads():
     values = np.arange(5.0)[:, None] + np.arange(4.0)
     coarse = _LevelQ()
     coarse.publish(mesh, grid)
-    ev = _in_thread(coarse.reference).at(mesh.cell_centroids)
+    assert _in_thread(coarse.reference) is coarse
+    ev = coarse.at(mesh.cell_centroids)
     coarse.put(0, values[:2])
     assert_bitwise(_in_thread(lambda: ev(np.array([0.0, 0.3]))), values[:2])
-    thread = threading.Thread(target=ev, args=(np.array([0.6]),),
-                              daemon=True)
-    thread.start()
+    thread, out = _started(lambda: ev(np.array([0.6])))
     thread.join(0.2)
     assert thread.is_alive()
     coarse.fail()
     thread.join(60)
     assert not thread.is_alive()
+    assert isinstance(out[0], RuntimeError)
     assert isinstance(_in_thread(lambda: ev(np.array([0.6]))), RuntimeError)
 
 
@@ -258,8 +258,7 @@ def test_perturbed_study_neither_gathers_nor_waits_for_a_cauchy_q(threads):
     config, _ = parse_config(GOLDEN / "rt_perturbed_seed1" / "study.ini")
     config = dataclasses.replace(config, threads=threads)
     with mock.patch.object(_LevelQ, "put", side_effect=AssertionError), \
-            mock.patch.object(fvlab.study, "_tensor_field_function",
-                              side_effect=AssertionError):
+            mock.patch.object(_LevelQ, "at", side_effect=AssertionError):
         result = run_study(config)
     assert all(np.isnan(r.l1_cauchy) for r in result.reports)
 
