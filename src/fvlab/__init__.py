@@ -21,7 +21,7 @@ from .geometry import (DualMeshMAC, DualMeshRT, MeshConstructionError,
                        build_dual_mac, build_dual_rt, build_intervals,
                        build_perturbed_quads, build_time_grid,
                        check_mesh_identities, regularity)
-from .meshio import load_field, load_mesh, save_field, save_mesh
+from .meshio import load_mesh, save_mesh
 from .operators import (BetaFamily, FluxFamily, NonlinearityPair,
                         assemble_convection, dt_beta,
                         flux_colocated_upwind_1d, flux_divergence,
@@ -29,8 +29,7 @@ from .operators import (BetaFamily, FluxFamily, NonlinearityPair,
 from .quadrature import (DEFAULT_ORDER, ORACLE_ORDER, BoxQuadrature,
                          CellQuadrature, FaceQuadrature, SlabQuadrature)
 from .schemes import (CFLError, MassLedger, SchemeConfig, run_mass_mac,
-                      run_upwind_1d, sample_manufactured,
-                      write_run_metadata_csv)
+                      run_upwind_1d, sample_manufactured)
 from .study import (ResidualReport, StudyConfig, StudyRegularityError,
                     StudyResult, run_study, write_report_csv, write_rates_csv)
 

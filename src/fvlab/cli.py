@@ -46,7 +46,6 @@ CONFIG_TABLE = (
     ("mesh", "y0", ("domain", 1, 0), float),
     ("mesh", "y1", ("domain", 1, 1), float),
     ("mesh", "grading", "grading", float),
-    ("mesh", "grading_growth", "grading_growth", float),
     ("mesh", "amplitude", "amplitude", float),
     ("mesh", "seed", "seed", int),
     ("mesh", "file", "mesh_file", str),
@@ -183,6 +182,11 @@ def cmd_mesh_info(cfg: StudyConfig, meta: dict) -> int:
 
 
 def cmd_run_study(cfg: StudyConfig, meta: dict) -> int:
+    if meta.get("mesh_file"):
+        print("config error: 'file' in [mesh] is read by mesh-info and "
+              "check-identities only; a study builds its meshes from "
+              "'family', 'nx' and 'ny'", file=sys.stderr)
+        return 2
     out_dir = Path(meta.get("out_dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     try:

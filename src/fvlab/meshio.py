@@ -1,4 +1,4 @@
-"""Plain-text persistence for meshes and fields.
+"""Plain-text persistence for meshes.
 
 Mesh format (whitespace-separated, one record per line, floats printed with
 17 significant digits so values round-trip exactly):
@@ -20,19 +20,15 @@ being silently healed on load.  The ids of a section are a permutation of
 id, a record of the wrong width or a bad number is a ``MeshFormatError``; a
 cell or face naming a vertex or cell outside the mesh, or a face its cells
 do not hold, is a ``MeshConstructionError`` (both are ``ValueError``s).
-
-Field format: CSV with one record per (entity, level).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import CellScalarField, FaceScalarFieldMAC, FaceVectorFieldRT
 from .geometry import PrimalMesh
 
-__all__ = ["save_mesh", "load_mesh", "save_field", "load_field",
-           "MeshFormatError"]
+__all__ = ["save_mesh", "load_mesh", "MeshFormatError"]
 
 MAGIC = "fvlab-mesh 1"
 
@@ -76,19 +72,18 @@ def _header(lines, at, word, count):
     return tokens[1:]
 
 
-def _check_ids(what, columns, limits, bounds):
-    """Record ids (one array per column) lie in 0..limit-1, no two records
-    alike; the first offender, named `what` and its ids, is a format error."""
-    outside = np.zeros(len(columns[0]), dtype=bool)
-    for col, limit in zip(columns, limits):
-        outside |= (col < 0) | (col >= limit)
-    name = lambda i: f"{what} {','.join(str(col[i]) for col in columns)}"
+def _check_ids(word, ids):
+    """The record ids of section `word` are a permutation of 0..n-1 (n
+    records); the first id outside or repeated is a format error."""
+    n = len(ids)
+    outside = (ids < 0) | (ids >= n)
     if outside.any():
-        raise MeshFormatError(f"{name(np.argmax(outside))} is outside {bounds}")
-    key = np.ravel_multi_index(columns, limits)
-    repeated = np.bincount(key, minlength=int(np.prod(limits)))[key] > 1
+        raise MeshFormatError(f"{word} record id {ids[np.argmax(outside)]} "
+                              f"is outside 0..{n - 1}")
+    repeated = np.bincount(ids, minlength=n)[ids] > 1
     if repeated.any():
-        raise MeshFormatError(f"{name(np.argmax(repeated))} is repeated")
+        raise MeshFormatError(f"{word} record id {ids[np.argmax(repeated)]} "
+                              f"is repeated")
 
 
 def _section(lines, at, word, fields):
@@ -108,9 +103,8 @@ def _section(lines, at, word, fields):
         raise MeshFormatError(f"{word} section: {exc}" if bad is None else
                               f"{word} record {bad[0]} has {len(bad)} "
                               f"fields, expected {width}") from None
-    ids = rec["id"]
-    _check_ids(f"{word} record id", (ids,), (n,), f"0..{n - 1}")
-    return rec[np.argsort(ids)], at + 1 + n
+    _check_ids(word, rec["id"])
+    return rec[np.argsort(rec["id"])], at + 1 + n
 
 
 def load_mesh(path) -> PrimalMesh:
@@ -131,67 +125,3 @@ def load_mesh(path) -> PrimalMesh:
                       face_normals=faces["n"], face_cells=faces["c"],
                       face_vertices=faces["v"])
 
-
-# ----------------------------------------------------------------------
-# fields
-
-# field kind -> (field class, mesh entity count attribute, values per record)
-_FIELD_KINDS = {"cell": (CellScalarField, "n_cells", 1),
-                "face_rt": (FaceVectorFieldRT, "n_faces", 2),
-                "face_mac": (FaceScalarFieldMAC, "n_faces", 1)}
-
-
-def save_field(fld, path):
-    kind = next((k for k, (cls, _, _) in _FIELD_KINDS.items()
-                 if isinstance(fld, cls)), None)
-    if kind is None:
-        raise TypeError(f"cannot save field of type {type(fld).__name__}")
-    n_lev, n_ent = fld.values.shape[:2]
-    width = _FIELD_KINDS[kind][2]
-    entity, level = np.divmod(np.arange(n_ent * n_lev), n_lev)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# fvlab-field {kind}\nentity,level,"
-                 + ",".join(f"v{i}" for i in range(width)) + "\n")
-        _write_rows(fh, "%d,%d" + ",%.17g" * width, entity, level,
-                    fld.values.swapaxes(0, 1).reshape(-1, width))
-
-
-def load_field(path, mesh, grid, dual=None):
-    """Read a field saved by ``save_field``, a face field with `dual`.  Each
-    (entity, level) of the mesh and grid needs exactly one record; an id
-    outside them, a repeated record or one of the wrong width is a
-    ``MeshFormatError``."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("# fvlab-field "):
-        raise MeshFormatError("not a fvlab-field file")
-    kind = lines[0].split()[-1]
-    if kind not in _FIELD_KINDS:
-        raise MeshFormatError(f"unknown field kind {kind!r}")
-    cls, entities, width = _FIELD_KINDS[kind]
-    n_lev, n_ent = grid.n_steps + 1, getattr(mesh, entities)
-    rows = lines[2:]
-    if len(rows) < n_lev * n_ent:
-        raise MeshFormatError("field file is missing records")
-    dtype = np.dtype([("entity", np.int64), ("level", np.int64),
-                      ("v", float, (width,))])
-    try:
-        rec = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None,
-                         ndmin=1)
-    except ValueError as exc:
-        bad = next((r.split(",") for r in rows
-                    if len(r.split(",")) != 2 + width), None)
-        raise MeshFormatError(f"field file: {exc}" if bad is None else
-                              f"field record {','.join(bad[:2])} has "
-                              f"{len(bad)} fields, expected {2 + width}") from None
-    entity, level = rec["entity"], rec["level"]
-    _check_ids("field record", (entity, level), (n_ent, n_lev),
-               f"entities 0..{n_ent - 1}, levels 0..{n_lev - 1}")
-    # every record in range and none repeated, with at least n_ent * n_lev
-    # records: each (entity, level) has exactly one
-    vals = np.empty((n_lev, n_ent, width))
-    vals[level, entity] = rec["v"]
-    values = vals if width > 1 else vals[:, :, 0]
-    if cls is CellScalarField:
-        return cls(mesh, grid, values)
-    return cls(mesh, grid, dual, values)

@@ -33,8 +33,7 @@ from .quadrature import (DEFAULT_ORDER, CellQuadrature, _at_least,
 
 __all__ = ["SchemeConfig", "MassLedger", "LevelSource", "ManufacturedLevels",
            "SchemeLevels", "upwind_1d_levels", "mass_mac_levels",
-           "run_upwind_1d", "run_mass_mac", "sample_manufactured",
-           "write_run_metadata_csv", "CFLError"]
+           "run_upwind_1d", "run_mass_mac", "sample_manufactured", "CFLError"]
 
 
 class CFLError(RuntimeError):
@@ -70,21 +69,6 @@ class MassLedger:
     def max_relative_defect(self) -> float:
         scale = np.maximum(np.abs(self.mass[:-1]), 1.0)
         return float((self.defect / scale).max()) if self.defect.size else 0.0
-
-
-def write_run_metadata_csv(path, ledger: MassLedger, grid: TimeGrid,
-                           cfl: float):
-    """Run metadata: CFL, step count and the per-step mass ledger, as CSV."""
-    lines = [f"# cfl,{float(cfl):.17g}",
-             f"# steps,{grid.n_steps}",
-             "step,t,mass,boundary_flux,defect"]
-    for n in range(grid.n_steps):
-        lines.append(f"{n},{grid.knots[n]:.17g},{ledger.mass[n]:.17g},"
-                     f"{ledger.boundary_flux[n]:.17g},{ledger.defect[n]:.17g}")
-    lines.append(f"{grid.n_steps},{grid.knots[-1]:.17g},"
-                 f"{ledger.mass[-1]:.17g},,")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _uniform_grid_for(T: float, dt_bound: float) -> TimeGrid:
@@ -209,15 +193,16 @@ class SchemeLevels(LevelSource):
 
     q^0 is the cell means of ``config.q0``, F^n = fluxes(q^n, v^n) of one
     level (an ``operators`` flux rule, no v in 1D) and the sum is
-    ``operators.divergence``.  A MAC source checks step n against the CFL
-    bound of v^n (``cfl_bound``) before it marches it.  The ledger
-    (``ledger``, once the last chunk is out) holds the mass sum |P| q^n of
-    every level and the boundary flux dt sum |zeta| F^n . n over the
-    boundary faces, n seen from each face's first cell.
+    ``operators.divergence``.  Step n is checked against
+    ``cfl_bound(v^n)``, the largest stable dt at CFL 1 (v^n None in 1D),
+    before it is marched.  The ledger (``ledger``, once the last chunk is
+    out) holds the mass sum |P| q^n of every level and the boundary flux
+    dt sum |zeta| F^n . n over the boundary faces, n seen from each face's
+    first cell.
     """
 
     def __init__(self, layout: Layout, mesh, dual, grid,
-                 config: SchemeConfig, fluxes, cfl_bound=None):
+                 config: SchemeConfig, fluxes, cfl_bound):
         super().__init__(layout, mesh, dual, grid, config.quad_order,
                          config.velocity)
         self.config, self.fluxes, self.cfl_bound = config, fluxes, cfl_bound
@@ -236,11 +221,10 @@ class SchemeLevels(LevelSource):
             q[0] = self.quad.cell_means(self.quad.values(config.q0))
             mass[0] = float(np.dot(vols, q[0]))
         for i, n in enumerate(range(steps.start, steps.stop)):
-            vn = None if v is None else v[i:i + 1]
-            if (self.cfl_bound is not None and dt > config.cfl
-                    * self.cfl_bound(vn[0]) * (1.0 + 1e-12)):
+            vn = None if v is None else v[i]
+            if dt > config.cfl * self.cfl_bound(vn) * (1.0 + 1e-12):
                 raise CFLError(f"CFL violated at step {n}")
-            flux = self.fluxes(q[i:i + 1], vn)
+            flux = self.fluxes(q[i:i + 1], None if v is None else v[i:i + 1])
             div = divergence(self.layout.cell_normal(flux, mesh, dual),
                              mesh)[0]
             np.subtract(q[i], self._rates * div, out=q[i + 1])
@@ -257,19 +241,17 @@ def upwind_1d_levels(mesh, config: SchemeConfig) -> SchemeLevels:
     """Explicit upwind transport q_t + q_x = 0 at the configured CFL, as a
     level source.
 
-    The time step satisfies dt <= cfl * min h_P; under that bound the
-    update is a convex combination so the max principle holds (inflow
-    value 0 under the default policy).
+    The time step satisfies dt <= cfl * min h_P (the speed is 1), checked
+    at every step; under that bound the update is a convex combination so
+    the max principle holds (inflow value 0 under the default policy).
     """
     if mesh.dim != 1:
         raise ValueError("run_upwind_1d needs a 1D mesh")
     fluxes = upwind_1d_flux_rule(mesh, config.boundary_policy)
-    h = mesh.cell_volumes
-    grid = _uniform_grid_for(config.T, config.cfl * float(h.min()))
-    dt = float(grid.steps[0])
-    if dt > config.cfl * float(h.min()) * (1.0 + 1e-12):
-        raise CFLError(f"dt={dt} violates CFL bound {config.cfl * h.min()}")
-    return SchemeLevels(COLOCATED_1D, mesh, None, grid, config, fluxes)
+    h_min = float(mesh.cell_volumes.min())
+    grid = _uniform_grid_for(config.T, config.cfl * h_min)
+    return SchemeLevels(COLOCATED_1D, mesh, None, grid, config, fluxes,
+                        lambda vn: h_min)
 
 
 def run_upwind_1d(mesh, config: SchemeConfig):

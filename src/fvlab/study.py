@@ -129,8 +129,7 @@ def manufactured_solution(name: str):
 @dataclass
 class StudyConfig:
     """Everything a refinement study needs; see the CLI docs for the INI
-    mapping.  ``grading_growth`` > 1 deliberately unbounds theta2 across
-    levels (used to exercise the regularity audit).
+    mapping.
 
     ``mesh_family`` and ``solution`` default to the first family and the
     default solution of the layout's dimension, and ``domain`` keeps one
@@ -143,7 +142,6 @@ class StudyConfig:
     levels: int = 3
     domain: tuple = ((0.0, 1.0), (0.0, 1.0))
     grading: float = 1.0
-    grading_growth: float = 1.0
     amplitude: float = 0.2
     seed: int = 0
     layout: str = MAC.name                # a key of fvlab.layouts.LAYOUTS
@@ -327,28 +325,23 @@ class StudyResult:
 def build_level(config: StudyConfig, level: int):
     """Mesh, dual and reference axis step for one refinement level."""
     scale = 2 ** level
-    grading = config.grading * config.grading_growth ** level
     if config.mesh_family == "interval":
         n = config.nx0 * scale
         dom = config.domain[0]
-        mesh = build_intervals(n, dom, grading=grading)
+        mesh = build_intervals(n, dom, grading=config.grading)
         h_ref = (dom[1] - dom[0]) / n
         return mesh, None, h_ref
     nx, ny = config.nx0 * scale, config.ny0 * scale
     if config.mesh_family == "uniform":
         mesh = build_cartesian(nx, ny, config.domain)
     elif config.mesh_family == "graded":
-        if config.grading_growth == 1.0:
-            # refine by nested subdivision of the level-0 graded nodes:
-            # rebuilding at a fixed consecutive ratio would unbound theta1
-            # (worst aspect ratio grows like ratio^nx under refinement)
-            _, xs0, ys0 = _cartesian_vertices(config.nx0, config.ny0,
-                                              config.domain, config.grading)
-            mesh = build_tensor(subdivide_nodes(xs0, scale),
-                                subdivide_nodes(ys0, scale), config.domain)
-        else:
-            # deliberate blow-up hook for the regularity audit
-            mesh = build_cartesian(nx, ny, config.domain, grading=grading)
+        # refine by nested subdivision of the level-0 graded nodes:
+        # rebuilding at a fixed consecutive ratio would unbound theta1
+        # (worst aspect ratio grows like ratio^nx under refinement)
+        _, xs0, ys0 = _cartesian_vertices(config.nx0, config.ny0,
+                                          config.domain, config.grading)
+        mesh = build_tensor(subdivide_nodes(xs0, scale),
+                            subdivide_nodes(ys0, scale), config.domain)
     elif config.mesh_family == "perturbed":
         mesh = build_perturbed_quads(nx, ny, config.domain,
                                      amplitude=config.amplitude,

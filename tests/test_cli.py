@@ -1,5 +1,6 @@
 import configparser
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,10 @@ import numpy as np
 
 import fvlab
 from _configs import serialize_config
-from fvlab.cli import main, parse_config
+from fvlab.cli import CONFIG_TABLE, main, parse_config
 from fvlab.geometry import build_cartesian
 from fvlab.meshio import save_mesh
+from fvlab.study import RATE_SERIES
 
 BASE_CONFIG = """\
 [mesh]
@@ -151,7 +153,6 @@ x1 = 2.0
 y0 = -0.5
 y1 = 1.5
 grading = 1.25
-grading_growth = 1.5
 amplitude = 0.1
 seed = 9
 file = meshes/grid.txt
@@ -208,7 +209,6 @@ nx = 12
 x0 = -1.0
 x1 = 3.0
 grading = 1.25
-grading_growth = 1.5
 amplitude = 0.1
 seed = 4
 ny = 3
@@ -260,7 +260,6 @@ R1 = 0.9
 def test_config_round_trip_identity(tmp_path):
     from dataclasses import fields
 
-    from fvlab.cli import CONFIG_TABLE
     from fvlab.study import StudyConfig
     cases = (("base", BASE_CONFIG), ("2d", EVERY_KEY_2D), ("1d", EVERY_KEY_1D))
     for name, text in cases:
@@ -315,16 +314,48 @@ def test_run_study_threshold_failure_exit_3(tmp_path, capsys):
     assert "res_flux" in capsys.readouterr().err
 
 
+def _audit_abort(tmp_path, capsys, audit):
+    """The stderr of run-study on BASE_CONFIG with the [audit] setting
+    `audit`, which must exit 4 before it writes a report."""
+    path = write_config(tmp_path, BASE_CONFIG + f"\n[audit]\n{audit}\n")
+    out_dir = tmp_path / "o"
+    assert main(["run-study", "--config", str(path), "--out",
+                 str(out_dir)]) == 4
+    assert not (out_dir / "report.csv").exists()
+    return capsys.readouterr().err
+
+
 def test_run_study_regularity_abort_exit_4(tmp_path, capsys):
-    text = BASE_CONFIG.replace("family = uniform", "family = graded")
-    text = text.replace("[time]", "grading = 1.2\ngrading_growth = 2.5\n\n[time]")
-    # keep the support inside the graded level-0 interior cells
-    text = text.replace("x1 = 0.7", "x1 = 0.6").replace("y1 = 0.7", "y1 = 0.6")
+    err = _audit_abort(tmp_path, capsys, "regularity_cap = 1.5")
+    assert err == ("regularity audit failed: theta1: theta1 = 2 exceeds "
+                   "cap 1.5 at level 0\n")
+
+
+def test_run_study_regularity_growth_abort_exit_4(tmp_path, capsys):
+    # the uniform levels keep their parameters, which a growth bound
+    # below 1 counts as growth at level 1
+    err = _audit_abort(tmp_path, capsys, "regularity_growth = 0.9")
+    assert err.startswith("regularity audit failed: theta1 theta2 theta3: "
+                          "theta1 grows across levels: 2 -> 2 at level 1;")
+
+
+def test_run_study_rejects_a_mesh_file_exit_2(tmp_path, capsys):
+    # a study builds its meshes from [mesh] family, nx and ny: a saved
+    # 4x4 mesh named by [mesh] file is an error before any output, while
+    # mesh-info and check-identities read it
+    mesh_path = tmp_path / "mesh.txt"
+    save_mesh(build_cartesian(4, 4), mesh_path)
+    text = BASE_CONFIG.replace("nx = 4\nny = 4", f"file = {mesh_path}")
     path = write_config(tmp_path, text)
-    code = main(["run-study", "--config", str(path), "--out",
-                 str(tmp_path / "o")])
-    assert code == 4
-    assert "theta2" in capsys.readouterr().err
+    out_dir = tmp_path / "out"
+    assert main(["run-study", "--config", str(path), "--out",
+                 str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: 'file' in [mesh]"), err
+    assert not out_dir.exists()
+    assert main(["mesh-info", "--config", str(path)]) == 0
+    assert "cells        16\n" in capsys.readouterr().out
+    assert main(["check-identities", "--config", str(path)]) == 0
 
 
 def test_check_identities_pass(tmp_path, capsys):
@@ -402,3 +433,27 @@ def test_blas_thread_count_does_not_change_bytes(tmp_path):
         outputs.append([(out_dir / name).read_bytes()
                         for name in ("report.csv", "rates.csv")])
     assert outputs[0] == outputs[1]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_docs_match_the_schema(tmp_path):
+    # the README's section/key table lists CONFIG_TABLE's keys in order
+    # (parenthesised notes left out) and its [thresholds] row, after "one
+    # of", the rate series; its example INI parses and validates
+    text = README.read_text()
+    table = {}
+    for section, keys in re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", text,
+                                    re.MULTILINE):
+        keys = re.sub(r"\([^)]*\)", "", keys).split("one of")[-1]
+        table[section] = re.findall(r"`([^`]+)`", keys)
+    schema = {}
+    for section, key, _, _ in CONFIG_TABLE:
+        schema.setdefault(section, []).append(key)
+    schema["thresholds"] = list(RATE_SERIES)
+    assert table == schema
+    example = re.search(r"```ini\n(.*?)```", text, re.DOTALL).group(1)
+    cfg, meta = parse_config(write_config(tmp_path, example, "readme.ini"))
+    cfg.validate()
+    assert meta == {"mesh_file": "", "out_dir": "."}

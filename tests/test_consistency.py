@@ -589,6 +589,46 @@ def test_streamed_pass_raises_the_missing_flux_of_the_whole_level():
     assert str(streamed.value) == str(whole.value)
 
 
+@pytest.mark.parametrize("broken", ["q", "v"])
+def test_streamed_level_rejects_non_finite_values(broken):
+    # a sampled q (or face velocity) that turns NaN from knot 3 on: two
+    # steps a chunk, knot 3 is the first new level of the second chunk,
+    # and both the pass and the whole-level collect stop there
+    mesh = build_cartesian(8, 8)
+    dual = build_dual_mac(mesh)
+    grid = build_time_grid(0.5, 8)
+    qf = lambda x, t: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+    vf = lambda x, t: np.broadcast_to(np.array([1.0, 0.5]),
+                                      (x.shape[0], 2)).copy()
+
+    def late(f):
+        return lambda x, t: f(x, t) + (np.nan if t >= grid.knots[3] else 0.0)
+
+    source = lambda: ManufacturedLevels(
+        late(qf) if broken == "q" else qf, late(vf) if broken == "v" else vf,
+        MAC, mesh, dual, grid)
+    args = _mac_pass_args(source(), qf, vf)
+    with mock.patch.object(quadrature, "CHUNK_VALUES", _steps_a_chunk(mesh, 2)):
+        with pytest.raises(ValueError, match="^non-finite field values$"):
+            level_pass(*args)
+    with mock.patch.object(quadrature, "CHUNK_VALUES", 2 * mesh.n_cells):
+        with pytest.raises(ValueError, match="^non-finite field values$"):
+            source().collect()
+
+
+def test_level_fields_reject_non_finite_values():
+    mesh = build_cartesian(2, 2)
+    grid = build_time_grid(1.0, 1)
+    dual = build_dual_mac(mesh)
+    q = np.zeros((2, mesh.n_cells))
+    v = np.zeros((2, mesh.n_faces))
+    q[1, 3] = v[0, 2] = np.inf
+    with pytest.raises(ValueError, match="^non-finite field values$"):
+        CellScalarField(mesh, grid, q)
+    with pytest.raises(ValueError, match="^non-finite field values$"):
+        FaceScalarFieldMAC(mesh, grid, dual, v)
+
+
 # ---------------------------------------------------------------- constant states
 
 @settings(max_examples=60, deadline=None)

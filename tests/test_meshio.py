@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 
 from _oracles import ScalarFaceMesh, scalar_mesh_identities
 from fvlab.cli import main
-from fvlab.fields import CellScalarField, FaceScalarFieldMAC, FaceVectorFieldRT
 from fvlab.geometry import (MeshConstructionError, PrimalMesh,
-                            build_cartesian, build_dual_mac, build_dual_rt,
-                            build_intervals, build_perturbed_quads,
-                            build_time_grid, check_mesh_identities)
-from fvlab.meshio import (MeshFormatError, load_field, load_mesh, save_field,
-                          save_mesh)
+                            build_cartesian, build_intervals,
+                            build_perturbed_quads, check_mesh_identities)
+from fvlab.meshio import MeshFormatError, load_mesh, save_mesh
 
 
 @pytest.mark.parametrize("make", [
@@ -236,57 +233,3 @@ def test_truncated_file_rejected(tmp_path):
     path.write_text("\n".join(lines[:8]) + "\n")
     with pytest.raises(MeshFormatError):
         load_mesh(path)
-
-
-def test_field_round_trips(tmp_path):
-    mesh = build_cartesian(3, 3)
-    grid = build_time_grid(1.0, 2)
-    mac, rt = build_dual_mac(mesh), build_dual_rt(mesh)
-    rng = np.random.default_rng(4)
-    cases = [
-        (CellScalarField(mesh, grid, rng.normal(size=(3, 9))), None),
-        (FaceVectorFieldRT(mesh, grid, rt,
-                           rng.normal(size=(3, mesh.n_faces, 2))), rt),
-        (FaceScalarFieldMAC(mesh, grid, mac,
-                            rng.normal(size=(3, mesh.n_faces))), mac),
-    ]
-    for i, (fld, dual) in enumerate(cases):
-        path = tmp_path / f"field{i}.csv"
-        save_field(fld, path)
-        back = load_field(path, mesh, grid, dual=dual)
-        assert type(back) is type(fld)
-        assert np.array_equal(back.values, fld.values)
-        assert getattr(back, "dual", None) is dual
-        assert path.read_text().splitlines()[1].startswith("entity,level,")
-
-
-def test_field_missing_record_rejected(tmp_path):
-    mesh = build_cartesian(2, 2)
-    grid = build_time_grid(1.0, 1)
-    fld = CellScalarField(mesh, grid, np.ones((2, 4)))
-    path = tmp_path / "f.csv"
-    save_field(fld, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(MeshFormatError):
-        load_field(path, mesh, grid)
-
-
-@pytest.mark.parametrize("edit,match", [
-    (lambda rows: rows + ["-1,0,99"], "record -1,0 is outside"),
-    (lambda rows: rows + ["4,0,99"], "record 4,0 is outside"),
-    (lambda rows: rows + ["0,2,99"], "record 0,2 is outside"),
-    (lambda rows: rows + ["3,1,77"], "record 3,1 is repeated"),
-    (lambda rows: rows[:-1] + ["3,1,77,5"], "record 3,1 has 4 fields"),
-    (lambda rows: rows[:-1] + ["3,1"], "record 3,1 has 2 fields"),
-], ids=["negative_entity", "entity_past_mesh", "level_past_grid",
-        "repeated", "too_wide", "too_narrow"])
-def test_field_bad_record_rejected(tmp_path, edit, match):
-    mesh = build_cartesian(2, 2)
-    grid = build_time_grid(1.0, 1)
-    path = tmp_path / "f.csv"
-    save_field(CellScalarField(mesh, grid, np.ones((2, 4))), path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:2] + edit(lines[2:])) + "\n")
-    with pytest.raises(MeshFormatError, match=match):
-        load_field(path, mesh, grid)

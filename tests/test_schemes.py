@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fvlab import schemes
 from fvlab.fields import lp_distance
 from fvlab.geometry import (build_cartesian, build_dual_mac, build_intervals,
                             build_time_grid)
@@ -11,7 +12,7 @@ from fvlab.operators import (BetaFamily, assemble_convection,
 from fvlab.quadrature import chunk_slices
 from fvlab.schemes import (CFLError, SchemeConfig, mass_mac_levels,
                            run_mass_mac, run_upwind_1d, sample_manufactured,
-                           upwind_1d_levels, write_run_metadata_csv)
+                           upwind_1d_levels)
 from fvlab.study import manufactured_solution
 
 from _oracles import assert_bitwise, march_by_steps
@@ -103,6 +104,17 @@ def test_cfl_validation():
     with pytest.raises(ValueError, match="unknown boundary policy"):
         run_upwind_1d(build_intervals(8),
                       SchemeConfig(q0=bump1d, T=0.1, boundary_policy="bogus"))
+
+
+def test_upwind_rejects_a_step_over_its_cfl_bound(monkeypatch):
+    # a time grid one step short of the CFL count makes dt exceed
+    # cfl * min h; the per-step guard stops the march at its first step
+    real = schemes._uniform_grid_for
+    monkeypatch.setattr(schemes, "_uniform_grid_for", lambda T, bound:
+                        build_time_grid(T, real(T, bound).n_steps - 1))
+    cfg = SchemeConfig(q0=bump1d, T=0.25, cfl=0.5)
+    with pytest.raises(CFLError, match="^CFL violated at step 0$"):
+        run_upwind_1d(build_intervals(16), cfg)
 
 
 # ---------------------------------------------------------------- MAC mass
@@ -265,22 +277,6 @@ def test_sample_manufactured_l1_convergence():
         hs.append(mesh.delta() + grid.dt_max)
     rates = np.diff(np.log(dists)) / np.diff(np.log(hs))
     assert np.all(rates >= 0.9)
-
-
-def test_run_metadata_csv(tmp_path):
-    mesh = build_intervals(16)
-    cfg = SchemeConfig(q0=bump1d, T=0.25, cfl=0.5)
-    q, grid, ledger = run_upwind_1d(mesh, cfg)
-    path = tmp_path / "run.csv"
-    write_run_metadata_csv(path, ledger, grid, cfg.cfl)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# cfl,0.5"
-    assert lines[1] == f"# steps,{grid.n_steps}"
-    assert lines[2] == "step,t,mass,boundary_flux,defect"
-    assert len(lines) == 3 + grid.n_steps + 1
-    # mass column round-trips
-    mass0 = float(lines[3].split(",")[2])
-    assert mass0 == ledger.mass[0]
 
 
 # ---------------------------------------------------------------- policies

@@ -19,12 +19,14 @@ from fvlab import quadrature
 from fvlab.cli import parse_config
 from fvlab.consistency import weak_rhs
 from fvlab.fields import CellScalarField, Reference, lp_distance
-from fvlab.geometry import build_intervals, build_time_grid
+from fvlab.geometry import (MeshRegularity, build_intervals,
+                            build_time_grid)
 from fvlab.layouts import get_layout
 from fvlab.operators import get_pair
-from fvlab.study import (SOLUTIONS, StudyConfig, _compute_level, _LevelQ,
-                         fit_rates, manufactured_solution, run_study,
-                         write_rates_csv, write_report_csv)
+from fvlab.study import (SOLUTIONS, StudyConfig, StudyRegularityError,
+                         _audit, _compute_level, _LevelQ, fit_rates,
+                         manufactured_solution, run_study, write_rates_csv,
+                         write_report_csv)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -450,6 +452,31 @@ def test_graded_levels_reuse_level0_nodes(monkeypatch):
             assert np.array_equal(nodes[::2 ** level],
                                   np.unique(base.vertices[:, d]))
     assert calls == []
+
+
+def test_audit_cap_names_each_parameter_over_it():
+    cfg = StudyConfig(regularity_cap=10.0)
+    _audit(cfg, 0, MeshRegularity(10.0, 2.0, 10.0), None)     # at the cap
+    with pytest.raises(StudyRegularityError) as exc:
+        _audit(cfg, 0, MeshRegularity(10.5, 2.0, 12.0), None)
+    assert exc.value.parameter == "theta1 theta3"
+    assert str(exc.value) == ("theta1 = 10.5 exceeds cap 10.0 at level 0; "
+                              "theta3 = 12 exceeds cap 10.0 at level 0")
+
+
+def test_audit_growth_names_the_parameter_that_outgrows_its_base():
+    # each parameter may grow to regularity_growth * max(base, 1); a
+    # parameter over the cap is named by the cap alone
+    cfg = StudyConfig(regularity_cap=100.0, regularity_growth=2.0)
+    base = MeshRegularity(3.0, 0.5, 40.0)
+    _audit(cfg, 2, MeshRegularity(6.0, 2.0, 80.0), base)
+    _audit(cfg, 0, MeshRegularity(6.0, 2.5, 80.0), None)     # no base yet
+    with pytest.raises(StudyRegularityError) as exc:
+        _audit(cfg, 2, MeshRegularity(6.0, 2.5, 101.0), base)
+    assert exc.value.parameter == "theta2 theta3"
+    assert str(exc.value) == ("theta2 grows across levels: 0.5 -> 2.5 at "
+                              "level 2; theta3 = 101 exceeds cap 100.0 at "
+                              "level 2")
 
 
 def test_alternating_time_grid_study():
