@@ -54,7 +54,7 @@ from .operators import (BetaFamily, FluxFamily, check_finite_flux,
                         convection, divergence, dt_beta, flux_divergence,
                         flux_dot_n, time_derivative)
 from .quadrature import (DEFAULT_ORDER, ORACLE_ORDER, BoxQuadrature,
-                         CellQuadrature, add_steps, chunk_slices,
+                         CellQuadrature, Workspace, add_steps, chunk_slices,
                          slab_time_integrals, step_sum, step_values,
                          tensor_points)
 
@@ -98,9 +98,12 @@ class _StepValues(dict):
         return tuple(add_steps(row) for row in values)
 
 
-def _paired(dt, values, phi):
-    """dt_n * (values_P^n * phi_P^n) per (step, cell)."""
-    return dt[:, None] * (values * phi)
+def _paired(dt, values, phi, vols=None, out=None):
+    """dt_n * (values_P^n * phi_P^n) per (step, cell), times |P| when
+    ``vols`` is given, written into ``out`` when given."""
+    out = np.multiply(values, phi, out=out)
+    np.multiply(dt[:, None], out, out=out)
+    return out if vols is None else np.multiply(out, vols, out=out)
 
 
 # ----------------------------------------------------------------------
@@ -111,14 +114,18 @@ class X1Result(NamedTuple):
     by_parts: float             # discrete summation-by-parts route
 
 
-def _x1_terms(dt, dtb, beta, phi, dtf, table, vols):
+def _x1_terms(dt, dtb, beta, phi, dtf, table, vols, work):
     """The step values and masses of X1's two routes on some steps: the
     direct terms dt_n |P| (d_t beta)_P^n phi_P^n and the by-parts series
     terms |P| beta_P^{n+1} (phi_P^{n+1} - phi_P^n), the difference formed
-    as (tf_{n+1} - tf_n) <B>_P; beta on the knots n..n+1."""
-    return dict(x1=step_values(_paired(dt, dtb, phi) * vols, mass=True),
-                x1_series=step_values(beta[1:] * (dtf[:, None] * table)
-                                      * vols, mass=True))
+    as (tf_{n+1} - tf_n) <B>_P; beta on the knots n..n+1.  Each table goes
+    into the ``quadrature.Workspace`` work."""
+    x1 = step_values(_paired(dt, dtb, phi, vols, out=work("terms", dtb.shape)),
+                     mass=True)
+    series = np.multiply(dtf[:, None], table, out=work("terms", dtb.shape))
+    np.multiply(beta[1:], series, out=series)
+    return dict(x1=x1, x1_series=step_values(
+        np.multiply(series, vols, out=series), mass=True))
 
 
 def _x1_result(sums, beta0, interp, vols) -> X1Result:
@@ -147,12 +154,12 @@ def compute_X1(betas: BetaFamily, interp: InterpolatedTest) -> X1Result:
     _same_level("compute_X1", betas, interp)
     vols, steps = betas.mesh.cell_volumes, betas.grid.steps
     dtb = dt_beta(betas, betas.grid)
-    sums = _StepValues()
+    sums, work = _StepValues(), Workspace()
     for ch in chunk_slices(steps.size, vols.size):
         knots = slice(ch.start, ch.stop + 1)
         sums.add(**_x1_terms(steps[ch], dtb[ch], betas.values[knots],
                              interp.cells(ch), np.diff(interp.tf[knots]),
-                             interp.cell_table, vols))
+                             interp.cell_table, vols, work))
     return _x1_result(sums, betas.values[0], interp, vols)
 
 
@@ -170,9 +177,12 @@ class _FluxDefects:
     """The level constants of the terms that weigh the flux-defect table
     (F_zeta^n - f(U)|_piece) . n_{P,zeta} of the interior cells i
     (ascending id): the X2 gradient term and remainder, and the flux
-    residual."""
+    residual.  Its tables go into the pass's workspace ``work`` (a new
+    one by default); each (step, cell, face, piece) table is formed one
+    face and piece at a time with the cells innermost, by the elementwise
+    operations of its broadcasting form."""
 
-    def __init__(self, mesh, layout, dual, pair):
+    def __init__(self, mesh, layout, dual, pair, work=None):
         self.mesh, self.layout, self.dual, self.pair = mesh, layout, dual, pair
         self.cells = cells = np.nonzero(mesh.interior_cell_mask)[0]
         self.vols = mesh.cell_volumes[cells]
@@ -182,41 +192,62 @@ class _FluxDefects:
         self.diam_coef = (mesh.cell_diameters / mesh.cell_volumes)[cells]
         self.x2_coef = ((self.meas / self.vols[:, None, None])
                         * self.areas[:, :, None])
+        self.work = Workspace() if work is None else work
 
     def table(self, fdotn, qv, vv):
         """The defect table of some steps, shape (steps, NI, nf, pieces) in
         C order: ``fdotn`` is F.n per (step, cell, local face), qv and vv
         the levels of q and v of those steps."""
-        piece = self.layout.flux_pieces(qv, vv, self.pair, self.mesh,
-                                        self.dual)
-        return (np.take(fdotn, self.cells, axis=1)[:, :, :, None]
-                - np.take(piece, self.cells, axis=1))
+        out = self.layout.flux_pieces(qv, vv, self.pair, self.mesh,
+                                      self.dual, self.cells, self.work)
+        own = np.take(fdotn, self.cells, axis=1, mode="clip",
+                      out=self.work("terms", out.shape[:3]))
+        for k, p in np.ndindex(out.shape[2:]):
+            np.subtract(own[:, :, k], out[:, :, k, p], out=out[:, :, k, p])
+        return out
 
     def residual_terms(self, dt, defects):
         """dt_n * (diam/|P|)_i * |zeta|_{i,k} * |D_piece| * |defect|."""
-        return (dt[:, None, None, None]
-                * self.diam_coef[None, :, None, None]
-                * self.areas[None, :, :, None]
-                * self.meas[None, :, :, :]
-                * np.abs(defects))
+        out = np.abs(defects, out=self.work("terms", defects.shape))
+        coef = np.multiply(dt[:, None], self.diam_coef,
+                           out=self.work("a", defects.shape[:2]))
+        piece = self.work("b", coef.shape)
+        for k, p in np.ndindex(out.shape[2:]):
+            np.multiply(coef, self.areas[:, k], out=piece)
+            np.multiply(piece, self.meas[:, k, p], out=piece)
+            np.multiply(piece, out[:, :, k, p], out=out[:, :, k, p])
+        return out
 
     def x2_terms(self, dt, qv, vv, defects, interp, tf):
         """The step values and masses of X2's gradient term
         -dt_n |P| f(U)_P^n . G_P^n (the cell mean of f(U) dotted first) and
         remainder dt_n sum_zeta sum_piece (|D_piece|/|P|) |zeta| defect
         (phi_P - phi_zeta), tf the time factor at the steps."""
-        mean_f = self.layout.flux_cell_means(qv, vv, self.pair,
-                                             self.mesh)[:, self.cells]
-        grad = tf[:, None, None] * interp.grad_table[self.cells]
-        gradient = -(dt[:, None] * np.einsum("ncd,ncd->nc", mean_f, grad)
-                     * self.vols)
-        tf = tf[:, None, None]
-        dphi = (tf * interp.cell_table[self.cells, None]
-                - tf * interp.face_table[self.cell_faces])
-        remainder = (dt[:, None, None, None]
-                     * (self.x2_coef[None] * (defects * dphi[:, :, :, None])))
-        return dict(x2_gradient=step_values(gradient, mass=True),
-                    x2_remainder=step_values(remainder, mass=True))
+        work, cells = self.work, self.cells
+        means = self.layout.flux_cell_means(qv, vv, self.pair, self.mesh)
+        means = np.take(means, cells, axis=1, mode="clip",
+                        out=work("a", (len(dt), cells.size, means.shape[2])))
+        grad = np.multiply(tf[:, None, None], interp.grad_table[cells],
+                           out=work("b", means.shape))
+        gradient = np.einsum("ncd,ncd->nc", means, grad,
+                             out=work("terms", defects.shape[:2]))
+        np.multiply(dt[:, None], gradient, out=gradient)
+        np.negative(np.multiply(gradient, self.vols, out=gradient),
+                    out=gradient)
+        sums = dict(x2_gradient=step_values(gradient, mass=True))
+        phi_cell = np.multiply(tf[:, None], interp.cell_table[cells],
+                               out=work("a", defects.shape[:2]))
+        dphi = work("b", phi_cell.shape)
+        remainder = work("terms", defects.shape)
+        for k, p in np.ndindex(defects.shape[2:]):
+            if p == 0:
+                np.multiply(tf[:, None], interp.face_table[self.cell_faces[:, k]],
+                            out=dphi)
+                np.subtract(phi_cell, dphi, out=dphi)
+            np.multiply(defects[:, :, k, p], dphi, out=remainder[:, :, k, p])
+        np.multiply(self.x2_coef, remainder, out=remainder)
+        np.multiply(dt[:, None, None, None], remainder, out=remainder)
+        return dict(sums, x2_remainder=step_values(remainder, mass=True))
 
 
 def _x2_result(sums) -> X2Result:
@@ -399,8 +430,9 @@ def residual_flux_terms(flux: FluxFamily, q, v, pair, mesh, grid,
     pieces p, in C order; ``residual_flux`` is its ``step_sum``.  A scalar
     enumeration in the same layout reproduces the table bit for bit.
     """
-    return np.concatenate(list(_flux_residual_chunks(
-        flux, q, v, pair, mesh, grid, layout, dual)))
+    # each chunk's table is a view of the same workspace: copy it out
+    return np.concatenate([table.copy() for table in _flux_residual_chunks(
+        flux, q, v, pair, mesh, grid, layout, dual)])
 
 
 def residual_flux(flux: FluxFamily, q, v, pair, mesh, grid,
@@ -429,8 +461,9 @@ class _JumpTerms:
     the fixed two-hop opposite-pair splits); MAC weights are
     diam(P)(|zeta| + |zeta'|)."""
 
-    def __init__(self, mesh, layout, dual):
+    def __init__(self, mesh, layout, dual, work=None):
         self.mesh = mesh
+        self.work = Workspace() if work is None else work
         fc, cf = mesh.face_cells, mesh.cell_faces
         diam = mesh.cell_diameters
         # cell-sum form: every cell sees each of its interior faces once,
@@ -451,15 +484,25 @@ class _JumpTerms:
 
     def terms(self, dt, qv, vv):
         """The step values of both R1 forms and of R2 on some steps, qv
-        and vv the levels of q and v of those steps."""
-        out = dict(
-            r1=step_values(dt[:, None, None] * np.abs(
-                qv[:, :, None] - qv[:, self.other]) * self.w_ck),
-            r1_face=step_values(dt[:, None] * np.abs(
-                qv[:, self.p] - qv[:, self.r]) * self.omega))
+        and vv the levels of q and v of those steps; each local face's
+        R1 differences are formed with the cells innermost."""
+        work, n = self.work, len(qv)
+        other = np.take(qv, self.other, axis=1, mode="clip",
+                        out=work("terms", (n,) + self.other.shape))
+        for k in range(self.other.shape[1]):
+            np.subtract(qv, other[:, :, k], out=other[:, :, k])
+        np.multiply(dt[:, None, None], np.abs(other, out=other), out=other)
+        out = dict(r1=step_values(np.multiply(other, self.w_ck, out=other)))
+        first = np.take(qv, self.p, axis=1, mode="clip",
+                        out=work("a", (n, self.p.size)))
+        second = np.take(qv, self.r, axis=1, mode="clip",
+                         out=work("b", first.shape))
+        np.abs(np.subtract(first, second, out=first), out=first)
+        np.multiply(dt[:, None], first, out=first)
+        out["r1_face"] = step_values(np.multiply(first, self.omega, out=first))
         if vv is not None:
             out["r2"] = step_values(self.layout.velocity_jump_terms(
-                vv, dt, self.mesh, self.edges, self.weights))
+                vv, dt, self.mesh, self.edges, self.weights, work))
         return out
 
     def result(self, sums) -> JumpSums:
@@ -609,8 +652,9 @@ def weak_lhs(c_field, interp: InterpolatedTest) -> float:
     (``assemble_convection``) and the interpolate must share their level."""
     _same_level("weak_lhs", c_field, interp)
     steps, vols = interp.grid.steps, interp.mesh.cell_volumes
-    return step_sum(_paired(steps[ch], c_field.values[ch], interp.cells(ch))
-                    * vols for ch in chunk_slices(steps.size, vols.size))
+    return step_sum(_paired(steps[ch], c_field.values[ch], interp.cells(ch),
+                            vols)
+                    for ch in chunk_slices(steps.size, vols.size))
 
 
 class WeakGap(NamedTuple):
@@ -699,9 +743,11 @@ def level_pass(levels, pair, fluxes, interp: InterpolatedTest, q_exact,
     layout, dual = levels.layout, levels.dual
     q0 = lambda x: q_exact(x, 0.0)
     vols, phi = mesh.cell_volumes, interp.phi
-    defects = _FluxDefects(mesh, layout, dual, pair)
+    # the terms of the pass share one workspace (see ``_StepValues``)
+    work = Workspace()
+    defects = _FluxDefects(mesh, layout, dual, pair, work)
     time_terms = _TimeTerms(phi, mesh, grid, order)
-    jumps = _JumpTerms(mesh, layout, dual)
+    jumps = _JumpTerms(mesh, layout, dual, work)
     l1 = l1_steps(levels.quad, grid, levels.on_nodes(q_exact))
     l1_cauchy = None
     if cauchy is not None:
@@ -734,8 +780,10 @@ def level_pass(levels, pair, fluxes, interp: InterpolatedTest, q_exact,
         table = defects.table(fdotn, qv, vv)
         sums.add(
             weak_lhs=step_values(_paired(dt, convection(dtb, div, mesh),
-                                         phi_cells) * vols),
-            x2=step_values(_paired(dt, div, phi_cells), mass=True),
+                                         phi_cells, vols,
+                                         out=work("terms", div.shape))),
+            x2=step_values(_paired(dt, div, phi_cells,
+                                   out=work("terms", div.shape)), mass=True),
             res_flux=step_values(defects.residual_terms(dt, table)),
             translate_space=step_values(translate_space_terms(
                 qv, dt, kx, lx, weights.omega_face)),
@@ -744,7 +792,8 @@ def level_pass(levels, pair, fluxes, interp: InterpolatedTest, q_exact,
                 weights.delta_half[ch.start:ch.start + pairs], vols)),
             l1=l1(ch, qv),
             **_x1_terms(dt, dtb, beta, phi_cells,
-                        np.diff(interp.tf[knots]), interp.cell_table, vols),
+                        np.diff(interp.tf[knots]), interp.cell_table, vols,
+                        work),
             **defects.x2_terms(dt, qv, vv, table, interp, interp.tf[ch]),
             **time_terms.terms(ch, dt, beta, qk),
             **jumps.terms(dt, qv, vv))

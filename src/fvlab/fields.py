@@ -18,7 +18,7 @@ import numpy as np
 from .geometry import sum_opposite_first
 from .quadrature import (DEFAULT_ORDER, CellQuadrature, FaceQuadrature,
                          SlabQuadrature, _at_least, add_steps, chunk_slices,
-                         step_sum, step_values)
+                         gauss_times, step_sum, step_values)
 
 __all__ = [
     "CellScalarField", "CellSlabField", "FaceVectorFieldRT",
@@ -590,9 +590,17 @@ def l1_steps(quad: CellQuadrature, grid, ev):
     the workspace (``ev(times, out=)``) and turned into |q - ref| in
     place, and the (cell, time) rows and the slab sums go into the rule's
     and the distance's reused buffers, so no chunk allocates a value
-    array."""
+    array.
+
+    A reference that is piecewise constant in time names the slab of each
+    time by ``ev.slabs(times)`` (``study._LevelQ.at``).  When it puts the
+    first and the last Gauss time of every slab of a chunk in one of its
+    slabs, it gives equal values at all Gauss times of each slab, and so
+    does |q - ref|: the chunk asks for one time per slab (the slab rule's
+    ``once``), whose sums keep their bits."""
     slab = SlabQuadrature(quad, grid)
     nodes = quad.points.shape[:2]
+    slabs = getattr(ev, "slabs", None)
     work, sums = np.empty(0), np.empty(0)
 
     def l1(steps, levels):
@@ -608,10 +616,16 @@ def l1_steps(quad: CellQuadrature, grid, ev):
             np.subtract(rows[:, None, :, None], vals, out=vals)
             return np.abs(vals, out=vals)
 
+        once = False
+        if slabs is not None:
+            tn, _ = gauss_times(grid.knots[steps.start:steps.stop + 1],
+                                slab.tnodes1d.size)
+            once = np.array_equal(slabs(tn[:, 0]), slabs(tn[:, -1]))
         size = len(levels) * nodes[0]
         sums = _at_least(sums, size)
         out = sums[:size].reshape(len(levels), nodes[0])
-        return step_values(slab.slab_cell_integrals(integrand, steps, out=out))
+        return step_values(slab.slab_cell_integrals(integrand, steps, out=out,
+                                                    once=once))
 
     return l1
 

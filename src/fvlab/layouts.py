@@ -70,9 +70,10 @@ class Layout:
         faces = np.flatnonzero(mesh.boundary_face_mask)
         return faces, mesh.face_measures[faces] * self._face_signs(mesh, dual)[faces]
 
-    def magnitude(self, values):
-        """Euclidean size of each face value, (N, NF)."""
-        return np.abs(values)
+    def magnitude(self, values, out=None):
+        """Euclidean size of each face value, (N, NF), into ``out`` when
+        given."""
+        return np.abs(values, out=out)
 
     # -- f(U) on its constancy pieces ---------------------------------------
     def piece_measures(self, mesh):
@@ -94,15 +95,20 @@ class Layout:
         return self.face_components(v_exact(mesh.face_midpoints, t), mesh,
                                     dual)
 
-    def velocity_jump_terms(self, vv, dt, mesh, edges, weights):
+    def velocity_jump_terms(self, vv, dt, mesh, edges, weights, work):
         """dt_n * |v_a - v_b| * w_{P,e} per (step, cell, dual edge), for
         the velocity levels vv and steps dt of some steps and the dual
         edges e = (a, b) of each cell (local faces) with their weights
-        (``jump_edges``)."""
-        a, b = np.asarray(edges).T
-        vcf = vv[:, mesh.cell_faces]
-        return (dt[:, None, None]
-                * self.magnitude(vcf[:, :, a] - vcf[:, :, b]) * weights)
+        (``jump_edges``), in the ``quadrature.Workspace`` work; each
+        edge's differences are formed with the cells innermost."""
+        vcf = np.take(vv, mesh.cell_faces, axis=1, mode="clip", out=work(
+            "a", (len(vv),) + mesh.cell_faces.shape + vv.shape[2:]))
+        diff = work("b", vcf.shape[:2] + (len(edges),) + vv.shape[2:])
+        for e, (a, b) in enumerate(edges):
+            np.subtract(vcf[:, :, a], vcf[:, :, b], out=diff[:, :, e])
+        terms = self.magnitude(diff, out=work("terms", diff.shape[:3]))
+        np.multiply(dt[:, None, None], terms, out=terms)
+        return np.multiply(terms, weights, out=terms)
 
 
 class _RT(Layout):
@@ -121,15 +127,18 @@ class _RT(Layout):
         return np.einsum("nfd,fd->nf", values[:, faces],
                          mesh.face_normals[faces])
 
-    def magnitude(self, values):
-        return np.sqrt((values ** 2).sum(-1))
+    def magnitude(self, values, out=None):
+        return np.sqrt((values ** 2).sum(-1), out=out)
 
-    def flux_pieces(self, qv, vv, pair, mesh, dual):
-        """f(U).n_{P,zeta} on each piece, (N, NC, nf, pieces): diamond p
+    def flux_pieces(self, qv, vv, pair, mesh, dual, cells, work):
+        """f(U).n_{P,zeta} on each piece of the cells ``cells``, (N,
+        len(cells), nf, pieces), in the workspace ``work``: diamond p
         carries g(q) v_p, and its flux through face k is that . n_k."""
         vcf = vv[:, mesh.cell_faces]                           # (N, NC, 4, 2)
         dots = np.einsum("ncpd,ckd->nckp", vcf, mesh.cell_face_normals)
-        return pair.g(qv)[:, :, None, None] * dots
+        return np.take(pair.g(qv)[:, :, None, None] * dots, cells, axis=1,
+                       mode="clip",
+                       out=work("table", (len(qv), cells.size, 4, 4)))
 
     def flux_cell_means(self, qv, vv, pair, mesh):
         """Mean of the vector f(U) over each cell, (N, NC, dim)."""
@@ -162,13 +171,20 @@ class _MAC(Layout):
     def _face_signs(self, mesh, dual):
         return dual.face_delta_first
 
-    def flux_pieces(self, qv, vv, pair, mesh, dual):
+    def flux_pieces(self, qv, vv, pair, mesh, dual, cells, work):
         # the half-rectangles next to face k and to its opposite face
-        vcf = vv[:, mesh.cell_faces]                           # (N, NC, 4)
-        delta = dual.cell_face_delta[None, :, :]
-        own = vcf * delta
-        opp = vcf[:, :, LOCAL_OPPOSITE] * delta
-        return pair.g(qv)[:, :, None, None] * np.stack([own, opp], axis=-1)
+        n = len(qv)
+        g = pair.g(np.take(qv, cells, axis=1, mode="clip",
+                           out=work("a", (n, cells.size))))
+        vcf = np.take(vv, mesh.cell_faces[cells], axis=1, mode="clip",
+                      out=work("b", (n, cells.size, 4)))
+        delta = dual.cell_face_delta[cells]
+        out = work("table", (n, cells.size, 4, 2))
+        for k in range(4):
+            for p, face in enumerate((k, LOCAL_OPPOSITE[k])):
+                np.multiply(vcf[:, :, face], delta[:, k], out=out[:, :, k, p])
+                np.multiply(g, out[:, :, k, p], out=out[:, :, k, p])
+        return out
 
     def flux_cell_means(self, qv, vv, pair, mesh):
         vcf = vv[:, mesh.cell_faces]
@@ -206,9 +222,14 @@ class _Colocated1D(Layout):
     def _face_signs(self, mesh, dual):
         return mesh.face_normals[:, 0]
 
-    def flux_pieces(self, qv, vv, pair, mesh, dual):
-        return (pair.flux(qv)[:, :, None, None]
-                * mesh.cell_face_normals[None, :, :, 0:1])
+    def flux_pieces(self, qv, vv, pair, mesh, dual, cells, work):
+        f = pair.flux(np.take(qv, cells, axis=1, mode="clip",
+                              out=work("a", (len(qv), cells.size))))
+        out = work("table", f.shape + (2, 1))
+        for k in range(2):
+            np.multiply(f, mesh.cell_face_normals[cells, k, 0],
+                        out=out[:, :, k, 0])
+        return out
 
     def flux_cell_means(self, qv, vv, pair, mesh):
         return pair.flux(qv)[:, :, None]

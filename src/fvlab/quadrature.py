@@ -301,7 +301,8 @@ class SlabQuadrature:
         # chunk, reused by every call
         self._rows, self._terms = np.empty(0), np.empty(0)
 
-    def slab_cell_integrals(self, f, steps=slice(None), out=None):
+    def slab_cell_integrals(self, f, steps=slice(None), out=None,
+                            once=False):
         """Integrals over P x (t_n, t_{n+1}) for the steps n of the slice
         ``steps`` (all by default) and every cell P, shape (steps, NC),
         written into ``out`` when given.
@@ -313,6 +314,13 @@ class SlabQuadrature:
         that step with consecutive groups of its times.  Each (cell, time)
         row is reduced by the same ``einsum`` as ``cell_integrals``, and
         per slab the weighted rows are added in time order, from +0.0.
+
+        With ``once``, the integrand is the same at every Gauss time of a
+        slab: f gets the first time of each slab only (tn shaped
+        (len(sub), 1)) and gives (len(sub), 1, NC, k).  Each row is then
+        reduced once and added with each Gauss weight in time order; T
+        equal rows reduce to equal bits, so the sums are those of the
+        integrand given at all T times, bit for bit.
         """
         lo, hi, _ = steps.indices(self.grid.n_steps)
         times, tweights = gauss_times(self.grid.knots[lo:hi + 1],
@@ -323,9 +331,10 @@ class SlabQuadrature:
             out = np.zeros((n_steps, n_cells))
         else:
             out[...] = 0.0
-        chunks = chunk_slices(n_steps, n_t * n_cells * k)
+        n_f = 1 if once else n_t
+        chunks = chunk_slices(n_steps, n_f * n_cells * k)
         # a chunk of several steps takes all their times at once
-        groups = chunk_slices(n_t, n_cells * k)
+        groups = chunk_slices(n_f, n_cells * k)
         weights = self._row_weights(
             (chunks[0].stop - chunks[0].start)
             * (groups[0].stop - groups[0].start) if chunks else 0)
@@ -334,15 +343,17 @@ class SlabQuadrature:
             terms = self._terms = _at_least(self._terms, acc.size)
             term = terms[:acc.size].reshape(acc.shape)
             for js in groups:
-                tn, tw = times[sub, js], tweights[sub, js]
+                tn = times[sub, js]
                 vals = np.asarray(f(slice(lo + sub.start, lo + sub.stop), tn),
                                   dtype=float).reshape(-1, k)
                 rows = self._rows = _at_least(self._rows, vals.shape[0])
                 ints = np.einsum("ck,ck->c", weights[:vals.shape[0]], vals,
                                  out=rows[:vals.shape[0]])
                 ints = ints.reshape(tn.shape + (n_cells,))
-                for j in range(tn.shape[1]):
-                    np.multiply(tw[:, j, None], ints[:, j], out=term)
+                for j in range(n_t) if once else range(js.start, js.stop):
+                    np.multiply(tweights[sub, j, None],
+                                ints[:, 0 if once else j - js.start],
+                                out=term)
                     acc += term
         return out
 
@@ -362,6 +373,23 @@ class SlabQuadrature:
 def _at_least(buffer, size):
     """``buffer``, or a new one when it holds fewer than ``size`` values."""
     return buffer if buffer.size >= size else np.empty(size)
+
+
+class Workspace:
+    """Reused buffers by name: ``work(name, shape)`` is a C-order view of
+    the buffer ``name``, replaced only when it holds fewer values.  A term
+    object writes its chunk tables into its own (``out=``), so they are
+    sized at the first, largest, chunk of a pass and no later chunk
+    allocates them, and faults them in, again."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def __call__(self, name, shape):
+        size = math.prod(shape)
+        buffer = self._buffers[name] = _at_least(
+            self._buffers.get(name, np.empty(0)), size)
+        return buffer[:size].reshape(shape)
 
 
 class BoxQuadrature:

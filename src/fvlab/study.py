@@ -427,7 +427,13 @@ class _LevelQ:
     def at(self, points):
         """The evaluator ``ev(times, out=None)`` of this q on the points,
         as ``Reference.at``: the cell of each point found once, the rows
-        of the times waited for, then gathered into reused buffers."""
+        of the times waited for, then gathered into reused buffers.
+
+        q is constant on each slab of this level, and ``ev.slabs(times)``
+        names the slab that ``ev`` reads at each time (``searchsorted``
+        on the knots, side "right"): times in one slab get equal values,
+        so ``fields.l1_steps`` evaluates a finer slab that lies in one of
+        them at one time only."""
         mesh, grid = self.mesh, self.grid
         # distinct sorted coordinates; np.unique imports numpy.ma on first use
         nodes = [np.sort(mesh.vertices[:, d]) for d in range(mesh.dim)]
@@ -439,10 +445,13 @@ class _LevelQ:
             for d, (axis, size) in enumerate(zip(nodes, shape))), shape)
         rows = np.empty((0, mesh.n_cells))
 
+        def slabs(times):
+            return np.clip(np.searchsorted(grid.knots, times, side="right")
+                           - 1, 0, grid.n_steps - 1)
+
         def ev(times, out=None):
             nonlocal rows
-            n = np.clip(np.searchsorted(grid.knots, times, side="right") - 1,
-                        0, grid.n_steps - 1)
+            n = slabs(times)
             last = int(n.max(initial=-1))
             self._wait(lambda: self._rows > last)
             if len(rows) < n.size:
@@ -452,6 +461,7 @@ class _LevelQ:
             got = self.values.take(n, axis=0, out=rows[:n.size], mode="clip")
             return got.take(cell, axis=1, out=out, mode="clip")
 
+        ev.slabs = slabs
         return ev
 
 

@@ -555,3 +555,71 @@ def march_by_steps(source):
         mass[k + 1] = float(np.dot(vols, values[k + 1]))
         boundary[k] = dt * float((flux[0, bfaces] * bweights).sum())
     return values, v, mass, boundary
+
+
+# ----------------------------------------------------------------------
+# the broadcasting forms of the chunk tables, each table formed whole by
+# numpy broadcasting over its short face or piece axis: the oracles of
+# the forms that loop over faces and pieces with the cells innermost
+
+def flux_pieces_broadcast(layout, qv, vv, pair, mesh, dual):
+    """f(U).n_{P,zeta} on each piece of every cell, (N, NC, nf, pieces)."""
+    if layout.name == "colocated1d":
+        return (pair.flux(qv)[:, :, None, None]
+                * mesh.cell_face_normals[None, :, :, 0:1])
+    vcf = vv[:, mesh.cell_faces]
+    if layout.name == "rt":
+        dots = np.einsum("ncpd,ckd->nckp", vcf, mesh.cell_face_normals)
+        return pair.g(qv)[:, :, None, None] * dots
+    delta = dual.cell_face_delta[None, :, :]
+    own = vcf * delta
+    opp = vcf[:, :, LOCAL_OPPOSITE] * delta
+    return pair.g(qv)[:, :, None, None] * np.stack([own, opp], axis=-1)
+
+
+def defect_table_broadcast(defects, fdotn, qv, vv):
+    """``_FluxDefects.table``: F.n of the interior cells minus their
+    pieces."""
+    piece = flux_pieces_broadcast(defects.layout, qv, vv, defects.pair,
+                                  defects.mesh, defects.dual)
+    return (np.take(fdotn, defects.cells, axis=1)[:, :, :, None]
+            - np.take(piece, defects.cells, axis=1))
+
+
+def residual_terms_broadcast(defects, dt, table):
+    """``_FluxDefects.residual_terms``."""
+    return (dt[:, None, None, None]
+            * defects.diam_coef[None, :, None, None]
+            * defects.areas[None, :, :, None]
+            * defects.meas[None, :, :, :]
+            * np.abs(table))
+
+
+def x2_tables_broadcast(defects, dt, qv, vv, table, interp, tf):
+    """The gradient and remainder tables of ``_FluxDefects.x2_terms``."""
+    mean_f = defects.layout.flux_cell_means(qv, vv, defects.pair,
+                                            defects.mesh)[:, defects.cells]
+    grad = tf[:, None, None] * interp.grad_table[defects.cells]
+    gradient = -(dt[:, None] * np.einsum("ncd,ncd->nc", mean_f, grad)
+                 * defects.vols)
+    tf = tf[:, None, None]
+    dphi = (tf * interp.cell_table[defects.cells, None]
+            - tf * interp.face_table[defects.cell_faces])
+    remainder = (dt[:, None, None, None]
+                 * (defects.x2_coef[None] * (table * dphi[:, :, :, None])))
+    return gradient, remainder
+
+
+def jump_tables_broadcast(jumps, dt, qv, vv):
+    """The R1 cell-sum and face-sum tables of ``_JumpTerms.terms``, and
+    the R2 table when vv is given."""
+    r1 = dt[:, None, None] * np.abs(
+        qv[:, :, None] - qv[:, jumps.other]) * jumps.w_ck
+    r1_face = dt[:, None] * np.abs(qv[:, jumps.p] - qv[:, jumps.r]) * jumps.omega
+    if vv is None:
+        return r1, r1_face, None
+    a, b = np.asarray(jumps.edges).T
+    vcf = vv[:, jumps.mesh.cell_faces]
+    r2 = (dt[:, None, None] * jumps.layout.magnitude(vcf[:, :, a] - vcf[:, :, b])
+          * jumps.weights)
+    return r1, r1_face, r2
