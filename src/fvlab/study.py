@@ -184,13 +184,22 @@ class StudyConfig:
             raise ValueError("a study needs >= 3 levels for rate fitting")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads!r}")
-        for name in ("T", "dt_over_h", "regularity_cap", "regularity_growth"):
+        for name in ("T", "dt_over_h", "time_ratio", "grading",
+                     "regularity_cap", "regularity_growth"):
             if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ValueError(f"{name} must be finite and positive, got "
                                  f"{getattr(self, name)!r}")
         if not (np.isfinite(self.translate_theta) and self.translate_theta >= 0):
             raise ValueError(f"translate_theta must be finite and "
                              f"non-negative, got {self.translate_theta!r}")
+        # phi's time support [0, t_max_factor T) must end before T
+        if not 0 < self.t_max_factor < 1:
+            raise ValueError(f"t_max_factor must be in (0, 1), got "
+                             f"{self.t_max_factor!r}")
+        for axis, (lo, hi) in zip("xy", self.domain):
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+                raise ValueError(f"domain bounds {axis}0 < {axis}1 must be "
+                                 f"finite, got ({lo!r}, {hi!r})")
         layout = get_layout(self.layout)
         _check_choice("field source", self.field_source, FIELD_SOURCES)
         if self.field_source == "scheme" and not layout.scheme_source:

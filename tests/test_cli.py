@@ -120,6 +120,25 @@ def test_bad_config_exit_2(tmp_path, capsys):
         ("[audit]\nregularity_growth = nan\n",
          "regularity_growth must be finite and positive, got nan"),
         ("[audit]\nregularity_growth = 0\n", "got 0.0"),
+        # the time grid, the test function's time support and the mesh
+        # box are checked before the output directory is made
+        ("T = 0.5", "T = 0.5\npattern = alternating\nratio = inf",
+         "time_ratio must be finite and positive, got inf"),
+        ("T = 0.5", "T = 0.5\npattern = alternating\nratio = nan",
+         "time_ratio must be finite and positive, got nan"),
+        ("T = 0.5", "T = 0.5\npattern = alternating\nratio = 0", "got 0.0"),
+        ("t_max_factor = 0.7", "t_max_factor = inf",
+         "t_max_factor must be in (0, 1), got inf"),
+        ("t_max_factor = 0.7", "t_max_factor = nan", "got nan"),
+        ("t_max_factor = 0.7", "t_max_factor = 1", "got 1.0"),
+        ("t_max_factor = 0.7", "t_max_factor = 0", "got 0.0"),
+        ("family = uniform", "family = graded\ngrading = nan",
+         "grading must be finite and positive, got nan"),
+        ("family = uniform", "family = graded\ngrading = -1.2", "got -1.2"),
+        ("ny = 4", "ny = 4\nx1 = inf",
+         "domain bounds x0 < x1 must be finite, got (0.0, inf)"),
+        ("ny = 4", "ny = 4\ny0 = nan", "y0 < y1 must be finite, got (nan, 1.0)"),
+        ("ny = 4", "ny = 4\nx0 = 1", "x0 < x1 must be finite, got (1.0, 1.0)"),
     ]
     for k, case in enumerate(bad_inputs):
         if len(case) == 2:
@@ -132,7 +151,7 @@ def test_bad_config_exit_2(tmp_path, capsys):
                      str(out_dir)]) == 2, case
         err = capsys.readouterr().err
         assert "config error" in err and needle in err, (case, err)
-        assert not (out_dir / "report.csv").exists()
+        assert not out_dir.exists(), case
     # a thread count below 1 from the flag, too
     path = write_config(tmp_path)
     assert main(["run-study", "--config", str(path), "--out",

@@ -13,25 +13,30 @@ from fvlab.consistency import (RouteMismatchError, compute_X1, compute_X2,
                                residual_init, residual_time, weak_form_gap,
                                weak_lhs, weak_rhs)
 from fvlab.fields import (TIME_PROFILES, CellScalarField,
-                          FaceScalarFieldMAC, FaceVectorFieldRT, Reference,
+                          FaceScalarFieldMAC, FaceVectorFieldRT,
+                          InterpolatedTest, Reference,
                           SupportError, TestFunction,
                           default_translate_weights, interpolate_test,
                           translate_functional)
 from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
                             build_intervals, build_time_grid)
 from fvlab.operators import (BetaFamily, FluxFamily, assemble_convection,
-                             flux_colocated_upwind_1d, flux_staggered,
+                             flux_colocated_upwind_1d, flux_dot_n,
+                             flux_staggered,
                              get_pair, staggered_flux_rule,
                              telescoping_defect, upwind_1d_flux_rule)
-from fvlab.quadrature import BoxQuadrature
-from fvlab.layouts import MAC
+from fvlab.quadrature import BoxQuadrature, Workspace
+from fvlab.layouts import MAC, get_layout
 from fvlab.schemes import (CFLError, ManufacturedLevels, SchemeConfig,
                            mass_mac_levels, run_mass_mac, sample_manufactured,
                            upwind_1d_levels)
 from fvlab.study import StudyConfig, build_level, manufactured_solution
 
-from _oracles import (brute_force_flux_residual, materialise, per_step_sum,
-                      residual_time_slab, separable_phi, weak_rhs_whole)
+from _oracles import (assert_bitwise, brute_force_flux_residual,
+                      defect_table_broadcast, jump_tables_broadcast,
+                      materialise, per_step_sum, residual_terms_broadcast,
+                      residual_time_slab, separable_phi, weak_rhs_whole,
+                      x2_tables_broadcast)
 from _strategies import (constant_levels, flux_levels, interior_support_boxes,
                          support_boxes)
 
@@ -466,6 +471,63 @@ def test_residual_flux_chunks_match_enumeration(case):
             assert table.tobytes() == oracle.tobytes()
             assert residual_flux(flux, q, v, pair, mesh, grid, layout, dual) \
                 == per_step_sum(oracle)
+
+
+def _signed_zeros(values, rng):
+    """A copy of values with about a fifth of them +0.0 and a fifth -0.0."""
+    values = np.array(values, dtype=float)
+    values[rng.random(values.shape) < 0.2] = 0.0
+    values[rng.random(values.shape) < 0.2] = -0.0
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(flux_levels(), st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
+def test_chunk_tables_equal_their_broadcasting_forms(case, values, seed):
+    # the defect table, the flux residual's terms, X2's gradient and
+    # remainder and the R1/R2 tables, formed one face and piece at a time
+    # into one workspace reused over chunks of any CHUNK_VALUES, equal
+    # their broadcasting forms byte for byte, signs of zeros included:
+    # colocated 1D (nf 2, one piece), MAC (4, 2) and RT (4, 4)
+    name, dual, pair, q, v, flux = case
+    mesh, grid, layout = q.mesh, q.grid, get_layout(name)
+    rng = np.random.default_rng(seed)
+    qv = _signed_zeros(q.values[:-1], rng)
+    vv = None if v is None else _signed_zeros(v.values[:-1], rng)
+    fdotn = _signed_zeros(flux_dot_n(flux), rng)
+    interp = InterpolatedTest(None, mesh, grid, *(
+        _signed_zeros(rng.normal(size=shape), rng) for shape in (
+            grid.n_steps + 1, mesh.n_cells, mesh.n_faces,
+            (mesh.n_cells, mesh.dim))))
+    work = Workspace()
+    defects = consistency._FluxDefects(mesh, layout, dual, pair, work)
+    jumps = consistency._JumpTerms(mesh, layout, dual, work)
+    reduced, step_values = [], consistency.step_values
+
+    def spy(table, mass=False):
+        reduced.append(np.array(table))
+        return step_values(table, mass)
+
+    per_step = mesh.n_cells * mesh.cell_faces.shape[1] * layout.pieces
+    with mock.patch.object(quadrature, "CHUNK_VALUES", values), \
+            mock.patch.object(consistency, "step_values", spy):
+        for ch in quadrature.chunk_slices(grid.n_steps, per_step):
+            dt, tf, qc = grid.steps[ch], interp.tf[ch], qv[ch]
+            vc = None if vv is None else vv[ch]
+            want = defect_table_broadcast(defects, fdotn[ch], qc, vc)
+            table = defects.table(fdotn[ch], qc, vc)
+            assert_bitwise(table, want)
+            assert_bitwise(defects.residual_terms(dt, table),
+                           residual_terms_broadcast(defects, dt, want))
+            reduced.clear()
+            defects.x2_terms(dt, qc, vc, table, interp, tf)
+            jumps.terms(dt, qc, vc)
+            wants = (x2_tables_broadcast(defects, dt, qc, vc, want, interp, tf)
+                     + jump_tables_broadcast(jumps, dt, qc, vc))
+            wants = [w for w in wants if w is not None]
+            assert len(reduced) == len(wants) == 4 + (vv is not None)
+            for got, oracle in zip(reduced, wants):
+                assert_bitwise(got, oracle)
 
 
 def test_streamed_flux_stages_stay_in_bounded_memory(transient_mib):

@@ -9,6 +9,7 @@ value must agree to 1e-12 of its column's largest magnitude, which leaves
 room for the last-digit differences of other SIMD kernels.
 """
 
+import ast
 import csv
 import os
 import subprocess
@@ -61,3 +62,72 @@ def test_study_matches_golden(case, tmp_path):
                    env=env, check=True, capture_output=True)
     for name in ("report.csv", "rates.csv"):
         assert_close_csv(tmp_path / name, GOLDEN / case / name)
+
+
+# the BLAS entry points among numpy's functions and attributes; a BLAS
+# routine splits its sums across the OpenBLAS threads, so a reported
+# value formed by one would change its last digits with the thread count
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "linalg"}
+# the mass ledger of the scheme's march; they go with the benchmark
+# change that moves its mass_defect column (ROADMAP)
+KNOWN_BLAS_CALLS = {("schemes.py", "_fill", "np.dot(vols, q[0])"),
+                    ("schemes.py", "_fill", "np.dot(vols, q[i + 1])")}
+
+
+def _blas_calls(path):
+    """(file, function, source) of each BLAS entry point in a module:
+    the names above as attributes (``np.dot``, ``x.dot(``, ``np.linalg``),
+    the ``@`` operator and ``einsum`` with ``optimize=``."""
+    source = path.read_text()
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            name = function
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+            hit = (isinstance(child, ast.Attribute) and child.attr in BLAS_NAMES
+                   or isinstance(child, (ast.BinOp, ast.AugAssign))
+                   and isinstance(child.op, ast.MatMult)
+                   or isinstance(child, ast.Call)
+                   and getattr(child.func, "attr",
+                               getattr(child.func, "id", None)) == "einsum"
+                   and any(k.arg == "optimize" for k in child.keywords))
+            if hit:
+                segment = ast.get_source_segment(source, child)
+                if isinstance(child, ast.Attribute):
+                    # the whole call when the attribute is called
+                    segment = next((ast.get_source_segment(source, call)
+                                    for call in ast.walk(node)
+                                    if isinstance(call, ast.Call)
+                                    and call.func is child), segment)
+                found.append((path.name, name, segment))
+            visit(child, name)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_src_calls_no_blas():
+    # every sum that fvlab reports is numpy's own loop; only the mass
+    # ledger's two dots remain, listed above
+    src = Path(fvlab.__file__).resolve().parent
+    calls = [call for path in sorted(src.glob("*.py"))
+             for call in _blas_calls(path)]
+    assert sorted(calls) == sorted(KNOWN_BLAS_CALLS)
+
+
+def test_the_blas_check_sees_every_entry_point(tmp_path):
+    # the check itself: each form it looks for, and nothing else
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "import numpy as np\n"
+        "def f(a, b):\n"
+        "    np.dot(a, b); a.dot(b); a @ b; np.matmul(a, b)\n"
+        "    np.inner(a, b); np.vdot(a, b); np.tensordot(a, b)\n"
+        "    np.linalg.norm(a); np.einsum('i,i', a, b, optimize=True)\n"
+        "    np.einsum('i,i', a, b); np.sum(a * b); a.sum()\n")
+    assert [segment for _, _, segment in _blas_calls(path)] == [
+        "np.dot(a, b)", "a.dot(b)", "a @ b", "np.matmul(a, b)",
+        "np.inner(a, b)", "np.vdot(a, b)", "np.tensordot(a, b)",
+        "np.linalg", "np.einsum('i,i', a, b, optimize=True)"]

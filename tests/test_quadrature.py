@@ -214,6 +214,46 @@ def test_slab_integrals_match_per_slab_oracle(mesh, space_order, time_order,
 
 
 @settings(max_examples=60, deadline=None)
+@given(data=st.data(), time_order=st.integers(1, 5),
+       space_order=st.integers(1, 3), values=st.integers(1, 400))
+def test_slab_rule_once_equals_the_integrand_at_every_time(
+        data, time_order, space_order, values):
+    # an integrand given at the first Gauss time of each slab only (once)
+    # sums to the bits of the same values repeated at every Gauss time,
+    # signs of zeros included, on any slice of steps and for chunks of
+    # any size: each row is reduced once and added with each weight
+    mesh = data.draw(st.one_of(interval_meshes(max_cells=16),
+                               graded_meshes(max_cells=5)))
+    grid = data.draw(time_grids(max_steps=7))
+    lo = data.draw(st.integers(0, grid.n_steps - 1))
+    steps = slice(lo, data.draw(st.integers(lo + 1, grid.n_steps)))
+    slab = SlabQuadrature(CellQuadrature(mesh, space_order), grid, time_order)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    vals = rng.normal(size=(grid.n_steps,) + slab.cell.points.shape[:2])
+    vals[rng.random(vals.shape) < 0.2] = 0.0
+    vals[rng.random(vals.shape) < 0.2] = -0.0
+    first = gauss_legendre(time_order)[0][0]
+    knots = grid.knots
+
+    def every(sub, tn):
+        return np.repeat(vals[sub, None], tn.shape[1], axis=1)
+
+    def once(sub, tn):
+        # the first Gauss time of each slab of sub, and no other
+        mid = 0.5 * (knots[sub.start:sub.stop] + knots[sub.start + 1:sub.stop + 1])
+        half = 0.5 * (knots[sub.start + 1:sub.stop + 1] - knots[sub.start:sub.stop])
+        assert_bitwise(tn, (mid + half * first)[:, None])
+        return vals[sub, None]
+
+    with mock.patch.object(quadrature, "CHUNK_VALUES", values):
+        want = slab.slab_cell_integrals(every, steps)
+        assert_bitwise(slab.slab_cell_integrals(once, steps, once=True), want)
+        out = np.full_like(want, np.nan)
+        slab.slab_cell_integrals(once, steps, out=out, once=True)
+        assert_bitwise(out, want)
+
+
+@settings(max_examples=60, deadline=None)
 @given(data=st.data(), rule=st.sampled_from([CellQuadrature, FaceQuadrature]),
        order=st.integers(1, 5), panels=st.integers(1, 3))
 def test_rules_on_rows_match_the_full_rule(data, rule, order, panels):

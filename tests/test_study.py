@@ -23,6 +23,7 @@ from fvlab.geometry import (MeshRegularity, build_intervals,
                             build_time_grid)
 from fvlab.layouts import get_layout
 from fvlab.operators import get_pair
+from fvlab.quadrature import SlabQuadrature
 from fvlab.study import (SOLUTIONS, StudyConfig, StudyRegularityError,
                          _audit, _compute_level, _LevelQ, fit_rates,
                          manufactured_solution, run_study, write_rates_csv,
@@ -141,15 +142,20 @@ def test_constant_study_all_zero_residual_columns(tmp_path):
     assert rows[1].split(",")[6:14] == ["0"] * 8
 
 
-@pytest.mark.parametrize("case, source, level", [
-    ("mac_scheme8", "scheme", 0), ("rt_perturbed_seed1", "manufactured", 0),
-    ("col1d_scheme16", "scheme", 1), ("criterion7", "manufactured", 1),
-    ("col1d_scheme16", "manufactured", 1), ("mac_scheme8", "scheme", 1),
-    ("mac_scheme_graded_zero_flux", "scheme", 1)], ids=[
+ALTERNATING = dict(time_pattern="alternating", time_ratio=2.0)
+
+
+@pytest.mark.parametrize("case, changes, level", [
+    ("mac_scheme8", dict(field_source="scheme"), 0),
+    ("rt_perturbed_seed1", {}, 0), ("col1d_scheme16", {}, 1),
+    ("criterion7", {}, 1),
+    ("col1d_scheme16", dict(field_source="manufactured"), 1),
+    ("mac_scheme8", {}, 1), ("mac_scheme_graded_zero_flux", {}, 1),
+    ("criterion7", ALTERNATING, 1)], ids=[
     "mac_scheme8-0", "rt_perturbed_seed1-0", "col1d_scheme16-1",
     "criterion7-1", "col1d_scheme16-manufactured-1", "mac_scheme8-1",
-    "mac_scheme_graded_zero_flux-1"])
-def test_report_rows_do_not_depend_on_the_chunk_size(case, source, level):
+    "mac_scheme_graded_zero_flux-1", "criterion7-alternating-1"])
+def test_report_rows_do_not_depend_on_the_chunk_size(case, changes, level):
     # one level of a golden study by the one-pass level_pass, its q and v
     # streamed from their source (the sampler or the scheme's march), with
     # CHUNK_VALUES at one value a chunk, at 1, N - 1, N and N + 1 steps of
@@ -158,9 +164,14 @@ def test_report_rows_do_not_depend_on_the_chunk_size(case, source, level):
     # field of the report row, the weak-form RHS, the mass defect and the
     # Cauchy distance to the coarser level taken inside the pass included,
     # keeps its bits, and so does the q the pass gathers whole for the
-    # next level (none on the perturbed mesh, which has no tensor lookup)
+    # next level (none on the perturbed mesh, which has no tensor lookup).
+    # The oracle's Cauchy distance reads the coarser q as a plain f(x, t),
+    # called at every Gauss time; the pass evaluates the coarser q once
+    # per slab on each chunk whose slabs each lie in one coarser slab:
+    # some chunks of every level 1 here, and a mix of chunks of both kinds
+    # on the alternating grids, whose 1 : 2 steps do not nest
     config, _ = parse_config(GOLDEN / case / "study.ini")
-    config = dataclasses.replace(config, field_source=source)
+    config = dataclasses.replace(config, **changes)
     phi = config.test_function()
     sol = manufactured_solution(config.solution)
 
@@ -176,17 +187,27 @@ def test_report_rows_do_not_depend_on_the_chunk_size(case, source, level):
     if level:
         _, coarse = compute_level_by_stages(config, level - 1, phi, rhs(),
                                             None)
-        report.l1_cauchy = lp_distance(q, _filled(coarse), order=2).distance
+        report.l1_cauchy = lp_distance(q, tensor_field_per_call(coarse),
+                                       order=2).distance
         assert np.isfinite(report.l1_cauchy)
     want = hexes(report)
     n = q.grid.n_steps
     per_step = (q.mesh.n_cells * q.mesh.cell_faces.shape[1]
                 * get_layout(config.layout).pieces)
     assert n > 2
+    # the (rule nodes, once) of every slab rule call on the Cauchy rule
+    cauchy_nodes, calls = 2 ** q.mesh.dim, set()
+    slab_cell_integrals = SlabQuadrature.slab_cell_integrals
+
+    def spy(self, *args, once=False, **kwargs):
+        calls.add((self.cell.points.shape[1], once))
+        return slab_cell_integrals(self, *args, once=once, **kwargs)
+
     sizes = {1, quadrature.CHUNK_VALUES}
     for values in sorted(sizes | {k * per_step for k in (1, n - 1, n, n + 1)}):
         mine = _LevelQ()
-        with mock.patch.object(quadrature, "CHUNK_VALUES", values):
+        with mock.patch.object(quadrature, "CHUNK_VALUES", values), \
+                mock.patch.object(SlabQuadrature, "slab_cell_integrals", spy):
             got = _compute_level(config, level, phi, rhs(), None,
                                  _filled(coarse), mine)
         assert hexes(got) == want, values
@@ -194,6 +215,10 @@ def test_report_rows_do_not_depend_on_the_chunk_size(case, source, level):
             assert_bitwise(mine.values, q.values)
         else:
             assert mine.values is None
+    cauchy = {once for nodes, once in calls if nodes == cauchy_nodes}
+    assert (True in cauchy) if level else cauchy == set()
+    if changes is ALTERNATING:
+        assert cauchy == {True, False}
 
 
 def _filled(field):
