@@ -712,7 +712,7 @@ class LevelSums(NamedTuple):
 def level_pass(levels, pair, fluxes, interp: InterpolatedTest, q_exact,
                weights, rhs: WeakRhs, order: int = DEFAULT_ORDER,
                init_order: int = ORACLE_ORDER, cauchy=None,
-               keep=None) -> LevelSums:
+               keep=None, work=None) -> LevelSums:
     """Every consistency quantity of one level in one walk over chunks of
     its time steps.
 
@@ -729,7 +729,12 @@ def level_pass(levels, pair, fluxes, interp: InterpolatedTest, q_exact,
     ``cauchy`` reference (the coarser level's q, with a ``Reference``'s
     ``at``), its order-2 L1 distance is taken per chunk too.  ``keep(start,
     levels)``, when given, is handed the q levels of the knots start.. of
-    each chunk in turn (the source's reused buffer, to be copied).
+    each chunk in turn (the source's reused buffer, to be copied).  The
+    terms write their chunk tables into the ``quadrature.Workspace``
+    ``work`` (a new one by default): each term's table into its buffer
+    "terms", reduced before the next term forms its own, the defect table
+    into "table", scratch into "a" and "b"; the two L1 distances use their
+    own buffers of it (``fields.l1_steps``).
 
     Per chunk the face fluxes, beta on the knots n..n+1, F.n, its
     divergence and the flux-defect table are formed once each and feed the
@@ -743,16 +748,15 @@ def level_pass(levels, pair, fluxes, interp: InterpolatedTest, q_exact,
     layout, dual = levels.layout, levels.dual
     q0 = lambda x: q_exact(x, 0.0)
     vols, phi = mesh.cell_volumes, interp.phi
-    # the terms of the pass share one workspace (see ``_StepValues``)
-    work = Workspace()
+    work = Workspace() if work is None else work
     defects = _FluxDefects(mesh, layout, dual, pair, work)
     time_terms = _TimeTerms(phi, mesh, grid, order)
     jumps = _JumpTerms(mesh, layout, dual, work)
-    l1 = l1_steps(levels.quad, grid, levels.on_nodes(q_exact))
+    l1 = l1_steps(levels.quad, grid, levels.on_nodes(q_exact), work)
     l1_cauchy = None
     if cauchy is not None:
         quad = CellQuadrature(mesh, 2)
-        l1_cauchy = l1_steps(quad, grid, cauchy.at(quad.flat_points()))
+        l1_cauchy = l1_steps(quad, grid, cauchy.at(quad.flat_points()), work)
     kx, lx = mesh.face_cells[mesh.interior_face_mask].T
     sums = _StepValues()
     q_min, q_max, sup_q, sup_v, sup_g = np.inf, -np.inf, 0.0, 0.0, 0.0

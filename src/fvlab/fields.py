@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import sum_opposite_first
 from .quadrature import (DEFAULT_ORDER, CellQuadrature, FaceQuadrature,
-                         SlabQuadrature, _at_least, add_steps, chunk_slices,
+                         SlabQuadrature, Workspace, add_steps, chunk_slices,
                          gauss_times, step_sum, step_values)
 
 __all__ = [
@@ -579,18 +579,19 @@ def lp_distance(field: CellScalarField, ref: Callable,
         [l1(ch, field.values[ch]) for ch in chunks])), field.sup_norm())
 
 
-def l1_steps(quad: CellQuadrature, grid, ev):
+def l1_steps(quad: CellQuadrature, grid, ev, work=None):
     """The step values (``step_values``) of the L1 distance of
     ``lp_distance`` on the cell rule ``quad``, as a function ``l1(steps,
     levels)`` of a slice of steps and the q levels of those steps; ``ev``
     evaluates the reference on the rule's nodes (``_reference_at``).
 
-    The slab rule and one workspace are formed once, here; per chunk of
-    the slab rule, the reference's values on the nodes are written into
-    the workspace (``ev(times, out=)``) and turned into |q - ref| in
-    place, and the (cell, time) rows and the slab sums go into the rule's
-    and the distance's reused buffers, so no chunk allocates a value
-    array.
+    The slab rule is formed once, here.  Per chunk of the slab rule, the
+    reference's values on the nodes are written into the buffer "l1" of
+    the ``quadrature.Workspace`` work (a new one by default) by
+    ``ev(times, out=)`` and turned into |q - ref| in place, and the
+    (cell, time) rows and the slab sums go into its buffers too
+    ("slab_rows", "slab_terms", "l1_sums"), so no chunk allocates a value
+    array and two distances of one pass can share one workspace.
 
     A reference that is piecewise constant in time names the slab of each
     time by ``ev.slabs(times)`` (``study._LevelQ.at``).  When it puts the
@@ -598,19 +599,15 @@ def l1_steps(quad: CellQuadrature, grid, ev):
     slabs, it gives equal values at all Gauss times of each slab, and so
     does |q - ref|: the chunk asks for one time per slab (the slab rule's
     ``once``), whose sums keep their bits."""
-    slab = SlabQuadrature(quad, grid)
+    work = Workspace() if work is None else work
+    slab = SlabQuadrature(quad, grid, work=work)
     nodes = quad.points.shape[:2]
     slabs = getattr(ev, "slabs", None)
-    work, sums = np.empty(0), np.empty(0)
 
     def l1(steps, levels):
-        nonlocal sums
-
         def integrand(sub, tn):
-            nonlocal work
-            size = tn.size * nodes[0] * nodes[1]
-            work = _at_least(work, size)
-            vals = ev(tn.ravel(), out=work[:size].reshape(tn.size, -1))
+            vals = ev(tn.ravel(),
+                      out=work("l1", (tn.size, nodes[0] * nodes[1])))
             vals = vals.reshape(tn.shape + nodes)
             rows = levels[sub.start - steps.start:sub.stop - steps.start]
             np.subtract(rows[:, None, :, None], vals, out=vals)
@@ -621,9 +618,7 @@ def l1_steps(quad: CellQuadrature, grid, ev):
             tn, _ = gauss_times(grid.knots[steps.start:steps.stop + 1],
                                 slab.tnodes1d.size)
             once = np.array_equal(slabs(tn[:, 0]), slabs(tn[:, -1]))
-        size = len(levels) * nodes[0]
-        sums = _at_least(sums, size)
-        out = sums[:size].reshape(len(levels), nodes[0])
+        out = work("l1_sums", (len(levels), nodes[0]))
         return step_values(slab.slab_cell_integrals(integrand, steps, out=out,
                                                     once=once))
 

@@ -292,14 +292,15 @@ class SlabQuadrature:
     from the cell rule ``cell`` of the mesh of ``grid``'s level."""
 
     def __init__(self, cell: CellQuadrature, grid,
-                 time_order: int = DEFAULT_ORDER):
+                 time_order: int = DEFAULT_ORDER, work=None):
         self.cell = cell
         self.grid = grid
         self.tnodes1d, self.tweights1d = gauss_legendre(time_order)
         self._weights = None
         # the (cell, time) row integrals and one time's weighted rows of a
-        # chunk, reused by every call
-        self._rows, self._terms = np.empty(0), np.empty(0)
+        # chunk go into the buffers "slab_rows" and "slab_terms" of the
+        # workspace ``work`` (a new one by default), reused by every call
+        self._work = Workspace() if work is None else work
 
     def slab_cell_integrals(self, f, steps=slice(None), out=None,
                             once=False):
@@ -340,15 +341,13 @@ class SlabQuadrature:
             * (groups[0].stop - groups[0].start) if chunks else 0)
         for sub in chunks:
             acc = out[sub]
-            terms = self._terms = _at_least(self._terms, acc.size)
-            term = terms[:acc.size].reshape(acc.shape)
+            term = self._work("slab_terms", acc.shape)
             for js in groups:
                 tn = times[sub, js]
                 vals = np.asarray(f(slice(lo + sub.start, lo + sub.stop), tn),
                                   dtype=float).reshape(-1, k)
-                rows = self._rows = _at_least(self._rows, vals.shape[0])
                 ints = np.einsum("ck,ck->c", weights[:vals.shape[0]], vals,
-                                 out=rows[:vals.shape[0]])
+                                 out=self._work("slab_rows", vals.shape[:1]))
                 ints = ints.reshape(tn.shape + (n_cells,))
                 for j in range(n_t) if once else range(js.start, js.stop):
                     np.multiply(tweights[sub, j, None],

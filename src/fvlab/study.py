@@ -29,6 +29,7 @@ from .geometry import (TIME_PATTERNS, DualMeshMAC, _cartesian_vertices,
 from .layouts import MAC, get_layout
 from .operators import (FACE_SCHEMES, get_pair, staggered_flux_rule,
                         upwind_1d_flux_rule)
+from .quadrature import Workspace
 from .schemes import (ManufacturedLevels, SchemeConfig, mass_mac_levels,
                       upwind_1d_levels)
 
@@ -494,10 +495,12 @@ def _audit(config, level, reg, base):
 # ----------------------------------------------------------------------
 # the study itself
 
-def _compute_level(config, level, phi, rhs, base_reg, coarse, mine):
+def _compute_level(config, level, phi, rhs, base_reg, coarse, mine,
+                   work=None):
     """The report of one level: its q and v streamed from ``level_source``
     into ``level_pass``, l1_cauchy taken against ``coarse`` when it has a
-    reference, and its q put into ``mine`` (when given; failed on error)."""
+    reference, and its q put into ``mine`` (when given; failed on error);
+    ``work`` is the pass's workspace (``level_pass``)."""
     try:
         levels = level_source(config, level)
         mesh, dual, grid = levels.mesh, levels.dual, levels.grid
@@ -524,7 +527,8 @@ def _compute_level(config, level, phi, rhs, base_reg, coarse, mine):
             manufactured_solution(config.solution)["q"], weights, rhs,
             order=config.quad_order, init_order=config.oracle_order,
             cauchy=None if coarse is None else coarse.reference(),
-            keep=None if mine is None or mine.values is None else mine.put)
+            keep=None if mine is None or mine.values is None else mine.put,
+            work=work)
     except BaseException:
         if mine is not None:
             mine.fail()
@@ -568,7 +572,16 @@ def run_study(config: StudyConfig) -> StudyResult:
     # each level but the finest hands its q to the next one
     handoffs = [_LevelQ() for _ in range(config.levels - 1)] + [None]
     # level 0 first: it fixes the regularity baseline for the audit
-    first = _compute_level(config, 0, phi, rhs, None, None, handoffs[0])
+    # the levels of one thread reuse one workspace, whose buffers each
+    # finer level grows: a fresh one per level faulted in ~2k more pages
+    # over the 1D scheme benchmark study
+    local = threading.local()
+
+    def compute(*job):
+        return _compute_level(*job, local.__dict__.setdefault(
+            "work", Workspace()))
+
+    first = compute(config, 0, phi, rhs, None, None, handoffs[0])
     jobs = [(config, lv, phi, rhs, first, handoffs[lv - 1], handoffs[lv])
             for lv in range(1, config.levels)]
     del handoffs        # a level's q is freed once the next level is done
@@ -576,7 +589,7 @@ def run_study(config: StudyConfig) -> StudyResult:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             # the pool starts the levels in order, so a level waits only
             # for coarser levels already running
-            futures = [pool.submit(_compute_level, *job) for job in jobs]
+            futures = [pool.submit(compute, *job) for job in jobs]
             del jobs
             reports = [first] + [f.result() for f in futures]
     else:
@@ -585,7 +598,7 @@ def run_study(config: StudyConfig) -> StudyResult:
         # likely from the worker thread's own malloc arena
         reports = [first]
         while jobs:
-            reports.append(_compute_level(*jobs.pop(0)))
+            reports.append(compute(*jobs.pop(0)))
     return StudyResult(config=config, reports=reports, rates=fit_rates(reports))
 
 
