@@ -35,7 +35,11 @@ class Layout:
 
     Each layout gives ``flux_pieces`` and ``flux_cell_means``, and a
     staggered one the dual edges of R2 (``jump_edges``) and what a face
-    stores of a velocity vector (``face_components``).  The normal
+    stores of a velocity vector (``face_components``).  ``flux_pieces``
+    and ``velocity_jump_terms`` write their (step, cell, face[, piece])
+    tables into the pass's ``quadrature.Workspace`` ("table" and "terms",
+    with "a" and "b" as scratch), one face and piece at a time with the
+    cells innermost.  The normal
     rules below suit one component per face, whose outward sign a layout
     gives by ``_cell_signs`` (NC, nf) and ``_face_signs`` (NF,); RT
     overrides them for its full vectors.

@@ -11,7 +11,8 @@ The rules reduce arrays: ``cell_means``, ``cell_integrals``,
 the integrand's values on the rule's own nodes (``points``, in their C
 order), and ``SlabQuadrature.slab_cell_integrals`` takes a function that
 returns the values on the ``cell`` rule's nodes at the Gauss times of a
-chunk of time steps.  ``CellQuadrature.values(f, t)`` evaluates a
+chunk of time steps, or at one time per slab for an integrand that does
+not change within a slab.  ``CellQuadrature.values(f, t)`` evaluates a
 callable on a cell rule's nodes: it calls ``f(x)`` when t is None and
 ``f(x, t)`` otherwise.
 
