@@ -571,16 +571,17 @@ def run_study(config: StudyConfig) -> StudyResult:
                    panels=config.rhs_panels)
     # each level but the finest hands its q to the next one
     handoffs = [_LevelQ() for _ in range(config.levels - 1)] + [None]
-    # level 0 first: it fixes the regularity baseline for the audit
     # the levels of one thread reuse one workspace, whose buffers each
     # finer level grows: a fresh one per level faulted in ~2k more pages
     # over the 1D scheme benchmark study
     local = threading.local()
 
     def compute(*job):
-        return _compute_level(*job, local.__dict__.setdefault(
-            "work", Workspace()))
+        if not hasattr(local, "work"):
+            local.work = Workspace()
+        return _compute_level(*job, local.work)
 
+    # level 0 first: it fixes the regularity baseline for the audit
     first = compute(config, 0, phi, rhs, None, None, handoffs[0])
     jobs = [(config, lv, phi, rhs, first, handoffs[lv - 1], handoffs[lv])
             for lv in range(1, config.levels)]

@@ -33,7 +33,8 @@ from fvlab.schemes import (CFLError, ManufacturedLevels, SchemeConfig,
 from fvlab.study import StudyConfig, build_level, manufactured_solution
 
 from _oracles import (assert_bitwise, brute_force_flux_residual,
-                      defect_table_broadcast, jump_tables_broadcast,
+                      defect_table_broadcast, flux_pieces_broadcast,
+                      jump_tables_broadcast,
                       materialise, per_step_sum, residual_terms_broadcast,
                       residual_time_slab, separable_phi, weak_rhs_whole,
                       x2_tables_broadcast)
@@ -514,6 +515,11 @@ def test_chunk_tables_equal_their_broadcasting_forms(case, values, seed):
         for ch in quadrature.chunk_slices(grid.n_steps, per_step):
             dt, tf, qc = grid.steps[ch], interp.tf[ch], qv[ch]
             vc = None if vv is None else vv[ch]
+            assert_bitwise(
+                layout.flux_pieces(qc, vc, pair, mesh, dual, defects.cells,
+                                   Workspace()),
+                flux_pieces_broadcast(layout, qc, vc, pair, mesh,
+                                      dual)[:, defects.cells])
             want = defect_table_broadcast(defects, fdotn[ch], qc, vc)
             table = defects.table(fdotn[ch], qc, vc)
             assert_bitwise(table, want)
