@@ -241,8 +241,8 @@ class _FluxDefects:
         remainder = work("terms", defects.shape)
         for k, p in np.ndindex(defects.shape[2:]):
             if p == 0:
-                np.multiply(tf[:, None], interp.face_table[self.cell_faces[:, k]],
-                            out=dphi)
+                np.multiply(tf[:, None],
+                            interp.face_table[self.cell_faces[:, k]], out=dphi)
                 np.subtract(phi_cell, dphi, out=dphi)
             np.multiply(defects[:, :, k, p], dphi, out=remainder[:, :, k, p])
         np.multiply(self.x2_coef, remainder, out=remainder)

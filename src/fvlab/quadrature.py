@@ -370,11 +370,6 @@ class SlabQuadrature:
         return weights
 
 
-def _at_least(buffer, size):
-    """``buffer``, or a new one when it holds fewer than ``size`` values."""
-    return buffer if buffer.size >= size else np.empty(size)
-
-
 class Workspace:
     """Reused buffers by name: ``work(name, shape)`` is a C-order view of
     the buffer ``name``, replaced only when it holds fewer values.  A term
@@ -387,8 +382,9 @@ class Workspace:
 
     def __call__(self, name, shape):
         size = math.prod(shape)
-        buffer = self._buffers[name] = _at_least(
-            self._buffers.get(name, np.empty(0)), size)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size)
         return buffer[:size].reshape(shape)
 
 

@@ -28,7 +28,7 @@ from .geometry import TimeGrid, build_time_grid
 from .layouts import COLOCATED_1D, MAC, Layout, get_layout
 from .operators import (divergence, get_pair, staggered_flux_rule,
                         upwind_1d_flux_rule)
-from .quadrature import (DEFAULT_ORDER, CellQuadrature, _at_least,
+from .quadrature import (DEFAULT_ORDER, CellQuadrature, Workspace,
                          chunk_slices)
 
 __all__ = ["SchemeConfig", "MassLedger", "LevelSource", "ManufacturedLevels",
@@ -171,7 +171,7 @@ class ManufacturedLevels(LevelSource):
         super().__init__(layout, mesh, dual, grid, order, v_exact)
         self.q_exact = q_exact
         self._ev = super().on_nodes(q_exact)
-        self._work = np.empty(0)
+        self._work = Workspace()
 
     def on_nodes(self, ref):
         # q_exact's x-only part is formed once for sampling and distance
@@ -181,9 +181,8 @@ class ManufacturedLevels(LevelSource):
         knots = self.grid.knots[steps.start + first:steps.stop + 1]
         nodes = self.quad.weights.size
         per_call = chunk_slices(knots.size, nodes)[0]
-        self._work = _at_least(self._work,
-                               (per_call.stop - per_call.start) * nodes)
-        _knot_means(self.quad, self._ev, knots, q[first:], self._work)
+        _knot_means(self.quad, self._ev, knots, q[first:], self._work(
+            "values", ((per_call.stop - per_call.start) * nodes,)))
 
 
 class SchemeLevels(LevelSource):

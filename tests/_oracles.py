@@ -615,11 +615,12 @@ def jump_tables_broadcast(jumps, dt, qv, vv):
     the R2 table when vv is given."""
     r1 = dt[:, None, None] * np.abs(
         qv[:, :, None] - qv[:, jumps.other]) * jumps.w_ck
-    r1_face = dt[:, None] * np.abs(qv[:, jumps.p] - qv[:, jumps.r]) * jumps.omega
+    r1_face = (dt[:, None] * np.abs(qv[:, jumps.p] - qv[:, jumps.r])
+               * jumps.omega)
     if vv is None:
         return r1, r1_face, None
     a, b = np.asarray(jumps.edges).T
     vcf = vv[:, jumps.mesh.cell_faces]
-    r2 = (dt[:, None, None] * jumps.layout.magnitude(vcf[:, :, a] - vcf[:, :, b])
-          * jumps.weights)
+    r2 = (dt[:, None, None]
+          * jumps.layout.magnitude(vcf[:, :, a] - vcf[:, :, b]) * jumps.weights)
     return r1, r1_face, r2

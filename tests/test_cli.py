@@ -137,7 +137,8 @@ def test_bad_config_exit_2(tmp_path, capsys):
         ("family = uniform", "family = graded\ngrading = -1.2", "got -1.2"),
         ("ny = 4", "ny = 4\nx1 = inf",
          "domain bounds x0 < x1 must be finite, got (0.0, inf)"),
-        ("ny = 4", "ny = 4\ny0 = nan", "y0 < y1 must be finite, got (nan, 1.0)"),
+        ("ny = 4", "ny = 4\ny0 = nan",
+         "y0 < y1 must be finite, got (nan, 1.0)"),
         ("ny = 4", "ny = 4\nx0 = 1", "x0 < x1 must be finite, got (1.0, 1.0)"),
     ]
     for k, case in enumerate(bad_inputs):

@@ -86,7 +86,8 @@ def _blas_calls(path):
             name = function
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = child.name
-            hit = (isinstance(child, ast.Attribute) and child.attr in BLAS_NAMES
+            hit = (isinstance(child, ast.Attribute)
+                   and child.attr in BLAS_NAMES
                    or isinstance(child, (ast.BinOp, ast.AugAssign))
                    and isinstance(child.op, ast.MatMult)
                    or isinstance(child, ast.Call)

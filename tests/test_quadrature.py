@@ -240,8 +240,8 @@ def test_slab_rule_once_equals_the_integrand_at_every_time(
 
     def once(sub, tn):
         # the first Gauss time of each slab of sub, and no other
-        mid = 0.5 * (knots[sub.start:sub.stop] + knots[sub.start + 1:sub.stop + 1])
-        half = 0.5 * (knots[sub.start + 1:sub.stop + 1] - knots[sub.start:sub.stop])
+        a, b = knots[sub.start:sub.stop], knots[sub.start + 1:sub.stop + 1]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
         assert_bitwise(tn, (mid + half * first)[:, None])
         return vals[sub, None]
 
