@@ -350,6 +350,7 @@ class SlabQuadrature:
                 ints = np.einsum("ck,ck->c", weights[:vals.shape[0]], vals,
                                  out=self._work("slab_rows", vals.shape[:1]))
                 ints = ints.reshape(tn.shape + (n_cells,))
+                # with once, each Gauss time of a slab weighs its one row
                 for j in range(n_t) if once else range(js.start, js.stop):
                     np.multiply(tweights[sub, j, None],
                                 ints[:, 0 if once else j - js.start],
@@ -372,10 +373,10 @@ class SlabQuadrature:
 
 class Workspace:
     """Reused buffers by name: ``work(name, shape)`` is a C-order view of
-    the buffer ``name``, replaced only when it holds fewer values.  A term
-    object writes its chunk tables into its own (``out=``), so they are
-    sized at the first, largest, chunk of a pass and no later chunk
-    allocates them, and faults them in, again."""
+    the buffer ``name``, replaced only when it holds fewer values.  The
+    terms of a level pass write their chunk tables into one (``out=``),
+    so the tables are sized at the first, largest, chunk and no later
+    chunk allocates them, and faults them in, again."""
 
     def __init__(self):
         self._buffers = {}
