@@ -146,8 +146,8 @@ ALTERNATING = dict(time_pattern="alternating", time_ratio=2.0)
 
 
 @pytest.mark.parametrize("case, changes, level", [
-    ("mac_scheme8", dict(field_source="scheme"), 0),
-    ("rt_perturbed_seed1", {}, 0), ("col1d_scheme16", {}, 1),
+    ("mac_scheme8", {}, 0), ("rt_perturbed_seed1", {}, 0),
+    ("col1d_scheme16", {}, 1),
     ("criterion7", {}, 1),
     ("col1d_scheme16", dict(field_source="manufactured"), 1),
     ("mac_scheme8", {}, 1), ("mac_scheme_graded_zero_flux", {}, 1),
