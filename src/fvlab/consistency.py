@@ -12,22 +12,22 @@ reproduces the results bit for bit.
 
 Every space-time sum behind a report column is added in one order: each
 step's row of C-order terms is reduced by ``quadrature.step_values``, and
-the step values are added left to right (``quadrature.add_steps``).  The
-terms of each quantity are formed by one term function per chunk of time
-steps (``quadrature.chunk_slices``), by the same operations in any chunk.
+the step values are added left to right (``quadrature.add_steps``).
 
-``level_pass`` computes every quantity of one level in a single walk over
-chunks of its steps.  Per chunk it forms once the face fluxes of those
-steps, beta on their knots n..n+1, F.n and its divergence, and the
-flux-defect table (F_zeta^n - f(U)|_piece) . n_{P,zeta}, and hands them to
-the term functions of C(U) and the weak LHS, X1, X2, the time and flux
-residuals, R1/R2, the translate functional and the L1 distance; the
-sup, min and max reductions ride along.  The step values go into
-step-indexed arrays, added at the end, so its results equal those of the
-whole-level functions (``compute_X1``, ``compute_X2``, ``residual_time``,
-``residual_flux``, ``jump_sums``, ``weak_lhs``, ...), which are thin loops
-over the same term functions, bit for bit, for any chunk size.  No table
-over all steps of a level is formed.
+Each quantity is a term object: ``terms(chunk)`` gives its step values on a
+chunk of time steps (``quadrature.chunk_slices``), by the same operations
+in any chunk, ``result(sums)`` the quantity from those of all chunks, and
+what it carries across chunks (beta^0, the init residual, the range of q)
+lives in the term.  One walk, ``_walk``, runs terms over the chunks of a
+level, and its ``_Chunk`` forms each value they share once, when a term
+first asks: dt and the knots, beta and d_t beta, the face fluxes (checked
+finite), F.n and its divergence, C(U), phi on the cells and the
+flux-defect table (F_zeta^n - f(U)|_piece) . n_{P,zeta}.  ``level_pass`` is
+the walk over a level source with every term; each whole-level stage
+(``compute_X1``, ``compute_X2``, ``residual_time``, ``residual_flux``,
+``jump_sums``, ``weak_lhs``) is the walk with its one term over the fields
+it is handed, their values set on each chunk as views, so it gives the
+pass's value bit for bit, for any chunk size.
 
 Stages read mesh, grid, layout and dual from their fields: ``.mesh`` and
 ``.grid`` of every field and interpolate, ``.layout`` and ``.dual`` of a
@@ -40,7 +40,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import NamedTuple
+from functools import cached_property
+from itertools import repeat
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,11 +51,13 @@ from .fields import (InterpolatedTest, SupportError, _reference_at,
                      _same_level, _support_table, l1_steps,
                      translate_space_terms, translate_time_terms)
 from .layouts import COLOCATED_1D, get_layout, layout_of
-# dt_beta, flux_divergence and flux_dot_n are looked up here by name, so
-# rebinding fvlab.consistency.<name> reaches the whole-level stages
+# dt_beta and flux_dot_n are looked up here by name, so rebinding
+# fvlab.consistency.<name> reaches the whole-level stages; flux_divergence
+# is not called here, but bench/tracing.py rebinds it here too
 from .operators import (BetaFamily, FluxFamily, check_finite_flux,
-                        convection, divergence, dt_beta, flux_divergence,
-                        flux_dot_n, time_derivative)
+                        convection, divergence, dt_beta,
+                        flux_divergence, flux_dot_n,  # noqa: F401
+                        time_derivative)
 from .quadrature import (DEFAULT_ORDER, ORACLE_ORDER, BoxQuadrature,
                          CellQuadrature, Workspace, add_steps, chunk_slices,
                          slab_time_integrals, step_sum, step_values,
@@ -83,12 +88,12 @@ def _check_routes(what: str, a: float, b: float, scale: float, rtol: float):
 
 
 class _StepValues(dict):
-    """The step values of named sums, appended chunk by chunk in step
+    """One term's step values by name, appended chunk by chunk in step
     order; ``total`` adds one name's values left to right, and a name
     holding term masses too gives (sum, mass)."""
 
-    def add(self, **chunk):
-        for name, values in chunk.items():
+    def add(self, chunk):
+        for name, values in (chunk or {}).items():
             self.setdefault(name, []).append(values)
 
     def total(self, name):
@@ -107,6 +112,86 @@ def _paired(dt, values, phi, vols=None, out=None):
 
 
 # ----------------------------------------------------------------------
+# the walk over the chunks of a level
+
+class _Chunk:
+    """The steps n..m of a level as its terms see them: the q and v levels
+    of the knots n..m+1 (``qk``, ``vk``; vk None without a face velocity)
+    and each value derived from them, formed from what the level's chunks
+    share (``level``, see ``_walk``) when a term first asks for it.  A
+    value the stage holds whole is its view instead (``level.held``): q, v
+    and beta on the knots, d_t beta, F.n and C(U) on the steps."""
+
+    def __init__(self, level, steps, qk, vk):
+        self.level, self.steps, self.start = level, steps, steps.start
+        self.knots = slice(steps.start, steps.stop + 1)
+        self.qk, self.vk = qk, vk
+        for name, values in level.held.items():
+            if values is not None:
+                on_knots = name in ("qk", "vk", "beta")
+                setattr(self, name, values[self.knots if on_knots else steps])
+
+    dt = cached_property(lambda c: c.level.grid.steps[c.steps])
+    # the q and v levels of the steps, and the range of q on the knots
+    qv = cached_property(lambda c: c.qk[:-1])
+    vv = cached_property(lambda c: None if c.vk is None else c.vk[:-1])
+    q_range = cached_property(lambda c: (c.qk.min(), c.qk.max()))
+    beta = cached_property(lambda c: c.level.pair.beta(c.qk))
+    dtb = cached_property(lambda c: time_derivative(c.beta, c.dt))
+
+    @cached_property
+    def flux(self):
+        # the face fluxes of the steps, each checked finite
+        flux = self.level.fluxes(self.qv, self.vv)
+        check_finite_flux(flux, self.level.mesh, self.start)
+        return flux
+
+    # F.n per (step, cell, local face), its divergence, C(U), phi_P^n at
+    # the steps and the flux-defect table of the interior cells
+    fdotn = cached_property(lambda c: c.level.layout.cell_normal(
+        c.flux, c.level.mesh, c.level.dual))
+    div = cached_property(lambda c: divergence(c.fdotn, c.level.mesh))
+    conv = cached_property(lambda c: convection(c.dtb, c.div, c.level.mesh))
+    phi = cached_property(lambda c: c.level.interp.cells(c.steps))
+    table = cached_property(lambda c: c.level.defects.table(c.fdotn, c.qv,
+                                                            c.vv))
+
+
+class _Term(NamedTuple):
+    """A term that carries nothing across chunks."""
+    terms: Callable             # chunk -> step values by name, or None
+    result: Callable            # _StepValues -> the quantity
+
+
+def _walk(level, terms):
+    """The results of ``terms`` (term objects by name) on one level, by
+    the same names: per chunk of its steps, in step order, each term adds
+    ``terms(chunk)`` to its own ``_StepValues``, and ``result`` reads them.
+    ``level`` holds ``mesh``, ``grid``, the chunk size ``per_step``
+    (``chunk_slices``), the ``schemes.LevelSource`` ``source`` that forms
+    each chunk's q and v levels (or None), the arrays the stage holds whole
+    by chunk value (``held``), and what the chunk values are formed from:
+    ``layout``, ``dual``, ``pair``, the flux rule ``fluxes(qv, vv)``,
+    ``interp`` and the ``_FluxDefects`` ``defects``."""
+    sums = {name: _StepValues() for name in terms}
+    slices = chunk_slices(level.grid.n_steps, level.per_step)
+    streamed = (repeat((None, None)) if level.source is None
+                else level.source.chunks(slices))
+    for steps, (qk, vk) in zip(slices, streamed):
+        chunk = _Chunk(level, steps, qk, vk)
+        for name, term in terms.items():
+            sums[name].add(term.terms(chunk))
+    return {name: term.result(sums[name]) for name, term in terms.items()}
+
+
+def _stage(term, mesh, grid, per_step, held, **shared):
+    """A whole-level stage: the walk with one term over ``held``."""
+    level = SimpleNamespace(mesh=mesh, grid=grid, per_step=per_step,
+                            source=None, held=held, **shared)
+    return _walk(level, dict(stage=term))["stage"]
+
+
+# ----------------------------------------------------------------------
 # X1: time-derivative pairing
 
 class X1Result(NamedTuple):
@@ -114,33 +199,40 @@ class X1Result(NamedTuple):
     by_parts: float             # discrete summation-by-parts route
 
 
-def _x1_terms(dt, dtb, beta, phi, dtf, table, vols, work):
-    """The step values and masses of X1's two routes on some steps: the
-    direct terms dt_n |P| (d_t beta)_P^n phi_P^n and the by-parts series
-    terms |P| beta_P^{n+1} (phi_P^{n+1} - phi_P^n), the difference formed
-    as (tf_{n+1} - tf_n) <B>_P; beta on the knots n..n+1.  Each table goes
-    into the ``quadrature.Workspace`` work."""
-    x1 = step_values(_paired(dt, dtb, phi, vols, out=work("terms", dtb.shape)),
-                     mass=True)
-    series = np.multiply(dtf[:, None], table, out=work("terms", dtb.shape))
-    np.multiply(beta[1:], series, out=series)
-    return dict(x1=x1, x1_series=step_values(
-        np.multiply(series, vols, out=series), mass=True))
+class _X1:
+    """X1 from the terms dt_n |P| (d_t beta)_P^n phi_P^n, and its by-parts
+    route from the series terms |P| beta_P^{n+1} (phi_P^{n+1} - phi_P^n),
+    the difference formed as (tf_{n+1} - tf_n) <B>_P, closed by -sum |P|
+    beta^0 phi^0; the tables go into the ``quadrature.Workspace`` work."""
 
+    def __init__(self, interp, vols, work):
+        self.interp, self.vols, self.work = interp, vols, work
 
-def _x1_result(sums, beta0, interp, vols) -> X1Result:
-    """X1 from its step values, the by-parts route closed by the boundary
-    term -sum |P| beta^0 phi^0; the two routes must agree to ``X1_RTOL``."""
-    direct, direct_mass = sums.total("x1")
-    series, series_mass = sums.total("x1_series")
-    start = beta0 * interp.cells(0)
-    by_parts = -float(np.einsum("c,c->", vols, start)) - series
-    # relative scale includes both routes' absolute term masses, so exact
-    # zeros on one route compare against the other's cancellation scale
-    scale = max(abs(direct), abs(by_parts), direct_mass,
-                float(np.einsum("c,c->", vols, np.abs(start))) + series_mass)
-    _check_routes("X1", direct, by_parts, scale, X1_RTOL)
-    return X1Result(direct, by_parts)
+    def terms(self, c):
+        if c.start == 0:
+            # the level buffers are reused: keep beta^0 of its own
+            self.beta0 = np.array(c.beta[0])
+        shape, interp = c.dtb.shape, self.interp
+        direct = step_values(_paired(c.dt, c.dtb, c.phi, self.vols,
+                                     out=self.work("terms", shape)), mass=True)
+        series = np.multiply(np.diff(interp.tf[c.knots])[:, None],
+                             interp.cell_table, out=self.work("terms", shape))
+        np.multiply(c.beta[1:], series, out=series)
+        return dict(direct=direct, series=step_values(
+            np.multiply(series, self.vols, out=series), mass=True))
+
+    def result(self, sums) -> X1Result:
+        direct, direct_mass = sums.total("direct")
+        series, series_mass = sums.total("series")
+        start = self.beta0 * self.interp.cells(0)
+        by_parts = -float(np.einsum("c,c->", self.vols, start)) - series
+        # relative scale includes both routes' absolute term masses, so exact
+        # zeros on one route compare against the other's cancellation scale
+        scale = max(abs(direct), abs(by_parts), direct_mass,
+                    float(np.einsum("c,c->", self.vols, np.abs(start)))
+                    + series_mass)
+        _check_routes("X1", direct, by_parts, scale, X1_RTOL)
+        return X1Result(direct, by_parts)
 
 
 def compute_X1(betas: BetaFamily, interp: InterpolatedTest) -> X1Result:
@@ -152,15 +244,11 @@ def compute_X1(betas: BetaFamily, interp: InterpolatedTest) -> X1Result:
     its measure.
     """
     _same_level("compute_X1", betas, interp)
-    vols, steps = betas.mesh.cell_volumes, betas.grid.steps
-    dtb = dt_beta(betas, betas.grid)
-    sums, work = _StepValues(), Workspace()
-    for ch in chunk_slices(steps.size, vols.size):
-        knots = slice(ch.start, ch.stop + 1)
-        sums.add(**_x1_terms(steps[ch], dtb[ch], betas.values[knots],
-                             interp.cells(ch), np.diff(interp.tf[knots]),
-                             interp.cell_table, vols, work))
-    return _x1_result(sums, betas.values[0], interp, vols)
+    mesh = betas.mesh
+    return _stage(_X1(interp, mesh.cell_volumes, Workspace()), mesh,
+                  betas.grid, mesh.n_cells,
+                  dict(beta=betas.values, dtb=dt_beta(betas, betas.grid)),
+                  interp=interp)
 
 
 # ----------------------------------------------------------------------
@@ -177,12 +265,12 @@ class _FluxDefects:
     """The level constants of the terms that weigh the flux-defect table
     (F_zeta^n - f(U)|_piece) . n_{P,zeta} of the interior cells i
     (ascending id): the X2 gradient term and remainder, and the flux
-    residual.  Its tables go into the pass's workspace ``work`` (a new
-    one by default); each (step, cell, face, piece) table is formed one
-    face and piece at a time with the cells innermost, by the elementwise
-    operations of its broadcasting form."""
+    residual.  Its tables go into the ``quadrature.Workspace`` work; each
+    (step, cell, face, piece) table is formed one face and piece at a time
+    with the cells innermost, by the elementwise operations of its
+    broadcasting form."""
 
-    def __init__(self, mesh, layout, dual, pair, work=None):
+    def __init__(self, mesh, layout, dual, pair, work):
         self.mesh, self.layout, self.dual, self.pair = mesh, layout, dual, pair
         self.cells = cells = np.nonzero(mesh.interior_cell_mask)[0]
         self.vols = mesh.cell_volumes[cells]
@@ -192,7 +280,7 @@ class _FluxDefects:
         self.diam_coef = (mesh.cell_diameters / mesh.cell_volumes)[cells]
         self.x2_coef = ((self.meas / self.vols[:, None, None])
                         * self.areas[:, :, None])
-        self.work = Workspace() if work is None else work
+        self.work = work
 
     def table(self, fdotn, qv, vv):
         """The defect table of some steps, shape (steps, NI, nf, pieces) in
@@ -249,18 +337,34 @@ class _FluxDefects:
         np.multiply(dt[:, None, None, None], remainder, out=remainder)
         return dict(sums, x2_remainder=step_values(remainder, mass=True))
 
+    @property
+    def term(self) -> _Term:
+        """The flux residual's term."""
+        return _Term(lambda c: dict(t=step_values(self.residual_terms(
+            c.dt, c.table))), lambda sums: sums.total("t"))
 
-def _x2_result(sums) -> X2Result:
-    """X2 from its step values; its two routes must agree to ``X2_RTOL``
-    (relative to the absolute term mass)."""
-    direct, direct_mass = sums.total("x2")
-    grad_term, grad_mass = sums.total("x2_gradient")
-    remainder, remainder_mass = sums.total("x2_remainder")
-    gradient_route = grad_term + remainder
-    scale = max(abs(direct), abs(gradient_route), direct_mass,
-                grad_mass + remainder_mass)
-    _check_routes("X2", direct, gradient_route, scale, X2_RTOL)
-    return X2Result(direct, gradient_route, grad_term, remainder)
+
+def _x2_term(defects, interp) -> _Term:
+    """X2 and its gradient/remainder route (``defects.x2_terms``); the two
+    must agree to ``X2_RTOL`` (relative to the absolute term mass)."""
+
+    def terms(c):
+        direct = _paired(c.dt, c.div, c.phi,
+                         out=defects.work("terms", c.div.shape))
+        return dict(x2=step_values(direct, mass=True), **defects.x2_terms(
+            c.dt, c.qv, c.vv, c.table, interp, interp.tf[c.steps]))
+
+    def result(sums) -> X2Result:
+        direct, direct_mass = sums.total("x2")
+        grad_term, grad_mass = sums.total("x2_gradient")
+        remainder, remainder_mass = sums.total("x2_remainder")
+        gradient_route = grad_term + remainder
+        scale = max(abs(direct), abs(gradient_route), direct_mass,
+                    grad_mass + remainder_mass)
+        _check_routes("X2", direct, gradient_route, scale, X2_RTOL)
+        return X2Result(direct, gradient_route, grad_term, remainder)
+
+    return _Term(terms, result)
 
 
 def _check_support(interp):
@@ -269,8 +373,17 @@ def _check_support(interp):
             "test-function support reaches non-interior cells at this resolution")
 
 
-def _levels(field, steps):
-    return None if field is None else field.values[steps]
+def _flux_stage(term, flux, q, v, pair, mesh, grid, layout, dual, **shared):
+    """The walk of ``compute_X2`` and ``residual_flux``: ``term(defects)``
+    over F.n and the q and v levels, with their ``_FluxDefects``."""
+    layout = get_layout(layout)
+    defects = _FluxDefects(mesh, layout, flux.dual if dual is None else dual,
+                           pair, Workspace())
+    return _stage(term(defects), mesh, grid,
+                  mesh.n_cells * mesh.cell_faces.shape[1] * layout.pieces,
+                  dict(fdotn=flux_dot_n(flux), qk=q.values,
+                       vk=getattr(v, "values", None)),
+                  defects=defects, **shared)
 
 
 def compute_X2(flux: FluxFamily, interp: InterpolatedTest, q, v,
@@ -285,20 +398,9 @@ def compute_X2(flux: FluxFamily, interp: InterpolatedTest, q, v,
     """
     _same_level("compute_X2", flux, interp, q, v)
     _check_support(interp)
-    mesh, steps = flux.mesh, flux.grid.steps
-    layout = get_layout(flux.layout)
-    defects = _FluxDefects(mesh, layout, flux.dual, pair)
-    fdotn = flux_dot_n(flux)
-    sums = _StepValues()
-    for ch in chunk_slices(steps.size,
-                           mesh.n_cells * fdotn.shape[2] * layout.pieces):
-        qv, vv = q.values[ch], _levels(v, ch)
-        sums.add(x2=step_values(_paired(steps[ch], divergence(fdotn[ch], mesh),
-                                        interp.cells(ch)), mass=True),
-                 **defects.x2_terms(steps[ch], qv, vv,
-                                    defects.table(fdotn[ch], qv, vv), interp,
-                                    interp.tf[ch]))
-    return _x2_result(sums)
+    return _flux_stage(lambda defects: _x2_term(defects, interp), flux, q, v,
+                       pair, flux.mesh, flux.grid, flux.layout, None,
+                       interp=interp)
 
 
 # ----------------------------------------------------------------------
@@ -347,18 +449,35 @@ def _init_residual(beta0, mesh, q0, phi, pair, order) -> InitResidual:
     return InitResidual(signed, cellwise, l1)
 
 
+class _Init:
+    """The init residual, ``_init_residual(beta0, *args)`` with beta0 at
+    the first knot of the first chunk."""
+
+    def __init__(self, *args):
+        self.args = args
+
+    def terms(self, c):
+        if c.start == 0:
+            self.value = _init_residual(c.beta[0], *self.args)
+
+    def result(self, sums) -> InitResidual:
+        return self.value
+
+
 class TimeResidual(NamedTuple):
     signed: float
     majorant: float             # C_beta ||phi||_inf sum dt sum |P| |q jumps|
     c_beta: float
 
 
-class _TimeTerms:
-    """The level constants of ``residual_time``: phi's slab integrals
-    factored as (Gauss rule of tf over the slab) * (cell rule of B over P,
-    on the cells meeting its support), on the interior cells."""
+class _Time:
+    """The time residual on the interior cells, phi's slab integrals
+    factored as in ``residual_time``; C_beta on the range of q."""
 
-    def __init__(self, phi, mesh, grid, space_order):
+    q_min, q_max = np.inf, -np.inf
+
+    def __init__(self, phi, mesh, grid, space_order, pair):
+        self.phi, self.pair = phi, pair
         self.cells = np.nonzero(mesh.interior_cell_mask)[0]
         self.vols = mesh.cell_volumes[self.cells]
         self.space_int = _support_table(
@@ -366,21 +485,20 @@ class _TimeTerms:
             CellQuadrature.cell_integrals)[self.cells]
         self.time_int = slab_time_integrals(grid.knots, phi._time_factor)
 
-    def terms(self, ch, dt, beta, qk):
-        """The step values of the signed sum and of the majorant's sum on
-        the steps ch; beta and q on their knots n..n+1."""
-        jumps = np.diff(beta[:, self.cells], axis=0)
-        q_jumps = np.diff(qk[:, self.cells], axis=0)
+    def terms(self, c):
+        lo, hi = c.q_range
+        self.q_min, self.q_max = min(self.q_min, lo), max(self.q_max, hi)
+        jumps = np.diff(c.beta[:, self.cells], axis=0)
+        q_jumps = np.diff(c.qk[:, self.cells], axis=0)
         return dict(
-            time_signed=step_values(
-                jumps * (self.time_int[ch, None] * self.space_int)),
-            time_total=step_values(dt[:, None] * np.abs(q_jumps) * self.vols))
+            signed=step_values(
+                jumps * (self.time_int[c.steps, None] * self.space_int)),
+            total=step_values(c.dt[:, None] * np.abs(q_jumps) * self.vols))
 
-
-def _time_result(sums, phi, c_beta) -> TimeResidual:
-    return TimeResidual(sums.total("time_signed"),
-                        c_beta * phi.sup_norm() * sums.total("time_total"),
-                        c_beta)
+    def result(self, sums) -> TimeResidual:
+        c_beta, _ = self.pair.lipschitz(float(self.q_min), float(self.q_max))
+        return TimeResidual(sums.total("signed"), c_beta * self.phi.sup_norm()
+                            * sums.total("total"), c_beta)
 
 
 def residual_time(betas: BetaFamily, q, phi, pair,
@@ -396,28 +514,8 @@ def residual_time(betas: BetaFamily, q, phi, pair,
     """
     _same_level("residual_time", betas, q)
     mesh, grid = betas.mesh, betas.grid
-    time_terms = _TimeTerms(phi, mesh, grid, space_order)
-    sums = _StepValues()
-    for ch in chunk_slices(grid.n_steps, time_terms.cells.size):
-        knots = slice(ch.start, ch.stop + 1)
-        sums.add(**time_terms.terms(ch, grid.steps[ch], betas.values[knots],
-                                    q.values[knots]))
-    c_beta, _ = pair.lipschitz(float(q.values.min()), float(q.values.max()))
-    return _time_result(sums, phi, c_beta)
-
-
-def _flux_residual_chunks(flux, q, v, pair, mesh, grid, layout, dual):
-    """The term table of the flux residual, one chunk of time steps at a
-    time (see ``residual_flux_terms``)."""
-    rules = get_layout(layout)
-    defects = _FluxDefects(mesh, rules, dual if dual is not None else flux.dual,
-                           pair)
-    fdotn = flux_dot_n(flux)
-    for ch in chunk_slices(fdotn.shape[0],
-                           mesh.n_cells * fdotn.shape[2] * rules.pieces):
-        qv, vv = q.values[ch], _levels(v, ch)
-        yield defects.residual_terms(grid.steps[ch],
-                                     defects.table(fdotn[ch], qv, vv))
+    return _stage(_Time(phi, mesh, grid, space_order, pair), mesh, grid,
+                  mesh.n_cells, dict(beta=betas.values, qk=q.values))
 
 
 def residual_flux_terms(flux: FluxFamily, q, v, pair, mesh, grid,
@@ -430,17 +528,19 @@ def residual_flux_terms(flux: FluxFamily, q, v, pair, mesh, grid,
     pieces p, in C order; ``residual_flux`` is its ``step_sum``.  A scalar
     enumeration in the same layout reproduces the table bit for bit.
     """
-    # each chunk's table is a view of the same workspace: copy it out
-    return np.concatenate([table.copy() for table in _flux_residual_chunks(
-        flux, q, v, pair, mesh, grid, layout, dual)])
+    # each chunk's table is a view of the workspace: copy it out
+    return _flux_stage(lambda defects: _Term(
+        lambda c: dict(t=defects.residual_terms(c.dt, c.table).copy()),
+        lambda sums: np.concatenate(sums["t"])),
+        flux, q, v, pair, mesh, grid, layout, dual)
 
 
 def residual_flux(flux: FluxFamily, q, v, pair, mesh, grid,
                   layout: str, dual=None) -> float:
     """Flux-consistency residual (exact finite sum over constancy pieces):
     the ``step_sum`` of ``residual_flux_terms``, built chunk by chunk."""
-    return step_sum(_flux_residual_chunks(flux, q, v, pair, mesh, grid,
-                                          layout, dual))
+    return _flux_stage(lambda defects: defects.term, flux, q, v, pair, mesh,
+                       grid, layout, dual)
 
 
 # ----------------------------------------------------------------------
@@ -454,16 +554,16 @@ class JumpSums(NamedTuple):
 
 
 class _JumpTerms:
-    """The level constants of R1 (both forms) and R2.
+    """The level constants of R1 (both forms) and R2, the tables in the
+    ``quadrature.Workspace`` work; ``term`` is their term.
 
     RT dual-edge weights are C*diam(P)^2 with the realized splitting
     constant C (adjacent pairs counted once directly plus at most twice via
     the fixed two-hop opposite-pair splits); MAC weights are
     diam(P)(|zeta| + |zeta'|)."""
 
-    def __init__(self, mesh, layout, dual, work=None):
-        self.mesh = mesh
-        self.work = Workspace() if work is None else work
+    def __init__(self, mesh, layout, dual, work):
+        self.mesh, self.work = mesh, work
         fc, cf = mesh.face_cells, mesh.cell_faces
         diam = mesh.cell_diameters
         # cell-sum form: every cell sees each of its interior faces once,
@@ -481,6 +581,10 @@ class _JumpTerms:
         self.edges, self.weights, self.const = (
             (None, None, None) if self.layout is None
             else layout.jump_edges(mesh, dual))
+
+    @property
+    def term(self) -> _Term:
+        return _Term(lambda c: self.terms(c.dt, c.qv, c.vv), self.result)
 
     def terms(self, dt, qv, vv):
         """The step values of both R1 forms and of R2 on some steps, qv
@@ -522,13 +626,10 @@ def jump_sums(q, v) -> JumpSums:
     ``_JumpTerms``.
     """
     _same_level("jump_sums", q, v)
-    steps = q.grid.steps
     jumps = _JumpTerms(q.mesh, COLOCATED_1D if v is None else layout_of(v),
-                       None if v is None else v.dual)
-    sums = _StepValues()
-    for ch in chunk_slices(steps.size, jumps.w_ck.size):
-        sums.add(**jumps.terms(steps[ch], q.values[ch], _levels(v, ch)))
-    return jumps.result(sums)
+                       getattr(v, "dual", None), Workspace())
+    return _stage(jumps.term, q.mesh, q.grid, jumps.w_ck.size,
+                  dict(qk=q.values, vk=getattr(v, "values", None)))
 
 
 def measured_constant(q, v, pair) -> float:
@@ -647,14 +748,23 @@ def weak_rhs(pair, q_exact, v_exact, phi,
     return WeakRhs(init + volume, init, volume, vol_time, vol_space, delta)
 
 
+
+
+def _lhs_term(vols, work) -> _Term:
+    """The weak LHS, from the terms dt_n |P| C(U)_P^n phi_P^n."""
+    return _Term(lambda c: dict(lhs=step_values(_paired(
+        c.dt, c.conv, c.phi, vols, out=work("terms", c.conv.shape)))),
+        lambda sums: sums.total("lhs"))
+
+
 def weak_lhs(c_field, interp: InterpolatedTest) -> float:
     """Exact pairing int int C(U) I(phi) of the piecewise constants; C(U)
     (``assemble_convection``) and the interpolate must share their level."""
     _same_level("weak_lhs", c_field, interp)
-    steps, vols = interp.grid.steps, interp.mesh.cell_volumes
-    return step_sum(_paired(steps[ch], c_field.values[ch], interp.cells(ch),
-                            vols)
-                    for ch in chunk_slices(steps.size, vols.size))
+    mesh = interp.mesh
+    return _stage(_lhs_term(mesh.cell_volumes, Workspace()), mesh,
+                  interp.grid, mesh.n_cells, dict(conv=c_field.values),
+                  interp=interp)
 
 
 class WeakGap(NamedTuple):
@@ -691,6 +801,50 @@ def _gap(lhs: float, rhs: WeakRhs) -> WeakGap:
 # ----------------------------------------------------------------------
 # one level in one pass
 
+def _translate_term(mesh, grid, weights) -> _Term:
+    """The translate functional with the face/step weights."""
+    kx, lx = mesh.face_cells[mesh.interior_face_mask].T
+
+    def terms(c):
+        # the level pairs (n, n+1) of the steps n < N - 1 of the chunk
+        pairs = min(c.steps.stop, grid.n_steps - 1) - c.start
+        return dict(
+            space=step_values(translate_space_terms(
+                c.qv, c.dt, kx, lx, weights.omega_face)),
+            time=step_values(translate_time_terms(
+                c.qk[:pairs], c.qk[1:pairs + 1],
+                weights.delta_half[c.start:c.start + pairs],
+                mesh.cell_volumes)))
+
+    return _Term(terms, lambda sums: sums.total("space") + sums.total("time"))
+
+
+class _Bounds:
+    """sup |q| over the steps (and sup |v| when larger), the range of q
+    over the knots, and the constant of ``measured_constant``."""
+
+    q_min, q_max, sup_q, sup_v, sup_g = np.inf, -np.inf, 0.0, 0.0, 0.0
+
+    def __init__(self, pair, layout):
+        self.pair, self.layout = pair, layout
+
+    def terms(self, c):
+        lo, hi = c.q_range
+        self.q_min, self.q_max = min(self.q_min, lo), max(self.q_max, hi)
+        self.sup_g = max(self.sup_g, float(np.abs(self.pair.g(c.qk)).max()))
+        self.sup_q = max(self.sup_q, float(np.abs(c.qv).max()))
+        if c.vv is not None:
+            self.sup_v = max(self.sup_v,
+                             float(self.layout.magnitude(c.vv).max()))
+
+    def result(self, sums) -> dict:
+        q_min, q_max = float(self.q_min), float(self.q_max)
+        _, c_g = self.pair.lipschitz(q_min, q_max)
+        sup_v = 1.0 if self.layout.velocity_field is None else self.sup_v
+        return dict(sup_norm=max(self.sup_q, self.sup_v), q_min=q_min,
+                    measured_c=max(c_g * sup_v, self.sup_g), q_max=q_max)
+
+
 class LevelSums(NamedTuple):
     """Every quantity of one level that ``level_pass`` computes."""
     x1: X1Result
@@ -713,8 +867,9 @@ def level_pass(levels, pair, fluxes, interp: InterpolatedTest, q_exact,
                weights, rhs: WeakRhs, order: int = DEFAULT_ORDER,
                init_order: int = ORACLE_ORDER, cauchy=None,
                keep=None, work=None) -> LevelSums:
-    """Every consistency quantity of one level in one walk over chunks of
-    its time steps.
+    """Every consistency quantity of one level: the walk (``_walk``) over
+    chunks of its time steps with every term, each chunk's face fluxes,
+    beta, F.n, divergence and flux-defect table formed once for all.
 
     ``levels`` is the level's ``schemes.LevelSource``: it hands out the q
     and v levels (v None for colocated 1D) of the knots n..m+1 of each
@@ -727,101 +882,53 @@ def level_pass(levels, pair, fluxes, interp: InterpolatedTest, q_exact,
     the L1 distance uses the source's cell rule (``levels.quad``), and
     ``init_order`` is the order of the initialization residual.  With a
     ``cauchy`` reference (the coarser level's q, with a ``Reference``'s
-    ``at``), its order-2 L1 distance is taken per chunk too.  ``keep(start,
+    ``at``), its order-2 L1 distance is a term too.  ``keep(start,
     levels)``, when given, is handed the q levels of the knots start.. of
-    each chunk in turn (the source's reused buffer, to be copied).  The
-    terms write their chunk tables into the ``quadrature.Workspace``
-    ``work`` (a new one by default): each term's table into its buffer
-    "terms", reduced before the next term forms its own, the defect table
-    into "table", scratch into "a" and "b"; the two L1 distances use their
-    own buffers of it (``fields.l1_steps``).
+    each chunk in turn (the source's reused buffer, to be copied).
 
-    Per chunk the face fluxes, beta on the knots n..n+1, F.n, its
-    divergence and the flux-defect table are formed once each and feed the
-    term functions of the whole-level stages; every result equals that
-    stage's bit for bit, and the route checks, the support check and the
-    non-finite flux error are theirs.
+    The terms are the stages' (X1, X2, the init, time and flux residuals,
+    R1/R2, the weak LHS), whose results, route checks, support check and
+    non-finite flux error are theirs, bit for bit, and the translate
+    functional, the L1 distances and the sup/min/max reductions.  Their
+    chunk tables go into the ``quadrature.Workspace`` ``work`` (a new one
+    by default): each term's into its buffer "terms", reduced before the
+    next term forms its own, the defect table into "table", scratch into
+    "a" and "b", the L1 distances into their own (``fields.l1_steps``).
     """
     _same_level("level_pass", levels, interp)
     _check_support(interp)
-    mesh, grid = levels.mesh, levels.grid
-    layout, dual = levels.layout, levels.dual
-    q0 = lambda x: q_exact(x, 0.0)
+    mesh, grid, layout, dual = (levels.mesh, levels.grid, levels.layout,
+                                levels.dual)
     vols, phi = mesh.cell_volumes, interp.phi
     work = Workspace() if work is None else work
     defects = _FluxDefects(mesh, layout, dual, pair, work)
-    time_terms = _TimeTerms(phi, mesh, grid, order)
-    jumps = _JumpTerms(mesh, layout, dual, work)
-    l1 = l1_steps(levels.quad, grid, levels.on_nodes(q_exact), work)
-    l1_cauchy = None
+
+    def l1_term(quad, ev):
+        l1 = l1_steps(quad, grid, ev, work)
+        return _Term(lambda c: dict(l1=l1(c.steps, c.qv)),
+                     lambda sums: sums.total("l1"))
+
+    # keep goes first: a finer level waits for the rows it hands over
+    terms = {} if keep is None else dict(keep=_Term(
+        lambda c: keep(c.start, c.qk), lambda sums: None))
+    terms.update(
+        x1=_X1(interp, vols, work), x2=_x2_term(defects, interp),
+        init=_Init(mesh, lambda x: q_exact(x, 0.0), phi, pair, init_order),
+        time=_Time(phi, mesh, grid, order, pair), res_flux=defects.term,
+        jumps=_JumpTerms(mesh, layout, dual, work).term,
+        translate=_translate_term(mesh, grid, weights),
+        lhs=_lhs_term(vols, work),
+        l1=l1_term(levels.quad, levels.on_nodes(q_exact)),
+        bounds=_Bounds(pair, layout))
     if cauchy is not None:
         quad = CellQuadrature(mesh, 2)
-        l1_cauchy = l1_steps(quad, grid, cauchy.at(quad.flat_points()), work)
-    kx, lx = mesh.face_cells[mesh.interior_face_mask].T
-    sums = _StepValues()
-    q_min, q_max, sup_q, sup_v, sup_g = np.inf, -np.inf, 0.0, 0.0, 0.0
-    slices = chunk_slices(grid.n_steps, mesh.n_cells
-                          * mesh.cell_faces.shape[1] * layout.pieces)
-    for ch, (qk, vk) in zip(slices, levels.chunks(slices)):
-        if ch.start == 0:
-            # the level buffers are reused: keep beta^0 of its own
-            beta0 = np.array(pair.beta(qk[0]))
-            init = _init_residual(beta0, mesh, q0, phi, pair, init_order)
-        if keep is not None:
-            keep(ch.start, qk)
-        # the level pairs (n, n+1) of the steps n < N - 1 of the chunk
-        pairs = min(ch.stop, grid.n_steps - 1) - ch.start
-        knots = slice(ch.start, ch.stop + 1)
-        dt = grid.steps[ch]
-        qv, vv = qk[:-1], None if vk is None else vk[:-1]
-        beta = pair.beta(qk)
-        flux = fluxes(qv, vv)
-        check_finite_flux(flux, mesh, ch.start)
-        fdotn = layout.cell_normal(flux, mesh, dual)
-        div = divergence(fdotn, mesh)
-        dtb = time_derivative(beta, dt)
-        phi_cells = interp.cells(ch)
-        table = defects.table(fdotn, qv, vv)
-        sums.add(
-            weak_lhs=step_values(_paired(dt, convection(dtb, div, mesh),
-                                         phi_cells, vols,
-                                         out=work("terms", div.shape))),
-            x2=step_values(_paired(dt, div, phi_cells,
-                                   out=work("terms", div.shape)), mass=True),
-            res_flux=step_values(defects.residual_terms(dt, table)),
-            translate_space=step_values(translate_space_terms(
-                qv, dt, kx, lx, weights.omega_face)),
-            translate_time=step_values(translate_time_terms(
-                qk[:pairs], qk[1:pairs + 1],
-                weights.delta_half[ch.start:ch.start + pairs], vols)),
-            l1=l1(ch, qv),
-            **_x1_terms(dt, dtb, beta, phi_cells,
-                        np.diff(interp.tf[knots]), interp.cell_table, vols,
-                        work),
-            **defects.x2_terms(dt, qv, vv, table, interp, interp.tf[ch]),
-            **time_terms.terms(ch, dt, beta, qk),
-            **jumps.terms(dt, qv, vv))
-        if l1_cauchy is not None:
-            sums.add(l1_cauchy=l1_cauchy(ch, qv))
-        q_min, q_max = min(q_min, qk.min()), max(q_max, qk.max())
-        sup_g = max(sup_g, float(np.abs(pair.g(qk)).max()))
-        sup_q = max(sup_q, float(np.abs(qv).max()))
-        if vv is not None:
-            sup_v = max(sup_v, float(layout.magnitude(vv).max()))
-    q_min, q_max = float(q_min), float(q_max)
-    c_beta, c_g = pair.lipschitz(q_min, q_max)
+        terms["l1_cauchy"] = l1_term(quad, cauchy.at(quad.flat_points()))
+    got = _walk(SimpleNamespace(
+        mesh=mesh, grid=grid,
+        per_step=mesh.n_cells * mesh.cell_faces.shape[1] * layout.pieces,
+        source=levels, held={}, layout=layout, dual=dual, pair=pair,
+        fluxes=fluxes, interp=interp, defects=defects), terms)
     return LevelSums(
-        x1=_x1_result(sums, beta0, interp, vols),
-        x2=_x2_result(sums),
-        init=init,
-        time=_time_result(sums, phi, c_beta),
-        res_flux=sums.total("res_flux"),
-        jumps=jumps.result(sums),
-        translate=sums.total("translate_space") + sums.total("translate_time"),
-        gap=_gap(sums.total("weak_lhs"), rhs),
-        l1_distance=sums.total("l1"),
-        sup_norm=max(sup_q, sup_v),
-        measured_c=max(c_g * (1.0 if layout.velocity_field is None
-                              else sup_v), sup_g),
-        q_min=q_min, q_max=q_max,
-        l1_cauchy=np.nan if l1_cauchy is None else sums.total("l1_cauchy"))
+        got["x1"], got["x2"], got["init"], got["time"], got["res_flux"],
+        got["jumps"], got["translate"], _gap(got["lhs"], rhs), got["l1"],
+        **got["bounds"], l1_cauchy=got.get("l1_cauchy", np.nan))

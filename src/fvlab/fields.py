@@ -189,18 +189,18 @@ class TestFunction:
         self.dim = len(self.support)
         for a, b in self.support:
             if not b > a:
-                raise ValueError("empty support box")
+                raise ValueError(f"test-function support bounds must have "
+                                 f"lo < hi, got ({a}, {b})")
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
 
-    def validate_against(self, mesh, grid):
-        for (a, b), (lo, hi) in zip(self.support, mesh.domain):
+    def validate_against(self, domain, final_time):
+        for (a, b), (lo, hi) in zip(self.support, domain):
             if not (a > lo and b < hi):
                 raise SupportError(
                     f"support [{a}, {b}] not strictly inside ({lo}, {hi})")
-        if not self.t_max < grid.final_time:
-            raise SupportError(
-                f"t_max={self.t_max} must be < T={grid.final_time}")
+        if not self.t_max < final_time:
+            raise SupportError(f"t_max={self.t_max} must be < T={final_time}")
 
     # -- evaluation ------------------------------------------------------
     def _time_factor(self, t, derivative=False):
@@ -535,7 +535,7 @@ def interpolate_test(phi: TestFunction, mesh, grid, order: int = DEFAULT_ORDER,
     meets the support of phi only (``_support_table``); every other entry
     gets +0.0.
     """
-    phi.validate_against(mesh, grid)
+    phi.validate_against(mesh.domain, grid.final_time)
     cell_table = _support_table(phi, CellQuadrature, mesh, order, panels,
                                 CellQuadrature.means)
     face_table = _support_table(phi, FaceQuadrature, mesh, order, panels,

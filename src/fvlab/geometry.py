@@ -442,17 +442,25 @@ def build_tensor(xs, ys, domain=None) -> PrimalMesh:
                       domain=domain)
 
 
+def check_perturbation(amplitude: float, seed: int):
+    """amplitude must lie in [0, 0.25) so the quadrangles stay convex, and
+    the seed of the shifts must be >= 0."""
+    if not 0.0 <= amplitude < 0.25:
+        raise MeshConstructionError(
+            f"amplitude must be in [0, 0.25), got {amplitude}")
+    if seed < 0:
+        raise MeshConstructionError(f"seed must be >= 0, got {seed}")
+
+
 def build_perturbed_quads(nx: int, ny: int, domain=((0.0, 1.0), (0.0, 1.0)),
                           amplitude: float = 0.2, seed: int = 0) -> PrimalMesh:
     """Cartesian mesh with interior vertices shifted by up to amplitude*h.
 
-    amplitude must lie in [0, 0.25) so the quadrangles stay convex; the
-    perturbation is deterministic for a fixed seed, and amplitude 0
-    reproduces ``build_cartesian`` bitwise.
+    The perturbation is deterministic for a fixed seed, and amplitude 0
+    reproduces ``build_cartesian`` bitwise (``check_perturbation`` states
+    the bounds).
     """
-    if not 0.0 <= amplitude < 0.25:
-        raise MeshConstructionError(
-            f"amplitude must be in [0, 0.25), got {amplitude}")
+    check_perturbation(amplitude, seed)
     verts, xs, ys = _cartesian_vertices(nx, ny, domain, 1.0)
     if amplitude > 0.0:
         hx = np.min(np.diff(xs))

@@ -138,6 +138,12 @@ def _convex_value(qp, qq, scheme, lam, signal):
     raise ValueError(f"unknown face scheme {scheme!r}")
 
 
+def check_lambda(lam: float):
+    """The weight lam of the centered face value must lie in [0, 1]."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+
+
 def staggered_flux_rule(mesh, layout, dual, pair: NonlinearityPair,
                         scheme: str = "upwind", lam: float = 0.5,
                         policy: str = "upwind_zero"):
@@ -152,8 +158,7 @@ def staggered_flux_rule(mesh, layout, dual, pair: NonlinearityPair,
     """
     if policy not in layout.boundary_policies:
         raise ValueError(f"policy {policy!r} not supported for staggered layouts")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+    check_lambda(lam)
     ifaces = np.nonzero(mesh.interior_face_mask)[0]
     bfaces = np.nonzero(mesh.boundary_face_mask)[0]
 

@@ -46,11 +46,19 @@ ORACLE_ORDER = 8
 CHUNK_VALUES = 2 ** 16
 
 
+def check_rule(order: int, panels: int):
+    """The bounds of a composite Gauss-Legendre rule: `panels` >= 1
+    sub-intervals of an `order`-point rule, `order` >= 1."""
+    if panels < 1:
+        raise ValueError(f"panels must be >= 1, got {panels}")
+    if order < 1:
+        raise ValueError(f"quadrature order must be >= 1, got {order}")
+
+
 def gauss_legendre(order: int):
     """Nodes and weights of the `order`-point Gauss-Legendre rule on [-1, 1],
     computed once per order and shared: both arrays are read-only."""
-    if order < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {order}")
+    check_rule(order, 1)
     return _leggauss(order)
 
 
@@ -71,8 +79,7 @@ def composite_gauss_legendre(order: int, panels: int = 1):
 
 def _panel_rule(order: int, panels: int, a: float, b: float):
     """Nodes and weights of the composite rule on [a, b]."""
-    if panels < 1:
-        raise ValueError(f"panels must be >= 1, got {panels}")
+    check_rule(order, panels)
     nodes, weights = gauss_legendre(order)
     edges = np.linspace(a, b, panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])

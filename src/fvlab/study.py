@@ -25,17 +25,18 @@ from .fields import (TIME_PROFILES, Reference, TestFunction, _bump,
 from .geometry import (TIME_PATTERNS, DualMeshMAC, _cartesian_vertices,
                        build_cartesian, build_dual_mac, build_dual_rt,
                        build_intervals, build_perturbed_quads, build_tensor,
-                       build_time_grid, regularity, subdivide_nodes)
+                       build_time_grid, check_perturbation, regularity,
+                       subdivide_nodes)
 from .layouts import MAC, get_layout
-from .operators import (FACE_SCHEMES, get_pair, staggered_flux_rule,
-                        upwind_1d_flux_rule)
-from .quadrature import Workspace
+from .operators import (FACE_SCHEMES, check_lambda, get_pair,
+                        staggered_flux_rule, upwind_1d_flux_rule)
+from .quadrature import Workspace, check_rule
 from .schemes import (ManufacturedLevels, SchemeConfig, mass_mac_levels,
                       upwind_1d_levels)
 
-# the whole-level stages, which a level runs as one level_pass instead of
-# one by one, stay importable from this module: bench/tracing.py rebinds
-# their names here
+# the whole-level stages, each the walk of level_pass with its one term
+# over held fields, are not called here; they stay importable from this
+# module because bench/tracing.py rebinds their names here
 from .consistency import (compute_X1, compute_X2, jump_sums,  # noqa: F401
                           measured_constant, residual_flux, residual_init,
                           residual_time, weak_form_gap)
@@ -180,7 +181,8 @@ class StudyConfig:
         self.domain = tuple(self.domain)[:dim]
 
     def validate(self):
-        """Check every named choice up front, before any level runs."""
+        """Check every named choice and every value up front, before any
+        level runs and before ``run-study`` makes its output directory."""
         if self.levels < 3:
             raise ValueError("a study needs >= 3 levels for rate fitting")
         if self.threads < 1:
@@ -222,6 +224,20 @@ class StudyConfig:
             raise ValueError(f"solution {self.solution!r} is {sol['dim']}D but "
                              f"the layout is {layout.dim}D")
         get_pair(self.beta_name, self.g_name)
+        if self.nx0 < 1 or (layout.dim > 1 and self.ny0 < 1):
+            raise ValueError(f"nx and ny must be >= 1, got "
+                             f"({self.nx0}, {self.ny0})")
+        # the bounds that the rules, the perturbed mesh, the face values,
+        # the scheme and the test function state, by their own checks
+        check_rule(self.quad_order, self.interp_panels)
+        check_rule(self.oracle_order, self.rhs_panels)
+        if self.mesh_family == "perturbed":
+            check_perturbation(self.amplitude, self.seed)
+        if layout.staggered:
+            check_lambda(self.lam)
+        if self.field_source == "scheme":
+            SchemeConfig(None, self.T, self.cfl)
+        self.test_function().validate_against(self.domain, self.T)
 
     def default_support(self) -> tuple:
         """The central box of the domain, 60% of it along each axis."""

@@ -140,6 +140,38 @@ def test_bad_config_exit_2(tmp_path, capsys):
         ("ny = 4", "ny = 4\ny0 = nan",
          "y0 < y1 must be finite, got (nan, 1.0)"),
         ("ny = 4", "ny = 4\nx0 = 1", "x0 < x1 must be finite, got (1.0, 1.0)"),
+        # the bounds of the face values, the scheme, the perturbed mesh,
+        # the mesh size, the rules and the test function, each checked
+        # by the code that states it, before any level runs
+        ("layout = mac", "layout = mac\nlambda = nan",
+         "lambda must be in [0, 1], got nan"),
+        ("layout = mac", "layout = mac\nlambda = 2", "got 2.0"),
+        ("layout = mac", "layout = mac\nlambda = -1", "got -1.0"),
+        ("layout = mac", "layout = mac\nfield_source = scheme\ncfl = nan",
+         "CFL must be in (0, 1], got nan"),
+        ("layout = mac", "layout = mac\nfield_source = scheme\ncfl = 0",
+         "got 0.0"),
+        ("layout = mac", "layout = mac\nfield_source = scheme\ncfl = -1",
+         "got -1.0"),
+        ("family = uniform", "family = perturbed\namplitude = nan",
+         "amplitude must be in [0, 0.25), got nan"),
+        ("family = uniform", "family = perturbed\namplitude = -0.1",
+         "got -0.1"),
+        ("family = uniform", "family = perturbed\namplitude = 0.9", "got 0.9"),
+        ("family = uniform", "family = perturbed\nseed = -1",
+         "seed must be >= 0, got -1"),
+        ("nx = 4", "nx = 0", "nx and ny must be >= 1, got (0, 4)"),
+        ("[numerics]\nquad_order = 0\n",
+         "quadrature order must be >= 1, got 0"),
+        ("[numerics]\ninterp_panels = 0\n", "panels must be >= 1, got 0"),
+        ("[numerics]\noracle_order = 0\n",
+         "quadrature order must be >= 1, got 0"),
+        ("[numerics]\nrhs_panels = 0\n", "panels must be >= 1, got 0"),
+        ("x0 = 0.3", "x0 = nan",
+         "test-function support bounds must have lo < hi, got (nan, 0.7)"),
+        ("x0 = 0.3", "x0 = 0.9", "got (0.9, 0.7)"),
+        ("x0 = 0.3", "x0 = -5",
+         "support [-5.0, 0.7] not strictly inside (0.0, 1.0)"),
     ]
     for k, case in enumerate(bad_inputs):
         if len(case) == 2:
