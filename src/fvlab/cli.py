@@ -18,8 +18,8 @@ import numpy as np
 from .fields import interpolate_test
 # build_dual_mac and build_dual_rt are called by their names in this module
 # (see _mesh_for), so rebinding fvlab.cli.build_dual_* reaches the call
-from .geometry import (DualMeshMAC, DualMeshRT, build_dual_mac, build_dual_rt,
-                       build_time_grid, check_mesh_identities, regularity)
+from .geometry import (build_dual_mac, build_dual_rt, build_time_grid,
+                       check_mesh_identities, regularity)
 from .layouts import get_layout
 from .meshio import load_mesh
 from .quadrature import CellQuadrature
@@ -158,15 +158,12 @@ def _mesh_for(cfg: StudyConfig, meta: dict):
 def cmd_mesh_info(cfg: StudyConfig, meta: dict) -> int:
     if meta.get("mesh_file"):
         mesh, dual = _mesh_for(cfg, meta)
-        grid = build_time_grid(cfg.T, max(1, round(
-            cfg.T / (cfg.dt_over_h * mesh.delta()))),
-            pattern=cfg.time_pattern, ratio=cfg.time_ratio)
+        grid = cfg.manufactured_grid(mesh.delta())
     else:
         # the mesh and time grid of the study's level 0
         source = level_source(cfg, 0)
         mesh, dual, grid = source.mesh, source.dual, source.grid
-    mac = dual if isinstance(dual, DualMeshMAC) else None
-    reg = regularity(mesh, grid, mac=mac)
+    reg = regularity(mesh, grid, dual)
     print(f"dimension    {mesh.dim}")
     print(f"cells        {mesh.n_cells}")
     print(f"faces        {mesh.n_faces}")
@@ -176,8 +173,8 @@ def cmd_mesh_info(cfg: StudyConfig, meta: dict) -> int:
     print(f"theta1       {reg.theta1:.17g}")
     print(f"theta2       {reg.theta2:.17g}")
     print(f"theta3       {reg.theta3:.17g}")
-    if mac is not None:
-        print(f"theta_mac    {dual.theta:.17g}")
+    if not np.isnan(reg.theta_mac):
+        print(f"theta_mac    {reg.theta_mac:.17g}")
     return 0
 
 
@@ -208,10 +205,7 @@ def cmd_run_study(cfg: StudyConfig, meta: dict) -> int:
 
 def cmd_check_identities(cfg: StudyConfig, meta: dict) -> int:
     mesh, dual = _mesh_for(cfg, meta)
-    problems = check_mesh_identities(
-        mesh,
-        mac=dual if isinstance(dual, DualMeshMAC) else None,
-        rt=dual if isinstance(dual, DualMeshRT) else None)
+    problems = check_mesh_identities(mesh, dual)
     # gradient-averaging identity on the configured test function
     if not problems and not meta.get("mesh_file"):
         grid = build_time_grid(cfg.T, 2)

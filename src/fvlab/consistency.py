@@ -14,11 +14,12 @@ Every space-time sum behind a report column is added in one order: each
 step's row of C-order terms is reduced by ``quadrature.step_values``, and
 the step values are added left to right (``quadrature.add_steps``).
 
-Each quantity is a term object: ``terms(chunk)`` gives its step values on a
-chunk of time steps (``quadrature.chunk_slices``), by the same operations
-in any chunk, ``result(sums)`` the quantity from those of all chunks, and
-what it carries across chunks (beta^0, the init residual, the range of q)
-lives in the term.  One walk, ``_walk``, runs terms over the chunks of a
+Each quantity is a term, ``_Term(terms, result)``: ``terms(chunk)`` gives
+its values on a chunk of time steps (``quadrature.chunk_slices``), by the
+same operations in any chunk, and ``result(sums)`` reduces those of all
+chunks to the quantity; what spans chunks (beta^0 and the init residual
+from the first chunk, the range of q and the sups from every chunk) is a
+chunk value too.  One walk, ``_walk``, runs terms over the chunks of a
 level, and its ``_Chunk`` forms each value they share once, when a term
 first asks: dt and the knots, beta and d_t beta, the face fluxes (checked
 finite), F.n and its divergence, C(U), phi on the cells and the
@@ -158,9 +159,22 @@ class _Chunk:
 
 
 class _Term(NamedTuple):
-    """A term that carries nothing across chunks."""
-    terms: Callable             # chunk -> step values by name, or None
+    """A level quantity, by its chunk values and their reduction."""
+    terms: Callable             # chunk -> chunk values by name, or None
     result: Callable            # _StepValues -> the quantity
+
+
+def _q_range(sums) -> tuple[float, float]:
+    """The range of q over the knots of every chunk (its ``q_range``)."""
+    lows, highs = zip(*sums["q_range"])
+    return float(min(lows)), float(max(highs))
+
+
+def _measured_c(pair, q_range, sup_v, sup_g) -> float:
+    """The measured product constant max(C_g sup|v|, sup|g(q)|), C_g on
+    the range of q; sup_v None for the speed 1 of colocated 1D."""
+    _, c_g = pair.lipschitz(*q_range)
+    return max(c_g * (1.0 if sup_v is None else sup_v), sup_g)
 
 
 def _walk(level, terms):
@@ -199,40 +213,41 @@ class X1Result(NamedTuple):
     by_parts: float             # discrete summation-by-parts route
 
 
-class _X1:
+def _x1_term(interp, vols, work) -> _Term:
     """X1 from the terms dt_n |P| (d_t beta)_P^n phi_P^n, and its by-parts
     route from the series terms |P| beta_P^{n+1} (phi_P^{n+1} - phi_P^n),
-    the difference formed as (tf_{n+1} - tf_n) <B>_P, closed by -sum |P|
-    beta^0 phi^0; the tables go into the ``quadrature.Workspace`` work."""
+    the difference formed as (tf_{n+1} - tf_n) <B>_P, closed by sum |P|
+    beta^0 phi^0 and its mass from the first chunk; the tables go into the
+    ``quadrature.Workspace`` work."""
 
-    def __init__(self, interp, vols, work):
-        self.interp, self.vols, self.work = interp, vols, work
-
-    def terms(self, c):
-        if c.start == 0:
-            # the level buffers are reused: keep beta^0 of its own
-            self.beta0 = np.array(c.beta[0])
-        shape, interp = c.dtb.shape, self.interp
-        direct = step_values(_paired(c.dt, c.dtb, c.phi, self.vols,
-                                     out=self.work("terms", shape)), mass=True)
+    def terms(c):
+        shape = c.dtb.shape
+        direct = step_values(_paired(c.dt, c.dtb, c.phi, vols,
+                                     out=work("terms", shape)), mass=True)
         series = np.multiply(np.diff(interp.tf[c.knots])[:, None],
-                             interp.cell_table, out=self.work("terms", shape))
+                             interp.cell_table, out=work("terms", shape))
         np.multiply(c.beta[1:], series, out=series)
-        return dict(direct=direct, series=step_values(
-            np.multiply(series, self.vols, out=series), mass=True))
+        out = dict(direct=direct, series=step_values(
+            np.multiply(series, vols, out=series), mass=True))
+        if c.start == 0:
+            start = c.beta[0] * interp.cells(0)
+            out["start"] = (float(np.einsum("c,c->", vols, start)),
+                            float(np.einsum("c,c->", vols, np.abs(start))))
+        return out
 
-    def result(self, sums) -> X1Result:
+    def result(sums) -> X1Result:
         direct, direct_mass = sums.total("direct")
         series, series_mass = sums.total("series")
-        start = self.beta0 * self.interp.cells(0)
-        by_parts = -float(np.einsum("c,c->", self.vols, start)) - series
+        (start, start_mass), = sums["start"]
+        by_parts = -start - series
         # relative scale includes both routes' absolute term masses, so exact
         # zeros on one route compare against the other's cancellation scale
         scale = max(abs(direct), abs(by_parts), direct_mass,
-                    float(np.einsum("c,c->", self.vols, np.abs(start)))
-                    + series_mass)
+                    start_mass + series_mass)
         _check_routes("X1", direct, by_parts, scale, X1_RTOL)
         return X1Result(direct, by_parts)
+
+    return _Term(terms, result)
 
 
 def compute_X1(betas: BetaFamily, interp: InterpolatedTest) -> X1Result:
@@ -245,7 +260,7 @@ def compute_X1(betas: BetaFamily, interp: InterpolatedTest) -> X1Result:
     """
     _same_level("compute_X1", betas, interp)
     mesh = betas.mesh
-    return _stage(_X1(interp, mesh.cell_volumes, Workspace()), mesh,
+    return _stage(_x1_term(interp, mesh.cell_volumes, Workspace()), mesh,
                   betas.grid, mesh.n_cells,
                   dict(beta=betas.values, dtb=dt_beta(betas, betas.grid)),
                   interp=interp)
@@ -449,19 +464,11 @@ def _init_residual(beta0, mesh, q0, phi, pair, order) -> InitResidual:
     return InitResidual(signed, cellwise, l1)
 
 
-class _Init:
+def _init_term(*args) -> _Term:
     """The init residual, ``_init_residual(beta0, *args)`` with beta0 at
     the first knot of the first chunk."""
-
-    def __init__(self, *args):
-        self.args = args
-
-    def terms(self, c):
-        if c.start == 0:
-            self.value = _init_residual(c.beta[0], *self.args)
-
-    def result(self, sums) -> InitResidual:
-        return self.value
+    return _Term(lambda c: None if c.start else dict(
+        init=_init_residual(c.beta[0], *args)), lambda sums: sums["init"][0])
 
 
 class TimeResidual(NamedTuple):
@@ -470,35 +477,29 @@ class TimeResidual(NamedTuple):
     c_beta: float
 
 
-class _Time:
+def _time_term(phi, mesh, grid, space_order, pair) -> _Term:
     """The time residual on the interior cells, phi's slab integrals
     factored as in ``residual_time``; C_beta on the range of q."""
+    cells = np.nonzero(mesh.interior_cell_mask)[0]
+    vols = mesh.cell_volumes[cells]
+    space_int = _support_table(phi, CellQuadrature, mesh, space_order, 1,
+                               CellQuadrature.cell_integrals)[cells]
+    time_int = slab_time_integrals(grid.knots, phi._time_factor)
 
-    q_min, q_max = np.inf, -np.inf
-
-    def __init__(self, phi, mesh, grid, space_order, pair):
-        self.phi, self.pair = phi, pair
-        self.cells = np.nonzero(mesh.interior_cell_mask)[0]
-        self.vols = mesh.cell_volumes[self.cells]
-        self.space_int = _support_table(
-            phi, CellQuadrature, mesh, space_order, 1,
-            CellQuadrature.cell_integrals)[self.cells]
-        self.time_int = slab_time_integrals(grid.knots, phi._time_factor)
-
-    def terms(self, c):
-        lo, hi = c.q_range
-        self.q_min, self.q_max = min(self.q_min, lo), max(self.q_max, hi)
-        jumps = np.diff(c.beta[:, self.cells], axis=0)
-        q_jumps = np.diff(c.qk[:, self.cells], axis=0)
+    def terms(c):
+        jumps = np.diff(c.beta[:, cells], axis=0)
+        q_jumps = np.diff(c.qk[:, cells], axis=0)
         return dict(
-            signed=step_values(
-                jumps * (self.time_int[c.steps, None] * self.space_int)),
-            total=step_values(c.dt[:, None] * np.abs(q_jumps) * self.vols))
+            q_range=c.q_range,
+            signed=step_values(jumps * (time_int[c.steps, None] * space_int)),
+            total=step_values(c.dt[:, None] * np.abs(q_jumps) * vols))
 
-    def result(self, sums) -> TimeResidual:
-        c_beta, _ = self.pair.lipschitz(float(self.q_min), float(self.q_max))
-        return TimeResidual(sums.total("signed"), c_beta * self.phi.sup_norm()
+    def result(sums) -> TimeResidual:
+        c_beta, _ = pair.lipschitz(*_q_range(sums))
+        return TimeResidual(sums.total("signed"), c_beta * phi.sup_norm()
                             * sums.total("total"), c_beta)
+
+    return _Term(terms, result)
 
 
 def residual_time(betas: BetaFamily, q, phi, pair,
@@ -514,7 +515,7 @@ def residual_time(betas: BetaFamily, q, phi, pair,
     """
     _same_level("residual_time", betas, q)
     mesh, grid = betas.mesh, betas.grid
-    return _stage(_Time(phi, mesh, grid, space_order, pair), mesh, grid,
+    return _stage(_time_term(phi, mesh, grid, space_order, pair), mesh, grid,
                   mesh.n_cells, dict(beta=betas.values, qk=q.values))
 
 
@@ -635,10 +636,9 @@ def jump_sums(q, v) -> JumpSums:
 def measured_constant(q, v, pair) -> float:
     """Measured product constant dominating R <= C (R1 + R2): the larger of
     C_g * sup|v| and sup|g(q)| over the discrete data."""
-    _, c_g = pair.lipschitz(float(q.values.min()), float(q.values.max()))
-    sup_v = 1.0 if v is None else v.sup_norm()
-    sup_g = float(np.abs(pair.g(q.values)).max())
-    return max(c_g * sup_v, sup_g)
+    return _measured_c(pair, (float(q.values.min()), float(q.values.max())),
+                       None if v is None else v.sup_norm(),
+                       float(np.abs(pair.g(q.values)).max()))
 
 
 # ----------------------------------------------------------------------
@@ -819,30 +819,26 @@ def _translate_term(mesh, grid, weights) -> _Term:
     return _Term(terms, lambda sums: sums.total("space") + sums.total("time"))
 
 
-class _Bounds:
+def _bounds_term(pair, layout) -> _Term:
     """sup |q| over the steps (and sup |v| when larger), the range of q
     over the knots, and the constant of ``measured_constant``."""
 
-    q_min, q_max, sup_q, sup_v, sup_g = np.inf, -np.inf, 0.0, 0.0, 0.0
-
-    def __init__(self, pair, layout):
-        self.pair, self.layout = pair, layout
-
-    def terms(self, c):
-        lo, hi = c.q_range
-        self.q_min, self.q_max = min(self.q_min, lo), max(self.q_max, hi)
-        self.sup_g = max(self.sup_g, float(np.abs(self.pair.g(c.qk)).max()))
-        self.sup_q = max(self.sup_q, float(np.abs(c.qv).max()))
+    def terms(c):
+        sups = dict(q_range=c.q_range, sup_q=float(np.abs(c.qv).max()),
+                    sup_g=float(np.abs(pair.g(c.qk)).max()))
         if c.vv is not None:
-            self.sup_v = max(self.sup_v,
-                             float(self.layout.magnitude(c.vv).max()))
+            sups["sup_v"] = float(layout.magnitude(c.vv).max())
+        return sups
 
-    def result(self, sums) -> dict:
-        q_min, q_max = float(self.q_min), float(self.q_max)
-        _, c_g = self.pair.lipschitz(q_min, q_max)
-        sup_v = 1.0 if self.layout.velocity_field is None else self.sup_v
-        return dict(sup_norm=max(self.sup_q, self.sup_v), q_min=q_min,
-                    measured_c=max(c_g * sup_v, self.sup_g), q_max=q_max)
+    def result(sums) -> dict:
+        q_range, sup_q = _q_range(sums), max(sums["sup_q"])
+        sup_v = max(sums["sup_v"]) if "sup_v" in sums else None
+        return dict(sup_norm=sup_q if sup_v is None else max(sup_q, sup_v),
+                    measured_c=_measured_c(pair, q_range, sup_v,
+                                           max(sums["sup_g"])),
+                    q_min=q_range[0], q_max=q_range[1])
+
+    return _Term(terms, result)
 
 
 class LevelSums(NamedTuple):
@@ -912,14 +908,15 @@ def level_pass(levels, pair, fluxes, interp: InterpolatedTest, q_exact,
     terms = {} if keep is None else dict(keep=_Term(
         lambda c: keep(c.start, c.qk), lambda sums: None))
     terms.update(
-        x1=_X1(interp, vols, work), x2=_x2_term(defects, interp),
-        init=_Init(mesh, lambda x: q_exact(x, 0.0), phi, pair, init_order),
-        time=_Time(phi, mesh, grid, order, pair), res_flux=defects.term,
+        x1=_x1_term(interp, vols, work), x2=_x2_term(defects, interp),
+        init=_init_term(mesh, lambda x: q_exact(x, 0.0), phi, pair,
+                        init_order),
+        time=_time_term(phi, mesh, grid, order, pair), res_flux=defects.term,
         jumps=_JumpTerms(mesh, layout, dual, work).term,
         translate=_translate_term(mesh, grid, weights),
         lhs=_lhs_term(vols, work),
         l1=l1_term(levels.quad, levels.on_nodes(q_exact)),
-        bounds=_Bounds(pair, layout))
+        bounds=_bounds_term(pair, layout))
     if cauchy is not None:
         quad = CellQuadrature(mesh, 2)
         terms["l1_cauchy"] = l1_term(quad, cauchy.at(quad.flat_points()))

@@ -128,27 +128,27 @@ def _bump(s, a, b, derivative=False, out=None):
     ``derivative`` its derivative in s.
 
     The value is formed in place, in ``out`` when given (it may be s
-    itself): u^2 < 1 exactly where |u| < 1, and there the value is
-    exp(-1.0 / (1.0 - u * u)) by ``where=``-masked ufuncs, so exp never
-    meets the underflow of the points outside, which are set to +0.0."""
+    itself): u^2 < 1 exactly where |u| < 1, and on that inside set the
+    value is exp(-1.0 / (1.0 - u * u)), and the derivative that times
+    (-2.0 * u / (1.0 - u * u) ** 2) * (2.0 / (b - a)), by ``where=``-masked
+    ufuncs, so exp never meets the underflow of the points outside, which
+    are set to +0.0."""
     s = np.asarray(s, dtype=float)
-    if derivative:
-        u = (2.0 * s - (a + b)) / (b - a)
-        grad = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        ui = u[inside]
-        one = 1.0 - ui * ui
-        grad[inside] = (np.exp(-1.0 / one) * (-2.0 * ui / one ** 2)
-                        * (2.0 / (b - a)))
-        return grad
     u = np.multiply(2.0, s, out=np.empty_like(s) if out is None else out)
     np.subtract(u, a + b, out=u)
     np.divide(u, b - a, out=u)
+    slope = np.multiply(-2.0, u, out=np.empty_like(u)) if derivative else None
     np.multiply(u, u, out=u)
     inside = u < 1.0
     np.subtract(1.0, u, out=u, where=inside)
+    if derivative:
+        square = np.square(u, out=np.empty_like(u), where=inside)
+        np.divide(slope, square, out=slope, where=inside)
     np.divide(-1.0, u, out=u, where=inside)
     np.exp(u, out=u, where=inside)
+    if derivative:
+        np.multiply(u, slope, out=u, where=inside)
+        np.multiply(u, 2.0 / (b - a), out=u, where=inside)
     np.copyto(u, 0.0, where=~inside)
     return u
 

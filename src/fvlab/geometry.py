@@ -332,6 +332,13 @@ class DualMeshRT:
     opposite_pairs_local: tuple = QUAD_OPPOSITE_PAIRS
     jump_multiplicity: np.ndarray = field(default=None)
     jump_weight_constant: int = 3
+    theta = np.nan                      # no MAC quasi-uniformity
+
+    def identity_problems(self, mesh) -> list:
+        """The half-dual measures of each cell of ``mesh`` sum to |P|."""
+        half_sum = self.half_measures.sum(axis=1)
+        return [f"cell {c}: RT half-dual measures do not sum to |P|"
+                for c in np.flatnonzero(half_sum != mesh.cell_volumes)]
 
 
 @dataclass
@@ -345,6 +352,16 @@ class DualMeshMAC:
     face_delta_first: np.ndarray = None  # (NF,) sign seen from the first cell
     direction_pairs_local: tuple = ((3, 1), (0, 2))   # (left,right), (bottom,top)
     theta: float = np.nan               # quasi-uniformity max(hbar1/h2, hbar2/h1)
+
+    def identity_problems(self, mesh) -> list:
+        """The duals of each direction cover the domain of ``mesh``."""
+        omega, bad = mesh.domain_measure(), []
+        for i in (0, 1):
+            tot = float(self.dual_measures[self.face_family == i].sum())
+            if abs(tot - omega) > 1e-12 * omega:
+                bad.append(f"MAC duals of direction {i + 1} sum to {tot!r}, "
+                           f"expected {omega!r}")
+        return bad
 
 
 @dataclass(frozen=True)
@@ -551,24 +568,25 @@ def build_time_grid(T: float, N: int, pattern: str = "uniform",
 
 
 def regularity(mesh: PrimalMesh, grid: TimeGrid,
-               mac: DualMeshMAC | None = None) -> MeshRegularity:
-    """theta1 = max diam^2/|P|, theta2 = max adjacent area ratio, theta3."""
+               dual: DualMeshMAC | DualMeshRT | None = None) -> MeshRegularity:
+    """theta1 = max diam^2/|P|, theta2 = max adjacent area ratio, theta3,
+    and the dual's theta_mac (nan for RT duals and without a dual)."""
     theta1 = float(np.max(mesh.cell_diameters ** 2 / mesh.cell_volumes))
     # max(p/q, q/p) >= 1 after rounding, so 1 is also the empty maximum
     vol_p, vol_q = mesh.cell_volumes[mesh.face_cells[mesh.interior_face_mask]].T
     theta2 = float(np.max(np.maximum(vol_p / vol_q, vol_q / vol_p),
                           initial=1.0))
-    theta_mac = mac.theta if mac is not None else np.nan
     return MeshRegularity(theta1=theta1, theta2=theta2, theta3=grid.theta3,
-                          theta_mac=theta_mac)
+                          theta_mac=np.nan if dual is None else dual.theta)
 
 
 # ----------------------------------------------------------------------
 # invariant checks (also driven by the check-identities command)
 
-def check_mesh_identities(mesh: PrimalMesh, mac: DualMeshMAC | None = None,
-                          rt: DualMeshRT | None = None):
-    """Return a list of human-readable violations (empty when all hold)."""
+def check_mesh_identities(mesh: PrimalMesh,
+                          dual: DualMeshMAC | DualMeshRT | None = None):
+    """Return a list of human-readable violations (empty when all hold),
+    the dual's own measure identities (``identity_problems``) last."""
     # per-cell closure sum |zeta| n_{P,zeta} = 0, on the stored face
     # measures (``cell_face_measures`` is derived from them)
     areas = mesh.face_measures[mesh.cell_faces]             # (NC, nf)
@@ -597,15 +615,4 @@ def check_mesh_identities(mesh: PrimalMesh, mac: DualMeshMAC | None = None,
     if abs(total - mesh.domain_measure()) > 1e-12 * mesh.domain_measure():
         bad.append(f"cell measures sum to {total!r}, expected "
                    f"{mesh.domain_measure()!r}")
-    if rt is not None:
-        half_sum = rt.half_measures.sum(axis=1)
-        bad += [f"cell {c}: RT half-dual measures do not sum to |P|"
-                for c in np.flatnonzero(half_sum != mesh.cell_volumes)]
-    if mac is not None:
-        omega = mesh.domain_measure()
-        for i in (0, 1):
-            tot = float(mac.dual_measures[mac.face_family == i].sum())
-            if abs(tot - omega) > 1e-12 * omega:
-                bad.append(f"MAC duals of direction {i + 1} sum to {tot!r}, "
-                           f"expected {omega!r}")
-    return bad
+    return bad if dual is None else bad + dual.identity_problems(mesh)

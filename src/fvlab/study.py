@@ -22,7 +22,7 @@ from .fields import (TIME_PROFILES, Reference, TestFunction, _bump,
                      default_translate_weights, interpolate_test)
 # build_dual_mac and build_dual_rt are called by their names in this module
 # (see build_level), so rebinding fvlab.study.build_dual_* reaches the call
-from .geometry import (TIME_PATTERNS, DualMeshMAC, _cartesian_vertices,
+from .geometry import (TIME_PATTERNS, _cartesian_vertices,
                        build_cartesian, build_dual_mac, build_dual_rt,
                        build_intervals, build_perturbed_quads, build_tensor,
                        build_time_grid, check_perturbation, regularity,
@@ -239,6 +239,23 @@ class StudyConfig:
             SchemeConfig(None, self.T, self.cfl)
         self.test_function().validate_against(self.domain, self.T)
 
+    def level_width(self, level: int) -> float:
+        """The reference cell width h of a level along the first axis."""
+        return (self.domain[0][1] - self.domain[0][0]) / (self.nx0
+                                                          * 2 ** level)
+
+    def manufactured_steps(self, h: float) -> float:
+        """The step count max(1, round(T / (dt_over_h * h))) of a
+        manufactured level of reference width h, inf when it overflows."""
+        return max(1.0, float(np.rint(self.T / (self.dt_over_h * h))))
+
+    def manufactured_grid(self, h: float):
+        """The time grid of a manufactured level of reference width h:
+        ``manufactured_steps(h)`` steps on the time pattern."""
+        return build_time_grid(self.T, int(self.manufactured_steps(h)),
+                               pattern=self.time_pattern,
+                               ratio=self.time_ratio)
+
     def default_support(self) -> tuple:
         """The central box of the domain, 60% of it along each axis."""
         return tuple((lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
@@ -350,12 +367,10 @@ class StudyResult:
 
 def build_level(config: StudyConfig, level: int):
     """Mesh, dual and reference axis step for one refinement level."""
-    scale = 2 ** level
+    scale, h_ref = 2 ** level, config.level_width(level)
     if config.mesh_family == "interval":
-        n = config.nx0 * scale
-        dom = config.domain[0]
-        mesh = build_intervals(n, dom, grading=config.grading)
-        h_ref = (dom[1] - dom[0]) / n
+        mesh = build_intervals(config.nx0 * scale, config.domain[0],
+                               grading=config.grading)
         return mesh, None, h_ref
     nx, ny = config.nx0 * scale, config.ny0 * scale
     if config.mesh_family == "uniform":
@@ -376,7 +391,6 @@ def build_level(config: StudyConfig, level: int):
         raise ValueError(f"unknown mesh family {config.mesh_family!r}")
     builder = get_layout(config.layout).dual_builder
     dual = globals()[builder](mesh) if builder else None
-    h_ref = (config.domain[0][1] - config.domain[0][0]) / nx
     return mesh, dual, h_ref
 
 
@@ -389,10 +403,8 @@ def level_source(config: StudyConfig, level: int):
     sol = manufactured_solution(config.solution)
     q_exact, v_exact = sol["q"], sol["v"]
     if config.field_source == "manufactured":
-        n_steps = max(1, round(config.T / (config.dt_over_h * h_ref)))
-        grid = build_time_grid(config.T, n_steps, pattern=config.time_pattern,
-                               ratio=config.time_ratio)
-        return ManufacturedLevels(q_exact, v_exact, layout, mesh, dual, grid,
+        return ManufacturedLevels(q_exact, v_exact, layout, mesh, dual,
+                                  config.manufactured_grid(h_ref),
                                   config.quad_order)
     scheme_cfg = SchemeConfig(q0=lambda x: q_exact(x, 0.0), T=config.T,
                               cfl=config.cfl, velocity=v_exact,
@@ -524,8 +536,7 @@ def _compute_level(config, level, phi, rhs, base_reg, coarse, mine,
         pair = get_pair(config.beta_name, config.g_name)
         if mine is not None:
             mine.publish(mesh, grid)
-        reg = regularity(mesh, grid,
-                         mac=dual if isinstance(dual, DualMeshMAC) else None)
+        reg = regularity(mesh, grid, dual)
         _audit(config, level, reg, base_reg)
         if layout.staggered:
             fluxes = staggered_flux_rule(mesh, layout, dual, pair,

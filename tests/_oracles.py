@@ -9,7 +9,7 @@ from fvlab.consistency import (WeakRhs, compute_X1, compute_X2, jump_sums,
                                residual_init, residual_time, weak_form_gap)
 from fvlab.fields import (_bump, _reference_at, default_translate_weights,
                           interpolate_test, lp_distance, translate_functional)
-from fvlab.geometry import (LOCAL_OPPOSITE, DualMeshMAC,
+from fvlab.geometry import (LOCAL_OPPOSITE, DualMeshMAC, DualMeshRT,
                             MeshConstructionError, PrimalMesh,
                             build_time_grid, regularity, sum_opposite_first)
 from fvlab.layouts import get_layout
@@ -217,9 +217,11 @@ def scalar_outward_normal(mesh, cell, face):
     return mesh.cell_face_normals[cell, local_face_index(mesh, cell, face)]
 
 
-def scalar_mesh_identities(mesh, mac=None, rt=None):
+def scalar_mesh_identities(mesh, dual=None):
     """``check_mesh_identities`` with the antisymmetry test run face by
     face; the same messages in the same order."""
+    rt = dual if isinstance(dual, DualMeshRT) else None
+    mac = dual if isinstance(dual, DualMeshMAC) else None
     bad = []
     areas = mesh.face_measures[mesh.cell_faces]
     closure = np.einsum("cf,cfd->cd", areas, mesh.cell_face_normals)
@@ -476,8 +478,7 @@ def compute_level_by_stages(config, level, phi, rhs, base_reg):
         extras["scheme_min"] = float(q.values.min())
         extras["scheme_max"] = float(q.values.max())
         extras["mass_defect"] = ledger.max_relative_defect()
-    reg = regularity(mesh, grid,
-                     mac=dual if isinstance(dual, DualMeshMAC) else None)
+    reg = regularity(mesh, grid, dual)
     _audit(config, level, reg, base_reg)
     if layout.staggered:
         flux = flux_staggered(q, v, pair, scheme=config.face_scheme,
@@ -516,15 +517,20 @@ def compute_level_by_stages(config, level, phi, rhs, base_reg):
     return report, q
 
 
-def bump_masked(s, a, b):
-    """exp(-1/(1-u^2)) rescaled to (a, b), formed on the masked points
-    |u| < 1 only and +0.0 elsewhere: the oracle of ``fields._bump``."""
+def bump_masked(s, a, b, derivative=False):
+    """exp(-1/(1-u^2)) rescaled to (a, b), or its derivative in s, formed
+    on the masked points |u| < 1 only and +0.0 elsewhere: the oracle of
+    ``fields._bump``."""
     s = np.asarray(s, dtype=float)
     u = (2.0 * s - (a + b)) / (b - a)
     out = np.zeros_like(u)
     inside = np.abs(u) < 1.0
     ui = u[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
+    one = 1.0 - ui * ui
+    value = np.exp(-1.0 / one)
+    if derivative:
+        value = value * (-2.0 * ui / one ** 2) * (2.0 / (b - a))
+    out[inside] = value
     return out
 
 

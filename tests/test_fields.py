@@ -448,9 +448,10 @@ def test_vector_reference_evaluations_agree(ref):
 @given(a=st.floats(-2.0, 2.0), width=st.floats(1e-3, 3.0),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_bump_in_place_matches_the_masked_bump(a, width, seed):
-    # the maskless bump, allocated or written over its argument, against
-    # exp(-1/(1-u^2)) on the points |u| < 1 only: the same bytes on and
-    # past the support edges, next to them and at the centre
+    # the maskless bump, allocated or written over its argument, and its
+    # derivative, against the formulas on the points |u| < 1 only: the
+    # same bytes on and past the support edges, next to them and at the
+    # centre
     b = a + width
     rng = np.random.default_rng(seed)
     s = np.concatenate([rng.uniform(a - width, b + width, 200),
@@ -463,3 +464,5 @@ def test_bump_in_place_matches_the_masked_bump(a, width, seed):
     assert _bump(buf, a, b, out=buf) is buf
     assert_bitwise(buf, want)
     assert_bitwise(_bump(s[3], a, b), want[3])
+    assert_bitwise(_bump(s, a, b, derivative=True),
+                   bump_masked(s, a, b, derivative=True))

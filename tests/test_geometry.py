@@ -291,8 +291,8 @@ def test_identity_messages_match_scalar_oracle():
     half = rt.half_measures.copy()
     half[5, 1] *= 2.0
     rt.half_measures = half
-    problems = check_mesh_identities(bad, rt=rt)
-    assert problems == scalar_mesh_identities(bad, rt=rt)
+    problems = check_mesh_identities(bad, rt)
+    assert problems == scalar_mesh_identities(bad, rt)
     assert [m for m in problems if "antisymmetric" in m] == [
         f"face {f}: normals not antisymmetric" for f in sorted((f1, f2))]
     for text in ("closure sum violated", f"face {f4}: stored normal differs",
@@ -304,7 +304,7 @@ def test_identity_checks_fire_on_bad_cell_and_dual_measures():
     # each measure guard on its own, its sums printed as plain floats
     mesh = build_cartesian(4, 4)
     mac = build_dual_mac(mesh)
-    assert check_mesh_identities(mesh, mac=mac) == []
+    assert check_mesh_identities(mesh, mac) == []
     # one cell of measure 0, its measure moved to a neighbour: the total
     # still covers the domain
     flat = copy.copy(mesh)
@@ -318,13 +318,13 @@ def test_identity_checks_fire_on_bad_cell_and_dual_measures():
     assert check_mesh_identities(grown) == [
         "cell measures sum to 1.5, expected 1.0"]
     wide = dataclasses.replace(mac, dual_measures=mac.dual_measures * 1.5)
-    problems = check_mesh_identities(mesh, mac=wide)
+    problems = check_mesh_identities(mesh, wide)
     assert problems == [
         f"MAC duals of direction {i} sum to 1.5, expected 1.0"
         for i in (1, 2)]
     for bad, dual in ((flat, None), (grown, None), (mesh, wide)):
-        assert check_mesh_identities(bad, mac=dual) == \
-            scalar_mesh_identities(bad, mac=dual)
+        assert check_mesh_identities(bad, dual) == \
+            scalar_mesh_identities(bad, dual)
 
 
 def test_local_face_index_is_the_first_match():
