@@ -1,9 +1,10 @@
 """Command-line front end: flat INI configuration, study orchestration with
 CSV emission, mesh summaries and identity checking.
 
-Exit codes: 0 success, 2 configuration/parse errors, 3 acceptance-threshold
-failure (the failing series is named), 4 regularity audit abort (the
-offending parameter is named), 1 identity-check failure.
+Exit codes: 0 success, 2 configuration/parse errors (among them a study
+too large for physical memory), 3 acceptance-threshold failure (the failing
+series is named), 4 regularity audit abort (the offending parameter is
+named), 1 identity-check failure.
 """
 
 from __future__ import annotations
@@ -274,6 +275,10 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg, meta)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # validate bounds every level's size but a MAC scheme's steps
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

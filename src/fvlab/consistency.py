@@ -216,9 +216,9 @@ class X1Result(NamedTuple):
 def _x1_term(interp, vols, work) -> _Term:
     """X1 from the terms dt_n |P| (d_t beta)_P^n phi_P^n, and its by-parts
     route from the series terms |P| beta_P^{n+1} (phi_P^{n+1} - phi_P^n),
-    the difference formed as (tf_{n+1} - tf_n) <B>_P, closed by sum |P|
-    beta^0 phi^0 and its mass from the first chunk; the tables go into the
-    ``quadrature.Workspace`` work."""
+    the difference formed as (tf_{n+1} - tf_n) <B>_P, closed by -sum |P|
+    beta^0 phi^0, whose value and mass the first chunk gives; the tables go
+    into the ``quadrature.Workspace`` work."""
 
     def terms(c):
         shape = c.dtb.shape

@@ -102,14 +102,13 @@ class FluxFamily:
 
     values: RT ``(N, NF, 2)`` vectors; MAC ``(N, NF)`` components along the
     face family axis; colocated 1D ``(N, NF)`` x-components.  Boundary faces
-    are filled by the named policy and flagged via the mesh's boundary mask.
+    are filled by the boundary policy of the flux rule that formed them.
     """
 
     layout: str
     mesh: object
     grid: object
     values: np.ndarray
-    boundary_policy: str
     dual: object = None
 
     def __post_init__(self):
@@ -195,7 +194,7 @@ def flux_staggered(q, v, pair: NonlinearityPair, scheme: str = "upwind",
     steps = slice(0, q.grid.n_steps)
     return FluxFamily(layout=layout_of(v).name, mesh=q.mesh, grid=q.grid,
                       values=fluxes(q.values[steps], v.values[steps]),
-                      boundary_policy=policy, dual=v.dual)
+                      dual=v.dual)
 
 
 def upwind_1d_flux_rule(mesh, policy: str = "upwind_zero"):
@@ -235,8 +234,7 @@ def flux_colocated_upwind_1d(u, policy: str = "upwind_zero") -> FluxFamily:
     step."""
     fluxes = upwind_1d_flux_rule(u.mesh, policy)
     return FluxFamily(layout=COLOCATED_1D.name, mesh=u.mesh, grid=u.grid,
-                      values=fluxes(u.values[:u.grid.n_steps]),
-                      boundary_policy=policy)
+                      values=fluxes(u.values[:u.grid.n_steps]))
 
 
 def flux_dot_n(flux: FluxFamily) -> np.ndarray:

@@ -72,8 +72,10 @@ class MassLedger:
 
 
 def _uniform_grid_for(T: float, dt_bound: float) -> TimeGrid:
-    n = max(1, int(np.ceil(T / dt_bound - 1e-12)))
-    return build_time_grid(T, n)
+    n = T / dt_bound
+    if not np.isfinite(n):
+        raise ValueError(f"T / dt = {n} time steps is not a finite count")
+    return build_time_grid(T, max(1, int(np.ceil(n - 1e-12))))
 
 
 class LevelSource:

@@ -11,6 +11,8 @@ reductions, so outputs are byte-identical for any thread count.
 from __future__ import annotations
 
 import csv
+import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -217,8 +219,11 @@ class StudyConfig:
             raise ValueError(f"a scheme steps on its uniform CFL grid, not "
                              f"the {self.time_pattern!r} time pattern")
         _check_choice("time profile", self.time_profile, TIME_PROFILES)
-        for name in self.thresholds:
+        for name, value in self.thresholds.items():
             _check_choice("threshold series", name, RATE_SERIES)
+            if not math.isfinite(value):
+                raise ValueError(f"threshold {name} must be finite, got "
+                                 f"{value!r}")
         sol = manufactured_solution(self.solution)
         if sol["dim"] != layout.dim:
             raise ValueError(f"solution {self.solution!r} is {sol['dim']}D but "
@@ -238,6 +243,43 @@ class StudyConfig:
         if self.field_source == "scheme":
             SchemeConfig(None, self.T, self.cfl)
         self.test_function().validate_against(self.domain, self.T)
+        self._check_size(layout)
+
+    def _check_size(self, layout):
+        """Reject a level whose step count is not finite, or whose time
+        grid, cell vector or whole q (held for the next level on tensor
+        meshes) takes more than physical memory at 8 bytes a value.  A 1D
+        scheme steps at most cfl * h apart, h the mean cell width; a MAC
+        scheme's steps follow v, so they are not bounded here."""
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        # shifted quadrangles have no tensor structure, so no whole q
+        tensor = self.mesh_family != "perturbed" or self.amplitude == 0
+        manufactured = self.field_source == "manufactured"
+        keys = "T and " + ("dt_over_h" if manufactured else "cfl")
+        for level in range(self.levels):
+            h = self.level_width(level)
+            if manufactured:
+                n = self.manufactured_steps(h)
+            else:
+                n = self.T / (self.cfl * h) if layout.dim == 1 else 1.0
+            if not math.isfinite(n):
+                raise ValueError(f"{keys} give level {level} a step count "
+                                 f"of {n}, not finite")
+            cells = self.nx0 * 2 ** level * (
+                1 if layout.dim == 1 else self.ny0 * 2 ** level)
+            sizes = [(n + 1, f"{keys} give level {level} {n:.4g} time "
+                             f"steps, a time grid"),
+                     (cells, f"levels = {self.levels}: level {level} has "
+                             f"{cells} cells, a cell vector")]
+            if tensor and level < self.levels - 1:
+                sizes.append(((n + 1) * cells, f"levels = {self.levels}: "
+                              f"level {level} holds its q whole"))
+            for values, what in sizes:
+                if 8 * values > memory:
+                    raise ValueError(f"{what}: {8 * values / 2 ** 30:.3g} "
+                                     f"GiB, more than the "
+                                     f"{memory / 2 ** 30:.3g} GiB of "
+                                     f"physical memory")
 
     def level_width(self, level: int) -> float:
         """The reference cell width h of a level along the first axis."""

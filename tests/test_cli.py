@@ -6,13 +6,17 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import fvlab
+import fvlab.cli
 from _configs import serialize_config
 from fvlab.cli import CONFIG_TABLE, main, parse_config
-from fvlab.geometry import build_cartesian
+from fvlab.geometry import build_cartesian, build_perturbed_quads
 from fvlab.meshio import save_mesh
 from fvlab.study import RATE_SERIES
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 BASE_CONFIG = """\
 [mesh]
@@ -41,6 +45,23 @@ t_max_factor = 0.7
 """
 
 
+SCHEME_1D = """\
+[mesh]
+family = interval
+nx = 8
+
+[time]
+T = 0.25
+
+[study]
+levels = 3
+layout = colocated1d
+solution = bump_advect_1d
+field_source = scheme
+cfl = 0.5
+"""
+
+
 def write_config(tmp_path, text=BASE_CONFIG, name="study.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -59,6 +80,59 @@ def test_mesh_info_reports_theta(tmp_path, capsys):
     main(["mesh-info", "--config", str(path2)])
     out = capsys.readouterr().out
     assert "theta_mac    2" in out
+
+
+# the whole mesh-info summary of level 0 of three golden studies: only the
+# MAC dual has a theta_mac line
+MESH_INFO = {
+    "mac_scheme_graded_zero_flux": (
+        "dimension    2\ncells        64\nfaces        144\n"
+        "vertices     81\ninterior     36\ndelta        0.24098715621818362\n"
+        "theta1       2.4618752182307078\ntheta2       1.1000000000000052\n"
+        "theta3       1.000000000000002\ntheta_mac    1.9487171000000005\n"),
+    "rt_perturbed_seed1": (
+        "dimension    2\ncells        64\nfaces        144\n"
+        "vertices     81\ninterior     36\ndelta        0.22016478418493404\n"
+        "theta1       2.7944479294366085\ntheta2       1.6899884967751868\n"
+        "theta3       1\n"),
+    "col1d_scheme16": (
+        "dimension    1\ncells        16\nfaces        17\n"
+        "vertices     17\ninterior     14\ndelta        0.0625\n"
+        "theta1       0.0625\ntheta2       1\ntheta3       1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MESH_INFO))
+def test_mesh_info_prints_the_whole_summary(case, capsys):
+    config = str(GOLDEN / case / "study.ini")
+    assert main(["mesh-info", "--config", config]) == 0
+    assert capsys.readouterr().out == MESH_INFO[case]
+    assert main(["check-identities", "--config", config]) == 0
+    assert capsys.readouterr().out == "all identities hold\n"
+
+
+@pytest.mark.parametrize("layout, mesh, info", [
+    ("rt", lambda: build_perturbed_quads(16, 16, amplitude=0.2, seed=3),
+     "cells        256\nfaces        544\nvertices     289\n"
+     "interior     196\ndelta        0.11190214728924364\n"
+     "theta1       2.9552732411895968\ntheta2       1.8820279869091463\n"
+     "theta3       1.0000000000000011\n"),
+    ("mac", lambda: build_cartesian(8, 6),
+     "cells        48\nfaces        110\nvertices     63\n"
+     "interior     24\ndelta        0.2083333333333334\n"
+     "theta1       2.0833333333333419\ntheta2       1.0000000000000053\n"
+     "theta3       1.0000000000000007\ntheta_mac    1.3333333333333339\n"),
+])
+def test_saved_meshes_and_their_duals(layout, mesh, info, tmp_path, capsys):
+    # a saved mesh with the dual of its layout: the dual's own theta and
+    # measure identities, through the file branch of both commands
+    save_mesh(mesh(), tmp_path / "mesh.txt")
+    path = write_config(tmp_path, f"[mesh]\nfile = {tmp_path / 'mesh.txt'}"
+                        f"\n\n[study]\nlayout = {layout}\n")
+    assert main(["check-identities", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "all identities hold\n"
+    assert main(["mesh-info", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "dimension    2\n" + info
 
 
 def test_mesh_info_reports_the_time_grid_of_study_level_0(tmp_path, capsys):
@@ -172,6 +246,24 @@ def test_bad_config_exit_2(tmp_path, capsys):
         ("x0 = 0.3", "x0 = 0.9", "got (0.9, 0.7)"),
         ("x0 = 0.3", "x0 = -5",
          "support [-5.0, 0.7] not strictly inside (0.0, 1.0)"),
+        # thresholds that no slope can meet, or every slope meets
+        ("[thresholds]\nres_flux = nan\n",
+         "threshold res_flux must be finite, got nan"),
+        ("[thresholds]\nres_flux = inf\n", "got inf"),
+        ("[thresholds]\nres_flux = -inf\n", "got -inf"),
+        # studies no machine can hold, or whose step count overflows
+        ("dt_over_h = 0.5", "dt_over_h = 1e-15",
+         "T and dt_over_h give level 0 2e+15 time steps, a time grid: "),
+        ("T = 0.5", "T = 1e300",
+         "T and dt_over_h give level 0 8e+300 time steps, a time grid: "),
+        ("T = 0.5\ndt_over_h = 0.5", "T = 1e300\ndt_over_h = 1e-10",
+         "T and dt_over_h give level 0 a step count of inf, not finite"),
+        ("levels = 3", "levels = 1000000", "levels = 1000000: level "),
+        # the whole base replaced by a 1D scheme study
+        (BASE_CONFIG, SCHEME_1D.replace("cfl = 0.5", "cfl = 1e-308"),
+         "T and cfl give level 0 a step count of inf, not finite"),
+        (BASE_CONFIG, SCHEME_1D.replace("cfl = 0.5", "cfl = 1e-300"),
+         "T and cfl give level 0 2e+300 time steps, a time grid: "),
     ]
     for k, case in enumerate(bad_inputs):
         if len(case) == 2:
@@ -191,6 +283,20 @@ def test_bad_config_exit_2(tmp_path, capsys):
                  str(tmp_path / "flag"), "--threads", "0"]) == 2
     assert "threads must be >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "flag").exists()
+
+
+def test_memory_error_exit_2(tmp_path, capsys, monkeypatch):
+    # a MAC scheme's step count follows v, so validate cannot bound it:
+    # running out of memory later is an error line, not a traceback
+    def run_study(cfg):
+        raise MemoryError("Unable to allocate 8.01 GiB")
+
+    monkeypatch.setattr(fvlab.cli, "run_study", run_study)
+    path = write_config(tmp_path)
+    assert main(["run-study", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("error: out of memory: Unable to "
+                                        "allocate 8.01 GiB\n")
 
 
 # every key of the schema at a value other than its default; parsing does

@@ -645,7 +645,7 @@ def test_streamed_pass_raises_the_missing_flux_of_the_whole_level():
 
     q, v = sample_manufactured(qf, vf, "mac", mesh, dual, grid)
     flux = FluxFamily("mac", mesh, grid, fluxes(q.values[:-1], v.values[:-1]),
-                      "upwind_zero", dual)
+                      dual)
     with pytest.raises(ValueError) as whole:
         assemble_convection(BetaFamily.from_field(q, pair), flux)
     assert str(whole.value) == "missing flux on face 7 at step 3"
@@ -1062,8 +1062,7 @@ def test_a_flipped_cell_normal_makes_the_flux_checks_fail():
     view = _MeshView(mesh, cell_face_normals=normals)
     q_view = CellScalarField(view, grid, q.values)
     v_view = FaceVectorFieldRT(view, grid, dual, v.values)
-    flux_view = FluxFamily("rt", view, grid, flux.values,
-                           flux.boundary_policy, dual)
+    flux_view = FluxFamily("rt", view, grid, flux.values, dual)
     defect, scale = telescoping_defect(flux_view)
     assert np.any(defect > 1e-12 * scale)
     with pytest.raises(RouteMismatchError, match="X2"):

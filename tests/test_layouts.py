@@ -17,7 +17,7 @@ def test_registry_and_the_one_unknown_layout_error():
     mesh = build_cartesian(2, 2)
     with pytest.raises(ValueError, match="unknown layout 'hex'"):
         FluxFamily("hex", mesh, build_time_grid(1.0, 1),
-                   np.zeros((1, mesh.n_faces)), "upwind_zero")
+                   np.zeros((1, mesh.n_faces)))
     with pytest.raises(TypeError):
         layout_of(np.zeros(3))
 

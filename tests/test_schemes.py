@@ -153,6 +153,16 @@ def test_mass_mac_rejects_a_velocity_that_outgrows_the_step():
         run_mass_mac(mesh, dual, cfg)
 
 
+def test_mass_mac_rejects_a_step_count_that_overflows():
+    # T / (cfl * bound) is inf at cfl = 1e-308: a ValueError (exit 2 from
+    # the command line), not an OverflowError from the step count
+    mesh = build_cartesian(8, 8)
+    cfg = SchemeConfig(q0=bump2d_q0, T=0.5, cfl=1e-308,
+                       velocity=lambda x, t: np.ones((x.shape[0], 2)))
+    with pytest.raises(ValueError, match="inf time steps is not a finite"):
+        mass_mac_levels(mesh, build_dual_mac(mesh), cfg)
+
+
 def test_mass_mac_constant_state_interior():
     mesh = build_cartesian(8, 8)
     dual = build_dual_mac(mesh)
