@@ -10,12 +10,11 @@ from .consistency import (compute_X1, compute_X2, jump_sums,
                           measured_constant, residual_flux,
                           residual_flux_terms, residual_init, residual_time,
                           weak_form_gap, weak_lhs, weak_rhs)
-from .fields import (CellScalarField, CellSlabField, FaceScalarFieldMAC,
-                     FaceVectorFieldRT, SupportError, TestFunction,
-                     TranslateWeights, default_translate_weights,
-                     generalize_weights, interpolate_test, lp_distance,
-                     sample_cell_means, translate_functional,
-                     translate_functional_general)
+from .fields import (CellScalarField, CellSlabField, FaceField,
+                     SupportError, TestFunction, TranslateWeights,
+                     default_translate_weights, generalize_weights,
+                     interpolate_test, lp_distance, sample_cell_means,
+                     translate_functional, translate_functional_general)
 from .geometry import (DualMeshMAC, DualMeshRT, MeshConstructionError,
                        MeshRegularity, PrimalMesh, TimeGrid, build_cartesian,
                        build_dual_mac, build_dual_rt, build_intervals,

@@ -31,10 +31,11 @@ it is handed, their values set on each chunk as views, so it gives the
 pass's value bit for bit, for any chunk size.
 
 Stages read mesh, grid, layout and dual from their fields: ``.mesh`` and
-``.grid`` of every field and interpolate, ``.layout`` and ``.dual`` of a
-``FluxFamily``, ``.dual`` of a face velocity.  ``residual_flux`` (with its
-``residual_flux_terms``) is the one exception: ``bench/tracing.py`` reads
-mesh, grid and layout from its positional arguments to size the table.
+``.grid`` of every field and interpolate, ``.layout`` (a
+``layouts.Layout``) and ``.dual`` of a ``FluxFamily`` and of a face
+velocity.  ``residual_flux`` (with its ``residual_flux_terms``) is the one
+exception: ``bench/tracing.py`` reads mesh, grid and the layout's name
+from its positional arguments to size the table.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import numpy as np
 from .fields import (InterpolatedTest, SupportError, _reference_at,
                      _same_level, _support_table, l1_steps,
                      translate_space_terms, translate_time_terms)
-from .layouts import COLOCATED_1D, get_layout, layout_of
+from .layouts import COLOCATED_1D, get_layout
 # dt_beta and flux_dot_n are looked up here by name, so rebinding
 # fvlab.consistency.<name> reaches the whole-level stages; flux_divergence
 # is not called here, but bench/tracing.py rebinds it here too
@@ -391,7 +392,6 @@ def _check_support(interp):
 def _flux_stage(term, flux, q, v, pair, mesh, grid, layout, dual, **shared):
     """The walk of ``compute_X2`` and ``residual_flux``: ``term(defects)``
     over F.n and the q and v levels, with their ``_FluxDefects``."""
-    layout = get_layout(layout)
     defects = _FluxDefects(mesh, layout, flux.dual if dual is None else dual,
                            pair, Workspace())
     return _stage(term(defects), mesh, grid,
@@ -533,15 +533,16 @@ def residual_flux_terms(flux: FluxFamily, q, v, pair, mesh, grid,
     return _flux_stage(lambda defects: _Term(
         lambda c: dict(t=defects.residual_terms(c.dt, c.table).copy()),
         lambda sums: np.concatenate(sums["t"])),
-        flux, q, v, pair, mesh, grid, layout, dual)
+        flux, q, v, pair, mesh, grid, get_layout(layout), dual)
 
 
 def residual_flux(flux: FluxFamily, q, v, pair, mesh, grid,
                   layout: str, dual=None) -> float:
     """Flux-consistency residual (exact finite sum over constancy pieces):
-    the ``step_sum`` of ``residual_flux_terms``, built chunk by chunk."""
+    the ``step_sum`` of ``residual_flux_terms``, built chunk by chunk;
+    ``layout`` is the layout's name (a key of ``layouts.LAYOUTS``)."""
     return _flux_stage(lambda defects: defects.term, flux, q, v, pair, mesh,
-                       grid, layout, dual)
+                       grid, get_layout(layout), dual)
 
 
 # ----------------------------------------------------------------------
@@ -627,7 +628,7 @@ def jump_sums(q, v) -> JumpSums:
     ``_JumpTerms``.
     """
     _same_level("jump_sums", q, v)
-    jumps = _JumpTerms(q.mesh, COLOCATED_1D if v is None else layout_of(v),
+    jumps = _JumpTerms(q.mesh, COLOCATED_1D if v is None else v.layout,
                        getattr(v, "dual", None), Workspace())
     return _stage(jumps.term, q.mesh, q.grid, jumps.w_ck.size,
                   dict(qk=q.values, vk=getattr(v, "values", None)))
@@ -702,7 +703,7 @@ def weak_rhs(pair, q_exact, v_exact, phi,
     def space_term(on_chunk, t_axis, x, qb):
         grad = [g.ravel() for g in on_chunk.grad_components(t_axis)]
         if v_exact is None:
-            return pair.flux(qb) * grad[0]
+            return pair.g(qb) * grad[0]
         vv = np.asarray(_reference_at(v_exact, x, t_axis.ravel()),
                         dtype=float).reshape(-1, dim)
         dot = 0.0

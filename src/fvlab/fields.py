@@ -2,8 +2,10 @@
 interpolates, L1 distances and the translate functionals.
 
 Discrete values live on the primal cells (scalars) or on faces (RT vectors,
-MAC normal components); the associated space-time function is piecewise
-constant, taking the level-n value on the slab [t_n, t_{n+1}).
+MAC normal components: what a face stores is its layout's, and a
+``FaceField`` holds that ``layouts.Layout``); the associated space-time
+function is piecewise constant, taking the level-n value on the slab
+[t_n, t_{n+1}).
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .quadrature import (DEFAULT_ORDER, CellQuadrature, FaceQuadrature,
                          gauss_times, step_sum, step_values)
 
 __all__ = [
-    "CellScalarField", "CellSlabField", "FaceVectorFieldRT",
-    "FaceScalarFieldMAC", "TestFunction", "InterpolatedTest",
+    "CellScalarField", "CellSlabField", "FaceField", "TestFunction",
+    "InterpolatedTest",
     "TranslateWeights", "Reference",
     "sample_cell_means", "interpolate_test", "lp_distance",
     "translate_functional", "translate_functional_general",
@@ -50,6 +52,12 @@ def _same_level(stage: str, *fields):
                              f"grids")
 
 
+def check_finite_levels(levels):
+    """Raise on non-finite values of the field levels ``levels``."""
+    if not np.all(np.isfinite(levels)):
+        raise ValueError("non-finite field values")
+
+
 class _LevelField:
     """Values per mesh entity for levels n = 0..N (per slab n = 0..N-1
     when ``slab``), finite and read-only."""
@@ -61,8 +69,7 @@ class _LevelField:
         shape = (grid.n_steps + (not self.slab),) + entity_shape
         if values.shape != shape:
             raise ValueError(f"expected shape {shape}, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite field values")
+        check_finite_levels(values)
         self.mesh = mesh
         self.grid = grid
         self.values = values
@@ -95,29 +102,20 @@ class CellSlabField(_LevelField):
         super().__init__(mesh, grid, values, (mesh.n_cells,))
 
 
-class _FaceField(_LevelField):
-    """A face velocity with the dual mesh of its layout, levels 0..N."""
+class FaceField(_LevelField):
+    """A face velocity of a staggered layout (a ``layouts.Layout``) with
+    its dual mesh, levels 0..N: per face, ``layout.components`` values (RT
+    the full vector, (2,); MAC the normal component, ()).  Its sizes are
+    ``layout.magnitude``; the dual gives R2 its dual edges (and RT its
+    splitting constant)."""
 
-    components = ()
-
-    def __init__(self, mesh, grid, dual, values):
-        super().__init__(mesh, grid, values, (mesh.n_faces,) + self.components)
-        self.dual = dual
-
-
-class FaceVectorFieldRT(_FaceField):
-    """Full velocity vector per face (RT layout).  Its fluxes need only the
-    primal normals; the dual gives R2 its dual edges and splitting
-    constant."""
-
-    components = (2,)
+    def __init__(self, layout, mesh, grid, dual, values):
+        super().__init__(mesh, grid, values,
+                         (mesh.n_faces,) + layout.components)
+        self.layout, self.dual = layout, dual
 
     def _sizes(self):
-        return np.sqrt((self.values[:-1] ** 2).sum(-1))
-
-
-class FaceScalarFieldMAC(_FaceField):
-    """Normal velocity component per face (MAC layout)."""
+        return self.layout.magnitude(self.values[:self.grid.n_steps])
 
 
 # ----------------------------------------------------------------------
@@ -543,10 +541,7 @@ def interpolate_test(phi: TestFunction, mesh, grid, order: int = DEFAULT_ORDER,
     weights = (mesh.cell_face_measures[:, :, None]
                * mesh.cell_face_normals)                    # (NC, nf, dim)
     face_vals = face_table[mesh.cell_faces]                 # (NC, nf)
-    if weights.shape[1] == 4:
-        gsum = sum_opposite_first(face_vals[..., None] * weights, axis=1)
-    else:
-        gsum = np.einsum("cf,cfd->cd", face_vals, weights)
+    gsum = sum_opposite_first(face_vals[..., None] * weights, axis=1)
     return InterpolatedTest(
         phi=phi, mesh=mesh, grid=grid, tf=phi._time_factor(grid.knots),
         cell_table=cell_table, face_table=face_table,

@@ -39,10 +39,13 @@ class MeshConstructionError(ValueError):
 
 
 def sum_opposite_first(terms, axis: int):
-    """Sum over the four local faces of a quadrangle, opposite faces paired
-    first: (t0 + t2) + (t1 + t3).  Constant states cancel bitwise on
+    """Sum over the local faces of a cell along ``axis``: the two of an
+    interval, t0 + t1, and the four of a quadrangle with opposite faces
+    paired first, (t0 + t2) + (t1 + t3).  Constant states cancel bitwise on
     rectangles in this order."""
     t = np.moveaxis(terms, axis, 0)
+    if len(t) == 2:
+        return t[0] + t[1]
     return (t[0] + t[2]) + (t[1] + t[3])
 
 

@@ -2,34 +2,38 @@
 
 The consistency quantities need, per cell, the face fluxes F.n and the
 pieces on which f(U) is constant.  Colocated 1D, RT and MAC differ only in
-how they build those two objects.  ``LAYOUTS`` maps the public layout name
-(the INI key, ``FluxFamily.layout``, the ``layout`` arguments) to the
-object that states its rules.  Face values have shape (N, NF) for one
-component per face (MAC, colocated 1D) and (N, NF, 2) for RT vectors.
+how they build those two objects.  A face velocity
+(``fields.FaceField``) and a ``FluxFamily`` hold the object of their
+layout as ``.layout``; ``LAYOUTS`` maps the public layout name (the INI
+key, the ``layout`` arguments of ``sample_manufactured`` and
+``residual_flux``) to it.  Face values have shape (N, NF) + ``components``:
+(N, NF) for one component per face (MAC, colocated 1D) and (N, NF, 2) for
+RT vectors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import FaceScalarFieldMAC, FaceVectorFieldRT
 from .geometry import LOCAL_OPPOSITE, sum_opposite_first
 
 __all__ = ["Layout", "LAYOUTS", "RT", "MAC", "COLOCATED_1D", "get_layout",
-           "layout_of", "BOUNDARY_POLICIES"]
+           "BOUNDARY_POLICIES"]
 
 BOUNDARY_POLICIES = ("upwind_zero", "zero_flux", "periodic")
 
 
 class Layout:
-    """Per-layout rules.
+    """Per-layout rules, one object per layout (``RT``, ``MAC``,
+    ``COLOCATED_1D``): the fields and fluxes of a level hold it as
+    ``.layout``, and every layout-dependent step asks it.
 
     name               public key of the layout
     dim                space dimension
     staggered          the velocity lives on the faces (RT, MAC)
     pieces             constancy pieces of f(U) per (cell, local face)
     dual_builder       name of the ``fvlab.geometry`` builder of its dual
-    velocity_field     class of its face velocity field
+    components         the shape of what a face stores, () or (2,)
     boundary_policies  the boundary policies its fluxes support
     scheme_source      a transport scheme can generate its fields
 
@@ -39,16 +43,17 @@ class Layout:
     and ``velocity_jump_terms`` write their (step, cell, face[, piece])
     tables into the pass's ``quadrature.Workspace`` ("table" and "terms",
     with "a" and "b" as scratch), one face and piece at a time with the
-    cells innermost.  The normal
-    rules below suit one component per face, whose outward sign a layout
-    gives by ``_cell_signs`` (NC, nf) and ``_face_signs`` (NF,); RT
-    overrides them for its full vectors.
+    cells innermost.  ``magnitude`` is the size of a face value, which
+    ``FaceField.sup_norm`` and R2 take.  The normal rules below suit one
+    component per face, whose outward sign a layout gives by
+    ``_cell_signs`` (NC, nf) and ``_face_signs`` (NF,); RT overrides them
+    for its full vectors.
     """
 
     dim = 2
     staggered = True
     dual_builder = None
-    velocity_field = None
+    components = ()
     boundary_policies = ("upwind_zero", "zero_flux")
     scheme_source = False
 
@@ -121,7 +126,7 @@ class _RT(Layout):
     name = "rt"
     pieces = 4
     dual_builder = "build_dual_rt"
-    velocity_field = FaceVectorFieldRT
+    components = (2,)
 
     def cell_normal(self, values, mesh, dual):
         return np.einsum("ncfd,cfd->ncf", values[:, mesh.cell_faces],
@@ -163,7 +168,6 @@ class _MAC(Layout):
     name = "mac"
     pieces = 2
     dual_builder = "build_dual_mac"
-    velocity_field = FaceScalarFieldMAC
     scheme_source = True
 
     def fits(self, mesh) -> bool:
@@ -227,7 +231,7 @@ class _Colocated1D(Layout):
         return mesh.face_normals[:, 0]
 
     def flux_pieces(self, qv, vv, pair, mesh, dual, cells, work):
-        f = pair.flux(np.take(qv, cells, axis=1, mode="clip",
+        f = pair.g(np.take(qv, cells, axis=1, mode="clip",
                               out=work("a", (len(qv), cells.size))))
         out = work("table", f.shape + (2, 1))
         for k in range(2):
@@ -236,7 +240,7 @@ class _Colocated1D(Layout):
         return out
 
     def flux_cell_means(self, qv, vv, pair, mesh):
-        return pair.flux(qv)[:, :, None]
+        return pair.g(qv)[:, :, None]
 
 
 RT, MAC, COLOCATED_1D = _RT(), _MAC(), _Colocated1D()
@@ -251,10 +255,3 @@ def get_layout(name: str) -> Layout:
         raise ValueError(f"unknown layout {name!r}; choose from "
                          f"{', '.join(LAYOUTS)}") from None
 
-
-def layout_of(v) -> Layout:
-    """The staggered layout whose face velocity field `v` is."""
-    for layout in LAYOUTS.values():
-        if layout.staggered and isinstance(v, layout.velocity_field):
-            return layout
-    raise TypeError(f"not a face velocity field: {type(v).__name__}")

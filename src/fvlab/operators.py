@@ -15,14 +15,14 @@ import numpy as np
 
 from .fields import CellScalarField, CellSlabField, _same_level
 from .geometry import sum_opposite_first
-from .layouts import BOUNDARY_POLICIES, COLOCATED_1D, get_layout, layout_of
+from .layouts import COLOCATED_1D, Layout
 from .quadrature import step_values
 
 __all__ = [
     "NonlinearityPair", "get_pair", "BetaFamily", "FluxFamily",
     "dt_beta", "flux_staggered", "flux_colocated_upwind_1d",
     "assemble_convection", "flux_divergence", "flux_dot_n",
-    "telescoping_defect", "BOUNDARY_POLICIES", "FACE_SCHEMES",
+    "telescoping_defect", "FACE_SCHEMES",
 ]
 
 FACE_SCHEMES = ("centered", "upwind")
@@ -30,12 +30,11 @@ FACE_SCHEMES = ("centered", "upwind")
 
 @dataclass(frozen=True)
 class NonlinearityPair:
-    """Locally Lipschitz beta and g (and optional colocated flux f)."""
+    """Locally Lipschitz beta and g; g is also the colocated flux f."""
 
     name: str
     beta: Callable
     g: Callable
-    f: Callable | None = None
 
     def lipschitz(self, lo: float, hi: float):
         """Diagnostic Lipschitz moduli (C_beta, C_g) on [lo, hi] by the
@@ -47,10 +46,6 @@ class NonlinearityPair:
             v = np.asarray(fn(s), dtype=float)
             return float(np.abs(np.diff(v) / np.diff(s)).max())
         return modulus(self.beta), modulus(self.g)
-
-    def flux(self, s):
-        """The colocated flux f(s), g(s) when no f is given."""
-        return self.f(s) if self.f is not None else self.g(s)
 
 
 def _slogs(s):
@@ -65,12 +60,10 @@ def _slogs(s):
 
 _PAIRS = {
     "id": NonlinearityPair("id", lambda s: np.asarray(s, dtype=float),
-                           lambda s: np.asarray(s, dtype=float),
-                           f=lambda s: np.asarray(s, dtype=float)),
+                           lambda s: np.asarray(s, dtype=float)),
     "square": NonlinearityPair("square", lambda s: np.square(s),
-                               lambda s: np.square(s),
-                               f=lambda s: np.square(s)),
-    "slogs": NonlinearityPair("slogs", _slogs, _slogs, f=_slogs),
+                               lambda s: np.square(s)),
+    "slogs": NonlinearityPair("slogs", _slogs, _slogs),
 }
 
 
@@ -84,7 +77,7 @@ def get_pair(beta_name: str, g_name: str | None = None) -> NonlinearityPair:
     if g_name == beta_name:
         return _PAIRS[beta_name]
     b, g = _PAIRS[beta_name], _PAIRS[g_name]
-    return NonlinearityPair(f"{beta_name}/{g_name}", b.beta, g.g, f=g.f)
+    return NonlinearityPair(f"{beta_name}/{g_name}", b.beta, g.g)
 
 
 class BetaFamily(CellScalarField):
@@ -100,19 +93,21 @@ class FluxFamily:
     """One flux per face and time step (n = 0..N-1), single-valued, hence
     conservative by construction.
 
-    values: RT ``(N, NF, 2)`` vectors; MAC ``(N, NF)`` components along the
-    face family axis; colocated 1D ``(N, NF)`` x-components.  Boundary faces
-    are filled by the boundary policy of the flux rule that formed them.
+    ``layout`` is the ``layouts.Layout`` whose rules form F.n and its
+    sizes (that of the face velocity for the staggered fluxes), and
+    ``dual`` the level's dual mesh (None in 1D).  values: RT ``(N, NF, 2)``
+    vectors; MAC ``(N, NF)`` components along the face family axis;
+    colocated 1D ``(N, NF)`` x-components.  Boundary faces are filled by
+    the boundary policy of the flux rule that formed them.
     """
 
-    layout: str
+    layout: Layout
     mesh: object
     grid: object
     values: np.ndarray
     dual: object = None
 
     def __post_init__(self):
-        get_layout(self.layout)
         self.values = np.ascontiguousarray(self.values, dtype=float)
 
 
@@ -189,10 +184,10 @@ def flux_staggered(q, v, pair: NonlinearityPair, scheme: str = "upwind",
     step (``staggered_flux_rule``)."""
     if v.mesh is not q.mesh:
         raise ValueError("q and v live on different meshes")
-    fluxes = staggered_flux_rule(q.mesh, layout_of(v), v.dual, pair, scheme,
+    fluxes = staggered_flux_rule(q.mesh, v.layout, v.dual, pair, scheme,
                                  lam, policy)
     steps = slice(0, q.grid.n_steps)
-    return FluxFamily(layout=layout_of(v).name, mesh=q.mesh, grid=q.grid,
+    return FluxFamily(layout=v.layout, mesh=q.mesh, grid=q.grid,
                       values=fluxes(q.values[steps], v.values[steps]),
                       dual=v.dual)
 
@@ -206,7 +201,7 @@ def upwind_1d_flux_rule(mesh, policy: str = "upwind_zero"):
     """
     if mesh.dim != 1:
         raise ValueError("colocated upwind flux needs a 1D mesh")
-    if policy not in BOUNDARY_POLICIES:
+    if policy not in COLOCATED_1D.boundary_policies:
         raise ValueError(f"unknown boundary policy {policy!r}")
     # the upstream cell of each face: the cell whose right face it is.  The
     # inflow face takes the rightmost cell's value if the interval is
@@ -233,14 +228,13 @@ def flux_colocated_upwind_1d(u, policy: str = "upwind_zero") -> FluxFamily:
     """The first-order upwind flux (``upwind_1d_flux_rule``) at every
     step."""
     fluxes = upwind_1d_flux_rule(u.mesh, policy)
-    return FluxFamily(layout=COLOCATED_1D.name, mesh=u.mesh, grid=u.grid,
+    return FluxFamily(layout=COLOCATED_1D, mesh=u.mesh, grid=u.grid,
                       values=fluxes(u.values[:u.grid.n_steps]))
 
 
 def flux_dot_n(flux: FluxFamily) -> np.ndarray:
     """F_zeta^n . n_{P,zeta} per (step, cell, local face), shape (N, NC, nf)."""
-    return get_layout(flux.layout).cell_normal(flux.values, flux.mesh,
-                                               flux.dual)
+    return flux.layout.cell_normal(flux.values, flux.mesh, flux.dual)
 
 
 def flux_divergence(flux: FluxFamily) -> np.ndarray:
@@ -251,10 +245,8 @@ def flux_divergence(flux: FluxFamily) -> np.ndarray:
 def divergence(dots, mesh) -> np.ndarray:
     """sum_zeta |zeta| F . n per (step, cell) of F . n per (step, cell,
     local face); opposite faces paired first."""
-    terms = mesh.cell_face_measures[None, :, :] * dots
-    if terms.shape[2] == 4:
-        return sum_opposite_first(terms, axis=2)
-    return terms[:, :, 0] + terms[:, :, 1]
+    return sum_opposite_first(mesh.cell_face_measures[None, :, :] * dots,
+                              axis=2)
 
 
 def check_finite_flux(values, mesh, first_step: int = 0):
@@ -293,7 +285,7 @@ def telescoping_defect(flux: FluxFamily):
     mesh = flux.mesh
     total = step_values(flux_divergence(flux))
     bfaces = np.nonzero(mesh.boundary_face_mask)[0]
-    layout = get_layout(flux.layout)
+    layout = flux.layout
     bnd = layout.face_normal(flux.values, bfaces, mesh, flux.dual)
     mags = layout.magnitude(flux.values)
     boundary_sum = (mesh.face_measures[bfaces][None, :] * bnd).sum(axis=1)

@@ -21,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import CellScalarField, _knot_means, _reference_at
+from .fields import (CellScalarField, FaceField, _knot_means,
+                     _reference_at, check_finite_levels)
 # no source samples through it; bench/tracing.py rebinds the name here
 from .fields import sample_cell_means  # noqa: F401
 from .geometry import TimeGrid, build_time_grid
@@ -114,10 +115,10 @@ class LevelSource:
     def _buffers(self, rows):
         """Arrays for ``rows`` q levels and as many v levels (None without
         a face velocity)."""
-        field = self.layout.velocity_field
+        layout = self.layout
         return (np.empty((rows, self.mesh.n_cells)),
-                None if field is None
-                else np.empty((rows, self.mesh.n_faces) + field.components))
+                np.empty((rows, self.mesh.n_faces) + layout.components)
+                if layout.staggered else None)
 
     def chunks(self, slices):
         q, v = self._buffers(max(ch.stop - ch.start for ch in slices) + 1)
@@ -136,9 +137,9 @@ class LevelSource:
                                                   ch.stop + 1]):
                     row[...] = self.layout.velocity_at(self.v_exact,
                                                        self.mesh, self.dual, t)
-                _check_finite(vk[first:])
+                check_finite_levels(vk[first:])
             self._fill(ch, qk, vk, first)
-            _check_finite(qk[first:])
+            check_finite_levels(qk[first:])
             yield qk, vk
             last = size - 1
 
@@ -151,15 +152,9 @@ class LevelSource:
             q[ch.start:ch.stop + 1] = qk
             if v is not None:
                 v[ch.start:ch.stop + 1] = vk
-        field = self.layout.velocity_field
         return (CellScalarField(self.mesh, self.grid, q),
-                None if v is None else field(self.mesh, self.grid, self.dual,
-                                             v))
-
-
-def _check_finite(levels):
-    if not np.all(np.isfinite(levels)):
-        raise ValueError("non-finite field values")
+                None if v is None else FaceField(self.layout, self.mesh,
+                                                 self.grid, self.dual, v))
 
 
 class ManufacturedLevels(LevelSource):

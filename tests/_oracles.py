@@ -116,7 +116,7 @@ def brute_force_flux_residual(flux, q, v, pair, mesh, grid, layout, dual):
                         piece = gq * (v.values[ni, fp] * dual.cell_face_delta[c, k])
                         meas = 0.5 * mesh.cell_volumes[c]
                     else:
-                        fq = pair.f(q.values[ni, c])
+                        fq = pair.g(q.values[ni, c])
                         piece = fq * mesh.cell_face_normals[c, k, 0]
                         meas = mesh.cell_volumes[c]
                     t = dt * coef
@@ -423,7 +423,7 @@ def weak_rhs_whole(pair, q_exact, v_exact, phi, order=ORACLE_ORDER,
         time = pair.beta(qb) * on_box.dt(t_axis).ravel()
         grad = on_box.grad(t_axis).reshape(-1, dim)
         if v_exact is None:
-            space = pair.flux(qb) * grad[:, 0]
+            space = pair.g(qb) * grad[:, 0]
         else:
             vv = np.asarray(_reference_at(v_exact, x, times),
                             dtype=float).reshape(-1, dim)
@@ -543,7 +543,7 @@ def march_by_steps(source):
     config = source.config
     n = grid.n_steps
     v = None
-    if layout.velocity_field is not None:
+    if layout.staggered:
         v = np.stack([layout.velocity_at(config.velocity, mesh, dual, t)
                       for t in grid.knots])
     dt = float(grid.steps[0])
@@ -571,7 +571,7 @@ def march_by_steps(source):
 def flux_pieces_broadcast(layout, qv, vv, pair, mesh, dual):
     """f(U).n_{P,zeta} on each piece of every cell, (N, NC, nf, pieces)."""
     if layout.name == "colocated1d":
-        return (pair.flux(qv)[:, :, None, None]
+        return (pair.g(qv)[:, :, None, None]
                 * mesh.cell_face_normals[None, :, :, 0:1])
     vcf = vv[:, mesh.cell_faces]
     if layout.name == "rt":

@@ -6,8 +6,8 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from fvlab import geometry
-from fvlab.fields import (TIME_PROFILES, CellScalarField, FaceScalarFieldMAC,
-                          FaceVectorFieldRT, TestFunction)
+from fvlab.fields import (TIME_PROFILES, CellScalarField, FaceField,
+                          TestFunction)
 from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
                             build_intervals, build_perturbed_quads,
                             build_time_grid)
@@ -111,9 +111,9 @@ def flux_levels(draw, min_cells=1):
     if layout == "colocated1d":
         return layout, None, pair, q, None, flux_colocated_upwind_1d(q)
     dual = build_dual_mac(mesh) if layout == "mac" else build_dual_rt(mesh)
-    field = FaceScalarFieldMAC if layout == "mac" else FaceVectorFieldRT
-    v = field(mesh, grid, dual, rng.normal(
-        size=(grid.n_steps + 1, mesh.n_faces) + field.components))
+    rules = get_layout(layout)
+    v = FaceField(rules, mesh, grid, dual, rng.normal(
+        size=(grid.n_steps + 1, mesh.n_faces) + rules.components))
     flux = flux_staggered(q, v, pair,
                           scheme=draw(st.sampled_from(FACE_SCHEMES)))
     return layout, dual, pair, q, v, flux
@@ -147,8 +147,8 @@ def constant_levels(draw):
                            draw(st.floats(-2.0, 2.0))], (mesh.n_faces, 2))
     if rules is MAC:
         vel = MAC.face_components(vel, mesh, dual)
-    v = rules.velocity_field(mesh, grid, dual,
-                             np.broadcast_to(vel, (levels,) + vel.shape))
+    v = FaceField(rules, mesh, grid, dual,
+                  np.broadcast_to(vel, (levels,) + vel.shape))
     flux = flux_staggered(q, v, pair, policy=policy,
                           scheme=draw(st.sampled_from(FACE_SCHEMES)))
     return layout, pair, q, v, flux, phi

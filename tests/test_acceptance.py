@@ -14,14 +14,14 @@ from fvlab.cli import main
 from fvlab.consistency import (compute_X1, compute_X2, jump_sums,
                                residual_flux, residual_flux_terms,
                                residual_init, residual_time, weak_lhs)
-from fvlab.fields import (CellScalarField, FaceScalarFieldMAC,
-                          FaceVectorFieldRT, TestFunction,
+from fvlab.fields import (CellScalarField, FaceField, TestFunction,
                           default_translate_weights, generalize_weights,
                           interpolate_test, lp_distance, translate_functional,
                           translate_functional_general)
 from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
                             build_intervals, build_perturbed_quads,
                             build_time_grid)
+from fvlab.layouts import MAC, RT
 from fvlab.operators import (BetaFamily, assemble_convection,
                              flux_staggered, get_pair, telescoping_defect)
 from fvlab.quadrature import CellQuadrature
@@ -188,11 +188,11 @@ def test_criterion_06_flux_residual_oracle_bitwise():
         pair = get_pair("square")
         q = CellScalarField(mesh, grid, rng.normal(size=(4, 16)))
         if layout == "mac":
-            v = FaceScalarFieldMAC(mesh, grid, dual,
-                                   rng.normal(size=(4, mesh.n_faces)))
+            v = FaceField(MAC, mesh, grid, dual,
+                          rng.normal(size=(4, mesh.n_faces)))
         else:
-            v = FaceVectorFieldRT(mesh, grid, dual,
-                                  rng.normal(size=(4, mesh.n_faces, 2)))
+            v = FaceField(RT, mesh, grid, dual,
+                          rng.normal(size=(4, mesh.n_faces, 2)))
         flux = flux_staggered(q, v, pair, scheme="centered")
         table = residual_flux_terms(flux, q, v, pair, mesh, grid, layout, dual)
         oracle = brute_force_flux_residual(flux, q, v, pair, mesh, grid,

@@ -12,8 +12,7 @@ from fvlab.consistency import (RouteMismatchError, compute_X1, compute_X2,
                                residual_flux, residual_flux_terms,
                                residual_init, residual_time, weak_form_gap,
                                weak_lhs, weak_rhs)
-from fvlab.fields import (TIME_PROFILES, CellScalarField,
-                          FaceScalarFieldMAC, FaceVectorFieldRT,
+from fvlab.fields import (TIME_PROFILES, CellScalarField, FaceField,
                           InterpolatedTest, Reference,
                           SupportError, TestFunction,
                           default_translate_weights, interpolate_test,
@@ -26,7 +25,7 @@ from fvlab.operators import (BetaFamily, FluxFamily, assemble_convection,
                              get_pair, staggered_flux_rule,
                              telescoping_defect, upwind_1d_flux_rule)
 from fvlab.quadrature import BoxQuadrature, Workspace
-from fvlab.layouts import MAC, get_layout
+from fvlab.layouts import MAC, RT, get_layout
 from fvlab.schemes import (CFLError, ManufacturedLevels, SchemeConfig,
                            mass_mac_levels, run_mass_mac, sample_manufactured,
                            upwind_1d_levels)
@@ -439,12 +438,11 @@ def test_residual_flux_bitwise_matches_enumeration(layout):
     pair = get_pair("square")
     q = CellScalarField(mesh, grid, rng.normal(size=(4, 16)))
     if layout == "mac":
-        v = FaceScalarFieldMAC(mesh, grid, dual,
-                               rng.normal(size=(4, mesh.n_faces)))
+        v = FaceField(MAC, mesh, grid, dual,
+                      rng.normal(size=(4, mesh.n_faces)))
     else:
-        from fvlab.fields import FaceVectorFieldRT
-        v = FaceVectorFieldRT(mesh, grid, dual,
-                              rng.normal(size=(4, mesh.n_faces, 2)))
+        v = FaceField(RT, mesh, grid, dual,
+                      rng.normal(size=(4, mesh.n_faces, 2)))
     flux = flux_staggered(q, v, pair, scheme="centered")
     table = residual_flux_terms(flux, q, v, pair, mesh, grid, layout, dual)
     oracle = brute_force_flux_residual(flux, q, v, pair, mesh, grid, layout, dual)
@@ -644,7 +642,7 @@ def test_streamed_pass_raises_the_missing_flux_of_the_whole_level():
         return values
 
     q, v = sample_manufactured(qf, vf, "mac", mesh, dual, grid)
-    flux = FluxFamily("mac", mesh, grid, fluxes(q.values[:-1], v.values[:-1]),
+    flux = FluxFamily(MAC, mesh, grid, fluxes(q.values[:-1], v.values[:-1]),
                       dual)
     with pytest.raises(ValueError) as whole:
         assemble_convection(BetaFamily.from_field(q, pair), flux)
@@ -694,7 +692,7 @@ def test_level_fields_reject_non_finite_values():
     with pytest.raises(ValueError, match="^non-finite field values$"):
         CellScalarField(mesh, grid, q)
     with pytest.raises(ValueError, match="^non-finite field values$"):
-        FaceScalarFieldMAC(mesh, grid, dual, v)
+        FaceField(MAC, mesh, grid, dual, v)
 
 
 # ---------------------------------------------------------------- constant states
@@ -1036,7 +1034,7 @@ def test_r1_guard_fires_on_one_dropped_face_pairing():
     view = _MeshView(mesh, interior_face_mask=mask)
     with pytest.raises(RouteMismatchError, match="R1"):
         jump_sums(CellScalarField(view, grid, q.values),
-                  FaceScalarFieldMAC(view, grid, dual, v.values))
+                  FaceField(MAC, view, grid, dual, v.values))
 
 
 def test_a_flipped_cell_normal_makes_the_flux_checks_fail():
@@ -1061,8 +1059,8 @@ def test_a_flipped_cell_normal_makes_the_flux_checks_fail():
     normals[centre] *= -1.0
     view = _MeshView(mesh, cell_face_normals=normals)
     q_view = CellScalarField(view, grid, q.values)
-    v_view = FaceVectorFieldRT(view, grid, dual, v.values)
-    flux_view = FluxFamily("rt", view, grid, flux.values, dual)
+    v_view = FaceField(RT, view, grid, dual, v.values)
+    flux_view = FluxFamily(RT, view, grid, flux.values, dual)
     defect, scale = telescoping_defect(flux_view)
     assert np.any(defect > 1e-12 * scale)
     with pytest.raises(RouteMismatchError, match="X2"):
@@ -1121,7 +1119,7 @@ def test_weak_rhs_equals_pointwise_evaluation(solution, beta, closure):
         x, t = pts[:, :dim], pts[:, dim]
         grad = separable_phi(phi, x, t, "grad")
         if v_exact is None:
-            return pair.flux(q_exact(x, t)) * grad[:, 0]
+            return pair.g(q_exact(x, t)) * grad[:, 0]
         return pair.g(q_exact(x, t)) * np.einsum("nd,nd->n", v_exact(x, t),
                                                  grad)
 

@@ -3,8 +3,7 @@ import pytest
 
 from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
                             build_intervals, build_time_grid)
-from fvlab.layouts import LAYOUTS, get_layout, layout_of
-from fvlab.operators import FluxFamily
+from fvlab.layouts import LAYOUTS, get_layout
 from fvlab.schemes import sample_manufactured
 
 
@@ -14,12 +13,6 @@ def test_registry_and_the_one_unknown_layout_error():
         assert get_layout(name) is layout and layout.name == name
     with pytest.raises(ValueError, match="unknown layout 'hex'"):
         get_layout("hex")
-    mesh = build_cartesian(2, 2)
-    with pytest.raises(ValueError, match="unknown layout 'hex'"):
-        FluxFamily("hex", mesh, build_time_grid(1.0, 1),
-                   np.zeros((1, mesh.n_faces)))
-    with pytest.raises(TypeError):
-        layout_of(np.zeros(3))
 
 
 @pytest.mark.parametrize("name", ["rt", "mac", "colocated1d"])
@@ -39,7 +32,7 @@ def test_cell_and_face_normal_rules_agree(name):
             lambda x, t: np.stack([np.sin(3 * x[:, 0] + t), x[:, 1] - t], -1),
             name, mesh, dual, grid)
         values = v.values
-        assert layout_of(v) is layout
+        assert v.layout is layout
     per_cell = layout.cell_normal(values, mesh, dual)
     per_face = layout.face_normal(values, np.arange(mesh.n_faces), mesh, dual)
     for c in range(mesh.n_cells):

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from _oracles import face_value, local_face_index
 from _strategies import graded_meshes, perturbed_meshes, time_grids
-from fvlab.fields import CellScalarField, FaceScalarFieldMAC, FaceVectorFieldRT
+from fvlab.fields import CellScalarField, FaceField
 from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
                             build_intervals, build_time_grid)
-from fvlab.layouts import get_layout
+from fvlab.layouts import MAC, RT, get_layout
 from fvlab.operators import (FACE_SCHEMES, BetaFamily, assemble_convection,
                              dt_beta, flux_colocated_upwind_1d,
                              flux_divergence, flux_staggered, get_pair,
@@ -126,9 +126,9 @@ def test_flux_staggered_matches_face_value_oracle(layout, scheme, lam):
         # tie rule shows
         tangent = mesh.face_normals[::5, ::-1] * np.array([-1.0, 1.0])
         vel[:, ::5] = rng.normal(size=(4, tangent.shape[0], 1)) * tangent
-        v = FaceVectorFieldRT(mesh, grid, build_dual_rt(mesh), vel)
+        v = FaceField(RT, mesh, grid, build_dual_rt(mesh), vel)
     else:
-        v = FaceScalarFieldMAC(mesh, grid, build_dual_mac(mesh), vel)
+        v = FaceField(MAC, mesh, grid, build_dual_mac(mesh), vel)
     pair = get_pair("square")
     flux = flux_staggered(q, v, pair, scheme=scheme, lam=lam)
     for f in np.nonzero(mesh.interior_face_mask)[0]:
@@ -178,7 +178,7 @@ def test_mac_centered_flux_hand_loop():
            if dual.face_family[f] == 0]
     for f in mid:
         vvals[:, f] = 1.0
-    v = FaceScalarFieldMAC(mesh, grid, dual, vvals)
+    v = FaceField(MAC, mesh, grid, dual, vvals)
     flux = flux_staggered(q, v, get_pair("id"), scheme="centered")
     # oracle: direct loop over those faces
     for f in mid:
@@ -247,7 +247,7 @@ def test_staggered_flux_carries_the_velocity_dual(layout):
     mesh, grid, dual, q, v = constant_setup(layout=layout)
     flux = flux_staggered(q, v, get_pair("id"))
     assert v.dual is dual and flux.dual is dual
-    assert flux.layout == layout
+    assert flux.layout is v.layout is get_layout(layout)
 
 
 # ---------------------------------------------------------------- assembly
