@@ -277,7 +277,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # validate bounds every level's size but a MAC scheme's steps
+        # validate bounds each level's size from below only
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,7 @@ function is piecewise constant, taking the level-n value on the slab
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -191,6 +192,19 @@ class TestFunction:
                                  f"lo < hi, got ({a}, {b})")
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
+        # the range of the time bump, and each bump's scale 2/(b - a)
+        self.time_range = ((0.0 if time_profile == "interior" else -self.t_max),
+                           self.t_max)
+        for a, b in self.support:
+            if not math.isfinite(2.0 / (b - a)):
+                raise ValueError(f"test-function support bounds ({a}, {b}) "
+                                 f"give the bump a scale 2/(b - a) that is "
+                                 f"not finite")
+        a, b = self.time_range
+        if not math.isfinite(2.0 / (b - a)):
+            raise ValueError(f"t_max = {self.t_max!r} gives the time bump on "
+                             f"({a}, {b}) a scale 2/(b - a) that is not "
+                             f"finite")
 
     def validate_against(self, domain, final_time):
         for (a, b), (lo, hi) in zip(self.support, domain):
@@ -204,9 +218,9 @@ class TestFunction:
     def _time_factor(self, t, derivative=False):
         """The time bump, or its derivative, at the times t."""
         t = np.asarray(t, dtype=float)
+        out = _bump(t, *self.time_range, derivative)
         if self.time_profile == "interior":
-            return _bump(t, 0.0, self.t_max, derivative)
-        out = _bump(t, -self.t_max, self.t_max, derivative)
+            return out
         return np.where(t >= 0.0, out, 0.0)
 
     def _bumps(self, coords, derivative=False):

@@ -379,17 +379,24 @@ class MeshRegularity:
 # builders
 
 def _graded_nodes(a: float, b: float, n: int, ratio: float):
-    """n+1 nodes on [a, b]; consecutive step ratio = `ratio` (1 -> uniform)."""
+    """n+1 nodes on [a, b]; consecutive step ratio = `ratio` (1 -> uniform).
+    A ratio whose steps overflow or vanish beside the others raises, as the
+    nodes must be finite and strictly increasing."""
     if ratio <= 0:
         raise MeshConstructionError(f"grading ratio must be > 0, got {ratio}")
     if ratio == 1.0:
         return np.linspace(a, b, n + 1)
-    steps = ratio ** np.arange(n)
-    nodes = np.concatenate([[0.0], np.cumsum(steps)])
-    nodes *= (b - a) / nodes[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = ratio ** np.arange(n)
+        nodes = np.concatenate([[0.0], np.cumsum(steps)])
+        nodes *= (b - a) / nodes[-1]
     nodes += a
     nodes[0] = a
     nodes[-1] = b
+    if not (np.all(np.isfinite(nodes)) and np.all(np.diff(nodes) > 0)):
+        raise MeshConstructionError(
+            f"grading ratio {ratio!r} gives {n} cells on [{a}, {b}] whose "
+            f"nodes are not finite and strictly increasing")
     return nodes
 
 
@@ -562,9 +569,14 @@ def build_time_grid(T: float, N: int, pattern: str = "uniform",
         if ratio <= 0:
             raise ValueError(f"ratio must be > 0, got {ratio}")
         steps = np.where(np.arange(N) % 2 == 0, 1.0, ratio)
-        knots = np.concatenate([[0.0], np.cumsum(steps)])
-        knots *= T / knots[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            knots = np.concatenate([[0.0], np.cumsum(steps)])
+            knots *= T / knots[-1]
         knots[-1] = T
+        if not (np.all(np.isfinite(knots)) and np.all(np.diff(knots) > 0)):
+            raise ValueError(f"ratio {ratio!r} gives {N} alternating steps "
+                             f"on [0, {T}] whose knots are not finite and "
+                             f"strictly increasing")
     else:
         raise ValueError(f"unknown time pattern {pattern!r}")
     return TimeGrid(knots)

@@ -34,7 +34,8 @@ from .quadrature import (DEFAULT_ORDER, CellQuadrature, Workspace,
 
 __all__ = ["SchemeConfig", "MassLedger", "LevelSource", "ManufacturedLevels",
            "SchemeLevels", "upwind_1d_levels", "mass_mac_levels",
-           "run_upwind_1d", "run_mass_mac", "sample_manufactured", "CFLError"]
+           "mass_mac_dt", "run_upwind_1d", "run_mass_mac",
+           "sample_manufactured", "CFLError"]
 
 
 class CFLError(RuntimeError):
@@ -266,25 +267,34 @@ def mass_mac_levels(mesh, dual, config: SchemeConfig) -> SchemeLevels:
     dt is chosen from v at t = 0, and every step is checked against the
     CFL bound of its own v^n.
     """
-    if config.velocity is None:
-        raise ValueError("run_mass_mac needs a closed-form velocity")
-    vols = mesh.cell_volumes
-    areas = mesh.cell_face_measures
-    delta = dual.cell_face_delta
-
-    def dt_bound(vn):
-        """Largest stable dt for face velocities vn (at CFL 1)."""
-        outflow = (areas * np.maximum(vn[mesh.cell_faces] * delta, 0.0)).sum(axis=1)
-        with np.errstate(divide="ignore"):
-            return float(np.min(np.where(outflow > 0, vols / outflow, np.inf)))
-
-    bound = dt_bound(MAC.velocity_at(config.velocity, mesh, dual, 0.0))
-    if not np.isfinite(bound):
-        bound = config.T
-    grid = _uniform_grid_for(config.T, config.cfl * bound)
+    grid = _uniform_grid_for(config.T, mass_mac_dt(mesh, dual, config))
     fluxes = staggered_flux_rule(mesh, MAC, dual, get_pair("id"),
                                  policy=config.boundary_policy)
-    return SchemeLevels(MAC, mesh, dual, grid, config, fluxes, dt_bound)
+    return SchemeLevels(MAC, mesh, dual, grid, config, fluxes,
+                        lambda vn: _mac_dt_bound(vn, mesh, dual))
+
+
+def _mac_dt_bound(vn, mesh, dual) -> float:
+    """The largest stable dt (at CFL 1) of the MAC face velocities vn; inf
+    when no face has outflow."""
+    outflow = (mesh.cell_face_measures * np.maximum(
+        vn[mesh.cell_faces] * dual.cell_face_delta, 0.0)).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        return float(np.min(np.where(outflow > 0,
+                                     mesh.cell_volumes / outflow, np.inf)))
+
+
+def mass_mac_dt(mesh, dual, config: SchemeConfig) -> float:
+    """The step bound cfl dt_0 of ``mass_mac_levels``, which takes T over
+    it steps, rounded up: dt_0 is the largest stable dt of v at t = 0, or T
+    when v has no outflow."""
+    if config.velocity is None:
+        raise ValueError("run_mass_mac needs a closed-form velocity")
+    bound = _mac_dt_bound(MAC.velocity_at(config.velocity, mesh, dual, 0.0),
+                          mesh, dual)
+    if not np.isfinite(bound):
+        bound = config.T
+    return config.cfl * bound
 
 
 def run_mass_mac(mesh, dual, config: SchemeConfig):

@@ -24,17 +24,17 @@ from .fields import (TIME_PROFILES, Reference, TestFunction, _bump,
                      default_translate_weights, interpolate_test)
 # build_dual_mac and build_dual_rt are called by their names in this module
 # (see build_level), so rebinding fvlab.study.build_dual_* reaches the call
-from .geometry import (TIME_PATTERNS, _cartesian_vertices,
-                       build_cartesian, build_dual_mac, build_dual_rt,
-                       build_intervals, build_perturbed_quads, build_tensor,
-                       build_time_grid, check_perturbation, regularity,
-                       subdivide_nodes)
+from .geometry import (TIME_PATTERNS, MeshConstructionError,
+                       _cartesian_vertices, build_cartesian, build_dual_mac,
+                       build_dual_rt, build_intervals, build_perturbed_quads,
+                       build_tensor, build_time_grid, check_perturbation,
+                       regularity, subdivide_nodes)
 from .layouts import MAC, get_layout
 from .operators import (FACE_SCHEMES, check_lambda, get_pair,
                         staggered_flux_rule, upwind_1d_flux_rule)
 from .quadrature import Workspace, check_rule
-from .schemes import (ManufacturedLevels, SchemeConfig, mass_mac_levels,
-                      upwind_1d_levels)
+from .schemes import (ManufacturedLevels, SchemeConfig, mass_mac_dt,
+                      mass_mac_levels, upwind_1d_levels)
 
 # the whole-level stages, each the walk of level_pass with its one term
 # over held fields, are not called here; they stay importable from this
@@ -205,6 +205,13 @@ class StudyConfig:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValueError(f"domain bounds {axis}0 < {axis}1 must be "
                                  f"finite, got ({lo!r}, {hi!r})")
+        # the mesh measures the box by its squared diagonal
+        widths = [float(hi) - float(lo) for lo, hi in self.domain]
+        if not math.isfinite(sum(w * w for w in widths)):
+            keys = ", ".join(f"{axis}0, {axis}1"
+                             for axis, _ in zip("xy", self.domain))
+            raise ValueError(f"domain bounds {keys} give a squared diagonal "
+                             f"that is not finite")
         layout = get_layout(self.layout)
         _check_choice("field source", self.field_source, FIELD_SOURCES)
         if self.field_source == "scheme" and not layout.scheme_source:
@@ -244,42 +251,68 @@ class StudyConfig:
             SchemeConfig(None, self.T, self.cfl)
         self.test_function().validate_against(self.domain, self.T)
         self._check_size(layout)
+        if self.grading != 1.0 and self.mesh_family in ("graded", "interval"):
+            # graded nodes that overflow or collapse, and cells too thin to
+            # have an area: the finer 2D levels subdivide level 0's nodes,
+            # while each 1D level grades its own, the finest the most
+            self._level_mesh(0 if layout.dim == 2 else self.levels - 1)
+        if self.time_pattern == "alternating":
+            # knots that overflow or collapse (build_time_grid)
+            for level in range(self.levels):
+                self.manufactured_grid(self.level_width(level))
+
+    def _level_mesh(self, level: int):
+        """The mesh and dual of a level (``build_level``), whose size has
+        passed ``_check_size``: a grading that leaves it no valid mesh is
+        named."""
+        try:
+            return build_level(self, level)[:2]
+        except MeshConstructionError as exc:
+            raise ValueError(f"grading = {self.grading!r} leaves level "
+                             f"{level} no valid mesh: {exc}") from None
 
     def _check_size(self, layout):
-        """Reject a level whose step count is not finite, or whose time
-        grid, cell vector or whole q (held for the next level on tensor
-        meshes) takes more than physical memory at 8 bytes a value.  A 1D
-        scheme steps at most cfl * h apart, h the mean cell width; a MAC
-        scheme's steps follow v, so they are not bounded here."""
+        """Reject a level whose cell vector, time grid or whole q (held for
+        the next level on tensor meshes) takes more than physical memory at
+        8 bytes a value, or whose step count is not finite.  A 1D scheme
+        steps at most cfl * h apart, h the mean cell width; a MAC scheme's
+        steps follow v, and level 0's count (``schemes.mass_mac_dt``),
+        which finer levels only raise, bounds each level's from below."""
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         # shifted quadrangles have no tensor structure, so no whole q
         tensor = self.mesh_family != "perturbed" or self.amplitude == 0
         manufactured = self.field_source == "manufactured"
         keys = "T and " + ("dt_over_h" if manufactured else "cfl")
+
+        def fits(values, what):
+            if 8 * values > memory:
+                raise ValueError(f"{what}: {8 * values / 2 ** 30:.3g} GiB, "
+                                 f"more than the {memory / 2 ** 30:.3g} GiB "
+                                 f"of physical memory")
+
         for level in range(self.levels):
+            cells = self.nx0 * 2 ** level * (
+                1 if layout.dim == 1 else self.ny0 * 2 ** level)
+            fits(cells, f"levels = {self.levels}: level {level} has {cells} "
+                        f"cells, a cell vector")
             h = self.level_width(level)
             if manufactured:
                 n = self.manufactured_steps(h)
-            else:
-                n = self.T / (self.cfl * h) if layout.dim == 1 else 1.0
+            elif layout.dim == 1:
+                n = self.T / (self.cfl * h)
+            elif level == 0:
+                # a MAC scheme; the finer levels keep this count as a bound
+                n = self.T / mass_mac_dt(*self._level_mesh(0), SchemeConfig(
+                    None, self.T, self.cfl,
+                    velocity=manufactured_solution(self.solution)["v"]))
             if not math.isfinite(n):
                 raise ValueError(f"{keys} give level {level} a step count "
                                  f"of {n}, not finite")
-            cells = self.nx0 * 2 ** level * (
-                1 if layout.dim == 1 else self.ny0 * 2 ** level)
-            sizes = [(n + 1, f"{keys} give level {level} {n:.4g} time "
-                             f"steps, a time grid"),
-                     (cells, f"levels = {self.levels}: level {level} has "
-                             f"{cells} cells, a cell vector")]
+            fits(n + 1, f"{keys} give level {level} {n:.4g} time steps, a "
+                        f"time grid")
             if tensor and level < self.levels - 1:
-                sizes.append(((n + 1) * cells, f"levels = {self.levels}: "
-                              f"level {level} holds its q whole"))
-            for values, what in sizes:
-                if 8 * values > memory:
-                    raise ValueError(f"{what}: {8 * values / 2 ** 30:.3g} "
-                                     f"GiB, more than the "
-                                     f"{memory / 2 ** 30:.3g} GiB of "
-                                     f"physical memory")
+                fits((n + 1) * cells, f"levels = {self.levels}: level {level} "
+                                      f"holds its q whole")
 
     def level_width(self, level: int) -> float:
         """The reference cell width h of a level along the first axis."""

@@ -264,6 +264,26 @@ def test_bad_config_exit_2(tmp_path, capsys):
          "T and cfl give level 0 a step count of inf, not finite"),
         (BASE_CONFIG, SCHEME_1D.replace("cfl = 0.5", "cfl = 1e-300"),
          "T and cfl give level 0 2e+300 time steps, a time grid: "),
+        # a MAC scheme's steps follow v at t = 0 on level 0's mesh
+        ("layout = mac", "layout = mac\nfield_source = scheme\ncfl = 1e-300",
+         "T and cfl give level 0 3e+300 time steps, a time grid: "),
+        # values whose arithmetic overflows or collapses
+        ("family = uniform", "family = graded\ngrading = 1e308",
+         "grading = 1e+308 leaves level 0 no valid mesh: grading ratio "
+         "1e+308 gives 4 cells on [0.0, 1.0] whose nodes are not finite"),
+        ("family = uniform\nnx = 4\nny = 4",
+         "family = graded\ngrading = 1e30\nnx = 8\nny = 8",
+         "grading = 1e+30 leaves level 0 no valid mesh: cell 0 is not "
+         "counter-clockwise or degenerate"),
+        ("T = 0.5", "T = 0.5\npattern = alternating\nratio = 1e308",
+         "ratio 1e+308 gives 4 alternating steps on [0, 0.5] whose knots "
+         "are not finite and strictly increasing"),
+        ("ny = 4", "ny = 4\nx1 = 1e308",
+         "domain bounds x0, x1, y0, y1 give a squared diagonal that is not "
+         "finite"),
+        ("t_max_factor = 0.7", "t_max_factor = 1e-308",
+         "t_max = 5e-309 gives the time bump on (-5e-309, 5e-309) a scale "
+         "2/(b - a) that is not finite"),
     ]
     for k, case in enumerate(bad_inputs):
         if len(case) == 2:
@@ -286,8 +306,8 @@ def test_bad_config_exit_2(tmp_path, capsys):
 
 
 def test_memory_error_exit_2(tmp_path, capsys, monkeypatch):
-    # a MAC scheme's step count follows v, so validate cannot bound it:
-    # running out of memory later is an error line, not a traceback
+    # validate bounds each level's size from below only: running out of
+    # memory later is an error line, not a traceback
     def run_study(cfg):
         raise MemoryError("Unable to allocate 8.01 GiB")
 

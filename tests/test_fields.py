@@ -11,16 +11,55 @@ from _oracles import (CLOSED_FORMS, assert_bitwise, bump_masked,
                       materialise, separable_phi)
 from _strategies import (graded_meshes, interval_meshes, perturbed_meshes,
                          support_boxes, time_grids)
-from fvlab.fields import (TIME_PROFILES, Reference, SupportError,
-                          TestFunction, _bump, interpolate_test, lp_distance,
-                          sample_cell_means)
-from fvlab.geometry import build_cartesian, build_time_grid
+from fvlab.fields import (TIME_PROFILES, CellScalarField, FaceField,
+                          Reference, SupportError, TestFunction, _bump,
+                          interpolate_test, lp_distance, sample_cell_means)
+from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
+                            build_time_grid)
+from fvlab.layouts import MAC, RT
 from fvlab.quadrature import CellQuadrature, gauss_legendre
 from fvlab.study import manufactured_solution
 
 
 def bump2d(t_profile="initial"):
     return TestFunction(((0.2, 0.8), (0.2, 0.8)), 0.8, time_profile=t_profile)
+
+
+# ---------------------------------------------------------------- level fields
+
+def _level_fields():
+    """A cell field and an RT and a MAC face velocity on one 3x2 level of 2
+    steps, each with its largest value at level N."""
+    mesh, grid = build_cartesian(3, 2), build_time_grid(1.0, 2)
+    rng = np.random.default_rng(7)
+    q = rng.uniform(-1.0, 1.0, size=(3, mesh.n_cells))
+    rt = rng.uniform(-1.0, 1.0, size=(3, mesh.n_faces, 2))
+    mac = rng.uniform(-1.0, 1.0, size=(3, mesh.n_faces))
+    q[2, 4], rt[2, 5], mac[2, 1] = -9.0, (6.0, -8.0), 9.0
+    return mesh, grid, q, rt, mac
+
+
+def test_sup_norms_skip_level_n_and_take_the_layouts_magnitude():
+    # the space-time function takes the levels 0..N-1 only, so the large
+    # values of level N do not count; RT's size is the Euclidean norm
+    mesh, grid, q, rt, mac = _level_fields()
+    rt[1, 3] = (3.0, -4.0)
+    cells = CellScalarField(mesh, grid, q)
+    rt_field = FaceField(RT, mesh, grid, build_dual_rt(mesh), rt)
+    mac_field = FaceField(MAC, mesh, grid, build_dual_mac(mesh), mac)
+    assert cells.sup_norm() == np.abs(q[:2]).max() < 9.0
+    assert rt_field.sup_norm() == 5.0
+    assert rt_field.sup_norm() == np.sqrt((rt[:2] ** 2).sum(-1)).max()
+    assert mac_field.sup_norm() == np.abs(mac[:2]).max() < 9.0
+    assert rt_field.layout is RT and mac_field.layout is MAC
+
+
+def test_face_fields_reject_the_other_layouts_shape():
+    mesh, grid, _, rt, mac = _level_fields()
+    with pytest.raises(ValueError, match="expected shape"):
+        FaceField(MAC, mesh, grid, build_dual_mac(mesh), rt)
+    with pytest.raises(ValueError, match="expected shape"):
+        FaceField(RT, mesh, grid, build_dual_rt(mesh), mac)
 
 
 # ---------------------------------------------------------------- TestFunction

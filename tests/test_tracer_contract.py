@@ -11,6 +11,14 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
+from fvlab.consistency import residual_flux
+from fvlab.geometry import build_cartesian, build_dual_mac, build_time_grid
+from fvlab.layouts import MAC
+from fvlab.operators import flux_staggered, get_pair
+from fvlab.schemes import sample_manufactured
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
@@ -43,3 +51,18 @@ def test_the_flux_table_counter_reads_mesh_grid_and_layout_by_position():
     params = list(inspect.signature(residual_flux).parameters.values())
     assert [p.name for p in params[4:7]] == ["mesh", "grid", "layout"]
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params[:7])
+
+
+def test_the_flux_table_counter_sizes_a_real_residual_flux_call():
+    # argument 6 of residual_flux stays the layout's name: the tracer
+    # looks its piece count up by it
+    mesh, grid = build_cartesian(4, 4), build_time_grid(0.5, 3)
+    dual, pair = build_dual_mac(mesh), get_pair("square")
+    q, v = sample_manufactured(
+        lambda x, t: 1.0 + x[:, 0] * x[:, 1] * t,
+        lambda x, t: np.stack([1.0 + 0.0 * x[:, 0], -x[:, 0]], axis=-1),
+        "mac", mesh, dual, grid)
+    args = (flux_staggered(q, v, pair), q, v, pair, mesh, grid, "mac", dual)
+    counts = _tracing()._flux_table(args, {}, residual_flux(*args))
+    size = grid.n_steps * mesh.n_cells * 4 * MAC.pieces * 8
+    assert counts == {"consistency.flux_table_mb": size / 2 ** 20}
