@@ -205,7 +205,7 @@ class StudyConfig:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValueError(f"domain bounds {axis}0 < {axis}1 must be "
                                  f"finite, got ({lo!r}, {hi!r})")
-        # the mesh measures the box by its squared diagonal
+        # cell diameters square lengths up to the box's diagonal
         widths = [float(hi) - float(lo) for lo, hi in self.domain]
         if not math.isfinite(sum(w * w for w in widths)):
             keys = ", ".join(f"{axis}0, {axis}1"
