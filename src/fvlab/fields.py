@@ -192,19 +192,18 @@ class TestFunction:
                                  f"lo < hi, got ({a}, {b})")
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
-        # the range of the time bump, and each bump's scale 2/(b - a)
         self.time_range = ((0.0 if time_profile == "interior" else -self.t_max),
                            self.t_max)
-        for a, b in self.support:
+        for what, (a, b) in self._bump_ranges():
             if not math.isfinite(2.0 / (b - a)):
-                raise ValueError(f"test-function support bounds ({a}, {b}) "
-                                 f"give the bump a scale 2/(b - a) that is "
-                                 f"not finite")
-        a, b = self.time_range
-        if not math.isfinite(2.0 / (b - a)):
-            raise ValueError(f"t_max = {self.t_max!r} gives the time bump on "
-                             f"({a}, {b}) a scale 2/(b - a) that is not "
-                             f"finite")
+                raise ValueError(f"{what}: the bump on ({a}, {b}) has a "
+                                 f"scale 2/(b - a) that is not finite")
+
+    def _bump_ranges(self):
+        """Each bump's range (a, b) with what sets it: the support
+        intervals, then the time range."""
+        return ([("test-function support bounds", ab) for ab in self.support]
+                + [(f"t_max = {self.t_max!r}", self.time_range)])
 
     def validate_against(self, domain, final_time):
         for (a, b), (lo, hi) in zip(self.support, domain):
@@ -213,6 +212,14 @@ class TestFunction:
                     f"support [{a}, {b}] not strictly inside ({lo}, {hi})")
         if not self.t_max < final_time:
             raise SupportError(f"t_max={self.t_max} must be < T={final_time}")
+        # a bump squares u = (2s - (a + b)) / (b - a) at every s of the
+        # domain and of [0, T], and |u| is largest at their ends
+        for (what, (a, b)), (lo, hi) in zip(self._bump_ranges(),
+                                            [*domain, (0.0, final_time)]):
+            u = max(abs(2.0 * float(s) - (a + b)) for s in (lo, hi)) / (b - a)
+            if not math.isfinite(u * u):
+                raise SupportError(f"{what}: the bump on ({a}, {b}) "
+                                   f"overflows on ({lo}, {hi})")
 
     # -- evaluation ------------------------------------------------------
     def _time_factor(self, t, derivative=False):

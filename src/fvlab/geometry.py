@@ -43,7 +43,8 @@ def sum_opposite_first(terms, axis: int):
     interval, t0 + t1, and the four of a quadrangle with opposite faces
     paired first, (t0 + t2) + (t1 + t3).  Constant states cancel bitwise on
     rectangles in this order."""
-    t = np.moveaxis(terms, axis, 0)
+    lead = (slice(None),) * (axis % terms.ndim)
+    t = [terms[lead + (k,)] for k in range(terms.shape[axis])]
     if len(t) == 2:
         return t[0] + t[1]
     return (t[0] + t[2]) + (t[1] + t[3])

@@ -282,8 +282,11 @@ def test_bad_config_exit_2(tmp_path, capsys):
          "domain bounds x0, x1, y0, y1 give a squared diagonal that is not "
          "finite"),
         ("t_max_factor = 0.7", "t_max_factor = 1e-308",
-         "t_max = 5e-309 gives the time bump on (-5e-309, 5e-309) a scale "
+         "t_max = 5e-309: the bump on (-5e-309, 5e-309) has a scale "
          "2/(b - a) that is not finite"),
+        ("t_max_factor = 0.7", "t_max_factor = 1e-307",
+         "t_max = 5e-308: the bump on (-5e-308, 5e-308) overflows on "
+         "(0.0, 0.5)"),
     ]
     for k, case in enumerate(bad_inputs):
         if len(case) == 2:
