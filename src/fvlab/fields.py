@@ -206,6 +206,9 @@ class TestFunction:
                 + [(f"t_max = {self.t_max!r}", self.time_range)])
 
     def validate_against(self, domain, final_time):
+        """Raise a ``SupportError`` unless the support lies strictly inside
+        the domain box (one (lo, hi) per axis of phi), t_max < final_time,
+        and no bump overflows on the domain and on [0, final_time]."""
         for (a, b), (lo, hi) in zip(self.support, domain):
             if not (a > lo and b < hi):
                 raise SupportError(
