@@ -192,7 +192,7 @@ class TestFunction:
                                  f"lo < hi, got ({a}, {b})")
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
-        self.time_range = ((0.0 if time_profile == "interior" else -self.t_max),
+        self.time_range = (0.0 if time_profile == "interior" else -self.t_max,
                            self.t_max)
         for what, (a, b) in self._bump_ranges():
             if not math.isfinite(2.0 / (b - a)):
