@@ -27,8 +27,8 @@ from .operators import (BetaFamily, FluxFamily, NonlinearityPair,
                         flux_staggered, get_pair, telescoping_defect)
 from .quadrature import (DEFAULT_ORDER, ORACLE_ORDER, BoxQuadrature,
                          CellQuadrature, FaceQuadrature, SlabQuadrature)
-from .schemes import (CFLError, MassLedger, SchemeConfig, run_mass_mac,
-                      run_upwind_1d, sample_manufactured)
+from .schemes import (CFLError, MassLedger, SchemeConfig, run_upwind_1d,
+                      sample_manufactured)
 from .study import (ResidualReport, StudyConfig, StudyRegularityError,
                     StudyResult, run_study, write_report_csv, write_rates_csv)
 

@@ -872,10 +872,9 @@ def level_pass(levels, pair, fluxes, interp: InterpolatedTest, q_exact,
     and v levels (v None for colocated 1D) of the knots n..m+1 of each
     chunk n..m as the walk reaches it, so q and v are never held whole.
     ``fluxes(qv, vv)`` gives the face fluxes of the levels of some steps
-    (``operators.staggered_flux_rule`` or ``upwind_1d_flux_rule``),
-    ``q_exact(x, t)`` the limit (q0 = q_exact(., 0)), ``weights`` the
-    face/step translate weights and ``rhs`` the level-independent
-    ``weak_rhs``.  ``order`` is the spatial order of the time residual;
+    (the layout's ``operators.flux_rule``), ``q_exact(x, t)`` the limit
+    (q0 = q_exact(., 0)), ``weights`` the face/step translate weights and
+    ``rhs`` the level-independent ``weak_rhs``.  ``order`` is the spatial order of the time residual;
     the L1 distance uses the source's cell rule (``levels.quad``), and
     ``init_order`` is the order of the initialization residual.  With a
     ``cauchy`` reference (the coarser level's q, with a ``Reference``'s

@@ -20,7 +20,7 @@ from .quadrature import step_values
 
 __all__ = [
     "NonlinearityPair", "get_pair", "BetaFamily", "FluxFamily",
-    "dt_beta", "flux_staggered", "flux_colocated_upwind_1d",
+    "dt_beta", "flux_rule", "flux_staggered", "flux_colocated_upwind_1d",
     "assemble_convection", "flux_divergence", "flux_dot_n",
     "telescoping_defect", "FACE_SCHEMES",
 ]
@@ -222,6 +222,18 @@ def upwind_1d_flux_rule(mesh, policy: str = "upwind_zero"):
         return values
 
     return fluxes
+
+
+def flux_rule(mesh, layout, dual, pair: NonlinearityPair, scheme: str,
+              lam: float, policy: str):
+    """The flux rule ``fluxes(qv, vv)`` of ``layout`` on `mesh` (and its
+    ``dual``): ``staggered_flux_rule`` on RT and MAC, and on colocated 1D
+    ``upwind_1d_flux_rule``, whose speed is 1 and whose flux is u of the
+    upstream cell, for any pair, face scheme and lam."""
+    if layout.staggered:
+        return staggered_flux_rule(mesh, layout, dual, pair, scheme, lam,
+                                   policy)
+    return upwind_1d_flux_rule(mesh, policy)
 
 
 def flux_colocated_upwind_1d(u, policy: str = "upwind_zero") -> FluxFamily:

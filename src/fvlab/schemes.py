@@ -5,13 +5,15 @@ with a prescribed velocity.
 Each generator is a ``LevelSource``: it hands out the q and v levels of
 one refinement level chunk by chunk, from a few reused level buffers, so
 that ``consistency.level_pass`` consumes a level as it is formed and no
-level is held whole.  ``sample_manufactured``, ``run_upwind_1d`` and
-``run_mass_mac`` collect a source whole.
+level is held whole.  ``sample_manufactured`` and ``run_upwind_1d``
+collect a source whole, as ``LevelSource.collect`` does any.
 
-Both schemes step with the convection operator's own flux rules
-(``operators.upwind_1d_flux_rule``; ``staggered_flux_rule`` with the
-identity pair and upwind faces) and ``operators.divergence``, in one
-march, so C(U) of a scheme field assembled with the same flux vanishes.
+Both schemes are one source, ``scheme_levels(layout, ...)``: one march
+with the convection operator's own flux rule (``operators.flux_rule``,
+the identity pair and upwind faces) and ``operators.divergence``, so C(U)
+of a scheme field assembled with the same flux vanishes, and one stable
+step, ``stable_dt``, whose bound at t = 0 (``scheme_dt``) sets the step
+count and bounds it in ``StudyConfig.validate`` too.
 """
 
 from __future__ import annotations
@@ -26,16 +28,14 @@ from .fields import (CellScalarField, FaceField, _knot_means,
 # no source samples through it; bench/tracing.py rebinds the name here
 from .fields import sample_cell_means  # noqa: F401
 from .geometry import TimeGrid, build_time_grid
-from .layouts import COLOCATED_1D, MAC, Layout, get_layout
-from .operators import (divergence, get_pair, staggered_flux_rule,
-                        upwind_1d_flux_rule)
+from .layouts import COLOCATED_1D, Layout, get_layout
+from .operators import divergence, flux_rule, get_pair
 from .quadrature import (DEFAULT_ORDER, CellQuadrature, Workspace,
                          chunk_slices)
 
 __all__ = ["SchemeConfig", "MassLedger", "LevelSource", "ManufacturedLevels",
-           "SchemeLevels", "upwind_1d_levels", "mass_mac_levels",
-           "mass_mac_dt", "run_upwind_1d", "run_mass_mac",
-           "sample_manufactured", "CFLError"]
+           "SchemeLevels", "stable_dt", "scheme_dt", "scheme_levels",
+           "run_upwind_1d", "sample_manufactured", "CFLError"]
 
 
 class CFLError(RuntimeError):
@@ -190,19 +190,21 @@ class SchemeLevels(LevelSource):
 
     q^0 is the cell means of ``config.q0``, F^n = fluxes(q^n, v^n) of one
     level (an ``operators`` flux rule, no v in 1D) and the sum is
-    ``operators.divergence``.  Step n is checked against
-    ``cfl_bound(v^n)``, the largest stable dt at CFL 1 (v^n None in 1D),
-    before it is marched.  The ledger (``ledger``, once the last chunk is
-    out) holds the mass sum |P| q^n of every level and the boundary flux
-    dt sum |zeta| F^n . n over the boundary faces, n seen from each face's
-    first cell.
+    ``operators.divergence``.  Step n is checked against the largest
+    stable dt at CFL 1 of its velocity (``stable_dt`` of v^n, or of speed
+    1 in 1D, formed once) before it is marched.  The ledger (``ledger``,
+    once the last chunk is out) holds the mass sum |P| q^n of every level
+    and the boundary flux dt sum |zeta| F^n . n over the boundary faces, n
+    seen from each face's first cell.
     """
 
     def __init__(self, layout: Layout, mesh, dual, grid,
-                 config: SchemeConfig, fluxes, cfl_bound):
+                 config: SchemeConfig, fluxes):
         super().__init__(layout, mesh, dual, grid, config.quad_order,
                          config.velocity)
-        self.config, self.fluxes, self.cfl_bound = config, fluxes, cfl_bound
+        self.config, self.fluxes = config, fluxes
+        self._bound = None if layout.staggered else stable_dt(
+            layout, _initial_velocity(layout, mesh, dual, config), mesh, dual)
         self.ledger = None
         self._dt = float(grid.steps[0])
         self._rates = self._dt / mesh.cell_volumes
@@ -218,8 +220,9 @@ class SchemeLevels(LevelSource):
             q[0] = self.quad.cell_means(self.quad.values(config.q0))
             mass[0] = float(np.dot(vols, q[0]))
         for i, n in enumerate(range(steps.start, steps.stop)):
-            vn = None if v is None else v[i]
-            if dt > config.cfl * self.cfl_bound(vn) * (1.0 + 1e-12):
+            bound = (self._bound if v is None
+                     else stable_dt(self.layout, v[i], mesh, dual))
+            if dt > config.cfl * bound * (1.0 + 1e-12):
                 raise CFLError(f"CFL violated at step {n}")
             flux = self.fluxes(q[i:i + 1], None if v is None else v[i:i + 1])
             div = divergence(self.layout.cell_normal(flux, mesh, dual),
@@ -234,74 +237,64 @@ class SchemeLevels(LevelSource):
                 defect=np.abs(np.diff(mass) + boundary))
 
 
-def upwind_1d_levels(mesh, config: SchemeConfig) -> SchemeLevels:
-    """Explicit upwind transport q_t + q_x = 0 at the configured CFL, as a
-    level source.
-
-    The time step satisfies dt <= cfl * min h_P (the speed is 1), checked
-    at every step; under that bound the update is a convex combination so
-    the max principle holds (inflow value 0 under the default policy).
-    """
-    if mesh.dim != 1:
-        raise ValueError("run_upwind_1d needs a 1D mesh")
-    fluxes = upwind_1d_flux_rule(mesh, config.boundary_policy)
-    h_min = float(mesh.cell_volumes.min())
-    grid = _uniform_grid_for(config.T, config.cfl * h_min)
-    return SchemeLevels(COLOCATED_1D, mesh, None, grid, config, fluxes,
-                        lambda vn: h_min)
-
-
-def run_upwind_1d(mesh, config: SchemeConfig):
-    """``upwind_1d_levels`` marched whole: (field, grid, ledger)."""
-    source = upwind_1d_levels(mesh, config)
-    q, _ = source.collect()
-    return q, source.grid, source.ledger
-
-
-def mass_mac_levels(mesh, dual, config: SchemeConfig) -> SchemeLevels:
-    """Explicit upwind mass update on a MAC grid with prescribed velocity,
-    as a level source.
-
-    q_P^{n+1} = q_P^n - (dt/|P|) sum |zeta| q_zeta^up v_zeta^n delta_{P,zeta};
-    total mass changes only through boundary faces (checked per step).
-    dt is chosen from v at t = 0, and every step is checked against the
-    CFL bound of its own v^n.
-    """
-    grid = _uniform_grid_for(config.T, mass_mac_dt(mesh, dual, config))
-    fluxes = staggered_flux_rule(mesh, MAC, dual, get_pair("id"),
-                                 policy=config.boundary_policy)
-    return SchemeLevels(MAC, mesh, dual, grid, config, fluxes,
-                        lambda vn: _mac_dt_bound(vn, mesh, dual))
-
-
-def _mac_dt_bound(vn, mesh, dual) -> float:
-    """The largest stable dt (at CFL 1) of the MAC face velocities vn; inf
-    when no face has outflow."""
+def stable_dt(layout: Layout, vn, mesh, dual) -> float:
+    """The largest stable dt at CFL 1 of the face values vn of one level,
+    min_P |P| / sum_zeta |zeta| max(v . n_{P,zeta}, 0) (``cell_normal``);
+    inf when no cell has outflow.  The colocated 1D scheme has speed 1, a
+    face value of 1 on every face: each cell's outflow is 0 + 1 = 1.0, so
+    its step is min |P| exactly."""
     outflow = (mesh.cell_face_measures * np.maximum(
-        vn[mesh.cell_faces] * dual.cell_face_delta, 0.0)).sum(axis=1)
+        layout.cell_normal(vn[None], mesh, dual)[0], 0.0)).sum(axis=1)
     with np.errstate(divide="ignore"):
         return float(np.min(np.where(outflow > 0,
                                      mesh.cell_volumes / outflow, np.inf)))
 
 
-def mass_mac_dt(mesh, dual, config: SchemeConfig) -> float:
-    """The step bound cfl dt_0 of ``mass_mac_levels``, which takes T over
-    it steps, rounded up: dt_0 is the largest stable dt of v at t = 0, or T
-    when v has no outflow."""
+def _initial_velocity(layout: Layout, mesh, dual, config: SchemeConfig):
+    """What the faces store of the scheme's velocity at t = 0: the closed
+    form on a staggered layout, speed 1 on colocated 1D."""
+    if not layout.staggered:
+        return np.ones(mesh.n_faces)
     if config.velocity is None:
-        raise ValueError("run_mass_mac needs a closed-form velocity")
-    bound = _mac_dt_bound(MAC.velocity_at(config.velocity, mesh, dual, 0.0),
-                          mesh, dual)
-    if not np.isfinite(bound):
-        bound = config.T
-    return config.cfl * bound
+        raise ValueError(f"a {layout.name} scheme needs a closed-form "
+                         f"velocity")
+    return layout.velocity_at(config.velocity, mesh, dual, 0.0)
 
 
-def run_mass_mac(mesh, dual, config: SchemeConfig):
-    """``mass_mac_levels`` marched whole: (q, v, grid, ledger)."""
-    source = mass_mac_levels(mesh, dual, config)
-    q, v = source.collect()
-    return q, v, source.grid, source.ledger
+def scheme_dt(layout: Layout, mesh, dual, config: SchemeConfig) -> float:
+    """The step bound cfl dt_0 of ``scheme_levels``, which takes T over it
+    steps, rounded up: dt_0 is the ``stable_dt`` of the velocity at t = 0,
+    or T when it has no outflow."""
+    bound = stable_dt(layout, _initial_velocity(layout, mesh, dual, config),
+                      mesh, dual)
+    return config.cfl * (bound if np.isfinite(bound) else config.T)
+
+
+def scheme_levels(layout: Layout, mesh, dual, config: SchemeConfig
+                  ) -> SchemeLevels:
+    """The explicit upwind scheme of ``layout`` (colocated 1D: q_t + q_x =
+    0; MAC: the mass update with the prescribed velocity) as a level
+    source, on the uniform grid of ``scheme_dt``.
+
+    It steps with ``operators.flux_rule`` (the identity pair, upwind
+    faces): q_P^{n+1} = q_P^n - (dt/|P|) sum |zeta| q_zeta^up v_zeta^n
+    delta_{P,zeta}, so total mass changes only through boundary faces
+    (checked per step), and under the CFL bound the update is a convex
+    combination, so the max principle holds (inflow value 0 under the
+    default policy).
+    """
+    grid = _uniform_grid_for(config.T, scheme_dt(layout, mesh, dual, config))
+    fluxes = flux_rule(mesh, layout, dual, get_pair("id"), "upwind", 0.5,
+                       config.boundary_policy)
+    return SchemeLevels(layout, mesh, dual, grid, config, fluxes)
+
+
+def run_upwind_1d(mesh, config: SchemeConfig):
+    """The colocated 1D ``scheme_levels`` marched whole: (field, grid,
+    ledger)."""
+    source = scheme_levels(COLOCATED_1D, mesh, None, config)
+    q, _ = source.collect()
+    return q, source.grid, source.ledger
 
 
 def sample_manufactured(q_exact, v_exact, layout: str, mesh, dual, grid,

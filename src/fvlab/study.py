@@ -30,11 +30,10 @@ from .geometry import (TIME_PATTERNS, MeshConstructionError,
                        build_tensor, build_time_grid, check_perturbation,
                        regularity, subdivide_nodes)
 from .layouts import MAC, get_layout
-from .operators import (FACE_SCHEMES, check_lambda, get_pair,
-                        staggered_flux_rule, upwind_1d_flux_rule)
+from .operators import FACE_SCHEMES, check_lambda, flux_rule, get_pair
 from .quadrature import Workspace, check_rule
-from .schemes import (ManufacturedLevels, SchemeConfig, mass_mac_dt,
-                      mass_mac_levels, upwind_1d_levels)
+from .schemes import (ManufacturedLevels, SchemeConfig, scheme_dt,
+                      scheme_levels)
 
 # the whole-level stages, each the walk of level_pass with its one term
 # over held fields, are not called here; they stay importable from this
@@ -248,7 +247,7 @@ class StudyConfig:
         if layout.staggered:
             check_lambda(self.lam)
         if self.field_source == "scheme":
-            SchemeConfig(None, self.T, self.cfl)
+            self.scheme_config()
         self.test_function().validate_against(self.domain, self.T)
         self._check_size(layout)
         if self.grading != 1.0 and self.mesh_family in ("graded", "interval"):
@@ -274,10 +273,12 @@ class StudyConfig:
     def _check_size(self, layout):
         """Reject a level whose cell vector, time grid or whole q (held for
         the next level on tensor meshes) takes more than physical memory at
-        8 bytes a value, or whose step count is not finite.  A 1D scheme
-        steps at most cfl * h apart, h the mean cell width; a MAC scheme's
-        steps follow v, and level 0's count (``schemes.mass_mac_dt``),
-        which finer levels only raise, bounds each level's from below."""
+        8 bytes a value, or whose step count is not finite.  A scheme's
+        count is bounded from below by level 0's, T / ``schemes.scheme_dt``
+        on level 0's mesh and dual: a MAC scheme's steps follow v,
+        and the finer levels only raise that count; a 1D scheme steps at
+        cfl times the smallest interval, which at least halves each level
+        (uniform or graded), so level L takes at least 2^L times as many."""
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         # shifted quadrangles have no tensor structure, so no whole q
         tensor = self.mesh_family != "perturbed" or self.amplitude == 0
@@ -295,16 +296,13 @@ class StudyConfig:
                 1 if layout.dim == 1 else self.ny0 * 2 ** level)
             fits(cells, f"levels = {self.levels}: level {level} has {cells} "
                         f"cells, a cell vector")
-            h = self.level_width(level)
             if manufactured:
-                n = self.manufactured_steps(h)
-            elif layout.dim == 1:
-                n = self.T / (self.cfl * h)
+                n = self.manufactured_steps(self.level_width(level))
             elif level == 0:
-                # a MAC scheme; the finer levels keep this count as a bound
-                n = self.T / mass_mac_dt(*self._level_mesh(0), SchemeConfig(
-                    None, self.T, self.cfl,
-                    velocity=manufactured_solution(self.solution)["v"]))
+                n = n0 = self.T / scheme_dt(layout, *self._level_mesh(0),
+                                            self.scheme_config())
+            else:
+                n = n0 * (2 ** level if layout.dim == 1 else 1)
             if not math.isfinite(n):
                 raise ValueError(f"{keys} give level {level} a step count "
                                  f"of {n}, not finite")
@@ -330,6 +328,16 @@ class StudyConfig:
         return build_time_grid(self.T, int(self.manufactured_steps(h)),
                                pattern=self.time_pattern,
                                ratio=self.time_ratio)
+
+    def scheme_config(self) -> SchemeConfig:
+        """The ``schemes.SchemeConfig`` of a scheme source: the solution's
+        q at t = 0 and its velocity, T, cfl, the boundary policy and the
+        quadrature order."""
+        sol = manufactured_solution(self.solution)
+        return SchemeConfig(q0=lambda x: sol["q"](x, 0.0), T=self.T,
+                            cfl=self.cfl, velocity=sol["v"],
+                            boundary_policy=self.boundary_policy,
+                            quad_order=self.quad_order)
 
     def default_support(self) -> tuple:
         """The central box of the domain, 60% of it along each axis."""
@@ -475,19 +483,13 @@ def level_source(config: StudyConfig, level: int):
     dt_over_h * h_ref, or the scheme marched on its uniform CFL grid."""
     mesh, dual, h_ref = build_level(config, level)
     layout = get_layout(config.layout)
+    if config.field_source == "scheme":
+        # validate admits the scheme source for colocated 1D and MAC only
+        return scheme_levels(layout, mesh, dual, config.scheme_config())
     sol = manufactured_solution(config.solution)
-    q_exact, v_exact = sol["q"], sol["v"]
-    if config.field_source == "manufactured":
-        return ManufacturedLevels(q_exact, v_exact, layout, mesh, dual,
-                                  config.manufactured_grid(h_ref),
-                                  config.quad_order)
-    scheme_cfg = SchemeConfig(q0=lambda x: q_exact(x, 0.0), T=config.T,
-                              cfl=config.cfl, velocity=v_exact,
-                              boundary_policy=config.boundary_policy,
-                              quad_order=config.quad_order)
-    # validate admits the scheme source for colocated 1D and MAC only
-    return (mass_mac_levels(mesh, dual, scheme_cfg) if layout.staggered
-            else upwind_1d_levels(mesh, scheme_cfg))
+    return ManufacturedLevels(sol["q"], sol["v"], layout, mesh, dual,
+                              config.manufactured_grid(h_ref),
+                              config.quad_order)
 
 
 class _LevelQ:
@@ -613,13 +615,8 @@ def _compute_level(config, level, phi, rhs, base_reg, coarse, mine,
             mine.publish(mesh, grid)
         reg = regularity(mesh, grid, dual)
         _audit(config, level, reg, base_reg)
-        if layout.staggered:
-            fluxes = staggered_flux_rule(mesh, layout, dual, pair,
-                                         scheme=config.face_scheme,
-                                         lam=config.lam,
-                                         policy=config.boundary_policy)
-        else:
-            fluxes = upwind_1d_flux_rule(mesh, policy=config.boundary_policy)
+        fluxes = flux_rule(mesh, layout, dual, pair, config.face_scheme,
+                           config.lam, config.boundary_policy)
         interp = interpolate_test(phi, mesh, grid, order=config.quad_order,
                                   panels=config.interp_panels)
         weights = default_translate_weights(mesh, grid,

@@ -19,8 +19,7 @@ from fvlab.operators import (BetaFamily, assemble_convection, divergence,
 from fvlab.quadrature import (ORACLE_ORDER, BoxQuadrature, CellQuadrature,
                               FaceQuadrature, SlabQuadrature,
                               composite_gauss_legendre, tensor_points)
-from fvlab.schemes import (SchemeConfig, run_mass_mac, run_upwind_1d,
-                           sample_manufactured)
+from fvlab.schemes import SchemeConfig, sample_manufactured, scheme_levels
 from fvlab.study import (ResidualReport, _audit, build_level,
                          manufactured_solution)
 
@@ -470,11 +469,7 @@ def compute_level_by_stages(config, level, phi, rhs, base_reg):
                                   cfl=config.cfl, velocity=v_exact,
                                   boundary_policy=config.boundary_policy,
                                   quad_order=config.quad_order)
-        if layout.staggered:
-            q, v, grid, ledger = run_mass_mac(mesh, dual, scheme_cfg)
-        else:
-            q, grid, ledger = run_upwind_1d(mesh, scheme_cfg)
-            v = None
+        q, v, grid, ledger = collect_scheme(layout, mesh, dual, scheme_cfg)
         extras["scheme_min"] = float(q.values.min())
         extras["scheme_max"] = float(q.values.max())
         extras["mass_defect"] = ledger.max_relative_defect()
@@ -532,6 +527,14 @@ def bump_masked(s, a, b, derivative=False):
         value = value * (-2.0 * ui / one ** 2) * (2.0 / (b - a))
     out[inside] = value
     return out
+
+
+def collect_scheme(layout, mesh, dual, config):
+    """``schemes.scheme_levels`` of the layout collected whole: (q, v,
+    grid, ledger), v None in 1D."""
+    source = scheme_levels(layout, mesh, dual, config)
+    q, v = source.collect()
+    return q, v, source.grid, source.ledger
 
 
 def march_by_steps(source):

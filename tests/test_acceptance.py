@@ -25,8 +25,8 @@ from fvlab.layouts import MAC, RT
 from fvlab.operators import (BetaFamily, assemble_convection,
                              flux_staggered, get_pair, telescoping_defect)
 from fvlab.quadrature import CellQuadrature
-from fvlab.schemes import (SchemeConfig, run_mass_mac, run_upwind_1d,
-                           sample_manufactured)
+from fvlab.schemes import (SchemeConfig, run_upwind_1d, sample_manufactured,
+                           scheme_levels)
 from fvlab.study import StudyConfig, run_study
 
 
@@ -167,7 +167,9 @@ def test_criterion_05_conservativity():
         T=0.2, cfl=0.5,
         velocity=lambda x, t: np.broadcast_to(np.array([1.0, 0.5]),
                                               (x.shape[0], 2)).copy())
-    _, _, _, ledger = run_mass_mac(mesh, dual, cfg)
+    source = scheme_levels(MAC, mesh, dual, cfg)
+    source.collect()
+    ledger = source.ledger
     assert ledger.max_relative_defect() <= 1e-12
     mesh1 = build_intervals(64)
     cfg1 = SchemeConfig(q0=lambda x: np.exp(-60 * (x[:, 0] - 0.3) ** 2),

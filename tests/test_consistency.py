@@ -25,10 +25,9 @@ from fvlab.operators import (BetaFamily, FluxFamily, assemble_convection,
                              get_pair, staggered_flux_rule,
                              telescoping_defect, upwind_1d_flux_rule)
 from fvlab.quadrature import BoxQuadrature, Workspace
-from fvlab.layouts import MAC, RT, get_layout
+from fvlab.layouts import COLOCATED_1D, MAC, RT, get_layout
 from fvlab.schemes import (CFLError, ManufacturedLevels, SchemeConfig,
-                           mass_mac_levels, run_mass_mac, sample_manufactured,
-                           upwind_1d_levels)
+                           sample_manufactured, scheme_levels)
 from fvlab.study import StudyConfig, build_level, manufactured_solution
 
 from _oracles import (assert_bitwise, brute_force_flux_residual,
@@ -562,7 +561,7 @@ def _finest_upwind_1d_level():
                          field_source="scheme", T=0.25)
     mesh, _, _ = build_level(config, 5)
     sol = manufactured_solution(config.solution)
-    levels = upwind_1d_levels(mesh, SchemeConfig(
+    levels = scheme_levels(COLOCATED_1D, mesh, None, SchemeConfig(
         q0=lambda x: sol["q"](x, 0.0), T=config.T))
     phi = config.test_function()
     pair = get_pair("id")
@@ -613,9 +612,9 @@ def test_streamed_mac_scheme_raises_the_cfl_error_of_the_whole_run():
     qf = lambda x, t: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
     cfg = SchemeConfig(q0=lambda x: qf(x, 0.0), T=0.5, velocity=velocity)
     with pytest.raises(CFLError) as whole:
-        run_mass_mac(mesh, dual, cfg)
+        scheme_levels(MAC, mesh, dual, cfg).collect()
     assert str(whole.value) == "CFL violated at step 3"
-    args = _mac_pass_args(mass_mac_levels(mesh, dual, cfg), qf, velocity)
+    args = _mac_pass_args(scheme_levels(MAC, mesh, dual, cfg), qf, velocity)
     with mock.patch.object(quadrature, "CHUNK_VALUES", _steps_a_chunk(mesh, 2)):
         with pytest.raises(CFLError) as streamed:
             level_pass(*args)

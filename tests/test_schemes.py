@@ -5,17 +5,22 @@ from fvlab import schemes
 from fvlab.fields import lp_distance
 from fvlab.geometry import (build_cartesian, build_dual_mac, build_intervals,
                             build_time_grid)
-from fvlab.layouts import MAC
+from fvlab.layouts import COLOCATED_1D, MAC
 from fvlab.operators import (BetaFamily, assemble_convection,
                              flux_colocated_upwind_1d, flux_staggered,
                              get_pair, staggered_flux_rule)
 from fvlab.quadrature import chunk_slices
-from fvlab.schemes import (CFLError, SchemeConfig, mass_mac_levels,
-                           run_mass_mac, run_upwind_1d, sample_manufactured,
-                           upwind_1d_levels)
+from fvlab.schemes import (CFLError, SchemeConfig, run_upwind_1d,
+                           sample_manufactured, scheme_dt, scheme_levels,
+                           stable_dt)
 from fvlab.study import manufactured_solution
 
-from _oracles import assert_bitwise, march_by_steps
+from _oracles import assert_bitwise, collect_scheme, march_by_steps
+
+
+def run_mac(mesh, dual, cfg):
+    """The MAC scheme collected whole: (q, v, grid, ledger)."""
+    return collect_scheme(MAC, mesh, dual, cfg)
 
 
 def bump1d(x):
@@ -117,6 +122,45 @@ def test_upwind_rejects_a_step_over_its_cfl_bound(monkeypatch):
         run_upwind_1d(build_intervals(16), cfg)
 
 
+# ---------------------------------------------------------------- stable step
+
+@pytest.mark.parametrize("grading", [1.0, 1.1, 0.7, 3.0])
+def test_stable_dt_of_intervals_is_the_smallest_cell(grading):
+    # speed 1: each cell's outflow is 0 + 1 = 1.0, so |P| / 1.0 is |P|
+    mesh = build_intervals(24, (0.2, 1.3), grading=grading)
+    h_min = mesh.cell_volumes.min()
+    dt = stable_dt(COLOCATED_1D, np.ones(mesh.n_faces), mesh, None)
+    assert float.hex(dt) == float.hex(float(h_min))
+    cfg = SchemeConfig(q0=bump1d, T=0.1, cfl=0.7)
+    assert float.hex(scheme_dt(COLOCATED_1D, mesh, None, cfg)) == \
+        float.hex(0.7 * float(h_min))
+
+
+def test_stable_dt_of_a_mac_velocity_is_the_hand_formula():
+    # graded faces and the sinsin_shear velocity: min |P| over the outflow
+    # sum_zeta |zeta| max(v_zeta delta_{P,zeta}, 0), face by face
+    mesh = build_cartesian(8, 8, grading=1.1)
+    dual = build_dual_mac(mesh)
+    vn = MAC.velocity_at(manufactured_solution("sinsin_shear")["v"], mesh,
+                         dual, 0.0)
+    outflow = (mesh.cell_face_measures * np.maximum(
+        vn[mesh.cell_faces] * dual.cell_face_delta, 0.0)).sum(axis=1)
+    expect = float(np.min(mesh.cell_volumes / outflow))
+    assert float.hex(stable_dt(MAC, vn, mesh, dual)) == float.hex(expect)
+    # no outflow anywhere: no bound, and the scheme takes T as its dt_0
+    assert stable_dt(MAC, np.zeros(mesh.n_faces), mesh, dual) == np.inf
+    cfg = SchemeConfig(q0=bump1d, T=0.3, cfl=0.5,
+                       velocity=lambda x, t: np.zeros((x.shape[0], 2)))
+    assert scheme_dt(MAC, mesh, dual, cfg) == 0.5 * 0.3
+
+
+def test_mac_scheme_needs_a_velocity():
+    mesh = build_cartesian(4, 4)
+    with pytest.raises(ValueError, match="a mac scheme needs a closed-form"):
+        scheme_levels(MAC, mesh, build_dual_mac(mesh),
+                      SchemeConfig(q0=bump1d, T=0.1))
+
+
 # ---------------------------------------------------------------- MAC mass
 
 def bump2d_q0(x):
@@ -136,7 +180,7 @@ def test_mass_mac_zero_velocity_identity():
     dual = build_dual_mac(mesh)
     cfg = SchemeConfig(q0=bump2d_q0, T=0.25, cfl=0.5,
                        velocity=lambda x, t: np.zeros((x.shape[0], 2)))
-    q, v, grid, ledger = run_mass_mac(mesh, dual, cfg)
+    q, v, grid, ledger = run_mac(mesh, dual, cfg)
     assert np.all(q.values == q.values[0])
     assert ledger.max_relative_defect() == 0.0
 
@@ -150,7 +194,7 @@ def test_mass_mac_rejects_a_velocity_that_outgrows_the_step():
                                             (x.shape[0], 2)).copy()
     cfg = SchemeConfig(q0=bump2d_q0, T=0.2, velocity=velocity)
     with pytest.raises(CFLError, match="CFL violated at step 1$"):
-        run_mass_mac(mesh, dual, cfg)
+        run_mac(mesh, dual, cfg)
 
 
 def test_mass_mac_rejects_a_step_count_that_overflows():
@@ -160,7 +204,7 @@ def test_mass_mac_rejects_a_step_count_that_overflows():
     cfg = SchemeConfig(q0=bump2d_q0, T=0.5, cfl=1e-308,
                        velocity=lambda x, t: np.ones((x.shape[0], 2)))
     with pytest.raises(ValueError, match="inf time steps is not a finite"):
-        mass_mac_levels(mesh, build_dual_mac(mesh), cfg)
+        scheme_levels(MAC, mesh, build_dual_mac(mesh), cfg)
 
 
 def test_mass_mac_constant_state_interior():
@@ -169,7 +213,7 @@ def test_mass_mac_constant_state_interior():
     cfg = SchemeConfig(q0=lambda x: np.full(x.shape[0], 3.0), T=0.2, cfl=0.5,
                        velocity=lambda x, t: np.broadcast_to(
                            np.array([1.0, 0.5]), (x.shape[0], 2)).copy())
-    q, v, grid, ledger = run_mass_mac(mesh, dual, cfg)
+    q, v, grid, ledger = run_mac(mesh, dual, cfg)
     # inflow feeds exterior value 0, so only cells away from inflow keep c
     inner = mesh.interior_cell_mask
     # after few steps the inflow layer has not reached deep interior cells
@@ -185,7 +229,7 @@ def test_mass_mac_one_step_matches_stencil_oracle():
     cfg = SchemeConfig(q0=bump2d_q0, T=1.0 / 16, cfl=0.5,
                        velocity=lambda x, t: np.broadcast_to(
                            np.array(vel), (x.shape[0], 2)).copy())
-    q, v, grid, ledger = run_mass_mac(mesh, dual, cfg)
+    q, v, grid, ledger = run_mac(mesh, dual, cfg)
     dt = grid.steps[0]
     h = 1.0 / 8
     q0 = q.values[0].reshape(8, 8)       # cells indexed (ix, iy)
@@ -209,7 +253,7 @@ def test_mass_mac_step_forms_measure_times_flux():
     dual = build_dual_mac(mesh)
     cfg = SchemeConfig(q0=lambda x: sol["q"](x, 0.0), T=0.1, cfl=0.5,
                        velocity=sol["v"])
-    q, v, grid, ledger = run_mass_mac(mesh, dual, cfg)
+    q, v, grid, ledger = run_mac(mesh, dual, cfg)
     q0, v0, dt = q.values[0], v.values[0], float(grid.steps[0])
     flux = np.empty(mesh.n_faces)
     for f, (p, r) in enumerate(mesh.face_cells):
@@ -241,7 +285,7 @@ def test_mass_mac_divergence_free_swirl_mass_exact():
                         axis=-1)
 
     cfg = SchemeConfig(q0=bump2d_q0, T=0.1, cfl=0.4, velocity=swirl)
-    q, v, grid, ledger = run_mass_mac(mesh, dual, cfg)
+    q, v, grid, ledger = run_mac(mesh, dual, cfg)
     assert ledger.max_relative_defect() <= 1e-12
     assert np.abs(ledger.boundary_flux).max() <= 1e-13
 
@@ -309,7 +353,7 @@ def _scheme_and_flux(layout, policy):
                            velocity=lambda x, t: np.broadcast_to(
                                np.array([0.9, 0.3]), (x.shape[0], 2)).copy(),
                            boundary_policy=policy)
-        q, v, grid, ledger = run_mass_mac(mesh, dual, cfg)
+        q, v, grid, ledger = run_mac(mesh, dual, cfg)
         return q, grid, ledger, flux_staggered(q, v, get_pair("id"),
                                                policy=policy)
     cfg = SchemeConfig(q0=_outflow_bump((1.0,)), T=0.5, cfl=0.5,
@@ -352,15 +396,15 @@ def test_streamed_march_equals_the_step_by_step_march(layout):
     if layout == "mac":
         mesh = build_cartesian(8, 8, grading=1.1)
         dual = build_dual_mac(mesh)
-        source = lambda: mass_mac_levels(mesh, dual, cfg)
+        source = lambda: scheme_levels(MAC, mesh, dual, cfg)
     else:
         mesh = build_intervals(32, grading=1.1)
-        source = lambda: upwind_1d_levels(mesh, cfg)
+        source = lambda: scheme_levels(COLOCATED_1D, mesh, None, cfg)
     values, v, mass, boundary = march_by_steps(source())
     n = len(values) - 1
     assert n > 6
-    whole = run_mass_mac(mesh, dual, cfg)[-1] if layout == "mac" else \
-        run_upwind_1d(mesh, cfg)[-1]
+    whole = source()
+    whole.collect()
     for slices in ([slice(k, k + 1) for k in range(n)],
                    chunk_slices(n, 65536 // 3),
                    [slice(0, 2), slice(2, n - 1), slice(n - 1, n)],
@@ -376,4 +420,5 @@ def test_streamed_march_equals_the_step_by_step_march(layout):
         assert_bitwise(ledger.mass, mass)
         assert_bitwise(ledger.boundary_flux, boundary)
         assert_bitwise(ledger.defect, np.abs(np.diff(mass) + boundary))
-        assert ledger.max_relative_defect() == whole.max_relative_defect()
+        assert (ledger.max_relative_defect()
+                == whole.ledger.max_relative_defect())
