@@ -289,8 +289,9 @@ class TimeGrid:
             raise ValueError("time grid needs at least two knots")
         if knots[0] != 0.0:
             raise ValueError("time grid must start at t = 0")
-        if np.any(np.diff(knots) <= 0):
-            raise ValueError("time knots must be strictly increasing")
+        if not (np.all(np.isfinite(knots)) and np.all(np.diff(knots) > 0)):
+            raise ValueError("time knots must be finite and strictly "
+                             "increasing")
         knots.setflags(write=False)
         object.__setattr__(self, "knots", knots)
 

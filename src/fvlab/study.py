@@ -11,6 +11,7 @@ reductions, so outputs are byte-identical for any thread count.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import threading
@@ -183,7 +184,11 @@ class StudyConfig:
 
     def validate(self):
         """Check every named choice and every value up front, before any
-        level runs and before ``run-study`` makes its output directory."""
+        level runs and before ``run-study`` makes its output directory.  A
+        config that passed is not checked again while its fields keep
+        their values, so ``run-study`` checks it once."""
+        if getattr(self, "_valid", None) == repr(self):
+            return
         if self.levels < 3:
             raise ValueError("a study needs >= 3 levels for rate fitting")
         if self.threads < 1:
@@ -249,16 +254,22 @@ class StudyConfig:
         if self.field_source == "scheme":
             self.scheme_config()
         self.test_function().validate_against(self.domain, self.T)
-        self._check_size(layout)
+        # level 0 is built at most once here
+        level0 = functools.cache(lambda: self._level_mesh(0))
+        self._check_size(layout, level0)
         if self.grading != 1.0 and self.mesh_family in ("graded", "interval"):
             # graded nodes that overflow or collapse, and cells too thin to
             # have an area: the finer 2D levels subdivide level 0's nodes,
             # while each 1D level grades its own, the finest the most
-            self._level_mesh(0 if layout.dim == 2 else self.levels - 1)
+            if layout.dim == 2:
+                level0()
+            else:
+                self._level_mesh(self.levels - 1)
         if self.time_pattern == "alternating":
             # knots that overflow or collapse (build_time_grid)
             for level in range(self.levels):
                 self.manufactured_grid(self.level_width(level))
+        self._valid = repr(self)
 
     def _level_mesh(self, level: int):
         """The mesh and dual of a level (``build_level``), whose size has
@@ -270,12 +281,12 @@ class StudyConfig:
             raise ValueError(f"grading = {self.grading!r} leaves level "
                              f"{level} no valid mesh: {exc}") from None
 
-    def _check_size(self, layout):
+    def _check_size(self, layout, level0):
         """Reject a level whose cell vector, time grid or whole q (held for
         the next level on tensor meshes) takes more than physical memory at
         8 bytes a value, or whose step count is not finite.  A scheme's
         count is bounded from below by level 0's, T / ``schemes.scheme_dt``
-        on level 0's mesh and dual: a MAC scheme's steps follow v,
+        on the mesh and dual ``level0()``: a MAC scheme's steps follow v,
         and the finer levels only raise that count; a 1D scheme steps at
         cfl times the smallest interval, which at least halves each level
         (uniform or graded), so level L takes at least 2^L times as many."""
@@ -299,7 +310,7 @@ class StudyConfig:
             if manufactured:
                 n = self.manufactured_steps(self.level_width(level))
             elif level == 0:
-                n = n0 = self.T / scheme_dt(layout, *self._level_mesh(0),
+                n = n0 = self.T / scheme_dt(layout, *level0(),
                                             self.scheme_config())
             else:
                 n = n0 * (2 ** level if layout.dim == 1 else 1)

@@ -264,6 +264,9 @@ def test_bad_config_exit_2(tmp_path, capsys):
          "T and cfl give level 0 a step count of inf, not finite"),
         (BASE_CONFIG, SCHEME_1D.replace("cfl = 0.5", "cfl = 1e-300"),
          "T and cfl give level 0 2e+300 time steps, a time grid: "),
+        # a 1D scheme steps at cfl times the smallest interval, 1e-35 here
+        (BASE_CONFIG, SCHEME_1D.replace("nx = 8", "nx = 8\ngrading = 1e5"),
+         "T and cfl give level 0 5e+34 time steps, a time grid: "),
         # a MAC scheme's steps follow v at t = 0 on level 0's mesh
         ("layout = mac", "layout = mac\nfield_source = scheme\ncfl = 1e-300",
          "T and cfl give level 0 3e+300 time steps, a time grid: "),
@@ -320,6 +323,27 @@ def test_memory_error_exit_2(tmp_path, capsys, monkeypatch):
                  str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == ("error: out of memory: Unable to "
                                         "allocate 8.01 GiB\n")
+
+
+def test_run_study_validates_once_and_builds_level_0_twice(tmp_path,
+                                                          monkeypatch):
+    # validate builds level 0 once, for the grading and the MAC scheme's
+    # step count alike, and run-study validates once; the study builds it
+    # once more
+    import fvlab.study
+    built = []
+    real = fvlab.study.build_level
+
+    def build_level(config, level):
+        built.append(level)
+        return real(config, level)
+
+    monkeypatch.setattr(fvlab.study, "build_level", build_level)
+    ini = GOLDEN / "mac_scheme_graded_zero_flux" / "study.ini"
+    assert main(["run-study", "--config", str(ini), "--out",
+                 str(tmp_path / "out")]) == 0
+    assert built.count(0) == 2
+    assert sorted(built) == [0, 0, 1, 2]
 
 
 # every key of the schema at a value other than its default; parsing does

@@ -6,10 +6,11 @@ import pytest
 
 from _oracles import (local_face_index, scalar_mesh_identities,
                       scalar_outward_normal)
-from fvlab.geometry import (MeshConstructionError, build_cartesian,
-                            build_dual_mac, build_dual_rt, build_intervals,
-                            build_perturbed_quads, build_time_grid,
-                            check_mesh_identities, regularity)
+from fvlab.geometry import (MeshConstructionError, TimeGrid,
+                            build_cartesian, build_dual_mac, build_dual_rt,
+                            build_intervals, build_perturbed_quads,
+                            build_time_grid, check_mesh_identities,
+                            regularity)
 
 
 def closure_norms(mesh):
@@ -252,6 +253,15 @@ def test_time_grid_validation():
         build_time_grid(-1.0, 2)
     with pytest.raises(ValueError):
         build_time_grid(1.0, 2, pattern="alternating", ratio=0.0)
+
+
+@pytest.mark.parametrize("knots", [[0.0, np.nan, 1.0], [0.0, 0.5, np.inf],
+                                   [0.0, 0.5, 0.5], [0.0, 0.5, 0.25]])
+def test_time_grid_rejects_knots_not_finite_and_increasing(knots):
+    # a NaN difference and an infinite last knot pass a `diff <= 0` test
+    with pytest.raises(ValueError, match="time knots must be finite and "
+                                         "strictly increasing"):
+        TimeGrid(np.array(knots))
 
 
 def test_subdivide_nodes_and_build_tensor():
