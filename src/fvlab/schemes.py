@@ -283,6 +283,8 @@ def scheme_levels(layout: Layout, mesh, dual, config: SchemeConfig
     combination, so the max principle holds (inflow value 0 under the
     default policy).
     """
+    if not layout.scheme_source:
+        raise ValueError(f"no scheme generates {layout.name!r} fields")
     grid = _uniform_grid_for(config.T, scheme_dt(layout, mesh, dual, config))
     fluxes = flux_rule(mesh, layout, dual, get_pair("id"), "upwind", 0.5,
                        config.boundary_policy)

@@ -254,17 +254,14 @@ class StudyConfig:
         if self.field_source == "scheme":
             self.scheme_config()
         self.test_function().validate_against(self.domain, self.T)
-        # level 0 is built at most once here
-        level0 = functools.cache(lambda: self._level_mesh(0))
-        self._check_size(layout, level0)
+        # each level is built at most once here
+        level_mesh = functools.cache(self._level_mesh)
+        self._check_size(layout, level_mesh)
         if self.grading != 1.0 and self.mesh_family in ("graded", "interval"):
             # graded nodes that overflow or collapse, and cells too thin to
             # have an area: the finer 2D levels subdivide level 0's nodes,
             # while each 1D level grades its own, the finest the most
-            if layout.dim == 2:
-                level0()
-            else:
-                self._level_mesh(self.levels - 1)
+            level_mesh(0 if layout.dim == 2 else self.levels - 1)
         if self.time_pattern == "alternating":
             # knots that overflow or collapse (build_time_grid)
             for level in range(self.levels):
@@ -281,15 +278,16 @@ class StudyConfig:
             raise ValueError(f"grading = {self.grading!r} leaves level "
                              f"{level} no valid mesh: {exc}") from None
 
-    def _check_size(self, layout, level0):
+    def _check_size(self, layout, level_mesh):
         """Reject a level whose cell vector, time grid or whole q (held for
         the next level on tensor meshes) takes more than physical memory at
         8 bytes a value, or whose step count is not finite.  A scheme's
         count is bounded from below by level 0's, T / ``schemes.scheme_dt``
-        on the mesh and dual ``level0()``: a MAC scheme's steps follow v,
-        and the finer levels only raise that count; a 1D scheme steps at
-        cfl times the smallest interval, which at least halves each level
-        (uniform or graded), so level L takes at least 2^L times as many."""
+        on the mesh and dual ``level_mesh(0)`` (``_level_mesh``): a MAC
+        scheme's steps follow v, and the finer levels only raise that
+        count; a 1D scheme steps at cfl times the smallest interval, which
+        at least halves each level (uniform or graded), so level L takes
+        at least 2^L times as many."""
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         # shifted quadrangles have no tensor structure, so no whole q
         tensor = self.mesh_family != "perturbed" or self.amplitude == 0
@@ -310,7 +308,7 @@ class StudyConfig:
             if manufactured:
                 n = self.manufactured_steps(self.level_width(level))
             elif level == 0:
-                n = n0 = self.T / scheme_dt(layout, *level0(),
+                n = n0 = self.T / scheme_dt(layout, *level_mesh(0),
                                             self.scheme_config())
             else:
                 n = n0 * (2 ** level if layout.dim == 1 else 1)

@@ -3,9 +3,9 @@ import pytest
 
 from fvlab import schemes
 from fvlab.fields import lp_distance
-from fvlab.geometry import (build_cartesian, build_dual_mac, build_intervals,
-                            build_time_grid)
-from fvlab.layouts import COLOCATED_1D, MAC
+from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
+                            build_intervals, build_time_grid)
+from fvlab.layouts import COLOCATED_1D, MAC, RT
 from fvlab.operators import (BetaFamily, assemble_convection,
                              flux_colocated_upwind_1d, flux_staggered,
                              get_pair, staggered_flux_rule)
@@ -154,11 +154,15 @@ def test_stable_dt_of_a_mac_velocity_is_the_hand_formula():
     assert scheme_dt(MAC, mesh, dual, cfg) == 0.5 * 0.3
 
 
-def test_mac_scheme_needs_a_velocity():
+def test_scheme_levels_needs_a_scheme_layout_and_a_velocity():
     mesh = build_cartesian(4, 4)
     with pytest.raises(ValueError, match="a mac scheme needs a closed-form"):
         scheme_levels(MAC, mesh, build_dual_mac(mesh),
                       SchemeConfig(q0=bump1d, T=0.1))
+    cfg = SchemeConfig(q0=bump1d, T=0.1,
+                       velocity=lambda x, t: np.ones((x.shape[0], 2)))
+    with pytest.raises(ValueError, match="no scheme generates 'rt' fields"):
+        scheme_levels(RT, mesh, build_dual_rt(mesh), cfg)
 
 
 # ---------------------------------------------------------------- MAC mass
