@@ -18,11 +18,6 @@ from fvlab.study import manufactured_solution
 from _oracles import assert_bitwise, collect_scheme, march_by_steps
 
 
-def run_mac(mesh, dual, cfg):
-    """The MAC scheme collected whole: (q, v, grid, ledger)."""
-    return collect_scheme(MAC, mesh, dual, cfg)
-
-
 def bump1d(x):
     x = np.atleast_2d(x)[:, 0]
     u = (x - 0.3) / 0.15
@@ -184,7 +179,7 @@ def test_mass_mac_zero_velocity_identity():
     dual = build_dual_mac(mesh)
     cfg = SchemeConfig(q0=bump2d_q0, T=0.25, cfl=0.5,
                        velocity=lambda x, t: np.zeros((x.shape[0], 2)))
-    q, v, grid, ledger = run_mac(mesh, dual, cfg)
+    q, v, grid, ledger = collect_scheme(MAC, mesh, dual, cfg)
     assert np.all(q.values == q.values[0])
     assert ledger.max_relative_defect() == 0.0
 
@@ -198,7 +193,7 @@ def test_mass_mac_rejects_a_velocity_that_outgrows_the_step():
                                             (x.shape[0], 2)).copy()
     cfg = SchemeConfig(q0=bump2d_q0, T=0.2, velocity=velocity)
     with pytest.raises(CFLError, match="CFL violated at step 1$"):
-        run_mac(mesh, dual, cfg)
+        collect_scheme(MAC, mesh, dual, cfg)
 
 
 def test_mass_mac_rejects_a_step_count_that_overflows():
@@ -217,7 +212,7 @@ def test_mass_mac_constant_state_interior():
     cfg = SchemeConfig(q0=lambda x: np.full(x.shape[0], 3.0), T=0.2, cfl=0.5,
                        velocity=lambda x, t: np.broadcast_to(
                            np.array([1.0, 0.5]), (x.shape[0], 2)).copy())
-    q, v, grid, ledger = run_mac(mesh, dual, cfg)
+    q, v, grid, ledger = collect_scheme(MAC, mesh, dual, cfg)
     # inflow feeds exterior value 0, so only cells away from inflow keep c
     inner = mesh.interior_cell_mask
     # after few steps the inflow layer has not reached deep interior cells
@@ -233,7 +228,7 @@ def test_mass_mac_one_step_matches_stencil_oracle():
     cfg = SchemeConfig(q0=bump2d_q0, T=1.0 / 16, cfl=0.5,
                        velocity=lambda x, t: np.broadcast_to(
                            np.array(vel), (x.shape[0], 2)).copy())
-    q, v, grid, ledger = run_mac(mesh, dual, cfg)
+    q, v, grid, ledger = collect_scheme(MAC, mesh, dual, cfg)
     dt = grid.steps[0]
     h = 1.0 / 8
     q0 = q.values[0].reshape(8, 8)       # cells indexed (ix, iy)
@@ -257,7 +252,7 @@ def test_mass_mac_step_forms_measure_times_flux():
     dual = build_dual_mac(mesh)
     cfg = SchemeConfig(q0=lambda x: sol["q"](x, 0.0), T=0.1, cfl=0.5,
                        velocity=sol["v"])
-    q, v, grid, ledger = run_mac(mesh, dual, cfg)
+    q, v, grid, ledger = collect_scheme(MAC, mesh, dual, cfg)
     q0, v0, dt = q.values[0], v.values[0], float(grid.steps[0])
     flux = np.empty(mesh.n_faces)
     for f, (p, r) in enumerate(mesh.face_cells):
@@ -289,7 +284,7 @@ def test_mass_mac_divergence_free_swirl_mass_exact():
                         axis=-1)
 
     cfg = SchemeConfig(q0=bump2d_q0, T=0.1, cfl=0.4, velocity=swirl)
-    q, v, grid, ledger = run_mac(mesh, dual, cfg)
+    q, v, grid, ledger = collect_scheme(MAC, mesh, dual, cfg)
     assert ledger.max_relative_defect() <= 1e-12
     assert np.abs(ledger.boundary_flux).max() <= 1e-13
 
@@ -357,7 +352,7 @@ def _scheme_and_flux(layout, policy):
                            velocity=lambda x, t: np.broadcast_to(
                                np.array([0.9, 0.3]), (x.shape[0], 2)).copy(),
                            boundary_policy=policy)
-        q, v, grid, ledger = run_mac(mesh, dual, cfg)
+        q, v, grid, ledger = collect_scheme(MAC, mesh, dual, cfg)
         return q, grid, ledger, flux_staggered(q, v, get_pair("id"),
                                                policy=policy)
     cfg = SchemeConfig(q0=_outflow_bump((1.0,)), T=0.5, cfl=0.5,
