@@ -65,7 +65,6 @@ CONFIG_TABLE = (
     ("study", "boundary_policy", "boundary_policy", str),
     ("study", "cfl", "cfl", float),
     ("study", "translate_theta", "translate_theta", float),
-    ("study", "threads", "threads", int),
     ("test_function", "x0", ("support", 0, 0), float),
     ("test_function", "x1", ("support", 0, 1), float),
     ("test_function", "y0", ("support", 1, 0), float),
@@ -253,8 +252,13 @@ def main(argv=None) -> int:
         p.add_argument("--levels", type=int, default=None,
                        help="override the refinement level count")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads")
+                       help="accepted and ignored: the levels run one "
+                            "after another")
     args = parser.parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        print(f"config error: threads must be >= 1, got {args.threads!r}",
+              file=sys.stderr)
+        return 2
     try:
         cfg, meta = parse_config(args.config)
     except ConfigError as exc:
@@ -262,8 +266,6 @@ def main(argv=None) -> int:
         return 2
     if args.levels is not None:
         cfg.levels = args.levels
-    if args.threads is not None:
-        cfg.threads = args.threads
     if args.out is not None:
         meta["out_dir"] = args.out
     try:

@@ -904,7 +904,6 @@ def level_pass(levels, pair, fluxes, interp: InterpolatedTest, q_exact,
         return _Term(lambda c: dict(l1=l1(c.steps, c.qv)),
                      lambda sums: sums.total("l1"))
 
-    # keep goes first: a finer level waits for the rows it hands over
     terms = {} if keep is None else dict(keep=_Term(
         lambda c: keep(c.start, c.qk), lambda sums: None))
     terms.update(

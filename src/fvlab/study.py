@@ -2,10 +2,10 @@
 compute every consistency residual per level, fit decay rates and emit CSV
 reports.
 
-Each level but the finest hands its q to the next finer level, whose L1
-Cauchy distance reads it as it is filled, so on a thread pool the passes
-overlap.  Reports are assembled in level order with deterministic
-reductions, so outputs are byte-identical for any thread count.
+The levels run one after another, and each level but the finest hands
+its q, as a plain array, to the next finer level's L1 Cauchy distance.
+Reports are assembled in level order with deterministic reductions, so
+outputs are byte-identical for any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import csv
 import functools
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -172,7 +170,6 @@ class StudyConfig:
     regularity_cap: float = 1e3
     regularity_growth: float = 2.0
     thresholds: dict = field(default_factory=dict)
-    threads: int = 1
 
     def __post_init__(self):
         dim = get_layout(self.layout).dim
@@ -191,8 +188,6 @@ class StudyConfig:
             return
         if self.levels < 3:
             raise ValueError("a study needs >= 3 levels for rate fitting")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads!r}")
         for name in ("T", "dt_over_h", "time_ratio", "grading",
                      "regularity_cap", "regularity_growth"):
             if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
@@ -502,56 +497,22 @@ def level_source(config: StudyConfig, level: int):
 
 
 class _LevelQ:
-    """One level's q as the L1 Cauchy reference of the next finer level.
+    """One level's q on its tensor mesh, the L1 Cauchy reference of the
+    next finer level: its pass writes the rows chunk by chunk (``put``),
+    and the finer level's pass gathers from them (``at``)."""
 
-    The level publishes it once its mesh and time grid are built (with no
-    values, and so no reference, without tensor structure), its pass
-    fills the rows chunk by chunk (``put``), and if it fails, ``fail()``
-    releases the waiters.  The finer level, on the level pool perhaps at
-    the same time, waits only for the rows it reads (``at``), so the two
-    passes overlap."""
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._published = self._failed = False
-        self._rows = 0
-        self.mesh = self.grid = self.values = None
-
-    def publish(self, mesh, grid):
-        with self._cond:
-            self.mesh, self.grid = mesh, grid
-            if mesh.is_rectangular():
-                self.values = np.empty((grid.n_steps + 1, mesh.n_cells))
-            self._published = True
-            self._cond.notify_all()
+    def __init__(self, mesh, grid):
+        self.mesh, self.grid = mesh, grid
+        self.values = np.empty((grid.n_steps + 1, mesh.n_cells))
 
     def put(self, start, levels):
         """The q levels of the knots start.. (``level_pass``'s keep)."""
         self.values[start:start + len(levels)] = levels
-        with self._cond:
-            self._rows = start + len(levels)
-            self._cond.notify_all()
-
-    def fail(self):
-        with self._cond:
-            self._failed = True
-            self._cond.notify_all()
-
-    def _wait(self, ready):
-        with self._cond:
-            self._cond.wait_for(lambda: ready() or self._failed)
-            if not ready():
-                raise RuntimeError("the coarser level failed")
-
-    def reference(self) -> _LevelQ | None:
-        """This q once published, None without tensor structure."""
-        self._wait(lambda: self._published)
-        return None if self.values is None else self
 
     def at(self, points):
         """The evaluator ``ev(times, out=None)`` of this q on the points,
         as ``Reference.at``: the cell of each point found once, the rows
-        of the times waited for, then gathered into reused buffers.
+        of the times gathered into reused buffers.
 
         q is constant on each slab of this level, and ``ev.slabs(times)``
         names the slab that ``ev`` reads at each time (``searchsorted``
@@ -576,8 +537,6 @@ class _LevelQ:
         def ev(times, out=None):
             nonlocal rows
             n = slabs(times)
-            last = int(n.max(initial=-1))
-            self._wait(lambda: self._rows > last)
             if len(rows) < n.size:
                 rows = np.empty((n.size, mesh.n_cells))
             # the indices are in range, and mode "clip" gathers straight
@@ -609,38 +568,32 @@ def _audit(config, level, reg, base):
 # ----------------------------------------------------------------------
 # the study itself
 
-def _compute_level(config, level, phi, rhs, base_reg, coarse, mine,
-                   work=None):
-    """The report of one level: its q and v streamed from ``level_source``
-    into ``level_pass``, l1_cauchy taken against ``coarse`` when it has a
-    reference, and its q put into ``mine`` (when given; failed on error);
-    ``work`` is the pass's workspace (``level_pass``)."""
-    try:
-        levels = level_source(config, level)
-        mesh, dual, grid = levels.mesh, levels.dual, levels.grid
-        layout = get_layout(config.layout)
-        pair = get_pair(config.beta_name, config.g_name)
-        if mine is not None:
-            mine.publish(mesh, grid)
-        reg = regularity(mesh, grid, dual)
-        _audit(config, level, reg, base_reg)
-        fluxes = flux_rule(mesh, layout, dual, pair, config.face_scheme,
-                           config.lam, config.boundary_policy)
-        interp = interpolate_test(phi, mesh, grid, order=config.quad_order,
-                                  panels=config.interp_panels)
-        weights = default_translate_weights(mesh, grid,
-                                            theta=config.translate_theta)
-        sums = level_pass(
-            levels, pair, fluxes, interp,
-            manufactured_solution(config.solution)["q"], weights, rhs,
-            order=config.quad_order, init_order=config.oracle_order,
-            cauchy=None if coarse is None else coarse.reference(),
-            keep=None if mine is None or mine.values is None else mine.put,
-            work=work)
-    except BaseException:
-        if mine is not None:
-            mine.fail()
-        raise
+def _compute_level(config, level, phi, rhs, base_reg, coarse, work=None):
+    """The report of one level and its q (``_LevelQ``, None on the finest
+    level and without tensor structure): its q and v streamed from
+    ``level_source`` into ``level_pass``, l1_cauchy taken against the
+    coarser level's q ``coarse`` when there is one; ``work`` is the pass's
+    workspace (``level_pass``)."""
+    levels = level_source(config, level)
+    mesh, dual, grid = levels.mesh, levels.dual, levels.grid
+    layout = get_layout(config.layout)
+    pair = get_pair(config.beta_name, config.g_name)
+    # no finer level reads the finest q, so it is never held whole
+    q = (_LevelQ(mesh, grid)
+         if level < config.levels - 1 and mesh.is_rectangular() else None)
+    reg = regularity(mesh, grid, dual)
+    _audit(config, level, reg, base_reg)
+    fluxes = flux_rule(mesh, layout, dual, pair, config.face_scheme,
+                       config.lam, config.boundary_policy)
+    interp = interpolate_test(phi, mesh, grid, order=config.quad_order,
+                              panels=config.interp_panels)
+    weights = default_translate_weights(mesh, grid,
+                                        theta=config.translate_theta)
+    sums = level_pass(
+        levels, pair, fluxes, interp,
+        manufactured_solution(config.solution)["q"], weights, rhs,
+        order=config.quad_order, init_order=config.oracle_order,
+        cauchy=coarse, keep=None if q is None else q.put, work=work)
     extras = {}
     if config.field_source == "scheme":
         extras = dict(scheme_min=sums.q_min, scheme_max=sums.q_max,
@@ -658,7 +611,7 @@ def _compute_level(config, level, phi, rhs, base_reg, coarse, mine,
         rt_constant=(jumps.rt_constant if jumps.rt_constant is not None
                      else np.nan),
         measured_c=sums.measured_c, l1_distance=sums.l1_distance,
-        l1_cauchy=sums.l1_cauchy, **extras)
+        l1_cauchy=sums.l1_cauchy, **extras), q
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -677,37 +630,17 @@ def run_study(config: StudyConfig) -> StudyResult:
     pair = get_pair(config.beta_name, config.g_name)
     rhs = weak_rhs(pair, sol["q"], sol["v"], phi, order=config.oracle_order,
                    panels=config.rhs_panels)
-    # each level but the finest hands its q to the next one
-    handoffs = [_LevelQ() for _ in range(config.levels - 1)] + [None]
-    # the levels of one thread reuse one workspace, whose buffers each
-    # finer level grows: a fresh one per level faulted in ~2k more pages
-    # over the 1D scheme benchmark study
-    local = threading.local()
-
-    def compute(*job):
-        if not hasattr(local, "work"):
-            local.work = Workspace()
-        return _compute_level(*job, local.work)
-
-    # level 0 first: it fixes the regularity baseline for the audit
-    first = compute(config, 0, phi, rhs, None, None, handoffs[0])
-    jobs = [(config, lv, phi, rhs, first, handoffs[lv - 1], handoffs[lv])
-            for lv in range(1, config.levels)]
-    del handoffs        # a level's q is freed once the next level is done
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            # the pool starts the levels in order, so a level waits only
-            # for coarser levels already running
-            futures = [pool.submit(compute, *job) for job in jobs]
-            del jobs
-            reports = [first] + [f.result() for f in futures]
-    else:
-        # the levels stay on the main thread: through a one-worker pool
-        # the 1D scheme benchmark peaked ~2 MiB higher (2-core Xeon),
-        # likely from the worker thread's own malloc arena
-        reports = [first]
-        while jobs:
-            reports.append(compute(*jobs.pop(0)))
+    # the levels reuse one workspace, whose buffers each finer level grows:
+    # a fresh one per level faulted in ~2k more pages over the 1D scheme
+    # benchmark study
+    work = Workspace()
+    reports, q = [], None
+    for level in range(config.levels):
+        # level 0 fixes the regularity baseline for the audit; a level's q
+        # is freed once the next level is done
+        report, q = _compute_level(config, level, phi, rhs,
+                                   reports[0] if reports else None, q, work)
+        reports.append(report)
     return StudyResult(config=config, reports=reports, rates=fit_rates(reports))
 
 

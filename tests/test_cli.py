@@ -181,9 +181,9 @@ def test_bad_config_exit_2(tmp_path, capsys):
         ("dt_over_h = 0.5", "dt_over_h = 0", "dt_over_h must be finite"),
         ("T = 0.5", "T = inf", "T must be finite and positive, got inf"),
         ("dt_over_h = 0.5", "dt_over_h = -0.5", "got -0.5"),
-        ("layout = mac", "layout = mac\nthreads = 0",
-         "threads must be >= 1, got 0"),
-        ("layout = mac", "layout = mac\nthreads = -1", "got -1"),
+        # threads is no INI key (the --threads flag is accepted and ignored)
+        ("layout = mac", "layout = mac\nthreads = 2",
+         "unknown key 'threads' in [study]"),
         ("layout = mac", "layout = mac\ntranslate_theta = nan",
          "translate_theta must be finite and non-negative, got nan"),
         ("layout = mac", "layout = mac\ntranslate_theta = inf", "got inf"),
@@ -303,7 +303,7 @@ def test_bad_config_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error" in err and needle in err, (case, err)
         assert not out_dir.exists(), case
-    # a thread count below 1 from the flag, too
+    # the ignored --threads flag still takes no count below 1
     path = write_config(tmp_path)
     assert main(["run-study", "--config", str(path), "--out",
                  str(tmp_path / "flag"), "--threads", "0"]) == 2
@@ -380,7 +380,6 @@ solution = sinsin_shear
 boundary_policy = zero_flux
 cfl = 0.4
 translate_theta = 2.0
-threads = 2
 
 [test_function]
 x0 = 0.125
@@ -436,7 +435,6 @@ field_source = scheme
 boundary_policy = periodic
 cfl = 0.9
 translate_theta = 0.5
-threads = 3
 
 [test_function]
 x0 = 0.25
@@ -609,6 +607,7 @@ def test_determinism_same_config_same_bytes(tmp_path):
 
 
 def test_threads_flag_does_not_change_bytes(tmp_path):
+    # --threads is accepted and ignored: the levels run one after another
     path = write_config(tmp_path)
     a = tmp_path / "t1"
     b = tmp_path / "t4"

@@ -2,7 +2,6 @@ import dataclasses
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 from unittest import mock
 
@@ -107,14 +106,13 @@ print("numpy.ma" in sys.modules)
 """
 
 
-def _run_script(script, timeout=None):
+def _run_script(script):
     """The stdout of a Python process running script on this fvlab."""
     src = str(Path(fvlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", script], env=env,
-                          check=True, capture_output=True, text=True,
-                          timeout=timeout).stdout
+                          check=True, capture_output=True, text=True).stdout
 
 
 def test_studies_do_not_import_masked_arrays():
@@ -205,16 +203,15 @@ def test_report_rows_do_not_depend_on_the_chunk_size(case, changes, level):
 
     sizes = {1, quadrature.CHUNK_VALUES}
     for values in sorted(sizes | {k * per_step for k in (1, n - 1, n, n + 1)}):
-        mine = _LevelQ()
         with mock.patch.object(quadrature, "CHUNK_VALUES", values), \
                 mock.patch.object(SlabQuadrature, "slab_cell_integrals", spy):
-            got = _compute_level(config, level, phi, rhs(), None,
-                                 _filled(coarse), mine)
+            got, mine = _compute_level(config, level, phi, rhs(), None,
+                                       _filled(coarse))
         assert hexes(got) == want, values
         if q.mesh.is_rectangular():
             assert_bitwise(mine.values, q.values)
         else:
-            assert mine.values is None
+            assert mine is None
     cauchy = {once for nodes, once in calls if nodes == cauchy_nodes}
     assert (True in cauchy) if level else cauchy == set()
     if changes is ALTERNATING:
@@ -222,116 +219,69 @@ def test_report_rows_do_not_depend_on_the_chunk_size(case, changes, level):
 
 
 def _filled(field):
-    """field as a whole, published and filled ``_LevelQ``."""
+    """field as a whole, put into a ``_LevelQ``."""
     if field is None:
         return None
-    level_q = _LevelQ()
-    level_q.publish(field.mesh, field.grid)
+    level_q = _LevelQ(field.mesh, field.grid)
     level_q.put(0, field.values)
     return level_q
 
 
-def _started(call):
-    """A thread running call(), started, and the list that receives its
-    result or the exception it raised."""
-    out = []
-
-    def run():
-        try:
-            out.append(call())
-        except Exception as exc:
-            out.append(exc)
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    return thread, out
-
-
-def _in_thread(call):
-    """call() on a thread, joined within 60 s: its result, or the
-    exception it raised."""
-    thread, out = _started(call)
-    thread.join(60)
-    assert not thread.is_alive(), "the call still waits"
-    return out[0]
-
-
-def test_cauchy_lookup_waits_only_for_the_rows_it_reads():
-    # a finer level reads the coarser q while the coarser pass still fills
-    # it: a lookup returns once its rows are in, one past them waits, and
-    # a failing coarser level releases the waiter with an error
-    mesh, grid = build_intervals(4), build_time_grid(1.0, 4)
-    values = np.arange(5.0)[:, None] + np.arange(4.0)
-    coarse = _LevelQ()
-    coarse.publish(mesh, grid)
-    assert _in_thread(coarse.reference) is coarse
-    ev = coarse.at(mesh.cell_centroids)
-    coarse.put(0, values[:2])
-    assert_bitwise(_in_thread(lambda: ev(np.array([0.0, 0.3]))), values[:2])
-    thread, out = _started(lambda: ev(np.array([0.6])))
-    thread.join(0.2)
-    assert thread.is_alive()
-    coarse.fail()
-    thread.join(60)
-    assert not thread.is_alive()
-    assert isinstance(out[0], RuntimeError)
-    assert isinstance(_in_thread(lambda: ev(np.array([0.6]))), RuntimeError)
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_perturbed_study_neither_gathers_nor_waits_for_a_cauchy_q(threads):
+def test_perturbed_study_neither_gathers_nor_reads_a_cauchy_q():
     # without tensor structure there is no Cauchy reference: no level
     # gathers its q or reads a coarser one, and l1_cauchy stays nan
     config, _ = parse_config(GOLDEN / "rt_perturbed_seed1" / "study.ini")
-    config = dataclasses.replace(config, threads=threads)
     with mock.patch.object(_LevelQ, "put", side_effect=AssertionError), \
             mock.patch.object(_LevelQ, "at", side_effect=AssertionError):
         result = run_study(config)
     assert all(np.isnan(r.l1_cauchy) for r in result.reports)
 
 
-_FAILING_LEVEL = """
-from unittest import mock
-import fvlab.study
-from fvlab.study import StudyConfig, run_study
-real = fvlab.study.level_pass
-
-def failing(levels, *args, **kwargs):
-    if levels.mesh.n_cells == 16 * 16:
-        raise ValueError("level 1 fails")
-    return real(levels, *args, **kwargs)
-
-with mock.patch.object(fvlab.study, "level_pass", failing):
-    try:
-        run_study(StudyConfig(levels=3, nx0=8, ny0=8, layout="mac",
-                              threads=2))
-    except ValueError as exc:
-        print(exc)
-"""
-
-
-def test_a_failing_level_releases_the_finer_level_on_the_pool():
-    # level 1 fails in its pass while level 2 may be waiting for its q:
-    # the study raises level 1's error and the process ends (a waiter
-    # left blocked would keep the pool's thread, and the process, alive)
-    assert _run_script(_FAILING_LEVEL, timeout=120).strip() == \
-        "level 1 fails"
-
-
-@pytest.mark.parametrize("config", [
+# a MAC manufactured and a 1D scheme study, each on tensor meshes
+CAUCHY_STUDIES = [
     StudyConfig(levels=3, nx0=6, ny0=6, layout="mac"),
     StudyConfig(levels=4, nx0=8, layout="colocated1d", field_source="scheme",
-                T=0.25)])
+                T=0.25)]
+
+
+@pytest.mark.parametrize("config", CAUCHY_STUDIES)
 def test_l1_cauchy_does_not_depend_on_the_thread_count(config):
-    # each level's Cauchy distance is taken inside its pass, on the level
-    # pool (as the coarser rows arrive) as on one thread
-    columns = []
-    for threads in (1, 2):
-        result = run_study(dataclasses.replace(config, threads=threads))
-        columns.append([r.l1_cauchy.hex() for r in result.reports])
-    assert columns[0] == columns[1]
-    assert columns[0][0] == "nan"
-    assert all(np.isfinite(float.fromhex(x)) for x in columns[0][1:])
+    # each level's Cauchy distance is taken inside its pass against the
+    # coarser level's q, handed over when that level is done: none on
+    # level 0, finite on every finer level (the BLAS thread count is
+    # criterion 12's)
+    column = [r.l1_cauchy for r in run_study(config).reports]
+    assert np.isnan(column[0])
+    assert all(np.isfinite(x) for x in column[1:])
+
+
+@pytest.mark.parametrize("config", CAUCHY_STUDIES)
+def test_the_finest_level_holds_no_whole_q(config):
+    # each coarser level's pass puts every row of its q, for the next
+    # level's Cauchy distance; no level reads the finest q, so none of it
+    # is put (nor held: a whole q is (N + 1) x NC values)
+    meshes, rows = [], {}
+    real_source, real_put = fvlab.study.level_source, _LevelQ.put
+
+    def level_source(config, level):
+        source = real_source(config, level)
+        meshes.append((source.mesh, source.grid.n_steps))
+        return source
+
+    def put(self, start, levels):
+        rows.setdefault(id(self.mesh), []).extend(
+            range(start, start + len(levels)))
+        return real_put(self, start, levels)
+
+    with mock.patch.object(fvlab.study, "level_source", level_source), \
+            mock.patch.object(_LevelQ, "put", put):
+        run_study(config)
+    assert len(meshes) == config.levels
+    finest, _ = meshes[-1]
+    assert id(finest) not in rows
+    for mesh, n_steps in meshes[:-1]:
+        assert mesh.is_rectangular()
+        assert rows[id(mesh)] == list(range(n_steps + 1))
 
 
 def test_manufactured_study_monotone_and_rated():
