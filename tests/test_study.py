@@ -227,10 +227,13 @@ def _filled(field):
     return level_q
 
 
-def test_perturbed_study_neither_gathers_nor_reads_a_cauchy_q():
+@pytest.mark.parametrize("seed", [1, 2])
+def test_perturbed_study_neither_gathers_nor_waits_for_a_cauchy_q(seed):
     # without tensor structure there is no Cauchy reference: no level
-    # gathers its q or reads a coarser one, and l1_cauchy stays nan
+    # gathers its q or reads a coarser one (nor waits for one: levels run
+    # in order), and l1_cauchy stays nan, whatever the perturbation seed
     config, _ = parse_config(GOLDEN / "rt_perturbed_seed1" / "study.ini")
+    config = dataclasses.replace(config, seed=seed)
     with mock.patch.object(_LevelQ, "put", side_effect=AssertionError), \
             mock.patch.object(_LevelQ, "at", side_effect=AssertionError):
         result = run_study(config)
