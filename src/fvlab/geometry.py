@@ -50,6 +50,18 @@ def sum_opposite_first(terms, axis: int):
     return (t[0] + t[2]) + (t[1] + t[3])
 
 
+def _sum_in_order(terms):
+    """((t0 + t1) + t2) + ... of equal-shape columns: numpy's order for the
+    sum of a row of fewer than 8 terms, which starts from +0 and so differs
+    only where every term is -0.  One term is returned as it is."""
+    if len(terms) == 1:
+        return terms[0]
+    total = terms[0] + terms[1]
+    for t in terms[2:]:
+        total += t
+    return total
+
+
 class PrimalMesh:
     """Polygonal mesh: cells, deduplicated faces, adjacency and metrics.
 
@@ -69,8 +81,20 @@ class PrimalMesh:
         self.domain = tuple((float(a), float(b)) for a, b in domain)
         if self.dim not in (1, 2):
             raise MeshConstructionError(f"dimension must be 1 or 2, got {self.dim}")
+        if not np.isfinite(self.vertices).all():
+            v = int(np.argmin(np.isfinite(self.vertices).all(axis=1)))
+            raise MeshConstructionError(
+                f"vertex {v} has a non-finite coordinate "
+                f"{self.vertices[v].tolist()}")
+        if not all(math.isfinite(b) for ab in self.domain for b in ab):
+            raise MeshConstructionError(
+                f"domain bounds {self.domain} are not all finite")
+        if len(self.cell_vertices) == 0:
+            raise MeshConstructionError("the mesh has no cells")
         cv = self.cell_vertices
-        bad = ((cv < 0) | (cv >= len(self.vertices))).any(axis=1)
+        bad = np.zeros(len(cv), dtype=bool)
+        for col in cv.T:
+            bad |= (col < 0) | (col >= len(self.vertices))
         if bad.any():
             c = int(np.argmax(bad))
             raise MeshConstructionError(
@@ -85,47 +109,67 @@ class PrimalMesh:
 
     # ------------------------------------------------------------------
     def _build_cells(self):
-        verts = self.vertices[self.cell_vertices]          # (NC, nv, dim)
+        """Volumes, centroids and diameters, one (NC,) column per local
+        vertex.  The per-cell sums add the vertex terms in loop order,
+        ((t0 + t1) + t2) + t3, as numpy sums a row of four."""
+        x, y = self._loop_columns()
         if self.dim == 1:
-            a = verts[:, 0, 0]
-            b = verts[:, 1, 0]
-            if np.any(b <= a):
+            a, b = x
+            if not np.all(b > a):
                 raise MeshConstructionError("degenerate 1D cell (b <= a)")
             self.cell_volumes = b - a
             self.cell_diameters = b - a
             self.cell_centroids = (0.5 * (a + b))[:, None]
-        else:
-            x = verts[:, :, 0]
-            y = verts[:, :, 1]
-            xn = np.roll(x, -1, axis=1)
-            yn = np.roll(y, -1, axis=1)
-            cross = x * yn - xn * y
-            area2 = cross.sum(axis=1)
-            if np.any(area2 <= 0):
-                bad = int(np.argmax(area2 <= 0))
-                raise MeshConstructionError(
-                    f"cell {bad} is not counter-clockwise or degenerate")
-            self.cell_volumes = 0.5 * area2
-            cx = ((x + xn) * cross).sum(axis=1) / (6.0 * self.cell_volumes)
-            cy = ((y + yn) * cross).sum(axis=1) / (6.0 * self.cell_volumes)
-            self.cell_centroids = np.stack([cx, cy], axis=1)
-            # diameter = largest pairwise vertex distance
-            diff = verts[:, :, None, :] - verts[:, None, :, :]
-            self.cell_diameters = np.sqrt((diff ** 2).sum(-1)).max(axis=(1, 2))
+            return
+        nxt = self._next_vertex()
+        cross = [x[k] * y[j] - x[j] * y[k] for k, j in enumerate(nxt)]
+        area2 = _sum_in_order(cross)
+        if not np.all(area2 > 0):
+            bad = int(np.argmin(area2 > 0))
+            raise MeshConstructionError(
+                f"cell {bad} is not counter-clockwise or degenerate")
+        self.cell_volumes = 0.5 * area2
+        six = 6.0 * self.cell_volumes
+        self.cell_centroids = np.empty((self.n_cells, 2))
+        for d, u in enumerate((x, y)):
+            moment = _sum_in_order([(u[k] + u[j]) * cross[k]
+                                    for k, j in enumerate(nxt)])
+            np.divide(moment, six, out=self.cell_centroids[:, d])
+        # diameter = largest vertex distance, over the edges and diagonals
+        diameter = np.zeros(self.n_cells)
+        for k in range(len(x)):
+            for j in range(k + 1, len(x)):
+                dx = x[k] - x[j]
+                dy = y[k] - y[j]
+                np.maximum(diameter, np.sqrt(dx * dx + dy * dy), out=diameter)
+        self.cell_diameters = diameter
+
+    def _loop_columns(self):
+        """The vertex coordinates of the cell loops as (nv, NC) columns:
+        row k holds the k-th vertex of every cell (y is None in 1D)."""
+        loop = self.cell_vertices.T
+        x = self.vertices[:, 0][loop]
+        return x, self.vertices[:, 1][loop] if self.dim == 2 else None
+
+    def _next_vertex(self):
+        """The local index of the next vertex of the loop, per vertex."""
+        nv = self.cell_vertices.shape[1]
+        return [(k + 1) % nv for k in range(nv)]
 
     def _face_keys(self, fv):
         """One integer per face (row of vertex ids `fv`): the vertex in 1D,
         min*NV + max in 2D."""
         if fv.shape[1] == 1:
             return fv[:, 0]
-        return fv.min(axis=1) * self.n_vertices + fv.max(axis=1)
+        a, b = fv[:, 0], fv[:, 1]
+        return np.minimum(a, b) * self.n_vertices + np.maximum(a, b)
 
     def _local_faces(self):
         """Vertices and keys of every cell face, cell-major in the fixed
         local order: a vertex in 1D, an edge of the loop in 2D."""
         loop = self.cell_vertices
         if self.dim == 2:
-            loop = np.stack([loop, np.roll(loop, -1, axis=1)], axis=-1)
+            loop = np.stack([loop, loop[:, self._next_vertex()]], axis=-1)
         fv = loop.reshape(-1, self.dim)
         return fv, self._face_keys(fv)
 
@@ -138,14 +182,18 @@ class PrimalMesh:
         new = np.r_[True, np.diff(keys[pos]) != 0]
         key = np.cumsum(new) - 1
         nth = np.arange(pos.size) - np.flatnonzero(new)[key]
-        fid = np.argsort(np.argsort(pos[new]))[key]
-        cell_faces = fid[np.argsort(pos)]           # pos inverted
+        # a face's id is the rank of its first appearance among all firsts
+        first = np.zeros(pos.size, dtype=bool)
+        first[pos[new]] = True
+        fid = (np.cumsum(first) - 1)[pos[new]][key]
+        cell_faces = np.empty_like(fid)
+        cell_faces[pos] = fid                       # pos inverted
         if np.any(nth > 1):
             raise MeshConstructionError(
                 f"face {cell_faces[pos[nth > 1].min()]} shared by >2 cells")
         self.face_cells = np.full((new.sum(), 2), -1)
         self.face_cells[fid, nth] = pos // self.cell_vertices.shape[1]
-        self.face_vertices = local[np.sort(pos[new])]
+        self.face_vertices = local[first]
         self.cell_faces = cell_faces.reshape(self.cell_vertices.shape)
         self._derive_face_geometry()
 
@@ -154,8 +202,10 @@ class PrimalMesh:
         self.face_vertices = np.ascontiguousarray(face_vertices, dtype=np.int64)
         self.face_cells = np.ascontiguousarray(face_cells, dtype=np.int64)
         fc, fv = self.face_cells, self.face_vertices
-        bad = ((fc[:, 0] < 0) | (fc[:, 1] < -1) | (fc >= self.n_cells).any(axis=1)
-               | ((fv < 0) | (fv >= self.n_vertices)).any(axis=1))
+        bad = ((fc[:, 0] < 0) | (fc[:, 1] < -1) | (fc[:, 0] >= self.n_cells)
+               | (fc[:, 1] >= self.n_cells))
+        for col in fv.T:
+            bad |= (col < 0) | (col >= self.n_vertices)
         if bad.any():
             f = int(np.argmax(bad))
             raise MeshConstructionError(
@@ -181,10 +231,14 @@ class PrimalMesh:
             self.face_midpoints = self.vertices[self.face_vertices[:, 0]]
             self.face_measures = np.ones(self.n_faces)
         else:
-            va = self.vertices[self.face_vertices[:, 0]]
-            vb = self.vertices[self.face_vertices[:, 1]]
-            self.face_midpoints = 0.5 * (va + vb)
-            self.face_measures = np.sqrt(((vb - va) ** 2).sum(-1))
+            self.face_midpoints = np.empty((self.n_faces, 2))
+            squares = []
+            for d in (0, 1):
+                a, b = self.vertices[:, d][self.face_vertices.T]
+                np.multiply(0.5, a + b, out=self.face_midpoints[:, d])
+                e = b - a
+                squares.append(e * e)
+            self.face_measures = np.sqrt(squares[0] + squares[1])
             if np.any(self.face_measures <= 0):
                 raise MeshConstructionError("zero-length face")
         # outward normals per (cell, local face), from the cell's own loop
@@ -207,22 +261,28 @@ class PrimalMesh:
                 normals[c, k] = stored[f] if side == 0 else -stored[f]
 
     def _cell_edges(self):
-        """(NC, nv, 2) counter-clockwise edge vectors of the cell loops."""
-        loop = self.vertices[self.cell_vertices]
-        return np.roll(loop, -1, axis=1) - loop
+        """(nv, NC) x and y columns of the counter-clockwise edge vectors of
+        the cell loops: row k holds the edge from vertex k to vertex k+1."""
+        nxt = self._next_vertex()
+        return tuple(u[nxt] - u for u in self._loop_columns())
 
     def _edge_normals(self):
         """(NC, nv, 2) outward unit normals of the cell edges (2D)."""
-        edge = self._cell_edges()
-        length = np.sqrt((edge ** 2).sum(-1))
-        return np.stack([edge[:, :, 1] / length, -edge[:, :, 0] / length],
-                        axis=-1)
+        ex, ey = self._cell_edges()
+        length = np.sqrt(ex * ex + ey * ey)
+        normals = np.empty(self.cell_vertices.shape + (2,))
+        np.divide(ey.T, length.T, out=normals[:, :, 0])
+        np.divide(np.negative(ex, out=ex).T, length.T, out=normals[:, :, 1])
+        return normals
 
     def _local_index(self, cells, faces):
         """Local index of each face in its cell's list (the first match),
         -1 where the cell does not hold the face."""
-        hits = self.cell_faces[cells] == np.expand_dims(faces, -1)
-        return np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
+        held = self.cell_faces[cells]
+        index = np.full(np.shape(held)[:-1], -1)
+        for k in reversed(range(self.cell_faces.shape[1])):
+            index[held[..., k] == faces] = k
+        return index
 
     def _finalize(self):
         self.boundary_face_mask = self.face_cells[:, 1] < 0
@@ -271,10 +331,8 @@ class PrimalMesh:
         """True when every cell is an axis-aligned rectangle (exact test)."""
         if self.dim == 1:
             return True
-        edge = self._cell_edges()
-        horiz = edge[:, [0, 2], 1] == 0.0
-        vert = edge[:, [1, 3], 0] == 0.0
-        return bool(horiz.all() and vert.all())
+        ex, ey = self._cell_edges()
+        return bool(np.all(ey[0::2] == 0.0) and np.all(ex[1::2] == 0.0))
 
 
 @dataclass(frozen=True)
@@ -341,7 +399,7 @@ class DualMeshRT:
 
     def identity_problems(self, mesh) -> list:
         """The half-dual measures of each cell of ``mesh`` sum to |P|."""
-        half_sum = self.half_measures.sum(axis=1)
+        half_sum = _sum_in_order(list(self.half_measures.T))
         return [f"cell {c}: RT half-dual measures do not sum to |P|"
                 for c in np.flatnonzero(half_sum != mesh.cell_volumes)]
 
@@ -363,7 +421,7 @@ class DualMeshMAC:
         omega, bad = mesh.domain_measure(), []
         for i in (0, 1):
             tot = float(self.dual_measures[self.face_family == i].sum())
-            if abs(tot - omega) > 1e-12 * omega:
+            if not abs(tot - omega) <= 1e-12 * omega:
                 bad.append(f"MAC duals of direction {i + 1} sum to {tot!r}, "
                            f"expected {omega!r}")
         return bad
@@ -506,10 +564,11 @@ def build_perturbed_quads(nx: int, ny: int, domain=((0.0, 1.0), (0.0, 1.0)),
 
 
 def _check_convex_quads(mesh):
-    edge = mesh._cell_edges()
-    nxt = np.roll(edge, -1, axis=1)
-    cross = edge[:, :, 0] * nxt[:, :, 1] - edge[:, :, 1] * nxt[:, :, 0]
-    bad = np.nonzero(~(cross > 0).all(axis=1))[0]
+    ex, ey = mesh._cell_edges()
+    convex = np.ones(mesh.n_cells, dtype=bool)
+    for k, j in enumerate(mesh._next_vertex()):
+        convex &= ex[k] * ey[j] - ey[k] * ex[j] > 0
+    bad = np.flatnonzero(~convex)
     if bad.size:
         raise MeshConstructionError(f"cell {int(bad[0])} is not strictly convex")
 
@@ -603,33 +662,44 @@ def regularity(mesh: PrimalMesh, grid: TimeGrid,
 def check_mesh_identities(mesh: PrimalMesh,
                           dual: DualMeshMAC | DualMeshRT | None = None):
     """Return a list of human-readable violations (empty when all hold),
-    the dual's own measure identities (``identity_problems``) last."""
+    the dual's own measure identities (``identity_problems``) last.  Every
+    test reads ``~(value <= tol)``, so a NaN anywhere is a violation."""
     # per-cell closure sum |zeta| n_{P,zeta} = 0, on the stored face
-    # measures (``cell_face_measures`` is derived from them)
-    areas = mesh.face_measures[mesh.cell_faces]             # (NC, nf)
-    closure = np.einsum("cf,cfd->cd", areas, mesh.cell_face_normals)
-    norm = np.sqrt((closure ** 2).sum(-1))
+    # measures (``cell_face_measures`` is derived from them), the local
+    # faces added in order, as numpy's einsum "cf,cfd->cd" adds them
+    nf = mesh.cell_faces.shape[1]
+    areas = [mesh.face_measures[mesh.cell_faces[:, k]] for k in range(nf)]
+    normals = mesh.cell_face_normals
+    closure = [_sum_in_order([a * normals[:, k, d]
+                              for k, a in enumerate(areas)])
+               for d in range(mesh.dim)]
+    norm = np.sqrt(_sum_in_order([c * c for c in closure]))
+    tol = 1e-12 * _sum_in_order(areas)
     bad = [f"cell {c}: face closure sum violated (|sum|={norm[c]:.3e})"
-           for c in np.flatnonzero(norm > 1e-12 * areas.sum(axis=1))]
+           for c in np.flatnonzero(~(norm <= tol))]
     # antisymmetric normals across interior faces, all at once
     f = np.flatnonzero(mesh.interior_face_mask)
     p, q = mesh.face_cells[f, 0], mesh.face_cells[f, 1]
-    pair = (mesh.cell_face_normals[p, mesh._local_index(p, f)]
-            + mesh.cell_face_normals[q, mesh._local_index(q, f)])
+    n_p = normals[p, mesh._local_index(p, f)]
+    n_q = normals[q, mesh._local_index(q, f)]
+    pair = [n_p[:, d] + n_q[:, d] for d in range(mesh.dim)]
+    pair = np.sqrt(_sum_in_order([c * c for c in pair]))
     bad += [f"face {f[i]}: normals not antisymmetric"
-            for i in np.flatnonzero(np.sqrt((pair ** 2).sum(-1)) > 1e-14)]
+            for i in np.flatnonzero(~(pair <= 1e-14))]
     # stored normals consistent with geometry (catches corrupted imports)
     if mesh.dim == 2:
-        err = np.sqrt(((mesh._edge_normals() - mesh.cell_face_normals) ** 2)
-                      .sum(-1))
+        geometric = mesh._edge_normals()
+        err = [geometric[:, :, d] - normals[:, :, d] for d in (0, 1)]
+        err = np.sqrt(err[0] * err[0] + err[1] * err[1])
         bad += [f"face {mesh.cell_faces[c, k]}: stored normal differs "
                 f"from geometry (cell {c})"
-                for c, k in zip(*np.nonzero(err > 1e-12))]
+                for c, k in zip(*np.nonzero(~(err <= 1e-12)))]
     # measures positive, domain covered
-    if np.any(mesh.cell_volumes <= 0):
+    if not np.all(mesh.cell_volumes > 0):
         bad.append("non-positive cell measure")
     total = float(mesh.cell_volumes.sum())
-    if abs(total - mesh.domain_measure()) > 1e-12 * mesh.domain_measure():
-        bad.append(f"cell measures sum to {total!r}, expected "
-                   f"{mesh.domain_measure()!r}")
+    omega = mesh.domain_measure()
+    if not abs(total - omega) <= 1e-12 * omega:
+        bad.append(f"cell measures sum to {total!r}, expected {omega!r}")
     return bad if dual is None else bad + dual.identity_problems(mesh)
+

@@ -39,11 +39,17 @@ class MeshFormatError(ValueError):
 
 def _write_rows(fh, fmt, *columns):
     """Write the rows of side-by-side `columns` with the %-template `fmt`,
-    4096 per block to bound memory (ints pass exactly through float64)."""
-    rows = np.column_stack(columns)
-    for lo in range(0, len(rows), 4096):
-        part = rows[lo:lo + 4096]
-        fh.write((f"{fmt}\n" * len(part)) % tuple(part.ravel().tolist()))
+    4096 per block to bound memory.  Each column is formatted from its own
+    dtype: ints as Python ints, floats as Python floats."""
+    columns = [c for array in columns
+               for c in np.reshape(array, (len(array), -1)).T]
+    width, rows = len(columns), len(columns[0])
+    for lo in range(0, rows, 4096):
+        n = min(4096, rows - lo)
+        values = [None] * (n * width)           # row-major, as fmt reads them
+        for j, c in enumerate(columns):
+            values[j::width] = c[lo:lo + n].tolist()
+        fh.write((f"{fmt}\n" * n) % tuple(values))
 
 
 def save_mesh(mesh: PrimalMesh, path):
@@ -93,6 +99,8 @@ def _section(lines, at, word, fields):
     rows = lines[at + 1:at + 1 + n]
     if n < 0 or len(rows) < n:
         raise MeshFormatError("truncated mesh file")
+    if n == 0:
+        raise MeshFormatError(f"{word} section has no records")
     dtype = np.dtype([("id", np.int64)] + [(name, t, (k,))
                                             for name, t, k in fields])
     try:
@@ -109,7 +117,7 @@ def _section(lines, at, word, fields):
 
 def load_mesh(path) -> PrimalMesh:
     with open(path) as fh:
-        lines = [ln for ln in map(str.strip, fh) if ln]
+        lines = list(filter(None, map(str.strip, fh.read().split("\n"))))
     if not lines or lines[0] != MAGIC:
         raise MeshFormatError(f"not a {MAGIC!r} file")
     dim = int(_header(lines, 1, "dim", 1)[0])

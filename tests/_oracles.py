@@ -137,10 +137,134 @@ def per_step_sum(table) -> float:
     return total
 
 
-class ScalarFaceMesh(PrimalMesh):
+class RowwiseMesh(PrimalMesh):
+    """PrimalMesh with the row-wise formulas that ``PrimalMesh`` used before
+    its column passes, verbatim: (NC, nv, dim) vertex rows reduced over
+    their small axes, np.roll loops, and the face table numbered by double
+    argsort.  The bit-for-bit reference for the cell, face and normal
+    arrays of ``PrimalMesh``."""
+
+    def _build_cells(self):
+        verts = self.vertices[self.cell_vertices]          # (NC, nv, dim)
+        if self.dim == 1:
+            a = verts[:, 0, 0]
+            b = verts[:, 1, 0]
+            if np.any(b <= a):
+                raise MeshConstructionError("degenerate 1D cell (b <= a)")
+            self.cell_volumes = b - a
+            self.cell_diameters = b - a
+            self.cell_centroids = (0.5 * (a + b))[:, None]
+        else:
+            x = verts[:, :, 0]
+            y = verts[:, :, 1]
+            xn = np.roll(x, -1, axis=1)
+            yn = np.roll(y, -1, axis=1)
+            cross = x * yn - xn * y
+            area2 = cross.sum(axis=1)
+            if np.any(area2 <= 0):
+                bad = int(np.argmax(area2 <= 0))
+                raise MeshConstructionError(
+                    f"cell {bad} is not counter-clockwise or degenerate")
+            self.cell_volumes = 0.5 * area2
+            cx = ((x + xn) * cross).sum(axis=1) / (6.0 * self.cell_volumes)
+            cy = ((y + yn) * cross).sum(axis=1) / (6.0 * self.cell_volumes)
+            self.cell_centroids = np.stack([cx, cy], axis=1)
+            # diameter = largest pairwise vertex distance
+            diff = verts[:, :, None, :] - verts[:, None, :, :]
+            self.cell_diameters = np.sqrt((diff ** 2).sum(-1)).max(axis=(1, 2))
+
+    def _face_keys(self, fv):
+        if fv.shape[1] == 1:
+            return fv[:, 0]
+        return fv.min(axis=1) * self.n_vertices + fv.max(axis=1)
+
+    def _local_faces(self):
+        loop = self.cell_vertices
+        if self.dim == 2:
+            loop = np.stack([loop, np.roll(loop, -1, axis=1)], axis=-1)
+        fv = loop.reshape(-1, self.dim)
+        return fv, self._face_keys(fv)
+
+    def _build_faces(self):
+        local, keys = self._local_faces()
+        pos = np.argsort(keys, kind="stable")       # appearances, key by key
+        new = np.r_[True, np.diff(keys[pos]) != 0]
+        key = np.cumsum(new) - 1
+        nth = np.arange(pos.size) - np.flatnonzero(new)[key]
+        fid = np.argsort(np.argsort(pos[new]))[key]
+        cell_faces = fid[np.argsort(pos)]           # pos inverted
+        if np.any(nth > 1):
+            raise MeshConstructionError(
+                f"face {cell_faces[pos[nth > 1].min()]} shared by >2 cells")
+        self.face_cells = np.full((new.sum(), 2), -1)
+        self.face_cells[fid, nth] = pos // self.cell_vertices.shape[1]
+        self.face_vertices = local[np.sort(pos[new])]
+        self.cell_faces = cell_faces.reshape(self.cell_vertices.shape)
+        self._derive_face_geometry()
+
+    def _derive_face_geometry(self, stored_normals=None):
+        super()._derive_face_geometry(stored_normals)
+        if self.dim == 2:
+            va = self.vertices[self.face_vertices[:, 0]]
+            vb = self.vertices[self.face_vertices[:, 1]]
+            self.face_midpoints = 0.5 * (va + vb)
+            self.face_measures = np.sqrt(((vb - va) ** 2).sum(-1))
+
+    def _rowwise_edges(self):
+        loop = self.vertices[self.cell_vertices]
+        return np.roll(loop, -1, axis=1) - loop
+
+    def _edge_normals(self):
+        edge = self._rowwise_edges()
+        length = np.sqrt((edge ** 2).sum(-1))
+        return np.stack([edge[:, :, 1] / length, -edge[:, :, 0] / length],
+                        axis=-1)
+
+    def _local_index(self, cells, faces):
+        hits = self.cell_faces[cells] == np.expand_dims(faces, -1)
+        return np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
+
+    def is_rectangular(self) -> bool:
+        if self.dim == 1:
+            return True
+        edge = self._rowwise_edges()
+        horiz = edge[:, [0, 2], 1] == 0.0
+        vert = edge[:, [1, 3], 0] == 0.0
+        return bool(horiz.all() and vert.all())
+
+
+def float64_save_mesh(mesh, path):
+    """``save_mesh`` with the row writer it had before formatting each
+    column from its own dtype, verbatim: a section's columns go through
+    one np.column_stack, floats whenever one column is."""
+    def write_rows(fh, fmt, *columns):
+        rows = np.column_stack(columns)
+        for lo in range(0, len(rows), 4096):
+            part = rows[lo:lo + 4096]
+            fh.write((f"{fmt}\n" * len(part)) % tuple(part.ravel().tolist()))
+
+    real = " %.17g" * mesh.dim
+    ids = [np.arange(n) for n in (mesh.n_vertices, mesh.n_cells, mesh.n_faces)]
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"fvlab-mesh 1\ndim {mesh.dim}\ndomain "
+                 + " ".join("%.17g" % b for ab in mesh.domain for b in ab)
+                 + f"\nvertices {mesh.n_vertices}\n")
+        write_rows(fh, "%d" + real, ids[0], mesh.vertices)
+        fh.write(f"cells {mesh.n_cells}\n")
+        write_rows(fh, "%d" + " %d" * mesh.cell_vertices.shape[1], ids[1],
+                   mesh.cell_vertices)
+        fh.write(f"faces {mesh.n_faces}\n")
+        write_rows(fh, "%d" + " %d" * (mesh.face_vertices.shape[1] + 2)
+                   + real, ids[2], mesh.face_vertices, mesh.face_cells,
+                   mesh.face_normals)
+
+
+class ScalarFaceMesh(RowwiseMesh):
     """PrimalMesh whose face table is built, adopted and oriented one cell
     face at a time through a dict of sorted vertex tuples: the reference
-    for the array face code of ``PrimalMesh``."""
+    for the array face code of ``PrimalMesh``.  Its cell arrays, face
+    measures and normals come from the row-wise formulas of
+    ``RowwiseMesh``."""
 
     def _scalar_local_faces(self):
         nv = self.cell_vertices.shape[1]
@@ -218,7 +342,8 @@ def scalar_outward_normal(mesh, cell, face):
 
 def scalar_mesh_identities(mesh, dual=None):
     """``check_mesh_identities`` with the antisymmetry test run face by
-    face; the same messages in the same order."""
+    face; the same messages in the same order.  Every test reads
+    ``not value <= tol``, so a NaN is a violation."""
     rt = dual if isinstance(dual, DualMeshRT) else None
     mac = dual if isinstance(dual, DualMeshMAC) else None
     bad = []
@@ -226,13 +351,13 @@ def scalar_mesh_identities(mesh, dual=None):
     closure = np.einsum("cf,cfd->cd", areas, mesh.cell_face_normals)
     norm = np.sqrt((closure ** 2).sum(-1))
     tol = 1e-12 * areas.sum(axis=1)
-    for c in np.nonzero(norm > tol)[0]:
+    for c in np.nonzero(~(norm <= tol))[0]:
         bad.append(f"cell {c}: face closure sum violated (|sum|={norm[c]:.3e})")
     for f in np.nonzero(mesh.interior_face_mask)[0]:
         p, q = mesh.face_cells[f]
         pair = (scalar_outward_normal(mesh, p, f)
                 + scalar_outward_normal(mesh, q, f))
-        if np.sqrt((pair ** 2).sum()) > 1e-14:
+        if not np.sqrt((pair ** 2).sum()) <= 1e-14:
             bad.append(f"face {f}: normals not antisymmetric")
     if mesh.dim == 2:
         loop = mesh.vertices[mesh.cell_vertices]
@@ -241,16 +366,16 @@ def scalar_mesh_identities(mesh, dual=None):
         geom = np.stack([edge[:, :, 1] / length, -edge[:, :, 0] / length],
                         axis=-1)
         err = np.sqrt(((geom - mesh.cell_face_normals) ** 2).sum(-1))
-        for c, k in zip(*np.nonzero(err > 1e-12)):
+        for c, k in zip(*np.nonzero(~(err <= 1e-12))):
             bad.append(f"face {mesh.cell_faces[c, k]}: stored normal differs "
                        f"from geometry (cell {c})")
-    if np.any(mesh.cell_volumes <= 0):
+    if not np.all(mesh.cell_volumes > 0):
         bad.append("non-positive cell measure")
     omega = 1.0
     for a, b in mesh.domain:
         omega *= (b - a)
     total = float(mesh.cell_volumes.sum())
-    if abs(total - omega) > 1e-12 * omega:
+    if not abs(total - omega) <= 1e-12 * omega:
         bad.append(f"cell measures sum to {total!r}, expected {omega!r}")
     if rt is not None:
         half_sum = rt.half_measures.sum(axis=1)
@@ -259,7 +384,7 @@ def scalar_mesh_identities(mesh, dual=None):
     if mac is not None:
         for i in (0, 1):
             tot = float(mac.dual_measures[mac.face_family == i].sum())
-            if abs(tot - omega) > 1e-12 * omega:
+            if not abs(tot - omega) <= 1e-12 * omega:
                 bad.append(f"MAC duals of direction {i + 1} sum to {tot!r}, "
                            f"expected {omega!r}")
     return bad

@@ -4,14 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import ScalarFaceMesh, scalar_mesh_identities
+from _oracles import (RowwiseMesh, ScalarFaceMesh, float64_save_mesh,
+                      scalar_mesh_identities)
 from fvlab.cli import main
 from fvlab.geometry import (MeshConstructionError, PrimalMesh,
-                            build_cartesian, build_intervals,
-                            build_perturbed_quads, check_mesh_identities)
+                            build_cartesian, build_dual_mac, build_dual_rt,
+                            build_intervals, build_perturbed_quads,
+                            check_mesh_identities)
 from fvlab.meshio import MeshFormatError, load_mesh, save_mesh
 
 
@@ -90,12 +92,17 @@ def mesh_arrays(mesh):
     return {k: v for k, v in vars(mesh).items() if isinstance(v, np.ndarray)}
 
 
-def assert_same_arrays(got, want):
+def assert_same_arrays(got, want, bitwise=False):
+    """The same mesh arrays, of equal dtype and values; with `bitwise`,
+    of equal shape and bytes too (signs of zeros, NaNs)."""
     got, want = mesh_arrays(got), mesh_arrays(want)
     assert got.keys() == want.keys()
     for key in want:
         assert got[key].dtype == want[key].dtype, key
         assert np.array_equal(got[key], want[key]), key
+        if bitwise:
+            assert got[key].shape == want[key].shape, key
+            assert got[key].tobytes() == want[key].tobytes(), key
 
 
 @st.composite
@@ -114,23 +121,36 @@ def built_meshes(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(built_meshes())
+# 4704 faces: the face section spans two 4096-row write blocks
+@example(build_perturbed_quads(48, 48, amplitude=0.2, seed=11))
 def test_mesh_pipeline_matches_scalar_oracles(mesh):
-    """Array face table == the dict-built one; save -> load gives equal
-    arrays; save -> load -> save gives identical bytes."""
-    assert_same_arrays(
-        mesh, ScalarFaceMesh(mesh.vertices, mesh.cell_vertices, mesh.domain))
+    """Every mesh array (volumes, centroids, diameters, face measures,
+    normals, face table) == the row-wise formulas' and the dict-built face
+    table's, bit for bit; the saved bytes == the float64 row writer's;
+    save -> load gives equal arrays; save -> load -> save gives identical
+    bytes."""
+    rowwise = RowwiseMesh(mesh.vertices, mesh.cell_vertices, mesh.domain)
+    assert_same_arrays(mesh, rowwise, bitwise=True)
+    assert mesh.is_rectangular() == rowwise.is_rectangular()
+    assert_same_arrays(mesh, ScalarFaceMesh(
+        mesh.vertices, mesh.cell_vertices, mesh.domain), bitwise=True)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
+        oracle = Path(tmp) / "oracle.txt"
         save_mesh(mesh, first)
+        float64_save_mesh(mesh, oracle)
+        assert first.read_bytes() == oracle.read_bytes()
         back = load_mesh(first)
         save_mesh(back, second)
         assert first.read_bytes() == second.read_bytes()
     assert back.domain == mesh.domain
     assert_same_arrays(back, mesh)
-    assert_same_arrays(back, ScalarFaceMesh(
-        back.vertices, back.cell_vertices, back.domain,
-        face_normals=back.face_normals, face_cells=back.face_cells,
-        face_vertices=back.face_vertices))
+    table = dict(face_normals=back.face_normals, face_cells=back.face_cells,
+                 face_vertices=back.face_vertices)
+    for oracle_mesh in (RowwiseMesh, ScalarFaceMesh):
+        assert_same_arrays(back, oracle_mesh(
+            back.vertices, back.cell_vertices, back.domain, **table),
+            bitwise=True)
     assert check_mesh_identities(back) == scalar_mesh_identities(back) == []
 
 
@@ -233,3 +253,102 @@ def test_truncated_file_rejected(tmp_path):
     path.write_text("\n".join(lines[:8]) + "\n")
     with pytest.raises(MeshFormatError):
         load_mesh(path)
+
+
+@pytest.mark.parametrize("layout, build_dual", [
+    ("rt", build_dual_rt), ("mac", build_dual_mac), ("colocated1d", None)])
+def test_nan_normal_fails_the_identities(layout, build_dual, tmp_path,
+                                         capsys):
+    """A NaN normal violates every identity that reads it, with either
+    layout's dual and without a dual (a 2D mesh under colocated1d)."""
+    path = tmp_path / "mesh.txt"
+    save_mesh(build_cartesian(3, 3), path)
+    lines = path.read_text().splitlines()
+    row = _sections(lines)["faces"][7]
+    lines[row] = " ".join(lines[row].split()[:-2] + ["nan", "nan"])
+    path.write_text("\n".join(lines) + "\n")
+    mesh = load_mesh(path)
+    dual = build_dual(mesh) if build_dual else None
+    problems = check_mesh_identities(mesh, dual)
+    assert problems == scalar_mesh_identities(mesh, dual)
+    # face 7 lies between cells 2 and 5
+    assert problems[:5] == [
+        "cell 2: face closure sum violated (|sum|=nan)",
+        "cell 5: face closure sum violated (|sum|=nan)",
+        "face 7: normals not antisymmetric",
+        "face 7: stored normal differs from geometry (cell 2)",
+        "face 7: stored normal differs from geometry (cell 5)"]
+    config = tmp_path / "check.ini"
+    config.write_text(f"[mesh]\nfile = {path}\n\n[study]\nlayout = {layout}\n")
+    assert main(["check-identities", "--config", str(config)]) == 1
+    assert capsys.readouterr().out == "".join(f"FAIL {p}\n" for p in problems)
+
+
+# the records of a saved build_cartesian(1, 1)
+ONE_CELL = {"vertices": ["0 0 0", "1 0 1", "2 1 0", "3 1 1"],
+            "cells": ["0 0 2 3 1"],
+            "faces": ["0 0 2 0 -1 0 -1", "1 2 3 0 -1 1 0", "2 3 1 0 -1 0 1",
+                      "3 1 0 0 -1 -1 0"]}
+
+
+def _mesh_text(domain="0 1 0 1", **records):
+    """A one-cell mesh file with the domain bounds or the records of a
+    section replaced."""
+    text = f"fvlab-mesh 1\ndim 2\ndomain {domain}\n"
+    for word, rows in dict(ONE_CELL, **records).items():
+        text += f"{word} {len(rows)}\n" + "".join(f"{r}\n" for r in rows)
+    return text
+
+
+def test_one_cell_text_is_a_saved_mesh(tmp_path):
+    path = tmp_path / "mesh.txt"
+    path.write_text(_mesh_text())
+    assert_same_arrays(load_mesh(path), build_cartesian(1, 1))
+
+
+@pytest.mark.parametrize("text, error, match", [
+    (_mesh_text(vertices=["0 0 0", "1 0 1", "2 nan 0", "3 1 1"]),
+     MeshConstructionError, r"vertex 2 has a non-finite coordinate \[nan, 0.0\]"),
+    (_mesh_text(vertices=["0 0 0", "1 0 1", "2 1 0", "3 1 inf"]),
+     MeshConstructionError, r"vertex 3 has a non-finite coordinate \[1.0, inf\]"),
+    (_mesh_text(domain="0 1 0 nan"),
+     MeshConstructionError, r"domain bounds .* are not all finite"),
+    (_mesh_text(domain="-inf 1 0 1"),
+     MeshConstructionError, r"domain bounds .* are not all finite"),
+    (_mesh_text(vertices=[], cells=[], faces=[]),
+     MeshFormatError, "vertices section has no records"),
+    (_mesh_text(cells=[], faces=[]),
+     MeshFormatError, "cells section has no records"),
+    (_mesh_text(faces=[]), MeshFormatError, "faces section has no records"),
+], ids=["nan_vertex", "inf_vertex", "nan_domain", "inf_domain", "empty",
+        "no_cells", "no_faces"])
+def test_non_finite_and_empty_meshes_are_rejected(text, error, match,
+                                                  tmp_path, capsys):
+    """Rejected on load with an ``error:`` line and exit 2 (no warning
+    from the parser and no NaN measures in the summary)."""
+    path = tmp_path / "mesh.txt"
+    path.write_text(text)
+    with pytest.raises(error, match=match):
+        load_mesh(path)
+    config = tmp_path / "info.ini"
+    config.write_text(f"[mesh]\nfile = {path}\n\n[study]\nlayout = rt\n")
+    for command in ("mesh-info", "check-identities"):
+        assert main([command, "--config", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:"), (out, err)
+        assert re.search(match, err), err
+
+
+@pytest.mark.parametrize("vertices, cells, domain, match", [
+    ([[0.0], [np.nan], [1.0]], [[0, 1], [1, 2]], [(0.0, 1.0)],
+     r"vertex 1 has a non-finite coordinate \[nan\]"),
+    ([[0.0], [1.0]], [[0, 1]], [(0.0, np.inf)], "domain bounds"),
+    (np.zeros((0, 2)), np.zeros((0, 4), dtype=int), [(0.0, 1.0), (0.0, 1.0)],
+     "the mesh has no cells"),
+    (build_cartesian(1, 1).vertices, np.zeros((0, 4), dtype=int),
+     [(0.0, 1.0), (0.0, 1.0)], "the mesh has no cells"),
+], ids=["nan_vertex_1d", "inf_domain_1d", "empty", "no_cells"])
+def test_primal_mesh_rejects_non_finite_and_empty_input(vertices, cells,
+                                                        domain, match):
+    with pytest.raises(MeshConstructionError, match=match):
+        PrimalMesh(vertices, cells, domain)
