@@ -24,8 +24,9 @@ from .geometry import (build_dual_mac, build_dual_rt, build_time_grid,
 from .layouts import get_layout
 from .meshio import load_mesh
 from .quadrature import CellQuadrature
-from .study import (StudyConfig, StudyRegularityError, build_level,
-                    level_source, run_study, write_report_csv, write_rates_csv)
+from .study import (CONFIG_TABLE, META_DEFAULTS, StudyConfig,
+                    StudyRegularityError, build_level, level_source,
+                    run_study, write_report_csv, write_rates_csv)
 
 __all__ = ["main", "parse_config", "ConfigError"]
 
@@ -34,54 +35,9 @@ class ConfigError(ValueError):
     pass
 
 
-# The INI schema: (section, key, target, type).  A target is a StudyConfig
-# field, a (box, axis, end) bound of the domain or support box, or a key of
-# the meta dict (non-study settings).  Absent keys take the StudyConfig
-# defaults; [thresholds] holds free-form series = minimum slope entries.
-CONFIG_TABLE = (
-    ("mesh", "family", "mesh_family", str),
-    ("mesh", "nx", "nx0", int),
-    ("mesh", "ny", "ny0", int),
-    ("mesh", "x0", ("domain", 0, 0), float),
-    ("mesh", "x1", ("domain", 0, 1), float),
-    ("mesh", "y0", ("domain", 1, 0), float),
-    ("mesh", "y1", ("domain", 1, 1), float),
-    ("mesh", "grading", "grading", float),
-    ("mesh", "amplitude", "amplitude", float),
-    ("mesh", "seed", "seed", int),
-    ("mesh", "file", "mesh_file", str),
-    ("time", "T", "T", float),
-    ("time", "dt_over_h", "dt_over_h", float),
-    ("time", "pattern", "time_pattern", str),
-    ("time", "ratio", "time_ratio", float),
-    ("study", "levels", "levels", int),
-    ("study", "layout", "layout", str),
-    ("study", "beta", "beta_name", str),
-    ("study", "g", "g_name", str),
-    ("study", "face_scheme", "face_scheme", str),
-    ("study", "lambda", "lam", float),
-    ("study", "field_source", "field_source", str),
-    ("study", "solution", "solution", str),
-    ("study", "boundary_policy", "boundary_policy", str),
-    ("study", "cfl", "cfl", float),
-    ("study", "translate_theta", "translate_theta", float),
-    ("test_function", "x0", ("support", 0, 0), float),
-    ("test_function", "x1", ("support", 0, 1), float),
-    ("test_function", "y0", ("support", 1, 0), float),
-    ("test_function", "y1", ("support", 1, 1), float),
-    ("test_function", "t_max_factor", "t_max_factor", float),
-    ("test_function", "time_profile", "time_profile", str),
-    ("numerics", "quad_order", "quad_order", int),
-    ("numerics", "interp_panels", "interp_panels", int),
-    ("numerics", "oracle_order", "oracle_order", int),
-    ("numerics", "rhs_panels", "rhs_panels", int),
-    ("audit", "regularity_cap", "regularity_cap", float),
-    ("audit", "regularity_growth", "regularity_growth", float),
-    ("output", "out_dir", "out_dir", str),
-)
-META_DEFAULTS = {"mesh_file": "", "out_dir": "."}
+# the INI schema, study.CONFIG_TABLE, by (section, key)
 _ROWS = {(section, key): (target, conv)
-         for section, key, target, conv in CONFIG_TABLE}
+         for section, key, target, conv, _ in CONFIG_TABLE}
 _SECTIONS = {section for section, *_ in CONFIG_TABLE} | {"thresholds"}
 
 
@@ -184,14 +140,15 @@ def cmd_run_study(cfg: StudyConfig, meta: dict) -> int:
               "check-identities only; a study builds its meshes from "
               "'family', 'nx' and 'ny'", file=sys.stderr)
         return 2
-    out_dir = Path(meta.get("out_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         result = run_study(cfg)
     except StudyRegularityError as exc:
         print(f"regularity audit failed: {exc.parameter}: {exc}",
               file=sys.stderr)
         return 4
+    # made only now: a study that stops early leaves no directory
+    out_dir = Path(meta.get("out_dir", "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_report_csv(result, out_dir / "report.csv")
     write_rates_csv(result, out_dir / "rates.csv")
     print(f"wrote {out_dir / 'report.csv'} and {out_dir / 'rates.csv'}")
@@ -270,7 +227,7 @@ def main(argv=None) -> int:
         meta["out_dir"] = args.out
     try:
         cfg.validate()
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

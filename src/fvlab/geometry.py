@@ -247,7 +247,10 @@ class PrimalMesh:
             else self._edge_normals())
         if stored_normals is not None:
             # import path: the file's per-face normal (as seen from its first
-            # cell) replaces the derived one, so corruption stays observable
+            # cell) replaces the derived one, so corruption stays observable;
+            # the second cell's is its negation with zero components kept
+            # as stored, as the cells' own loops give both cells of a face
+            # the same signed zeros
             stored = np.ascontiguousarray(stored_normals, dtype=float)
             for side in (0, 1):
                 f = np.flatnonzero(self.face_cells[:, side] >= 0)
@@ -258,7 +261,12 @@ class PrimalMesh:
                     raise MeshConstructionError(
                         f"face {f[i]} names cell {c[i]}, which does not "
                         f"hold it")
-                normals[c, k] = stored[f] if side == 0 else -stored[f]
+                if side == 0:
+                    normals[c, k] = stored[f]
+                else:
+                    flipped = stored[f]
+                    np.negative(flipped, out=flipped, where=flipped != 0)
+                    normals[c, k] = flipped
 
     def _cell_edges(self):
         """(nv, NC) x and y columns of the counter-clockwise edge vectors of

@@ -22,7 +22,7 @@ __all__ = [
     "NonlinearityPair", "get_pair", "BetaFamily", "FluxFamily",
     "dt_beta", "flux_rule", "flux_staggered", "flux_colocated_upwind_1d",
     "assemble_convection", "flux_divergence", "flux_dot_n",
-    "telescoping_defect", "FACE_SCHEMES",
+    "telescoping_defect", "FACE_SCHEMES", "PAIRS",
 ]
 
 FACE_SCHEMES = ("centered", "upwind")
@@ -58,7 +58,7 @@ def _slogs(s):
     return np.where(s >= smin, out, smin * np.log(smin) + slope * (s - smin))
 
 
-_PAIRS = {
+PAIRS = {
     "id": NonlinearityPair("id", lambda s: np.asarray(s, dtype=float),
                            lambda s: np.asarray(s, dtype=float)),
     "square": NonlinearityPair("square", lambda s: np.square(s),
@@ -71,12 +71,12 @@ def get_pair(beta_name: str, g_name: str | None = None) -> NonlinearityPair:
     """Look up beta/g from the registry (id, square, slogs)."""
     g_name = beta_name if g_name is None else g_name
     for name in (beta_name, g_name):
-        if name not in _PAIRS:
+        if name not in PAIRS:
             raise KeyError(f"unknown nonlinearity {name!r}; "
-                           f"choose from {sorted(_PAIRS)}")
+                           f"choose from {sorted(PAIRS)}")
     if g_name == beta_name:
-        return _PAIRS[beta_name]
-    b, g = _PAIRS[beta_name], _PAIRS[g_name]
+        return PAIRS[beta_name]
+    b, g = PAIRS[beta_name], PAIRS[g_name]
     return NonlinearityPair(f"{beta_name}/{g_name}", b.beta, g.g)
 
 

@@ -26,11 +26,11 @@ from .fields import (TIME_PROFILES, Reference, TestFunction, _bump,
 from .geometry import (TIME_PATTERNS, MeshConstructionError,
                        _cartesian_vertices, build_cartesian, build_dual_mac,
                        build_dual_rt, build_intervals, build_perturbed_quads,
-                       build_tensor, build_time_grid, check_perturbation,
-                       regularity, subdivide_nodes)
-from .layouts import MAC, get_layout
-from .operators import FACE_SCHEMES, check_lambda, flux_rule, get_pair
-from .quadrature import Workspace, check_rule
+                       build_tensor, build_time_grid, regularity,
+                       subdivide_nodes)
+from .layouts import BOUNDARY_POLICIES, LAYOUTS, MAC, get_layout
+from .operators import FACE_SCHEMES, PAIRS, flux_rule, get_pair
+from .quadrature import Workspace
 from .schemes import (ManufacturedLevels, SchemeConfig, scheme_dt,
                       scheme_levels)
 
@@ -49,7 +49,7 @@ from .schemes import run_upwind_1d, sample_manufactured  # noqa: F401
 __all__ = [
     "StudyConfig", "ResidualReport", "RateFit", "StudyResult", "run_study",
     "write_report_csv", "write_rates_csv", "StudyRegularityError",
-    "manufactured_solution", "SOLUTIONS",
+    "manufactured_solution", "SOLUTIONS", "CONFIG_TABLE", "META_DEFAULTS",
 ]
 
 RATE_SERIES = ("res_init", "res_time", "res_flux", "R1", "R2", "translate",
@@ -128,10 +128,78 @@ def manufactured_solution(name: str):
 # ----------------------------------------------------------------------
 # configuration
 
+# The INI schema: (section, key, target, type, domain).  A target is a
+# StudyConfig field, a (box, axis, end) bound of the domain or support box,
+# or a key of the meta dict (non-study settings).  A domain is an interval
+# written as text, which no NaN lies in and whose open inf end rejects
+# +-inf, or a tuple of names; None leaves the value to the checks that join
+# keys (``StudyConfig.validate``) or to the command that reads it.  Absent
+# keys take the StudyConfig defaults; [thresholds] holds free-form
+# series = minimum slope entries.
+CONFIG_TABLE = (
+    ("mesh", "family", "mesh_family", str, None),
+    ("mesh", "nx", "nx0", int, "[1, inf)"),
+    ("mesh", "ny", "ny0", int, "[1, inf)"),
+    ("mesh", "x0", ("domain", 0, 0), float, None),
+    ("mesh", "x1", ("domain", 0, 1), float, None),
+    ("mesh", "y0", ("domain", 1, 0), float, None),
+    ("mesh", "y1", ("domain", 1, 1), float, None),
+    ("mesh", "grading", "grading", float, "(0, inf)"),
+    ("mesh", "amplitude", "amplitude", float, "[0, 0.25)"),
+    ("mesh", "seed", "seed", int, "[0, inf)"),
+    ("mesh", "file", "mesh_file", str, None),
+    ("time", "T", "T", float, "(0, inf)"),
+    ("time", "dt_over_h", "dt_over_h", float, "(0, inf)"),
+    ("time", "pattern", "time_pattern", str, TIME_PATTERNS),
+    ("time", "ratio", "time_ratio", float, "(0, inf)"),
+    ("study", "levels", "levels", int, "[3, inf)"),
+    ("study", "layout", "layout", str, tuple(LAYOUTS)),
+    ("study", "beta", "beta_name", str, tuple(PAIRS)),
+    ("study", "g", "g_name", str, tuple(PAIRS)),
+    ("study", "face_scheme", "face_scheme", str, FACE_SCHEMES),
+    ("study", "lambda", "lam", float, "[0, 1]"),
+    ("study", "field_source", "field_source", str, FIELD_SOURCES),
+    ("study", "solution", "solution", str, tuple(SOLUTIONS)),
+    ("study", "boundary_policy", "boundary_policy", str, BOUNDARY_POLICIES),
+    ("study", "cfl", "cfl", float, "(0, 1]"),
+    ("study", "translate_theta", "translate_theta", float, "[0, inf)"),
+    ("test_function", "x0", ("support", 0, 0), float, None),
+    ("test_function", "x1", ("support", 0, 1), float, None),
+    ("test_function", "y0", ("support", 1, 0), float, None),
+    ("test_function", "y1", ("support", 1, 1), float, None),
+    # phi's time support [0, t_max_factor T) must end before T
+    ("test_function", "t_max_factor", "t_max_factor", float, "(0, 1)"),
+    ("test_function", "time_profile", "time_profile", str, TIME_PROFILES),
+    ("numerics", "quad_order", "quad_order", int, "[1, inf)"),
+    ("numerics", "interp_panels", "interp_panels", int, "[1, inf)"),
+    ("numerics", "oracle_order", "oracle_order", int, "[1, inf)"),
+    ("numerics", "rhs_panels", "rhs_panels", int, "[1, inf)"),
+    ("audit", "regularity_cap", "regularity_cap", float, "(0, inf)"),
+    ("audit", "regularity_growth", "regularity_growth", float, "(0, inf)"),
+    ("output", "out_dir", "out_dir", str, None),
+)
+META_DEFAULTS = {"mesh_file": "", "out_dir": "."}
+
+
+def _check_domain(section: str, key: str, value, domain):
+    """Raise a ValueError that names ``[section] key`` and `value` unless
+    the value lies in `domain`, an interval written as text, "(0, inf)" or
+    "[0, 1]", or a tuple of names."""
+    if isinstance(domain, str):
+        lo, hi = (float(end) for end in domain[1:-1].split(","))
+        inside = ((lo < value if domain[0] == "(" else lo <= value)
+                  and (value < hi if domain[-1] == ")" else value <= hi))
+        what = f"in {domain}"
+    else:
+        inside, what = value in domain, f"one of {', '.join(domain)}"
+    if not inside:
+        raise ValueError(f"[{section}] {key} must be {what}, got {value!r}")
+
+
 @dataclass
 class StudyConfig:
-    """Everything a refinement study needs; see the CLI docs for the INI
-    mapping.
+    """Everything a refinement study needs; ``CONFIG_TABLE`` maps the INI
+    keys to the fields and states each field's domain.
 
     ``mesh_family`` and ``solution`` default to the first family and the
     default solution of the layout's dimension, and ``domain`` keeps one
@@ -180,26 +248,15 @@ class StudyConfig:
         self.domain = tuple(self.domain)[:dim]
 
     def validate(self):
-        """Check every named choice and every value up front, before any
-        level runs and before ``run-study`` makes its output directory.  A
-        config that passed is not checked again while its fields keep
+        """Check every value against its ``CONFIG_TABLE`` domain, then the
+        checks that join keys and the study's size, before any level runs.
+        A config that passed is not checked again while its fields keep
         their values, so ``run-study`` checks it once."""
         if getattr(self, "_valid", None) == repr(self):
             return
-        if self.levels < 3:
-            raise ValueError("a study needs >= 3 levels for rate fitting")
-        for name in ("T", "dt_over_h", "time_ratio", "grading",
-                     "regularity_cap", "regularity_growth"):
-            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ValueError(f"{name} must be finite and positive, got "
-                                 f"{getattr(self, name)!r}")
-        if not (np.isfinite(self.translate_theta) and self.translate_theta >= 0):
-            raise ValueError(f"translate_theta must be finite and "
-                             f"non-negative, got {self.translate_theta!r}")
-        # phi's time support [0, t_max_factor T) must end before T
-        if not 0 < self.t_max_factor < 1:
-            raise ValueError(f"t_max_factor must be in (0, 1), got "
-                             f"{self.t_max_factor!r}")
+        for section, key, target, _, domain in CONFIG_TABLE:
+            if domain is not None:
+                _check_domain(section, key, getattr(self, target), domain)
         for axis, (lo, hi) in zip("xy", self.domain):
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise ValueError(f"domain bounds {axis}0 < {axis}1 must be "
@@ -212,21 +269,17 @@ class StudyConfig:
             raise ValueError(f"domain bounds {keys} give a squared diagonal "
                              f"that is not finite")
         layout = get_layout(self.layout)
-        _check_choice("field source", self.field_source, FIELD_SOURCES)
+        _check_domain("mesh", f"family of layout {layout.name!r}",
+                      self.mesh_family, MESH_FAMILIES[layout.dim])
+        _check_domain("study", f"boundary_policy of layout {layout.name!r}",
+                      self.boundary_policy, layout.boundary_policies)
         if self.field_source == "scheme" and not layout.scheme_source:
             raise ValueError(f"no scheme generates {layout.name!r} fields")
-        _check_choice(f"mesh family for layout {layout.name!r}",
-                      self.mesh_family, MESH_FAMILIES[layout.dim])
-        _check_choice("face scheme", self.face_scheme, FACE_SCHEMES)
-        _check_choice(f"boundary policy for layout {layout.name!r}",
-                      self.boundary_policy, layout.boundary_policies)
-        _check_choice("time pattern", self.time_pattern, TIME_PATTERNS)
         if self.field_source == "scheme" and self.time_pattern != "uniform":
             raise ValueError(f"a scheme steps on its uniform CFL grid, not "
                              f"the {self.time_pattern!r} time pattern")
-        _check_choice("time profile", self.time_profile, TIME_PROFILES)
         for name, value in self.thresholds.items():
-            _check_choice("threshold series", name, RATE_SERIES)
+            _check_domain("thresholds", "series", name, RATE_SERIES)
             if not math.isfinite(value):
                 raise ValueError(f"threshold {name} must be finite, got "
                                  f"{value!r}")
@@ -234,20 +287,6 @@ class StudyConfig:
         if sol["dim"] != layout.dim:
             raise ValueError(f"solution {self.solution!r} is {sol['dim']}D but "
                              f"the layout is {layout.dim}D")
-        get_pair(self.beta_name, self.g_name)
-        if self.nx0 < 1 or (layout.dim > 1 and self.ny0 < 1):
-            raise ValueError(f"nx and ny must be >= 1, got "
-                             f"({self.nx0}, {self.ny0})")
-        # the bounds that the rules, the perturbed mesh, the face values,
-        # the scheme and the test function state, by their own checks
-        check_rule(self.quad_order, self.interp_panels)
-        check_rule(self.oracle_order, self.rhs_panels)
-        if self.mesh_family == "perturbed":
-            check_perturbation(self.amplitude, self.seed)
-        if layout.staggered:
-            check_lambda(self.lam)
-        if self.field_source == "scheme":
-            self.scheme_config()
         self.test_function().validate_against(self.domain, self.T)
         # each level is built at most once here
         level_mesh = functools.cache(self._level_mesh)
@@ -351,12 +390,6 @@ class StudyConfig:
     def test_function(self) -> TestFunction:
         return TestFunction(self.support or self.default_support(),
                             self.t_max_factor * self.T, self.time_profile)
-
-
-def _check_choice(what: str, value, choices):
-    if value not in choices:
-        raise ValueError(f"unknown {what}: {value!r}; choose from "
-                         f"{', '.join(choices)}")
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Study configurations written back to the INI text that ``fvlab.cli``
 reads, for the tests that pass a config through the command line."""
 
-from fvlab.cli import CONFIG_TABLE, META_DEFAULTS
-from fvlab.study import StudyConfig
+from fvlab.study import CONFIG_TABLE, META_DEFAULTS, StudyConfig
 
 
 def serialize_config(cfg: StudyConfig, meta: dict | None = None) -> str:
@@ -10,7 +9,7 @@ def serialize_config(cfg: StudyConfig, meta: dict | None = None) -> str:
     of the text gives them back."""
     meta = {**META_DEFAULTS, **(meta or {})}
     sections = {}
-    for section, key, target, conv in CONFIG_TABLE:
+    for section, key, target, conv, _ in CONFIG_TABLE:
         if isinstance(target, tuple):
             box, axis, end = target
             bounds = getattr(cfg, box)

@@ -1,20 +1,25 @@
 import configparser
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fvlab
 import fvlab.cli
 from _configs import serialize_config
-from fvlab.cli import CONFIG_TABLE, main, parse_config
+from fvlab.cli import main, parse_config
 from fvlab.geometry import build_cartesian, build_perturbed_quads
 from fvlab.meshio import save_mesh
-from fvlab.study import RATE_SERIES
+from fvlab.study import CONFIG_TABLE, RATE_SERIES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -159,8 +164,8 @@ def test_bad_config_exit_2(tmp_path, capsys):
     assert main(["mesh-info", "--config", str(path2)]) == 2
     missing = tmp_path / "missing.ini"
     assert main(["mesh-info", "--config", str(missing)]) == 2
-    # every named choice is checked before any level runs: no report is
-    # written and the error names the offending value
+    # every named choice and every value is checked before any level runs:
+    # no output directory is made and the error names the offending value
     bad_inputs = [
         ("[thresholds]\nres_flux = abc\n", "'abc'"),
         ("[thresholds]\nres_flx = 0.5\n", "'res_flx'"),
@@ -178,28 +183,28 @@ def test_bad_config_exit_2(tmp_path, capsys):
          "dt_over_h = 0.5\npattern = alternating\nratio = 2\n\n[study]\n"
          "field_source = scheme\n", "not the 'alternating' time pattern"),
         ("layout = mac", "layout = hex", "'hex'"),
-        ("dt_over_h = 0.5", "dt_over_h = 0", "dt_over_h must be finite"),
-        ("T = 0.5", "T = inf", "T must be finite and positive, got inf"),
+        ("dt_over_h = 0.5", "dt_over_h = 0",
+         "[time] dt_over_h must be in (0, inf), got 0.0"),
+        ("T = 0.5", "T = inf", "[time] T must be in (0, inf), got inf"),
         ("dt_over_h = 0.5", "dt_over_h = -0.5", "got -0.5"),
         # threads is no INI key (the --threads flag is accepted and ignored)
         ("layout = mac", "layout = mac\nthreads = 2",
          "unknown key 'threads' in [study]"),
         ("layout = mac", "layout = mac\ntranslate_theta = nan",
-         "translate_theta must be finite and non-negative, got nan"),
+         "[study] translate_theta must be in [0, inf), got nan"),
         ("layout = mac", "layout = mac\ntranslate_theta = inf", "got inf"),
         ("layout = mac", "layout = mac\ntranslate_theta = -1", "got -1.0"),
         ("[audit]\nregularity_cap = nan\n",
-         "regularity_cap must be finite and positive, got nan"),
+         "[audit] regularity_cap must be in (0, inf), got nan"),
         ("[audit]\nregularity_cap = -inf\n", "got -inf"),
         ("[audit]\nregularity_growth = nan\n",
-         "regularity_growth must be finite and positive, got nan"),
+         "[audit] regularity_growth must be in (0, inf), got nan"),
         ("[audit]\nregularity_growth = 0\n", "got 0.0"),
-        # the time grid, the test function's time support and the mesh
-        # box are checked before the output directory is made
+        # the time grid, the test function's time support and the mesh box
         ("T = 0.5", "T = 0.5\npattern = alternating\nratio = inf",
-         "time_ratio must be finite and positive, got inf"),
+         "[time] ratio must be in (0, inf), got inf"),
         ("T = 0.5", "T = 0.5\npattern = alternating\nratio = nan",
-         "time_ratio must be finite and positive, got nan"),
+         "[time] ratio must be in (0, inf), got nan"),
         ("T = 0.5", "T = 0.5\npattern = alternating\nratio = 0", "got 0.0"),
         ("t_max_factor = 0.7", "t_max_factor = inf",
          "t_max_factor must be in (0, 1), got inf"),
@@ -207,22 +212,21 @@ def test_bad_config_exit_2(tmp_path, capsys):
         ("t_max_factor = 0.7", "t_max_factor = 1", "got 1.0"),
         ("t_max_factor = 0.7", "t_max_factor = 0", "got 0.0"),
         ("family = uniform", "family = graded\ngrading = nan",
-         "grading must be finite and positive, got nan"),
+         "[mesh] grading must be in (0, inf), got nan"),
         ("family = uniform", "family = graded\ngrading = -1.2", "got -1.2"),
         ("ny = 4", "ny = 4\nx1 = inf",
          "domain bounds x0 < x1 must be finite, got (0.0, inf)"),
         ("ny = 4", "ny = 4\ny0 = nan",
          "y0 < y1 must be finite, got (nan, 1.0)"),
         ("ny = 4", "ny = 4\nx0 = 1", "x0 < x1 must be finite, got (1.0, 1.0)"),
-        # the bounds of the face values, the scheme, the perturbed mesh,
-        # the mesh size, the rules and the test function, each checked
-        # by the code that states it, before any level runs
+        # the domains of the face values, the scheme, the perturbed mesh,
+        # the mesh size and the rules, and the test-function support box
         ("layout = mac", "layout = mac\nlambda = nan",
          "lambda must be in [0, 1], got nan"),
         ("layout = mac", "layout = mac\nlambda = 2", "got 2.0"),
         ("layout = mac", "layout = mac\nlambda = -1", "got -1.0"),
         ("layout = mac", "layout = mac\nfield_source = scheme\ncfl = nan",
-         "CFL must be in (0, 1], got nan"),
+         "[study] cfl must be in (0, 1], got nan"),
         ("layout = mac", "layout = mac\nfield_source = scheme\ncfl = 0",
          "got 0.0"),
         ("layout = mac", "layout = mac\nfield_source = scheme\ncfl = -1",
@@ -233,14 +237,16 @@ def test_bad_config_exit_2(tmp_path, capsys):
          "got -0.1"),
         ("family = uniform", "family = perturbed\namplitude = 0.9", "got 0.9"),
         ("family = uniform", "family = perturbed\nseed = -1",
-         "seed must be >= 0, got -1"),
-        ("nx = 4", "nx = 0", "nx and ny must be >= 1, got (0, 4)"),
+         "[mesh] seed must be in [0, inf), got -1"),
+        ("nx = 4", "nx = 0", "[mesh] nx must be in [1, inf), got 0"),
         ("[numerics]\nquad_order = 0\n",
-         "quadrature order must be >= 1, got 0"),
-        ("[numerics]\ninterp_panels = 0\n", "panels must be >= 1, got 0"),
+         "[numerics] quad_order must be in [1, inf), got 0"),
+        ("[numerics]\ninterp_panels = 0\n",
+         "[numerics] interp_panels must be in [1, inf), got 0"),
         ("[numerics]\noracle_order = 0\n",
-         "quadrature order must be >= 1, got 0"),
-        ("[numerics]\nrhs_panels = 0\n", "panels must be >= 1, got 0"),
+         "[numerics] oracle_order must be in [1, inf), got 0"),
+        ("[numerics]\nrhs_panels = 0\n",
+         "[numerics] rhs_panels must be in [1, inf), got 0"),
         ("x0 = 0.3", "x0 = nan",
          "test-function support bounds must have lo < hi, got (nan, 0.7)"),
         ("x0 = 0.3", "x0 = 0.9", "got (0.9, 0.7)"),
@@ -290,6 +296,15 @@ def test_bad_config_exit_2(tmp_path, capsys):
         ("t_max_factor = 0.7", "t_max_factor = 1e-307",
          "t_max = 5e-308: the bump on (-5e-308, 5e-308) overflows on "
          "(0.0, 0.5)"),
+        # a value outside its domain, in a study that does not read it
+        ("family = uniform", "family = uniform\namplitude = nan",
+         "[mesh] amplitude must be in [0, 0.25), got nan"),
+        ("layout = mac", "layout = mac\ncfl = 0",
+         "[study] cfl must be in (0, 1], got 0.0"),
+        (BASE_CONFIG, SCHEME_1D.replace("cfl = 0.5", "cfl = 0.5\nlambda = -1"),
+         "[study] lambda must be in [0, 1], got -1.0"),
+        (BASE_CONFIG, SCHEME_1D.replace("nx = 8", "nx = 8\nny = 0"),
+         "[mesh] ny must be in [1, inf), got 0"),
     ]
     for k, case in enumerate(bad_inputs):
         if len(case) == 2:
@@ -323,6 +338,55 @@ def test_memory_error_exit_2(tmp_path, capsys, monkeypatch):
                  str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == ("error: out of memory: Unable to "
                                         "allocate 8.01 GiB\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("layout", ["mac", "rt", "colocated1d"])
+def test_support_on_boundary_cells_exit_2_without_output(layout, tmp_path,
+                                                         capsys):
+    # the default support, the central 60% of the domain, reaches the
+    # boundary cells of a 4x4 (in 1D 4-cell) level 0: the study stops
+    # there, and the output directory is made only when the reports are
+    # written
+    path = write_config(tmp_path, f"[mesh]\nnx = 4\nny = 4\n\n[study]\n"
+                                  f"layout = {layout}\n")
+    out_dir = tmp_path / "out"
+    assert main(["run-study", "--config", str(path), "--out",
+                 str(out_dir)]) == 2
+    assert capsys.readouterr().err == ("error: test-function support reaches "
+                                        "non-interior cells at this "
+                                        "resolution\n")
+    assert not out_dir.exists()
+
+
+# values at the edges of every domain: zero, a negative, the non-finite
+# floats, the largest finite magnitude and a word
+EDGE_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e308", "banana")
+
+
+@settings(max_examples=200, deadline=None)
+@given(row=st.sampled_from(CONFIG_TABLE), value=st.sampled_from(EDGE_VALUES))
+def test_any_key_at_an_edge_value_exits_cleanly(row, value):
+    """One CONFIG_TABLE key of BASE_CONFIG set to an edge value: run-study
+    exits 0, 2, 3 or 4 (an exception or a warning fails the test), and on
+    2 it leaves no output directory."""
+    section, key = row[:2]
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    cp.read_string(BASE_CONFIG)
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp[section][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "study.ini"
+        with open(path, "w") as fh:
+            cp.write(fh)
+        out_dir = Path(tmp) / "out"
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["run-study", "--config", str(path), "--out",
+                         str(out_dir)])
+        assert code in (0, 2, 3, 4), (section, key, value, code)
+        assert code != 2 or not out_dir.exists(), (section, key, value)
 
 
 def test_run_study_validates_once_and_builds_level_0_twice(tmp_path,
@@ -488,7 +552,7 @@ def test_config_round_trip_identity(tmp_path):
             written = configparser.ConfigParser()
             written.optionxform = str
             written.read_string(out)
-            for section, key, _, _ in CONFIG_TABLE:
+            for section, key, *_ in CONFIG_TABLE:
                 assert written.has_option(section, key), (section, key)
     assert cfg1.domain == ((-1.0, 3.0),) and cfg1.support == ((0.25, 0.5),)
 
@@ -519,12 +583,12 @@ def test_run_study_threshold_failure_exit_3(tmp_path, capsys):
 
 def _audit_abort(tmp_path, capsys, audit):
     """The stderr of run-study on BASE_CONFIG with the [audit] setting
-    `audit`, which must exit 4 before it writes a report."""
+    `audit`, which must exit 4 before it makes the output directory."""
     path = write_config(tmp_path, BASE_CONFIG + f"\n[audit]\n{audit}\n")
     out_dir = tmp_path / "o"
     assert main(["run-study", "--config", str(path), "--out",
                  str(out_dir)]) == 4
-    assert not (out_dir / "report.csv").exists()
+    assert not out_dir.exists()
     return capsys.readouterr().err
 
 
@@ -643,20 +707,26 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_config_docs_match_the_schema(tmp_path):
-    # the README's section/key table lists CONFIG_TABLE's keys in order
-    # (parenthesised notes left out) and its [thresholds] row, after "one
-    # of", the rate series; its example INI parses and validates
+    # the README's key table lists CONFIG_TABLE's rows in order, each with
+    # its domain as the table states it (an interval, the names, or — for
+    # none), and its [thresholds] row, after "one of", the rate series;
+    # its example INI parses and validates
     text = README.read_text()
-    table = {}
-    for section, keys in re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", text,
-                                    re.MULTILINE):
-        keys = re.sub(r"\([^)]*\)", "", keys).split("one of")[-1]
-        table[section] = re.findall(r"`([^`]+)`", keys)
-    schema = {}
-    for section, key, _, _ in CONFIG_TABLE:
-        schema.setdefault(section, []).append(key)
-    schema["thresholds"] = list(RATE_SERIES)
-    assert table == schema
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \| ([^|]*) \|", text,
+                      re.MULTILINE)
+
+    def shown(domain):
+        if domain is None:
+            return "—"
+        if isinstance(domain, str):
+            return f"`{domain}`"
+        return ", ".join(f"`{name}`" for name in domain)
+
+    assert rows == [(section, key, shown(domain))
+                    for section, key, *_, domain in CONFIG_TABLE]
+    thresholds = re.search(r"^\| `\[thresholds\]` \| .* one of (.*) \|$",
+                           text, re.MULTILINE).group(1)
+    assert re.findall(r"`([^`]+)`", thresholds) == list(RATE_SERIES)
     example = re.search(r"```ini\n(.*?)```", text, re.DOTALL).group(1)
     cfg, meta = parse_config(write_config(tmp_path, example, "readme.ini"))
     cfg.validate()

@@ -344,7 +344,7 @@ def test_manufactured_1d_weak_gap_decays():
 
 def test_levels_validation():
     cfg = StudyConfig(levels=2)
-    with pytest.raises(ValueError, match="3 levels"):
+    with pytest.raises(ValueError, match=r"levels must be in \[3, inf\)"):
         run_study(cfg)
 
 
