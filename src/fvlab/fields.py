@@ -132,10 +132,7 @@ def _bump(s, a, b, derivative=False, out=None):
     (-2.0 * u / (1.0 - u * u) ** 2) * (2.0 / (b - a)), by ``where=``-masked
     ufuncs, so exp never meets the underflow of the points outside, which
     are set to +0.0."""
-    s = np.asarray(s, dtype=float)
-    u = np.multiply(2.0, s, out=np.empty_like(s) if out is None else out)
-    np.subtract(u, a + b, out=u)
-    np.divide(u, b - a, out=u)
+    u = _bump_coordinate(s, a, b, out)
     slope = np.multiply(-2.0, u, out=np.empty_like(u)) if derivative else None
     np.multiply(u, u, out=u)
     inside = u < 1.0
@@ -150,6 +147,28 @@ def _bump(s, a, b, derivative=False, out=None):
         np.multiply(u, 2.0 / (b - a), out=u, where=inside)
     np.copyto(u, 0.0, where=~inside)
     return u
+
+
+def _bump_coordinate(s, a, b, out):
+    """u = (2 s - (a + b)) / (b - a), the coordinate of ``_bump``, formed
+    by its operations in ``out`` (a new array when None; it may be s
+    itself).  Each rounding is monotone, so u does not decrease as s
+    grows."""
+    s = np.asarray(s, dtype=float)
+    u = np.multiply(2.0, s, out=np.empty_like(s) if out is None else out)
+    np.subtract(u, a + b, out=u)
+    return np.divide(u, b - a, out=u)
+
+
+def _bump_vanishes(low, high, a, b):
+    """True where ``_bump(s, a, b)`` is +0.0 at every s of [low, high]
+    (arrays of the ends, one pair per point).  The bump is +0.0 exactly
+    where u * u >= 1, i.e. where |u| >= 1 (the square of the largest
+    double below 1 rounds below 1), and u does not decrease with s
+    (``_bump_coordinate``): so iff u(high) <= -1 or u(low) >= 1, with no
+    tolerance."""
+    return ((_bump_coordinate(high, a, b, None) <= -1.0)
+            | (_bump_coordinate(low, a, b, None) >= 1.0))
 
 
 class TestFunction:
@@ -368,8 +387,9 @@ class Reference:
     a steady ``combine`` may return the space part itself.
 
     * ``f(x, t)``, t a scalar or one time per point: shaped (M,) + C;
-    * ``f.at(points)``, the evaluator ``ev(times, out=None)`` with the
-      times on a leading axis: shaped (len(times), M) + C, written into
+    * ``f.at(points)``, the evaluator ``ev(times, out=None,
+      nodes=slice(None))`` with the times on a leading axis, on the points
+      of the slice ``nodes``: shaped (len(times), nodes) + C, written into
       ``out`` when given;
     * ``f.on_grid(points, times)``, the tensor grid of points x times in C
       order with time fastest: shaped (M, len(times)) + C.
@@ -379,11 +399,20 @@ class Reference:
     which writes the joint shape into it, so no value array is allocated;
     a combine is given ``out`` only then, so one that is never evaluated
     into a buffer (a steady velocity) need not take it.
+
+    An evaluator names the points where f may change within a span of
+    times: ``ev.varying(tn)`` is a boolean per point, False where f is the
+    same at every time of [tn.min(), tn.max()].  A scalar f that declares
+    where it vanishes, ``vanishes(s, first, last)``, True where
+    combine(s, t) is +0.0 at every t of [first, last], is False there;
+    without that declaration every point may vary.
     """
 
-    def __init__(self, space: Callable, combine: Callable):
+    def __init__(self, space: Callable, combine: Callable,
+                 vanishes: Callable | None = None):
         self.space = space
         self.combine = combine
+        self.vanishes = vanishes
 
     def _combine(self, s, t, shape, out=None):
         """combine(s, t) as an array of the given shape: the axes that a
@@ -404,9 +433,20 @@ class Reference:
 
     def at(self, points) -> Callable:
         s = self.space(np.atleast_2d(points))
-        return lambda times, out=None: self._combine(
-            s, _unit_axes(np.asarray(times, dtype=float)[:, None], s.ndim - 1),
-            (len(times),) + s.shape, out)
+
+        def ev(times, out=None, nodes=slice(None)):
+            part = s[nodes]
+            return self._combine(
+                part, _unit_axes(np.asarray(times, dtype=float)[:, None],
+                                 s.ndim - 1), (len(times),) + part.shape, out)
+
+        def varying(tn):
+            if self.vanishes is None:
+                return np.ones(len(s), dtype=bool)
+            return ~self.vanishes(s, np.min(tn), np.max(tn))
+
+        ev.varying = varying
+        return ev
 
     def on_grid(self, points, times) -> np.ndarray:
         s = self.space(np.atleast_2d(points))
@@ -422,12 +462,13 @@ def _unit_axes(t, n):
 
 def _reference_at(ref, points, times=None):
     """ref on the fixed points.  Without times, the evaluator ``ev(times,
-    out=None)``, shaped (len(times), len(points)) + C: ``ref.at(points)``
-    when ref has one, else one ``ref(points, t)`` call per time, stacked
-    (into ``out`` when given).  With times, the values on the tensor grid
-    points x times, shaped (len(points), len(times)) + C with time
-    fastest: ``ref.on_grid`` when ref has one, else one ``ref(x, t)`` call
-    on every grid node."""
+    out=None, nodes=slice(None))`` (``Reference.at``), shaped (len(times),
+    nodes) + C: ``ref.at(points)`` when ref has one, else one
+    ``ref(points[nodes], t)`` call per time, stacked (into ``out`` when
+    given), whose ``varying`` names every point.  With times, the values
+    on the tensor grid points x times, shaped (len(points), len(times)) + C
+    with time fastest: ``ref.on_grid`` when ref has one, else one ``ref(x,
+    t)`` call on every grid node."""
     if times is not None:
         on_grid = getattr(ref, "on_grid", None)
         if on_grid is not None:
@@ -440,10 +481,11 @@ def _reference_at(ref, points, times=None):
     if at is not None:
         return at(points)
 
-    def per_time(times, out=None):
-        return np.stack([np.asarray(ref(points, t), dtype=float)
+    def per_time(times, out=None, nodes=slice(None)):
+        return np.stack([np.asarray(ref(points[nodes], t), dtype=float)
                          for t in times], out=out)
 
+    per_time.varying = lambda tn: np.ones(len(points), dtype=bool)
     return per_time
 
 
@@ -607,39 +649,40 @@ def l1_steps(quad: CellQuadrature, grid, ev, work=None):
     The slab rule is formed once, here.  Per chunk of the slab rule, the
     reference's values on the nodes are written into the buffer "l1" of
     the ``quadrature.Workspace`` work (a new one by default) by
-    ``ev(times, out=)`` and turned into |q - ref| in place, and the
-    (cell, time) rows and the slab sums go into its buffers too
-    ("slab_rows", "slab_terms", "l1_sums"), so no chunk allocates a value
-    array and two distances of one pass can share one workspace.
+    ``ev(times, out=, nodes=)`` and turned into |q - ref| in place, and
+    the (cell, time) rows and the slab sums go into its buffers too
+    ("slab_first", "slab_rows", "slab_terms", "l1_sums"), so no chunk
+    allocates a value array and two distances of one pass can share one
+    workspace.
 
-    A reference that is piecewise constant in time names the slab of each
-    time by ``ev.slabs(times)`` (``study._LevelQ.at``).  When it puts the
-    first and the last Gauss time of every slab of a chunk in one of its
-    slabs, it gives equal values at all Gauss times of each slab, and so
-    does |q - ref|: the chunk asks for one time per slab (the slab rule's
-    ``once``), whose sums keep their bits."""
+    q is constant on each slab, so |q - ref| changes within a slab only
+    where the reference does.  Per call, ``ev.varying`` names the nodes
+    where the reference may change over the Gauss times of ``steps``, and
+    the slab rule's ``varying`` is the one range of cells that covers
+    them: every other cell is evaluated once per slab.  A steady cell
+    inside the range costs time, never bits."""
     work = Workspace() if work is None else work
     slab = SlabQuadrature(quad, grid, work=work)
-    nodes = quad.points.shape[:2]
-    slabs = getattr(ev, "slabs", None)
+    n_cells, k = quad.points.shape[:2]
 
     def l1(steps, levels):
-        def integrand(sub, tn):
-            vals = ev(tn.ravel(),
-                      out=work("l1", (tn.size, nodes[0] * nodes[1])))
-            vals = vals.reshape(tn.shape + nodes)
+        def integrand(sub, tn, cells):
+            lo, hi, _ = cells.indices(n_cells)
+            vals = ev(tn.ravel(), out=work("l1", (tn.size, (hi - lo) * k)),
+                      nodes=slice(lo * k, hi * k))
+            vals = vals.reshape(tn.shape + (hi - lo, k))
             rows = levels[sub.start - steps.start:sub.stop - steps.start]
-            np.subtract(rows[:, None, :, None], vals, out=vals)
+            np.subtract(rows[:, None, lo:hi, None], vals, out=vals)
             return np.abs(vals, out=vals)
 
-        once = False
-        if slabs is not None:
-            tn, _ = gauss_times(grid.knots[steps.start:steps.stop + 1],
-                                slab.tnodes1d.size)
-            once = np.array_equal(slabs(tn[:, 0]), slabs(tn[:, -1]))
-        out = work("l1_sums", (len(levels), nodes[0]))
+        tn, _ = gauss_times(grid.knots[steps.start:steps.stop + 1],
+                            slab.tnodes1d.size)
+        nodes = np.flatnonzero(ev.varying(tn))
+        varying = (slice(nodes[0] // k, nodes[-1] // k + 1) if nodes.size
+                   else slice(0, 0))
+        out = work("l1_sums", (len(levels), n_cells))
         return step_values(slab.slab_cell_integrals(integrand, steps, out=out,
-                                                    once=once))
+                                                    varying=varying))
 
     return l1
 

@@ -10,9 +10,12 @@ The rules reduce arrays: ``cell_means``, ``cell_integrals``,
 ``cell_vector_means``, ``face_means`` and ``BoxQuadrature.integrate`` take
 the integrand's values on the rule's own nodes (``points``, in their C
 order), and ``SlabQuadrature.slab_cell_integrals`` takes a function that
-returns the values on the ``cell`` rule's nodes at the Gauss times of a
-chunk of time steps, or at one time per slab for an integrand that does
-not change within a slab.  ``CellQuadrature.values(f, t)`` evaluates a
+returns the values on a range of the ``cell`` rule's cells at the Gauss
+times of a chunk of time steps.  It has one rule for every cell: a cell
+whose integrand does not change within any slab of the chunk is evaluated
+and reduced once per slab, at the slab's first Gauss time, every other
+cell at every Gauss time, and each cell's weighted rows are added in time
+order, so the split moves no bit.  ``CellQuadrature.values(f, t)`` evaluates a
 callable on a cell rule's nodes: it calls ``f(x)`` when t is None and
 ``f(x, t)`` otherwise.
 
@@ -304,78 +307,81 @@ class SlabQuadrature:
         self.cell = cell
         self.grid = grid
         self.tnodes1d, self.tweights1d = gauss_legendre(time_order)
-        self._weights = None
-        # the (cell, time) row integrals and one time's weighted rows of a
-        # chunk go into the buffers "slab_rows" and "slab_terms" of the
-        # workspace ``work`` (a new one by default), reused by every call
+        # the (cell, time) row integrals of a chunk at the first Gauss time
+        # of each slab and at the others, and one time's weighted rows, go
+        # into the buffers "slab_first", "slab_rows" and "slab_terms" of
+        # the workspace ``work`` (a new one by default), reused by every
+        # call
         self._work = Workspace() if work is None else work
 
     def slab_cell_integrals(self, f, steps=slice(None), out=None,
-                            once=False):
+                            varying=slice(None)):
         """Integrals over P x (t_n, t_{n+1}) for the steps n of the slice
         ``steps`` (all by default) and every cell P, shape (steps, NC),
         written into ``out`` when given.
 
-        ``f(sub, tn)`` gives the integrand's values on the ``cell`` nodes
-        at the Gauss times ``tn[b, j]`` of the steps ``sub`` (a slice of
-        ``steps``), shaped (len(sub), T, NC, k) or reshapeable to it; when
-        one step's times hold more than ``CHUNK_VALUES`` values, f gets
-        that step with consecutive groups of its times.  Each (cell, time)
-        row is reduced by the same ``einsum`` as ``cell_integrals``, and
-        per slab the weighted rows are added in time order, from +0.0.
+        ``f(sub, tn, cells)`` gives the integrand's values on the nodes of
+        the ``cell`` rule's cells ``cells`` (a slice) at the Gauss times
+        ``tn[b, j]`` of the steps ``sub`` (a slice of ``steps``), shaped
+        (len(sub), len(tn[b]), cells, k) or reshapeable to it.
 
-        With ``once``, the integrand is the same at every Gauss time of a
-        slab: f gets the first time of each slab only (tn shaped
-        (len(sub), 1)) and gives (len(sub), 1, NC, k).  Each row is then
-        reduced once and added with each Gauss weight in time order; T
-        equal rows reduce to equal bits, so the sums are those of the
-        integrand given at all T times, bit for bit.
+        One rule for every cell.  The integrand of a cell outside the
+        slice ``varying`` (every cell is in it by default) must not change
+        within any slab of ``steps``: f gets every cell at the first Gauss
+        time of each slab, and the cells of ``varying`` at the other times
+        (in consecutive groups of them when one step's times hold more
+        than ``CHUNK_VALUES`` values).  Each (cell, time) row is reduced by
+        the same ``einsum`` as ``cell_integrals``, and per slab each cell
+        adds its weighted rows in time order, from +0.0; a cell outside
+        ``varying`` adds its first row with each Gauss weight.  T equal
+        rows reduce to equal bits, so a steady cell counted as varying
+        moves no bit: the sums are those of the integrand given at every
+        Gauss time.
         """
         lo, hi, _ = steps.indices(self.grid.n_steps)
         times, tweights = gauss_times(self.grid.knots[lo:hi + 1],
                                       self.tnodes1d.size)
         n_steps, n_t = times.shape
-        n_cells, k = self.cell.points.shape[:2]
+        n_cells, k = self.cell.weights.shape
+        varying = slice(*varying.indices(n_cells)[:2])
+        n_var = len(range(n_cells)[varying])
         if out is None:
             out = np.zeros((n_steps, n_cells))
         else:
             out[...] = 0.0
-        n_f = 1 if once else n_t
-        chunks = chunk_slices(n_steps, n_f * n_cells * k)
         # a chunk of several steps takes all their times at once
-        groups = chunk_slices(n_f, n_cells * k)
-        weights = self._row_weights(
-            (chunks[0].stop - chunks[0].start)
-            * (groups[0].stop - groups[0].start) if chunks else 0)
+        chunks = chunk_slices(n_steps, (n_cells + (n_t - 1) * n_var) * k)
+        groups = [slice(1 + js.start, 1 + js.stop)
+                  for js in chunk_slices(n_t - 1, n_var * k)]
         for sub in chunks:
-            acc = out[sub]
+            acc, tn, tw = out[sub], times[sub], tweights[sub]
+            sub = slice(lo + sub.start, lo + sub.stop)
             term = self._work("slab_terms", acc.shape)
+            # the rows at the first Gauss time of each slab, every cell
+            first = self._rows(f, sub, tn[:, :1], slice(None), "slab_first")
+            np.multiply(tw[:, 0, None], first[:, 0], out=term)
+            acc += term
             for js in groups:
-                tn = times[sub, js]
-                vals = np.asarray(f(slice(lo + sub.start, lo + sub.stop), tn),
-                                  dtype=float).reshape(-1, k)
-                ints = np.einsum("ck,ck->c", weights[:vals.shape[0]], vals,
-                                 out=self._work("slab_rows", vals.shape[:1]))
-                ints = ints.reshape(tn.shape + (n_cells,))
-                # with once, each Gauss time of a slab weighs its one row
-                for j in range(n_t) if once else range(js.start, js.stop):
-                    np.multiply(tweights[sub, j, None],
-                                ints[:, 0 if once else j - js.start],
-                                out=term)
+                rows = (self._rows(f, sub, tn[:, js], varying, "slab_rows")
+                        if n_var else None)
+                for j in range(js.start, js.stop):
+                    np.multiply(tw[:, j, None], first[:, 0], out=term)
+                    if n_var:
+                        np.multiply(tw[:, j, None], rows[:, j - js.start],
+                                    out=term[:, varying])
                     acc += term
         return out
 
-    def _row_weights(self, rows):
-        """The cell weights once per (step, time) row of ``rows`` rows,
-        shape (rows * NC, k); kept for later calls with as many rows or
-        fewer."""
-        weights = self._weights
-        n_cells, k = self.cell.weights.shape
-        if weights is None or weights.shape[0] < rows * n_cells:
-            weights = np.broadcast_to(self.cell.weights,
-                                      (rows, n_cells, k)).reshape(-1, k)
-            self._weights = weights
-        return weights
+    def _rows(self, f, sub, tn, cells, name):
+        """The integrals over each cell of ``cells`` of f's values at each
+        time of tn, shape tn.shape + (cells,), into the workspace buffer
+        ``name``; the cell weights are the ``cell_integrals`` operand."""
+        weights = self.cell.weights[cells]
+        vals = np.asarray(f(sub, tn, cells), dtype=float).reshape(
+            (tn.size,) + weights.shape)
+        ints = np.einsum("ck,rck->rc", weights, vals,
+                         out=self._work(name, vals.shape[:2]))
+        return ints.reshape(tn.shape + weights.shape[:1])
 
 
 class Workspace:

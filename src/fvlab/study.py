@@ -20,7 +20,8 @@ import numpy as np
 
 from .consistency import level_pass, weak_rhs
 from .fields import (TIME_PROFILES, Reference, TestFunction, _bump,
-                     default_translate_weights, interpolate_test)
+                     _bump_vanishes, default_translate_weights,
+                     interpolate_test)
 # build_dual_mac and build_dual_rt are called by their names in this module
 # (see build_level), so rebinding fvlab.study.build_dual_* reaches the call
 from .geometry import (TIME_PATTERNS, MeshConstructionError,
@@ -88,6 +89,10 @@ _UNIFORM_V = Reference(lambda x: np.broadcast_to(np.array([1.0, 0.5]),
                                                  (x.shape[0], 2)).copy(),
                        _steady)
 
+# the support of the advected 1D bump at t = 0, for its closed form and
+# for where that vanishes
+BUMP_1D = (0.15, 0.45)
+
 SOLUTIONS = {
     "constant": dict(
         dim=2,
@@ -113,7 +118,11 @@ SOLUTIONS = {
         dim=1,
         q=Reference(lambda x: x[:, 0],
                     lambda x0, t, out=None: _bump(
-                        np.subtract(x0, t, out=out), 0.15, 0.45, out=out)),
+                        np.subtract(x0, t, out=out), *BUMP_1D, out=out),
+                    # x0 - t does not increase with t
+                    lambda x0, first, last: _bump_vanishes(
+                        np.subtract(x0, last), np.subtract(x0, first),
+                        *BUMP_1D)),
         v=None),
 }
 
@@ -543,15 +552,15 @@ class _LevelQ:
         self.values[start:start + len(levels)] = levels
 
     def at(self, points):
-        """The evaluator ``ev(times, out=None)`` of this q on the points,
-        as ``Reference.at``: the cell of each point found once, the rows
-        of the times gathered into reused buffers.
+        """The evaluator ``ev(times, out=None, nodes=slice(None))`` of this
+        q on the points, as ``Reference.at``: the cell of each point found
+        once, the rows of the times gathered into reused buffers.
 
-        q is constant on each slab of this level, and ``ev.slabs(times)``
-        names the slab that ``ev`` reads at each time (``searchsorted``
-        on the knots, side "right"): times in one slab get equal values,
-        so ``fields.l1_steps`` evaluates a finer slab that lies in one of
-        them at one time only."""
+        q is constant on each slab of this level (``searchsorted`` on the
+        knots, side "right", names the slab that ``ev`` reads at a time).
+        So ``ev.varying(tn)`` names no point when the first and the last
+        Gauss time of every slab of tn lie in one slab of this level, and
+        every point otherwise."""
         mesh, grid = self.mesh, self.grid
         # distinct sorted coordinates; np.unique imports numpy.ma on first use
         nodes = [np.sort(mesh.vertices[:, d]) for d in range(mesh.dim)]
@@ -567,7 +576,7 @@ class _LevelQ:
             return np.clip(np.searchsorted(grid.knots, times, side="right")
                            - 1, 0, grid.n_steps - 1)
 
-        def ev(times, out=None):
+        def ev(times, out=None, nodes=slice(None)):
             nonlocal rows
             n = slabs(times)
             if len(rows) < n.size:
@@ -575,9 +584,10 @@ class _LevelQ:
             # the indices are in range, and mode "clip" gathers straight
             # into the buffers, where "raise" would copy
             got = self.values.take(n, axis=0, out=rows[:n.size], mode="clip")
-            return got.take(cell, axis=1, out=out, mode="clip")
+            return got.take(cell[nodes], axis=1, out=out, mode="clip")
 
-        ev.slabs = slabs
+        ev.varying = lambda tn: np.full(cell.size, not np.array_equal(
+            slabs(tn[:, 0]), slabs(tn[:, -1])))
         return ev
 
 

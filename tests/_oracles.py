@@ -8,7 +8,7 @@ from fvlab.consistency import (WeakRhs, compute_X1, compute_X2, jump_sums,
                                measured_constant, residual_flux,
                                residual_init, residual_time, weak_form_gap)
 from fvlab.fields import (_bump, _reference_at, default_translate_weights,
-                          interpolate_test, lp_distance, translate_functional)
+                          interpolate_test, translate_functional)
 from fvlab.geometry import (LOCAL_OPPOSITE, DualMeshMAC, DualMeshRT,
                             MeshConstructionError, PrimalMesh,
                             build_time_grid, regularity, sum_opposite_first)
@@ -20,7 +20,7 @@ from fvlab.quadrature import (ORACLE_ORDER, BoxQuadrature, CellQuadrature,
                               FaceQuadrature, SlabQuadrature,
                               composite_gauss_legendre, tensor_points)
 from fvlab.schemes import SchemeConfig, sample_manufactured, scheme_levels
-from fvlab.study import (ResidualReport, _audit, build_level,
+from fvlab.study import (BUMP_1D, ResidualReport, _audit, build_level,
                          manufactured_solution)
 
 
@@ -398,7 +398,7 @@ CLOSED_FORMS = {
     "sinsin_shear": lambda x, t: 1.0 + 0.5 * np.sin(np.pi * x[:, 0])
     * np.sin(np.pi * x[:, 1]) * np.cos(t),
     "bump_advect_1d": lambda x, t: _bump(np.atleast_2d(x)[:, 0]
-                                         - np.asarray(t), 0.15, 0.45),
+                                         - np.asarray(t), *BUMP_1D),
 }
 
 
@@ -517,8 +517,9 @@ def residual_time_slab(betas, phi, space_order=4):
     mesh = betas.mesh
     slab = SlabQuadrature(CellQuadrature(mesh, space_order), betas.grid)
     on_cells = phi.at(slab.cell.flat_points())
+    # every cell varies (the rule's default), so f is asked for all cells
     phi_int = slab.slab_cell_integrals(
-        lambda steps, tn: on_cells.value(tn[..., None]))
+        lambda steps, tn, cells: on_cells.value(tn[..., None]))
     terms = (np.diff(betas.values, axis=0)
              * phi_int)[:, mesh.interior_cell_mask]
     return float(terms.sum()), float(np.abs(terms).sum())
@@ -573,9 +574,11 @@ def compute_level_by_stages(config, level, phi, rhs, base_reg):
     """(report, q) of one study level with every stage run on its own over
     the whole level, in turn: the flux family, C(U), X1, X2, the init,
     time and flux residuals, the jumps, the translate functional, the
-    weak-form gap, the sup norms, the measured constant and the L1
-    distance, each a public whole-level function of fvlab.  The oracle of
-    ``fvlab.study._compute_level`` and its one-pass ``level_pass``."""
+    weak-form gap, the sup norms and the measured constant, each a public
+    whole-level function of fvlab, and the L1 distance to the limit by
+    ``l1_distance_per_slab`` on its closed form (``CLOSED_FORMS``).  The
+    oracle of ``fvlab.study._compute_level`` and its one-pass
+    ``level_pass``."""
     mesh, dual, h_ref = build_level(config, level)
     layout = get_layout(config.layout)
     sol = manufactured_solution(config.solution)
@@ -621,7 +624,9 @@ def compute_level_by_stages(config, level, phi, rhs, base_reg):
     sup_norm = q.sup_norm()
     if v is not None:
         sup_norm = max(sup_norm, v.sup_norm())
-    l1 = lp_distance(q, q_exact, order=config.quad_order).distance
+    # the limit as a plain f(x, t), called at every Gauss time of a slab
+    l1 = l1_distance_per_slab(q, CLOSED_FORMS[config.solution],
+                              order=config.quad_order)
     report = ResidualReport(
         level=level, h=mesh.delta(), dt=grid.dt_max, theta1=reg.theta1,
         theta2=reg.theta2, theta3=reg.theta3, x1=x1.value, x2=x2.value,

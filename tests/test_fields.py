@@ -15,10 +15,10 @@ from fvlab.fields import (TIME_PROFILES, CellScalarField, FaceField,
                           Reference, SupportError, TestFunction, _bump,
                           interpolate_test, lp_distance, sample_cell_means)
 from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
-                            build_time_grid)
+                            build_intervals, build_time_grid)
 from fvlab.layouts import MAC, RT
-from fvlab.quadrature import CellQuadrature, gauss_legendre
-from fvlab.study import manufactured_solution
+from fvlab.quadrature import CellQuadrature, gauss_legendre, gauss_times
+from fvlab.study import BUMP_1D, manufactured_solution
 
 
 def bump2d(t_profile="initial"):
@@ -481,6 +481,41 @@ def test_vector_reference_evaluations_agree(ref):
     assert_bitwise(grid, ref.at(points)(times).transpose(1, 0, 2))
     for j, t in enumerate(times):
         assert_bitwise(grid[:, j], ref(points, t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 64), grading=st.one_of(st.just(1.0),
+                                               st.floats(0.8, 1.25)),
+       order=st.integers(1, 4), T=st.floats(0.05, 1.0),
+       ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       steps=st.integers(1, 8), time_order=st.integers(1, 5),
+       data=st.data())
+def test_bump_nodes_classed_steady_are_positive_zero_across_the_span(
+        n, grading, order, T, ends, steps, time_order, data):
+    # the advected bump names a node steady over a span [first, last] of
+    # [0, T] only where its full evaluation is +0.0, sign bit included, at
+    # both ends and at every Gauss time of the span's slabs; some spans end
+    # where a node's x0 - t sits on a support edge, or a few ulps off it
+    q = manufactured_solution("bump_advect_1d")["q"]
+    x = CellQuadrature(build_intervals(n, grading=grading),
+                       order).flat_points()
+    first, last = sorted(T * e for e in ends)
+    if data.draw(st.booleans()):
+        x0 = float(data.draw(st.sampled_from(x[:, 0].tolist())))
+        edge = x0 - data.draw(st.sampled_from(BUMP_1D))
+        ulps = data.draw(st.integers(-2, 2))
+        for _ in range(abs(ulps)):
+            edge = np.nextafter(edge, np.copysign(np.inf, ulps))
+        if 0.0 <= edge <= T:
+            first, last = ((edge, max(edge, last)) if data.draw(st.booleans())
+                           else (min(first, edge), edge))
+    steady = ~q.at(x).varying(np.array([[first, last]]))
+    tn, _ = gauss_times(np.linspace(first, last, steps + 1), time_order)
+    for t in np.concatenate([[first, last], tn.ravel()]):
+        assert first <= t <= last
+        vals = q(x[steady], t)
+        assert_bitwise(vals, np.zeros_like(vals))
+        assert_bitwise(vals, CLOSED_FORMS["bump_advect_1d"](x[steady], t))
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (assert_bitwise, cell_rule_einsum,
@@ -200,9 +200,9 @@ def test_slab_integrals_match_per_slab_oracle(mesh, space_order, time_order,
     ev = WAVE.at(x)
     nodes = slab.cell.points.shape[:2]
 
-    def batched(steps, tn):
-        vals = ev(tn.ravel()).reshape(tn.shape + nodes)
-        return q[steps][:, None, :, None] * vals
+    def batched(steps, tn, cells):
+        vals = ev(tn.ravel()).reshape(tn.shape + nodes)[:, :, cells]
+        return q[steps][:, None, cells, None] * vals
 
     want = np.array([slab_integrals_per_slab(
         slab, lambda t: q[n][:, None] * WAVE(x, t).reshape(nodes), n)
@@ -213,43 +213,74 @@ def test_slab_integrals_match_per_slab_oracle(mesh, space_order, time_order,
             assert_bitwise(slab.slab_cell_integrals(batched), want)
 
 
-@settings(max_examples=60, deadline=None)
+VARYING_RANGES = ("empty", "full", "interior", "first", "last")
+
+
+@settings(max_examples=80, deadline=None)
 @given(data=st.data(), time_order=st.integers(1, 5),
-       space_order=st.integers(1, 3), values=st.integers(1, 400))
+       space_order=st.integers(1, 3), values=st.integers(1, 400),
+       kind=st.sampled_from(VARYING_RANGES))
 def test_slab_rule_once_equals_the_integrand_at_every_time(
-        data, time_order, space_order, values):
-    # an integrand given at the first Gauss time of each slab only (once)
-    # sums to the bits of the same values repeated at every Gauss time,
-    # signs of zeros included, on any slice of steps and for chunks of
-    # any size: each row is reduced once and added with each weight
+        data, time_order, space_order, values, kind):
+    # the cells outside the varying range give their integrand at the
+    # first Gauss time of each slab only, the cells inside it at every
+    # Gauss time; the sums are the bits of the integrand evaluated at
+    # every Gauss time (per slab, the oracle), signs of zeros included,
+    # for a range that is empty, all cells, interior or touching either
+    # end, on any slice of steps and for chunks of any size
     mesh = data.draw(st.one_of(interval_meshes(max_cells=16),
                                graded_meshes(max_cells=5)))
+    n_cells = mesh.n_cells
+    if kind == "interior":
+        assume(n_cells >= 3)
+        c0 = data.draw(st.integers(1, n_cells - 2))
+        varying = slice(c0, data.draw(st.integers(c0 + 1, n_cells - 1)))
+    elif kind == "empty":
+        c0 = data.draw(st.integers(0, n_cells))
+        varying = slice(c0, c0)
+    else:
+        cut = data.draw(st.integers(1, n_cells))
+        varying = {"full": slice(None), "first": slice(0, cut),
+                   "last": slice(n_cells - cut, n_cells)}[kind]
     grid = data.draw(time_grids(max_steps=7))
     lo = data.draw(st.integers(0, grid.n_steps - 1))
     steps = slice(lo, data.draw(st.integers(lo + 1, grid.n_steps)))
     slab = SlabQuadrature(CellQuadrature(mesh, space_order), grid, time_order)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    vals = rng.normal(size=(grid.n_steps,) + slab.cell.points.shape[:2])
+    k = slab.cell.points.shape[1]
+    vals = rng.normal(size=(grid.n_steps, n_cells, k))
     vals[rng.random(vals.shape) < 0.2] = 0.0
     vals[rng.random(vals.shape) < 0.2] = -0.0
+    phase = rng.normal(size=(n_cells, k))
+    inside = np.zeros((n_cells, 1), dtype=bool)
+    inside[varying] = True
     first = gauss_legendre(time_order)[0][0]
     knots = grid.knots
 
-    def every(sub, tn):
-        return np.repeat(vals[sub, None], tn.shape[1], axis=1)
+    def at(n, t):
+        # steady outside the range, changing with t inside it
+        return np.where(inside, vals[n] * np.cos(t + phase), vals[n])
 
-    def once(sub, tn):
-        # the first Gauss time of each slab of sub, and no other
+    def integrand(sub, tn, cells):
         a, b = knots[sub.start:sub.stop], knots[sub.start + 1:sub.stop + 1]
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        assert_bitwise(tn, (mid + half * first)[:, None])
-        return vals[sub, None]
+        if cells == slice(None):
+            # every cell at the first Gauss time of each slab, and no other
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            assert_bitwise(tn, (mid + half * first)[:, None])
+        else:
+            # the varying cells at the other times
+            assert range(n_cells)[cells] == range(n_cells)[varying]
+            assert tn.shape[1] < time_order
+        return np.stack([[at(n, t)[cells] for t in row]
+                         for n, row in zip(range(sub.start, sub.stop), tn)])
 
+    want = np.array([slab_integrals_per_slab(slab, lambda t: at(n, t), n)
+                     for n in range(steps.start, steps.stop)])
     with mock.patch.object(quadrature, "CHUNK_VALUES", values):
-        want = slab.slab_cell_integrals(every, steps)
-        assert_bitwise(slab.slab_cell_integrals(once, steps, once=True), want)
+        assert_bitwise(slab.slab_cell_integrals(integrand, steps,
+                                                varying=varying), want)
         out = np.full_like(want, np.nan)
-        slab.slab_cell_integrals(once, steps, out=out, once=True)
+        slab.slab_cell_integrals(integrand, steps, out=out, varying=varying)
         assert_bitwise(out, want)
 
 

@@ -149,10 +149,12 @@ ALTERNATING = dict(time_pattern="alternating", time_ratio=2.0)
     ("criterion7", {}, 1),
     ("col1d_scheme16", dict(field_source="manufactured"), 1),
     ("mac_scheme8", {}, 1), ("mac_scheme_graded_zero_flux", {}, 1),
-    ("criterion7", ALTERNATING, 1)], ids=[
+    ("criterion7", ALTERNATING, 1),
+    ("col1d_scheme16", dict(grading=1.02), 2)], ids=[
     "mac_scheme8-0", "rt_perturbed_seed1-0", "col1d_scheme16-1",
     "criterion7-1", "col1d_scheme16-manufactured-1", "mac_scheme8-1",
-    "mac_scheme_graded_zero_flux-1", "criterion7-alternating-1"])
+    "mac_scheme_graded_zero_flux-1", "criterion7-alternating-1",
+    "col1d_scheme16-graded-2"])
 def test_report_rows_do_not_depend_on_the_chunk_size(case, changes, level):
     # one level of a golden study by the one-pass level_pass, its q and v
     # streamed from their source (the sampler or the scheme's march), with
@@ -163,11 +165,14 @@ def test_report_rows_do_not_depend_on_the_chunk_size(case, changes, level):
     # Cauchy distance to the coarser level taken inside the pass included,
     # keeps its bits, and so does the q the pass gathers whole for the
     # next level (none on the perturbed mesh, which has no tensor lookup).
-    # The oracle's Cauchy distance reads the coarser q as a plain f(x, t),
-    # called at every Gauss time; the pass evaluates the coarser q once
-    # per slab on each chunk whose slabs each lie in one coarser slab:
-    # some chunks of every level 1 here, and a mix of chunks of both kinds
-    # on the alternating grids, whose 1 : 2 steps do not nest
+    # The oracle's L1 distances read the limit and the coarser q as plain
+    # f(x, t), which declare nothing and are called at every Gauss time.
+    # The pass evaluates a cell once per slab where its reference cannot
+    # change within the chunk's slabs: the coarser q on each chunk whose
+    # slabs each lie in one coarser slab (some chunks of every level >= 1
+    # here, and chunks of both kinds on the alternating grids, whose 1 : 2
+    # steps do not nest), and the advected bump's limit outside the range
+    # of cells that its support crosses
     config, _ = parse_config(GOLDEN / case / "study.ini")
     config = dataclasses.replace(config, **changes)
     phi = config.test_function()
@@ -193,13 +198,18 @@ def test_report_rows_do_not_depend_on_the_chunk_size(case, changes, level):
     per_step = (q.mesh.n_cells * q.mesh.cell_faces.shape[1]
                 * get_layout(config.layout).pieces)
     assert n > 2
-    # the (rule nodes, once) of every slab rule call on the Cauchy rule
-    cauchy_nodes, calls = 2 ** q.mesh.dim, set()
+    # the (rule nodes, kind of varying range) of every slab rule call
+    cauchy_nodes = 2 ** q.mesh.dim
+    exact_nodes = config.quad_order ** q.mesh.dim
+    calls = set()
     slab_cell_integrals = SlabQuadrature.slab_cell_integrals
 
-    def spy(self, *args, once=False, **kwargs):
-        calls.add((self.cell.points.shape[1], once))
-        return slab_cell_integrals(self, *args, once=once, **kwargs)
+    def spy(self, f, steps, out=None, varying=slice(None)):
+        n_cells, nodes = self.cell.points.shape[:2]
+        size = len(range(n_cells)[varying])
+        calls.add((nodes, "none" if size == 0 else
+                   "all" if size == n_cells else "part"))
+        return slab_cell_integrals(self, f, steps, out=out, varying=varying)
 
     sizes = {1, quadrature.CHUNK_VALUES}
     for values in sorted(sizes | {k * per_step for k in (1, n - 1, n, n + 1)}):
@@ -212,10 +222,14 @@ def test_report_rows_do_not_depend_on_the_chunk_size(case, changes, level):
             assert_bitwise(mine.values, q.values)
         else:
             assert mine is None
-    cauchy = {once for nodes, once in calls if nodes == cauchy_nodes}
-    assert (True in cauchy) if level else cauchy == set()
+    cauchy = {kind for nodes, kind in calls if nodes == cauchy_nodes}
+    assert ("none" in cauchy and "part" not in cauchy) if level \
+        else cauchy == set()
     if changes is ALTERNATING:
-        assert cauchy == {True, False}
+        assert cauchy == {"none", "all"}
+    exact = {kind for nodes, kind in calls if nodes == exact_nodes}
+    assert (exact & {"none", "part"} if config.solution == "bump_advect_1d"
+            else exact == {"all"})
 
 
 def _filled(field):
