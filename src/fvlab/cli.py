@@ -2,9 +2,9 @@
 CSV emission, mesh summaries and identity checking.
 
 Exit codes: 0 success, 2 configuration/parse errors (among them a study
-too large for physical memory), 3 acceptance-threshold failure (the failing
-series is named), 4 regularity audit abort (the offending parameter is
-named), 1 identity-check failure.
+too large for physical memory or the address-space limit), 3
+acceptance-threshold failure (the failing series is named), 4 regularity
+audit abort (the offending parameter is named), 1 identity-check failure.
 """
 
 from __future__ import annotations

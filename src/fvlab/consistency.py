@@ -667,24 +667,29 @@ def weak_rhs(pair, q_exact, v_exact, phi,
     (``quadrature.chunk_slices``, about ``CHUNK_VALUES`` nodes a chunk).
     On each chunk the limit fields are evaluated on the grid as such: a
     ``Reference`` q or v forms its x-only part once per spatial node and
-    combines it with each time node (``Reference.on_grid``), while a plain
-    closure is called once on every node.  phi, d_t phi and grad phi come
-    from the bumps and the time factor on each axis's 1D nodes
+    combines it with each time node (``Reference.on_grid``; a steady v is
+    broadcast over the time nodes, never repeated), while a plain closure
+    is called once on every node.  phi, d_t phi and grad phi come from the
+    bumps and the time factor on each axis's 1D nodes
     (``TestFunction.at_grid``), formed in the product order of
     ``TestFunction``, so they equal ``phi.value/dt/grad`` at the nodes bit
-    for bit; v . grad phi adds its components from +0.0 in axis order,
-    written out rather than left to ``einsum``.  Every value goes through
-    the same operations in any chunk.
+    for bit; v . grad phi adds its components v_d d_d phi, each read from
+    the broadcast v, from +0.0 in axis order, written out rather than left
+    to ``einsum``.  Every value goes through the same operations in any
+    chunk, and each node value is formed once, with ``out=`` into its
+    destination.
 
     The reported terms are each written into one vector of the box's
-    nodes, the time term and then the space term, and each is one flat
-    weighted sum of the whole vector in the C order of the box nodes
+    nodes, the time term and then the space term (a pass each: one pass
+    for both would hold two such vectors), and each is one flat weighted
+    sum of the whole vector in the C order of the box nodes
     (``BoxQuadrature.integrate``), independent of the BLAS thread count.
 
     The volume term is integrated again at order+2 as a self-check, in one
     pass over the chunks of that box, which is never held whole: per
-    chunk the weighted integrand w (beta(q) d_t phi + g(q) v . grad phi)
-    forms a table of one row per first-axis node (``row_weights``),
+    chunk both integrands go into reused ``Workspace`` buffers, and the
+    weighted integrand w (beta(q) d_t phi + g(q) v . grad phi), formed in
+    place, is a table of one row per first-axis node (``row_weights``),
     reduced by ``quadrature.step_sum`` like every reported space-time sum,
     so its value does not depend on ``CHUNK_VALUES``.  The difference is
     returned as ``check_delta`` and a warning is emitted when it exceeds
@@ -697,34 +702,38 @@ def weak_rhs(pair, q_exact, v_exact, phi,
                                 * phi_x0)
     bounds = list(phi.support) + [(0.0, phi.t_max)]
 
-    def time_term(on_chunk, t_axis, x, qb):
-        return pair.beta(qb) * on_chunk.dt(t_axis).ravel()
+    def time_term(on_chunk, t_axis, x, qb, out):
+        dt = on_chunk.dt(t_axis).reshape(out.shape)
+        np.multiply(pair.beta(qb), dt, out=out)
 
-    def space_term(on_chunk, t_axis, x, qb):
-        grad = [g.ravel() for g in on_chunk.grad_components(t_axis)]
+    def space_term(on_chunk, t_axis, x, qb, out):
+        grad = [g.reshape(out.shape)
+                for g in on_chunk.grad_components(t_axis)]
         if v_exact is None:
-            return pair.g(qb) * grad[0]
-        vv = np.asarray(_reference_at(v_exact, x, t_axis.ravel()),
-                        dtype=float).reshape(-1, dim)
-        dot = 0.0
-        for d, g in enumerate(grad):
-            dot = dot + vv[:, d] * g
-        return pair.g(qb) * dot
+            np.multiply(pair.g(qb), grad[0], out=out)
+            return
+        # v . grad phi from +0.0 in axis order, ((0.0 + v_0 g_0) + v_1 g_1)
+        # ..., v shaped (space nodes, time nodes, dim) and each product
+        # formed in its own grad component
+        v = _reference_at(v_exact, x, t_axis.ravel())
+        np.multiply(v[..., 0], grad[0], out=out)
+        out += 0.0
+        for d in range(1, dim):
+            out += np.multiply(v[..., d], grad[d], out=grad[d])
+        np.multiply(pair.g(qb), out, out=out)
 
-    def chunk_values(box, terms):
+    def chunks(box):
         """Per chunk of the box's first-axis nodes, the slice ``rows`` of
-        them and the values of each of ``terms`` on the chunk's nodes, in
-        C order; q is evaluated once for all the terms."""
+        them and the chunk's phi, time nodes, spatial nodes x and q on
+        its (space, time) nodes, shaped (space nodes, time nodes)."""
         axes, t_axis = box.grid_axes[:dim], box.grid_axes[dim]
         times = t_axis.ravel()
         on_box = phi.at_grid(axes)
         per_row = math.prod(a.size for a in box.grid_axes[1:])
         for rows in chunk_slices(axes[0].size, per_row):
             x = tensor_points([axes[0][rows]] + axes[1:])
-            qb = np.asarray(_reference_at(q_exact, x, times),
-                            dtype=float).ravel()
-            on_chunk = on_box.first_rows(rows)
-            yield rows, [term(on_chunk, t_axis, x, qb) for term in terms]
+            qb = np.asarray(_reference_at(q_exact, x, times), dtype=float)
+            yield rows, (on_box.first_rows(rows), t_axis, x, qb)
 
     box = BoxQuadrature(bounds, panels, order)
     # the nodes of one index of the first axis are consecutive in C order
@@ -732,16 +741,27 @@ def weak_rhs(pair, q_exact, v_exact, phi,
     vals = np.empty(box.weights.size)
     integrals = []
     for term in (time_term, space_term):
-        for rows, (values,) in chunk_values(box, [term]):
-            vals[rows.start * per_row:rows.stop * per_row] = values
+        for rows, chunk in chunks(box):
+            out = vals[rows.start * per_row:rows.stop * per_row]
+            term(*chunk, out.reshape(chunk[-1].shape[:2]))
         integrals.append(box.integrate(vals))
     vol_time, vol_space = -integrals[0], -integrals[1]
     volume = vol_time + vol_space
     box = BoxQuadrature(bounds, panels, order + 2)
-    chunks = chunk_values(box, [time_term, space_term])
-    vol2 = -step_sum(box.row_weights(rows)
-                     * (t + s).reshape(rows.stop - rows.start, -1)
-                     for rows, (t, s) in chunks)
+    work = Workspace()
+
+    def weighted(rows, chunk):
+        """w (beta(q) d_t phi + g(q) v . grad phi) on the chunk, one row
+        per first-axis node, formed in the chunk buffers of ``work``."""
+        shape = chunk[-1].shape[:2]
+        t, s = work("rhs_time", shape), work("rhs_space", shape)
+        time_term(*chunk, t)
+        space_term(*chunk, s)
+        t += s
+        table = t.reshape(rows.stop - rows.start, -1)
+        return np.multiply(box.row_weights(rows), table, out=table)
+
+    vol2 = -step_sum(weighted(*chunk) for chunk in chunks(box))
     delta = abs(volume - vol2)
     if delta > 1e-7 * (1.0 + abs(volume)):
         warnings.warn(f"weak-form volume quadrature disagreement "

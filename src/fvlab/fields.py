@@ -383,8 +383,9 @@ class Reference:
     ``space(points)`` has one row per point, shaped (M,) for a scalar f and
     (M, m) for an m-vector.  Three evaluations share one broadcasting rule:
     the times get one trailing unit axis per component axis of the space
-    part, and the result of ``combine`` is copied out to the joint shape, so
-    a steady ``combine`` may return the space part itself.
+    part, and the result of ``combine`` is copied out to the joint shape
+    (``on_grid`` broadcasts it instead), so a steady ``combine`` may return
+    the space part itself.
 
     * ``f(x, t)``, t a scalar or one time per point: shaped (M,) + C;
     * ``f.at(points)``, the evaluator ``ev(times, out=None,
@@ -392,7 +393,9 @@ class Reference:
       of the slice ``nodes``: shaped (len(times), nodes) + C, written into
       ``out`` when given;
     * ``f.on_grid(points, times)``, the tensor grid of points x times in C
-      order with time fastest: shaped (M, len(times)) + C.
+      order with time fastest: shaped (M, len(times)) + C, a read-only
+      broadcast of the combine's values over the axes that a steady
+      combine leaves out (time stride 0), never a repeated copy.
 
     All three evaluate each value by the same operations, so they agree
     bit for bit.  ``ev(times, out=buf)`` passes ``out`` on to the combine,
@@ -450,8 +453,8 @@ class Reference:
 
     def on_grid(self, points, times) -> np.ndarray:
         s = self.space(np.atleast_2d(points))
-        return self._combine(s[:, None], _unit_axes(times, s.ndim - 1),
-                             s.shape[:1] + (len(times),) + s.shape[1:])
+        vals = self.combine(s[:, None], _unit_axes(times, s.ndim - 1))
+        return np.broadcast_to(vals, s.shape[:1] + (len(times),) + s.shape[1:])
 
 
 def _unit_axes(t, n):

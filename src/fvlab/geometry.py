@@ -62,6 +62,34 @@ def _sum_in_order(terms):
     return total
 
 
+def _distinct_loops(coords, cell_vertices):
+    """The distinct loops of one coordinate ``coords`` (NV,) over the cells'
+    vertex loops, (n, nv), and each cell's index among them, (NC,).  Loops
+    are told apart by their bit patterns (one lexsort of the int64 view),
+    so loops of +0.0 and of -0.0 stay distinct; the loops come in the order
+    of their bits."""
+    # the kept index first, below the sort's temporaries in the heap, and
+    # in 32 bits, as it lives as long as the mesh
+    index = np.empty(len(cell_vertices), dtype=np.int32)
+    # (nv, NC): each row a contiguous sort key
+    columns = coords[cell_vertices.T]
+    bits = columns.view(np.int64)
+    order = np.lexsort(bits)
+    # a loop starts a new group where any vertex's bits change
+    new = np.zeros(columns.shape[1], dtype=bool)
+    new[0] = True
+    for key in bits:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    ranks = np.cumsum(new)
+    ranks -= 1
+    index[order] = ranks
+    distinct = np.ascontiguousarray(columns[:, order[new]].T)
+    for arr in (distinct, index):
+        arr.setflags(write=False)
+    return distinct, index
+
+
 class PrimalMesh:
     """Polygonal mesh: cells, deduplicated faces, adjacency and metrics.
 
@@ -315,6 +343,16 @@ class PrimalMesh:
         measures = self.face_measures[self.cell_faces]
         measures.setflags(write=False)
         return measures
+
+    @cached_property
+    def axis_loops(self) -> list:
+        """Per axis, the distinct vertex loops of that coordinate, (n, nv),
+        and each cell's loop among them, (NC,): ``loops[index[c]]`` is cell
+        c's coordinates in loop order, bit for bit (``_distinct_loops``);
+        on a tensor mesh the x loops are the columns and the y loops the
+        rows.  Built on first use, one axis at a time."""
+        return [_distinct_loops(self.vertices[:, d], self.cell_vertices)
+                for d in range(self.dim)]
 
     @property
     def n_cells(self) -> int:

@@ -31,9 +31,10 @@ self-check reduces its box by ``step_sum`` over rows of the first axis
 Cell means use a shifted weighted average, ``f0 + sum(w * (f - f0))``, so a
 constant integrand reproduces the constant bitwise.  A 2D cell rule forms
 its nodes and both Jacobian columns by adding the vertex terms of the
-bilinear map from +0.0 in vertex order, written out over blocks of cells
-(about ``CHUNK_VALUES`` values each), so the order is not left to
-``einsum`` and the block size moves no bit.
+bilinear map from +0.0 in vertex order, written out over blocks of about
+``CHUNK_VALUES`` values, so the order is not left to ``einsum`` and the
+block size moves no bit; each axis's terms are formed once per distinct
+vertex loop of that axis (``CellQuadrature``).
 """
 
 from __future__ import annotations
@@ -176,14 +177,26 @@ class CellQuadrature(_RowRule):
     mesh, or for the cells ``rows`` only; the same rule is reused across
     time levels.  Weights include the Jacobian of the bilinear map, so
     ``weights[c].sum()`` approximates the cell measure.
+
+    In 2D a node's x, dx/dxi and dx/deta depend only on the cell's four
+    vertex x values, and its y terms only on the four y values.  So each
+    axis's part of the map is formed once per distinct vertex loop of that
+    axis among the rows (``PrimalMesh.axis_loops``, loops told apart by
+    their bits) into a table that the cells gather from, and the weight
+    wt (jx0 je1 - jx1 je0) takes jx0 and je0 from the x loop and jx1 and
+    je1 from the y loop: the operations, and their order, of the per-cell
+    map, so every point and weight has its bits.  On a tensor mesh the
+    tables hold the columns and the rows; where every row has a loop of
+    its own (a perturbed mesh) there is no table, and each block of cells
+    forms its own loops.
     """
 
     def __init__(self, mesh, order: int = DEFAULT_ORDER, panels: int = 1,
                  rows=None):
         super().__init__(mesh, rows)
         nodes1d, w1d = composite_gauss_legendre(order, panels)
-        verts = mesh.vertices[mesh.cell_vertices[self.rows]]  # (NC, nv, dim)
         if mesh.dim == 1:
+            verts = mesh.vertices[mesh.cell_vertices[self.rows]]  # (NC, 2, 1)
             a = verts[:, 0, 0][:, None]
             b = verts[:, 1, 0][:, None]
             half = 0.5 * (b - a)
@@ -192,36 +205,68 @@ class CellQuadrature(_RowRule):
             self.weights = np.broadcast_to(w1d[None, :], pts.shape) * half
             self.weights = np.ascontiguousarray(self.weights)
         else:
-            xi, eta = np.meshgrid(nodes1d, nodes1d, indexing="ij")
-            xi = xi.ravel()
-            eta = eta.ravel()
-            wt = np.outer(w1d, w1d).ravel()
-            # bilinear shape functions on [-1,1]^2, vertex order CCW
-            n0 = 0.25 * (1 - xi) * (1 - eta)
-            n1 = 0.25 * (1 + xi) * (1 - eta)
-            n2 = 0.25 * (1 + xi) * (1 + eta)
-            n3 = 0.25 * (1 - xi) * (1 + eta)
-            shape = np.stack([n0, n1, n2, n3], axis=0)          # (4, k)
-            dxi = 0.25 * np.stack([-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)], axis=0)
-            deta = 0.25 * np.stack([-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)], axis=0)
-            # x, d x / d xi and d x / d eta at the nodes, (maps, k) per vertex
-            maps = np.stack([shape, dxi, deta], axis=1)
-            n_cells, k = len(verts), xi.size
-            self.points = np.empty((n_cells, k, 2))
-            self.weights = np.empty((n_cells, k))
-            # blocks of cells whose 2 x 3 sums per node fill ~CHUNK_VALUES
-            for cells in chunk_slices(n_cells, 6 * k):
-                acc = np.zeros((2, 3, cells.stop - cells.start, k))
-                for v in range(4):
-                    for d in range(2):
-                        acc[d] += maps[v][:, None] * verts[cells, v, d, None]
-                self.points[cells] = np.moveaxis(acc[:, 0], 0, -1)
-                (jx0, jx1), (je0, je1) = acc[:, 1], acc[:, 2]
-                self.weights[cells] = wt * (jx0 * je1 - jx1 * je0)
+            self._build_bilinear(nodes1d, w1d)
         self._wsum = self.weights.sum(axis=1)
         self._wnorm = self.weights / self._wsum[:, None]
         for arr in (self.points, self.weights, self._wsum, self._wnorm):
             arr.setflags(write=False)
+
+    def _build_bilinear(self, nodes1d, w1d):
+        """Points and weights of the bilinear map of each quadrangle of
+        the rows, from each axis's part of the map, ``_loop_maps`` of the
+        distinct loops of that axis among the rows, gathered to the
+        cells; without a table where every row's loop is its own."""
+        xi, eta = np.meshgrid(nodes1d, nodes1d, indexing="ij")
+        xi = xi.ravel()
+        eta = eta.ravel()
+        wt = np.outer(w1d, w1d).ravel()
+        # bilinear shape functions on [-1,1]^2, vertex order CCW
+        n0 = 0.25 * (1 - xi) * (1 - eta)
+        n1 = 0.25 * (1 + xi) * (1 - eta)
+        n2 = 0.25 * (1 + xi) * (1 + eta)
+        n3 = 0.25 * (1 - xi) * (1 + eta)
+        shape = np.stack([n0, n1, n2, n3], axis=0)          # (4, k)
+        dxi = 0.25 * np.stack([-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)], axis=0)
+        deta = 0.25 * np.stack([-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)], axis=0)
+        # x, d x / d xi and d x / d eta at the nodes, (maps, k) per vertex
+        maps = np.stack([shape, dxi, deta], axis=1)
+        k = xi.size
+        axes = []
+        for loops, index in self.mesh.axis_loops:
+            ids = index[self.rows]
+            used = np.zeros(len(loops), dtype=bool)
+            used[ids] = True
+            n_used = np.count_nonzero(used)
+            if n_used == len(ids):
+                # a loop of its own per cell: formed block by block below,
+                # in the cells' order, with no table to gather from
+                axes.append((loops[ids], None))
+                continue
+            table = np.empty((3, n_used, k))
+            distinct = loops[used]
+            for block in chunk_slices(n_used, 3 * k):
+                _loop_maps(maps, distinct[block], table[:, block])
+            axes.append((table, (np.cumsum(used) - 1)[ids]))
+        n_cells = len(ids)
+        self.points = np.empty((n_cells, k, 2))
+        self.weights = np.empty((n_cells, k))
+        # blocks of cells whose 2 x 3 terms per node fill ~CHUNK_VALUES;
+        # per axis the block's terms and the cells' rows among them, all
+        # of them in order where the block formed its own loops
+        for cells in chunk_slices(n_cells, 6 * k):
+            (x, ix), (y, iy) = (
+                (src, local[cells]) if local is not None
+                else (_loop_maps(maps, src[cells],
+                                 np.empty((3, cells.stop - cells.start, k))),
+                      slice(None))
+                for src, local in axes)
+            self.points[cells, :, 0] = x[0][ix]
+            self.points[cells, :, 1] = y[0][iy]
+            # wt (jx0 je1 - jx1 je0): jx0 and je0 of the x loop, jx1 and
+            # je1 of the y loop
+            w = np.multiply(x[1][ix], y[2][iy], out=self.weights[cells])
+            w -= y[1][iy] * x[2][ix]
+            w *= wt
 
     def flat_points(self):
         return self.points.reshape(-1, self.mesh.dim)
@@ -248,6 +293,20 @@ class CellQuadrature(_RowRule):
             self.points.shape[:2] + (-1,))
         f0 = vals[:, 0, :]
         return f0 + np.einsum("ck,ckd->cd", self._wnorm, vals - f0[:, None, :])
+
+
+def _loop_maps(maps, loops, out):
+    """One axis's part of the bilinear map at the k nodes of each vertex
+    loop (n, 4) of that coordinate: x, dx/dxi and dx/deta (or y's), written
+    into ``out`` (3, n, k).  The vertex terms are added from +0.0 in vertex
+    order, each the product of the vertex coordinate and its shape-function
+    row of ``maps`` (4, 3, k)."""
+    out[...] = 0.0
+    term = np.empty(out.shape)
+    for v, rows in enumerate(maps):
+        np.multiply(rows[:, None], loops[:, v, None], out=term)
+        out += term
+    return out
 
 
 class FaceQuadrature(_RowRule):

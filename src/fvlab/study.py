@@ -14,6 +14,7 @@ import csv
 import functools
 import math
 import os
+import resource
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -205,6 +206,17 @@ def _check_domain(section: str, key: str, value, domain):
         raise ValueError(f"[{section}] {key} must be {what}, got {value!r}")
 
 
+def _memory_bound():
+    """The bytes one array of the process may take and what bounds them:
+    physical memory, or the process's soft address-space limit
+    (``RLIMIT_AS``) where that is finite and lower."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY and limit < memory:
+        return limit, "the address-space limit (RLIMIT_AS)"
+    return memory, "physical memory"
+
+
 @dataclass
 class StudyConfig:
     """Everything a refinement study needs; ``CONFIG_TABLE`` maps the INI
@@ -323,15 +335,15 @@ class StudyConfig:
 
     def _check_size(self, layout, level_mesh):
         """Reject a level whose cell vector, time grid or whole q (held for
-        the next level on tensor meshes) takes more than physical memory at
-        8 bytes a value, or whose step count is not finite.  A scheme's
-        count is bounded from below by level 0's, T / ``schemes.scheme_dt``
-        on the mesh and dual ``level_mesh(0)`` (``_level_mesh``): a MAC
-        scheme's steps follow v, and the finer levels only raise that
-        count; a 1D scheme steps at cfl times the smallest interval, which
-        at least halves each level (uniform or graded), so level L takes
-        at least 2^L times as many."""
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        the next level on tensor meshes) takes more, at 8 bytes a value,
+        than the memory the process may use (``_memory_bound``), or whose
+        step count is not finite.  A scheme's count is bounded from below
+        by level 0's, T / ``schemes.scheme_dt`` on the mesh and dual
+        ``level_mesh(0)`` (``_level_mesh``): a MAC scheme's steps follow v,
+        and the finer levels only raise that count; a 1D scheme steps at
+        cfl times the smallest interval, which at least halves each level
+        (uniform or graded), so level L takes at least 2^L times as many."""
+        memory, bound = _memory_bound()
         # shifted quadrangles have no tensor structure, so no whole q
         tensor = self.mesh_family != "perturbed" or self.amplitude == 0
         manufactured = self.field_source == "manufactured"
@@ -341,7 +353,7 @@ class StudyConfig:
             if 8 * values > memory:
                 raise ValueError(f"{what}: {8 * values / 2 ** 30:.3g} GiB, "
                                  f"more than the {memory / 2 ** 30:.3g} GiB "
-                                 f"of physical memory")
+                                 f"of {bound}")
 
         for level in range(self.levels):
             cells = self.nx0 * 2 ** level * (

@@ -44,6 +44,28 @@ def graded_meshes(draw, max_cells=8, min_cells=1):
 
 
 @st.composite
+def shuffled_rectangles(draw, domains, max_cells=7):
+    """Rectangular nx x ny meshes of one of ``domains`` whose cells come
+    in any order, each vertex loop rotated cyclically (still
+    counter-clockwise), and each vertex coordinate on 0.0 made +0.0 or
+    -0.0: loops equal as floats need not be equal in bits."""
+    nx = draw(st.integers(1, max_cells))
+    ny = draw(st.integers(1, max_cells))
+    mesh = build_cartesian(nx, ny, draw(st.sampled_from(domains)))
+    n = mesh.n_cells
+    order = draw(st.permutations(range(n)))
+    shifts = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    loops = np.stack([np.roll(mesh.cell_vertices[c], -k)
+                      for c, k in zip(order, shifts)])
+    vertices = mesh.vertices.copy()
+    zeros = vertices == 0.0
+    signs = draw(st.lists(st.booleans(), min_size=int(zeros.sum()),
+                          max_size=int(zeros.sum())))
+    vertices[zeros] = np.where(signs, -0.0, 0.0)
+    return geometry.PrimalMesh(vertices, loops, mesh.domain)
+
+
+@st.composite
 def time_grids(draw, max_steps=6, n_steps=None):
     """Uniform time grids, or grids whose steps alternate 1 : ratio; with
     ``n_steps`` the number of steps is fixed."""

@@ -2,9 +2,11 @@ import configparser
 import io
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -339,6 +341,39 @@ def test_memory_error_exit_2(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == ("error: out of memory: Unable to "
                                         "allocate 8.01 GiB\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_address_space_limit_exit_2_in_validate(tmp_path):
+    # the criterion-7 study at 8 levels holds level 6's q whole, 513 x 512^2
+    # values (1.00 GiB), well within physical memory: under a soft
+    # RLIMIT_AS of 768 MiB, set on the child process only, validate
+    # rejects it within seconds, names the limit, and no output directory
+    # is made
+    limit = 768 * 2 ** 20
+    text = (GOLDEN / "criterion7" / "study.ini").read_text()
+    path = write_config(tmp_path, text.replace("levels = 4", "levels = 8"))
+    out_dir = tmp_path / "out"
+    src = str(Path(fvlab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def set_limit():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "fvlab.cli", "run-study",
+                           "--config", str(path), "--out", str(out_dir)],
+                          env=env, preexec_fn=set_limit, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: levels = 8: level 6 holds "
+                                  "its q whole: 1 GiB, more than the 0.75 "
+                                  "GiB of the address-space limit "
+                                  "(RLIMIT_AS)"), proc.stderr
+    assert time.monotonic() - start < 30
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("layout", ["mac", "rt", "colocated1d"])

@@ -1185,11 +1185,14 @@ def test_weak_rhs_stays_in_bounded_memory(transient_mib):
     # box of 1.7 M nodes): forming each integrand on the whole box took
     # 93.5 MiB above the call's start, and the check box's flat weights
     # and integrand vector 29.3 MiB; streamed, the check adds nothing to
-    # the 17.3 MiB of the order-8 box
+    # the order-8 box, whose flat weights and integrand vector take 6.75
+    # MiB each.  With v broadcast over time and each integrand written
+    # into its destination the call peaks at 16.0 MiB (18.4 MiB before),
+    # and the bound is that plus 10 %
     sol = manufactured_solution("sinsin_cos")
     size = transient_mib(lambda: weak_rhs(
         get_pair("id"), sol["q"], sol["v"], bump2d()))
-    assert size <= 24, size
+    assert size <= 17.6, size
 
 
 def test_weak_rhs_check_box_is_never_held_whole():

@@ -463,18 +463,23 @@ def test_reference_evaluator_matches_plain_closure(data, name):
                    l1_distance_per_slab(q, plain))
 
 
-@pytest.mark.parametrize("ref", [
-    manufactured_solution("sinsin_shear")["v"],
-    Reference(lambda x: np.stack([np.sin(3.0 * x[:, 0]), x[:, 1]], axis=-1),
-              lambda s, t: s * np.cos(t)),
-], ids=["steady", "unsteady"])
-def test_vector_reference_evaluations_agree(ref):
+@pytest.mark.parametrize("ref, steady", [
+    (manufactured_solution("sinsin_shear")["v"], True),
+    (manufactured_solution("constant")["v"], True),
+    (Reference(lambda x: np.stack([np.sin(3.0 * x[:, 0]), x[:, 1]], axis=-1),
+               lambda s, t: s * np.cos(t)), False),
+], ids=["steady", "uniform", "unsteady"])
+def test_vector_reference_evaluations_agree(ref, steady):
     # __call__, at and on_grid share one broadcasting rule: the same bits
-    # in (point, time, component) order, one time per point or not
+    # in (point, time, component) order, one time per point or not; on the
+    # grid a steady v (the sinsin_shear v, the uniform v of "constant" and
+    # "sinsin_cos") is its space part broadcast over time, read-only with
+    # time stride 0, never a repeated copy
     points = np.random.default_rng(3).uniform(size=(7, 2))
     times = np.array([0.0, 0.25, 1.5])
     grid = ref.on_grid(points, times)
-    assert grid.shape == (7, 3, 2)
+    assert grid.shape == (7, 3, 2) and not grid.flags.writeable
+    assert (grid.strides[1] == 0) == steady
     per_node = ref(np.repeat(points, times.size, axis=0),
                    np.tile(times, len(points)))
     assert_bitwise(grid, per_node.reshape(grid.shape))

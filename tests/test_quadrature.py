@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from _oracles import (assert_bitwise, cell_rule_einsum,
                       slab_integrals_per_slab)
 from _strategies import (graded_meshes, interval_meshes, perturbed_meshes,
-                         time_grids)
+                         shuffled_rectangles, time_grids)
 from fvlab import quadrature
 from fvlab.fields import Reference
 from fvlab.geometry import build_cartesian, build_intervals, build_perturbed_quads
@@ -310,14 +310,17 @@ DOMAINS = [((0.0, 1.0), (0.0, 1.0)), ((-1.0, 0.0), (-2.0, 0.0)),
 @given(data=st.data(), order=st.sampled_from([1, 2, 3, 4, 8]),
        panels=st.sampled_from([1, 2, 4]))
 def test_cell_rule_matches_einsum_oracle(data, order, panels):
-    # the vertex maps are added from +0.0 in vertex order over blocks of
-    # cells: the bits of one einsum over all cells, signs of zeros
-    # included, on uniform meshes of domains at and below 0.0, graded and
-    # perturbed meshes, on any rows and for blocks of one cell or of more
-    # cells than the rule has
+    # each axis's part of the map is formed once per distinct vertex loop
+    # (by bits) of that axis, adding the vertex terms from +0.0 in vertex
+    # order over blocks of loops or cells: the bits of one einsum over all
+    # cells, signs of zeros included, on uniform meshes of domains at and
+    # below 0.0, the same rectangles with shuffled cells, rotated loops and
+    # zeros of either sign, graded and perturbed meshes, on any rows and
+    # for blocks of one cell or of more cells than the rule has
     uniform = st.builds(build_cartesian, st.integers(1, 7), st.integers(1, 7),
                         st.sampled_from(DOMAINS))
-    mesh = data.draw(st.one_of(uniform, perturbed_meshes(), graded_meshes()))
+    mesh = data.draw(st.one_of(uniform, shuffled_rectangles(DOMAINS),
+                               perturbed_meshes(), graded_meshes()))
     rows = data.draw(st.none() | st.lists(
         st.integers(0, mesh.n_cells - 1), max_size=mesh.n_cells))
     want = cell_rule_einsum(mesh, order, panels, rows)
@@ -329,3 +332,42 @@ def test_cell_rule_matches_einsum_oracle(data, order, panels):
         for got, oracle in zip((rule.points, rule.weights, rule._wnorm), want):
             assert_bitwise(got, oracle)
             assert np.array_equal(np.signbit(got), np.signbit(oracle))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh=st.one_of(shuffled_rectangles(DOMAINS), perturbed_meshes(),
+                      graded_meshes()))
+def test_axis_loops_keep_each_cells_bits(mesh):
+    # the distinct loops of the cell rule are told apart by bits: each
+    # cell's loop among them is its own coordinates in loop order, signs
+    # of zeros included, and no two of them have the same bits
+    for d, (loops, index) in enumerate(mesh.axis_loops):
+        assert_bitwise(loops[index], mesh.vertices[mesh.cell_vertices, d])
+        assert len(np.unique(loops.view(np.int64), axis=0)) == len(loops)
+
+
+def test_cell_rule_forms_each_axis_once_per_distinct_loop():
+    # on a 32 x 32 tensor mesh the x part of the map is formed on the 32
+    # column loops and the y part on the 32 row loops, each into one
+    # table that the cells gather from; on a perturbed mesh every loop is
+    # distinct, so there is no table and no gather: each block of cells
+    # forms its own x and then y loops, in the cells' order
+    calls = []
+    real = quadrature._loop_maps
+
+    def spy(maps, loops, out):
+        calls.append(len(loops))
+        return real(maps, loops, out)
+
+    with mock.patch.object(quadrature, "_loop_maps", spy):
+        CellQuadrature(build_cartesian(32, 32), 4)
+    assert calls == [32, 32]
+    calls.clear()
+    mesh = build_perturbed_quads(32, 32, amplitude=0.2, seed=1)
+    with mock.patch.object(quadrature, "_loop_maps", spy):
+        CellQuadrature(mesh, 4)
+    assert [len(loops) for loops, _ in mesh.axis_loops] == [mesh.n_cells] * 2
+    k = 4 * 4
+    blocks = quadrature.chunk_slices(mesh.n_cells, 6 * k)
+    assert len(blocks) > 1
+    assert calls == [b.stop - b.start for b in blocks for _ in "xy"]
