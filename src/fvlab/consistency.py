@@ -22,8 +22,13 @@ from the first chunk, the range of q and the sups from every chunk) is a
 chunk value too.  One walk, ``_walk``, runs terms over the chunks of a
 level, and its ``_Chunk`` forms each value they share once, when a term
 first asks: dt and the knots, beta and d_t beta, the face fluxes (checked
-finite), F.n and its divergence, C(U), phi on the cells and the
-flux-defect table (F_zeta^n - f(U)|_piece) . n_{P,zeta}.  ``level_pass`` is
+finite), F.n and its divergence, C(U), phi on the cells, the
+flux-defect table (F_zeta^n - f(U)|_piece) . n_{P,zeta}, and the jumps
+dt_n |q_K^n - q_L^n| across the interior faces and |q^{n+1} - q^n| per
+cell.  The terms weighted by phi (X1, X2, the weak LHS and the signed time
+residual) run on each chunk's ``head`` only, its steps before phi's last
+live step (``InterpolatedTest.live``): past it each of their terms is a
+signed zero, which ``add_steps`` adds without moving a bit.  ``level_pass`` is
 the walk over a level source with every term; each whole-level stage
 (``compute_X1``, ``compute_X2``, ``residual_time``, ``residual_flux``,
 ``jump_sums``, ``weak_lhs``) is the walk with its one term over the fields
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from functools import cached_property
 from itertools import repeat
 from types import SimpleNamespace
@@ -50,8 +56,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fields import (InterpolatedTest, SupportError, _reference_at,
-                     _same_level, _support_table, l1_steps,
-                     translate_space_terms, translate_time_terms)
+                     _same_level, _support_table, face_jumps, l1_steps,
+                     live_steps, time_jumps, translate_space_terms,
+                     translate_time_terms)
 from .layouts import COLOCATED_1D, get_layout
 # dt_beta and flux_dot_n are looked up here by name, so rebinding
 # fvlab.consistency.<name> reaches the whole-level stages; flux_divergence
@@ -91,18 +98,20 @@ def _check_routes(what: str, a: float, b: float, scale: float, rtol: float):
 
 class _StepValues(dict):
     """One term's step values by name, appended chunk by chunk in step
-    order; ``total`` adds one name's values left to right, and a name
-    holding term masses too gives (sum, mass)."""
+    order; ``total`` adds one name's values left to right, and with
+    ``mass`` (values that hold the term masses too) gives (sum, mass).  A
+    name that no chunk gave totals to +0.0."""
 
     def add(self, chunk):
         for name, values in (chunk or {}).items():
             self.setdefault(name, []).append(values)
 
-    def total(self, name):
-        values = np.concatenate(self[name], axis=-1)
-        if values.ndim == 1:
-            return add_steps(values)
-        return tuple(add_steps(row) for row in values)
+    def total(self, name, mass=False):
+        values = np.concatenate(
+            self.get(name, [np.zeros((2, 0) if mass else 0)]), axis=-1)
+        if mass:
+            return tuple(add_steps(row) for row in values)
+        return add_steps(values)
 
 
 def _paired(dt, values, phi, vols=None, out=None):
@@ -122,7 +131,12 @@ class _Chunk:
     and each value derived from them, formed from what the level's chunks
     share (``level``, see ``_walk``) when a term first asks for it.  A
     value the stage holds whole is its view instead (``level.held``): q, v
-    and beta on the knots, d_t beta, F.n and C(U) on the steps."""
+    and beta on the knots, d_t beta, F.n and C(U) on the steps.
+
+    The terms weighted by phi (X1, X2, the weak LHS and the signed time
+    residual) read ``head``, the steps before the level's ``live``: past
+    it every phi factor is a signed zero, each term there is one, and
+    ``add_steps`` leaves a sum unchanged by it."""
 
     def __init__(self, level, steps, qk, vk):
         self.level, self.steps, self.start = level, steps, steps.start
@@ -157,6 +171,47 @@ class _Chunk:
     phi = cached_property(lambda c: c.level.interp.cells(c.steps))
     table = cached_property(lambda c: c.level.defects.table(c.fdotn, c.qv,
                                                             c.vv))
+    # dt_n |q_K^n - q_L^n| over the interior faces (K, L) = ``level.pairs``
+    # (R1's face form and the translate functional's space terms), and
+    # |q^{n+1} - q^n| per cell (the time residual's majorant and the
+    # translate functional's time terms), in the buffers of ``level.work``
+    face_jumps = cached_property(lambda c: face_jumps(
+        c.qv, c.dt, *c.level.pairs, c.level.work))
+    time_jumps = cached_property(lambda c: time_jumps(c.qk[1:], c.qk[:-1],
+                                                      c.level.work))
+
+    @property
+    def head(self):
+        """This chunk's steps before the level's ``live``: the chunk
+        itself when it ends there or before, None when it starts there or
+        after, and else a ``_Head`` (formed once)."""
+        stop = min(self.steps.stop, self.level.live)
+        if stop <= self.start:
+            return None
+        return self if stop == self.steps.stop else self._cut
+
+    _cut = cached_property(lambda c: _Head(c, c.level.live))
+
+
+class _Head(_Chunk):
+    """The first steps of a chunk, up to ``stop``: the chunk's face
+    fluxes, F.n, defect table and beta sliced, every other value formed on
+    these steps only.  Each is formed step by step, so a slice has the
+    bits of the same value formed on the slice.  The chunk is held weakly:
+    a cycle would keep each chunk's tables until the garbage collector
+    ran."""
+
+    def __init__(self, chunk, stop):
+        n = stop - chunk.start
+        super().__init__(chunk.level, slice(chunk.start, stop),
+                         None if chunk.qk is None else chunk.qk[:n + 1],
+                         None if chunk.vk is None else chunk.vk[:n + 1])
+        self.chunk, self.n = weakref.proxy(chunk), n
+
+    flux = cached_property(lambda h: h.chunk.flux[:h.n])
+    fdotn = cached_property(lambda h: h.chunk.fdotn[:h.n])
+    table = cached_property(lambda h: h.chunk.table[:h.n])
+    beta = cached_property(lambda h: h.chunk.beta[:h.n + 1])
 
 
 class _Term(NamedTuple):
@@ -187,7 +242,9 @@ def _walk(level, terms):
     each chunk's q and v levels (or None), the arrays the stage holds whole
     by chunk value (``held``), and what the chunk values are formed from:
     ``layout``, ``dual``, ``pair``, the flux rule ``fluxes(qv, vv)``,
-    ``interp`` and the ``_FluxDefects`` ``defects``."""
+    ``interp``, the ``_FluxDefects`` ``defects``, the cells (K, L) of the
+    interior faces (``pairs``), the ``quadrature.Workspace`` ``work`` of
+    the shared jumps and phi's ``live`` steps (``_Chunk.head``)."""
     sums = {name: _StepValues() for name in terms}
     slices = chunk_slices(level.grid.n_steps, level.per_step)
     streamed = (repeat((None, None)) if level.source is None
@@ -199,10 +256,14 @@ def _walk(level, terms):
     return {name: term.result(sums[name]) for name, term in terms.items()}
 
 
-def _stage(term, mesh, grid, per_step, held, **shared):
-    """A whole-level stage: the walk with one term over ``held``."""
+def _stage(term, mesh, grid, per_step, held, work=None, **shared):
+    """A whole-level stage: the walk with one term over ``held``, the
+    chunk values in the ``quadrature.Workspace`` work (a new one by
+    default)."""
     level = SimpleNamespace(mesh=mesh, grid=grid, per_step=per_step,
-                            source=None, held=held, **shared)
+                            source=None, held=held,
+                            work=Workspace() if work is None else work,
+                            **shared)
     return _walk(level, dict(stage=term))["stage"]
 
 
@@ -217,19 +278,22 @@ class X1Result(NamedTuple):
 def _x1_term(interp, vols, work) -> _Term:
     """X1 from the terms dt_n |P| (d_t beta)_P^n phi_P^n, and its by-parts
     route from the series terms |P| beta_P^{n+1} (phi_P^{n+1} - phi_P^n),
-    the difference formed as (tf_{n+1} - tf_n) <B>_P, closed by -sum |P|
-    beta^0 phi^0, whose value and mass the first chunk gives; the tables go
-    into the ``quadrature.Workspace`` work."""
+    the difference formed as (tf_{n+1} - tf_n) <B>_P, both on each chunk's
+    ``head``, closed by -sum |P| beta^0 phi^0, whose value and mass the
+    first chunk gives; the tables go into the ``quadrature.Workspace``
+    work."""
 
     def terms(c):
-        shape = c.dtb.shape
-        direct = step_values(_paired(c.dt, c.dtb, c.phi, vols,
-                                     out=work("terms", shape)), mass=True)
-        series = np.multiply(np.diff(interp.tf[c.knots])[:, None],
-                             interp.cell_table, out=work("terms", shape))
-        np.multiply(c.beta[1:], series, out=series)
-        out = dict(direct=direct, series=step_values(
-            np.multiply(series, vols, out=series), mass=True))
+        out, h = {}, c.head
+        if h is not None:
+            shape = h.dtb.shape
+            out["direct"] = step_values(_paired(
+                h.dt, h.dtb, h.phi, vols, out=work("terms", shape)), mass=True)
+            series = np.multiply(np.diff(interp.tf[h.knots])[:, None],
+                                 interp.cell_table, out=work("terms", shape))
+            np.multiply(h.beta[1:], series, out=series)
+            out["series"] = step_values(
+                np.multiply(series, vols, out=series), mass=True)
         if c.start == 0:
             start = c.beta[0] * interp.cells(0)
             out["start"] = (float(np.einsum("c,c->", vols, start)),
@@ -237,8 +301,8 @@ def _x1_term(interp, vols, work) -> _Term:
         return out
 
     def result(sums) -> X1Result:
-        direct, direct_mass = sums.total("direct")
-        series, series_mass = sums.total("series")
+        direct, direct_mass = sums.total("direct", mass=True)
+        series, series_mass = sums.total("series", mass=True)
         (start, start_mass), = sums["start"]
         by_parts = -start - series
         # relative scale includes both routes' absolute term masses, so exact
@@ -264,7 +328,7 @@ def compute_X1(betas: BetaFamily, interp: InterpolatedTest) -> X1Result:
     return _stage(_x1_term(interp, mesh.cell_volumes, Workspace()), mesh,
                   betas.grid, mesh.n_cells,
                   dict(beta=betas.values, dtb=dt_beta(betas, betas.grid)),
-                  interp=interp)
+                  interp=interp, live=interp.live)
 
 
 # ----------------------------------------------------------------------
@@ -365,15 +429,18 @@ def _x2_term(defects, interp) -> _Term:
     must agree to ``X2_RTOL`` (relative to the absolute term mass)."""
 
     def terms(c):
-        direct = _paired(c.dt, c.div, c.phi,
-                         out=defects.work("terms", c.div.shape))
+        h = c.head
+        if h is None:
+            return None
+        direct = _paired(h.dt, h.div, h.phi,
+                         out=defects.work("terms", h.div.shape))
         return dict(x2=step_values(direct, mass=True), **defects.x2_terms(
-            c.dt, c.qv, c.vv, c.table, interp, interp.tf[c.steps]))
+            h.dt, h.qv, h.vv, h.table, interp, interp.tf[h.steps]))
 
     def result(sums) -> X2Result:
-        direct, direct_mass = sums.total("x2")
-        grad_term, grad_mass = sums.total("x2_gradient")
-        remainder, remainder_mass = sums.total("x2_remainder")
+        direct, direct_mass = sums.total("x2", mass=True)
+        grad_term, grad_mass = sums.total("x2_gradient", mass=True)
+        remainder, remainder_mass = sums.total("x2_remainder", mass=True)
         gradient_route = grad_term + remainder
         scale = max(abs(direct), abs(gradient_route), direct_mass,
                     grad_mass + remainder_mass)
@@ -415,7 +482,7 @@ def compute_X2(flux: FluxFamily, interp: InterpolatedTest, q, v,
     _check_support(interp)
     return _flux_stage(lambda defects: _x2_term(defects, interp), flux, q, v,
                        pair, flux.mesh, flux.grid, flux.layout, None,
-                       interp=interp)
+                       interp=interp, live=interp.live)
 
 
 # ----------------------------------------------------------------------
@@ -479,7 +546,8 @@ class TimeResidual(NamedTuple):
 
 def _time_term(phi, mesh, grid, space_order, pair) -> _Term:
     """The time residual on the interior cells, phi's slab integrals
-    factored as in ``residual_time``; C_beta on the range of q."""
+    factored as in ``residual_time``, the signed part on the chunk's
+    ``head``; C_beta on the range of q."""
     cells = np.nonzero(mesh.interior_cell_mask)[0]
     vols = mesh.cell_volumes[cells]
     space_int = _support_table(phi, CellQuadrature, mesh, space_order, 1,
@@ -487,12 +555,18 @@ def _time_term(phi, mesh, grid, space_order, pair) -> _Term:
     time_int = slab_time_integrals(grid.knots, phi._time_factor)
 
     def terms(c):
-        jumps = np.diff(c.beta[:, cells], axis=0)
-        q_jumps = np.diff(c.qk[:, cells], axis=0)
-        return dict(
-            q_range=c.q_range,
-            signed=step_values(jumps * (time_int[c.steps, None] * space_int)),
-            total=step_values(c.dt[:, None] * np.abs(q_jumps) * vols))
+        work = c.level.work
+        total = np.take(c.time_jumps, cells, axis=1, mode="clip",
+                        out=work("terms", (len(c.dt), cells.size)))
+        np.multiply(c.dt[:, None], total, out=total)
+        out = dict(q_range=c.q_range, total=step_values(
+            np.multiply(total, vols, out=total)))
+        h = c.head
+        if h is not None:
+            jumps = np.diff(h.beta[:, cells], axis=0)
+            out["signed"] = step_values(
+                jumps * (time_int[h.steps, None] * space_int))
+        return out
 
     def result(sums) -> TimeResidual:
         c_beta, _ = pair.lipschitz(*_q_range(sums))
@@ -516,7 +590,8 @@ def residual_time(betas: BetaFamily, q, phi, pair,
     _same_level("residual_time", betas, q)
     mesh, grid = betas.mesh, betas.grid
     return _stage(_time_term(phi, mesh, grid, space_order, pair), mesh, grid,
-                  mesh.n_cells, dict(beta=betas.values, qk=q.values))
+                  mesh.n_cells, dict(beta=betas.values, qk=q.values),
+                  live=live_steps(phi, grid.knots))
 
 
 def residual_flux_terms(flux: FluxFamily, q, v, pair, mesh, grid,
@@ -586,11 +661,13 @@ class _JumpTerms:
 
     @property
     def term(self) -> _Term:
-        return _Term(lambda c: self.terms(c.dt, c.qv, c.vv), self.result)
+        return _Term(lambda c: self.terms(c.dt, c.qv, c.vv, c.face_jumps),
+                     self.result)
 
-    def terms(self, dt, qv, vv):
+    def terms(self, dt, qv, vv, jumps):
         """The step values of both R1 forms and of R2 on some steps, qv
-        and vv the levels of q and v of those steps; each local face's
+        and vv the levels of q and v of those steps and ``jumps`` their
+        ``fields.face_jumps`` over the faces (p, r); each local face's
         R1 differences are formed with the cells innermost."""
         work, n = self.work, len(qv)
         other = np.take(qv, self.other, axis=1, mode="clip",
@@ -599,13 +676,8 @@ class _JumpTerms:
             np.subtract(qv, other[:, :, k], out=other[:, :, k])
         np.multiply(dt[:, None, None], np.abs(other, out=other), out=other)
         out = dict(r1=step_values(np.multiply(other, self.w_ck, out=other)))
-        first = np.take(qv, self.p, axis=1, mode="clip",
-                        out=work("a", (n, self.p.size)))
-        second = np.take(qv, self.r, axis=1, mode="clip",
-                         out=work("b", first.shape))
-        np.abs(np.subtract(first, second, out=first), out=first)
-        np.multiply(dt[:, None], first, out=first)
-        out["r1_face"] = step_values(np.multiply(first, self.omega, out=first))
+        out["r1_face"] = step_values(np.multiply(
+            jumps, self.omega, out=work("terms", jumps.shape)))
         if vv is not None:
             out["r2"] = step_values(self.layout.velocity_jump_terms(
                 vv, dt, self.mesh, self.edges, self.weights, work))
@@ -631,7 +703,8 @@ def jump_sums(q, v) -> JumpSums:
     jumps = _JumpTerms(q.mesh, COLOCATED_1D if v is None else v.layout,
                        getattr(v, "dual", None), Workspace())
     return _stage(jumps.term, q.mesh, q.grid, jumps.w_ck.size,
-                  dict(qk=q.values, vk=getattr(v, "values", None)))
+                  dict(qk=q.values, vk=getattr(v, "values", None)),
+                  work=jumps.work, pairs=(jumps.p, jumps.r))
 
 
 def measured_constant(q, v, pair) -> float:
@@ -759,7 +832,8 @@ def weak_rhs(pair, q_exact, v_exact, phi,
         space_term(*chunk, s)
         t += s
         table = t.reshape(rows.stop - rows.start, -1)
-        return np.multiply(box.row_weights(rows), table, out=table)
+        weights = box.row_weights(rows, out=work("rhs_weights", table.shape))
+        return np.multiply(weights, table, out=table)
 
     vol2 = -step_sum(weighted(*chunk) for chunk in chunks(box))
     delta = abs(volume - vol2)
@@ -772,9 +846,11 @@ def weak_rhs(pair, q_exact, v_exact, phi,
 
 
 def _lhs_term(vols, work) -> _Term:
-    """The weak LHS, from the terms dt_n |P| C(U)_P^n phi_P^n."""
-    return _Term(lambda c: dict(lhs=step_values(_paired(
-        c.dt, c.conv, c.phi, vols, out=work("terms", c.conv.shape)))),
+    """The weak LHS, from the terms dt_n |P| C(U)_P^n phi_P^n on each
+    chunk's ``head``."""
+    return _Term(lambda c: None if c.head is None else dict(
+        lhs=step_values(_paired(c.head.dt, c.head.conv, c.head.phi, vols,
+                                out=work("terms", c.head.conv.shape)))),
         lambda sums: sums.total("lhs"))
 
 
@@ -785,7 +861,7 @@ def weak_lhs(c_field, interp: InterpolatedTest) -> float:
     mesh = interp.mesh
     return _stage(_lhs_term(mesh.cell_volumes, Workspace()), mesh,
                   interp.grid, mesh.n_cells, dict(conv=c_field.values),
-                  interp=interp)
+                  interp=interp, live=interp.live)
 
 
 class WeakGap(NamedTuple):
@@ -823,19 +899,20 @@ def _gap(lhs: float, rhs: WeakRhs) -> WeakGap:
 # one level in one pass
 
 def _translate_term(mesh, grid, weights) -> _Term:
-    """The translate functional with the face/step weights."""
-    kx, lx = mesh.face_cells[mesh.interior_face_mask].T
+    """The translate functional with the face/step weights, from the
+    chunk's face and time jumps."""
 
     def terms(c):
+        work = c.level.work
         # the level pairs (n, n+1) of the steps n < N - 1 of the chunk
         pairs = min(c.steps.stop, grid.n_steps - 1) - c.start
         return dict(
             space=step_values(translate_space_terms(
-                c.qv, c.dt, kx, lx, weights.omega_face)),
+                c.face_jumps, weights.omega_face, work)),
             time=step_values(translate_time_terms(
-                c.qk[:pairs], c.qk[1:pairs + 1],
+                c.time_jumps[:pairs],
                 weights.delta_half[c.start:c.start + pairs],
-                mesh.cell_volumes)))
+                mesh.cell_volumes, work)))
 
     return _Term(terms, lambda sums: sums.total("space") + sums.total("time"))
 
@@ -886,7 +963,12 @@ def level_pass(levels, pair, fluxes, interp: InterpolatedTest, q_exact,
                keep=None, work=None) -> LevelSums:
     """Every consistency quantity of one level: the walk (``_walk``) over
     chunks of its time steps with every term, each chunk's face fluxes,
-    beta, F.n, divergence and flux-defect table formed once for all.
+    beta, F.n, the flux-defect table and the face and time jumps of q
+    formed once for all.  The terms weighted by phi (X1, X2, the weak LHS
+    and the signed time residual) are formed on each chunk's ``head``, the
+    steps before ``interp.live``, with d_t beta, the divergence, C(U) and
+    phi formed there only and the fluxes, F.n, the table and beta sliced
+    from the chunk's; no chunk past it forms them.
 
     ``levels`` is the level's ``schemes.LevelSource``: it hands out the q
     and v levels (v None for colocated 1D) of the knots n..m+1 of each
@@ -908,8 +990,9 @@ def level_pass(levels, pair, fluxes, interp: InterpolatedTest, q_exact,
     functional, the L1 distances and the sup/min/max reductions.  Their
     chunk tables go into the ``quadrature.Workspace`` ``work`` (a new one
     by default): each term's into its buffer "terms", reduced before the
-    next term forms its own, the defect table into "table", scratch into
-    "a" and "b", the L1 distances into their own (``fields.l1_steps``).
+    next term forms its own, the defect table into "table", the face and
+    time jumps into "face_jumps" and "time_jumps", scratch into "a" and
+    "b", the L1 distances into their own (``fields.l1_steps``).
     """
     _same_level("level_pass", levels, interp)
     _check_support(interp)
@@ -918,6 +1001,7 @@ def level_pass(levels, pair, fluxes, interp: InterpolatedTest, q_exact,
     vols, phi = mesh.cell_volumes, interp.phi
     work = Workspace() if work is None else work
     defects = _FluxDefects(mesh, layout, dual, pair, work)
+    jumps = _JumpTerms(mesh, layout, dual, work)
 
     def l1_term(quad, ev):
         l1 = l1_steps(quad, grid, ev, work)
@@ -931,8 +1015,7 @@ def level_pass(levels, pair, fluxes, interp: InterpolatedTest, q_exact,
         init=_init_term(mesh, lambda x: q_exact(x, 0.0), phi, pair,
                         init_order),
         time=_time_term(phi, mesh, grid, order, pair), res_flux=defects.term,
-        jumps=_JumpTerms(mesh, layout, dual, work).term,
-        translate=_translate_term(mesh, grid, weights),
+        jumps=jumps.term, translate=_translate_term(mesh, grid, weights),
         lhs=_lhs_term(vols, work),
         l1=l1_term(levels.quad, levels.on_nodes(q_exact)),
         bounds=_bounds_term(pair, layout))
@@ -943,7 +1026,8 @@ def level_pass(levels, pair, fluxes, interp: InterpolatedTest, q_exact,
         mesh=mesh, grid=grid,
         per_step=mesh.n_cells * mesh.cell_faces.shape[1] * layout.pieces,
         source=levels, held={}, layout=layout, dual=dual, pair=pair,
-        fluxes=fluxes, interp=interp, defects=defects), terms)
+        fluxes=fluxes, interp=interp, defects=defects, live=interp.live,
+        pairs=(jumps.p, jumps.r), work=work), terms)
     return LevelSums(
         got["x1"], got["x2"], got["init"], got["time"], got["res_flux"],
         got["jumps"], got["translate"], _gap(got["lhs"], rhs), got["l1"],

@@ -21,7 +21,8 @@ import numpy as np
 from .geometry import sum_opposite_first
 from .quadrature import (DEFAULT_ORDER, CellQuadrature, FaceQuadrature,
                          SlabQuadrature, Workspace, add_steps, chunk_slices,
-                         gauss_times, step_sum, step_values)
+                         gauss_times, slab_time_integrals, step_sum,
+                         step_values)
 
 __all__ = [
     "CellScalarField", "CellSlabField", "FaceField", "TestFunction",
@@ -545,6 +546,10 @@ class InterpolatedTest:
     sum_zeta |zeta| <B>_zeta n_{P,zeta}.  Each interpolate is formed as
     ``tf[n] * table`` by its consumer: phi_P^n (``cells`` at the selected
     knots), phi_zeta^n and the gradient.
+
+    ``live`` (``live_steps``) is the number of leading steps on which some
+    factor of phi can be nonzero; every step from it on has tf[n] = tf[n+1]
+    = 0 and a zero slab integral of tf.
     """
 
     phi: TestFunction
@@ -558,6 +563,10 @@ class InterpolatedTest:
     def cells(self, knots=slice(None)):
         return self.tf[knots, None] * self.cell_table
 
+    @cached_property
+    def live(self) -> int:
+        return live_steps(self.phi, self.grid.knots)
+
     def interior_support_clear(self) -> bool:
         """True when phi_P^n and phi_zeta^n vanish on all non-interior cells
         and their faces.  Rounding is monotone, so some tf[n] * table[i] is
@@ -569,6 +578,20 @@ class InterpolatedTest:
                                         self.face_table[faces]]))
         return bool(tables.size == 0
                     or np.abs(self.tf).max() * tables.max() == 0.0)
+
+
+def live_steps(phi: TestFunction, knots) -> int:
+    """The length of the prefix of the steps of the knots on which a factor
+    of phi can be nonzero: the last step n with tf(t_n), tf(t_{n+1}) or
+    the slab integral of tf over (t_n, t_{n+1}) (``slab_time_integrals``)
+    nonzero, plus one; 0 when there is none.  Read from the values, so it
+    holds for any time profile (``interior`` has tf(0) = 0) and for a
+    subclass's ``_time_factor``."""
+    tf = phi._time_factor(knots)
+    live = np.flatnonzero((tf[:-1] != 0.0) | (tf[1:] != 0.0)
+                          | (slab_time_integrals(knots, phi._time_factor)
+                             != 0.0))
+    return int(live[-1]) + 1 if live.size else 0
 
 
 def _support_table(phi: TestFunction, rule, mesh, order, panels, op):
@@ -779,16 +802,39 @@ def default_translate_weights(mesh, grid, theta: float = 1.0) -> TranslateWeight
                             delta_half=delta)
 
 
-def translate_space_terms(levels, dt, kx, lx, omega) -> np.ndarray:
-    """dt_n * |u_K^n - u_L^n| * omega per (step, cell pair (K, L)), for the
-    levels of some steps."""
-    return dt[:, None] * np.abs(levels[:, kx] - levels[:, lx]) * omega
+def face_jumps(levels, dt, kx, lx, work) -> np.ndarray:
+    """dt_n * |u_K^n - u_L^n| per (step, cell pair (K, L)), for the levels
+    of some steps, into the buffer "face_jumps" of the
+    ``quadrature.Workspace`` work (scratch in its "b")."""
+    out = np.take(levels, kx, axis=1,
+                  out=work("face_jumps", (len(levels), len(kx))))
+    other = np.take(levels, lx, axis=1, out=work("b", out.shape))
+    np.abs(np.subtract(out, other, out=out), out=out)
+    return np.multiply(dt[:, None], out, out=out)
 
 
-def translate_time_terms(first, second, delta, vols) -> np.ndarray:
+def time_jumps(first, second, work) -> np.ndarray:
+    """|u_K^p - u_K^q| per (level pair (p, q), cell), for the levels p and
+    q of some pairs, into the buffer "time_jumps" of the
+    ``quadrature.Workspace`` work; |a - b| and |b - a| have the same
+    bits."""
+    out = np.subtract(first, second, out=work("time_jumps", first.shape))
+    return np.abs(out, out=out)
+
+
+def translate_space_terms(jumps, omega, work) -> np.ndarray:
+    """dt_n * |u_K^n - u_L^n| * omega per (step, cell pair (K, L)), from
+    the ``face_jumps`` of some steps, into the buffer "terms" of the
+    ``quadrature.Workspace`` work."""
+    return np.multiply(jumps, omega, out=work("terms", jumps.shape))
+
+
+def translate_time_terms(jumps, delta, vols, work) -> np.ndarray:
     """delta * |u_K^p - u_K^q| * |K| per (slab-level pair (p, q), cell),
-    for the levels p and q of some pairs."""
-    return delta[:, None] * np.abs(first - second) * vols
+    from the ``time_jumps`` of some pairs, into the buffer "terms" of the
+    ``quadrature.Workspace`` work."""
+    out = np.multiply(delta[:, None], jumps, out=work("terms", jumps.shape))
+    return np.multiply(out, vols, out=out)
 
 
 def _translate_sum(u: CellScalarField, weights: TranslateWeights) -> float:
@@ -799,12 +845,14 @@ def _translate_sum(u: CellScalarField, weights: TranslateWeights) -> float:
     steps, vols = u.grid.steps, u.mesh.cell_volumes
     kx, lx = weights.pairs_x.T
     pt, qt = weights.pairs_t.T
+    work = Workspace()
     space = step_sum(
-        translate_space_terms(vals[ch], steps[ch], kx, lx, weights.omega_x)
+        translate_space_terms(face_jumps(vals[ch], steps[ch], kx, lx, work),
+                              weights.omega_x, work)
         for ch in chunk_slices(steps.size, kx.size))
     time = step_sum(
-        translate_time_terms(vals[pt[ch]], vals[qt[ch]], weights.delta_t[ch],
-                             vols)
+        translate_time_terms(time_jumps(vals[pt[ch]], vals[qt[ch]], work),
+                             weights.delta_t[ch], vols, work)
         for ch in chunk_slices(pt.size, vols.size))
     return space + time
 

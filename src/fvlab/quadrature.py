@@ -40,7 +40,7 @@ vertex loop of that axis (``CellQuadrature``).
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -107,9 +107,10 @@ def step_values(table, mass: bool = False):
     caller, and each step's row of C-order terms is reduced by numpy's
     pairwise ``sum``.  A C-contiguous row sums to the same bits alone, in
     a chunk or in the whole table, so neither the chunks, nor a thread
-    count, nor the caller's memory layout moves a bit.  Returns the step
-    values (steps,), with ``mass`` stacked over the row sums of |terms|,
-    shape (2, steps)."""
+    count, nor the caller's memory layout moves a bit.  A row of signed
+    zeros sums to a signed zero (-0.0 only when every term is -0.0).
+    Returns the step values (steps,), with ``mass`` stacked over the row
+    sums of |terms|, shape (2, steps)."""
     rows = np.ascontiguousarray(table, dtype=float).reshape(
         len(table), math.prod(table.shape[1:]))
     if mass:
@@ -119,7 +120,11 @@ def step_values(table, mass: bool = False):
 
 def add_steps(values) -> float:
     """Second half of the summation order: the step values of
-    ``step_values``, in step order, added left to right."""
+    ``step_values``, in step order, added left to right from +0.0.  So
+    the total is never -0.0 (x + y is -0.0 only when both are), and a
+    step value of +0.0 or -0.0 leaves it unchanged bit for bit: leaving
+    out any run of signed-zero steps, as the terms weighted by phi do
+    past phi's last live step, moves no bit of the total."""
     total = 0.0
     for value in np.asarray(values, dtype=float).tolist():
         total += value
@@ -494,14 +499,19 @@ class BoxQuadrature:
         first use only, callers that reduce by rows use ``row_weights``."""
         return self.row_weights(slice(None)).ravel()
 
-    def row_weights(self, rows: slice) -> np.ndarray:
+    def row_weights(self, rows: slice, out=None) -> np.ndarray:
         """The weights of the nodes of the first-axis indices ``rows`` (a
         slice), shaped (rows, nodes per index): the matching rows of
-        ``weights``."""
+        ``weights``, written into ``out`` of that shape when given."""
         first = self._axis_weights[0][rows]
-        # weight products in axis order, (w_0 * w_1) * w_2
-        products = reduce(np.multiply, [first] + self._axis_weights[1:])
-        return products.reshape(first.size, -1)
+        factors = [first] + self._axis_weights[1:]
+        # weight products in axis order, (w_0 * w_1) * w_2, on the grid
+        shape = np.broadcast_shapes(*(f.shape for f in factors))
+        grid = np.empty(shape) if out is None else out.reshape(shape)
+        np.copyto(grid, first)
+        for factor in factors[1:]:
+            np.multiply(grid, factor, out=grid)
+        return grid.reshape(first.size, -1)
 
     def integrate(self, vals) -> float:
         """Integral over the box of the values on ``points``.  The sum is

@@ -195,7 +195,10 @@ class SchemeLevels(LevelSource):
     1 in 1D, formed once) before it is marched.  The ledger (``ledger``,
     once the last chunk is out) holds the mass sum |P| q^n of every level
     and the boundary flux dt sum |zeta| F^n . n over the boundary faces, n
-    seen from each face's first cell.
+    seen from each face's first cell: each step's boundary fluxes are
+    gathered into a row of a reused table and its weighted rows reduced
+    per chunk, a row to the bits of the same sum alone
+    (``quadrature.step_values``).
     """
 
     def __init__(self, layout: Layout, mesh, dual, grid,
@@ -211,6 +214,7 @@ class SchemeLevels(LevelSource):
         self._bfaces, self._bweights = layout.boundary_weights(mesh, dual)
         self._mass = np.empty(grid.n_steps + 1)
         self._boundary = np.empty(grid.n_steps)
+        self._work = Workspace()
 
     def _fill(self, steps, q, v, first):
         config, mesh, dual, dt = self.config, self.mesh, self.dual, self._dt
@@ -219,6 +223,8 @@ class SchemeLevels(LevelSource):
         if first == 0:
             q[0] = self.quad.cell_means(self.quad.values(config.q0))
             mass[0] = float(np.dot(vols, q[0]))
+        rows = self._work("boundary", (steps.stop - steps.start,
+                                       self._bfaces.size))
         for i, n in enumerate(range(steps.start, steps.stop)):
             bound = (self._bound if v is None
                      else stable_dt(self.layout, v[i], mesh, dual))
@@ -229,8 +235,9 @@ class SchemeLevels(LevelSource):
                              mesh)[0]
             np.subtract(q[i], self._rates * div, out=q[i + 1])
             mass[n + 1] = float(np.dot(vols, q[i + 1]))
-            boundary[n] = dt * float((flux[0, self._bfaces]
-                                      * self._bweights).sum())
+            np.take(flux[0], self._bfaces, mode="clip", out=rows[i])
+        np.multiply(rows, self._bweights, out=rows)
+        np.multiply(dt, rows.sum(axis=1), out=boundary[steps])
         if steps.stop == self.grid.n_steps:
             self.ledger = MassLedger(
                 mass=mass, boundary_flux=boundary,

@@ -4,21 +4,24 @@ import warnings
 
 import numpy as np
 
-from fvlab.consistency import (WeakRhs, compute_X1, compute_X2, jump_sums,
-                               measured_constant, residual_flux,
-                               residual_init, residual_time, weak_form_gap)
-from fvlab.fields import (_bump, _reference_at, default_translate_weights,
-                          interpolate_test, translate_functional)
+from fvlab.consistency import (WeakRhs, _FluxDefects, compute_X1,
+                               compute_X2, jump_sums, measured_constant,
+                               residual_flux, residual_init, residual_time,
+                               weak_form_gap)
+from fvlab.fields import (_bump, _reference_at, _support_table,
+                          default_translate_weights, interpolate_test,
+                          translate_functional)
 from fvlab.geometry import (LOCAL_OPPOSITE, DualMeshMAC, DualMeshRT,
                             MeshConstructionError, PrimalMesh,
                             build_time_grid, regularity, sum_opposite_first)
 from fvlab.layouts import get_layout
-from fvlab.operators import (BetaFamily, assemble_convection, divergence,
-                             flux_colocated_upwind_1d, flux_staggered,
-                             get_pair)
-from fvlab.quadrature import (ORACLE_ORDER, BoxQuadrature, CellQuadrature,
-                              FaceQuadrature, SlabQuadrature,
-                              composite_gauss_legendre, tensor_points)
+from fvlab.operators import (BetaFamily, assemble_convection, convection,
+                             divergence, flux_colocated_upwind_1d,
+                             flux_staggered, get_pair, time_derivative)
+from fvlab.quadrature import (DEFAULT_ORDER, ORACLE_ORDER, BoxQuadrature,
+                              CellQuadrature, FaceQuadrature, SlabQuadrature,
+                              Workspace, add_steps, composite_gauss_legendre,
+                              slab_time_integrals, step_values, tensor_points)
 from fvlab.schemes import SchemeConfig, sample_manufactured, scheme_levels
 from fvlab.study import (BUMP_1D, ResidualReport, _audit, build_level,
                          manufactured_solution)
@@ -763,3 +766,45 @@ def jump_tables_broadcast(jumps, dt, qv, vv):
     r2 = (dt[:, None, None]
           * jumps.layout.magnitude(vcf[:, :, a] - vcf[:, :, b]) * jumps.weights)
     return r1, r1_face, r2
+
+
+def phi_weighted_full(q, v, pair, fluxes, interp, layout, dual,
+                      space_order=DEFAULT_ORDER):
+    """X1 (direct and by parts), X2 (direct, gradient term, remainder),
+    the weak LHS and the signed time residual of a level by name, each
+    from its (step, ...) tables over every step of the level, past phi's
+    last live step too, by the operations of the level pass's terms: the
+    oracle of their walk over each chunk's head.  q and v are the whole
+    levels (v None in 1D) and ``fluxes`` the layout's flux rule."""
+    mesh, grid = interp.mesh, interp.grid
+    dt, vols, n = grid.steps[:, None], mesh.cell_volumes, grid.n_steps
+    qv, vv = q[:-1], None if v is None else v[:-1]
+    beta = pair.beta(q)
+    dtb = time_derivative(beta, grid.steps)
+    fdotn = layout.cell_normal(fluxes(qv, vv), mesh, dual)
+    div = divergence(fdotn, mesh)
+    phi = interp.cells(slice(0, n))
+
+    def total(table):
+        return add_steps(step_values(table))
+
+    start = float(np.einsum("c,c->", vols, beta[0] * interp.cells(0)))
+    series = (np.diff(interp.tf)[:, None] * interp.cell_table) * beta[1:]
+    defects = _FluxDefects(mesh, layout, dual, pair, Workspace())
+    gradient, remainder = x2_tables_broadcast(
+        defects, grid.steps, qv, vv,
+        defect_table_broadcast(defects, fdotn, qv, vv), interp,
+        interp.tf[:n])
+    cells = defects.cells
+    space_int = _support_table(interp.phi, CellQuadrature, mesh, space_order,
+                               1, CellQuadrature.cell_integrals)[cells]
+    time_int = slab_time_integrals(grid.knots, interp.phi._time_factor)
+    out = dict(x1=total(dt * (dtb * phi) * vols),
+               x1_by_parts=-start - total(series * vols),
+               x2=total(dt * (div * phi)), x2_gradient=total(gradient),
+               x2_remainder=total(remainder),
+               lhs=total(dt * (convection(dtb, div, mesh) * phi) * vols),
+               time_signed=total(np.diff(beta[:, cells], axis=0)
+                                 * (time_int[:, None] * space_int)))
+    out["x2_gradient_route"] = out["x2_gradient"] + out["x2_remainder"]
+    return out

@@ -170,6 +170,7 @@ def test_bad_config_exit_2(tmp_path, capsys):
     # no output directory is made and the error names the offending value
     bad_inputs = [
         ("[thresholds]\nres_flux = abc\n", "'abc'"),
+        ("[solver]\norder = 2\n", "unknown section [solver]"),
         ("[thresholds]\nres_flx = 0.5\n", "'res_flx'"),
         ("family = uniform", "family = hexagonal", "'hexagonal'"),
         ("family = uniform", "family = interval", "'interval'"),

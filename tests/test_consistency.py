@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fvlab import consistency, quadrature
+from fvlab import consistency, geometry, quadrature
 from fvlab.consistency import (RouteMismatchError, compute_X1, compute_X2,
                                jump_sums, level_pass, measured_constant,
                                residual_flux, residual_flux_terms,
@@ -15,29 +15,31 @@ from fvlab.consistency import (RouteMismatchError, compute_X1, compute_X2,
 from fvlab.fields import (TIME_PROFILES, CellScalarField, FaceField,
                           InterpolatedTest, Reference,
                           SupportError, TestFunction,
-                          default_translate_weights, interpolate_test,
+                          default_translate_weights, face_jumps,
+                          interpolate_test,
                           translate_functional)
 from fvlab.geometry import (build_cartesian, build_dual_mac, build_dual_rt,
                             build_intervals, build_time_grid)
-from fvlab.operators import (BetaFamily, FluxFamily, assemble_convection,
-                             flux_colocated_upwind_1d, flux_dot_n,
-                             flux_staggered,
+from fvlab.operators import (FACE_SCHEMES, BetaFamily, FluxFamily,
+                             assemble_convection, flux_colocated_upwind_1d,
+                             flux_dot_n, flux_rule, flux_staggered,
                              get_pair, staggered_flux_rule,
                              telescoping_defect, upwind_1d_flux_rule)
 from fvlab.quadrature import BoxQuadrature, Workspace
 from fvlab.layouts import COLOCATED_1D, MAC, RT, get_layout
-from fvlab.schemes import (CFLError, ManufacturedLevels, SchemeConfig,
-                           sample_manufactured, scheme_levels)
+from fvlab.schemes import (CFLError, LevelSource, ManufacturedLevels,
+                           SchemeConfig, sample_manufactured, scheme_levels)
 from fvlab.study import StudyConfig, build_level, manufactured_solution
 
 from _oracles import (assert_bitwise, brute_force_flux_residual,
                       defect_table_broadcast, flux_pieces_broadcast,
                       jump_tables_broadcast,
-                      materialise, per_step_sum, residual_terms_broadcast,
-                      residual_time_slab, separable_phi, weak_rhs_whole,
-                      x2_tables_broadcast)
-from _strategies import (constant_levels, flux_levels, interior_support_boxes,
-                         support_boxes)
+                      materialise, per_step_sum, phi_weighted_full,
+                      residual_terms_broadcast, residual_time_slab,
+                      separable_phi, weak_rhs_whole, x2_tables_broadcast)
+from _strategies import (constant_levels, flux_levels, graded_meshes,
+                         interior_support_boxes, interval_meshes,
+                         perturbed_meshes, support_boxes, time_grids)
 
 
 def bump2d():
@@ -524,13 +526,104 @@ def test_chunk_tables_equal_their_broadcasting_forms(case, values, seed):
                            residual_terms_broadcast(defects, dt, want))
             reduced.clear()
             defects.x2_terms(dt, qc, vc, table, interp, tf)
-            jumps.terms(dt, qc, vc)
+            jumps.terms(dt, qc, vc, face_jumps(qc, dt, jumps.p, jumps.r,
+                                               Workspace()))
             wants = (x2_tables_broadcast(defects, dt, qc, vc, want, interp, tf)
                      + jump_tables_broadcast(jumps, dt, qc, vc))
             wants = [w for w in wants if w is not None]
             assert len(reduced) == len(wants) == 4 + (vv is not None)
             for got, oracle in zip(reduced, wants):
                 assert_bitwise(got, oracle)
+
+
+class _HeldLevels(LevelSource):
+    """Whole q and v levels (v None in 1D) handed out chunk by chunk."""
+
+    def __init__(self, layout, mesh, dual, grid, q, v):
+        super().__init__(layout, mesh, dual, grid, 2, None)
+        self.q, self.v = q, v
+
+    def chunks(self, slices):
+        for ch in slices:
+            knots = slice(ch.start, ch.stop + 1)
+            yield self.q[knots], None if self.v is None else self.v[knots]
+
+
+@st.composite
+def phi_levels(draw):
+    """A level of a layout with random q and v levels, signed zeros among
+    them, a flux rule, and a test function on the interior cells that ends
+    anywhere in (0, T) with either time profile: graded intervals for
+    colocated 1D, graded tensor meshes for MAC and perturbed quadrangles
+    for RT, on uniform or alternating time grids."""
+    name = draw(st.sampled_from(["colocated1d", "mac", "rt"]))
+    layout = get_layout(name)
+    mesh = draw({"colocated1d": interval_meshes(min_cells=3),
+                 "mac": graded_meshes(max_cells=5, min_cells=3),
+                 "rt": perturbed_meshes(max_cells=5, min_cells=3)}[name])
+    grid = draw(time_grids(max_steps=8))
+    dual = getattr(geometry, layout.dual_builder)(mesh) \
+        if layout.dual_builder else None
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = grid.n_steps + 1
+    q = _signed_zeros(rng.normal(size=(levels, mesh.n_cells)), rng)
+    v = None if not layout.staggered else _signed_zeros(rng.normal(
+        size=(levels, mesh.n_faces) + layout.components), rng)
+    pair = get_pair(draw(st.sampled_from(["id", "square", "slogs"])))
+    fluxes = flux_rule(mesh, layout, dual, pair,
+                       draw(st.sampled_from(FACE_SCHEMES)), 0.5,
+                       "upwind_zero")
+    phi = TestFunction(draw(interior_support_boxes(mesh)),
+                       draw(st.floats(0.02, 0.98)) * grid.final_time,
+                       draw(st.sampled_from(TIME_PROFILES)))
+    return layout, dual, pair, fluxes, q, v, interpolate_test(phi, mesh, grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(phi_levels(), st.sampled_from([1, None, quadrature.CHUNK_VALUES]),
+       st.integers(1, 400))
+def test_phi_weighted_terms_stop_at_phi_s_last_live_step(case, values,
+                                                         drawn):
+    # X1 (both routes), X2 (direct, gradient term, remainder), the weak
+    # LHS and the signed time residual, walked over each chunk's head only
+    # (the steps before interp.live) by the one-pass level_pass and by the
+    # whole-level stages, equal their tables over every step bit for bit,
+    # signs of zeros included: at one value a chunk (single steps, each
+    # head the whole chunk or none), at the default (one chunk, cut at
+    # live) and at a drawn size (chunks that end before, at and after
+    # live)
+    layout, dual, pair, fluxes, q, v, interp = case
+    mesh, grid, phi = interp.mesh, interp.grid, interp.phi
+    want = phi_weighted_full(q, v, pair, fluxes, interp, layout, dual)
+    qf = CellScalarField(mesh, grid, q)
+    vf = None if v is None else FaceField(layout, mesh, grid, dual, v)
+    betas = BetaFamily.from_field(qf, pair)
+    flux = FluxFamily(layout, mesh, grid,
+                      fluxes(q[:-1], None if v is None else v[:-1]), dual)
+    with mock.patch.object(quadrature, "CHUNK_VALUES", values or drawn):
+        sums = level_pass(
+            _HeldLevels(layout, mesh, dual, grid, q, v), pair, fluxes,
+            interp, lambda x, t: np.zeros(len(x)),
+            default_translate_weights(mesh, grid),
+            consistency.WeakRhs(*[0.0] * 6), init_order=2)
+        x1, x2 = compute_X1(betas, interp), compute_X2(flux, interp, qf, vf,
+                                                        pair)
+        stages = dict(
+            x1=x1.value, x1_by_parts=x1.by_parts, x2=x2.value,
+            x2_gradient=x2.gradient_term, x2_remainder=x2.remainder,
+            x2_gradient_route=x2.gradient_route,
+            lhs=weak_lhs(assemble_convection(betas, flux), interp),
+            time_signed=residual_time(betas, qf, phi, pair).signed)
+    passed = dict(
+        x1=sums.x1.value, x1_by_parts=sums.x1.by_parts, x2=sums.x2.value,
+        x2_gradient=sums.x2.gradient_term, x2_remainder=sums.x2.remainder,
+        x2_gradient_route=sums.x2.gradient_route, lhs=sums.gap.lhs,
+        time_signed=sums.time.signed)
+    hexes = {name: float(value).hex() for name, value in want.items()}
+    assert {name: float(value).hex() for name, value in passed.items()} \
+        == hexes
+    assert {name: float(value).hex() for name, value in stages.items()} \
+        == hexes
 
 
 def test_streamed_flux_stages_stay_in_bounded_memory(transient_mib):

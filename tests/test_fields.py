@@ -314,6 +314,15 @@ def test_interpolate_zero_function():
         assert np.all(table == 0.0)
 
 
+def test_test_function_rejects_an_unknown_profile_and_a_bad_t_max():
+    # the library checks behind the config domains, for API callers
+    with pytest.raises(ValueError, match="unknown time profile 'late'"):
+        TestFunction(((0.2, 0.8),), 0.5, time_profile="late")
+    for t_max in (0.0, -0.5):
+        with pytest.raises(ValueError, match="t_max must be positive"):
+            TestFunction(((0.2, 0.8),), t_max)
+
+
 def test_interpolate_support_validation():
     mesh = build_cartesian(4, 4)
     grid = build_time_grid(1.0, 4)

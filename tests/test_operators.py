@@ -240,6 +240,23 @@ def test_flux_mesh_mismatch():
         flux_staggered(q_other, v, get_pair("id"))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(scheme="downwind"), "unknown face scheme 'downwind'"),
+    (dict(scheme="centered", lam=1.5), r"lambda must be in \[0, 1\], got 1.5"),
+    (dict(lam=-0.25), r"lambda must be in \[0, 1\], got -0.25"),
+    (dict(policy="periodic"),
+     "policy 'periodic' not supported for staggered layouts"),
+])
+@pytest.mark.parametrize("layout", ["mac", "rt"])
+def test_staggered_flux_rejects_bad_arguments(layout, kwargs, message):
+    # the library checks behind the config domains, for API callers: the
+    # face scheme when the faces are formed, lambda and the boundary
+    # policy when the rule is made
+    mesh, grid, dual, q, v = constant_setup(layout=layout)
+    with pytest.raises(ValueError, match=message):
+        flux_staggered(q, v, get_pair("id"), **kwargs)
+
+
 @pytest.mark.parametrize("layout", ["mac", "rt"])
 def test_staggered_flux_carries_the_velocity_dual(layout):
     # the stages read layout and dual from the flux, so both must come

@@ -149,6 +149,10 @@ def test_box_row_weights_are_the_rows_of_weights(bounds, panels, order,
         assert got.shape == (chunk.stop - chunk.start, whole.shape[1])
         assert [x.hex() for x in got.ravel()] == \
             [x.hex() for x in whole[chunk].ravel()]
+        # written into a reused buffer, whose old values must not show
+        out = np.full(got.shape, np.nan)
+        assert_bitwise(box.row_weights(chunk, out=out), got)
+        assert_bitwise(out, got)
 
 
 def test_type_error_inside_f_of_x_t_propagates():
@@ -282,6 +286,40 @@ def test_slab_rule_once_equals_the_integrand_at_every_time(
         out = np.full_like(want, np.nan)
         slab.slab_cell_integrals(integrand, steps, out=out, varying=varying)
         assert_bitwise(out, want)
+
+
+def _two_lanes(w, v):
+    """sum_k w[c, k] v[r, c, k] as two interleaved lanes: the even-indexed
+    products added in order, the odd-indexed ones added in order, then
+    even + odd, then + 0.0 (a sum of signed zeros is +0.0)."""
+    products = [w[:, k] * v[:, :, k] for k in range(w.shape[1])]
+    even, odd = products[0], 0.0
+    for p in products[2::2]:
+        even = even + p
+    if len(products) > 1:
+        odd = products[1]
+        for p in products[3::2]:
+            odd = odd + p
+    return (even + odd) + 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 7), cells=st.integers(1, 40), rows=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_the_row_reduction_of_a_few_nodes_is_two_lanes(k, cells, rows, seed):
+    # the order of np.einsum("ck,rck->rc") (SlabQuadrature._rows and
+    # cell_integrals) on rows of k <= 7 nodes, pinned for a column-add form
+    # that must keep its bits; values of many magnitudes, about a fifth
+    # +0.0 and a fifth -0.0, and some -0.0 weights.  No lane model of this
+    # kind matches k >= 8, the 2D rules of order 4 and up
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(cells, k))
+    v = rng.normal(size=(rows, cells, k)) * 10.0 ** rng.integers(
+        -3, 4, size=(rows, cells, k))
+    pick = rng.random(v.shape)
+    v[pick < 0.2], v[pick > 0.8] = 0.0, -0.0
+    w[rng.random(w.shape) < 0.1] = -0.0
+    assert_bitwise(np.einsum("ck,rck->rc", w, v), _two_lanes(w, v))
 
 
 @settings(max_examples=60, deadline=None)

@@ -97,10 +97,13 @@ def test_upwind_needs_1d_mesh():
 
 
 def test_cfl_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"CFL must be in \(0, 1\], got 0.0"):
         SchemeConfig(q0=bump1d, T=1.0, cfl=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"CFL must be in \(0, 1\], got 1.5"):
         SchemeConfig(q0=bump1d, T=1.0, cfl=1.5)
+    for T in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"T must be positive, got {T}"):
+            SchemeConfig(q0=bump1d, T=T)
     with pytest.raises(ValueError, match="unknown boundary policy"):
         run_upwind_1d(build_intervals(8),
                       SchemeConfig(q0=bump1d, T=0.1, boundary_policy="bogus"))
