@@ -563,9 +563,16 @@ def _time_term(phi, mesh, grid, space_order, pair) -> _Term:
             np.multiply(total, vols, out=total)))
         h = c.head
         if h is not None:
-            jumps = np.diff(h.beta[:, cells], axis=0)
-            out["signed"] = step_values(
-                jumps * (time_int[h.steps, None] * space_int))
+            # (beta^{n+1} - beta^n) (time_int * space_int) on the cells
+            shape = (len(h.dt), cells.size)
+            jumps = np.take(h.beta[1:], cells, axis=1, mode="clip",
+                            out=work("terms", shape))
+            weights = np.take(h.beta[:-1], cells, axis=1, mode="clip",
+                              out=work("a", shape))
+            np.subtract(jumps, weights, out=jumps)
+            np.multiply(time_int[h.steps, None], space_int, out=weights)
+            out["signed"] = step_values(np.multiply(jumps, weights,
+                                                    out=jumps))
         return out
 
     def result(sums) -> TimeResidual:
