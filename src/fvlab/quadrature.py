@@ -40,7 +40,7 @@ vertex loop of that axis (``CellQuadrature``).
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -504,13 +504,12 @@ class BoxQuadrature:
         slice), shaped (rows, nodes per index): the matching rows of
         ``weights``, written into ``out`` of that shape when given."""
         first = self._axis_weights[0][rows]
-        factors = [first] + self._axis_weights[1:]
-        # weight products in axis order, (w_0 * w_1) * w_2, on the grid
-        shape = np.broadcast_shapes(*(f.shape for f in factors))
+        *lead, last = [first] + self._axis_weights[1:]
+        # weight products in axis order, (w_0 * w_1) * w_2, the last one
+        # over the whole grid (1.0 * w_0 is w_0)
+        shape = np.broadcast_shapes(*(f.shape for f in lead + [last]))
         grid = np.empty(shape) if out is None else out.reshape(shape)
-        np.copyto(grid, first)
-        for factor in factors[1:]:
-            np.multiply(grid, factor, out=grid)
+        np.multiply(reduce(np.multiply, lead, 1.0), last, out=grid)
         return grid.reshape(first.size, -1)
 
     def integrate(self, vals) -> float:

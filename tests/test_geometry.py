@@ -135,6 +135,8 @@ def test_perturbed_amplitude_out_of_range():
         build_perturbed_quads(4, 4, amplitude=0.25, seed=0)
     with pytest.raises(MeshConstructionError):
         build_perturbed_quads(4, 4, amplitude=-0.1, seed=0)
+    with pytest.raises(MeshConstructionError, match="seed must be >= 0, got -1"):
+        build_perturbed_quads(4, 4, seed=-1)
 
 
 def test_bad_counts_and_degenerate_domain():
@@ -253,6 +255,8 @@ def test_time_grid_validation():
         build_time_grid(-1.0, 2)
     with pytest.raises(ValueError):
         build_time_grid(1.0, 2, pattern="alternating", ratio=0.0)
+    with pytest.raises(ValueError, match="unknown time pattern 'zigzag'"):
+        build_time_grid(1.0, 2, pattern="zigzag")
 
 
 @pytest.mark.parametrize("knots", [[0.0, np.nan, 1.0], [0.0, 0.5, np.inf],
