@@ -195,11 +195,12 @@ class _Chunk:
 
 class _Head(_Chunk):
     """The first steps of a chunk, up to ``stop``: the chunk's face
-    fluxes, F.n, defect table and beta sliced, every other value formed on
-    these steps only.  Each is formed step by step, so a slice has the
-    bits of the same value formed on the slice.  The chunk is held weakly:
-    a cycle would keep each chunk's tables until the garbage collector
-    ran."""
+    fluxes, F.n, defect table, beta and jumps sliced (the jumps live in
+    buffers that a head of its own would overwrite), every other value
+    formed on these steps only.  Each is formed step by step, so a slice
+    has the bits of the same value formed on the slice.  The chunk is held
+    weakly: a cycle would keep each chunk's tables until the garbage
+    collector ran."""
 
     def __init__(self, chunk, stop):
         n = stop - chunk.start
@@ -212,6 +213,8 @@ class _Head(_Chunk):
     fdotn = cached_property(lambda h: h.chunk.fdotn[:h.n])
     table = cached_property(lambda h: h.chunk.table[:h.n])
     beta = cached_property(lambda h: h.chunk.beta[:h.n + 1])
+    face_jumps = cached_property(lambda h: h.chunk.face_jumps[:h.n])
+    time_jumps = cached_property(lambda h: h.chunk.time_jumps[:h.n])
 
 
 class _Term(NamedTuple):
