@@ -506,8 +506,9 @@ class BoxQuadrature:
         first = self._axis_weights[0][rows]
         *lead, last = [first] + self._axis_weights[1:]
         # weight products in axis order, (w_0 * w_1) * w_2, the last one
-        # over the whole grid (1.0 * w_0 is w_0)
-        shape = np.broadcast_shapes(*(f.shape for f in lead + [last]))
+        # over the whole grid (1.0 * w_0 is w_0); each factor lies along
+        # its own axis
+        shape = tuple(f.size for f in lead + [last])
         grid = np.empty(shape) if out is None else out.reshape(shape)
         np.multiply(reduce(np.multiply, lead, 1.0), last, out=grid)
         return grid.reshape(first.size, -1)
