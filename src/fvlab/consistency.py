@@ -68,9 +68,9 @@ from .operators import (BetaFamily, FluxFamily, check_finite_flux,
                         flux_divergence, flux_dot_n,  # noqa: F401
                         time_derivative)
 from .quadrature import (DEFAULT_ORDER, ORACLE_ORDER, BoxQuadrature,
-                         CellQuadrature, Workspace, add_steps, chunk_slices,
-                         slab_time_integrals, step_sum, step_values,
-                         tensor_points)
+                         BoxSum, CellQuadrature, Workspace, add_steps,
+                         chunk_slices, slab_time_integrals, step_sum,
+                         step_values, tensor_points)
 
 __all__ = [
     "compute_X1", "compute_X2", "residual_init", "residual_time",
@@ -759,24 +759,27 @@ def weak_rhs(pair, q_exact, v_exact, phi,
     for bit; v . grad phi adds its components v_d d_d phi, each read from
     the broadcast v, from +0.0 in axis order, written out rather than left
     to ``einsum``.  Every value goes through the same operations in any
-    chunk, and each node value is formed once, with ``out=`` into its
-    destination.
+    chunk, and each chunk-sized value (q, d_t phi, each component of grad
+    phi, both integrands and the row weights, ``row_weights``) is formed
+    with ``out=`` into a reused ``Workspace`` buffer, so no chunk after the
+    first allocates one.
 
-    The reported terms are each written into one vector of the box's
-    nodes, the time term and then the space term (a pass each: one pass
-    for both would hold two such vectors), and each is one flat weighted
-    sum of the whole vector in the C order of the box nodes
-    (``BoxQuadrature.integrate``), independent of the BLAS thread count.
+    Both reported volume terms come from one pass over the chunks: each
+    chunk's q, phi factors and weights serve both integrands, each fed to
+    its own ``quadrature.BoxSum``, whose total has the bits of one flat
+    weighted sum of the whole integrand vector in the C order of the box
+    nodes (``BoxQuadrature.integrate``), independent of the BLAS thread
+    count and of ``CHUNK_VALUES``; neither the box's flat weights nor a
+    whole integrand vector is built.
 
     The volume term is integrated again at order+2 as a self-check, in one
-    pass over the chunks of that box, which is never held whole: per
-    chunk both integrands go into reused ``Workspace`` buffers, and the
-    weighted integrand w (beta(q) d_t phi + g(q) v . grad phi), formed in
-    place, is a table of one row per first-axis node (``row_weights``),
-    reduced by ``quadrature.step_sum`` like every reported space-time sum,
-    so its value does not depend on ``CHUNK_VALUES``.  The difference is
-    returned as ``check_delta`` and a warning is emitted when it exceeds
-    1e-7 (1 + |volume|).
+    pass over the chunks of that box, which is never held whole either:
+    the weighted integrand w (beta(q) d_t phi + g(q) v . grad phi), formed
+    in place, is a table of one row per first-axis node, reduced by
+    ``quadrature.step_sum`` like every reported space-time sum, so its
+    value does not depend on ``CHUNK_VALUES``.  The difference is returned
+    as ``check_delta`` and a warning is emitted when it exceeds 1e-7 (1 +
+    |volume|).
     """
     dim = phi.dim
     space_box = BoxQuadrature(list(phi.support), panels, order)
@@ -784,68 +787,68 @@ def weak_rhs(pair, q_exact, v_exact, phi,
     init = -space_box.integrate(pair.beta(q_exact(space_box.points, 0.0))
                                 * phi_x0)
     bounds = list(phi.support) + [(0.0, phi.t_max)]
+    work = Workspace()
 
-    def time_term(on_chunk, t_axis, x, qb, out):
-        dt = on_chunk.dt(t_axis).reshape(out.shape)
-        np.multiply(pair.beta(qb), dt, out=out)
+    def time_term(on_chunk, t_axis, qb, out):
+        # d_t phi formed in out, then beta(q) d_t phi in place
+        on_chunk.dt(t_axis, out=out)
+        np.multiply(pair.beta(qb), out, out=out)
 
-    def space_term(on_chunk, t_axis, x, qb, out):
-        grad = [g.reshape(out.shape)
-                for g in on_chunk.grad_components(t_axis)]
-        if v_exact is None:
-            np.multiply(pair.g(qb), grad[0], out=out)
-            return
-        # v . grad phi from +0.0 in axis order, ((0.0 + v_0 g_0) + v_1 g_1)
-        # ..., v shaped (space nodes, time nodes, dim) and each product
-        # formed in its own grad component
-        v = _reference_at(v_exact, x, t_axis.ravel())
-        np.multiply(v[..., 0], grad[0], out=out)
-        out += 0.0
-        for d in range(1, dim):
-            out += np.multiply(v[..., d], grad[d], out=grad[d])
+    def space_term(on_chunk, t_axis, qb, v, out):
+        # grad phi's first component formed in out, each other one in its
+        # own buffer; v . grad phi from +0.0 in axis order, ((0.0 + v_0
+        # g_0) + v_1 g_1) ..., each product formed in its own component
+        grad = on_chunk.grad_components(t_axis, out=[out] + [
+            work(f"rhs_grad{d}", out.shape) for d in range(1, dim)])
+        if v is not None:
+            np.multiply(v[..., 0], out, out=out)
+            out += 0.0
+            for d in range(1, dim):
+                out += np.multiply(v[..., d], grad[d], out=grad[d])
         np.multiply(pair.g(qb), out, out=out)
 
-    def chunks(box):
-        """Per chunk of the box's first-axis nodes, the slice ``rows`` of
-        them and the chunk's phi, time nodes, spatial nodes x and q on
-        its (space, time) nodes, shaped (space nodes, time nodes)."""
+    def chunk_terms(box):
+        """Per chunk of the box's first-axis nodes, the chunk's row weights
+        and its two integrands, beta(q) d_t phi and g(q) v . grad phi, each
+        shaped (first-axis nodes, nodes per such node) in the buffers of
+        ``work``."""
         axes, t_axis = box.grid_axes[:dim], box.grid_axes[dim]
         times = t_axis.ravel()
         on_box = phi.at_grid(axes)
         per_row = math.prod(a.size for a in box.grid_axes[1:])
         for rows in chunk_slices(axes[0].size, per_row):
+            n_rows = rows.stop - rows.start
             x = tensor_points([axes[0][rows]] + axes[1:])
-            qb = np.asarray(_reference_at(q_exact, x, times), dtype=float)
-            yield rows, (on_box.first_rows(rows), t_axis, x, qb)
+            # the (space, time) grid of the chunk, one axis per box axis
+            grid = (n_rows,) + tuple(a.size for a in box.grid_axes[1:])
+            qb = _reference_at(q_exact, x, times,
+                               out=work("rhs_q", (len(x), times.size)))
+            qb = qb.reshape(grid)
+            v = (None if v_exact is None else
+                 _reference_at(v_exact, x, times).reshape(grid + (dim,)))
+            on_chunk = on_box.first_rows(rows)
+            time, space = work("rhs_time", grid), work("rhs_space", grid)
+            time_term(on_chunk, t_axis, qb, time)
+            space_term(on_chunk, t_axis, qb, v, space)
+            weights = box.row_weights(
+                rows, out=work("rhs_weights", (n_rows, per_row)))
+            yield (weights, time.reshape(n_rows, per_row),
+                   space.reshape(n_rows, per_row))
 
-    box = BoxQuadrature(bounds, panels, order)
-    # the nodes of one index of the first axis are consecutive in C order
-    per_row = box.weights.size // box.grid_axes[0].size
-    vals = np.empty(box.weights.size)
-    integrals = []
-    for term in (time_term, space_term):
-        for rows, chunk in chunks(box):
-            out = vals[rows.start * per_row:rows.stop * per_row]
-            term(*chunk, out.reshape(chunk[-1].shape[:2]))
-        integrals.append(box.integrate(vals))
-    vol_time, vol_space = -integrals[0], -integrals[1]
+    sums = BoxSum(), BoxSum()
+    for weights, *terms in chunk_terms(BoxQuadrature(bounds, panels, order)):
+        for box_sum, term in zip(sums, terms):
+            box_sum.add(weights, term)
+    vol_time, vol_space = (-box_sum.total() for box_sum in sums)
     volume = vol_time + vol_space
-    box = BoxQuadrature(bounds, panels, order + 2)
-    work = Workspace()
 
-    def weighted(rows, chunk):
-        """w (beta(q) d_t phi + g(q) v . grad phi) on the chunk, one row
-        per first-axis node, formed in the chunk buffers of ``work``."""
-        shape = chunk[-1].shape[:2]
-        t, s = work("rhs_time", shape), work("rhs_space", shape)
-        time_term(*chunk, t)
-        space_term(*chunk, s)
-        t += s
-        table = t.reshape(rows.stop - rows.start, -1)
-        weights = box.row_weights(rows, out=work("rhs_weights", table.shape))
-        return np.multiply(weights, table, out=table)
+    def weighted(weights, time, space):
+        """w (beta(q) d_t phi + g(q) v . grad phi), in the time buffer."""
+        time += space
+        return np.multiply(weights, time, out=time)
 
-    vol2 = -step_sum(weighted(*chunk) for chunk in chunks(box))
+    vol2 = -step_sum(weighted(*terms) for terms in chunk_terms(
+        BoxQuadrature(bounds, panels, order + 2)))
     delta = abs(volume - vol2)
     if delta > 1e-7 * (1.0 + abs(volume)):
         warnings.warn(f"weak-form volume quadrature disagreement "

@@ -293,25 +293,25 @@ class TestFunction:
         return float(np.exp(-(self.dim + 1)))
 
 
-def _times(tf, bumps):
-    """(tf * b_0) * b_1 ...: the product order of ``TestFunction``."""
-    out = tf
-    for b in bumps:
-        out = out * b
-    return out
+def _product(factors, out=None):
+    """The factors multiplied left to right, ((f_0 * f_1) * f_2) ..., the
+    last product written into ``out`` when given."""
+    *lead, last = factors
+    return np.multiply(reduce(np.multiply, lead[1:], lead[0]), last, out=out)
 
 
-def _grad_components(tf, bumps, dbumps):
+def _times(tf, bumps, out=None):
+    """(tf * b_0) * b_1 ...: the product order of ``TestFunction``, into
+    ``out`` when given."""
+    return _product([tf, *bumps], out)
+
+
+def _grad_components(tf, bumps, dbumps, out=None):
     """Component d is (b_d' * tf) times the other bumps in axis order; one
-    array per component."""
-    out = []
-    for d, db in enumerate(dbumps):
-        g = db * tf
-        for e, be in enumerate(bumps):
-            if e != d:
-                g = g * be
-        out.append(g)
-    return out
+    array per component, component d into ``out[d]`` when given."""
+    return [_product([db, tf, *bumps[:d], *bumps[d + 1:]],
+                     None if out is None else out[d])
+            for d, db in enumerate(dbumps)]
 
 
 class PhiAt:
@@ -360,18 +360,21 @@ class PhiAt:
     def value(self, t):
         return _times(self.phi._time_factor(t), self._bumps)
 
-    def dt(self, t):
-        return _times(self.phi._time_factor(t, derivative=True), self._bumps)
+    def dt(self, t, out=None):
+        """d_t phi at the times t, written into ``out`` when given."""
+        return _times(self.phi._time_factor(t, derivative=True), self._bumps,
+                      out)
 
     def grad(self, t):
         """The components of ``grad_components`` stacked on a trailing
         axis."""
         return np.stack(self.grad_components(t), axis=-1)
 
-    def grad_components(self, t):
-        """The components of grad phi, each its own contiguous array."""
+    def grad_components(self, t, out=None):
+        """The components of grad phi, each its own contiguous array, each
+        written into its own array of the list ``out`` when given."""
         return _grad_components(self.phi._time_factor(t), self._bumps,
-                                self._dbumps)
+                                self._dbumps, out)
 
 
 # ----------------------------------------------------------------------
@@ -393,16 +396,18 @@ class Reference:
       nodes=slice(None))`` with the times on a leading axis, on the points
       of the slice ``nodes``: shaped (len(times), nodes) + C, written into
       ``out`` when given;
-    * ``f.on_grid(points, times)``, the tensor grid of points x times in C
-      order with time fastest: shaped (M, len(times)) + C, a read-only
-      broadcast of the combine's values over the axes that a steady
-      combine leaves out (time stride 0), never a repeated copy.
+    * ``f.on_grid(points, times, out=None)``, the tensor grid of points x
+      times in C order with time fastest: shaped (M, len(times)) + C, a
+      read-only broadcast of the combine's values over the axes that a
+      steady combine leaves out (time stride 0), never a repeated copy, or
+      written into ``out`` when given.
 
     All three evaluate each value by the same operations, so they agree
-    bit for bit.  ``ev(times, out=buf)`` passes ``out`` on to the combine,
-    which writes the joint shape into it, so no value array is allocated;
-    a combine is given ``out`` only then, so one that is never evaluated
-    into a buffer (a steady velocity) need not take it.
+    bit for bit.  ``ev(times, out=buf)`` and ``on_grid(..., out=buf)`` pass
+    ``out`` on to the combine, which writes the joint shape into it, so no
+    value array is allocated; a combine is given ``out`` only then, so one
+    that is never evaluated into a buffer (a steady velocity) need not
+    take it.
 
     An evaluator names the points where f may change within a span of
     times: ``ev.varying(tn)`` is a boolean per point, False where f is the
@@ -452,10 +457,13 @@ class Reference:
         ev.varying = varying
         return ev
 
-    def on_grid(self, points, times) -> np.ndarray:
+    def on_grid(self, points, times, out=None) -> np.ndarray:
         s = self.space(np.atleast_2d(points))
-        vals = self.combine(s[:, None], _unit_axes(times, s.ndim - 1))
-        return np.broadcast_to(vals, s.shape[:1] + (len(times),) + s.shape[1:])
+        t = _unit_axes(times, s.ndim - 1)
+        if out is not None:
+            return self.combine(s[:, None], t, out=out)
+        return np.broadcast_to(self.combine(s[:, None], t),
+                               s.shape[:1] + (len(times),) + s.shape[1:])
 
 
 def _unit_axes(t, n):
@@ -464,23 +472,27 @@ def _unit_axes(t, n):
     return t.reshape(t.shape + (1,) * n)
 
 
-def _reference_at(ref, points, times=None):
+def _reference_at(ref, points, times=None, out=None):
     """ref on the fixed points.  Without times, the evaluator ``ev(times,
     out=None, nodes=slice(None))`` (``Reference.at``), shaped (len(times),
     nodes) + C: ``ref.at(points)`` when ref has one, else one
     ``ref(points[nodes], t)`` call per time, stacked (into ``out`` when
     given), whose ``varying`` names every point.  With times, the values
     on the tensor grid points x times, shaped (len(points), len(times)) + C
-    with time fastest: ``ref.on_grid`` when ref has one, else one ``ref(x,
-    t)`` call on every grid node."""
+    with time fastest, written into ``out`` when given: ``ref.on_grid``
+    when ref has one, else one ``ref(x, t)`` call on every grid node."""
     if times is not None:
         on_grid = getattr(ref, "on_grid", None)
         if on_grid is not None:
-            return on_grid(points, times)
+            return on_grid(points, times, out=out)
         times = np.asarray(times, dtype=float)
         vals = np.asarray(ref(np.repeat(points, times.size, axis=0),
                               np.tile(times, len(points))), dtype=float)
-        return vals.reshape((len(points), times.size) + vals.shape[1:])
+        vals = vals.reshape((len(points), times.size) + vals.shape[1:])
+        if out is None:
+            return vals
+        np.copyto(out, vals)
+        return out
     at = getattr(ref, "at", None)
     if at is not None:
         return at(points)

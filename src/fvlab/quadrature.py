@@ -23,10 +23,15 @@ Every space-time sum that fvlab reports follows one summation order,
 stated by ``step_values`` and ``add_steps`` and applied whole by
 ``step_sum``.  Steps are evaluated in chunks of about ``CHUNK_VALUES``
 values (``chunk_slices``), a constant that decides only how many steps
-share one call.  The one flat sum is ``BoxQuadrature.integrate``, kept
-for the reported weak-form terms of ``consistency.weak_rhs``; its order+2
-self-check reduces its box by ``step_sum`` over rows of the first axis
-(``BoxQuadrature.row_weights``) instead.
+share one call.  The reported weak-form terms of ``consistency.weak_rhs``
+are box sums instead, in the order of numpy's own flat ``np.einsum("i,i->",
+w, v)`` (``BoxSum``, and ``BoxQuadrature.integrate`` for a whole vector):
+the C-order node values in blocks of numpy's default buffer size
+(``np.getbufsize()``, 8192), each block reduced by one call of einsum's
+kernel, the block values added by ``add_steps``.  So a box fed in pieces of
+any size sums to the bits of the flat dot, independent of the BLAS thread
+count.  Its order+2 self-check reduces its box by ``step_sum`` over rows of
+the first axis (``BoxQuadrature.row_weights``).
 
 Cell means use a shifted weighted average, ``f0 + sum(w * (f - f0))``, so a
 constant integrand reproduces the constant bitwise.  A 2D cell rule forms
@@ -39,6 +44,7 @@ vertex loop of that axis (``CellQuadrature``).
 
 from __future__ import annotations
 
+import contextvars
 import math
 from functools import cache, cached_property, reduce
 
@@ -137,6 +143,52 @@ def step_sum(tables) -> float:
     it comes."""
     values = [step_values(table) for table in tables]
     return add_steps(np.concatenate(values) if values else [])
+
+
+class BoxSum:
+    """sum_i w_i v_i over a box's nodes, given in consecutive C-order
+    pieces (``add``), to the bits of the flat ``np.einsum("i,i->", w, v)``
+    of the whole vectors.  That einsum runs its kernel once per block of
+    numpy's default buffer size, whatever ``np.setbufsize`` a caller chose
+    (so it is read in a fresh context), and adds each block's value to its
+    output, from +0.0, in block order.  Here each complete block is reduced
+    by ``np.einsum("ij,ij->i")``, one kernel call a row, the values of a
+    block that a piece leaves open (fewer than a block) are carried in a
+    reused buffer, and ``total`` adds the block values by ``add_steps``."""
+
+    def __init__(self):
+        self._block = contextvars.Context().run(np.getbufsize)
+        self._carry = np.empty((2, self._block))
+        self._held = 0
+        self._values = []
+
+    def add(self, weights, values):
+        """Feed the next C-order piece: weights and values of equal size."""
+        w, v = np.ravel(weights), np.ravel(values)
+        block, held, lo = self._block, self._held, 0
+        if held:
+            lo = min(block - held, w.size)
+            self._carry[0, held:held + lo] = w[:lo]
+            self._carry[1, held:held + lo] = v[:lo]
+            self._held += lo
+            if self._held < block:
+                return
+            self._reduce(self._carry[:1], self._carry[1:])
+        hi = lo + (w.size - lo) // block * block
+        self._reduce(w[lo:hi].reshape(-1, block), v[lo:hi].reshape(-1, block))
+        self._held = w.size - hi
+        self._carry[0, :self._held] = w[hi:]
+        self._carry[1, :self._held] = v[hi:]
+
+    def _reduce(self, w, v):
+        self._values.append(np.einsum("ij,ij->i", w, v))
+
+    def total(self) -> float:
+        """The sum of every piece fed so far: the open block's value (+0.0
+        when it holds none, which moves no bit) is added last."""
+        held = self._carry[:, :self._held]
+        return add_steps(np.concatenate(
+            self._values + [np.einsum("ij,ij->i", held[:1], held[1:])]))
 
 
 def tensor_points(axes) -> np.ndarray:
@@ -514,8 +566,10 @@ class BoxQuadrature:
         return grid.reshape(first.size, -1)
 
     def integrate(self, vals) -> float:
-        """Integral over the box of the values on ``points``.  The sum is
-        numpy's own loop, not a BLAS dot, whose split across BLAS threads
-        would change its last digits with the BLAS thread count."""
-        return float(np.einsum("i,i->", self.weights,
-                               np.asarray(vals, dtype=float)))
+        """Integral over the box of the values on ``points``: the ``BoxSum``
+        of the whole vector, the bits of numpy's own flat einsum, not of a
+        BLAS dot, whose split across BLAS threads would change its last
+        digits with the BLAS thread count."""
+        box_sum = BoxSum()
+        box_sum.add(self.weights, np.asarray(vals, dtype=float))
+        return box_sum.total()

@@ -129,6 +129,37 @@ def brute_force_flux_residual(flux, q, v, pair, mesh, grid, layout, dual):
     return terms
 
 
+def einsum_lanes(products):
+    """The order in which numpy's two-operand einsum kernel (baseline
+    X86_V2 build: two float64 lanes) adds one call's products p, the last
+    axis of ``products``, to the call's output: lane l starts at 0.0; each
+    full block of 8 products takes p[6+l], then p[4+l], p[2+l] and p[l]
+    into lane l (acc = p + acc); the rest goes in pairs, a missing odd
+    product counting as 0.0; the call's value is 0.0 + (lane 0 + lane 1).
+    ``np.einsum("ck,rck->rc")`` calls the kernel once per row of k, and
+    ``np.einsum("i,i->")`` once per block of numpy's buffer size."""
+    k = products.shape[-1]
+    lanes = [np.zeros(products.shape[:-1]), np.zeros(products.shape[:-1])]
+    full = k // 8 * 8
+    for start in range(0, full, 8):
+        for lane in range(2):
+            for j in (6, 4, 2, 0):
+                lanes[lane] = products[..., start + j + lane] + lanes[lane]
+    for i in range(full, k, 2):
+        lanes[0] = products[..., i] + lanes[0]
+        lanes[1] = (products[..., i + 1] if i + 1 < k else 0.0) + lanes[1]
+    return 0.0 + (lanes[0] + lanes[1])
+
+
+def flat_einsum_lanes(w, v, block):
+    """``np.einsum("i,i->", w, v)`` by ``einsum_lanes``: one kernel call
+    per consecutive block of ``block`` products, the last one ragged, and
+    each call's value added to the output from +0.0 in block order."""
+    products = w * v
+    return add_steps([einsum_lanes(products[lo:lo + block])
+                      for lo in range(0, products.size, block)])
+
+
 def per_step_sum(table) -> float:
     """The documented summation order of every reported space-time sum
     (``quadrature.step_sum``), one step at a time: numpy's pairwise sum of

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -1237,18 +1238,38 @@ _UNSTEADY_V = Reference(
     lambda s, t: s * (1.0 + 0.5 * np.sin(3.0 * t)))
 
 
+def _assert_chunks_match_whole_box(pair, q_exact, v_exact, phi, order,
+                                   panels, values):
+    """weak_rhs with ``CHUNK_VALUES`` patched to ``values`` runs over more
+    than one chunk and gives all six fields of the whole-box evaluation
+    bit for bit."""
+    n_first = order * panels
+    per_row = n_first ** phi.dim
+    with warnings.catch_warnings():
+        # the coarse rules may be reported by the self-check
+        warnings.simplefilter("ignore")
+        want = weak_rhs_whole(pair, q_exact, v_exact, phi, order, panels)
+        with mock.patch.object(quadrature, "CHUNK_VALUES", values):
+            assert len(quadrature.chunk_slices(n_first, per_row)) > 1
+            got = weak_rhs(pair, q_exact, v_exact, phi, order, panels)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(),
        solution=st.sampled_from(["constant", "sinsin_cos", "sinsin_shear",
                                  "bump_advect_1d"]),
        closure=st.sampled_from(["reference", "plain"]),
        beta=st.sampled_from(["id", "square", "slogs"]),
-       order=st.integers(2, 5), panels=st.integers(1, 3))
+       order=st.integers(2, 8), panels=st.integers(1, 3))
 def test_weak_rhs_chunks_match_whole_box(data, solution, closure, beta,
                                          order, panels):
     # the integrands formed over chunks of the first axis, the last one
-    # ragged, give all six fields of the whole-box evaluation bit for bit;
-    # "constant" is a plain closure q in either case
+    # ragged, or one first-axis node a chunk (CHUNK_VALUES = 1), give all
+    # six fields of the whole-box evaluation bit for bit; boxes of 2D
+    # solutions from order 6 hold more than one 8192-value block of the
+    # reported box sums, so chunks straddle blocks.  "constant" is a plain
+    # closure q in either case
     sol = manufactured_solution(solution)
     q_exact, v_exact = sol["q"], sol["v"]
     if v_exact is not None and data.draw(st.booleans()):
@@ -1258,39 +1279,90 @@ def test_weak_rhs_chunks_match_whole_box(data, solution, closure, beta,
     phi = TestFunction(data.draw(support_boxes(sol["dim"])),
                        data.draw(st.floats(0.05, 0.5)),
                        data.draw(st.sampled_from(["initial", "interior"])))
-    pair = get_pair(beta)
     n_first = order * panels
-    per_row = (order * panels) ** sol["dim"] // n_first
     rows = data.draw(st.sampled_from(
         [r for r in range(1, n_first) if n_first % r] or [1]))
-    with warnings.catch_warnings():
-        # the coarse rules may be reported by the self-check
-        warnings.simplefilter("ignore")
-        want = weak_rhs_whole(pair, q_exact, v_exact, phi, order, panels)
-        with mock.patch.object(quadrature, "CHUNK_VALUES", rows * per_row):
-            assert len(quadrature.chunk_slices(n_first, per_row)) > 1
-            got = weak_rhs(pair, q_exact, v_exact, phi, order, panels)
-    assert [x.hex() for x in got] == [x.hex() for x in want]
+    values = data.draw(st.sampled_from([1, rows * n_first ** sol["dim"]]))
+    _assert_chunks_match_whole_box(get_pair(beta), q_exact, v_exact, phi,
+                                   order, panels, values)
+
+
+@pytest.mark.parametrize("solution, order, panels, values", [
+    # 1D: 129 x 129 nodes, chunks of 127 first-axis nodes; the first chunk
+    # ends at node 16 383, one short of the second block's end
+    ("bump_advect_1d", 3, 43, 127 * 129),
+    # 2D: 24^3 = 13 824 nodes, one first-axis node (576 nodes) a chunk
+    ("sinsin_shear", 8, 3, 1),
+])
+def test_weak_rhs_chunks_match_whole_box_at_block_edges(solution, order,
+                                                        panels, values):
+    sol = manufactured_solution(solution)
+    n = order * panels
+    assert n ** (sol["dim"] + 1) > 8192
+    support = ((0.3, 0.8),) if sol["dim"] == 1 else ((0.2, 0.8), (0.3, 0.7))
+    _assert_chunks_match_whole_box(get_pair("square"), sol["q"], sol["v"],
+                                   TestFunction(support, 0.3), order, panels,
+                                   values)
 
 
 def test_weak_rhs_stays_in_bounded_memory(transient_mib):
     # the study defaults (order 8, 12 panels, and the order-10 self-check
     # box of 1.7 M nodes): forming each integrand on the whole box took
     # 93.5 MiB above the call's start, and the check box's flat weights
-    # and integrand vector 29.3 MiB; streamed, the check adds nothing to
-    # the order-8 box, whose flat weights and integrand vector take 6.75
-    # MiB each.  With v broadcast over time and each integrand written
-    # into its destination the call peaks at 16.0 MiB (18.4 MiB before),
-    # and the bound is that plus 10 %
+    # and integrand vector 29.3 MiB.  Streamed, the check added nothing to
+    # the order-8 box, whose flat weights and integrand vector took 6.75
+    # MiB each (16.0 MiB peak); now neither box is held whole, and each
+    # chunk-sized value goes into a reused buffer: the first call peaks at
+    # 3.9 MiB, and the bound is that plus 10 %
     sol = manufactured_solution("sinsin_cos")
     size = transient_mib(lambda: weak_rhs(
         get_pair("id"), sol["q"], sol["v"], bump2d()))
-    assert size <= 17.6, size
+    assert size <= 4.3, size
+
+
+def test_weak_rhs_allocates_its_chunk_buffers_once():
+    # at the study defaults (id pair, sinsin_cos) the two space-time boxes
+    # take 14 and 30 chunks of 57 600 to 64 512 values, and each
+    # chunk-sized value of a chunk (q, d_t phi, the grad components, both
+    # integrands and the row weights) goes into a reused buffer: the
+    # chunk-sized blocks alive at any chunk (tracemalloc snapshot) are the
+    # five buffers, and no chunk after the first allocates another (the
+    # peak rise over each chunk stays below one; what it holds is numpy's
+    # 64 KiB iterator buffers and one first-axis node's grad factor)
+    chunk_bytes = 3 * quadrature.CHUNK_VALUES * 8 // 4
+    live, rises, marks = [], [], []
+
+    class Probed(BoxQuadrature):
+        def row_weights(self, rows, out=None):
+            # called for the space box's flat weights, then once per chunk
+            # after its integrands are formed
+            current, peak = tracemalloc.get_traced_memory()
+            if marks:
+                rises.append(peak - marks[-1])
+            live.append(sum(trace.size >= chunk_bytes for trace in
+                            tracemalloc.take_snapshot().traces))
+            tracemalloc.reset_peak()
+            marks.append(current)
+            return super().row_weights(rows, out)
+
+    sol = manufactured_solution("sinsin_cos")
+    tracemalloc.start()
+    try:
+        with mock.patch.object(consistency, "BoxQuadrature", Probed):
+            weak_rhs(get_pair("id"), sol["q"], sol["v"], bump2d())
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 1 + 14 + 30
+    assert max(live) == 5, live
+    # rises[0] spans the space box and the first chunk, which allocates
+    # the buffers
+    assert max(rises[1:]) < chunk_bytes, rises
 
 
 def test_weak_rhs_check_box_is_never_held_whole():
-    # the order+2 box is reduced chunk by chunk from its per-axis weights:
-    # neither its flat weights nor its points are ever built
+    # both space-time boxes, the reported order-8 one and the order+2 one
+    # of the self-check, are reduced chunk by chunk from their per-axis
+    # weights: neither builds its flat weights or its points
     boxes = []
 
     class Recorded(BoxQuadrature):
@@ -1302,6 +1374,7 @@ def test_weak_rhs_check_box_is_never_held_whole():
     with mock.patch.object(consistency, "BoxQuadrature", Recorded):
         rhs = weak_rhs(get_pair("id"), sol["q"], sol["v"], bump2d())
     assert np.isfinite(rhs.check_delta)
-    space, volume, check = boxes
-    assert "weights" in vars(volume)
-    assert "weights" not in vars(check) and "points" not in vars(check)
+    space, *space_time = boxes
+    assert len(space_time) == 2
+    for box in space_time:
+        assert "weights" not in vars(box) and "points" not in vars(box)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from _oracles import (assert_bitwise, cell_rule_einsum,
-                      slab_integrals_per_slab)
+from _oracles import (assert_bitwise, cell_rule_einsum, einsum_lanes,
+                      flat_einsum_lanes, slab_integrals_per_slab)
 from _strategies import (graded_meshes, interval_meshes, perturbed_meshes,
                          shuffled_rectangles, time_grids)
 from fvlab import quadrature
@@ -288,38 +288,70 @@ def test_slab_rule_once_equals_the_integrand_at_every_time(
         assert_bitwise(out, want)
 
 
-def _two_lanes(w, v):
-    """sum_k w[c, k] v[r, c, k] as two interleaved lanes: the even-indexed
-    products added in order, the odd-indexed ones added in order, then
-    even + odd, then + 0.0 (a sum of signed zeros is +0.0)."""
-    products = [w[:, k] * v[:, :, k] for k in range(w.shape[1])]
-    even, odd = products[0], 0.0
-    for p in products[2::2]:
-        even = even + p
-    if len(products) > 1:
-        odd = products[1]
-        for p in products[3::2]:
-            odd = odd + p
-    return (even + odd) + 0.0
+def _signed_data(rng, shape):
+    """Values of many magnitudes, about a fifth +0.0 and a fifth -0.0."""
+    v = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    pick = rng.random(shape)
+    v[pick < 0.2], v[pick > 0.8] = 0.0, -0.0
+    return v
 
 
 @settings(max_examples=100, deadline=None)
-@given(k=st.integers(1, 7), cells=st.integers(1, 40), rows=st.integers(1, 5),
+@given(k=st.one_of(st.integers(1, 70), st.integers(71, 300)),
+       cells=st.integers(1, 12), rows=st.integers(1, 4),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_the_row_reduction_of_a_few_nodes_is_two_lanes(k, cells, rows, seed):
+def test_the_row_reduction_is_two_lanes_in_blocks_of_eight(k, cells, rows,
+                                                           seed):
     # the order of np.einsum("ck,rck->rc") (SlabQuadrature._rows and
-    # cell_integrals) on rows of k <= 7 nodes, pinned for a column-add form
-    # that must keep its bits; values of many magnitudes, about a fifth
-    # +0.0 and a fifth -0.0, and some -0.0 weights.  No lane model of this
-    # kind matches k >= 8, the 2D rules of order 4 and up
+    # cell_integrals) on rows of any k up to 300, k = 16 and 64 of the 2D
+    # rules of order 4 and 8 among them, pinned for a fused form that must
+    # keep its bits (tests/_oracles.einsum_lanes); signed zeros in the
+    # values and some -0.0 weights
     rng = np.random.default_rng(seed)
     w = rng.normal(size=(cells, k))
-    v = rng.normal(size=(rows, cells, k)) * 10.0 ** rng.integers(
-        -3, 4, size=(rows, cells, k))
-    pick = rng.random(v.shape)
-    v[pick < 0.2], v[pick > 0.8] = 0.0, -0.0
+    v = _signed_data(rng, (rows, cells, k))
     w[rng.random(w.shape) < 0.1] = -0.0
-    assert_bitwise(np.einsum("ck,rck->rc", w, v), _two_lanes(w, v))
+    assert_bitwise(np.einsum("ck,rck->rc", w, v), einsum_lanes(w * v))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.one_of(st.integers(0, 20), st.integers(8180, 8200),
+                   st.integers(16370, 16400), st.integers(20000, 60000)),
+       cuts=st.lists(st.integers(0, 60000), max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_box_sums_are_the_flat_einsum_in_buffer_blocks(n, cuts, seed):
+    # np.einsum("i,i->") reduces blocks of numpy's default buffer size,
+    # 8192 (np.getbufsize()), each by the lane model, and adds the block
+    # values in order from +0.0; BoxSum fed the same vectors in pieces cut
+    # anywhere, and BoxQuadrature.integrate on a whole vector, give those
+    # bits, whatever np.setbufsize a caller chose
+    assert np.getbufsize() == 8192
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 1.0, n)
+    w[rng.random(n) < 0.05] = -0.0
+    v = _signed_data(rng, n)
+    flat = float(np.einsum("i,i->", w, v))
+    assert_bitwise(flat, flat_einsum_lanes(w, v, np.getbufsize()))
+    edges = [0] + sorted(c for c in cuts if c <= n) + [n]
+    old = np.setbufsize(4096)
+    try:
+        box_sum = quadrature.BoxSum()
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            box_sum.add(w[lo:hi], v[lo:hi])
+        assert_bitwise(box_sum.total(), flat)
+        assert_bitwise(float(np.einsum("i,i->", w, v)), flat)
+    finally:
+        np.setbufsize(old)
+
+
+def test_box_integrate_is_the_flat_einsum():
+    # BoxQuadrature.integrate is BoxSum over the whole vector: the bits of
+    # the flat einsum of weights and values (10 648 nodes: one block of
+    # 8192 and a ragged one)
+    box = BoxQuadrature([(0.0, 1.0), (0.2, 0.9), (0.0, 0.4)], 2, 11)
+    vals = _signed_data(np.random.default_rng(4), box.weights.size)
+    assert_bitwise(box.integrate(vals),
+                   float(np.einsum("i,i->", box.weights, vals)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -57,8 +57,9 @@ def test_tensor_field_evaluator_matches_per_call_lookup(mesh, grid, seed):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_solution_references_fill_their_buffer_bit_for_bit(
         name, which, n_points, n_times, seed):
-    # ev(times, out=buf) of every Reference among the q and v of the
-    # solutions writes into buf, unchanged, the bits of ev(times); points
+    # ev(times, out=buf) and on_grid(points, times, out=buf) of every
+    # Reference among the q and v of the solutions write into buf,
+    # unchanged, the bits of ev(times) and on_grid(points, times); points
     # in and past the domain, the bump's support edges and signed zeros
     ref = SOLUTIONS[name][which]
     if not isinstance(ref, Reference):
@@ -73,6 +74,10 @@ def test_solution_references_fill_their_buffer_bit_for_bit(
     buf = np.full(want.shape, np.nan)
     got = ev(times, out=buf)
     assert got is buf
+    assert_bitwise(buf, want)
+    want = ref.on_grid(points, times)
+    buf = np.full(want.shape, np.nan)
+    assert ref.on_grid(points, times, out=buf) is buf
     assert_bitwise(buf, want)
 
 
