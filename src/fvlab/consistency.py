@@ -835,11 +835,17 @@ def weak_rhs(pair, q_exact, v_exact, phi,
             yield (weights, time.reshape(n_rows, per_row),
                    space.reshape(n_rows, per_row))
 
-    sums = BoxSum(), BoxSum()
-    for weights, *terms in chunk_terms(BoxQuadrature(bounds, panels, order)):
-        for box_sum, term in zip(sums, terms):
-            box_sum.add(weights, term)
-    vol_time, vol_space = (-box_sum.total() for box_sum in sums)
+    def volume_terms(box):
+        """Minus the box sums of both integrands; its own frame, so that
+        no view of a chunk buffer outlives it and a larger buffer of the
+        order+2 box replaces it, not joins it."""
+        sums = BoxSum(), BoxSum()
+        for weights, *terms in chunk_terms(box):
+            for box_sum, term in zip(sums, terms):
+                box_sum.add(weights, term)
+        return [-box_sum.total() for box_sum in sums]
+
+    vol_time, vol_space = volume_terms(BoxQuadrature(bounds, panels, order))
     volume = vol_time + vol_space
 
     def weighted(weights, time, space):
