@@ -1266,10 +1266,10 @@ def test_weak_rhs_chunks_match_whole_box(data, solution, closure, beta,
                                          order, panels):
     # the integrands formed over chunks of the first axis, the last one
     # ragged, or one first-axis node a chunk (CHUNK_VALUES = 1), give all
-    # six fields of the whole-box evaluation bit for bit; boxes of 2D
-    # solutions from order 6 hold more than one 8192-value block of the
-    # reported box sums, so chunks straddle blocks.  "constant" is a plain
-    # closure q in either case
+    # six fields of the whole-box evaluation bit for bit; the 2D boxes of
+    # orders 7 and 8 at 3 panels (21^3 and 24^3 nodes) hold more than one
+    # 8192-value block of the reported box sums, so chunks straddle
+    # blocks.  "constant" is a plain closure q in either case
     sol = manufactured_solution(solution)
     q_exact, v_exact = sol["q"], sol["v"]
     if v_exact is not None and data.draw(st.booleans()):
