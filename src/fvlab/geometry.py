@@ -16,6 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .quadrature import chunk_slices
+
 __all__ = [
     "PrimalMesh", "TimeGrid", "DualMeshRT", "DualMeshMAC", "MeshRegularity",
     "build_intervals", "build_cartesian", "build_perturbed_quads",
@@ -137,12 +139,12 @@ class PrimalMesh:
 
     # ------------------------------------------------------------------
     def _build_cells(self):
-        """Volumes, centroids and diameters, one (NC,) column per local
-        vertex.  The per-cell sums add the vertex terms in loop order,
-        ((t0 + t1) + t2) + t3, as numpy sums a row of four."""
-        x, y = self._loop_columns()
+        """Volumes, centroids and diameters, one (n,) column per local
+        vertex of a block of n cells.  The per-cell sums add the vertex
+        terms in loop order, ((t0 + t1) + t2) + t3, as numpy sums a row of
+        four."""
         if self.dim == 1:
-            a, b = x
+            a, b = self._loop_columns()[0]
             if not np.all(b > a):
                 raise MeshConstructionError("degenerate 1D cell (b <= a)")
             self.cell_volumes = b - a
@@ -150,32 +152,44 @@ class PrimalMesh:
             self.cell_centroids = (0.5 * (a + b))[:, None]
             return
         nxt = self._next_vertex()
-        cross = [x[k] * y[j] - x[j] * y[k] for k, j in enumerate(nxt)]
-        area2 = _sum_in_order(cross)
-        if not np.all(area2 > 0):
-            bad = int(np.argmin(area2 > 0))
-            raise MeshConstructionError(
-                f"cell {bad} is not counter-clockwise or degenerate")
-        self.cell_volumes = 0.5 * area2
-        six = 6.0 * self.cell_volumes
+        self.cell_volumes = np.empty(self.n_cells)
         self.cell_centroids = np.empty((self.n_cells, 2))
-        for d, u in enumerate((x, y)):
-            moment = _sum_in_order([(u[k] + u[j]) * cross[k]
-                                    for k, j in enumerate(nxt)])
-            np.divide(moment, six, out=self.cell_centroids[:, d])
-        # diameter = largest vertex distance, over the edges and diagonals
-        diameter = np.zeros(self.n_cells)
-        for k in range(len(x)):
-            for j in range(k + 1, len(x)):
-                dx = x[k] - x[j]
-                dy = y[k] - y[j]
-                np.maximum(diameter, np.sqrt(dx * dx + dy * dy), out=diameter)
-        self.cell_diameters = diameter
+        self.cell_diameters = np.zeros(self.n_cells)
+        for cells in self._cell_blocks():
+            x, y = self._loop_columns(cells)
+            cross = [x[k] * y[j] - x[j] * y[k] for k, j in enumerate(nxt)]
+            area2 = _sum_in_order(cross)
+            if not np.all(area2 > 0):
+                bad = cells.start + int(np.argmin(area2 > 0))
+                raise MeshConstructionError(
+                    f"cell {bad} is not counter-clockwise or degenerate")
+            six = 6.0 * np.multiply(0.5, area2, out=self.cell_volumes[cells])
+            for d, u in enumerate((x, y)):
+                moment = _sum_in_order([(u[k] + u[j]) * cross[k]
+                                        for k, j in enumerate(nxt)])
+                np.divide(moment, six, out=self.cell_centroids[cells, d])
+            # diameter = largest vertex distance, over the edges and
+            # diagonals
+            diameter = self.cell_diameters[cells]
+            for k in range(len(x)):
+                for j in range(k + 1, len(x)):
+                    dx = x[k] - x[j]
+                    dy = y[k] - y[j]
+                    np.maximum(diameter, np.sqrt(dx * dx + dy * dy),
+                               out=diameter)
 
-    def _loop_columns(self):
-        """The vertex coordinates of the cell loops as (nv, NC) columns:
-        row k holds the k-th vertex of every cell (y is None in 1D)."""
-        loop = self.cell_vertices.T
+    def _cell_blocks(self):
+        """Consecutive slices of the cells, each of at most
+        ``CHUNK_VALUES`` (cell, local face) pairs: the blocks over which
+        the cell arrays, the adopted face table and the identity check
+        form their per-(cell, local face) temporaries."""
+        return chunk_slices(self.n_cells, self.cell_vertices.shape[1])
+
+    def _loop_columns(self, cells=slice(None)):
+        """The vertex coordinates of the loops of `cells` as (nv, n)
+        columns: row k holds the k-th vertex of every cell (y is None in
+        1D)."""
+        loop = self.cell_vertices[cells].T
         x = self.vertices[:, 0][loop]
         return x, self.vertices[:, 1][loop] if self.dim == 2 else None
 
@@ -192,10 +206,10 @@ class PrimalMesh:
         a, b = fv[:, 0], fv[:, 1]
         return np.minimum(a, b) * self.n_vertices + np.maximum(a, b)
 
-    def _local_faces(self):
-        """Vertices and keys of every cell face, cell-major in the fixed
-        local order: a vertex in 1D, an edge of the loop in 2D."""
-        loop = self.cell_vertices
+    def _local_faces(self, cells=slice(None)):
+        """Vertices and keys of every face of `cells`, cell-major in the
+        fixed local order: a vertex in 1D, an edge of the loop in 2D."""
+        loop = self.cell_vertices[cells]
         if self.dim == 2:
             loop = np.stack([loop, loop[:, self._next_vertex()]], axis=-1)
         fv = loop.reshape(-1, self.dim)
@@ -240,19 +254,31 @@ class PrimalMesh:
                 f"face {f} names cells {fc[f, 0]} and {fc[f, 1]} and vertices "
                 f"{fv[f].tolist()}, outside the {self.n_cells} cells or the "
                 f"{self.n_vertices} vertices")
-        # a key shared by several faces resolves to the last of them
+        self.cell_faces = self._find_cell_faces()
+        self._derive_face_geometry(stored_normals=face_normals)
+
+    def _find_cell_faces(self):
+        """The face table's index of each (cell, local face), (NC, nf),
+        looked up by key over blocks of cells; a key shared by several
+        faces resolves to the last of them."""
         keys = self._face_keys(self.face_vertices)
         by_key = np.argsort(keys, kind="stable")
-        sorted_keys = np.append(keys[by_key], -1)   # -1: below every key
-        local, want = self._local_faces()
-        at = np.searchsorted(sorted_keys[:-1], want, side="right") - 1
-        missing = np.flatnonzero(sorted_keys[at] != want)
-        if missing.size:
-            raise MeshConstructionError(
-                f"cell {missing[0] // self.cell_vertices.shape[1]} references "
-                f"missing face {tuple(local[missing[0]].tolist())}")
-        self.cell_faces = by_key[at].reshape(self.cell_vertices.shape)
-        self._derive_face_geometry(stored_normals=face_normals)
+        sorted_keys = np.empty(len(keys) + 1, dtype=keys.dtype)
+        np.take(keys, by_key, out=sorted_keys[:-1])
+        sorted_keys[-1] = -1                        # below every key
+        del keys
+        nf = self.cell_vertices.shape[1]
+        cell_faces = np.empty_like(self.cell_vertices)
+        for cells in self._cell_blocks():
+            local, want = self._local_faces(cells)
+            at = np.searchsorted(sorted_keys[:-1], want, side="right") - 1
+            missing = np.flatnonzero(sorted_keys[at] != want)
+            if missing.size:
+                raise MeshConstructionError(
+                    f"cell {cells.start + missing[0] // nf} references "
+                    f"missing face {tuple(local[missing[0]].tolist())}")
+            cell_faces[cells] = by_key[at].reshape(-1, nf)
+        return cell_faces
 
     def _derive_face_geometry(self, stored_normals=None):
         if self.dim == 1:
@@ -260,19 +286,26 @@ class PrimalMesh:
             self.face_measures = np.ones(self.n_faces)
         else:
             self.face_midpoints = np.empty((self.n_faces, 2))
-            squares = []
-            for d in (0, 1):
-                a, b = self.vertices[:, d][self.face_vertices.T]
-                np.multiply(0.5, a + b, out=self.face_midpoints[:, d])
-                e = b - a
-                squares.append(e * e)
-            self.face_measures = np.sqrt(squares[0] + squares[1])
+            self.face_measures = np.empty(self.n_faces)
+            for faces in self._face_blocks():
+                squares = []
+                for d in (0, 1):
+                    a, b = self.vertices[:, d][self.face_vertices[faces].T]
+                    np.multiply(0.5, a + b, out=self.face_midpoints[faces, d])
+                    e = b - a
+                    squares.append(e * e)
+                np.sqrt(squares[0] + squares[1],
+                        out=self.face_measures[faces])
             if np.any(self.face_measures <= 0):
                 raise MeshConstructionError("zero-length face")
         # outward normals per (cell, local face), from the cell's own loop
-        normals = self.cell_face_normals = (
-            np.tile([[-1.0], [1.0]], (self.n_cells, 1, 1)) if self.dim == 1
-            else self._edge_normals())
+        if self.dim == 1:
+            normals = np.tile([[-1.0], [1.0]], (self.n_cells, 1, 1))
+        else:
+            normals = np.empty(self.cell_vertices.shape + (2,))
+            for cells in self._cell_blocks():
+                normals[cells] = self._edge_normals(cells)
+        self.cell_face_normals = normals
         if stored_normals is not None:
             # import path: the file's per-face normal (as seen from its first
             # cell) replaces the derived one, so corruption stays observable;
@@ -281,35 +314,44 @@ class PrimalMesh:
             # the same signed zeros
             stored = np.ascontiguousarray(stored_normals, dtype=float)
             for side in (0, 1):
-                f = np.flatnonzero(self.face_cells[:, side] >= 0)
-                c = self.face_cells[f, side]
-                k = self._local_index(c, f)
-                if np.any(k < 0):
-                    i = int(np.argmax(k < 0))
-                    raise MeshConstructionError(
-                        f"face {f[i]} names cell {c[i]}, which does not "
-                        f"hold it")
-                if side == 0:
-                    normals[c, k] = stored[f]
-                else:
-                    flipped = stored[f]
-                    np.negative(flipped, out=flipped, where=flipped != 0)
-                    normals[c, k] = flipped
+                for faces in self._face_blocks():
+                    f = faces.start + np.flatnonzero(
+                        self.face_cells[faces, side] >= 0)
+                    c = self.face_cells[f, side]
+                    k = self._local_index(c, f)
+                    if np.any(k < 0):
+                        i = int(np.argmax(k < 0))
+                        raise MeshConstructionError(
+                            f"face {f[i]} names cell {c[i]}, which does not "
+                            f"hold it")
+                    if side == 0:
+                        normals[c, k] = stored[f]
+                    else:
+                        flipped = stored[f]
+                        np.negative(flipped, out=flipped, where=flipped != 0)
+                        normals[c, k] = flipped
 
-    def _cell_edges(self):
-        """(nv, NC) x and y columns of the counter-clockwise edge vectors of
-        the cell loops: row k holds the edge from vertex k to vertex k+1."""
+    def _cell_edges(self, cells=slice(None)):
+        """(nv, n) x and y columns of the counter-clockwise edge vectors of
+        the loops of `cells`: row k holds the edge from vertex k to vertex
+        k+1."""
         nxt = self._next_vertex()
-        return tuple(u[nxt] - u for u in self._loop_columns())
+        return tuple(u[nxt] - u for u in self._loop_columns(cells))
 
-    def _edge_normals(self):
-        """(NC, nv, 2) outward unit normals of the cell edges (2D)."""
-        ex, ey = self._cell_edges()
+    def _edge_normals(self, cells=slice(None)):
+        """(n, nv, 2) outward unit normals of the edges of `cells` (2D)."""
+        ex, ey = self._cell_edges(cells)
         length = np.sqrt(ex * ex + ey * ey)
-        normals = np.empty(self.cell_vertices.shape + (2,))
+        normals = np.empty(ex.T.shape + (2,))
         np.divide(ey.T, length.T, out=normals[:, :, 0])
         np.divide(np.negative(ex, out=ex).T, length.T, out=normals[:, :, 1])
         return normals
+
+    def _face_blocks(self):
+        """Consecutive slices of the faces, each of at most
+        ``CHUNK_VALUES`` (face, local face of a cell) pairs: the blocks of
+        the per-face lookups in the face lists of their cells."""
+        return chunk_slices(self.n_faces, self.cell_vertices.shape[1])
 
     def _local_index(self, cells, faces):
         """Local index of each face in its cell's list (the first match),
@@ -327,9 +369,12 @@ class PrimalMesh:
         has_boundary[self.face_cells[self.boundary_face_mask, 0]] = True
         self.interior_cell_mask = ~has_boundary
         # canonical per-face normal: the one seen from the first adjacent cell
-        owner = self.face_cells[:, 0]
-        self.face_normals = self.cell_face_normals[
-            owner, self._local_index(owner, np.arange(self.n_faces))]
+        self.face_normals = np.empty((self.n_faces, self.dim))
+        for faces in self._face_blocks():
+            owner = self.face_cells[faces, 0]
+            self.face_normals[faces] = self.cell_face_normals[
+                owner, self._local_index(owner, np.arange(faces.start,
+                                                          faces.stop))]
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
@@ -710,36 +755,44 @@ def check_mesh_identities(mesh: PrimalMesh,
     """Return a list of human-readable violations (empty when all hold),
     the dual's own measure identities (``identity_problems``) last.  Every
     test reads ``~(value <= tol)``, so a NaN anywhere is a violation."""
+    # each check walks its own blocks of cells or faces, in order, so its
+    # messages keep their order and its temporaries are block-sized
     # per-cell closure sum |zeta| n_{P,zeta} = 0, on the stored face
     # measures (``cell_face_measures`` is derived from them), the local
     # faces added in order, as numpy's einsum "cf,cfd->cd" adds them
     nf = mesh.cell_faces.shape[1]
-    areas = [mesh.face_measures[mesh.cell_faces[:, k]] for k in range(nf)]
     normals = mesh.cell_face_normals
-    closure = [_sum_in_order([a * normals[:, k, d]
-                              for k, a in enumerate(areas)])
-               for d in range(mesh.dim)]
-    norm = np.sqrt(_sum_in_order([c * c for c in closure]))
-    tol = 1e-12 * _sum_in_order(areas)
-    bad = [f"cell {c}: face closure sum violated (|sum|={norm[c]:.3e})"
-           for c in np.flatnonzero(~(norm <= tol))]
-    # antisymmetric normals across interior faces, all at once
-    f = np.flatnonzero(mesh.interior_face_mask)
-    p, q = mesh.face_cells[f, 0], mesh.face_cells[f, 1]
-    n_p = normals[p, mesh._local_index(p, f)]
-    n_q = normals[q, mesh._local_index(q, f)]
-    pair = [n_p[:, d] + n_q[:, d] for d in range(mesh.dim)]
-    pair = np.sqrt(_sum_in_order([c * c for c in pair]))
-    bad += [f"face {f[i]}: normals not antisymmetric"
-            for i in np.flatnonzero(~(pair <= 1e-14))]
+    bad = []
+    for cells in mesh._cell_blocks():
+        areas = [mesh.face_measures[mesh.cell_faces[cells, k]]
+                 for k in range(nf)]
+        closure = [_sum_in_order([a * normals[cells, k, d]
+                                  for k, a in enumerate(areas)])
+                   for d in range(mesh.dim)]
+        norm = np.sqrt(_sum_in_order([c * c for c in closure]))
+        tol = 1e-12 * _sum_in_order(areas)
+        bad += [f"cell {cells.start + c}: face closure sum violated "
+                f"(|sum|={norm[c]:.3e})"
+                for c in np.flatnonzero(~(norm <= tol))]
+    # antisymmetric normals across interior faces
+    for faces in mesh._face_blocks():
+        f = faces.start + np.flatnonzero(mesh.interior_face_mask[faces])
+        p, q = mesh.face_cells[f, 0], mesh.face_cells[f, 1]
+        n_p = normals[p, mesh._local_index(p, f)]
+        n_q = normals[q, mesh._local_index(q, f)]
+        pair = [n_p[:, d] + n_q[:, d] for d in range(mesh.dim)]
+        pair = np.sqrt(_sum_in_order([c * c for c in pair]))
+        bad += [f"face {f[i]}: normals not antisymmetric"
+                for i in np.flatnonzero(~(pair <= 1e-14))]
     # stored normals consistent with geometry (catches corrupted imports)
     if mesh.dim == 2:
-        geometric = mesh._edge_normals()
-        err = [geometric[:, :, d] - normals[:, :, d] for d in (0, 1)]
-        err = np.sqrt(err[0] * err[0] + err[1] * err[1])
-        bad += [f"face {mesh.cell_faces[c, k]}: stored normal differs "
-                f"from geometry (cell {c})"
-                for c, k in zip(*np.nonzero(~(err <= 1e-12)))]
+        for cells in mesh._cell_blocks():
+            geometric = mesh._edge_normals(cells)
+            err = [geometric[:, :, d] - normals[cells, :, d] for d in (0, 1)]
+            err = np.sqrt(err[0] * err[0] + err[1] * err[1])
+            bad += [f"face {mesh.cell_faces[cells.start + c, k]}: stored "
+                    f"normal differs from geometry (cell {cells.start + c})"
+                    for c, k in zip(*np.nonzero(~(err <= 1e-12)))]
     # measures positive, domain covered
     if not np.all(mesh.cell_volumes > 0):
         bad.append("non-positive cell measure")

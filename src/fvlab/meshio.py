@@ -17,16 +17,34 @@ The per-face normal is the one seen from cellP and is stored explicitly, so
 a corrupted file remains observable to the identity checker rather than
 being silently healed on load.  The ids of a section are a permutation of
 0..n-1 and its records may come in any order.  A repeated or out-of-range
-id, a record of the wrong width or a bad number is a ``MeshFormatError``; a
-cell or face naming a vertex or cell outside the mesh, or a face its cells
-do not hold, is a ``MeshConstructionError`` (both are ``ValueError``s).
+id, a record of the wrong width, a bad number in a record or a header line
+(``dim x``, ``vertices 1e3``) or a negative count is a ``MeshFormatError``;
+a cell or face naming a vertex or cell outside the mesh, or a face its
+cells do not hold, is a ``MeshConstructionError`` (both are
+``ValueError``s).
+
+``load_mesh`` reads the file's stripped, non-blank lines as the sections
+take them and parses each section in row blocks (``chunk_slices``) into
+columns made before its first block, so loading holds the mesh plus one
+block of lines and values, never the whole text.  The mesh then adopts its
+face table and ``check_mesh_identities`` checks it over blocks of cells and
+faces.  A section whose ids already run 0..n-1, as ``save_mesh`` writes
+them, is not reordered.  Every array, and every error message, is the one
+the whole file read at once would give.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import re
+from itertools import islice
+from stat import S_ISREG
+
 import numpy as np
 
 from .geometry import PrimalMesh
+from .quadrature import chunk_slices
 
 __all__ = ["save_mesh", "load_mesh", "MeshFormatError"]
 
@@ -69,13 +87,22 @@ def save_mesh(mesh: PrimalMesh, path):
                     mesh.face_normals)
 
 
-def _header(lines, at, word, count):
-    """The `count` values of header line `at`, which must start with `word`."""
-    tokens = lines[at].split() if at < len(lines) else ["end of file"]
+def _header(lines, word, count, kind=int):
+    """The `count` values of the next line, "<word> <values>", each read by
+    `kind`: int, or float (numpy reads a number as Python's float does)."""
+    tokens = next(lines, "end of file").split()
     if tokens[0] != word or len(tokens) != 1 + count:
         raise MeshFormatError(f"expected {word!r} and {count} value(s), got "
                               f"{' '.join(tokens)!r}")
-    return tokens[1:]
+    values = []
+    for token in tokens[1:]:
+        try:
+            values.append(kind(token))
+        except ValueError:
+            raise MeshFormatError(
+                f"{word} line {' '.join(tokens)!r}: {token!r} is not "
+                f"{'an integer' if kind is int else 'a number'}") from None
+    return values
 
 
 def _check_ids(word, ids):
@@ -92,44 +119,89 @@ def _check_ids(word, ids):
                               f"is repeated")
 
 
-def _section(lines, at, word, fields):
-    """The section "<word> n" at line `at`: its n records "<id> <fields>"
-    ((name, type, count) each) in id order, and the line after them."""
-    n = int(_header(lines, at, word, 1)[0])
-    rows = lines[at + 1:at + 1 + n]
-    if n < 0 or len(rows) < n:
+def _rejected(word, width, rows, start, exc, lines, after):
+    """The error of section `word` whose block `rows`, its records from
+    `start` on, ``loadtxt`` rejected with `exc`, and of which `after`
+    records follow in `lines`: the error of the whole section at once.
+    That is a section cut short by the end of the file, else the section's
+    first record of the wrong width, else ``loadtxt``'s message with its
+    row counted from the section's first record."""
+    bad = next((r.split() for r in rows if len(r.split()) != width), None)
+    for row in islice(lines, after):
+        after -= 1
+        if bad is None and len(row.split()) != width:
+            bad = row.split()
+    if after:
+        return MeshFormatError("truncated mesh file")
+    if bad is not None:
+        return MeshFormatError(f"{word} record {bad[0]} has {len(bad)} "
+                               f"fields, expected {width}")
+    message = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + start}",
+                     str(exc), count=1)
+    return MeshFormatError(f"{word} section: {message}")
+
+
+def _section(lines, word, fields, most):
+    """The next section of `lines`, "<word> n": the columns of its n
+    records "<id> <fields>" ((name, type, count) each) in id order, by
+    name.  The records are parsed in row blocks (``chunk_slices``) into
+    columns made before the first block, so a section costs its columns
+    and one block; records already in id order need no reordering.  A
+    count above `most`, the most lines the file can hold, is a truncated
+    file before any column is made."""
+    n, = _header(lines, word, 1)
+    if n < 0:
+        raise MeshFormatError(f"{word} section has a negative count {n}")
+    if n > most:
         raise MeshFormatError("truncated mesh file")
     if n == 0:
         raise MeshFormatError(f"{word} section has no records")
     dtype = np.dtype([("id", np.int64)] + [(name, t, (k,))
                                             for name, t, k in fields])
-    try:
-        rec = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
-    except ValueError as exc:
-        width = 1 + sum(k for _, _, k in fields)
-        bad = next((r.split() for r in rows if len(r.split()) != width), None)
-        raise MeshFormatError(f"{word} section: {exc}" if bad is None else
-                              f"{word} record {bad[0]} has {len(bad)} "
-                              f"fields, expected {width}") from None
-    _check_ids(word, rec["id"])
-    return rec[np.argsort(rec["id"])], at + 1 + n
+    width = 1 + sum(k for _, _, k in fields)
+    ids = np.empty(n, dtype=np.int64)
+    columns = {name: np.empty((n, k), dtype=t) for name, t, k in fields}
+    in_order = True
+    for block in chunk_slices(n, width):
+        rows = list(islice(lines, block.stop - block.start))
+        if len(rows) < block.stop - block.start:
+            raise MeshFormatError("truncated mesh file")
+        try:
+            rec = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=1)
+        except ValueError as exc:
+            raise _rejected(word, width, rows, block.start, exc, lines,
+                            n - block.stop) from None
+        ids[block] = rec["id"]
+        for name, column in columns.items():
+            column[block] = rec[name]
+        in_order = in_order and np.array_equal(
+            rec["id"], np.arange(block.start, block.stop))
+    if not in_order:
+        _check_ids(word, ids)
+        order = np.argsort(ids)
+        columns = {name: column[order] for name, column in columns.items()}
+    return columns
 
 
 def load_mesh(path) -> PrimalMesh:
     with open(path) as fh:
-        lines = list(filter(None, map(str.strip, fh.read().split("\n"))))
-    if not lines or lines[0] != MAGIC:
-        raise MeshFormatError(f"not a {MAGIC!r} file")
-    dim = int(_header(lines, 1, "dim", 1)[0])
-    if dim not in (1, 2):
-        raise MeshFormatError(f"bad dimension {dim}")
-    domain = np.array(_header(lines, 2, "domain", 2 * dim),
-                      dtype=float).reshape(dim, 2)
-    vertices, at = _section(lines, 3, "vertices", [("x", float, dim)])
-    cells, at = _section(lines, at, "cells", [("v", np.int64, 2 * dim)])
-    faces, at = _section(lines, at, "faces", [
-        ("v", np.int64, dim), ("c", np.int64, 2), ("n", float, dim)])
+        # n non-blank lines take 2n - 1 bytes at least (pipes: no bound)
+        st = os.fstat(fh.fileno())
+        most = (st.st_size + 1) // 2 if S_ISREG(st.st_mode) else math.inf
+        # the stripped, non-blank lines, read as the sections take them
+        lines = filter(None, map(str.strip, fh))
+        if next(lines, None) != MAGIC:
+            raise MeshFormatError(f"not a {MAGIC!r} file")
+        dim, = _header(lines, "dim", 1)
+        if dim not in (1, 2):
+            raise MeshFormatError(f"bad dimension {dim}")
+        domain = np.reshape(_header(lines, "domain", 2 * dim, float),
+                            (dim, 2))
+        vertices = _section(lines, "vertices", [("x", float, dim)], most)
+        cells = _section(lines, "cells", [("v", np.int64, 2 * dim)], most)
+        faces = _section(lines, "faces", [
+            ("v", np.int64, dim), ("c", np.int64, 2), ("n", float, dim)],
+            most)
     return PrimalMesh(vertices["x"], cells["v"], domain,
                       face_normals=faces["n"], face_cells=faces["c"],
                       face_vertices=faces["v"])
-

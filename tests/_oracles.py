@@ -212,8 +212,8 @@ class RowwiseMesh(PrimalMesh):
             return fv[:, 0]
         return fv.min(axis=1) * self.n_vertices + fv.max(axis=1)
 
-    def _local_faces(self):
-        loop = self.cell_vertices
+    def _local_faces(self, cells=slice(None)):
+        loop = self.cell_vertices[cells]
         if self.dim == 2:
             loop = np.stack([loop, np.roll(loop, -1, axis=1)], axis=-1)
         fv = loop.reshape(-1, self.dim)
@@ -244,12 +244,12 @@ class RowwiseMesh(PrimalMesh):
             self.face_midpoints = 0.5 * (va + vb)
             self.face_measures = np.sqrt(((vb - va) ** 2).sum(-1))
 
-    def _rowwise_edges(self):
-        loop = self.vertices[self.cell_vertices]
+    def _rowwise_edges(self, cells=slice(None)):
+        loop = self.vertices[self.cell_vertices[cells]]
         return np.roll(loop, -1, axis=1) - loop
 
-    def _edge_normals(self):
-        edge = self._rowwise_edges()
+    def _edge_normals(self, cells=slice(None)):
+        edge = self._rowwise_edges(cells)
         length = np.sqrt((edge ** 2).sum(-1))
         return np.stack([edge[:, :, 1] / length, -edge[:, :, 0] / length],
                         axis=-1)

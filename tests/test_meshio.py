@@ -1,6 +1,7 @@
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from _oracles import (RowwiseMesh, ScalarFaceMesh, float64_save_mesh,
                       scalar_mesh_identities)
+from fvlab import quadrature
 from fvlab.cli import main
 from fvlab.geometry import (MeshConstructionError, PrimalMesh,
                             build_cartesian, build_dual_mac, build_dual_rt,
@@ -352,3 +354,183 @@ def test_primal_mesh_rejects_non_finite_and_empty_input(vertices, cells,
                                                         domain, match):
     with pytest.raises(MeshConstructionError, match=match):
         PrimalMesh(vertices, cells, domain)
+
+
+@pytest.mark.parametrize("line, bad, error, match", [
+    ("dim 2", "dim x", MeshFormatError,
+     r"dim line 'dim x': 'x' is not an integer$"),
+    ("domain 0 1 0 1", "domain 0 1 0 x", MeshFormatError,
+     r"domain line 'domain 0 1 0 x': 'x' is not a number$"),
+    ("vertices 4", "vertices x", MeshFormatError,
+     r"vertices line 'vertices x': 'x' is not an integer$"),
+    ("vertices 4", "vertices 1e3", MeshFormatError,
+     r"vertices line 'vertices 1e3': '1e3' is not an integer$"),
+    ("vertices 4", "vertices -2", MeshFormatError,
+     r"vertices section has a negative count -2$"),
+    # more records than the file has lines: no column of that size is made
+    ("vertices 4", f"vertices {2 ** 50}", MeshFormatError,
+     r"truncated mesh file$"),
+    ("dim 2", "dim 2 3", MeshFormatError,
+     r"expected 'dim' and 1 value\(s\), got 'dim 2 3'$"),
+    ("dim 2", "dim 3", MeshFormatError, r"bad dimension 3$"),
+    # vertex 1 repeats vertex 0, so face 3 joins one point to itself
+    ("1 0 1", "1 0 0", MeshConstructionError, r"zero-length face$"),
+], ids=["dim_not_int", "domain_not_number", "count_not_int",
+        "count_float_syntax", "count_negative", "count_past_the_file",
+        "dim_token_count", "dim_3", "repeated_vertex"])
+def test_bad_header_lines_and_degenerate_files_exit_2(line, bad, error,
+                                                      match, tmp_path,
+                                                      capsys):
+    """Each header value is read with a format error that names its line,
+    and the file guards behind the header fire through the command line:
+    an ``error:`` line and exit 2."""
+    text = _mesh_text()
+    assert text.count(f"\n{line}\n") == 1
+    path = tmp_path / "mesh.txt"
+    path.write_text(text.replace(f"\n{line}\n", f"\n{bad}\n"))
+    with pytest.raises(error, match=match):
+        load_mesh(path)
+    config = tmp_path / "check.ini"
+    config.write_text(f"[mesh]\nfile = {path}\n\n[study]\nlayout = rt\n")
+    assert main(["check-identities", "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:"), (out, err)
+    assert re.search(match, err.strip()), err
+
+
+# CHUNK_VALUES of the block-seam tests: a row (or cell) a block, a few
+# rows a block, and the default, on a mesh with several blocks at each
+SEAM_VALUES = [1, 7, quadrature.CHUNK_VALUES]
+
+
+def _seam_mesh(values):
+    """A perturbed mesh whose sections, cells and faces span several
+    blocks at `values` (at the default: 2 cell blocks, 3 face blocks)."""
+    if values == quadrature.CHUNK_VALUES:
+        return build_perturbed_quads(130, 129, amplitude=0.2, seed=2)
+    return build_perturbed_quads(5, 4, amplitude=0.2, seed=2)
+
+
+@pytest.mark.parametrize("values", SEAM_VALUES)
+@pytest.mark.parametrize("layout", ["saved", "shuffled", "blank_crlf"])
+def test_row_blocks_load_the_built_arrays(values, layout, tmp_path):
+    """Whatever the block size, ``load_mesh`` gives the built mesh's
+    arrays, equal in bits and dtype: from the saved file (ids in order),
+    from its records shuffled within each section, and with blank lines
+    and CRLF line endings."""
+    mesh = _seam_mesh(values)
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    if layout != "saved":
+        lines = path.read_text().splitlines()
+        rng = np.random.default_rng(values)
+        if layout == "shuffled":
+            for rows in _sections(lines).values():
+                block = [lines[i] for i in rows]
+                for i, j in zip(rows, rng.permutation(len(block))):
+                    lines[i] = block[j]
+        else:
+            for i in sorted(rng.choice(len(lines), 40), reverse=True):
+                lines.insert(int(i), " \t" if i % 2 else "")
+        end = "\r\n" if layout == "blank_crlf" else "\n"
+        path.write_bytes("".join(f"{ln}{end}" for ln in lines).encode())
+    with mock.patch.object(quadrature, "CHUNK_VALUES", values):
+        back = load_mesh(path)
+    assert back.domain == mesh.domain
+    assert_same_arrays(back, mesh, bitwise=True)
+
+
+def _edit(word, row, change):
+    """An edit of a saved file's lines: the tokens of record `row` of
+    section `word` replaced by ``change(tokens)``."""
+    def apply(lines):
+        i = _sections(lines)[word][row]
+        lines[i] = " ".join(change(lines[i].split()))
+    return apply
+
+
+def _cut(word, row):
+    """An edit that ends the file before record `row` of section `word`."""
+    def apply(lines):
+        del lines[_sections(lines)[word][row]:]
+    return apply
+
+
+def _last_normal_x(tokens):
+    return tokens[:-1] + ["x"]
+
+
+@pytest.mark.parametrize("values", SEAM_VALUES)
+@pytest.mark.parametrize("edits, error, message", [
+    ([_edit("faces", 40, _last_normal_x)], MeshFormatError,
+     "faces section: could not convert string 'x' to float64 at row 40, "
+     "column 7."),
+    ([_edit("vertices", 25, lambda t: t[:2] + ["y"])], MeshFormatError,
+     "vertices section: could not convert string 'y' to float64 at row 25, "
+     "column 3."),
+    ([_edit("cells", 17, lambda t: t[:3] + ["1.5"] + t[4:])], MeshFormatError,
+     "cells section: could not convert string '1.5' to int64 at row 17, "
+     "column 4."),
+    ([_edit("faces", 3, _last_normal_x), _edit("faces", 45, lambda t: t[:-1])],
+     MeshFormatError, "faces record 45 has 6 fields, expected 7"),
+    ([_cut("faces", 30)], MeshFormatError, "truncated mesh file"),
+    ([_edit("faces", 3, _last_normal_x), _cut("faces", 30)], MeshFormatError,
+     "truncated mesh file"),
+    ([_edit("faces", 44, lambda t: ["2"] + t[1:])], MeshFormatError,
+     "faces record id 2 is repeated"),
+    ([_edit("cells", 17, lambda t: t[:1] + t[:0:-1])], MeshConstructionError,
+     "cell 17 is not counter-clockwise or degenerate"),
+    ([_edit("faces", 44, lambda t: t[:1] + ["0"] + t[2:])],
+     MeshConstructionError, "cell 17 references missing face (27, 22)"),
+], ids=["late_row", "late_vertex", "late_cell", "width_after_number",
+        "truncated", "truncated_after_number", "late_repeated_id",
+        "late_clockwise_cell", "late_missing_face"])
+def test_row_blocks_fail_as_the_whole_file(values, edits, error, message,
+                                           tmp_path):
+    """A bad record in a later block, or a file that ends inside a block,
+    fails with the message of the whole file read at once: the end of the
+    file first, then the section's first record of the wrong width, then
+    ``loadtxt``'s message with its row counted in the section; a cell or
+    face in a later block names itself as in the whole mesh."""
+    path = tmp_path / "mesh.txt"
+    save_mesh(build_perturbed_quads(5, 4, amplitude=0.2, seed=2), path)
+    lines = path.read_text().splitlines()
+    for edit in edits:
+        edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch.object(quadrature, "CHUNK_VALUES", values), \
+            pytest.raises(error) as got:
+        load_mesh(path)
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("values", SEAM_VALUES)
+@pytest.mark.parametrize("normal", ["flipped", "nan"])
+def test_identity_blocks_report_as_the_whole_mesh(values, normal,
+                                                  tmp_path):
+    """A flipped or NaN normal on the last interior face, in the last
+    blocks of faces and cells, gives the scalar checker's problems in its
+    order, whatever the block size."""
+    mesh = _seam_mesh(values)
+    target = int(np.flatnonzero(mesh.interior_face_mask)[-1])
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh, path)
+    lines = path.read_text().splitlines()
+    row = _sections(lines)["faces"][target]
+    tokens = lines[row].split()
+    tokens[-2:] = (["nan", "nan"] if normal == "nan" else
+                   [f"{-float(t):.17g}" for t in tokens[-2:]])
+    lines[row] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch.object(quadrature, "CHUNK_VALUES", values):
+        loaded = load_mesh(path)
+        dual = build_dual_rt(loaded)
+        problems = check_mesh_identities(loaded, dual)
+    assert problems == scalar_mesh_identities(loaded, dual)
+    cells = mesh.face_cells[target]
+    pairs = ([f"face {target}: normals not antisymmetric"]
+             if normal == "nan" else [])
+    assert [p.partition(" (|sum|=")[0] for p in problems] == (
+        [f"cell {c}: face closure sum violated" for c in cells] + pairs
+        + [f"face {target}: stored normal differs from geometry (cell {c})"
+           for c in cells])
